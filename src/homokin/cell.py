@@ -1,13 +1,15 @@
 """Discrete calculus on the periodic unit cell Y = (0, 1).
 
-Everything downstream is built from four pieces living on the cell:
+Everything downstream is built from five pieces living on the cell:
 
 * the average ``<v> = sum_j w_j v_j`` (midpoint rule),
 * the multiply-and-center operator ``L_g v = g*v - <g*v>``,
 * its semigroup ``exp(-tau*L_sigma)``,
 * its resolvent ``(p + L_sigma)^{-1}`` on zero-mean data, whose
   normalization constant is the shifted harmonic mean
-  ``B(p) = ( <1/(p+sigma)> )^{-1}``.
+  ``B(p) = ( <1/(p+sigma)> )^{-1}``,
+* the poles and residues of ``B(p)``, roots of a secular equation, which
+  turn the semigroup's action on zero-mean data into exponential sums.
 
 Cell functions are midpoint samples ``v_j = v((j+1/2)/n)`` with uniform
 weights ``1/n``; the rule is spectrally accurate for smooth periodic
@@ -181,6 +183,104 @@ def semigroup_apply(
     else:
         raise ValueError(f"unknown semigroup method {method!r}")
     return CellFunction(h.grid, out)
+
+
+# Array elements per row chunk of the pole solve and of pole sums: 4 rows
+# of a 4096-node cell.  Each temporary stays at 128 KB, which keeps peak
+# memory flat and was no slower than larger chunks at n = 4096.
+POLE_CHUNK = 1 << 14
+_SECULAR_MAX_ITER = 60
+
+
+def secular_poles(values, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Roots and residues of the secular equation sum_j W_j / (d_j - x) = 0.
+
+    Values equal up to rounding (closer than 4 eps times the largest
+    magnitude) are merged, weights summed and zero weights dropped, into
+    distinct d_1 < ... < d_m.  The secular function rises from -inf to +inf on
+    each gap (d_k, d_{k+1}), so it has exactly one root lambda_k there; its
+    residue is r_k = 1 / sum_j W_j (d_j - lambda_k)^-2.
+
+    Applied to (sigma, grid weights) the roots are the eigenvalues of the
+    rank-one update L_sigma = diag(sigma) - 1 (w sigma)^T other than 0 and
+    the sigma values, with eigenvectors 1/(sigma - lambda_k).  They are the
+    poles of B(p) at p = -lambda_k, so B(p) = p + <sigma> -
+    sum_k r_k/(p + lambda_k), the kernel is K(tau) = sum_k r_k
+    e^{-lambda_k tau} and sum_k r_k = Var sigma (Golub 1973).
+
+    Each root is found in the variable shifted to the nearer end of its
+    gap, by the two-pole rational iteration of Gu & Eisenstat kept inside
+    a shrinking bracket; rows of roots are solved in bounded chunks.
+    Raises RuntimeError if a root does not converge.
+    """
+    values = np.ravel(np.asarray(values, dtype=float))
+    weights = np.ravel(np.asarray(weights, dtype=float))
+    order = np.argsort(values, kind="stable")
+    v, w = values[order], weights[order]
+    v, w = v[w > 0], w[w > 0]
+    # a power-of-two scale maps the values into [-1, 1] without rounding
+    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(v), initial=0.0))[1])
+    split = np.diff(v) > 4.0 * np.finfo(float).eps * scale
+    d = v[np.concatenate(([True], split))] / scale
+    w = np.bincount(np.concatenate(([0], np.cumsum(split))), weights=w)
+    roots = np.empty(max(len(w) - 1, 0))
+    residues = np.empty_like(roots)
+    rows = max(1, POLE_CHUNK // max(len(w), 1))
+    for start in range(0, len(roots), rows):
+        gaps = np.arange(start, min(start + rows, len(roots)))
+        roots[gaps], residues[gaps] = _solve_gaps(d, w, gaps)
+    return scale * roots, scale * scale * residues
+
+
+def _solve_gaps(d: np.ndarray, w: np.ndarray, k: np.ndarray):
+    """Secular roots in the gaps (d_k, d_{k+1}) for a run of indices k."""
+    rows = np.arange(len(k))
+    # origin: the end of the gap nearer the root, by the sign at mid-gap
+    delta = d - d[k][:, None]
+    f_mid = (w / (delta - 0.5 * delta[rows, k + 1][:, None])).sum(axis=1)
+    origin = np.where(f_mid >= 0.0, k, k + 1)
+    delta = d - d[origin][:, None]
+    lo, hi = delta[rows, k], delta[rows, k + 1]  # the gap's poles, shifted
+    y = 0.5 * (lo + hi)
+    # columns j <= k hold the left partial sum: all up to k[0], a band after
+    band = np.arange(k[0] + 1, k[-1] + 1) <= k[:, None]
+
+    def left_sum(a):
+        return a[:, : k[0] + 1].sum(axis=1) + (a[:, k[0] + 1 : k[-1] + 1] * band).sum(axis=1)
+
+    done = np.zeros(len(k), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_SECULAR_MAX_ITER):
+            inv = 1.0 / (delta - y[:, None])
+            terms = w * inv
+            f = terms.sum(axis=1)
+            f_left = left_sum(terms)
+            done |= np.abs(f) <= 16.0 * np.finfo(float).eps * (f - 2.0 * f_left)
+            if done.all():
+                break
+            lo = np.where(f < 0.0, y, lo)
+            hi = np.where(f > 0.0, y, hi)
+            # model c + s/(d1 - eta) + t/(d2 - eta) matching the slopes of
+            # the left and right partial sums; take its root in the gap
+            slope = terms * inv
+            s_left = left_sum(slope)
+            d1, d2 = delta[rows, k] - y, delta[rows, k + 1] - y
+            s, t = d1 * d1 * s_left, d2 * d2 * (slope.sum(axis=1) - s_left)
+            c = f - s / d1 - t / d2
+            b = c * (d1 + d2) + s + t
+            disc = np.sqrt(np.maximum(b * b - 4.0 * c * d1 * d2 * f, 0.0))
+            step = y + 2.0 * d1 * d2 * f / (b + np.copysign(disc, b))
+            step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+            # a bracket too narrow to split leaves the root at full precision
+            done |= (step <= lo) | (step >= hi) | (step == y)
+            y = np.where(done, y, step)
+    if not done.all():
+        raise RuntimeError(
+            f"secular equation: {int((~done).sum())} of {len(k)} roots did not "
+            f"converge in {_SECULAR_MAX_ITER} iterations"
+        )
+    inv = 1.0 / (delta - y[:, None])
+    return d[origin] + y, 1.0 / (w * inv * inv).sum(axis=1)
 
 
 def harmonic_factor_B(sigma: CellFunction, p: float) -> float:

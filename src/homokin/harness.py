@@ -50,7 +50,7 @@ from .transport import (
 )
 from .volterra import TimeGrid
 
-KINDS = ("tartar", "ode", "boltzmann", "transport", "oscillator", "sweep", "kernel-dump")
+KINDS = ("tartar", "ode", "boltzmann", "transport", "oscillator", "kernel-dump")
 
 
 class ConfigError(ValueError):
@@ -257,17 +257,7 @@ def _run_ode(config: ExperimentConfig, out_dir: str) -> dict:
 
 def _boltzmann_job(args):
     example_id, placement, eps, init_mode, n_cell = args
-    try:
-        from threadpoolctl import threadpool_limits
-
-        with threadpool_limits(limits=1):
-            return sweep_point(
-                example_id, placement, eps, n_cell=n_cell, init_mode=init_mode
-            )
-    except ImportError:
-        return sweep_point(
-            example_id, placement, eps, n_cell=n_cell, init_mode=init_mode
-        )
+    return sweep_point(example_id, placement, eps, n_cell=n_cell, init_mode=init_mode)
 
 
 def _run_boltzmann(config: ExperimentConfig, out_dir: str) -> dict:
@@ -399,7 +389,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "tartar": _run_tartar,
         "ode": _run_ode,
         "boltzmann": _run_boltzmann,
-        "sweep": _run_boltzmann,
         "transport": _run_transport,
         "oscillator": _run_oscillator,
         "kernel-dump": _run_kernel_dump,

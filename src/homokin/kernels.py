@@ -16,6 +16,17 @@ and Tartar's classical harmonic-mean form  Mhat(p) = p + <sigma> - B(p).
 The two agree identically; :func:`verify_tartar_equivalence` checks the
 identity numerically along with a third route (numeric Laplace transform
 of the tabulated kernel).
+
+Tables are exponential sums over the poles -lambda_k of B(p), which
+:func:`homokin.cell.secular_poles` returns with their residues r_k:
+
+    K(tau) = sum_k r_k e^{-lambda_k tau},
+    < sigma e^{-tau L_sigma} v > = sum_k r_k <v/(sigma - lambda_k)> e^{-lambda_k tau}
+
+the second for zero-mean v, from the explicit eigenvectors
+1/(sigma - lambda_k).
+:func:`memory_kernel_eval` keeps the dense semigroup as an independent
+pointwise oracle.
 """
 
 from __future__ import annotations
@@ -23,21 +34,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .cell import (
+    POLE_CHUNK,
     CellFunction,
-    CellOperator,
     cell_average,
     fluctuation,
     harmonic_factor_B,
     resolvent_apply,
+    secular_poles,
     semigroup_apply,
 )
-
-# Dense step propagators are exact per step; above this size fall back to
-# matrix-free RK4 substepping (O(n) per application instead of O(n^2)).
-_DENSE_PROPAGATOR_MAX_N = 1024
 
 
 def memory_kernel_eval(sigma: CellFunction, tau: float) -> float:
@@ -49,33 +56,29 @@ def memory_kernel_eval(sigma: CellFunction, tau: float) -> float:
     return float(sigma.grid.weights @ (sigma.values * w.values))
 
 
-def _step_propagator(sigma: CellFunction, dt: float):
-    """Return a function advancing a cell vector by one time step dt.
+def pole_sum(rates, amplitudes, taus) -> np.ndarray:
+    """sum_k amplitudes_k exp(-rates_k tau) at each tau, in chunks of lags.
 
-    Dense matrix exponential for moderate grids; otherwise matrix-free RK4
-    with substeps small enough that the per-step error is ~1e-12.
+    Complex rates give oscillating sums; the chunks keep the (lags x poles)
+    exponential block at POLE_CHUNK elements.
     """
-    op = CellOperator(sigma)
-    n = sigma.grid.n
-    if n <= _DENSE_PROPAGATOR_MAX_N:
-        E = expm(-dt * op.matrix())
-        return lambda v: E @ v
-    smax = float(np.max(np.abs(sigma.values)))
-    h_target = min(2e-3, 1.0 / (8.0 * max(smax, 1e-30)))
-    nsub = max(1, int(np.ceil(dt / h_target)))
-    h = dt / nsub
+    rates = np.asarray(rates)
+    taus = np.asarray(taus, dtype=float)
+    out = np.empty(len(taus), dtype=np.result_type(rates, amplitudes, float))
+    rows = max(1, POLE_CHUNK // max(len(rates), 1))
+    for i in range(0, len(taus), rows):
+        out[i : i + rows] = np.exp(-np.outer(taus[i : i + rows], rates)) @ amplitudes
+    return out
 
-    def advance(v: np.ndarray) -> np.ndarray:
-        w = v
-        for _ in range(nsub):
-            k1 = -op.apply(w)
-            k2 = -op.apply(w + 0.5 * h * k1)
-            k3 = -op.apply(w + 0.5 * h * k2)
-            k4 = -op.apply(w + h * k3)
-            w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return w
 
-    return advance
+def _eigen_coefficients(sigma: CellFunction, poles: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """<v / (sigma - lambda_k)> per pole for cell data v of shape (..., n)."""
+    wv = np.asarray(v) * sigma.grid.weights
+    out = np.empty(wv.shape[:-1] + (len(poles),))
+    cols = max(1, POLE_CHUNK // sigma.grid.n)
+    for i in range(0, len(poles), cols):
+        out[..., i : i + cols] = wv @ (1.0 / np.subtract.outer(sigma.values, poles[i : i + cols]))
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,24 +115,27 @@ class KernelTable:
     def from_cell_coefficient(
         cls, sigma: CellFunction, dt: float, count: int
     ) -> "KernelTable":
-        """Tabulate K on {0, dt, ..., count*dt} by stepping the semigroup."""
+        """Tabulate K on {0, dt, ..., count*dt} as a sum over the poles of B.
+
+        The lag-zero value is <sigma (sigma - <sigma>)> directly.  Raises
+        RuntimeError when the residues miss the variance identity
+        sum_k r_k = Var sigma.
+        """
         if dt <= 0 or count < 0:
             raise ValueError("need dt > 0 and count >= 0")
-        w = sigma.grid.weights
         h = fluctuation(sigma).values
-        wsig = w * sigma.values
-        values = np.empty(count + 1)
-        values[0] = float(wsig @ h)
-        advance = _step_propagator(sigma, dt) if count > 0 else None
-        v = h
-        for j in range(1, count + 1):
-            v = advance(v)
-            values[j] = float(wsig @ v)
-        table = cls(np.arange(count + 1) * dt, values, sigma_ref=sigma)
-        var = float(wsig @ sigma.values) - cell_average(sigma) ** 2
-        if abs(values[0] - var) > 1e-10 * max(1.0, abs(var)):
-            raise AssertionError("kernel table violates the variance identity")
-        return table
+        poles, residues = secular_poles(sigma.values, sigma.grid.weights)
+        var = float(sigma.grid.weights @ h**2)
+        pole_var = float(residues.sum())
+        if abs(pole_var - var) > 1e-10 * max(1.0, abs(var)):
+            raise RuntimeError(
+                f"kernel poles violate the variance identity: sum of residues "
+                f"{pole_var:.17g} vs Var sigma {var:.17g}"
+            )
+        taus = np.arange(count + 1) * dt
+        values = pole_sum(poles, residues, taus)
+        values[0] = float((sigma.grid.weights * sigma.values) @ h)
+        return cls(taus, values, sigma_ref=sigma)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="\n") as fh:
@@ -157,16 +163,6 @@ def laplace_of_table(table: KernelTable, p: float) -> tuple[float, float]:
 def laplace_truncation_horizon(p: float) -> float:
     """Lag horizon max(20, 30/p): e^{-p tau_max} <= e^{-30} beyond it."""
     return max(20.0, 30.0 / p)
-
-
-def kernel_laplace_numeric(
-    sigma: CellFunction, p: float, dt: float = 2e-3
-) -> tuple[float, float]:
-    """Numeric-Laplace route: tabulate K and transform by trapezoid."""
-    tau_max = laplace_truncation_horizon(p)
-    count = int(np.ceil(tau_max / dt))
-    table = KernelTable.from_cell_coefficient(sigma, dt, count)
-    return laplace_of_table(table, p)
 
 
 def kernel_laplace_semigroup(sigma: CellFunction, p: float) -> float:
@@ -265,145 +261,49 @@ def build_source_table(
     """Tabulate S(t) on {0, dt, ..., count*dt}.
 
     ``f`` may be None (no forcing), a CellFunction (time-independent
-    forcing), or a callable t -> cell-values array.  The time integral is
-    the trapezoid rule on the same grid; for callable f the lag structure
-    is evaluated with an FFT convolution of adjoint-propagated weights,
-    which keeps the cost at O(n N log N).
+    forcing), or a callable t -> cell-values array.  Every term is a pole
+    sum; the time integral is the trapezoid rule on the same grid, which
+    for callable f advances one exact decay factor per pole and step.
     """
     if dt <= 0 or count < 0:
         raise ValueError("need dt > 0 and count >= 0")
-    w = sigma.grid.weights
-    wsig = w * sigma.values
     times = np.arange(count + 1) * dt
-    advance = _step_propagator(sigma, dt) if count > 0 else None
+    poles, residues = secular_poles(sigma.values, sigma.grid.weights)
 
-    # initial-data term d_n = < sigma e^{-t_n L} L_1 u_in >
-    v = fluctuation(u_in).values
-    d = np.empty(count + 1)
-    d[0] = float(wsig @ v)
-    for j in range(1, count + 1):
-        v = advance(v)
-        d[j] = float(wsig @ v)
+    def response(v: np.ndarray) -> np.ndarray:
+        """<sigma e^{-t L_sigma} v> on the grid, for zero-mean v."""
+        return pole_sum(poles, residues * _eigen_coefficients(sigma, poles, v), times)
+
+    # initial-data term d(t) = < sigma e^{-t L} L_1 u_in >
+    d = response(fluctuation(u_in).values)
 
     if f is None:
         return SourceTable(times, -d, u_in_ref=u_in, f_ref=None)
 
     if isinstance(f, CellFunction):
-        favg = np.full(count + 1, cell_average(f))
-        g = np.empty(count + 1)
-        v = fluctuation(f).values
-        g[0] = float(wsig @ v)
-        for j in range(1, count + 1):
-            v = advance(v)
-            g[j] = float(wsig @ v)
+        g = response(fluctuation(f).values)
         conv = np.concatenate(
             ([0.0], np.cumsum(0.5 * dt * (g[1:] + g[:-1])))
         )
-        return SourceTable(times, favg - conv - d, u_in_ref=u_in, f_ref=f)
+        return SourceTable(times, cell_average(f) - conv - d, u_in_ref=u_in, f_ref=f)
 
     if callable(f):
         n = sigma.grid.n
-        mean_w = sigma.grid.weights
         fvals = np.empty((count + 1, n))
         for j in range(count + 1):
             fj = np.asarray(f(times[j]), dtype=float)
             if fj.shape != (n,):
                 raise ValueError("f(t) must return cell values on sigma's grid")
             fvals[j] = fj
-        favg = fvals @ mean_w
-        fluct = fvals - favg[:, None]
-        # adjoint-propagated weights c_k with c_k . v = <sigma e^{-t_k L} v>
-        op = CellOperator(sigma)
-        if sigma.grid.n <= _DENSE_PROPAGATOR_MAX_N and count > 0:
-            ET = expm(-dt * op.matrix()).T
-            adj = lambda c: ET @ c
-        else:
-            wsig_vec = sigma.grid.weights * sigma.values
-
-            def apply_LT(c):
-                # (L^T c)_i = sigma_i c_i - w_i sigma_i sum(c)
-                return sigma.values * c - wsig_vec * c.sum()
-
-            adj = lambda c: _rk4_decay_generic(apply_LT, c, dt)
-        cks = np.empty((count + 1, n))
-        cks[0] = wsig
-        for k in range(1, count + 1):
-            cks[k] = adj(cks[k - 1])
-        size = 2 * (count + 1)
-        CF = np.fft.rfft(cks, n=size, axis=0)
-        FF = np.fft.rfft(fluct, n=size, axis=0)
-        conv_full = np.fft.irfft((CF * FF).sum(axis=1), n=size)[: count + 1]
-        diag_c0 = fluct @ cks[0]          # c_0 . F_n
-        diag_cn = cks @ fluct[0]          # c_n . F_0
-        integral = dt * (conv_full - 0.5 * diag_c0 - 0.5 * diag_cn)
-        integral[0] = 0.0
+        favg = fvals @ sigma.grid.weights
+        coef = _eigen_coefficients(sigma, poles, fvals - favg[:, None])
+        # trapezoid of int_0^t e^{-lambda_k (t-s)} coef_k(s) ds, per pole
+        decay = np.exp(-poles * dt)
+        acc = np.zeros(len(poles))
+        integral = np.zeros(count + 1)
+        for j in range(1, count + 1):
+            acc = decay * (acc + 0.5 * dt * coef[j - 1]) + 0.5 * dt * coef[j]
+            integral[j] = residues @ acc
         return SourceTable(times, favg - integral - d, u_in_ref=u_in, f_ref=f)
 
     raise TypeError("f must be None, a CellFunction, or a callable t -> values")
-
-
-def _rk4_decay_generic(apply_op, c: np.ndarray, dt: float) -> np.ndarray:
-    """One dt of w' = -Op w via RK4 substeps (matrix-free)."""
-    nsub = max(1, int(np.ceil(dt / 2e-3)))
-    h = dt / nsub
-    w = c
-    for _ in range(nsub):
-        k1 = -apply_op(w)
-        k2 = -apply_op(w + 0.5 * h * k1)
-        k3 = -apply_op(w + 0.5 * h * k2)
-        k4 = -apply_op(w + h * k3)
-        w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return w
-
-
-def homogenized_source_eval(
-    sigma: CellFunction,
-    f,
-    u_in: CellFunction,
-    t: float,
-    dt: float | None = None,
-) -> float:
-    """Single-time source value S(t); the integral uses a grid of step dt."""
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    if t == 0.0:
-        base = 0.0
-        if isinstance(f, CellFunction):
-            base = cell_average(f)
-        elif callable(f):
-            base = float(sigma.grid.weights @ np.asarray(f(0.0), dtype=float))
-        init = float(
-            sigma.grid.weights @ (sigma.values * fluctuation(u_in).values)
-        )
-        return base - init
-    if dt is None:
-        dt = t / 2000.0
-    count = max(1, int(round(t / dt)))
-    table = build_source_table(sigma, u_in, f, t / count, count)
-    return float(table.values[-1])
-
-
-def weighted_kernel_table(
-    weight: CellFunction,
-    sigma: CellFunction,
-    dt: float,
-    count: int,
-    initial: CellFunction | None = None,
-) -> np.ndarray:
-    """Generalized kernel < weight * e^{-tau L_sigma} v > on a lag grid.
-
-    ``v`` defaults to L_1 sigma (the memory kernel integrand); passing
-    ``initial`` gives the source-type kernels needed by the transport
-    closed-kernel route.  Returns the raw (count+1,) array.
-    """
-    if dt <= 0 or count < 0:
-        raise ValueError("need dt > 0 and count >= 0")
-    v = (fluctuation(sigma) if initial is None else initial).values
-    ww = weight.grid.weights * weight.values
-    out = np.empty(count + 1)
-    out[0] = float(ww @ v)
-    advance = _step_propagator(sigma, dt) if count > 0 else None
-    for j in range(1, count + 1):
-        v = advance(v)
-        out[j] = float(ww @ v)
-    return out

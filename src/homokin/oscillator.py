@@ -18,10 +18,14 @@ which decays like Var(l)/p, and the algebraically equivalent equation
 
     dU0/dt - b* A U0 = - int_0^t Ktilde(t - s) U0(s) ds.
 
-Ktilde is recovered on the time grid by fixed-Talbot contour quadrature;
-B's poles sit on the imaginary axis inside [-i l_max, i l_max] (they are
-zeros of the Cauchy transform of nu, hence in the convex hull of the
-atoms), so the contour parameter grows linearly with l_max * t.
+On the eigenvector of A for eigenvalue i, M(p) acts as sum_j w_j/(p - i l_j),
+which vanishes at p = i omega_k exactly where sum_j w_j/(l_j - omega) = 0.
+These secular roots interlace the atoms, the residue of B there is
+r_k = 1/sum_j w_j (l_j - omega_k)^-2, and Ktilde is the finite sum
+
+    Ktilde(t) = sum_k r_k [cos(omega_k t) Id + sin(omega_k t) A],
+
+tabulated exactly on any time grid.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import CellFunction
-from .kernels import KernelTable
+from .cell import CellFunction, secular_poles
+from .kernels import KernelTable, pole_sum
 from .volterra import TimeGrid, VolterraProblem, solve_volterra
 
 SKEW = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -134,31 +138,7 @@ def regularized_kernel_laplace(nu: YoungMeasure, p) -> np.ndarray:
     return _commutant_matrix(a / det - p, -c / det + nu.mean)
 
 
-def inverse_laplace_talbot(F, t: float, nodes: int = 32):
-    """Fixed-Talbot inversion of a (matrix- or scalar-valued) transform.
-
-    The contour is the standard cotangent parabola with abscissa
-    r = 2*nodes/5; every singularity of F must lie inside it, which for
-    the oscillator kernels means nodes must grow like l_max * t.
-    """
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
-    M = int(nodes)
-    if M < 4:
-        raise ValueError("need at least 4 quadrature nodes")
-    r = 2.0 * M / 5.0
-    theta = np.arange(1, M) * np.pi / M
-    cot = 1.0 / np.tan(theta)
-    p = (r / t) * theta * (cot + 1j)
-    gamma = np.exp(t * p) * (1.0 + 1j * theta * (1.0 + cot**2) - 1j * cot)
-    f0 = np.asarray(F(r / t + 0j))
-    total = 0.5 * np.exp(r) * f0
-    for pk, gk in zip(p, gamma):
-        total = total + gk * np.asarray(F(pk))
-    out = (2.0 / (5.0 * t)) * np.real(total)
-    return out if out.shape else float(out)
-
-
+# Talbot contour size; unused here, perfbench/workloads.py counts work with it.
 def talbot_nodes_for(nu: YoungMeasure, t_max: float, base: int = 32) -> int:
     """Node count enclosing the kernel poles up to time t_max.
 
@@ -170,77 +150,27 @@ def talbot_nodes_for(nu: YoungMeasure, t_max: float, base: int = 32) -> int:
     return max(base, int(np.ceil(need)) + 8)
 
 
-def kernel_time_table(
-    nu: YoungMeasure, grid: TimeGrid, nodes: int | None = None
-) -> KernelTable:
-    """Tabulate the regularized kernel Ktilde on the solver grid.
+def kernel_time_table(nu: YoungMeasure, grid: TimeGrid) -> KernelTable:
+    """Tabulate Ktilde = sum_k r_k [cos(omega_k t) Id + sin(omega_k t) A].
 
-    Entries are recovered via the commutant components alpha, beta with
-    Ktilde = alpha Id + beta A; the lag-zero value is the analytic limit
-    alpha(0+) = Var(l), beta(0+) = 0.
+    The frequencies and residues are the secular roots of the atoms; the
+    lag-zero value is sum_k r_k = Var(l).
     """
-    times = grid.times
-    values = np.empty((len(times), 2, 2))
-    values[0] = nu.variance * np.eye(2)
-
-    bstar = nu.mean
-    atoms, wts = nu.atoms, nu.weights
-
-    def hat_components(p):
-        # Ktilde_hat on the skew eigenbasis: k+- = 1/m+- - p +- i b* with
-        # m+- the Cauchy transforms sum w/(p -+ i l).  The subtraction is
-        # rewritten as (1 - (p -+ i b*) m+-)/m+- whose numerator sums
-        # i (b* - l) w/(p -+ i l) termwise: no large-p cancellation, which
-        # matters because Talbot multiplies round-off by exp(r).
-        p = p[..., None]
-        mp = (wts / (p - 1j * atoms)).sum(axis=-1)
-        mm = (wts / (p + 1j * atoms)).sum(axis=-1)
-        np_ = (wts * 1j * (bstar - atoms) / (p - 1j * atoms)).sum(axis=-1)
-        nm_ = (wts * (-1j) * (bstar - atoms) / (p + 1j * atoms)).sum(axis=-1)
-        kp = np_ / mp
-        km = nm_ / mm
-        return 0.5 * (kp + km), -0.5j * (kp - km)
-
-    ts = times[1:]
-    # Node counts grow with t (pole enclosure) but exp(r) amplifies
-    # round-off, so short lags run with fewer nodes.  Times are bucketed
-    # by node count and each bucket is evaluated vectorized.
-    if nodes is None:
-        per_t = np.array([talbot_nodes_for(nu, t) for t in ts])
-    else:
-        per_t = np.full(len(ts), int(nodes))
-    for M in np.unique(per_t):
-        sel = np.nonzero(per_t == M)[0]
-        tt = ts[sel]
-        r = 2.0 * M / 5.0
-        theta = np.arange(1, M) * np.pi / M
-        cot = 1.0 / np.tan(theta)
-        base_p = r * theta * (cot + 1j)  # t * p_k, independent of t
-        gamma = np.exp(base_p) * (1.0 + 1j * theta * (1.0 + cot**2) - 1j * cot)
-        ah, bh = hat_components(base_p[None, :] / tt[:, None])
-        a0, b0 = hat_components(np.full(len(tt), r + 0j) / tt)
-        scale = 2.0 / (5.0 * tt)
-        alpha = scale * np.real(0.5 * np.exp(r) * a0 + (gamma * ah).sum(axis=1))
-        beta = scale * np.real(0.5 * np.exp(r) * b0 + (gamma * bh).sum(axis=1))
-        values[sel + 1, 0, 0] = alpha
-        values[sel + 1, 1, 1] = alpha
-        values[sel + 1, 0, 1] = beta
-        values[sel + 1, 1, 0] = -beta
-    return KernelTable(times, values)
+    freqs, residues = secular_poles(nu.atoms, nu.weights)
+    z = pole_sum(-1j * freqs, residues, grid.times)  # alpha + i beta
+    values = z.real[:, None, None] * np.eye(2) + z.imag[:, None, None] * SKEW
+    return KernelTable(grid.times, values)
 
 
 def solve_oscillator_limit(
-    nu: YoungMeasure,
-    u_in: np.ndarray,
-    grid: TimeGrid,
-    nodes: int | None = None,
+    nu: YoungMeasure, u_in: np.ndarray, grid: TimeGrid
 ) -> np.ndarray:
     """March the regularized limit equation; returns U0 on the grid nodes.
 
     In the solver's convention du/dt + a u - int K(t-s) u = 0 the decay
     coefficient is a = -b* A and the kernel is K = -Ktilde.
     """
-    table = kernel_time_table(nu, grid, nodes)
+    table = kernel_time_table(nu, grid)
     neg_table = KernelTable(table.taus, -table.values)
     problem = VolterraProblem(
         dim=2,

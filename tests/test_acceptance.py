@@ -338,7 +338,7 @@ def test_criterion_11_sweep_determinism(tmp_path):
     for workers in (1, 8):
         out = tmp_path / f"workers{workers}"
         cfg = ExperimentConfig(
-            kind="sweep",
+            kind="boltzmann",
             preset="1",
             placement="inside",
             epsilons=tuple(DEFAULT_SWEEP),

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+import homokin.kernels
+from homokin.cell import secular_poles
 from homokin.cli import build_parser, config_from_args, main
 from homokin.harness import (
     ConfigError,
@@ -103,7 +105,7 @@ class TestExperiments:
         for workers in (1, 2):
             out = tmp_path / f"w{workers}"
             cfg = ExperimentConfig(
-                kind="sweep",
+                kind="boltzmann",
                 preset="1",
                 placement="inside",
                 epsilons=(1 / 10.1, 1 / 20.1, 1 / 40.1),
@@ -153,7 +155,7 @@ class TestCli:
     def test_parser_has_all_subcommands(self):
         parser = build_parser()
         for kind in ("tartar", "ode", "boltzmann", "transport", "oscillator",
-                     "sweep", "kernel-dump", "plot"):
+                     "kernel-dump", "plot"):
             args = parser.parse_args(
                 [kind, "x.csv"] if kind == "plot" else [kind]
             )
@@ -182,3 +184,13 @@ class TestCli:
         code = main(["boltzmann", "--eps", "0.5,0.7", "--out", str(tmp_path)])
         assert code == 2
         assert "eps" in capsys.readouterr().err
+
+    def test_kernel_pole_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        def corrupted(values, weights):
+            poles, residues = secular_poles(values, weights)
+            return poles, 2.0 * residues
+
+        monkeypatch.setattr(homokin.kernels, "secular_poles", corrupted)
+        code = main(["kernel-dump", "--preset", "two-valued", "--out", str(tmp_path)])
+        assert code == 1
+        assert "variance identity" in capsys.readouterr().err

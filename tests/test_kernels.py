@@ -18,14 +18,12 @@ from homokin.cell import (
 from homokin.kernels import (
     KernelTable,
     build_source_table,
-    homogenized_source_eval,
-    kernel_laplace_numeric,
     kernel_laplace_semigroup,
     laplace_of_table,
+    laplace_truncation_horizon,
     memory_kernel_eval,
     tartar_kernel_laplace,
     verify_tartar_equivalence,
-    weighted_kernel_table,
 )
 
 GRID = PeriodicGrid(256)
@@ -116,7 +114,9 @@ class TestLaplaceRoutes:
             assert abs(kernel_laplace_semigroup(TWOVAL, p) - 1.0 / (p + 2.0)) < 1e-12
 
     def test_two_valued_numeric_laplace_of_kernel(self):
-        value, tail = kernel_laplace_numeric(TWOVAL, 1.0)
+        dt = 2e-3
+        count = int(np.ceil(laplace_truncation_horizon(1.0) / dt))
+        value, tail = laplace_of_table(KernelTable.from_cell_coefficient(TWOVAL, dt, count), 1.0)
         assert abs(value - 1.0 / 3.0) < 1e-5
         assert tail < 1e-9
 
@@ -185,24 +185,21 @@ def _source_oracle(sigma, u_in, f, t, nsteps):
 class TestSource:
     def test_zero_forcing_flat_initial_data(self):
         u_in = CellFunction(GRID, np.full(GRID.n, 3.0))
-        for t in (0.0, 1.0, 5.0):
-            assert abs(homogenized_source_eval(SINE, None, u_in, t)) < 1e-12
+        table = build_source_table(SINE, u_in, None, dt=0.0025, count=2000)
+        for j in (0, 400, 2000):  # t = 0, 1, 5
+            assert abs(table.values[j]) < 1e-12
 
     def test_constant_sigma_kills_fluctuation_term(self):
         sig = CellFunction(GRID, np.full(GRID.n, 2.0))
         u_in = CellFunction.from_function(GRID, lambda y: 1.0 + np.sin(2 * np.pi * y))
-        for t in (0.0, 0.5, 2.0):
-            assert abs(homogenized_source_eval(sig, None, u_in, t)) < 1e-12
+        table = build_source_table(sig, u_in, None, dt=0.001, count=2000)
+        for j in (0, 500, 2000):  # t = 0, 0.5, 2
+            assert abs(table.values[j]) < 1e-12
 
     def test_initial_time_quadrature_value(self):
         u_in = CellFunction.from_function(GRID, lambda y: 1.0 + np.sin(2 * np.pi * y))
-        got = homogenized_source_eval(SINE, None, u_in, 0.0)
+        got = build_source_table(SINE, u_in, None, dt=0.1, count=0).values[0]
         assert abs(got - (-0.25)) < 1e-12
-
-    def test_negative_time_rejected(self):
-        u_in = CellFunction(GRID, np.ones(GRID.n))
-        with pytest.raises(ValueError):
-            homogenized_source_eval(SINE, None, u_in, -1.0)
 
     def test_table_constant_forcing_against_oracle(self):
         grid = PeriodicGrid(64)
@@ -225,7 +222,7 @@ class TestSource:
             assert abs(table.values[j] - oracle) < 1e-9
 
     def test_matrix_free_adjoint_path_matches_dense(self):
-        # grids above the dense-propagator cap exercise the RK4 adjoint
+        # a fine and a coarse grid of the same profiles give the same table
         fine = PeriodicGrid(2048)
         coarse = PeriodicGrid(512)
         f_fine = lambda t: np.exp(-t) * (1.0 + np.sin(2 * np.pi * fine.nodes))
@@ -236,21 +233,3 @@ class TestSource:
             u_in = CellFunction.from_function(grid, lambda y: np.cos(2 * np.pi * y))
             tables.append(build_source_table(sig, u_in, f, dt=0.02, count=25))
         assert np.max(np.abs(tables[0].values - tables[1].values)) < 1e-8
-
-
-class TestWeightedKernel:
-    def test_default_weight_reproduces_memory_kernel(self):
-        vals = weighted_kernel_table(SINE, SINE, 0.1, 20)
-        for j in (0, 5, 20):
-            assert abs(vals[j] - memory_kernel_eval(SINE, 0.1 * j)) < 1e-11
-
-    def test_general_weight_against_dense_oracle(self):
-        grid = PeriodicGrid(128)
-        sig = CellFunction.from_function(grid, sine_profile(2.0, 0.5))
-        wfun = CellFunction.from_function(grid, lambda y: 1.0 + 0.5 * np.cos(2 * np.pi * y))
-        vals = weighted_kernel_table(wfun, sig, 0.2, 10)
-        L = CellOperator(sig).matrix()
-        h = fluctuation(sig).values
-        for j in (0, 4, 10):
-            oracle = float((grid.weights * wfun.values) @ (expm(-0.2 * j * L) @ h))
-            assert abs(vals[j] - oracle) < 1e-11

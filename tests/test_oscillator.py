@@ -1,4 +1,4 @@
-"""Oscillator-limit tests: rotations, resolvent matrix, Talbot, Volterra."""
+"""Oscillator-limit tests: rotations, resolvent matrix, pole kernel, Volterra."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from homokin.oscillator import (
     averaged_rotation_laplace_numeric,
     cell_averaged_limit,
     exact_rotation,
-    inverse_laplace_talbot,
     kernel_components,
     kernel_time_table,
     matrix_B,
@@ -139,28 +138,6 @@ class TestRegularizedKernel:
         assert abs(K[0, 1] + K[1, 0]) < 1e-12
 
 
-class TestTalbot:
-    def test_exponential_pair(self):
-        for t in (0.1, 1.0, 5.0):
-            v = inverse_laplace_talbot(lambda p: 1.0 / (p + 2.0), t)
-            assert abs(v - np.exp(-2.0 * t)) < 1e-8
-
-    def test_ramp_pair(self):
-        for t in (0.1, 1.0, 5.0):
-            v = inverse_laplace_talbot(lambda p: 1.0 / p**2, t)
-            assert abs(v - t) < 1e-8
-
-    def test_matrix_valued_entrywise(self):
-        F = lambda p: np.array([[1.0 / (p + 1.0), 0.0], [0.0, 1.0 / (p + 3.0)]])
-        out = inverse_laplace_talbot(F, 0.7)
-        assert abs(out[0, 0] - np.exp(-0.7)) < 1e-9
-        assert abs(out[1, 1] - np.exp(-2.1)) < 1e-9
-
-    def test_nonpositive_time_rejected(self):
-        with pytest.raises(ValueError):
-            inverse_laplace_talbot(lambda p: 1.0 / p, 0.0)
-
-
 class TestKernelTable:
     def test_two_atom_closed_form(self):
         # Cauchy-transform algebra gives Ktilde = cos(2t) Id + sin(2t) A
@@ -177,7 +154,7 @@ class TestKernelTable:
 
     def test_alpha_near_zero_at_fixed_nodes(self):
         grid = TimeGrid(0.048, 1e-3)
-        table = kernel_time_table(TWO_ATOMS, grid, nodes=48)
+        table = kernel_time_table(TWO_ATOMS, grid)
         alpha, _ = kernel_components(table)
         assert abs(alpha[1] - TWO_ATOMS.variance) / TWO_ATOMS.variance < 0.02
 
@@ -201,6 +178,15 @@ class TestLimitSolve:
         u = solve_oscillator_limit(TWO_ATOMS, U_IN, grid)
         ref = cell_averaged_limit(TWO_ATOMS, grid.times, U_IN)
         assert np.max(np.abs(u - ref)) < 1e-3
+
+    def test_wide_atom_gaps_end_to_end(self):
+        # l_max * T reaches 100; what remains is the trapezoid's O(dt^2) error
+        grid = TimeGrid.from_count(10.0, 10000)
+        for high in (6.0, 10.0):
+            nu = YoungMeasure.two_atoms(1.0, high)
+            u = solve_oscillator_limit(nu, U_IN, grid)
+            ref = cell_averaged_limit(nu, grid.times, U_IN)
+            assert np.max(np.abs(u - ref)) < 1e-3
 
     def test_laplace_identity_numeric(self):
         for p in (0.5, 1.0, 2.0):
