@@ -16,6 +16,11 @@ problem is a family of Volterra fixed points
 
 solved by product trapezoid in s with a recursively updated history (the
 s-kernel is a pure exponential per (w, E), so no quadratic-cost sum).
+The scattering operator factors through the angle-pair field g[v, w], so
+each implicit trapezoid step reduces to a linear system of size
+n_omega^2 whose matrix is inverted once per run.  Every solver marches
+only the r-slices where the initial data is nonzero; the other slices
+stay exactly zero.
 The homogenized limit is the coupled system for the y-average psi_hom and
 the mean-free corrector rho; an independent closed-kernel route rebuilds
 psi_hom from memory kernels with energy-scaled decay sqrt(E) L_sigma and
@@ -341,6 +346,20 @@ def check_characteristics_interior(
         )
 
 
+def _initial_slices(phi_in, r_nodes: np.ndarray, *axes) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the r-slices where phi_in is nonzero, and phi_in on them.
+
+    ``axes`` are the (omega, E[, y]) arguments after r, broadcast to the
+    slice shape.  The labels r ride along passively and every solver is
+    linear, so the slices left out stay exactly zero.
+    """
+    data = np.stack([phi_in(rv, *axes) for rv in r_nodes])
+    active = np.nonzero(np.abs(data).reshape(len(r_nodes), -1).max(axis=1) > 0)[0]
+    if len(active) == 0:
+        raise ValueError("initial data vanishes on every r-node")
+    return active, data[active]
+
+
 @dataclass(frozen=True, eq=False)
 class CharacteristicsSolution:
     """Oscillatory transport solution restricted to the active r-slices.
@@ -369,7 +388,6 @@ def solve_characteristics_eps(
     t_end: float = 1.5,
     n_steps: int = 200,
     nodes_per_period: int = 100,
-    picard_tol: float = 1e-13,
     store_full: bool = False,
     n_windows: int = 6,
 ) -> CharacteristicsSolution:
@@ -377,8 +395,12 @@ def solve_characteristics_eps(
 
     r-slices are independent; slices where phi_in vanishes identically
     stay zero and are dropped.  The lag kernel is exp(-(t-s) sigma_eps)
-    per (omega, E), so the history integral is updated recursively and
-    each step costs one scattering application per Picard iteration.
+    per (omega, E), so the history integral is updated recursively.  The
+    scattering operator factors as K = S R, with R reducing (w, E') to
+    g[v, w] and S spreading g back to (v, E), so the implicit step
+    psi = known + (dt/2) K psi is solved directly through the reduced
+    system (I - (dt/2) R S) g = R known, inverted once per call.  A
+    numerically singular system raises RuntimeError.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -392,31 +414,47 @@ def solve_characteristics_eps(
     k1 = _mu_interp_table(params.kappa1, grids.angles, energies, None, grids.n_mu)
     k2_diag = np.ascontiguousarray(kappa2_paired(params, grids, energies, y))
     sqrtE = np.sqrt(energies)
+    aw = grids.angle_weight
+    nw = grids.n_omega
 
     r = grids.r_nodes
-    psi0 = np.stack(
-        [
-            phi_in(rv, grids.angles[:, None], energies[None, :], y[None, :])
-            for rv in r
-        ]
-    )  # (nr, nw, nE)
-    active = np.nonzero(np.abs(psi0).max(axis=(1, 2)) > 0)[0]
-    if len(active) == 0:
-        raise ValueError("initial data vanishes on every r-node")
+    active, base0 = _initial_slices(phi_in, r, grids.angles[:, None], energies, y)
+    na = len(active)
     times = np.linspace(0.0, t_end, n_steps + 1)
     dt = times[1] - times[0]
     decay_step = np.exp(-dt * sig)
 
     k2_batched = np.ascontiguousarray(k2_diag.transpose(1, 2, 0))  # (w, E', v)
-    scale_out = sqrtE[None, None, :] * grids.angle_weight
+    scale_out = sqrtE[None, None, :] * aw
 
-    def apply_K(f):
-        # f: (na, nw, nE') over active slices; both contractions run as
-        # batched matmuls (BLAS) rather than generic einsums
+    # both contractions run as batched matmuls (BLAS) rather than einsums
+    def reduce(f):
+        # R: (na, w, E') -> g[(v, w), na] = we sum_E' k2[v, w, E'] f[w, E']
         g = np.matmul(f.transpose(1, 0, 2), k2_batched) * we  # (w, na, v)
-        gv = np.ascontiguousarray(g.transpose(2, 1, 0))       # (v, na, w)
-        out = np.matmul(gv, k1)                               # (v, na, E)
-        return scale_out * out.transpose(1, 0, 2)
+        return g.transpose(2, 0, 1).reshape(nw * nw, na)
+
+    def spread(g):
+        # S: g[(v, w), na] -> (na, v, E) = sqrt(E) aw sum_w k1[v, w, E] g[v, w]
+        gv = g.reshape(nw, nw, na).transpose(0, 2, 1)  # (v, na, w)
+        return scale_out * np.matmul(gv, k1).transpose(1, 0, 2)
+
+    # R S is block diagonal in the middle angle: (R S g)[v, w] =
+    # sum_w' C[v, w, w'] g[w, w'] with C = we aw sum_E' k2 sqrt(E') k1
+    C = we * aw * np.einsum("vwe,wxe->vwx", k2_diag * sqrtE, k1)
+    RS = np.einsum("vwx,wu->vwux", C, np.eye(nw)).reshape(nw * nw, nw * nw)
+    step_matrix = np.eye(nw * nw) - 0.5 * dt * RS
+    # an explicit inverse keeps every step in numpy's BLAS: scipy's LAPACK
+    # brings a second thread pool that contends with numpy's on each step
+    try:
+        step_inv = np.linalg.inv(step_matrix)
+        cond = np.linalg.norm(step_matrix, 1) * np.linalg.norm(step_inv, 1)
+    except np.linalg.LinAlgError:
+        cond = np.inf
+    if cond * nw * nw * np.finfo(float).eps > 1.0:
+        raise RuntimeError(
+            "implicit scattering step is numerically singular; "
+            "increase n_steps"
+        )
 
     if n_e % n_windows != 0:
         raise ValueError("window count must divide the energy grid")
@@ -431,8 +469,7 @@ def solve_characteristics_eps(
             np.sqrt((f**2).sum() * we * grids.angle_weight * r_weight)
         )
 
-    psi = psi0[active].copy()
-    base0 = psi0[active]
+    psi = base0
     full = (
         np.empty((n_steps + 1,) + psi.shape) if store_full else None
     )
@@ -445,21 +482,14 @@ def solve_characteristics_eps(
 
     decay_t = np.ones_like(sig)
     G = np.zeros_like(psi)
-    F = apply_K(psi)
+    F = spread(reduce(psi))
     for n in range(n_steps):
         decay_t = decay_t * decay_step
         G = decay_step[None] * (G + 0.5 * F)
         known = decay_t[None] * base0 + dt * G
-        # Picard for psi_{n+1} = known + (dt/2) K psi_{n+1}
-        nxt = known + dt * 0.5 * F  # warm start from the previous slope
-        for _ in range(60):
-            upd = known + dt * 0.5 * apply_K(nxt)
-            delta = np.max(np.abs(upd - nxt))
-            nxt = upd
-            if delta < picard_tol:
-                break
-        psi = nxt
-        F = apply_K(psi)
+        # psi_{n+1} = known + (dt/2) K psi_{n+1}, and F = K psi_{n+1} = S g
+        F = spread(step_inv @ reduce(known))
+        psi = known + dt * 0.5 * F
         G = G + 0.5 * F
         if store_full:
             full[n + 1] = psi
@@ -508,7 +538,8 @@ def solve_two_scale_transport(
 
     State: psi_hom(r, w, E) and mean-free rho(r, w, E, y).  The corrector
     feels only the sigma-oscillation; scattering couples through the
-    y-averaged source terms.
+    y-averaged source terms.  Only the r-slices where phi_in is nonzero
+    are marched; the returned fields cover every r-node.
     """
     support = getattr(phi_in, "support", grids.r_box)
     check_characteristics_interior(grids, support, t_end)
@@ -520,17 +551,9 @@ def solve_two_scale_transport(
     r = grids.r_nodes
     wy = 1.0 / grids.n_y
 
-    phi0 = np.stack(
-        [
-            phi_in(
-                rv,
-                grids.angles[:, None, None],
-                energies[None, :, None],
-                ygrid.nodes[None, None, :],
-            )
-            for rv in r
-        ]
-    )  # (nr, nw, nE, ny)
+    active, phi0 = _initial_slices(
+        phi_in, r, grids.angles[:, None, None], energies[:, None], ygrid.nodes
+    )  # (na, nw, nE, ny)
     psi = phi0.mean(axis=3)
     rho = phi0 - psi[..., None]
 
@@ -560,8 +583,8 @@ def solve_two_scale_transport(
 
     times = np.linspace(0.0, t_end, n_steps + 1)
     dt = times[1] - times[0]
-    psis = np.empty((n_steps + 1,) + psi.shape)
-    psis[0] = psi
+    psis = np.zeros((n_steps + 1, len(r)) + psi.shape[1:])
+    psis[0, active] = psi
     max_mean = float(np.max(np.abs(rho.mean(axis=3))))
     for n in range(n_steps):
         k1p, k1r = rhs(psi, rho)
@@ -570,17 +593,19 @@ def solve_two_scale_transport(
         k4p, k4r = rhs(psi + dt * k3p, rho + dt * k3r)
         psi = psi + (dt / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
         rho = rho + (dt / 6.0) * (k1r + 2 * k2r + 2 * k3r + k4r)
-        psis[n + 1] = psi
+        psis[n + 1, active] = psi
         max_mean = max(max_mean, float(np.max(np.abs(rho.mean(axis=3)))))
     hom_field = PhaseSpaceField(times, r, grids.angles, energies, psis)
     # only the final corrector state is kept; its history would dominate
     # memory and downstream consumers need the invariant, not the path
+    rho_final = np.zeros((1, len(r)) + rho.shape[1:])
+    rho_final[0, active] = rho
     rho_field = PhaseSpaceField(
         times[-1:],
         r,
         grids.angles,
         energies,
-        rho[None],
+        rho_final,
         y_nodes=ygrid.nodes,
     )
     return TwoScaleTransportSolution(hom_field, rho_field, max_mean)
@@ -592,7 +617,6 @@ def solve_closed_kernel_transport(
     grids: TransportGrids,
     t_end: float = 1.5,
     n_steps: int = 300,
-    picard_tol: float = 1e-13,
 ) -> PhaseSpaceField:
     """Verification route: march the closed memory-kernel equation.
 
@@ -602,6 +626,10 @@ def solve_closed_kernel_transport(
     sigma fluctuation, weighted by sigma (local part) or kappa2
     (scattering part).  History cost is quadratic in n_steps: this route
     exists to verify the coupled system, so run it on reduced grids.
+    Only the r-slices where phi_in is nonzero are marched.  The RK4
+    substep is bounded by 2 / max(sqrt(E) sigma), inside the real-axis
+    stability interval; a Picard iteration that misses its cap raises
+    RuntimeError.
     """
     support = getattr(phi_in, "support", grids.r_box)
     check_characteristics_interior(grids, support, t_end)
@@ -616,16 +644,8 @@ def solve_closed_kernel_transport(
     times = np.linspace(0.0, t_end, n_steps + 1)
     dt = times[1] - times[0]
 
-    phi0 = np.stack(
-        [
-            phi_in(
-                rv,
-                grids.angles[:, None, None],
-                energies[None, :, None],
-                ygrid.nodes[None, None, :],
-            )
-            for rv in r
-        ]
+    active, phi0 = _initial_slices(
+        phi_in, r, grids.angles[:, None, None], energies[:, None], ygrid.nodes
     )
     psi0 = phi0.mean(axis=3)
     rho0 = phi0 - psi0[..., None]
@@ -661,7 +681,10 @@ def solve_closed_kernel_transport(
         src[j] = s_kappa - s_local
 
     record(0, W, V)
-    nsub = max(1, int(np.ceil(dt / 2e-3)))
+    # RK4 is stable on the real axis up to h * rate = 2.78
+    rate = float(np.max(sqrtE[None, :, None] * sig))
+    h_max = 2e-3 if rate <= 1e3 else 2.0 / rate
+    nsub = max(1, int(np.ceil(dt / h_max)))
     h = dt / nsub
     for j in range(1, n_steps + 1):
         for _ in range(nsub):
@@ -721,13 +744,20 @@ def solve_closed_kernel_transport(
             upd = (rhs_fixed + coupling) / denom
             delta = np.max(np.abs(upd - nxt))
             nxt = upd
-            if delta < picard_tol:
+            if delta < 1e-13:
                 break
+        else:
+            raise RuntimeError(
+                f"closed-kernel Picard iteration unconverged at step {n + 1} "
+                f"(last update {delta:.2e}); increase n_steps"
+            )
         psis[n + 1] = nxt
         conv_prev = conv_known + 0.5 * dt * (
             kd[0] * nxt - kc_apply(kc[0], nxt)
         )
-    return PhaseSpaceField(times, r, grids.angles, energies, psis)
+    values = np.zeros((n_steps + 1, len(r)) + psi0.shape[1:])
+    values[:, active] = psis
+    return PhaseSpaceField(times, r, grids.angles, energies, values)
 
 
 def windowed_weak_error(

@@ -219,6 +219,55 @@ class TestCharacteristicsSolver:
         got = sol.values[::4, 0, 0, :] / hat0
         assert np.max(np.abs(got - ref)) < 1e-6
 
+    def test_matches_dense_oracle(self):
+        # direct product-trapezoid sum with the dense kernel and one dense
+        # solve per implicit step
+        grids = TransportGrids(n_r=8, n_omega=4)
+        phi_in = hat_initial_data(0.5)
+        eps, t_end, n_steps, per_period = 0.25, 0.5, 20, 12
+        sol = solve_characteristics_eps(
+            SUB, phi_in, eps, grids, t_end=t_end, n_steps=n_steps,
+            nodes_per_period=per_period, store_full=True,
+        )
+        n_e = grids.eps_energy_count(eps, per_period)
+        energies = grids.energy_nodes(n_e)
+        y = np.mod(energies / eps, 1.0)
+        sig = SUB.sigma_eps(grids.angles, energies, eps).reshape(-1)
+        K = scattering_matrix(SUB, eps, grids, n_e)
+        dt = t_end / n_steps
+        step = np.eye(len(sig)) - 0.5 * dt * K
+        assert len(sol.r_nodes) == 2
+        for i, rv in enumerate(sol.r_nodes):
+            psi0 = phi_in(rv, grids.angles[:, None], energies[None, :], y[None, :])
+            psis = [psi0.reshape(-1)]
+            for n in range(1, n_steps + 1):
+                hist = 0.5 * np.exp(-n * dt * sig) * (K @ psis[0])
+                for j in range(1, n):
+                    hist = hist + np.exp(-(n - j) * dt * sig) * (K @ psis[j])
+                known = np.exp(-n * dt * sig) * psis[0] + dt * hist
+                psis.append(np.linalg.solve(step, known))
+            oracle = np.array(psis).reshape(sol.values[:, i].shape)
+            assert np.max(np.abs(sol.values[:, i] - oracle)) < 1e-12
+
+    def test_singular_implicit_step_raises(self):
+        # isotropic kappa tuned so that (dt/2) R S has the eigenvalue 1
+        grids = TransportGrids(n_r=8, n_omega=4)
+        eps, t_end, n_steps, per_period = 0.25, 0.5, 20, 12
+        energies = grids.energy_nodes(grids.eps_energy_count(eps, per_period))
+        we = grids.energy_weight(len(energies))
+        dt = t_end / n_steps
+        level = 2.0 / (dt * 2.0 * np.pi * we * np.sqrt(energies).sum())
+        params = OpticalParameters(
+            sigma=lambda th, E, y: 2.0 + 0.0 * y,
+            kappa1=lambda mu, E: np.full_like(mu * E, level),
+            kappa2=lambda mu, Ep, yp: np.ones_like(mu * Ep * yp),
+        )
+        with pytest.raises(RuntimeError, match="singular"):
+            solve_characteristics_eps(
+                params, hat_initial_data(0.5), eps, grids, t_end=t_end,
+                n_steps=n_steps, nodes_per_period=per_period,
+            )
+
 
 class TestTwoScaleTransport:
     def test_y_independent_data_has_zero_corrector(self):
@@ -280,6 +329,42 @@ class TestTwoScaleTransport:
         assert sol.max_mean_rho < 1e-10
 
 
+class TestActiveSlices:
+    def test_inactive_slices_neither_marched_nor_coupled(self):
+        # same spacing 0.5, shared active nodes +-0.25; the wider box only
+        # adds slices where the initial data vanishes
+        narrow = TransportGrids(n_omega=4, n_e=12, n_y=16, n_r=8, r_box=2.0)
+        wide = TransportGrids(n_omega=4, n_e=12, n_y=16, n_r=16, r_box=4.0)
+        phi_in = hat_initial_data(0.5)
+        hom, chars, closed = [], [], []
+        for grids in (narrow, wide):
+            ts = solve_two_scale_transport(SUB, phi_in, grids, t_end=0.5, n_steps=50)
+            hom.append((ts.psi_hom.values, ts.rho.values, ts.max_mean_rho))
+            closed.append(
+                solve_closed_kernel_transport(
+                    SUB, phi_in, grids, t_end=0.5, n_steps=50
+                ).values
+            )
+            chars.append(
+                solve_characteristics_eps(
+                    SUB, phi_in, 0.25, grids, t_end=0.5, n_steps=50,
+                    nodes_per_period=12, store_full=True,
+                )
+            )
+        idx = [np.nonzero(np.abs(g.r_nodes) < 0.5)[0] for g in (narrow, wide)]
+        assert np.array_equal(narrow.r_nodes[idx[0]], wide.r_nodes[idx[1]])
+        for field in (0, 1):
+            a, b = hom[0][field], hom[1][field]
+            assert np.array_equal(a[:, idx[0]], b[:, idx[1]])
+            assert not np.any(np.delete(a, idx[0], axis=1))
+            assert not np.any(np.delete(b, idx[1], axis=1))
+        assert hom[0][2] == hom[1][2]
+        assert np.array_equal(closed[0][:, idx[0]], closed[1][:, idx[1]])
+        assert not np.any(np.delete(closed[1], idx[1], axis=1))
+        assert np.array_equal(chars[0].r_nodes, chars[1].r_nodes)
+        assert np.array_equal(chars[0].values, chars[1].values)
+
+
 class TestClosedKernelEquivalence:
     def test_routes_agree(self):
         grids = TransportGrids(n_omega=4, n_e=8, n_y=32, n_r=8)
@@ -287,6 +372,33 @@ class TestClosedKernelEquivalence:
         ts = solve_two_scale_transport(SUB, phi_in, grids, t_end=0.75, n_steps=600)
         ck = solve_closed_kernel_transport(SUB, phi_in, grids, t_end=0.75, n_steps=600)
         assert np.max(np.abs(ts.psi_hom.values - ck.values)) < 1e-6
+
+    def test_stiff_sigma_substep_stays_bounded(self):
+        # sqrt(E) sigma up to 2500: a fixed 2e-3 RK4 substep blows up to 1e102
+        stiff = OpticalParameters(
+            sigma=lambda th, E, y: 1000.0 * SUB.sigma(th, E, y),
+            kappa1=SUB.kappa1,
+            kappa2=SUB.kappa2,
+        )
+        grids = TransportGrids(n_omega=4, n_e=8, n_y=16, n_r=8)
+        ck = solve_closed_kernel_transport(
+            stiff, hat_initial_data(0.5), grids, t_end=0.2, n_steps=50
+        )
+        assert np.all(np.isfinite(ck.values))
+        assert np.max(np.abs(ck.values)) <= 0.5
+
+    def test_divergent_picard_raises(self):
+        # scattering scaled so the implicit coupling is not a contraction
+        strong = OpticalParameters(
+            sigma=SUB.sigma,
+            kappa1=SUB.kappa1,
+            kappa2=lambda mu, Ep, yp: 1000.0 * SUB.kappa2(mu, Ep, yp),
+        )
+        grids = TransportGrids(n_omega=4, n_e=8, n_y=16, n_r=8)
+        with pytest.raises(RuntimeError, match="Picard"):
+            solve_closed_kernel_transport(
+                strong, hat_initial_data(0.5), grids, t_end=0.5, n_steps=10
+            )
 
 
 class TestFieldExport:
