@@ -23,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import CellFunction, PeriodicGrid, indicator_sine_profile, sine_profile
+from .cell import (
+    CellFunction, PeriodicGrid, indicator_sine_profile, rk4_step, sine_profile
+)
 from .diagnostics import (
     CellEnergyField,
     ConvergenceReport,
@@ -166,13 +168,9 @@ def _rk4_linear_march(phi0: np.ndarray, rhs, times: np.ndarray) -> np.ndarray:
     out = np.empty((len(times),) + phi0.shape)
     out[0] = phi0
     phi = phi0
+    step_rhs = lambda t, p: (rhs(p),)
     for j in range(len(times) - 1):
-        dt = times[j + 1] - times[j]
-        k1 = rhs(phi)
-        k2 = rhs(phi + 0.5 * dt * k1)
-        k3 = rhs(phi + 0.5 * dt * k2)
-        k4 = rhs(phi + dt * k3)
-        phi = phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        (phi,) = rk4_step(step_rhs, times[j], times[j + 1] - times[j], phi)
         out[j + 1] = phi
     return out
 

@@ -137,20 +137,20 @@ def default_semigroup_step(sigma: CellFunction) -> float:
     return min(0.1, 1.0 / (4.0 * max(smax, 1e-30))) / 32.0
 
 
-def _rk4_decay(op: CellOperator, values: np.ndarray, tau: float, step: float) -> np.ndarray:
-    """Integrate w' = -L_sigma w from 0 to tau with classical RK4."""
-    if tau == 0.0:
-        return values.copy()
-    nsteps = max(1, int(np.ceil(tau / step)))
-    h = tau / nsteps
-    w = values.copy()
-    for _ in range(nsteps):
-        k1 = -op.apply(w)
-        k2 = -op.apply(w + 0.5 * h * k1)
-        k3 = -op.apply(w + 0.5 * h * k2)
-        k4 = -op.apply(w + h * k3)
-        w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return w
+def rk4_step(rhs: Callable, t: float, h: float, *state) -> tuple:
+    """One classical RK4 step of y' = rhs(t, *y) for a tuple of arrays y.
+
+    ``rhs`` returns one derivative per state entry; the new state is
+    returned as a tuple in the same order.
+    """
+    k1 = rhs(t, *state)
+    k2 = rhs(t + 0.5 * h, *(y + 0.5 * h * k for y, k in zip(state, k1)))
+    k3 = rhs(t + 0.5 * h, *(y + 0.5 * h * k for y, k in zip(state, k2)))
+    k4 = rhs(t + h, *(y + h * k for y, k in zip(state, k3)))
+    return tuple(
+        y + (h / 6.0) * (a + 2 * b + 2 * c + d)
+        for y, a, b, c, d in zip(state, k1, k2, k3, k4)
+    )
 
 
 def semigroup_apply(
@@ -179,7 +179,10 @@ def semigroup_apply(
         else:
             smax = float(np.max(np.abs(sigma.values)))
             step = min(step, 0.1, 1.0 / (4.0 * max(smax, 1e-30)))
-        out = _rk4_decay(op, h.values, tau, step)
+        nsteps = int(np.ceil(tau / step))
+        out = h.values.copy()
+        for _ in range(nsteps):
+            (out,) = rk4_step(lambda t, w: (-op.apply(w),), 0.0, tau / nsteps, out)
     else:
         raise ValueError(f"unknown semigroup method {method!r}")
     return CellFunction(h.grid, out)

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cell import CellFunction, CellOperator, cell_average, fluctuation
+from .cell import CellFunction, CellOperator, cell_average, fluctuation, rk4_step
 from .kernels import KernelTable, build_source_table
 from .volterra import TimeGrid, VolterraProblem, solve_volterra
 
@@ -147,13 +147,7 @@ def solve_coupled_system(problem: OdeProblem, grid: TimeGrid) -> CoupledOdeSolut
     r = fluctuation(problem.u_in).values.copy()
     u_hom[0], r_hist[0] = u, r
     for j in range(nt):
-        t = times[j]
-        k1u, k1r = rhs(t, u, r)
-        k2u, k2r = rhs(t + 0.5 * dt, u + 0.5 * dt * k1u, r + 0.5 * dt * k1r)
-        k3u, k3r = rhs(t + 0.5 * dt, u + 0.5 * dt * k2u, r + 0.5 * dt * k2r)
-        k4u, k4r = rhs(t + dt, u + dt * k3u, r + dt * k3r)
-        u = u + (dt / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
-        r = r + (dt / 6.0) * (k1r + 2 * k2r + 2 * k3r + k4r)
+        u, r = rk4_step(rhs, times[j], dt, u, r)
         u_hom[j + 1], r_hist[j + 1] = u, r
     return CoupledOdeSolution(times, u_hom, r_hist)
 

@@ -20,11 +20,14 @@ The scattering operator factors through the angle-pair field g[v, w], so
 each implicit trapezoid step reduces to a linear system of size
 n_omega^2 whose matrix is inverted once per run.  Every solver marches
 only the r-slices where the initial data is nonzero; the other slices
-stay exactly zero.
+stay exactly zero.  The support of the data is read off those slices, and
+characteristics that would leave the spatial box raise ConfigurationError.
 The homogenized limit is the coupled system for the y-average psi_hom and
 the mean-free corrector rho; an independent closed-kernel route rebuilds
 psi_hom from memory kernels with energy-scaled decay sqrt(E) L_sigma and
-must agree with the coupled route to solver accuracy.
+must agree with the coupled route to solver accuracy.  Both limit solvers
+share one set of operators on the (omega, E, y) grid and march with
+:func:`homokin.cell.rk4_step`.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cell import PeriodicGrid
+from .cell import PeriodicGrid, rk4_step
 
 
 class ConfigurationError(ValueError):
@@ -115,71 +118,38 @@ class OpticalParameters:
         )
 
 
-def _mu_interp_table(fn, angles: np.ndarray, second, third, n_mu: int) -> np.ndarray:
-    """Tabulate fn on a uniform mu-grid, interpolate to cos(angle gaps).
+def _mu_table(fn, grids: TransportGrids, *args) -> np.ndarray:
+    """fn(mu, *args) at the cosines of the angle gaps, shape (w, w', *rest).
 
-    Returns an array indexed (omega, omega', *rest) where rest are the
-    broadcast shapes of the remaining arguments.
-    """
-    mu_grid = np.linspace(-1.0, 1.0, n_mu)
-    if third is None:
-        samples = np.asarray(
-            fn(mu_grid[:, None], np.asarray(second)[None, :])
-            * np.ones((n_mu, len(second)))
-        )
-    else:
-        samples = np.asarray(
-            fn(
-                mu_grid[:, None, None],
-                np.asarray(second)[None, :, None],
-                np.asarray(third)[None, None, :],
-            )
-            * np.ones((n_mu, len(second), len(third)))
-        )
-    mu = np.cos(angles[:, None] - angles[None, :])
-    pos = (np.clip(mu, -1.0, 1.0) + 1.0) / 2.0 * (n_mu - 1)
-    j0 = np.clip(np.floor(pos).astype(int), 0, n_mu - 2)
-    frac = pos - j0
-    w = frac[..., None] if third is None else frac[..., None, None]
-    return (1.0 - w) * samples[j0] + w * samples[j0 + 1]
-
-
-def kappa_tables(
-    params: OpticalParameters,
-    grids: TransportGrids,
-    energies_out: np.ndarray,
-    energies_in: np.ndarray,
-    y_in: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """K1[w, w', E] and K2[w, w', E', y'] on explicit node sets."""
-    k1 = _mu_interp_table(params.kappa1, grids.angles, energies_out, None, grids.n_mu)
-    k2 = _mu_interp_table(params.kappa2, grids.angles, energies_in, y_in, grids.n_mu)
-    return k1, k2
-
-
-def kappa2_paired(
-    params: OpticalParameters,
-    grids: TransportGrids,
-    energies: np.ndarray,
-    y: np.ndarray,
-) -> np.ndarray:
-    """kappa2(mu, E'_j, y_j) with E' and y paired: shape (w, w', E').
-
-    The oscillatory solvers evaluate kappa2 along the curve y = E'/eps;
-    sampling it pairwise avoids materializing the full (E', y') tensor.
+    fn is sampled on a uniform mu-grid and interpolated linearly in mu.
+    ``rest`` is the broadcast shape of ``args``: equal 1-D arrays pair
+    their entries (E'_j, y_j), axes set up to broadcast give a tensor table.
     """
     n_mu = grids.n_mu
-    mu_grid = np.linspace(-1.0, 1.0, n_mu)
-    samples = np.asarray(
-        params.kappa2(mu_grid[:, None], np.asarray(energies)[None, :], np.asarray(y)[None, :])
-        * np.ones((n_mu, len(energies)))
-    )
+    rest = np.broadcast(*args).shape
+    mu_grid = np.linspace(-1.0, 1.0, n_mu).reshape((n_mu,) + (1,) * len(rest))
+    samples = np.asarray(fn(mu_grid, *args) * np.ones((n_mu,) + rest))
     angles = grids.angles
     mu = np.cos(angles[:, None] - angles[None, :])
     pos = (np.clip(mu, -1.0, 1.0) + 1.0) / 2.0 * (n_mu - 1)
     j0 = np.clip(np.floor(pos).astype(int), 0, n_mu - 2)
-    frac = (pos - j0)[..., None]
-    return (1.0 - frac) * samples[j0] + frac * samples[j0 + 1]
+    w = (pos - j0).reshape(mu.shape + (1,) * len(rest))
+    return (1.0 - w) * samples[j0] + w * samples[j0 + 1]
+
+
+def _eps_operators(
+    params: OpticalParameters, grids: TransportGrids, epsilon: float, n_e: int | None
+):
+    """Energy nodes and weight, y = E/eps, sqrt(E), K1[w, w', E] and K2.
+
+    K2[w, w', E'] = kappa2(mu, E', E'/eps) is sampled along the curve
+    y = E'/eps, which avoids materializing the full (E', y') tensor.
+    """
+    energies = grids.energy_nodes(n_e)
+    y = np.mod(energies / epsilon, 1.0)
+    k1 = _mu_table(params.kappa1, grids, energies)
+    k2 = _mu_table(params.kappa2, grids, energies, y)
+    return energies, grids.energy_weight(n_e), y, np.sqrt(energies), k1, k2
 
 
 def kappa_bars(
@@ -194,12 +164,7 @@ def kappa_bars(
     kappa_tilde(w,E) integrates kappa_eps(mu, E', E) over (w', E');
     trapezoid in angle (uniform circle nodes), midpoint in energy.
     """
-    energies = grids.energy_nodes(n_e)
-    we = grids.energy_weight(n_e)
-    y = np.mod(energies / epsilon, 1.0)
-    k1 = _mu_interp_table(params.kappa1, grids.angles, energies, None, grids.n_mu)
-    k2_diag = kappa2_paired(params, grids, energies, y)  # kappa2(mu, E', E'/eps)
-    sqrtE = np.sqrt(energies)
+    _, we, _, sqrtE, k1, k2_diag = _eps_operators(params, grids, epsilon, n_e)
     aw = grids.angle_weight
     # bar(w, E): integrate sqrt(E) k1(mu, E) k2(mu, E', y(E')) over (w', E')
     bar = sqrtE[None, :] * aw * np.einsum(
@@ -235,12 +200,7 @@ def scattering_matrix(
     n_e: int | None = None,
 ) -> np.ndarray:
     """Dense kernel action K[(w,E),(w',E')] including quadrature weights."""
-    energies = grids.energy_nodes(n_e)
-    we = grids.energy_weight(n_e)
-    y = np.mod(energies / epsilon, 1.0)
-    k1 = _mu_interp_table(params.kappa1, grids.angles, energies, None, grids.n_mu)
-    k2_diag = kappa2_paired(params, grids, energies, y)
-    sqrtE = np.sqrt(energies)
+    energies, we, _, sqrtE, k1, k2_diag = _eps_operators(params, grids, epsilon, n_e)
     n = grids.n_omega * len(energies)
     # kernel(v,E; w,E') = sqrt(E) k1(mu_vw, E) k2(mu_vw, E', y(E')) w_angle w_E
     kern = np.einsum("E,vwE,vwf->vEwf", sqrtE, k1, k2_diag)
@@ -331,32 +291,32 @@ def hat_initial_data(support: float = 0.5):
         hat = np.maximum(0.0, 1.0 - np.abs(r) / support)
         return np.broadcast_to(hat * (1.0 + np.sin(2 * np.pi * y)), shape).copy()
 
-    phi_in.support = support
     return phi_in
 
 
-def check_characteristics_interior(
-    grids: TransportGrids, support: float, t_end: float
-) -> None:
+def _initial_slices(
+    phi_in, grids: TransportGrids, t_end: float, *axes
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the r-slices where phi_in is nonzero, and phi_in on them.
+
+    ``axes`` are the (omega, E[, y]) arguments after r, broadcast to the
+    slice shape.  The labels r ride along passively and every solver is
+    linear, so the slices left out stay exactly zero.  The support of the
+    data is the outer edge of the outermost active r-cell; characteristics
+    that leave the box from there by t_end raise ConfigurationError.
+    """
+    r = grids.r_nodes
+    data = np.stack([phi_in(rv, *axes) for rv in r])
+    active = np.nonzero(np.abs(data).reshape(len(r), -1).max(axis=1) > 0)[0]
+    if len(active) == 0:
+        raise ValueError("initial data vanishes on every r-node")
+    support = np.max(np.abs(r[active])) + grids.r_box / grids.n_r
     reach = support + np.sqrt(grids.e_max) * t_end
     if reach > grids.r_box + 1e-12:
         raise ConfigurationError(
             f"characteristics reach {reach:.3f} > r_box {grids.r_box}; "
             "shrink T or the initial support"
         )
-
-
-def _initial_slices(phi_in, r_nodes: np.ndarray, *axes) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the r-slices where phi_in is nonzero, and phi_in on them.
-
-    ``axes`` are the (omega, E[, y]) arguments after r, broadcast to the
-    slice shape.  The labels r ride along passively and every solver is
-    linear, so the slices left out stay exactly zero.
-    """
-    data = np.stack([phi_in(rv, *axes) for rv in r_nodes])
-    active = np.nonzero(np.abs(data).reshape(len(r_nodes), -1).max(axis=1) > 0)[0]
-    if len(active) == 0:
-        raise ValueError("initial data vanishes on every r-node")
     return active, data[active]
 
 
@@ -404,21 +364,18 @@ def solve_characteristics_eps(
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    support = getattr(phi_in, "support", grids.r_box)
-    check_characteristics_interior(grids, support, t_end)
     n_e = grids.eps_energy_count(epsilon, nodes_per_period)
-    energies = grids.energy_nodes(n_e)
-    we = grids.energy_weight(n_e)
-    y = np.mod(energies / epsilon, 1.0)
+    if n_e % n_windows != 0:
+        raise ValueError("window count must divide the energy grid")
+    energies, we, y, sqrtE, k1, k2_diag = _eps_operators(params, grids, epsilon, n_e)
     sig = params.sigma_eps(grids.angles, energies, epsilon)  # (nw, nE)
-    k1 = _mu_interp_table(params.kappa1, grids.angles, energies, None, grids.n_mu)
-    k2_diag = np.ascontiguousarray(kappa2_paired(params, grids, energies, y))
-    sqrtE = np.sqrt(energies)
     aw = grids.angle_weight
     nw = grids.n_omega
 
     r = grids.r_nodes
-    active, base0 = _initial_slices(phi_in, r, grids.angles[:, None], energies, y)
+    active, base0 = _initial_slices(
+        phi_in, grids, t_end, grids.angles[:, None], energies, y
+    )
     na = len(active)
     times = np.linspace(0.0, t_end, n_steps + 1)
     dt = times[1] - times[0]
@@ -456,8 +413,6 @@ def solve_characteristics_eps(
             "increase n_steps"
         )
 
-    if n_e % n_windows != 0:
-        raise ValueError("window count must divide the energy grid")
     per_win = n_e // n_windows
     r_weight = 2.0 * grids.r_box / grids.n_r
 
@@ -516,15 +471,49 @@ class TwoScaleTransportSolution:
     max_mean_rho: float
 
 
-def _two_scale_operators(params: OpticalParameters, grids: TransportGrids):
-    energies = grids.energy_nodes()
-    we = grids.energy_weight()
-    ygrid = PeriodicGrid(grids.n_y)
-    sig = params.sample_sigma(grids.angles, energies, ygrid.nodes)  # (nw, nE, ny)
-    k1, k2y = kappa_tables(params, grids, energies, energies, ygrid.nodes)
-    k2bar = k2y.mean(axis=3)  # y-average of kappa2(mu, E', .)
-    sqrtE = np.sqrt(energies)
-    return energies, we, ygrid, sig, k1, k2y, k2bar, sqrtE
+class _TwoScaleOperators:
+    """Set-up shared by the two limit solvers on the (omega, E, y) grid.
+
+    Holds sigma with its y-mean and fluctuation, the kappa tables, and the
+    active r-slices of the initial data split into its y-mean psi0 and
+    mean-free part rho0.  Scattering factors as K = S R: R reduces a field
+    over (w', E'[, y']) to g[r, v, w], and ``spread`` is S.
+    """
+
+    def __init__(self, params: OpticalParameters, phi_in, grids: TransportGrids, t_end):
+        self.energies = grids.energy_nodes()
+        self.we = grids.energy_weight()
+        self.sqrtE = np.sqrt(self.energies)
+        self.scale_out = self.sqrtE[None, None, :] * grids.angle_weight
+        self.y_nodes = PeriodicGrid(grids.n_y).nodes
+        self.wy = 1.0 / grids.n_y
+        self.sig = params.sample_sigma(grids.angles, self.energies, self.y_nodes)
+        self.sig_mean = self.sig.mean(axis=2)  # (nw, nE)
+        self.sig_fluct = self.sig - self.sig_mean[:, :, None]
+        self.k1 = _mu_table(params.kappa1, grids, self.energies)
+        self.k2y = _mu_table(
+            params.kappa2, grids, self.energies[:, None], self.y_nodes
+        )  # (nw, nw, nE', ny)
+        self.k2bar = self.k2y.mean(axis=3)  # y-average of kappa2(mu, E', .)
+        self.active, phi0 = _initial_slices(
+            phi_in, grids, t_end,
+            grids.angles[:, None, None], self.energies[:, None], self.y_nodes,
+        )  # (na, nw, nE, ny)
+        self.psi0 = phi0.mean(axis=3)
+        self.rho0 = phi0 - self.psi0[..., None]
+
+    def spread(self, g: np.ndarray) -> np.ndarray:
+        """S: g[r, v, w] -> sqrt(E) aw sum_w k1[v, w, E] g[r, v, w]."""
+        return self.scale_out * np.einsum("vwE,rvw->rvE", self.k1, g)
+
+    def scatter(self, kern: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """S R f for f[r, w, E'], with R = we sum_E' kern[v, w, E'] f."""
+        return self.spread(np.einsum("vwe,rwe->rvw", kern, f) * self.we)
+
+    def scatter_cell(self, f: np.ndarray) -> np.ndarray:
+        """S R f for a cell field f[r, w, E', y'], reduced against kappa2."""
+        g = np.einsum("vwey,rwey->rvwe", self.k2y, f, optimize=True) * self.wy
+        return self.spread(self.we * g.sum(axis=3))
 
 
 def solve_two_scale_transport(
@@ -541,72 +530,48 @@ def solve_two_scale_transport(
     y-averaged source terms.  Only the r-slices where phi_in is nonzero
     are marched; the returned fields cover every r-node.
     """
-    support = getattr(phi_in, "support", grids.r_box)
-    check_characteristics_interior(grids, support, t_end)
-    energies, we, ygrid, sig, k1, k2y, k2bar, sqrtE = _two_scale_operators(
-        params, grids
-    )
-    sig_mean = sig.mean(axis=2)  # (nw, nE)
-    sig_fluct = sig - sig_mean[:, :, None]
-    r = grids.r_nodes
-    wy = 1.0 / grids.n_y
+    op = _TwoScaleOperators(params, phi_in, grids, t_end)
+    sig, wy = op.sig, op.wy
+    scaled = op.sqrtE[None, None, :]
 
-    active, phi0 = _initial_slices(
-        phi_in, r, grids.angles[:, None, None], energies[:, None], ygrid.nodes
-    )  # (na, nw, nE, ny)
-    psi = phi0.mean(axis=3)
-    rho = phi0 - psi[..., None]
-
-    aw = grids.angle_weight
-
-    def s_of_rho(rh):
-        g = np.einsum("vwey,rwey->rvwe", k2y, rh, optimize=True) * wy
-        inner = we * g.sum(axis=3)  # (nr, nv, nw)
-        return sqrtE[None, None, :] * aw * np.einsum("vwE,rvw->rvE", k1, inner)
-
-    def s_of_psi(ps):
-        g = np.einsum("vwe,rwe->rvw", k2bar, ps) * we
-        return sqrtE[None, None, :] * aw * np.einsum("vwE,rvw->rvE", k1, g)
-
-    def rhs(ps, rh):
+    def rhs(t, ps, rh):
         sig_rho_mean = np.einsum("wey,rwey->rwe", sig, rh) * wy
         dps = (
-            -sqrtE[None, None, :] * sig_mean[None] * ps
-            + s_of_psi(ps)
-            + s_of_rho(rh)
-            - sqrtE[None, None, :] * sig_rho_mean
+            -scaled * op.sig_mean[None] * ps
+            + op.scatter(op.k2bar, ps)
+            + op.scatter_cell(rh)
+            - scaled * sig_rho_mean
         )
-        drh = -sqrtE[None, None, :, None] * (
-            sig[None] * rh - sig_rho_mean[..., None] + sig_fluct[None] * ps[..., None]
+        drh = -scaled[..., None] * (
+            sig[None] * rh
+            - sig_rho_mean[..., None]
+            + op.sig_fluct[None] * ps[..., None]
         )
         return dps, drh
 
+    r = grids.r_nodes
     times = np.linspace(0.0, t_end, n_steps + 1)
     dt = times[1] - times[0]
+    psi, rho = op.psi0, op.rho0
     psis = np.zeros((n_steps + 1, len(r)) + psi.shape[1:])
-    psis[0, active] = psi
+    psis[0, op.active] = psi
     max_mean = float(np.max(np.abs(rho.mean(axis=3))))
     for n in range(n_steps):
-        k1p, k1r = rhs(psi, rho)
-        k2p, k2r = rhs(psi + 0.5 * dt * k1p, rho + 0.5 * dt * k1r)
-        k3p, k3r = rhs(psi + 0.5 * dt * k2p, rho + 0.5 * dt * k2r)
-        k4p, k4r = rhs(psi + dt * k3p, rho + dt * k3r)
-        psi = psi + (dt / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-        rho = rho + (dt / 6.0) * (k1r + 2 * k2r + 2 * k3r + k4r)
-        psis[n + 1, active] = psi
+        psi, rho = rk4_step(rhs, times[n], dt, psi, rho)
+        psis[n + 1, op.active] = psi
         max_mean = max(max_mean, float(np.max(np.abs(rho.mean(axis=3)))))
-    hom_field = PhaseSpaceField(times, r, grids.angles, energies, psis)
+    hom_field = PhaseSpaceField(times, r, grids.angles, op.energies, psis)
     # only the final corrector state is kept; its history would dominate
     # memory and downstream consumers need the invariant, not the path
     rho_final = np.zeros((1, len(r)) + rho.shape[1:])
-    rho_final[0, active] = rho
+    rho_final[0, op.active] = rho
     rho_field = PhaseSpaceField(
         times[-1:],
         r,
         grids.angles,
-        energies,
+        op.energies,
         rho_final,
-        y_nodes=ygrid.nodes,
+        y_nodes=op.y_nodes,
     )
     return TwoScaleTransportSolution(hom_field, rho_field, max_mean)
 
@@ -631,89 +596,49 @@ def solve_closed_kernel_transport(
     stability interval; a Picard iteration that misses its cap raises
     RuntimeError.
     """
-    support = getattr(phi_in, "support", grids.r_box)
-    check_characteristics_interior(grids, support, t_end)
-    energies, we, ygrid, sig, k1, k2y, k2bar, sqrtE = _two_scale_operators(
-        params, grids
-    )
-    sig_mean = sig.mean(axis=2)
-    sig_fluct = sig - sig_mean[:, :, None]
-    wy = 1.0 / grids.n_y
-    aw = grids.angle_weight
+    op = _TwoScaleOperators(params, phi_in, grids, t_end)
+    sig, sqrtE, wy, we, psi0 = op.sig, op.sqrtE, op.wy, op.we, op.psi0
     r = grids.r_nodes
     times = np.linspace(0.0, t_end, n_steps + 1)
     dt = times[1] - times[0]
-
-    active, phi0 = _initial_slices(
-        phi_in, r, grids.angles[:, None, None], energies[:, None], ygrid.nodes
-    )
-    psi0 = phi0.mean(axis=3)
-    rho0 = phi0 - psi0[..., None]
-
-    # cell generator applied per (w, E): L_sig v = sig v - <sig v>
-    def apply_L(v):
-        sv = sig[None] * v if v.ndim == 4 else sig * v
-        return sv - sv.mean(axis=-1, keepdims=True)
-
     scaled = sqrtE[None, :, None]
 
-    def decay_rhs(v):
-        # d/dt v = -sqrt(E) L_sigma v, batched over leading axes
-        if v.ndim == 4:
-            return -scaled[None] * apply_L(v)
-        return -scaled * apply_L(v)
+    def decay_rhs(t, v):
+        # d/dt v = -sqrt(E) L_sigma v per (w, E), L_sig v = sig v - <sig v>
+        sv = sig * v
+        return (-scaled * (sv - sv.mean(axis=-1, keepdims=True)),)
 
-    # march the kernel state W and the source state V together with RK4
-    W = sig_fluct.copy()  # L_1 sigma
-    V = rho0.copy()       # L_1 phi_in per r-slice
+    # slice 0 is the kernel state W = L_1 sigma, the rest the source state
+    # V = L_1 phi_in per r-slice; both decay under the same generator
+    state = np.concatenate([op.sig_fluct[None], op.rho0])
 
-    kd = np.empty((n_steps + 1,) + sig_mean.shape)            # E <sig W>
-    kc = np.empty((n_steps + 1,) + k2y.shape[:3])             # sqrt(E') <k2 W>
+    kd = np.empty((n_steps + 1,) + op.sig_mean.shape)        # E <sig W>
+    kc = np.empty((n_steps + 1,) + op.k2y.shape[:3])         # sqrt(E') <k2 W>
     src = np.empty((n_steps + 1,) + psi0.shape)
 
-    def record(j, Wj, Vj):
-        kd[j] = energies[None, :] * (sig * Wj).mean(axis=2)
-        kc[j] = sqrtE[None, None, :] * np.einsum("vwey,wey->vwe", k2y, Wj) * wy
-        g = np.einsum("vwey,rwey->rvwe", k2y, Vj, optimize=True) * wy
-        inner = we * g.sum(axis=3)
-        s_kappa = sqrtE[None, None, :] * aw * np.einsum("vwE,rvw->rvE", k1, inner)
-        s_local = sqrtE[None, None, :] * np.einsum("wey,rwey->rwe", sig, Vj) * wy
-        src[j] = s_kappa - s_local
+    def record(j, state):
+        W, V = state[0], state[1:]
+        kd[j] = op.energies[None, :] * (sig * W).mean(axis=2)
+        kc[j] = sqrtE[None, None, :] * np.einsum("vwey,wey->vwe", op.k2y, W) * wy
+        s_local = sqrtE[None, None, :] * np.einsum("wey,rwey->rwe", sig, V) * wy
+        src[j] = op.scatter_cell(V) - s_local
 
-    record(0, W, V)
-    # RK4 is stable on the real axis up to h * rate = 2.78
-    rate = float(np.max(sqrtE[None, :, None] * sig))
-    h_max = 2e-3 if rate <= 1e3 else 2.0 / rate
-    nsub = max(1, int(np.ceil(dt / h_max)))
+    record(0, state)
+    # RK4 is stable on the real axis up to h * rate = 2.78; the substep is
+    # min(2e-3, 2 / rate), written so that sigma = 0 needs no branch
+    rate = float(np.max(scaled * sig))
+    nsub = max(1, int(np.ceil(dt / (2.0 / max(rate, 1e3)))))
     h = dt / nsub
     for j in range(1, n_steps + 1):
         for _ in range(nsub):
-            kW1 = decay_rhs(W)
-            kW2 = decay_rhs(W + 0.5 * h * kW1)
-            kW3 = decay_rhs(W + 0.5 * h * kW2)
-            kW4 = decay_rhs(W + h * kW3)
-            W = W + (h / 6.0) * (kW1 + 2 * kW2 + 2 * kW3 + kW4)
-            kV1 = decay_rhs(V)
-            kV2 = decay_rhs(V + 0.5 * h * kV1)
-            kV3 = decay_rhs(V + 0.5 * h * kV2)
-            kV4 = decay_rhs(V + h * kV3)
-            V = V + (h / 6.0) * (kV1 + 2 * kV2 + 2 * kV3 + kV4)
-        record(j, W, V)
-
-    # instantaneous scattering of the mean field
-    def c_inst(ps):
-        g = np.einsum("vwe,rwe->rvw", k2bar, ps) * we
-        return sqrtE[None, None, :] * aw * np.einsum("vwE,rvw->rvE", k1, g)
-
-    def kc_apply(kc_slice, ps):
-        # kc_slice: (nv, nw, nE'), ps: (nr, nw, nE')
-        g = np.einsum("vwe,rwe->rvw", kc_slice, ps) * we
-        return sqrtE[None, None, :] * aw * np.einsum("vwE,rvw->rvE", k1, g)
+            (state,) = rk4_step(decay_rhs, 0.0, h, state)
+        record(j, state)
 
     # product-trapezoid march of
-    # dpsi/dt + sqrt(E)<sig> psi - c_inst(psi)
+    # dpsi/dt + sqrt(E)<sig> psi - K_bar psi
     #   = src(t) + int_0^t [kd(t-s) psi(s) - kc(t-s) psi(s)] ds
-    diag = sqrtE[None, :] * sig_mean
+    # where K_bar = scatter(k2bar, .) is the instantaneous scattering
+    diag = sqrtE[None, :] * op.sig_mean
     denom = 1.0 + 0.5 * dt * diag - 0.25 * dt * dt * kd[0]
     psis = np.empty((n_steps + 1,) + psi0.shape)
     psis[0] = psi0
@@ -726,21 +651,22 @@ def solve_closed_kernel_transport(
                 "lwe,lrwe->rwe", kd[1 : n + 1][::-1], psis[1 : n + 1]
             )
             g = np.einsum("lvwe,lrwe->rvw", kc[1 : n + 1][::-1], psis[1 : n + 1]) * we
-            hist = hist - sqrtE[None, None, :] * aw * np.einsum(
-                "vwE,rvw->rvE", k1, g
-            )
+            hist = hist - op.spread(g)
         conv_known = dt * (
-            0.5 * (kd[n + 1] * psis[0] - kc_apply(kc[n + 1], psis[0])) + hist
+            0.5 * (kd[n + 1] * psis[0] - op.scatter(kc[n + 1], psis[0])) + hist
         )
         rhs_fixed = (
             psis[n] * (1.0 - 0.5 * dt * diag)
-            + 0.5 * dt * (c_inst(psis[n]) + src[n] + src[n + 1])
+            + 0.5 * dt * (op.scatter(op.k2bar, psis[n]) + src[n] + src[n + 1])
             + 0.5 * dt * (conv_known + conv_prev)
         )
         # Picard over the off-diagonal implicit couplings
         nxt = psis[n].copy()
         for _ in range(80):
-            coupling = 0.5 * dt * c_inst(nxt) - 0.25 * dt * dt * kc_apply(kc[0], nxt)
+            coupling = (
+                0.5 * dt * op.scatter(op.k2bar, nxt)
+                - 0.25 * dt * dt * op.scatter(kc[0], nxt)
+            )
             upd = (rhs_fixed + coupling) / denom
             delta = np.max(np.abs(upd - nxt))
             nxt = upd
@@ -752,12 +678,10 @@ def solve_closed_kernel_transport(
                 f"(last update {delta:.2e}); increase n_steps"
             )
         psis[n + 1] = nxt
-        conv_prev = conv_known + 0.5 * dt * (
-            kd[0] * nxt - kc_apply(kc[0], nxt)
-        )
+        conv_prev = conv_known + 0.5 * dt * (kd[0] * nxt - op.scatter(kc[0], nxt))
     values = np.zeros((n_steps + 1, len(r)) + psi0.shape[1:])
-    values[:, active] = psis
-    return PhaseSpaceField(times, r, grids.angles, energies, values)
+    values[:, op.active] = psis
+    return PhaseSpaceField(times, r, grids.angles, op.energies, values)
 
 
 def windowed_weak_error(

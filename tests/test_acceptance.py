@@ -237,7 +237,6 @@ def test_criterion_08_transport_consistency():
         hat = np.maximum(0.0, 1.0 - np.abs(r) / 0.5)
         return np.broadcast_to(hat * np.ones_like(E + yy), shape).copy()
 
-    flat_in.support = 0.5
     iso_grids = TransportGrids(n_r=8, n_omega=8, n_e=64)
     sol_iso = solve_characteristics_eps(
         iso, flat_in, 0.5, iso_grids, t_end=1.0, n_steps=4000, store_full=True

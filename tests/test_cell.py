@@ -14,6 +14,7 @@ from homokin.cell import (
     fluctuation,
     harmonic_factor_B,
     resolvent_apply,
+    rk4_step,
     semigroup_apply,
     sine_profile,
     two_valued_profile,
@@ -163,6 +164,22 @@ class TestSemigroup:
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
             semigroup_apply(SINE_SIGMA, -0.1, SINE_SIGMA)
+
+
+class TestRk4Step:
+    def test_fourth_order_on_a_tuple_state(self):
+        # u' = cos t exercises the stage times, z' = -z the stage states
+        def final_error(n):
+            h = 1.0 / n
+            u, z = np.zeros(3), np.ones(3)
+            rhs = lambda t, u, z: (np.full_like(u, np.cos(t)), -z)
+            for j in range(n):
+                u, z = rk4_step(rhs, j * h, h, u, z)
+            return max(
+                np.max(np.abs(u - np.sin(1.0))), np.max(np.abs(z - np.exp(-1.0)))
+            )
+
+        assert 14.0 <= final_error(10) / final_error(20) <= 18.0
 
 
 class TestResolvent:

@@ -18,11 +18,30 @@ from homokin.transport import (
     subcriticality_check,
     transport_preset,
     windowed_weak_error,
+    _mu_table,
 )
 
 GRIDS = TransportGrids()
 SUB = transport_preset("transport-subcritical-1")
 KAPPA0 = transport_preset("transport-kappa0")
+
+
+class TestMuTable:
+    def test_linear_kappa_reproduced_at_angle_gaps(self):
+        # linear interpolation in mu is exact for kappa linear in mu
+        grids = TransportGrids(n_omega=8, n_mu=16)
+        fn = lambda mu, E, y: (0.5 + 0.25 * mu) * E * y
+        E = grids.energy_nodes(6)
+        y = np.linspace(0.1, 0.9, 6)
+        mu = np.cos(grids.angles[:, None] - grids.angles[None, :])
+        paired = _mu_table(fn, grids, E, y)
+        assert paired.shape == (8, 8, 6)
+        assert np.max(np.abs(paired - fn(mu[:, :, None], E, y))) < 1e-15
+        y_cell = np.linspace(0.0, 1.0, 5)
+        tensor = _mu_table(fn, grids, E[:, None], y_cell)
+        assert tensor.shape == (8, 8, 6, 5)
+        expect = fn(mu[:, :, None, None], E[:, None], y_cell)
+        assert np.max(np.abs(tensor - expect)) < 1e-15
 
 
 class TestKappaBars:
@@ -167,7 +186,6 @@ class TestCharacteristicsSolver:
         def scaled(r, th, E, y):
             return 2.5 * hat_initial_data(0.5)(r, th, E, y)
 
-        scaled.support = 0.5
         sol2 = solve_characteristics_eps(
             SUB, scaled, eps, grids, t_end=0.5, n_steps=20, store_full=True
         )
@@ -186,6 +204,25 @@ class TestCharacteristicsSolver:
                 SUB, hat_initial_data(0.5), 0.25, GRIDS, t_end=5.0
             )
 
+    def test_bad_window_count_rejected_before_setup(self):
+        # the implicit step of test_singular_implicit_step_raises is singular,
+        # but the window count is checked first
+        grids = TransportGrids(n_r=8, n_omega=4)
+        eps, t_end, n_steps, per_period = 0.25, 0.5, 20, 12
+        energies = grids.energy_nodes(grids.eps_energy_count(eps, per_period))
+        we = grids.energy_weight(len(energies))
+        level = 2.0 / (t_end / n_steps * 2.0 * np.pi * we * np.sqrt(energies).sum())
+        params = OpticalParameters(
+            sigma=lambda th, E, y: 2.0 + 0.0 * y,
+            kappa1=lambda mu, E: np.full_like(mu * E, level),
+            kappa2=lambda mu, Ep, yp: np.ones_like(mu * Ep * yp),
+        )
+        with pytest.raises(ValueError, match="window count"):
+            solve_characteristics_eps(
+                params, hat_initial_data(0.5), eps, grids, t_end=t_end,
+                n_steps=n_steps, nodes_per_period=per_period, n_windows=7,
+            )
+
     def test_matches_energy_model_when_isotropic(self):
         # omega-blind configuration: kappa1 = 1/(2 pi), kappa2 = 1, sigma = 2
         params = OpticalParameters(
@@ -200,7 +237,6 @@ class TestCharacteristicsSolver:
             hat = np.maximum(0.0, 1.0 - np.abs(r) / 0.5)
             return np.broadcast_to(hat * np.ones_like(E + y), shape).copy()
 
-        phi_in.support = 0.5
         t_end = 1.0
         sol = solve_characteristics_eps(
             params, phi_in, 0.5, grids, t_end, n_steps=4000, store_full=True
@@ -282,7 +318,6 @@ class TestTwoScaleTransport:
             hat = np.maximum(0.0, 1.0 - np.abs(r) / 0.5)
             return np.broadcast_to(hat * np.ones_like(y), shape).copy()
 
-        phi_in.support = 0.5
         grids = TransportGrids(n_r=8, n_omega=4, n_e=12, n_y=16)
         sol = solve_two_scale_transport(params, phi_in, grids, t_end=0.5, n_steps=100)
         assert np.max(np.abs(sol.rho.values)) < 1e-14
@@ -330,6 +365,24 @@ class TestTwoScaleTransport:
 
 
 class TestActiveSlices:
+    def test_support_read_off_the_data(self):
+        # a plain function carries no support attribute; its reach is
+        # 0.5 + 0.01 from the outermost active r-cell, well inside r_box
+        def phi_in(r, th, E, y):
+            shape = np.broadcast(r, th, E, y).shape
+            hat = np.maximum(0.0, 1.0 - np.abs(r) / 0.5)
+            return np.broadcast_to(hat * (1.0 + np.sin(2 * np.pi * y)), shape).copy()
+
+        grids = TransportGrids(n_omega=4, n_e=12, n_y=16, n_r=8)
+        ts = solve_two_scale_transport(SUB, phi_in, grids, t_end=0.01, n_steps=2)
+        ck = solve_closed_kernel_transport(SUB, phi_in, grids, t_end=0.01, n_steps=2)
+        chars = solve_characteristics_eps(
+            SUB, phi_in, 0.25, grids, t_end=0.01, n_steps=2, nodes_per_period=12
+        )
+        assert np.all(np.isfinite(ts.psi_hom.values))
+        assert np.all(np.isfinite(ck.values))
+        assert np.array_equal(chars.r_nodes, [-0.25, 0.25])
+
     def test_inactive_slices_neither_marched_nor_coupled(self):
         # same spacing 0.5, shared active nodes +-0.25; the wider box only
         # adds slices where the initial data vanishes
@@ -386,6 +439,21 @@ class TestClosedKernelEquivalence:
         )
         assert np.all(np.isfinite(ck.values))
         assert np.max(np.abs(ck.values)) <= 0.5
+
+    def test_zero_cross_sections_leave_data_unchanged(self):
+        # sigma = kappa = 0: psi_hom stays the y-mean hat(r) of the data,
+        # and the substep bound must not divide by the zero rate
+        free = OpticalParameters(
+            sigma=lambda th, E, y: 0.0 * y,
+            kappa1=KAPPA0.kappa1,
+            kappa2=KAPPA0.kappa2,
+        )
+        grids = TransportGrids(n_omega=4, n_e=8, n_y=16, n_r=8)
+        ck = solve_closed_kernel_transport(
+            free, hat_initial_data(0.5), grids, t_end=0.2, n_steps=10
+        )
+        hat = np.maximum(0.0, 1.0 - np.abs(grids.r_nodes) / 0.5)
+        assert np.max(np.abs(ck.values - hat[None, :, None, None])) < 1e-14
 
     def test_divergent_picard_raises(self):
         # scattering scaled so the implicit coupling is not a contraction
