@@ -89,11 +89,18 @@ class KernelTable:
     matrix-valued ones (used by the oscillator limit equation).
     ``sigma_ref`` records the cell coefficient a scalar table was built
     from; matrix tables have no single cell provenance.
+
+    ``modes = (rates, amplitudes)``, when given, is the pole form of the
+    kernel at positive lags: K(tau) = Re sum_k amplitudes_k e^{-rates_k tau}
+    for tau >= dt, with amplitudes of shape (m,) or (m, d, d), possibly
+    complex.  Lag zero is always the tabulated value.  The solver advances
+    its history through one recursion per pole when modes are present.
     """
 
     taus: np.ndarray
     values: np.ndarray
     sigma_ref: CellFunction | None = None
+    modes: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         taus = np.asarray(self.taus, dtype=float)
@@ -106,6 +113,24 @@ class KernelTable:
             raise ValueError("kernel values must be finite")
         object.__setattr__(self, "taus", taus)
         object.__setattr__(self, "values", values)
+        if self.modes is not None:
+            object.__setattr__(self, "modes", self._checked_modes())
+
+    def _checked_modes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The modes as arrays; ValueError unless they reproduce lag 1 and the last lag."""
+        rates, amps = (np.asarray(x) for x in self.modes)
+        if rates.ndim != 1 or amps.shape != rates.shape + self.values.shape[1:]:
+            raise ValueError(
+                f"modes: rates {rates.shape} and amplitudes {amps.shape} do not fit "
+                f"kernel values {self.values.shape}"
+            )
+        if len(self.taus) > 1:
+            lags = [1, len(self.taus) - 1]
+            pole = np.tensordot(np.exp(-np.outer(self.taus[lags], rates)), amps, axes=1)
+            gap = float(np.max(np.abs(pole.real - self.values[lags])))
+            if gap > 1e-12 * float(np.max(np.abs(self.values))):
+                raise ValueError(f"modes miss the tabulated kernel by {gap:.3e}")
+        return rates, amps
 
     @property
     def dt(self) -> float:
@@ -135,7 +160,7 @@ class KernelTable:
         taus = np.arange(count + 1) * dt
         values = pole_sum(poles, residues, taus)
         values[0] = float((sigma.grid.weights * sigma.values) @ h)
-        return cls(taus, values, sigma_ref=sigma)
+        return cls(taus, values, sigma_ref=sigma, modes=(poles, residues))
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="\n") as fh:

@@ -159,7 +159,9 @@ def kernel_time_table(nu: YoungMeasure, grid: TimeGrid) -> KernelTable:
     freqs, residues = secular_poles(nu.atoms, nu.weights)
     z = pole_sum(-1j * freqs, residues, grid.times)  # alpha + i beta
     values = z.real[:, None, None] * np.eye(2) + z.imag[:, None, None] * SKEW
-    return KernelTable(grid.times, values)
+    # Re[(r e^{i w t}) (Id - i A)] = r [cos(w t) Id + sin(w t) A]
+    amplitudes = residues[:, None, None] * (np.eye(2) - 1j * SKEW)
+    return KernelTable(grid.times, values, modes=(-1j * freqs, amplitudes))
 
 
 def solve_oscillator_limit(
@@ -171,7 +173,8 @@ def solve_oscillator_limit(
     coefficient is a = -b* A and the kernel is K = -Ktilde.
     """
     table = kernel_time_table(nu, grid)
-    neg_table = KernelTable(table.taus, -table.values)
+    rates, amplitudes = table.modes
+    neg_table = KernelTable(table.taus, -table.values, modes=(rates, -amplitudes))
     problem = VolterraProblem(
         dim=2,
         a=-nu.mean * SKEW,

@@ -14,6 +14,17 @@ is inverted exactly (scalar division or a 2x2 solve), giving a globally
 second-order, unconditionally stable march for positive decay
 coefficients.  Kernels are supplied tabulated on the solver's own grid;
 the solver never interpolates.
+
+The known part of each step's history, sum_{j=1}^{n} K_{n+1-j} u_j, comes
+from one of two places.  A table that carries its pole form
+K(tau) = Re sum_k A_k e^{-rates_k tau} (``KernelTable.modes``) gives it as
+Re sum_k A_k H_k, and each pole state advances by one recursion per step,
+
+    H_k <- q_k (H_k + u_n),    q_k = e^{-rates_k dt},
+
+so a march of N steps over m poles costs O(N m) (Jiang, Zhang, Zhang &
+Zhang 2017; Lubich & Schaedle 2002).  A plain table, without modes, is
+summed directly at each step, which costs O(N^2).
 """
 
 from __future__ import annotations
@@ -117,6 +128,25 @@ def _source_samples(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:
     return src
 
 
+def _history_poles(problem: VolterraProblem, dt: float):
+    """(q, amplitudes, H) of the pole recursion, or None for a plain table.
+
+    q_k = e^{-rates_k dt}, shaped to scale the pole states H_k, which start
+    at zero.  A memoryless problem has no poles.
+    """
+    if problem.kernel is None:
+        rates = np.zeros(0)
+        amps = np.zeros((0,) if problem.dim == 1 else (0, 2, 2))
+    elif problem.kernel.modes is None:
+        return None
+    else:
+        rates, amps = problem.kernel.modes
+    q = np.exp(-rates * dt)
+    if problem.dim == 1:
+        return q, amps, np.zeros(len(q), dtype=q.dtype)
+    return q[:, None], amps, np.zeros((len(q), 2), dtype=q.dtype)
+
+
 def solve_volterra(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:
     """March the product-trapezoidal scheme over the grid.
 
@@ -126,6 +156,10 @@ def solve_volterra(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:
     count, dt = grid.count, grid.dt
     K = _kernel_samples(problem, grid)
     S = _source_samples(problem, grid)
+    poles = _history_poles(problem, dt)
+    if poles is not None:
+        q, amps, H = poles
+    local_src = 0.5 * dt * (S[:-1] + S[1:])
 
     if problem.dim == 1:
         a = float(problem.a)
@@ -134,17 +168,23 @@ def solve_volterra(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:
         factor = 1.0 + 0.5 * dt * a - 0.25 * dt * dt * K[0]
         if abs(factor) < 1e-14:
             raise SolverError(f"implicit factor {factor:.3e} is singular")
+        head = 0.5 * dt * K[1:] * u[0]  # the u_0 end of the trapezoid
         conv_prev = 0.0  # full trapezoid convolution at t_n
         for n in range(count):
-            hist = K[1 : n + 1][::-1] @ u[1 : n + 1] if n >= 1 else 0.0
-            conv_next_known = dt * (0.5 * K[n + 1] * u[0] + hist)
+            if poles is None:
+                hist = K[n:0:-1] @ u[1 : n + 1]
+            else:
+                hist = (amps @ H).real
+            conv_next_known = head[n] + dt * hist
             rhs = (
                 u[n] * (1.0 - 0.5 * dt * a)
-                + 0.5 * dt * (S[n] + S[n + 1])
+                + local_src[n]
                 + 0.5 * dt * (conv_next_known + conv_prev)
             )
             u[n + 1] = rhs / factor
             conv_prev = conv_next_known + 0.5 * dt * K[0] * u[n + 1]
+            if poles is not None:
+                H = q * (H + u[n + 1])
         return u
 
     a = problem.a
@@ -156,20 +196,23 @@ def solve_volterra(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:
         raise SolverError("implicit 2x2 factor is singular")
     finv = np.linalg.inv(factor)
     explicit = eye - 0.5 * dt * a
+    head = 0.5 * dt * K[1:] @ u[0]
     conv_prev = np.zeros(2)
     for n in range(count):
-        if n >= 1:
-            hist = np.einsum("tij,tj->i", K[1 : n + 1][::-1], u[1 : n + 1])
+        if poles is None:
+            hist = np.einsum("tij,tj->i", K[n:0:-1], u[1 : n + 1])
         else:
-            hist = np.zeros(2)
-        conv_next_known = dt * (0.5 * K[n + 1] @ u[0] + hist)
+            hist = np.einsum("kij,kj->i", amps, H).real
+        conv_next_known = head[n] + dt * hist
         rhs = (
             explicit @ u[n]
-            + 0.5 * dt * (S[n] + S[n + 1])
+            + local_src[n]
             + 0.5 * dt * (conv_next_known + conv_prev)
         )
         u[n + 1] = finv @ rhs
         conv_prev = conv_next_known + 0.5 * dt * (K[0] @ u[n + 1])
+        if poles is not None:
+            H = q * (H + u[n + 1])
     return u
 
 
@@ -180,7 +223,8 @@ def volterra_residual(
 
     Recomputes du/dt by centered differences on interior nodes and the
     convolution by an independent full trapezoid sum, and returns the max
-    norm of  du/dt + a u - conv - S.
+    norm of  du/dt + a u - conv - S.  The trapezoid at t_n is the discrete
+    convolution sum_{j<=n} K_{n-j} u_j less half its two end terms.
     """
     count, dt = grid.count, grid.dt
     K = _kernel_samples(problem, grid)
@@ -188,19 +232,22 @@ def volterra_residual(
     u = np.asarray(solution, dtype=float)
 
     if problem.dim == 1:
-        conv = np.zeros(count + 1)
-        for n in range(1, count + 1):
-            conv[n] = dt * float(np.trapezoid(K[: n + 1][::-1] * u[: n + 1]) )
-        dudt = (u[2:] - u[:-2]) / (2.0 * dt)
-        res = dudt + problem.a * u[1:-1] - conv[1:-1] - S[1:-1]
-        return float(np.max(np.abs(res))) if len(res) else 0.0
-
-    conv = np.zeros((count + 1, 2))
-    for n in range(1, count + 1):
-        vals = np.einsum("tij,tj->ti", K[: n + 1][::-1], u[: n + 1])
-        conv[n] = dt * np.trapezoid(vals, axis=0)
+        full = np.convolve(K, u)[: count + 1]
+        ends = K * u[0] + K[0] * u
+        decay = problem.a * u
+    else:
+        full = np.stack(
+            [
+                sum(np.convolve(K[:, i, j], u[:, j])[: count + 1] for j in range(2))
+                for i in range(2)
+            ],
+            axis=1,
+        )
+        ends = K @ u[0] + u @ K[0].T
+        decay = u @ problem.a.T
+    conv = dt * (full - 0.5 * ends)
     dudt = (u[2:] - u[:-2]) / (2.0 * dt)
-    res = dudt + u[1:-1] @ problem.a.T - conv[1:-1] - S[1:-1]
+    res = dudt + decay[1:-1] - conv[1:-1] - S[1:-1]
     return float(np.max(np.abs(res))) if len(res) else 0.0
 
 

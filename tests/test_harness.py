@@ -5,6 +5,7 @@ import json
 import pytest
 
 import homokin.kernels
+import homokin.multiscale
 from homokin.cell import secular_poles
 from homokin.cli import build_parser, config_from_args, main
 from homokin.harness import (
@@ -15,6 +16,7 @@ from homokin.harness import (
     run_experiment,
     write_csv,
 )
+from homokin.volterra import SolverError
 
 
 class TestConfigValidation:
@@ -194,3 +196,14 @@ class TestCli:
         code = main(["kernel-dump", "--preset", "two-valued", "--out", str(tmp_path)])
         assert code == 1
         assert "variance identity" in capsys.readouterr().err
+
+    def test_volterra_solver_error_exit_code(self, tmp_path, monkeypatch, capsys):
+        def singular(problem, grid):
+            raise SolverError("implicit factor 0.000e+00 is singular")
+
+        monkeypatch.setattr(homokin.multiscale, "solve_volterra", singular)
+        code = main(["ode", "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "numerical failure in ode" in err
+        assert "singular" in err

@@ -1,9 +1,18 @@
-"""Volterra solver tests: closed forms, residuals, order, linearity."""
+"""Volterra solver tests: closed forms, residuals, order, linearity,
+and agreement of the pole recursion with the direct history sum."""
+
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from homokin.kernels import KernelTable
+from homokin.cell import CellFunction, PeriodicGrid, cell_average, sine_profile
+from homokin.kernels import KernelTable, build_source_table
+from homokin.multiscale import OdeProblem, solve_homogenized_volterra
+from homokin.oscillator import SKEW, YoungMeasure, kernel_time_table, solve_oscillator_limit
 from homokin.volterra import (
     SolverError,
     TimeGrid,
@@ -14,11 +23,103 @@ from homokin.volterra import (
 )
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])  # skew generator of plane rotations
+EPS = np.finfo(float).eps
 
 
 def exp_kernel_table(rate: float, grid: TimeGrid) -> KernelTable:
     taus = grid.times
     return KernelTable(taus, np.exp(-rate * taus))
+
+
+def pole_table(rates, amps, grid: TimeGrid) -> KernelTable:
+    """Table of K(tau) = Re sum_k amps_k e^{-rates_k tau}, carrying its modes."""
+    terms = np.exp(-np.outer(grid.times, rates))
+    values = np.tensordot(terms, np.asarray(amps), axes=1).real
+    return KernelTable(grid.times, values, modes=(rates, amps))
+
+
+def random_profile(rng: np.random.Generator, n: int) -> CellFunction:
+    """Smooth positive periodic profile: three harmonics of 40% of the mean."""
+    y = PeriodicGrid(n).nodes
+    k = np.arange(1, 4)
+    a, b = rng.uniform(-1.0, 1.0, 3), rng.uniform(-1.0, 1.0, 3)
+    mean = rng.uniform(1.5, 2.5)
+    ang = 2.0 * np.pi * np.multiply.outer(y, k)
+    vals = mean + 0.4 * mean * (np.sin(ang) @ a + np.cos(ang) @ b) / np.sum(
+        np.abs(a) + np.abs(b)
+    )
+    return CellFunction(PeriodicGrid(n), vals)
+
+
+def homogenized_problem(sigma: CellFunction, u_in: CellFunction, grid: TimeGrid):
+    """The scalar Volterra problem that solve_homogenized_volterra marches."""
+    return VolterraProblem(
+        1,
+        cell_average(sigma),
+        KernelTable.from_cell_coefficient(sigma, grid.dt, grid.count),
+        build_source_table(sigma, u_in, None, grid.dt, grid.count).values,
+        cell_average(u_in),
+    )
+
+
+def oscillator_problem(nu: YoungMeasure, u_in, grid: TimeGrid) -> VolterraProblem:
+    """The 2x2 problem that solve_oscillator_limit marches."""
+    table = kernel_time_table(nu, grid)
+    rates, amps = table.modes
+    neg = KernelTable(table.taus, -table.values, modes=(rates, -amps))
+    return VolterraProblem(2, -nu.mean * SKEW, neg, None, np.asarray(u_in, dtype=float))
+
+
+def noncommuting_problem(grid: TimeGrid) -> VolterraProblem:
+    """Forced 2x2 problem whose kernel amplitudes do not commute."""
+    rates = np.array([0.5, 1.0 + 2.0j, 3.0])
+    amps = np.array(
+        [
+            [[0.5, 0.2], [0.0, 0.3]],
+            [[0.1 + 0.1j, -0.4], [0.3j, 0.2]],
+            [[0.0, 0.0], [0.6, -0.1]],
+        ]
+    )
+    a = np.array([[1.0, 0.3], [-0.2, 1.5]])
+    src = np.stack([np.sin(grid.times), np.ones(grid.count + 1)], axis=1)
+    return VolterraProblem(2, a, pole_table(rates, amps, grid), src, np.array([1.0, -0.5]))
+
+
+def assert_paths_agree(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:
+    """The pole recursion and the direct sum over the same values agree."""
+    assert problem.kernel.modes is not None
+    plain = KernelTable(problem.kernel.taus, problem.kernel.values)
+    u_modes = solve_volterra(problem, grid)
+    u_plain = solve_volterra(dataclasses.replace(problem, kernel=plain), grid)
+    gap = float(np.max(np.abs(u_modes - u_plain)))
+    assert gap <= 1e-12 * max(1.0, float(np.max(np.abs(u_plain)))), gap
+    return u_modes
+
+
+def closed_form_mean(sigma: CellFunction, u_in: CellFunction, times, chunk=2048):
+    """<u_in e^{-sigma t}>, the exact homogenized solution without forcing."""
+    wu = sigma.grid.weights * u_in.values
+    out = np.empty(len(times))
+    for i in range(0, len(times), chunk):
+        out[i : i + chunk] = np.exp(-np.outer(times[i : i + chunk], sigma.values)) @ wu
+    return out
+
+
+def residual_by_loop(problem: VolterraProblem, u: np.ndarray, grid: TimeGrid) -> float:
+    """Reference residual: one trapezoid sum per node, as a Python loop."""
+    count, dt = grid.count, grid.dt
+    K = problem.kernel.values[: count + 1]
+    S = np.zeros_like(u) if problem.source is None else problem.source
+    conv = np.zeros_like(u)
+    for n in range(1, count + 1):
+        if problem.dim == 1:
+            vals = K[: n + 1][::-1] * u[: n + 1]
+        else:
+            vals = np.einsum("tij,tj->ti", K[: n + 1][::-1], u[: n + 1])
+        conv[n] = dt * np.trapezoid(vals, axis=0)
+    dudt = (u[2:] - u[:-2]) / (2.0 * dt)
+    decay = problem.a * u if problem.dim == 1 else u @ problem.a.T
+    return float(np.max(np.abs(dudt + decay[1:-1] - conv[1:-1] - S[1:-1])))
 
 
 class TestTimeGrid:
@@ -160,6 +261,108 @@ class TestResidual:
         grid = TimeGrid(2.0, 1e-2)
         problem = VolterraProblem(1, 2.0, exp_kernel_table(2.0, grid), None, 0.0)
         assert volterra_residual(problem, np.zeros(grid.count + 1), grid) == 0.0
+
+    def test_scalar_residual_matches_loop(self):
+        grid = TimeGrid(5.0, 1e-3)
+        problem = VolterraProblem(1, 2.0, exp_kernel_table(2.0, grid), None, 1.0)
+        u = solve_volterra(problem, grid)
+        # each convolution sums count products of magnitude <= 1 over [0, 5]
+        bound = grid.count * EPS * grid.t_end
+        gap = abs(volterra_residual(problem, u, grid) - residual_by_loop(problem, u, grid))
+        assert gap <= bound
+
+    def test_system_residual(self):
+        grid = TimeGrid.from_count(8.0, 4000)
+        problem = noncommuting_problem(grid)
+        u = solve_volterra(problem, grid)
+        fast = volterra_residual(problem, u, grid)
+        assert fast < 1e-4
+        scale = float(np.max(np.abs(problem.kernel.values)) * np.max(np.abs(u))) * grid.t_end
+        assert abs(fast - residual_by_loop(problem, u, grid)) <= grid.count * EPS * scale
+        zero = VolterraProblem(2, problem.a, problem.kernel, None, np.zeros(2))
+        assert volterra_residual(zero, np.zeros_like(u), grid) == 0.0
+
+
+class TestPoleRecursion:
+    """solve_volterra with a table's modes against the same values without."""
+
+    def test_random_profile(self):
+        rng = np.random.default_rng(2024)
+        sigma = random_profile(rng, 256)
+        u_in = CellFunction(sigma.grid, 1.0 + 0.5 * np.sin(2 * np.pi * sigma.grid.nodes))
+        grid = TimeGrid.from_count(20.0, 4000)
+        assert_paths_agree(homogenized_problem(sigma, u_in, grid), grid)
+
+    def test_sine_ode_problem(self):
+        # the ode kind's cell data
+        cell = PeriodicGrid(256)
+        sigma = CellFunction.from_function(cell, sine_profile(2.0, 0.5))
+        u_in = CellFunction.from_function(cell, lambda y: 1.0 + np.sin(2 * np.pi * y))
+        grid = TimeGrid.from_count(10.0, 4000)
+        assert_paths_agree(homogenized_problem(sigma, u_in, grid), grid)
+
+    @pytest.mark.parametrize("atoms", [(1.0, 3.0), (1.0, 6.0)])
+    def test_oscillator_atoms(self, atoms):
+        nu = YoungMeasure(np.array(atoms), np.array([0.4, 0.6]))
+        grid = TimeGrid.from_count(10.0, 4000)
+        u_in = np.array([np.cos(1.0), np.sin(1.0)])
+        u = assert_paths_agree(oscillator_problem(nu, u_in, grid), grid)
+        assert np.array_equal(u, solve_oscillator_limit(nu, u_in, grid))
+
+    def test_complex_rate_scalar_kernel(self):
+        grid = TimeGrid.from_count(10.0, 2000)
+        rates = np.array([0.5 + 3.0j, 0.5 - 3.0j, 1.5 + 0.0j])
+        amps = np.array([0.4 - 0.2j, 0.4 + 0.2j, 0.7 + 0.0j])
+        table = pole_table(rates, amps, grid)
+        src = np.cos(grid.times)
+        assert_paths_agree(VolterraProblem(1, 2.0, table, src, 1.0), grid)
+
+    def test_noncommuting_matrix_amplitudes(self):
+        grid = TimeGrid.from_count(8.0, 2000)
+        problem = noncommuting_problem(grid)
+        _, amps = problem.kernel.modes
+        assert not np.allclose(amps[0] @ amps[2], amps[2] @ amps[0])
+        assert_paths_agree(problem, grid)
+
+    def test_growing_solution(self):
+        cell = PeriodicGrid(64)
+        sigma = CellFunction.from_function(cell, sine_profile(2.0, 0.5))
+        grid = TimeGrid.from_count(50.0, 5000)
+        table = KernelTable.from_cell_coefficient(sigma, grid.dt, grid.count)
+        u = assert_paths_agree(VolterraProblem(1, -1.0, table, None, 1.0), grid)
+        assert u[-1] > 1e20
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(2, 64).flatmap(
+            lambda n: hnp.arrays(np.float64, n, elements=st.floats(0.2, 5.0))
+        )
+    )
+    def test_random_positive_profiles(self, values):
+        sigma = CellFunction(PeriodicGrid(len(values)), values)
+        u_in = CellFunction(sigma.grid, 1.0 + np.cos(2 * np.pi * sigma.grid.nodes))
+        grid = TimeGrid.from_count(5.0, 500)
+        assert_paths_agree(homogenized_problem(sigma, u_in, grid), grid)
+
+    def test_inconsistent_modes_rejected(self):
+        grid = TimeGrid.from_count(5.0, 100)
+        table = pole_table(np.array([1.0, 2.0]), np.array([0.5, 0.25]), grid)
+        rates, amps = table.modes
+        with pytest.raises(ValueError, match="miss"):
+            KernelTable(table.taus, table.values, modes=(rates, amps * (1 + 1e-9)))
+        with pytest.raises(ValueError, match="miss"):
+            KernelTable(table.taus, table.values, modes=(rates + 1e-9, amps))
+        with pytest.raises(ValueError, match="fit"):
+            KernelTable(table.taus, table.values, modes=(rates, amps[:1]))
+
+    def test_long_march_against_closed_form(self):
+        rng = np.random.default_rng(5)
+        sigma = random_profile(rng, 256)
+        u_in = CellFunction(sigma.grid, 1.0 + 0.5 * np.sin(2 * np.pi * sigma.grid.nodes + 1.0))
+        grid = TimeGrid.from_count(50.0, 100_000)
+        u = solve_homogenized_volterra(OdeProblem(sigma, None, u_in, 50.0), grid)
+        gap = float(np.max(np.abs(u - closed_form_mean(sigma, u_in, grid.times))))
+        assert gap <= 1e-5, gap
 
 
 class TestExport:
