@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import __version__
+from . import ConfigError, __version__
 from .boltzmann import DEFAULT_SWEEP, sweep_point
 from .cell import CellFunction, PeriodicGrid, sine_profile, two_valued_profile
 from .kernels import KernelTable, verify_tartar_equivalence
@@ -51,10 +51,6 @@ from .transport import (
 from .volterra import TimeGrid
 
 KINDS = ("tartar", "ode", "boltzmann", "transport", "oscillator", "kernel-dump")
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration; the message names the field."""
 
 
 @dataclass(frozen=True)

@@ -18,16 +18,22 @@ solved by product trapezoid in s with a recursively updated history (the
 s-kernel is a pure exponential per (w, E), so no quadratic-cost sum).
 The scattering operator factors through the angle-pair field g[v, w], so
 each implicit trapezoid step reduces to a linear system of size
-n_omega^2 whose matrix is inverted once per run.  Every solver marches
-only the r-slices where the initial data is nonzero; the other slices
-stay exactly zero.  The support of the data is read off those slices, and
-characteristics that would leave the spatial box raise ConfigurationError.
+n_omega^2, inverted once per run by :func:`_implicit_inverse`; a singular
+step, or one whose spectral radius reaches 1, raises RuntimeError.  Every
+solver marches only the r-slices where the initial data is nonzero; the
+other slices stay exactly zero.  The support of the data is read off
+those slices; data that misses every r-node, or characteristics that
+would leave the spatial box, raise ConfigError.
 The homogenized limit is the coupled system for the y-average psi_hom and
-the mean-free corrector rho; an independent closed-kernel route rebuilds
-psi_hom from memory kernels with energy-scaled decay sqrt(E) L_sigma and
-must agree with the coupled route to solver accuracy.  Both limit solvers
-share one set of operators on the (omega, E, y) grid and march with
-:func:`homokin.cell.rk4_step`.
+the mean-free corrector rho, marched with :func:`homokin.cell.rk4_step`
+on the (omega, E, y) grid.  An independent closed-kernel route rebuilds
+psi_hom from memory kernels instead and must agree with it to solver
+accuracy.  Per (w, E) the corrector decays under sqrt(E) L_sigma, so that
+route works in the secular poles of the cell profile
+(:func:`homokin.cell.secular_poles`): kernels and corrector data are pole
+sums plus a remainder that decays pointwise, each advanced by an exact
+factor per step, and the implicit coupling goes through the same reduced
+n_omega^2 system.  Both limit solvers share one set of operators.
 """
 
 from __future__ import annotations
@@ -37,11 +43,11 @@ from typing import Callable
 
 import numpy as np
 
-from .cell import PeriodicGrid, rk4_step
+from . import ConfigError
+from .cell import PeriodicGrid, rk4_step, secular_poles
 
-
-class ConfigurationError(ValueError):
-    """Raised when characteristics would leave the spatial box."""
+# the older name of ConfigError, kept for callers that catch it
+ConfigurationError = ConfigError
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,26 +252,6 @@ class PhaseSpaceField:
     y_nodes: np.ndarray | None = None
 
 
-def export_field_csv(field: PhaseSpaceField, path) -> None:
-    """Long-format dump `t,r,omega,E,value`; cell axes are y-averaged.
-
-    Row count is the full product of the grids, so dump reduced runs only.
-    """
-    values = field.values
-    if values.ndim == 5:
-        values = values.mean(axis=4)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,r,omega,E,value\n")
-        for it, t in enumerate(field.times):
-            for ir, rv in enumerate(field.r_nodes):
-                for iw, th in enumerate(field.angles):
-                    for ie, en in enumerate(field.energies):
-                        fh.write(
-                            f"{t:.17g},{rv:.17g},{th:.17g},{en:.17g},"
-                            f"{values[it, ir, iw, ie]:.17g}\n"
-                        )
-
-
 def transport_preset(name: str) -> OpticalParameters:
     """Named parameter sets used by the checks and the CLI."""
     if name == "transport-subcritical-1":
@@ -303,21 +289,58 @@ def _initial_slices(
     slice shape.  The labels r ride along passively and every solver is
     linear, so the slices left out stay exactly zero.  The support of the
     data is the outer edge of the outermost active r-cell; characteristics
-    that leave the box from there by t_end raise ConfigurationError.
+    that leave the box from there by t_end raise ConfigError, and so does
+    data that vanishes on every r-node.
     """
     r = grids.r_nodes
     data = np.stack([phi_in(rv, *axes) for rv in r])
     active = np.nonzero(np.abs(data).reshape(len(r), -1).max(axis=1) > 0)[0]
     if len(active) == 0:
-        raise ValueError("initial data vanishes on every r-node")
+        raise ConfigError(
+            f"n_r: initial data vanishes on all {len(r)} r-nodes; "
+            "refine n_r so that a node falls inside its support"
+        )
     support = np.max(np.abs(r[active])) + grids.r_box / grids.n_r
     reach = support + np.sqrt(grids.e_max) * t_end
     if reach > grids.r_box + 1e-12:
-        raise ConfigurationError(
+        raise ConfigError(
             f"characteristics reach {reach:.3f} > r_box {grids.r_box}; "
             "shrink T or the initial support"
         )
     return active, data[active]
+
+
+def _implicit_inverse(C: np.ndarray) -> np.ndarray:
+    """Inverse of I - C for the reduced implicit step on g[v, w].
+
+    C[v, w, x] acts as (C g)[v, w] = sum_x C[v, w, x] g[w, x].  The inverse
+    keeps every step in numpy's BLAS: scipy's LAPACK brings a second
+    thread pool that contends with numpy's on each step.  A numerically
+    singular system raises RuntimeError, and so does a spectral radius
+    rho(C) >= 1, where the trapezoid step flips the sign of the scattering
+    growth.  The infinity norm bounds rho(C), so eigenvalues are computed
+    only when it reaches 1.
+    """
+    nw = C.shape[0]
+    block = np.einsum("vwx,wu->vwux", C, np.eye(nw)).reshape(nw * nw, nw * nw)
+    step_matrix = np.eye(nw * nw) - block
+    try:
+        step_inv = np.linalg.inv(step_matrix)
+        cond = np.linalg.norm(step_matrix, 1) * np.linalg.norm(step_inv, 1)
+    except np.linalg.LinAlgError:
+        cond = np.inf
+    if cond * nw * nw * np.finfo(float).eps > 1.0:
+        raise RuntimeError(
+            "implicit scattering step is numerically singular; increase n_steps"
+        )
+    if np.abs(C).sum(axis=2).max() >= 1.0:
+        radius = float(np.max(np.abs(np.linalg.eigvals(block))))
+        if radius >= 1.0:
+            raise RuntimeError(
+                f"implicit scattering step unresolved: spectral radius "
+                f"{radius:.3g} >= 1; increase n_steps"
+            )
+    return step_inv
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,8 +382,9 @@ def solve_characteristics_eps(
     scattering operator factors as K = S R, with R reducing (w, E') to
     g[v, w] and S spreading g back to (v, E), so the implicit step
     psi = known + (dt/2) K psi is solved directly through the reduced
-    system (I - (dt/2) R S) g = R known, inverted once per call.  A
-    numerically singular system raises RuntimeError.
+    system (I - (dt/2) R S) g = R known, inverted once per call by
+    :func:`_implicit_inverse`, which raises RuntimeError on a numerically
+    singular system or a spectral radius of (dt/2) R S of at least 1.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -395,23 +419,9 @@ def solve_characteristics_eps(
         gv = g.reshape(nw, nw, na).transpose(0, 2, 1)  # (v, na, w)
         return scale_out * np.matmul(gv, k1).transpose(1, 0, 2)
 
-    # R S is block diagonal in the middle angle: (R S g)[v, w] =
-    # sum_w' C[v, w, w'] g[w, w'] with C = we aw sum_E' k2 sqrt(E') k1
+    # R S acts on g[w, x] as C g with C = we aw sum_E' k2 sqrt(E') k1
     C = we * aw * np.einsum("vwe,wxe->vwx", k2_diag * sqrtE, k1)
-    RS = np.einsum("vwx,wu->vwux", C, np.eye(nw)).reshape(nw * nw, nw * nw)
-    step_matrix = np.eye(nw * nw) - 0.5 * dt * RS
-    # an explicit inverse keeps every step in numpy's BLAS: scipy's LAPACK
-    # brings a second thread pool that contends with numpy's on each step
-    try:
-        step_inv = np.linalg.inv(step_matrix)
-        cond = np.linalg.norm(step_matrix, 1) * np.linalg.norm(step_inv, 1)
-    except np.linalg.LinAlgError:
-        cond = np.inf
-    if cond * nw * nw * np.finfo(float).eps > 1.0:
-        raise RuntimeError(
-            "implicit scattering step is numerically singular; "
-            "increase n_steps"
-        )
+    step_inv = _implicit_inverse(0.5 * dt * C)
 
     per_win = n_e // n_windows
     r_weight = 2.0 * grids.r_box / grids.n_r
@@ -583,105 +593,98 @@ def solve_closed_kernel_transport(
     t_end: float = 1.5,
     n_steps: int = 300,
 ) -> PhaseSpaceField:
-    """Verification route: march the closed memory-kernel equation.
+    """Verification route: march the closed memory-kernel equation in poles.
 
     The corrector is eliminated through its Duhamel formula, leaving a
-    Volterra equation for psi_hom whose kernels are cell averages of the
-    energy-scaled semigroup exp(-tau sqrt(E) L_sigma) applied to the
-    sigma fluctuation, weighted by sigma (local part) or kappa2
-    (scattering part).  History cost is quadratic in n_steps: this route
-    exists to verify the coupled system, so run it on reduced grids.
-    Only the r-slices where phi_in is nonzero are marched.  The RK4
-    substep is bounded by 2 / max(sqrt(E) sigma), inside the real-axis
-    stability interval; a Picard iteration that misses its cap raises
-    RuntimeError.
+    Volterra equation for psi_hom.  Per (w, E) the corrector decays under
+    sqrt(E) L_sigma.  On mean-free cell data L_sigma has the secular poles
+    lambda_k of the profile sigma(w, E, .), with eigenvectors
+    phi_k = 1/(sigma - lambda_k) and r_k = 1/<phi_k^2>, and it multiplies
+    by sigma on the remainder, the data mean-free on each level set of
+    sigma.  sigma - <sigma> = sum_k r_k phi_k has no remainder, so the
+    kernels are pole sums:
+
+        kd(tau) = E sum_k r_k e^{-sqrt(E) lambda_k tau}
+        kc(tau)[v, w, E'] = sqrt(E') sum_k r_k <kappa2 phi_k> e^{-sqrt(E') lambda_k tau}
+
+    The corrector is carried as its pole coordinates Y_k, which start at
+    beta_k = r_k <rho0 phi_k> and take up the trapezoid history of psi,
+    Y <- q (Y - dt sqrt(E) r_k psi_n) with q_k = e^{-dt sqrt(E) lambda_k},
+    plus the remainder V_perp = rho0 - sum_k beta_k phi_k, which decays by
+    e^{-dt sqrt(E) sigma} per step.  The implicit coupling is solved
+    through the reduced n_omega^2 system of :func:`_implicit_inverse`.
+    Poles are solved once per distinct cell profile and the y grid is
+    never marched.  Only the r-slices where phi_in is nonzero are marched.
     """
     op = _TwoScaleOperators(params, phi_in, grids, t_end)
     sig, sqrtE, wy, we, psi0 = op.sig, op.sqrtE, op.wy, op.we, op.psi0
+    nw, ne, ny = sig.shape
+    profiles, which = np.unique(sig.reshape(-1, ny), axis=0, return_inverse=True)
+    which = which.reshape(nw, ne)
+    solved = [secular_poles(p, np.full(ny, wy)) for p in profiles]
+    m = max(len(poles) for poles, _ in solved)
+    lam = np.zeros((len(profiles), m))
+    res = np.zeros((len(profiles), m))  # padded poles carry no weight
+    c2 = np.zeros(op.k2y.shape[:3] + (m,))  # <kappa2 phi_k>
+    beta = np.zeros(op.rho0.shape[:3] + (m,))
+    v_perp = op.rho0.copy()
+    for p, (poles, residues) in enumerate(solved):
+        k, at = len(poles), which == p
+        lam[p, :k], res[p, :k] = poles, residues
+        phi = 1.0 / (profiles[p][None, :] - poles[:, None])  # (k, ny)
+        c2[:, at, :k] = op.k2y[:, at] @ phi.T * wy
+        beta[:, at, :k] = op.rho0[:, at] @ phi.T * (wy * residues)
+        v_perp[:, at] -= beta[:, at, :k] @ phi
+
     r = grids.r_nodes
     times = np.linspace(0.0, t_end, n_steps + 1)
     dt = times[1] - times[0]
-    scaled = sqrtE[None, :, None]
+    rate = sqrtE[None, :, None]
+    q = np.exp(-dt * rate * lam[which])
+    kick = dt * rate * res[which]
+    decay = np.exp(-dt * rate * sig)
 
-    def decay_rhs(t, v):
-        # d/dt v = -sqrt(E) L_sigma v per (w, E), L_sig v = sig v - <sig v>
-        sv = sig * v
-        return (-scaled * (sv - sv.mean(axis=-1, keepdims=True)),)
+    def memory(Y, X):
+        # S R_kappa2 rho - sqrt(E) <sig rho> for the corrector rho with pole
+        # coordinates Y and remainder X: the kernel history and the source
+        g = np.einsum("vwek,rwek->rvw", c2, Y, optimize=True) + wy * np.einsum(
+            "vwey,rwey->rvw", op.k2y, X, optimize=True
+        )
+        local = Y.sum(axis=3) + (sig * X).mean(axis=3)
+        return op.spread(we * g) - sqrtE * local
 
-    # slice 0 is the kernel state W = L_1 sigma, the rest the source state
-    # V = L_1 phi_in per r-slice; both decay under the same generator
-    state = np.concatenate([op.sig_fluct[None], op.rho0])
-
-    kd = np.empty((n_steps + 1,) + op.sig_mean.shape)        # E <sig W>
-    kc = np.empty((n_steps + 1,) + op.k2y.shape[:3])         # sqrt(E') <k2 W>
-    src = np.empty((n_steps + 1,) + psi0.shape)
-
-    def record(j, state):
-        W, V = state[0], state[1:]
-        kd[j] = op.energies[None, :] * (sig * W).mean(axis=2)
-        kc[j] = sqrtE[None, None, :] * np.einsum("vwey,wey->vwe", op.k2y, W) * wy
-        s_local = sqrtE[None, None, :] * np.einsum("wey,rwey->rwe", sig, V) * wy
-        src[j] = op.scatter_cell(V) - s_local
-
-    record(0, state)
-    # RK4 is stable on the real axis up to h * rate = 2.78; the substep is
-    # min(2e-3, 2 / rate), written so that sigma = 0 needs no branch
-    rate = float(np.max(scaled * sig))
-    nsub = max(1, int(np.ceil(dt / (2.0 / max(rate, 1e3)))))
-    h = dt / nsub
-    for j in range(1, n_steps + 1):
-        for _ in range(nsub):
-            (state,) = rk4_step(decay_rhs, 0.0, h, state)
-        record(j, state)
-
-    # product-trapezoid march of
-    # dpsi/dt + sqrt(E)<sig> psi - K_bar psi
-    #   = src(t) + int_0^t [kd(t-s) psi(s) - kc(t-s) psi(s)] ds
-    # where K_bar = scatter(k2bar, .) is the instantaneous scattering
+    # trapezoid step of dpsi/dt + sqrt(E)<sig> psi - K_bar psi = memory,
+    # the lag-zero kernels kd0, kc0 taken implicitly with the K_bar coupling
     diag = sqrtE[None, :] * op.sig_mean
-    denom = 1.0 + 0.5 * dt * diag - 0.25 * dt * dt * kd[0]
-    psis = np.empty((n_steps + 1,) + psi0.shape)
-    psis[0] = psi0
-    conv_prev = np.zeros_like(psi0)
+    kd0 = op.energies[None, :] * (sig * op.sig_fluct).mean(axis=2)
+    kc0 = sqrtE[None, None, :] * np.einsum("vwey,wey->vwe", op.k2y, op.sig_fluct) * wy
+    denom = 1.0 + 0.5 * dt * diag - 0.25 * dt * dt * kd0
+    coupling = 0.5 * dt * op.k2bar - 0.25 * dt * dt * kc0
+    C = we * grids.angle_weight * np.einsum(
+        "vwe,wxe->vwx", coupling * (sqrtE / denom)[None], op.k1
+    )
+    step_inv = _implicit_inverse(C)
+
+    psis = np.zeros((n_steps + 1, len(r)) + psi0.shape[1:])
+    psis[0, op.active] = psi0
+    mem_prev = memory(beta, v_perp)
+    # each step takes kick * psi_n off Y; the trapezoid halves it for psi0
+    psi, Y, X = psi0, beta + 0.5 * kick * psi0[..., None], v_perp
     for n in range(n_steps):
-        # known part of the trapezoid history at t_{n+1}
-        hist = np.zeros_like(psi0)
-        if n >= 1:
-            hist = np.einsum(
-                "lwe,lrwe->rwe", kd[1 : n + 1][::-1], psis[1 : n + 1]
-            )
-            g = np.einsum("lvwe,lrwe->rvw", kc[1 : n + 1][::-1], psis[1 : n + 1]) * we
-            hist = hist - op.spread(g)
-        conv_known = dt * (
-            0.5 * (kd[n + 1] * psis[0] - op.scatter(kc[n + 1], psis[0])) + hist
+        Y -= kick * psi[..., None]
+        Y *= q
+        X *= decay
+        mem = memory(Y, X)
+        rhs = psi * (1.0 - 0.5 * dt * diag) + 0.5 * dt * (
+            op.scatter(op.k2bar, psi) + mem_prev + mem
         )
-        rhs_fixed = (
-            psis[n] * (1.0 - 0.5 * dt * diag)
-            + 0.5 * dt * (op.scatter(op.k2bar, psis[n]) + src[n] + src[n + 1])
-            + 0.5 * dt * (conv_known + conv_prev)
-        )
-        # Picard over the off-diagonal implicit couplings
-        nxt = psis[n].copy()
-        for _ in range(80):
-            coupling = (
-                0.5 * dt * op.scatter(op.k2bar, nxt)
-                - 0.25 * dt * dt * op.scatter(kc[0], nxt)
-            )
-            upd = (rhs_fixed + coupling) / denom
-            delta = np.max(np.abs(upd - nxt))
-            nxt = upd
-            if delta < 1e-13:
-                break
-        else:
-            raise RuntimeError(
-                f"closed-kernel Picard iteration unconverged at step {n + 1} "
-                f"(last update {delta:.2e}); increase n_steps"
-            )
-        psis[n + 1] = nxt
-        conv_prev = conv_known + 0.5 * dt * (kd[0] * nxt - op.scatter(kc[0], nxt))
-    values = np.zeros((n_steps + 1, len(r)) + psi0.shape[1:])
-    values[:, op.active] = psis
-    return PhaseSpaceField(times, r, grids.angles, op.energies, values)
+        # (D - S R_M) psi = rhs through g = R_M psi: (I - C) g = R_M(rhs / D)
+        b = np.einsum("vwe,rwe->rvw", coupling, rhs / denom) * we
+        g = (b.reshape(len(psi), -1) @ step_inv.T).reshape(b.shape)
+        psi = (rhs + op.spread(g)) / denom
+        psis[n + 1, op.active] = psi
+        mem_prev = mem + 0.5 * dt * (kd0 * psi - op.scatter(kc0, psi))
+    return PhaseSpaceField(times, r, grids.angles, op.energies, psis)
 
 
 def windowed_weak_error(

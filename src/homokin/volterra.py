@@ -249,17 +249,3 @@ def volterra_residual(
     dudt = (u[2:] - u[:-2]) / (2.0 * dt)
     res = dudt + decay[1:-1] - conv[1:-1] - S[1:-1]
     return float(np.max(np.abs(res))) if len(res) else 0.0
-
-
-def export_solution_csv(path, times: np.ndarray, u: np.ndarray) -> None:
-    """Write `t,u` or `t,u1,u2` rows with 17 significant digits."""
-    u = np.asarray(u)
-    with open(path, "w", newline="\n") as fh:
-        if u.ndim == 1:
-            fh.write("t,u\n")
-            for t, v in zip(times, u):
-                fh.write(f"{t:.17g},{v:.17g}\n")
-        else:
-            fh.write("t,u1,u2\n")
-            for t, row in zip(times, u):
-                fh.write(f"{t:.17g},{row[0]:.17g},{row[1]:.17g}\n")

@@ -39,6 +39,7 @@ from homokin.transport import (
     coercivity_test,
     hat_initial_data,
     solve_characteristics_eps,
+    solve_closed_kernel_transport,
     solve_two_scale_transport,
     subcriticality_check,
     transport_preset,
@@ -263,11 +264,16 @@ def test_criterion_08_transport_consistency():
         )
         errs.append(windowed_weak_error(sol, hom.psi_hom))
     factors = [errs[i] / errs[i + 1] for i in range(2)]
+
+    # (d) the closed memory-kernel route rebuilds psi_hom without the corrector
+    closed = solve_closed_kernel_transport(sub, phi_in, grids, t_end=1.0, n_steps=150)
+    closed_gap = float(np.max(np.abs(closed.values - hom.psi_hom.values)))
     elapsed = time.time() - start
     checks = [
         decay_gap <= 1e-8,
         iso_gap <= 1e-6,
         all(1.5 <= f <= 3.0 for f in factors),
+        closed_gap <= 1e-5,
         elapsed <= 1200,
     ]
     ok = report(
@@ -275,7 +281,8 @@ def test_criterion_08_transport_consistency():
         all(checks),
         f"kappa0 decay gap {decay_gap:.2e} (<=1e-8), isotropic cross-module "
         f"gap {iso_gap:.2e} (<=1e-6), halving factors "
-        f"{factors[0]:.2f}/{factors[1]:.2f} in [1.5,3], {elapsed:.0f}s (<=1200s)",
+        f"{factors[0]:.2f}/{factors[1]:.2f} in [1.5,3], closed-kernel gap "
+        f"{closed_gap:.2e} (<=1e-5), {elapsed:.0f}s (<=1200s)",
     )
     assert ok
 

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+import homokin.cell
 import homokin.kernels
 import homokin.multiscale
+import homokin.transport
 from homokin.cell import secular_poles
 from homokin.cli import build_parser, config_from_args, main
 from homokin.harness import (
@@ -207,3 +209,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert "numerical failure in ode" in err
         assert "singular" in err
+
+    def test_transport_data_between_r_nodes_exit_code(self, tmp_path, capsys):
+        # the hat of support 0.5 vanishes on the four r-nodes +-0.5, +-1.5
+        code = main(
+            ["transport", "--n-r", "4", "--n-e", "12", "--n-y", "16",
+             "--n-omega", "4", "--eps", "0.5", "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert "n_r" in capsys.readouterr().err
+        assert homokin.transport.ConfigurationError is ConfigError
+
+    def test_secular_nonconvergence_exit_code(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(homokin.cell, "_SECULAR_MAX_ITER", 0)
+        code = main(["kernel-dump", "--preset", "two-valued", "--out", str(tmp_path)])
+        assert code == 1
+        assert "did not converge" in capsys.readouterr().err

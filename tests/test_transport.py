@@ -304,6 +304,27 @@ class TestCharacteristicsSolver:
                 n_steps=n_steps, nodes_per_period=per_period,
             )
 
+    def test_unresolved_implicit_step_raises(self):
+        # the set-up of test_singular_implicit_step_raises with kappa x1.5:
+        # (dt/2) R S has the eigenvalue 1.5, so the step is solvable but
+        # flips the sign of the scattering growth
+        grids = TransportGrids(n_r=8, n_omega=4)
+        eps, t_end, n_steps, per_period = 0.25, 0.5, 20, 12
+        energies = grids.energy_nodes(grids.eps_energy_count(eps, per_period))
+        we = grids.energy_weight(len(energies))
+        dt = t_end / n_steps
+        level = 3.0 / (dt * 2.0 * np.pi * we * np.sqrt(energies).sum())
+        params = OpticalParameters(
+            sigma=lambda th, E, y: 2.0 + 0.0 * y,
+            kappa1=lambda mu, E: np.full_like(mu * E, level),
+            kappa2=lambda mu, Ep, yp: np.ones_like(mu * Ep * yp),
+        )
+        with pytest.raises(RuntimeError, match="spectral radius 1.5 >= 1"):
+            solve_characteristics_eps(
+                params, hat_initial_data(0.5), eps, grids, t_end=t_end,
+                n_steps=n_steps, nodes_per_period=per_period,
+            )
+
 
 class TestTwoScaleTransport:
     def test_y_independent_data_has_zero_corrector(self):
@@ -463,31 +484,80 @@ class TestClosedKernelEquivalence:
             kappa2=lambda mu, Ep, yp: 1000.0 * SUB.kappa2(mu, Ep, yp),
         )
         grids = TransportGrids(n_omega=4, n_e=8, n_y=16, n_r=8)
-        with pytest.raises(RuntimeError, match="Picard"):
+        with pytest.raises(RuntimeError, match="spectral radius"):
             solve_closed_kernel_transport(
                 strong, hat_initial_data(0.5), grids, t_end=0.5, n_steps=10
             )
 
+    @pytest.mark.parametrize("radius", [0.5, 1.5])
+    def test_unresolved_step_raises(self, radius):
+        # flat sigma leaves kd = kc = 0, so the implicit coupling is
+        # C = (dt/2) we aw sum_E' sqrt(E') kappa1 kappa2 / (1 + dt sqrt(E')),
+        # one value in every entry, with spectral radius n_omega C
+        grids = TransportGrids(n_omega=4, n_e=8, n_y=16, n_r=8)
+        t_end, n_steps = 0.5, 10
+        dt = t_end / n_steps
+        sqrtE = np.sqrt(grids.energy_nodes())
+        entry = 0.5 * dt * grids.energy_weight() * grids.angle_weight * np.sum(
+            sqrtE / (1.0 + dt * sqrtE)
+        )
+        level = radius / (grids.n_omega * entry)
+        params = OpticalParameters(
+            sigma=lambda th, E, y: 2.0 + 0.0 * y,
+            kappa1=lambda mu, E: np.full_like(mu * E, level),
+            kappa2=lambda mu, Ep, yp: np.ones_like(mu * Ep * yp),
+        )
+        run = lambda: solve_closed_kernel_transport(
+            params, hat_initial_data(0.5), grids, t_end=t_end, n_steps=n_steps
+        )
+        if radius < 1.0:
+            assert np.all(np.isfinite(run().values))
+        else:
+            with pytest.raises(RuntimeError, match="spectral radius 1.5 >= 1"):
+                run()
 
-class TestFieldExport:
-    def test_long_format_roundtrip(self, tmp_path):
-        from homokin.transport import PhaseSpaceField, export_field_csv
+    def test_remainder_off_the_poles(self):
+        # cos(2 pi y) is odd about y = 1/4 where the sine sigma is even, so
+        # the data has a part that is mean-free on each level set of sigma;
+        # it decays pointwise and reaches psi_hom through y-dependent kappa2
+        params = OpticalParameters(
+            sigma=SUB.sigma,
+            kappa1=SUB.kappa1,
+            kappa2=lambda mu, Ep, yp: 0.6 * (1.0 + 0.5 * np.cos(2 * np.pi * yp)),
+        )
 
-        times = np.array([0.0, 0.5])
-        r = np.array([-0.25, 0.25])
-        angles = np.array([0.0, np.pi])
-        energies = np.array([0.375, 0.625])
-        values = np.arange(16, dtype=float).reshape(2, 2, 2, 2)
-        field = PhaseSpaceField(times, r, angles, energies, values)
-        path = tmp_path / "field.csv"
-        export_field_csv(field, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,r,omega,E,value"
-        assert len(lines) == 17
-        first = [float(v) for v in lines[1].split(",")]
-        assert first == [0.0, -0.25, 0.0, 0.375, 0.0]
-        last = [float(v) for v in lines[-1].split(",")]
-        assert last[-1] == 15.0
+        def phi_in(r, th, E, y):
+            shape = np.broadcast(r, th, E, y).shape
+            hat = np.maximum(0.0, 1.0 - np.abs(r) / 0.5)
+            return np.broadcast_to(hat * (1.0 + np.cos(2 * np.pi * y)), shape).copy()
+
+        self._assert_routes_agree(params, phi_in)
+
+    def test_sigma_depending_on_angle_and_energy(self):
+        # sigma varies with (w, E): 32 distinct cell profiles on this grid
+        params = OpticalParameters(
+            sigma=lambda th, E, y: 2.0
+            + (0.5 + 0.2 * np.cos(th)) * (1.0 + E) * np.sin(2 * np.pi * y),
+            kappa1=SUB.kappa1,
+            kappa2=SUB.kappa2,
+        )
+        self._assert_routes_agree(params, hat_initial_data(0.5))
+
+    def test_two_valued_sigma(self):
+        # a single pole; sin(2 pi y) is not constant on the two level sets
+        params = OpticalParameters(
+            sigma=lambda th, E, y: np.where(np.mod(y, 1.0) < 0.5, 1.0, 3.0),
+            kappa1=SUB.kappa1,
+            kappa2=SUB.kappa2,
+        )
+        self._assert_routes_agree(params, hat_initial_data(0.5))
+
+    @staticmethod
+    def _assert_routes_agree(params, phi_in):
+        grids = TransportGrids(n_omega=4, n_e=8, n_y=32, n_r=8)
+        ts = solve_two_scale_transport(params, phi_in, grids, t_end=0.75, n_steps=600)
+        ck = solve_closed_kernel_transport(params, phi_in, grids, t_end=0.75, n_steps=600)
+        assert np.max(np.abs(ts.psi_hom.values - ck.values)) < 1e-6
 
 
 class TestWeakSweep:

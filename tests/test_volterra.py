@@ -17,7 +17,6 @@ from homokin.volterra import (
     SolverError,
     TimeGrid,
     VolterraProblem,
-    export_solution_csv,
     solve_volterra,
     volterra_residual,
 )
@@ -363,14 +362,3 @@ class TestPoleRecursion:
         u = solve_homogenized_volterra(OdeProblem(sigma, None, u_in, 50.0), grid)
         gap = float(np.max(np.abs(u - closed_form_mean(sigma, u_in, grid.times))))
         assert gap <= 1e-5, gap
-
-
-class TestExport:
-    def test_scalar_and_system_headers(self, tmp_path):
-        grid = TimeGrid(1.0, 0.5)
-        p1 = tmp_path / "scalar.csv"
-        export_solution_csv(p1, grid.times, np.array([1.0, 0.5, 0.25]))
-        assert p1.read_text().splitlines()[0] == "t,u"
-        p2 = tmp_path / "system.csv"
-        export_solution_csv(p2, grid.times, np.ones((3, 2)))
-        assert p2.read_text().splitlines()[0] == "t,u1,u2"
