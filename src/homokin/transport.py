@@ -16,24 +16,29 @@ problem is a family of Volterra fixed points
 
 solved by product trapezoid in s with a recursively updated history (the
 s-kernel is a pure exponential per (w, E), so no quadratic-cost sum).
-The scattering operator factors through the angle-pair field g[v, w], so
-each implicit trapezoid step reduces to a linear system of size
-n_omega^2, inverted once per run by :func:`_implicit_inverse`; a singular
-step, or one whose spectral radius reaches 1, raises RuntimeError.  Every
-solver marches only the r-slices where the initial data is nonzero; the
-other slices stay exactly zero.  The support of the data is read off
-those slices; data that misses every r-node, or characteristics that
-would leave the spatial box, raise ConfigError.
-The homogenized limit is the coupled system for the y-average psi_hom and
-the mean-free corrector rho, marched with :func:`homokin.cell.rk4_step`
-on the (omega, E, y) grid.  An independent closed-kernel route rebuilds
-psi_hom from memory kernels instead and must agree with it to solver
-accuracy.  Per (w, E) the corrector decays under sqrt(E) L_sigma, so that
-route works in the secular poles of the cell profile
-(:func:`homokin.cell.secular_poles`): kernels and corrector data are pole
-sums plus a remainder that decays pointwise, each advanced by an exact
-factor per step, and the implicit coupling goes through the same reduced
-n_omega^2 system.  Both limit solvers share one set of operators.
+The scattering operator factors as K = S R through the angle-pair field
+g[r, v, w]: R (``_Scattering.reduce``) contracts a field against a kappa2
+table over its trailing axes, S (``_Scattering.spread``) spreads g back
+over kappa1, and all three solvers call this one pair.  Each implicit
+trapezoid step reduces to a linear system of size n_omega^2, inverted
+once per run by :func:`_implicit_inverse`; a singular step, or one whose
+spectral radius reaches 1, raises RuntimeError.  Every solver marches
+only the r-slices where the initial data is nonzero; the other slices
+stay exactly zero.  The support of the data is read off those slices;
+data that misses every r-node, or characteristics that would leave the
+spatial box, raise ConfigError.
+The homogenized limit is the two-scale field phi(r, w, E, y), marched
+with :func:`homokin.cell.rk4_step` on the (omega, E, y) grid under
+dphi/dt = -sqrt(E) sigma phi + S R phi, where R reduces over (w', E', y').
+Its y-average is psi_hom and phi - <phi>_y is the mean-free corrector rho.
+An independent closed-kernel route rebuilds psi_hom from memory kernels
+instead and must agree with it to solver accuracy.  Per (w, E) the
+corrector decays under sqrt(E) L_sigma, so that route works in the
+secular poles of the cell profile (:func:`homokin.cell.secular_poles`):
+kernels and corrector data are pole sums plus a remainder that decays
+pointwise, each advanced by an exact factor per step, and the implicit
+coupling goes through the same reduced n_omega^2 system.  Both limit
+solvers share one set of operators.
 """
 
 from __future__ import annotations
@@ -310,16 +315,47 @@ def _initial_slices(
     return active, data[active]
 
 
-def _implicit_inverse(C: np.ndarray) -> np.ndarray:
-    """Inverse of I - C for the reduced implicit step on g[v, w].
+class _Scattering:
+    """Scattering K = S R on one energy grid, through g[r, v, w].
+
+    R contracts a field f[r, w, T] against a kernel table kern[v, w, T]
+    over its trailing axes T, which are E', (E', y') or (E', k); S spreads
+    g back to (r, v, E) over kappa1.  Both run as batched matmuls (BLAS),
+    one per angle.
+    """
+
+    def __init__(self, grids: TransportGrids, energies: np.ndarray, k1: np.ndarray):
+        self.k1 = k1
+        self.scale = np.sqrt(energies) * grids.angle_weight
+
+    @staticmethod
+    def reduce(kern: np.ndarray, f: np.ndarray, weight) -> np.ndarray:
+        """R: g[r, v, w] = weight sum_T kern[v, w, T] f[r, w, T]."""
+        nw = kern.shape[0]
+        kt = kern.reshape(nw, nw, -1).transpose(1, 2, 0)  # (w, T, v)
+        ft = f.reshape(len(f), nw, -1).transpose(1, 0, 2)  # (w, r, T)
+        return weight * np.matmul(ft, kt).transpose(1, 2, 0)
+
+    def spread(self, g: np.ndarray) -> np.ndarray:
+        """S: g[r, v, w] -> sqrt(E) aw sum_w k1[v, w, E] g[r, v, w]."""
+        gv = g.transpose(1, 0, 2)  # (v, r, w)
+        return self.scale * np.matmul(gv, self.k1).transpose(1, 0, 2)
+
+    def matrix(self, kern: np.ndarray, weight) -> np.ndarray:
+        """C of R S for kern[v, w, E']: (R S g)[v, w] = sum_x C[v, w, x] g[w, x]."""
+        return weight * np.einsum("vwe,wxe->vwx", kern * self.scale, self.k1)
+
+
+def _implicit_inverse(C: np.ndarray) -> Callable:
+    """Application of (I - C)^{-1} to g[r, v, w], for the reduced implicit step.
 
     C[v, w, x] acts as (C g)[v, w] = sum_x C[v, w, x] g[w, x].  The inverse
-    keeps every step in numpy's BLAS: scipy's LAPACK brings a second
-    thread pool that contends with numpy's on each step.  A numerically
-    singular system raises RuntimeError, and so does a spectral radius
-    rho(C) >= 1, where the trapezoid step flips the sign of the scattering
-    growth.  The infinity norm bounds rho(C), so eigenvalues are computed
-    only when it reaches 1.
+    is formed once and keeps every step in numpy's BLAS: scipy's LAPACK
+    brings a second thread pool that contends with numpy's on each step.
+    A numerically singular system raises RuntimeError, and so does a
+    spectral radius rho(C) >= 1, where the trapezoid step flips the sign
+    of the scattering growth.  The infinity norm bounds rho(C), so
+    eigenvalues are computed only when it reaches 1.
     """
     nw = C.shape[0]
     block = np.einsum("vwx,wu->vwux", C, np.eye(nw)).reshape(nw * nw, nw * nw)
@@ -340,7 +376,8 @@ def _implicit_inverse(C: np.ndarray) -> np.ndarray:
                 f"implicit scattering step unresolved: spectral radius "
                 f"{radius:.3g} >= 1; increase n_steps"
             )
-    return step_inv
+    inv_t = step_inv.T
+    return lambda g: (g.reshape(len(g), -1) @ inv_t).reshape(g.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,10 +416,9 @@ def solve_characteristics_eps(
     r-slices are independent; slices where phi_in vanishes identically
     stay zero and are dropped.  The lag kernel is exp(-(t-s) sigma_eps)
     per (omega, E), so the history integral is updated recursively.  The
-    scattering operator factors as K = S R, with R reducing (w, E') to
-    g[v, w] and S spreading g back to (v, E), so the implicit step
-    psi = known + (dt/2) K psi is solved directly through the reduced
-    system (I - (dt/2) R S) g = R known, inverted once per call by
+    scattering operator factors as K = S R (:class:`_Scattering`), so the
+    implicit step psi = known + (dt/2) K psi is solved directly through
+    the reduced system (I - (dt/2) R S) g = R known, inverted once per call by
     :func:`_implicit_inverse`, which raises RuntimeError on a numerically
     singular system or a spectral radius of (dt/2) R S of at least 1.
     """
@@ -391,37 +427,19 @@ def solve_characteristics_eps(
     n_e = grids.eps_energy_count(epsilon, nodes_per_period)
     if n_e % n_windows != 0:
         raise ValueError("window count must divide the energy grid")
-    energies, we, y, sqrtE, k1, k2_diag = _eps_operators(params, grids, epsilon, n_e)
+    energies, we, y, _, k1, k2_diag = _eps_operators(params, grids, epsilon, n_e)
     sig = params.sigma_eps(grids.angles, energies, epsilon)  # (nw, nE)
-    aw = grids.angle_weight
-    nw = grids.n_omega
 
     r = grids.r_nodes
     active, base0 = _initial_slices(
         phi_in, grids, t_end, grids.angles[:, None], energies, y
     )
-    na = len(active)
     times = np.linspace(0.0, t_end, n_steps + 1)
     dt = times[1] - times[0]
     decay_step = np.exp(-dt * sig)
 
-    k2_batched = np.ascontiguousarray(k2_diag.transpose(1, 2, 0))  # (w, E', v)
-    scale_out = sqrtE[None, None, :] * aw
-
-    # both contractions run as batched matmuls (BLAS) rather than einsums
-    def reduce(f):
-        # R: (na, w, E') -> g[(v, w), na] = we sum_E' k2[v, w, E'] f[w, E']
-        g = np.matmul(f.transpose(1, 0, 2), k2_batched) * we  # (w, na, v)
-        return g.transpose(2, 0, 1).reshape(nw * nw, na)
-
-    def spread(g):
-        # S: g[(v, w), na] -> (na, v, E) = sqrt(E) aw sum_w k1[v, w, E] g[v, w]
-        gv = g.reshape(nw, nw, na).transpose(0, 2, 1)  # (v, na, w)
-        return scale_out * np.matmul(gv, k1).transpose(1, 0, 2)
-
-    # R S acts on g[w, x] as C g with C = we aw sum_E' k2 sqrt(E') k1
-    C = we * aw * np.einsum("vwe,wxe->vwx", k2_diag * sqrtE, k1)
-    step_inv = _implicit_inverse(0.5 * dt * C)
+    ops = _Scattering(grids, energies, k1)
+    solve = _implicit_inverse(ops.matrix(k2_diag, 0.5 * dt * we))
 
     per_win = n_e // n_windows
     r_weight = 2.0 * grids.r_box / grids.n_r
@@ -447,13 +465,13 @@ def solve_characteristics_eps(
 
     decay_t = np.ones_like(sig)
     G = np.zeros_like(psi)
-    F = spread(reduce(psi))
+    F = ops.spread(ops.reduce(k2_diag, psi, we))
     for n in range(n_steps):
         decay_t = decay_t * decay_step
         G = decay_step[None] * (G + 0.5 * F)
         known = decay_t[None] * base0 + dt * G
         # psi_{n+1} = known + (dt/2) K psi_{n+1}, and F = K psi_{n+1} = S g
-        F = spread(step_inv @ reduce(known))
+        F = ops.spread(solve(ops.reduce(k2_diag, known, we)))
         psi = known + dt * 0.5 * F
         G = G + 0.5 * F
         if store_full:
@@ -481,49 +499,36 @@ class TwoScaleTransportSolution:
     max_mean_rho: float
 
 
-class _TwoScaleOperators:
+# classical RK4 is stable on the negative real axis for h |lambda| <= 2.785
+_RK4_REAL_STABILITY = 2.785
+
+
+class _TwoScaleOperators(_Scattering):
     """Set-up shared by the two limit solvers on the (omega, E, y) grid.
 
-    Holds sigma with its y-mean and fluctuation, the kappa tables, and the
-    active r-slices of the initial data split into its y-mean psi0 and
-    mean-free part rho0.  Scattering factors as K = S R: R reduces a field
-    over (w', E'[, y']) to g[r, v, w], and ``spread`` is S.
+    Holds sigma, the kappa tables and the active r-slices of the initial
+    data phi0 with its y-mean psi0.  Scattering factors as K = S R through
+    the inherited ``reduce`` and ``spread``; on a cell field R reduces
+    over (w', E', y') against kappa2.
     """
 
     def __init__(self, params: OpticalParameters, phi_in, grids: TransportGrids, t_end):
         self.energies = grids.energy_nodes()
+        k1 = _mu_table(params.kappa1, grids, self.energies)
+        super().__init__(grids, self.energies, k1)
         self.we = grids.energy_weight()
         self.sqrtE = np.sqrt(self.energies)
-        self.scale_out = self.sqrtE[None, None, :] * grids.angle_weight
         self.y_nodes = PeriodicGrid(grids.n_y).nodes
         self.wy = 1.0 / grids.n_y
         self.sig = params.sample_sigma(grids.angles, self.energies, self.y_nodes)
-        self.sig_mean = self.sig.mean(axis=2)  # (nw, nE)
-        self.sig_fluct = self.sig - self.sig_mean[:, :, None]
-        self.k1 = _mu_table(params.kappa1, grids, self.energies)
         self.k2y = _mu_table(
             params.kappa2, grids, self.energies[:, None], self.y_nodes
         )  # (nw, nw, nE', ny)
-        self.k2bar = self.k2y.mean(axis=3)  # y-average of kappa2(mu, E', .)
-        self.active, phi0 = _initial_slices(
+        self.active, self.phi0 = _initial_slices(
             phi_in, grids, t_end,
             grids.angles[:, None, None], self.energies[:, None], self.y_nodes,
         )  # (na, nw, nE, ny)
-        self.psi0 = phi0.mean(axis=3)
-        self.rho0 = phi0 - self.psi0[..., None]
-
-    def spread(self, g: np.ndarray) -> np.ndarray:
-        """S: g[r, v, w] -> sqrt(E) aw sum_w k1[v, w, E] g[r, v, w]."""
-        return self.scale_out * np.einsum("vwE,rvw->rvE", self.k1, g)
-
-    def scatter(self, kern: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """S R f for f[r, w, E'], with R = we sum_E' kern[v, w, E'] f."""
-        return self.spread(np.einsum("vwe,rwe->rvw", kern, f) * self.we)
-
-    def scatter_cell(self, f: np.ndarray) -> np.ndarray:
-        """S R f for a cell field f[r, w, E', y'], reduced against kappa2."""
-        g = np.einsum("vwey,rwey->rvwe", self.k2y, f, optimize=True) * self.wy
-        return self.spread(self.we * g.sum(axis=3))
+        self.psi0 = self.phi0.mean(axis=3)
 
 
 def solve_two_scale_transport(
@@ -533,55 +538,47 @@ def solve_two_scale_transport(
     t_end: float = 1.5,
     n_steps: int = 300,
 ) -> TwoScaleTransportSolution:
-    """RK4 march of the coupled mean/corrector transport system.
+    """RK4 march of the two-scale field phi(r, w, E, y).
 
-    State: psi_hom(r, w, E) and mean-free rho(r, w, E, y).  The corrector
-    feels only the sigma-oscillation; scattering couples through the
-    y-averaged source terms.  Only the r-slices where phi_in is nonzero
-    are marched; the returned fields cover every r-node.
+    phi starts at phi_in and solves dphi/dt = -sqrt(E) sigma phi + S R phi,
+    where R reduces phi over (w', E', y') against kappa2, so the scattering
+    term does not depend on y.  psi_hom = <phi>_y is the homogenized field
+    and rho = phi - <phi>_y the corrector, returned at the final time;
+    ``max_mean_rho`` is the largest y-mean of that corrector, zero up to
+    rounding.  A step with dt max sqrt(E) sigma beyond the real stability
+    limit of RK4 raises RuntimeError.  Only the r-slices where phi_in is
+    nonzero are marched; the returned fields cover every r-node.
     """
     op = _TwoScaleOperators(params, phi_in, grids, t_end)
-    sig, wy = op.sig, op.wy
-    scaled = op.sqrtE[None, None, :]
-
-    def rhs(t, ps, rh):
-        sig_rho_mean = np.einsum("wey,rwey->rwe", sig, rh) * wy
-        dps = (
-            -scaled * op.sig_mean[None] * ps
-            + op.scatter(op.k2bar, ps)
-            + op.scatter_cell(rh)
-            - scaled * sig_rho_mean
-        )
-        drh = -scaled[..., None] * (
-            sig[None] * rh
-            - sig_rho_mean[..., None]
-            + op.sig_fluct[None] * ps[..., None]
-        )
-        return dps, drh
-
+    rate = op.sqrtE[None, :, None] * op.sig
+    weight = op.we * op.wy
     r = grids.r_nodes
     times = np.linspace(0.0, t_end, n_steps + 1)
     dt = times[1] - times[0]
-    psi, rho = op.psi0, op.rho0
-    psis = np.zeros((n_steps + 1, len(r)) + psi.shape[1:])
-    psis[0, op.active] = psi
-    max_mean = float(np.max(np.abs(rho.mean(axis=3))))
+    stiffness = dt * float(np.max(rate))
+    if stiffness > _RK4_REAL_STABILITY:
+        raise RuntimeError(
+            f"RK4 step unresolved: dt max sqrt(E) sigma = {stiffness:.3g} > "
+            f"{_RK4_REAL_STABILITY}; increase n_steps (now {n_steps})"
+        )
+
+    def rhs(t, phi):
+        return (op.spread(op.reduce(op.k2y, phi, weight))[..., None] - rate * phi,)
+
+    phi = op.phi0
+    psis = np.zeros((n_steps + 1, len(r)) + phi.shape[1:3])
+    psis[0, op.active] = op.psi0
     for n in range(n_steps):
-        psi, rho = rk4_step(rhs, times[n], dt, psi, rho)
-        psis[n + 1, op.active] = psi
-        max_mean = max(max_mean, float(np.max(np.abs(rho.mean(axis=3)))))
+        (phi,) = rk4_step(rhs, times[n], dt, phi)
+        psis[n + 1, op.active] = phi.mean(axis=3)
     hom_field = PhaseSpaceField(times, r, grids.angles, op.energies, psis)
     # only the final corrector state is kept; its history would dominate
     # memory and downstream consumers need the invariant, not the path
-    rho_final = np.zeros((1, len(r)) + rho.shape[1:])
-    rho_final[0, op.active] = rho
+    rho = np.zeros((1, len(r)) + phi.shape[1:])
+    rho[0, op.active] = phi - psis[-1, op.active][..., None]
+    max_mean = float(np.max(np.abs(rho.mean(axis=4))))
     rho_field = PhaseSpaceField(
-        times[-1:],
-        r,
-        grids.angles,
-        op.energies,
-        rho_final,
-        y_nodes=op.y_nodes,
+        times[-1:], r, grids.angles, op.energies, rho, y_nodes=op.y_nodes
     )
     return TwoScaleTransportSolution(hom_field, rho_field, max_mean)
 
@@ -618,6 +615,10 @@ def solve_closed_kernel_transport(
     """
     op = _TwoScaleOperators(params, phi_in, grids, t_end)
     sig, sqrtE, wy, we, psi0 = op.sig, op.sqrtE, op.wy, op.we, op.psi0
+    sig_mean = sig.mean(axis=2)  # (nw, nE)
+    sig_fluct = sig - sig_mean[:, :, None]
+    k2bar = op.k2y.mean(axis=3)  # y-average of kappa2(mu, E', .)
+    rho0 = op.phi0 - psi0[..., None]
     nw, ne, ny = sig.shape
     profiles, which = np.unique(sig.reshape(-1, ny), axis=0, return_inverse=True)
     which = which.reshape(nw, ne)
@@ -626,14 +627,14 @@ def solve_closed_kernel_transport(
     lam = np.zeros((len(profiles), m))
     res = np.zeros((len(profiles), m))  # padded poles carry no weight
     c2 = np.zeros(op.k2y.shape[:3] + (m,))  # <kappa2 phi_k>
-    beta = np.zeros(op.rho0.shape[:3] + (m,))
-    v_perp = op.rho0.copy()
+    beta = np.zeros(rho0.shape[:3] + (m,))
+    v_perp = rho0.copy()
     for p, (poles, residues) in enumerate(solved):
         k, at = len(poles), which == p
         lam[p, :k], res[p, :k] = poles, residues
         phi = 1.0 / (profiles[p][None, :] - poles[:, None])  # (k, ny)
         c2[:, at, :k] = op.k2y[:, at] @ phi.T * wy
-        beta[:, at, :k] = op.rho0[:, at] @ phi.T * (wy * residues)
+        beta[:, at, :k] = rho0[:, at] @ phi.T * (wy * residues)
         v_perp[:, at] -= beta[:, at, :k] @ phi
 
     r = grids.r_nodes
@@ -647,23 +648,18 @@ def solve_closed_kernel_transport(
     def memory(Y, X):
         # S R_kappa2 rho - sqrt(E) <sig rho> for the corrector rho with pole
         # coordinates Y and remainder X: the kernel history and the source
-        g = np.einsum("vwek,rwek->rvw", c2, Y, optimize=True) + wy * np.einsum(
-            "vwey,rwey->rvw", op.k2y, X, optimize=True
-        )
+        g = op.reduce(c2, Y, we) + op.reduce(op.k2y, X, we * wy)
         local = Y.sum(axis=3) + (sig * X).mean(axis=3)
-        return op.spread(we * g) - sqrtE * local
+        return op.spread(g) - sqrtE * local
 
     # trapezoid step of dpsi/dt + sqrt(E)<sig> psi - K_bar psi = memory,
     # the lag-zero kernels kd0, kc0 taken implicitly with the K_bar coupling
-    diag = sqrtE[None, :] * op.sig_mean
-    kd0 = op.energies[None, :] * (sig * op.sig_fluct).mean(axis=2)
-    kc0 = sqrtE[None, None, :] * np.einsum("vwey,wey->vwe", op.k2y, op.sig_fluct) * wy
+    diag = sqrtE[None, :] * sig_mean
+    kd0 = op.energies[None, :] * (sig * sig_fluct).mean(axis=2)
+    kc0 = sqrtE[None, None, :] * np.einsum("vwey,wey->vwe", op.k2y, sig_fluct) * wy
     denom = 1.0 + 0.5 * dt * diag - 0.25 * dt * dt * kd0
-    coupling = 0.5 * dt * op.k2bar - 0.25 * dt * dt * kc0
-    C = we * grids.angle_weight * np.einsum(
-        "vwe,wxe->vwx", coupling * (sqrtE / denom)[None], op.k1
-    )
-    step_inv = _implicit_inverse(C)
+    coupling = 0.5 * dt * k2bar - 0.25 * dt * dt * kc0
+    solve = _implicit_inverse(op.matrix(coupling / denom[None], we))
 
     psis = np.zeros((n_steps + 1, len(r)) + psi0.shape[1:])
     psis[0, op.active] = psi0
@@ -676,14 +672,13 @@ def solve_closed_kernel_transport(
         X *= decay
         mem = memory(Y, X)
         rhs = psi * (1.0 - 0.5 * dt * diag) + 0.5 * dt * (
-            op.scatter(op.k2bar, psi) + mem_prev + mem
+            op.spread(op.reduce(k2bar, psi, we)) + mem_prev + mem
         )
         # (D - S R_M) psi = rhs through g = R_M psi: (I - C) g = R_M(rhs / D)
-        b = np.einsum("vwe,rwe->rvw", coupling, rhs / denom) * we
-        g = (b.reshape(len(psi), -1) @ step_inv.T).reshape(b.shape)
+        g = solve(op.reduce(coupling, rhs / denom, we))
         psi = (rhs + op.spread(g)) / denom
         psis[n + 1, op.active] = psi
-        mem_prev = mem + 0.5 * dt * (kd0 * psi - op.scatter(kc0, psi))
+        mem_prev = mem + 0.5 * dt * (kd0 * psi - op.spread(op.reduce(kc0, psi, we)))
     return PhaseSpaceField(times, r, grids.angles, op.energies, psis)
 
 

@@ -1,12 +1,15 @@
 """Harness tests: config parsing, CSV dialect, manifests, determinism."""
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 import homokin.cell
 import homokin.kernels
 import homokin.multiscale
+import homokin.oscillator
 import homokin.transport
 from homokin.cell import secular_poles
 from homokin.cli import build_parser, config_from_args, main
@@ -209,6 +212,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert "numerical failure in ode" in err
         assert "singular" in err
+
+    def test_oscillator_singular_factor_exit_code(self, tmp_path, monkeypatch, capsys):
+        # the real solver, on a decay coefficient a = -(2/dt)(I - dt^2/4 K(0))
+        # that zeroes the implicit factor I + dt/2 a - dt^2/4 K(0)
+        real = homokin.oscillator.solve_volterra
+
+        def singular_decay(problem, grid):
+            k0 = problem.kernel.values[0]
+            a = -(2.0 / grid.dt) * (np.eye(2) - 0.25 * grid.dt**2 * k0)
+            return real(dataclasses.replace(problem, a=a), grid)
+
+        monkeypatch.setattr(homokin.oscillator, "solve_volterra", singular_decay)
+        code = main(["oscillator", "--out", str(tmp_path)])
+        assert code == 1
+        assert "singular" in capsys.readouterr().err
 
     def test_transport_data_between_r_nodes_exit_code(self, tmp_path, capsys):
         # the hat of support 0.5 vanishes on the four r-nodes +-0.5, +-1.5

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from homokin.boltzmann import solve_separable_energy_model
+from homokin.cell import PeriodicGrid, rk4_step
 from homokin.transport import (
     ConfigurationError,
     OpticalParameters,
@@ -377,6 +378,97 @@ class TestTwoScaleTransport:
         got = np.moveaxis(sol.psi_hom.values, 1, 1)
         assert np.max(np.abs(got - expect)) < 1e-6
 
+    def test_matches_coupled_mean_corrector_march(self):
+        # reference: the coupled system for the y-mean psi_hom and the
+        # mean-free corrector rho, marched with the same rk4_step; sigma
+        # varies with (w, E), so there are several cell profiles
+        params = OpticalParameters(
+            sigma=lambda th, E, y: 2.0
+            + (0.5 + 0.2 * np.cos(th)) * (1.0 + E) * np.sin(2 * np.pi * y),
+            kappa1=SUB.kappa1,
+            kappa2=lambda mu, Ep, yp: 0.6
+            * (1.0 + 0.5 * np.cos(2 * np.pi * yp))
+            * (1.0 + 0.25 * mu),
+        )
+        phi_in = hat_initial_data(0.5)
+        grids = TransportGrids(n_omega=4, n_e=8, n_y=32, n_r=8)
+        t_end, n_steps = 0.75, 150
+        sol = solve_two_scale_transport(params, phi_in, grids, t_end, n_steps)
+
+        E, we, aw = grids.energy_nodes(), grids.energy_weight(), grids.angle_weight
+        y = PeriodicGrid(grids.n_y).nodes
+        sig = params.sample_sigma(grids.angles, E, y)
+        sig_mean = sig.mean(axis=2)
+        sig_fluct = sig - sig_mean[:, :, None]
+        k1 = _mu_table(params.kappa1, grids, E)
+        k2y = _mu_table(params.kappa2, grids, E[:, None], y)
+        k2bar = k2y.mean(axis=3)
+        sq = np.sqrt(E)
+
+        def scatter(g):
+            return sq * aw * we * np.einsum("vwE,rvw->rvE", k1, g)
+
+        def rhs(t, ps, rh):
+            sig_rho = np.einsum("wey,rwey->rwe", sig, rh) / grids.n_y
+            dps = (
+                -sq * sig_mean * ps
+                + scatter(np.einsum("vwe,rwe->rvw", k2bar, ps))
+                + scatter(np.einsum("vwey,rwey->rvw", k2y, rh) / grids.n_y)
+                - sq * sig_rho
+            )
+            drh = -sq[:, None] * (
+                sig * rh - sig_rho[..., None] + sig_fluct * ps[..., None]
+            )
+            return dps, drh
+
+        r = grids.r_nodes[:, None, None, None]
+        phi0 = phi_in(r, grids.angles[:, None, None], E[:, None], y)
+        psi = phi0.mean(axis=3)
+        rho = phi0 - psi[..., None]
+        times = np.linspace(0.0, t_end, n_steps + 1)
+        psis = [psi]
+        for n in range(n_steps):
+            psi, rho = rk4_step(rhs, times[n], times[1] - times[0], psi, rho)
+            psis.append(psi)
+        assert np.max(np.abs(sol.psi_hom.values - np.array(psis))) <= 1e-13
+        assert np.max(np.abs(sol.rho.values[0] - rho)) <= 1e-13
+
+    def test_unresolved_rk4_step_raises(self):
+        # sqrt(E) sigma up to 2500 on 50 steps of 0.004: dt times the largest
+        # rate is about 10, beyond the real stability limit 2.785 of RK4
+        stiff = OpticalParameters(
+            sigma=lambda th, E, y: 1000.0 * SUB.sigma(th, E, y),
+            kappa1=SUB.kappa1,
+            kappa2=SUB.kappa2,
+        )
+        grids = TransportGrids(n_omega=4, n_e=8, n_y=16, n_r=8)
+        with pytest.raises(RuntimeError, match="n_steps"):
+            solve_two_scale_transport(
+                stiff, hat_initial_data(0.5), grids, t_end=0.2, n_steps=50
+            )
+
+    @pytest.mark.parametrize("stiffness", [2.7, 2.9])
+    def test_rk4_stability_limit(self, stiffness):
+        # flat sigma without scattering: each node decays by the RK4
+        # amplification factor of -dt sqrt(E) sigma, below 1 in modulus
+        # up to the real stability limit 2.785
+        grids = TransportGrids(n_omega=4, n_e=8, n_y=16, n_r=8)
+        t_end, n_steps = 0.2, 50
+        level = stiffness / (t_end / n_steps * np.sqrt(grids.energy_nodes()[-1]))
+        params = OpticalParameters(
+            sigma=lambda th, E, y: level + 0.0 * y,
+            kappa1=KAPPA0.kappa1,
+            kappa2=KAPPA0.kappa2,
+        )
+        run = lambda: solve_two_scale_transport(
+            params, hat_initial_data(0.5), grids, t_end=t_end, n_steps=n_steps
+        )
+        if stiffness < 2.785:
+            assert np.max(np.abs(run().psi_hom.values)) <= 0.5
+        else:
+            with pytest.raises(RuntimeError, match="n_steps"):
+                run()
+
     def test_zero_mean_constraint(self):
         grids = TransportGrids(n_r=8, n_omega=4, n_e=12, n_y=32)
         sol = solve_two_scale_transport(
@@ -447,8 +539,9 @@ class TestClosedKernelEquivalence:
         ck = solve_closed_kernel_transport(SUB, phi_in, grids, t_end=0.75, n_steps=600)
         assert np.max(np.abs(ts.psi_hom.values - ck.values)) < 1e-6
 
-    def test_stiff_sigma_substep_stays_bounded(self):
-        # sqrt(E) sigma up to 2500: a fixed 2e-3 RK4 substep blows up to 1e102
+    def test_stiff_sigma_stays_bounded(self):
+        # sqrt(E) sigma up to 2500, about ten times what an RK4 step of this
+        # size resolves: the exact decay factors keep the field bounded
         stiff = OpticalParameters(
             sigma=lambda th, E, y: 1000.0 * SUB.sigma(th, E, y),
             kappa1=SUB.kappa1,
@@ -463,7 +556,7 @@ class TestClosedKernelEquivalence:
 
     def test_zero_cross_sections_leave_data_unchanged(self):
         # sigma = kappa = 0: psi_hom stays the y-mean hat(r) of the data,
-        # and the substep bound must not divide by the zero rate
+        # and every decay factor of the zero rate is exactly 1
         free = OpticalParameters(
             sigma=lambda th, E, y: 0.0 * y,
             kappa1=KAPPA0.kappa1,
@@ -476,7 +569,7 @@ class TestClosedKernelEquivalence:
         hat = np.maximum(0.0, 1.0 - np.abs(grids.r_nodes) / 0.5)
         assert np.max(np.abs(ck.values - hat[None, :, None, None])) < 1e-14
 
-    def test_divergent_picard_raises(self):
+    def test_divergent_coupling_raises(self):
         # scattering scaled so the implicit coupling is not a contraction
         strong = OpticalParameters(
             sigma=SUB.sigma,
