@@ -87,8 +87,6 @@ class KernelTable:
 
     ``values`` is (count+1,) for scalar kernels or (count+1, d, d) for
     matrix-valued ones (used by the oscillator limit equation).
-    ``sigma_ref`` records the cell coefficient a scalar table was built
-    from; matrix tables have no single cell provenance.
 
     ``modes = (rates, amplitudes)``, when given, is the pole form of the
     kernel at positive lags: K(tau) = Re sum_k amplitudes_k e^{-rates_k tau}
@@ -99,7 +97,6 @@ class KernelTable:
 
     taus: np.ndarray
     values: np.ndarray
-    sigma_ref: CellFunction | None = None
     modes: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
@@ -160,7 +157,7 @@ class KernelTable:
         taus = np.arange(count + 1) * dt
         values = pole_sum(poles, residues, taus)
         values[0] = float((sigma.grid.weights * sigma.values) @ h)
-        return cls(taus, values, sigma_ref=sigma, modes=(poles, residues))
+        return cls(taus, values, modes=(poles, residues))
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="\n") as fh:
@@ -254,16 +251,10 @@ def verify_tartar_equivalence(
 
 @dataclass(frozen=True, eq=False)
 class SourceTable:
-    """Homogenized source S(t) sampled on the solver grid.
-
-    Keeps the cell data it was built from so a solver run can be traced
-    back to its inputs.
-    """
+    """Homogenized source S(t) sampled on the solver grid."""
 
     times: np.ndarray
     values: np.ndarray
-    u_in_ref: CellFunction | None = None
-    f_ref: object = None
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
@@ -303,14 +294,14 @@ def build_source_table(
     d = response(fluctuation(u_in).values)
 
     if f is None:
-        return SourceTable(times, -d, u_in_ref=u_in, f_ref=None)
+        return SourceTable(times, -d)
 
     if isinstance(f, CellFunction):
         g = response(fluctuation(f).values)
         conv = np.concatenate(
             ([0.0], np.cumsum(0.5 * dt * (g[1:] + g[:-1])))
         )
-        return SourceTable(times, cell_average(f) - conv - d, u_in_ref=u_in, f_ref=f)
+        return SourceTable(times, cell_average(f) - conv - d)
 
     if callable(f):
         n = sigma.grid.n
@@ -329,6 +320,6 @@ def build_source_table(
         for j in range(1, count + 1):
             acc = decay * (acc + 0.5 * dt * coef[j - 1]) + 0.5 * dt * coef[j]
             integral[j] = residues @ acc
-        return SourceTable(times, favg - integral - d, u_in_ref=u_in, f_ref=f)
+        return SourceTable(times, favg - integral - d)
 
     raise TypeError("f must be None, a CellFunction, or a callable t -> values")

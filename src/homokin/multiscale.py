@@ -83,6 +83,23 @@ def _forcing_at(problem: OdeProblem, t: float) -> np.ndarray | None:
     return np.asarray(f(t), dtype=float)
 
 
+def _add_duhamel(values: np.ndarray, times: np.ndarray, sig, forcing: Callable) -> None:
+    """values[j] += int_0^{t_j} e^{-(t_j - s) sig} forcing(s) ds, in place.
+
+    Trapezoid rule in s on the uniform grid ``times``, with one exact decay
+    factor per step: duh <- e duh + dt/2 (e f_{j-1} + f_j), e = e^{-dt sig}.
+    """
+    dt = times[1] - times[0]
+    e = np.exp(-sig * dt)
+    duh = np.zeros_like(sig)
+    fprev = forcing(0.0)
+    for j in range(1, len(times)):
+        fnext = forcing(times[j])
+        duh = e * duh + 0.5 * dt * (e * fprev + fnext)
+        values[j] += duh
+        fprev = fnext
+
+
 def solve_two_scale_closed(problem: OdeProblem, nt: int = 5000) -> TwoScaleOdeSolution:
     """Closed-form two-scale solution on the cell grid.
 
@@ -98,15 +115,7 @@ def solve_two_scale_closed(problem: OdeProblem, nt: int = 5000) -> TwoScaleOdeSo
     if isinstance(f, CellFunction):
         u0 = u0 + f.values * (1.0 - decay) / sig
     elif callable(f):
-        dt = times[1] - times[0]
-        e = np.exp(-sig * dt)
-        duh = np.zeros_like(sig)
-        fprev = np.asarray(f(0.0), dtype=float)
-        for j in range(1, nt + 1):
-            fnext = np.asarray(f(times[j]), dtype=float)
-            duh = e * duh + 0.5 * dt * (e * fprev + fnext)
-            u0[j] += duh
-            fprev = fnext
+        _add_duhamel(u0, times, sig, lambda t: np.asarray(f(t), dtype=float))
     elif f is not None:
         raise TypeError("f must be None, a CellFunction, or a callable")
     return TwoScaleOdeSolution(times, u0, u0 @ grid.weights)
@@ -204,15 +213,7 @@ def solve_eps_exact(
             ).eval_periodic(y)
         else:
             raise TypeError("f must be None, a CellFunction, or a callable")
-        dt = times[1] - times[0]
-        e = np.exp(-sig * dt)
-        duh = np.zeros_like(sig)
-        fprev = fx(0.0)
-        for j in range(1, nt + 1):
-            fnext = fx(times[j])
-            duh = e * duh + 0.5 * dt * (e * fprev + fnext)
-            values[j] += duh
-            fprev = fnext
+        _add_duhamel(values, times, sig, fx)
     return EpsOdeSolution(times, x, eps, values)
 
 

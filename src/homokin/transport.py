@@ -14,23 +14,23 @@ problem is a family of Volterra fixed points
 
     psi = phi_in e^{-t sigma_eps} + int_0^t int kappa_eps e^{-(t-s) sigma_eps} psi(s)
 
-solved by product trapezoid in s with a recursively updated history (the
-s-kernel is a pure exponential per (w, E), so no quadratic-cost sum).
-The scattering operator factors as K = S R through the angle-pair field
-g[r, v, w]: R (``_Scattering.reduce``) contracts a field against a kappa2
-table over its trailing axes, S (``_Scattering.spread``) spreads g back
-over kappa1, and all three solvers call this one pair.  Each implicit
-trapezoid step reduces to a linear system of size n_omega^2, inverted
-once per run by :func:`_implicit_inverse`; a singular step, or one whose
-spectral radius reaches 1, raises RuntimeError.  Every solver marches
-only the r-slices where the initial data is nonzero; the other slices
-stay exactly zero.  The support of the data is read off those slices;
-data that misses every r-node, or characteristics that would leave the
-spatial box, raise ConfigError.
-The homogenized limit is the two-scale field phi(r, w, E, y), marched
-with :func:`homokin.cell.rk4_step` on the (omega, E, y) grid under
-dphi/dt = -sqrt(E) sigma phi + S R phi, where R reduces over (w', E', y').
+The homogenized limit is the same equation for the two-scale field
+phi(r, w, E, y) on the (omega, E, y) grid, with the decay sqrt(E) sigma
+taken at each cell node and the scattering reduced over (w', E', y').
 Its y-average is psi_hom and phi - <phi>_y is the mean-free corrector rho.
+Both problems run through the one product-trapezoid march of
+:func:`_march`; the oscillatory one is the cell of a single node
+y = E/eps.  The scattering operator factors as K = S R through the
+angle-pair field g[r, v, w]: R (``_Scattering.reduce``) contracts a field
+against a kappa2 table over its trailing axes, S (``_Scattering.spread``)
+spreads g back over kappa1, and all solvers call this one pair.  Each
+implicit trapezoid step reduces to a linear system of size n_omega^2,
+inverted once per run by :func:`_implicit_inverse`; a singular step, or
+one whose spectral radius reaches 1, raises RuntimeError.  Every solver
+marches only the r-slices where the initial data is nonzero; the other
+slices stay exactly zero.  The support of the data is read off those
+slices; data that misses every r-node, or characteristics that would
+leave the spatial box, raise ConfigError.
 An independent closed-kernel route rebuilds psi_hom from memory kernels
 instead and must agree with it to solver accuracy.  Per (w, E) the
 corrector decays under sqrt(E) L_sigma, so that route works in the
@@ -49,7 +49,7 @@ from typing import Callable
 import numpy as np
 
 from . import ConfigError
-from .cell import PeriodicGrid, rk4_step, secular_poles
+from .cell import PeriodicGrid, secular_poles
 
 # the older name of ConfigError, kept for callers that catch it
 ConfigurationError = ConfigError
@@ -380,6 +380,37 @@ def _implicit_inverse(C: np.ndarray) -> Callable:
     return lambda g: (g.reshape(len(g), -1) @ inv_t).reshape(g.shape)
 
 
+def _march(
+    ops: _Scattering, kern: np.ndarray, weight, rate: np.ndarray,
+    phi0: np.ndarray, dt: float, n_steps: int,
+):
+    """Product-trapezoid march of phi[r, w, E, y]; yields phi0, then each step.
+
+    phi(t) = e^{-t rate} phi0 + int_0^t e^{-(t-s) rate} F(s) ds with
+    F = S R phi, R reducing over (w', E', y') against kern with ``weight``,
+    so F does not depend on y.  The decay is exact per node and the
+    integral is the trapezoid rule in s, its history advanced by one exact
+    factor per step, G <- e^{-dt rate} (G + F/2); the time error is
+    O(dt^2).  The implicit end point phi = known + (dt/2) F is solved
+    through g = R phi, and R sums kern over y' on the y-constant F.
+    """
+    decay_step = np.exp(-dt * rate)
+    solve = _implicit_inverse(ops.matrix(kern.sum(axis=3), 0.5 * dt * weight))
+    decay_t = np.ones_like(rate)
+    G = np.zeros(phi0.shape)
+    F = ops.spread(ops.reduce(kern, phi0, weight))[..., None]
+    yield phi0
+    for _ in range(n_steps):
+        decay_t = decay_t * decay_step
+        G += 0.5 * F
+        G *= decay_step
+        known = decay_t * phi0 + dt * G
+        F = ops.spread(solve(ops.reduce(kern, known, weight)))[..., None]
+        phi = known + dt * 0.5 * F
+        G += 0.5 * F
+        yield phi
+
+
 @dataclass(frozen=True, eq=False)
 class CharacteristicsSolution:
     """Oscillatory transport solution restricted to the active r-slices.
@@ -414,13 +445,10 @@ def solve_characteristics_eps(
     """Product-trapezoid march of the characteristics fixed point.
 
     r-slices are independent; slices where phi_in vanishes identically
-    stay zero and are dropped.  The lag kernel is exp(-(t-s) sigma_eps)
-    per (omega, E), so the history integral is updated recursively.  The
-    scattering operator factors as K = S R (:class:`_Scattering`), so the
-    implicit step psi = known + (dt/2) K psi is solved directly through
-    the reduced system (I - (dt/2) R S) g = R known, inverted once per call by
-    :func:`_implicit_inverse`, which raises RuntimeError on a numerically
-    singular system or a spectral radius of (dt/2) R S of at least 1.
+    stay zero and are dropped.  The field runs through :func:`_march` as
+    a cell of the one node y = E/eps, with rate sigma_eps; the march
+    raises RuntimeError on a numerically singular implicit step or a
+    spectral radius of (dt/2) R S of at least 1.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -436,10 +464,10 @@ def solve_characteristics_eps(
     )
     times = np.linspace(0.0, t_end, n_steps + 1)
     dt = times[1] - times[0]
-    decay_step = np.exp(-dt * sig)
-
     ops = _Scattering(grids, energies, k1)
-    solve = _implicit_inverse(ops.matrix(k2_diag, 0.5 * dt * we))
+    march = _march(
+        ops, k2_diag[..., None], we, sig[..., None], base0[..., None], dt, n_steps
+    )
 
     per_win = n_e // n_windows
     r_weight = 2.0 * grids.r_box / grids.n_r
@@ -452,31 +480,14 @@ def solve_characteristics_eps(
             np.sqrt((f**2).sum() * we * grids.angle_weight * r_weight)
         )
 
-    psi = base0
-    full = (
-        np.empty((n_steps + 1,) + psi.shape) if store_full else None
-    )
-    windowed = np.empty((n_steps + 1,) + psi.shape[:-1] + (n_windows,))
-    if store_full:
-        full[0] = psi
-    windowed[0] = windowed_avg(psi)
-    sup_l2 = l2_norm(psi)
-    min_value = float(psi.min())
-
-    decay_t = np.ones_like(sig)
-    G = np.zeros_like(psi)
-    F = ops.spread(ops.reduce(k2_diag, psi, we))
-    for n in range(n_steps):
-        decay_t = decay_t * decay_step
-        G = decay_step[None] * (G + 0.5 * F)
-        known = decay_t[None] * base0 + dt * G
-        # psi_{n+1} = known + (dt/2) K psi_{n+1}, and F = K psi_{n+1} = S g
-        F = ops.spread(solve(ops.reduce(k2_diag, known, we)))
-        psi = known + dt * 0.5 * F
-        G = G + 0.5 * F
+    full = np.empty((n_steps + 1,) + base0.shape) if store_full else None
+    windowed = np.empty((n_steps + 1,) + base0.shape[:-1] + (n_windows,))
+    sup_l2, min_value = 0.0, np.inf
+    for n, phi in enumerate(march):
+        psi = phi[..., 0]
         if store_full:
-            full[n + 1] = psi
-        windowed[n + 1] = windowed_avg(psi)
+            full[n] = psi
+        windowed[n] = windowed_avg(psi)
         sup_l2 = max(sup_l2, l2_norm(psi))
         min_value = min(min_value, float(psi.min()))
     return CharacteristicsSolution(
@@ -499,15 +510,11 @@ class TwoScaleTransportSolution:
     max_mean_rho: float
 
 
-# classical RK4 is stable on the negative real axis for h |lambda| <= 2.785
-_RK4_REAL_STABILITY = 2.785
-
-
 class _TwoScaleOperators(_Scattering):
     """Set-up shared by the two limit solvers on the (omega, E, y) grid.
 
     Holds sigma, the kappa tables and the active r-slices of the initial
-    data phi0 with its y-mean psi0.  Scattering factors as K = S R through
+    data phi0.  Scattering factors as K = S R through
     the inherited ``reduce`` and ``spread``; on a cell field R reduces
     over (w', E', y') against kappa2.
     """
@@ -528,7 +535,6 @@ class _TwoScaleOperators(_Scattering):
             phi_in, grids, t_end,
             grids.angles[:, None, None], self.energies[:, None], self.y_nodes,
         )  # (na, nw, nE, ny)
-        self.psi0 = self.phi0.mean(axis=3)
 
 
 def solve_two_scale_transport(
@@ -538,39 +544,27 @@ def solve_two_scale_transport(
     t_end: float = 1.5,
     n_steps: int = 300,
 ) -> TwoScaleTransportSolution:
-    """RK4 march of the two-scale field phi(r, w, E, y).
+    """Product-trapezoid march of the two-scale field phi(r, w, E, y).
 
-    phi starts at phi_in and solves dphi/dt = -sqrt(E) sigma phi + S R phi,
-    where R reduces phi over (w', E', y') against kappa2, so the scattering
-    term does not depend on y.  psi_hom = <phi>_y is the homogenized field
-    and rho = phi - <phi>_y the corrector, returned at the final time;
-    ``max_mean_rho`` is the largest y-mean of that corrector, zero up to
-    rounding.  A step with dt max sqrt(E) sigma beyond the real stability
-    limit of RK4 raises RuntimeError.  Only the r-slices where phi_in is
+    phi starts at phi_in and solves dphi/dt = -sqrt(E) sigma phi + S R phi
+    through :func:`_march`, where R reduces phi over (w', E', y') against
+    kappa2, so the scattering term does not depend on y.  The decay is
+    exact at each cell node and the time error is O(dt^2), that of the
+    oscillatory solver it is compared with.  psi_hom = <phi>_y is the
+    homogenized field and rho = phi - <phi>_y the corrector, returned at
+    the final time; ``max_mean_rho`` is the largest y-mean of that
+    corrector, zero up to rounding.  Only the r-slices where phi_in is
     nonzero are marched; the returned fields cover every r-node.
     """
     op = _TwoScaleOperators(params, phi_in, grids, t_end)
     rate = op.sqrtE[None, :, None] * op.sig
-    weight = op.we * op.wy
     r = grids.r_nodes
     times = np.linspace(0.0, t_end, n_steps + 1)
     dt = times[1] - times[0]
-    stiffness = dt * float(np.max(rate))
-    if stiffness > _RK4_REAL_STABILITY:
-        raise RuntimeError(
-            f"RK4 step unresolved: dt max sqrt(E) sigma = {stiffness:.3g} > "
-            f"{_RK4_REAL_STABILITY}; increase n_steps (now {n_steps})"
-        )
-
-    def rhs(t, phi):
-        return (op.spread(op.reduce(op.k2y, phi, weight))[..., None] - rate * phi,)
-
-    phi = op.phi0
-    psis = np.zeros((n_steps + 1, len(r)) + phi.shape[1:3])
-    psis[0, op.active] = op.psi0
-    for n in range(n_steps):
-        (phi,) = rk4_step(rhs, times[n], dt, phi)
-        psis[n + 1, op.active] = phi.mean(axis=3)
+    psis = np.zeros((n_steps + 1, len(r)) + op.phi0.shape[1:3])
+    march = _march(op, op.k2y, op.we * op.wy, rate, op.phi0, dt, n_steps)
+    for n, phi in enumerate(march):
+        psis[n, op.active] = phi.mean(axis=3)
     hom_field = PhaseSpaceField(times, r, grids.angles, op.energies, psis)
     # only the final corrector state is kept; its history would dominate
     # memory and downstream consumers need the invariant, not the path
@@ -614,7 +608,8 @@ def solve_closed_kernel_transport(
     never marched.  Only the r-slices where phi_in is nonzero are marched.
     """
     op = _TwoScaleOperators(params, phi_in, grids, t_end)
-    sig, sqrtE, wy, we, psi0 = op.sig, op.sqrtE, op.wy, op.we, op.psi0
+    sig, sqrtE, wy, we = op.sig, op.sqrtE, op.wy, op.we
+    psi0 = op.phi0.mean(axis=3)
     sig_mean = sig.mean(axis=2)  # (nw, nE)
     sig_fluct = sig - sig_mean[:, :, None]
     k2bar = op.k2y.mean(axis=3)  # y-average of kappa2(mu, E', .)

@@ -98,7 +98,6 @@ class TestKernelTable:
         taus = np.linspace(0, 1, 11)
         vals = np.zeros((11, 2, 2))
         table = KernelTable(taus, vals)
-        assert table.sigma_ref is None
 
 
 class TestLaplaceRoutes:
