@@ -7,12 +7,14 @@ Two scattering placements of the same linear model on E in (E_min, E_max):
 
 marched with explicit RK4 (time step T/50 by default) on a uniform energy
 mesh of size eps/100, fine enough to resolve the oscillation.  The
-two-scale limit lives on the (E, y) tensor grid
+two-scale limit phi0(t, E, y) solves
 
     inside:   d phi0/dt + sigma(y) phi0 = intint kappa(y') phi0(t, E', y') dE' dy'
     outside:  d phi0/dt + sigma(y) phi0 = kappa(y) intint phi0(t, E', y') dE' dy'
 
-and phi_hom is its y-average.  The homogenized reference is marched with
+and phi_hom is its y-average.  The data a(E) b(y) is a product and the
+source is constant in E, so phi0 = a(E) X(t, y) + Z(t, y) and only the
+cell vectors X, Z are marched.  The homogenized reference is marched with
 the same RK4 step as the oscillatory run so the common time-discretization
 error cancels from the mode differences instead of flooring them.
 """
@@ -23,11 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ConfigError
 from .cell import (
     CellFunction, PeriodicGrid, indicator_sine_profile, rk4_step, sine_profile
 )
 from .diagnostics import (
-    CellEnergyField,
     ConvergenceReport,
     EnergyField,
     legendre_modes,
@@ -134,7 +136,7 @@ def example_presets(
     """The three reference coefficient triples of the convergence study."""
     if example_id in (2, 3) and n_cell % 2:
         # half-cell jumps must land exactly between midpoint nodes
-        raise ValueError("examples with half-cell jumps need an even cell count")
+        raise ConfigError("n_cell: examples with half-cell jumps need an even count")
     grid = PeriodicGrid(n_cell)
     sine_sigma = sine_profile(2.0, 0.5)
     sine_kappa = sine_profile(1.0, 0.5)
@@ -151,7 +153,7 @@ def example_presets(
             osc_init,
         )
     else:
-        raise ValueError(f"unknown example id {example_id}")
+        raise ConfigError(f"preset: unknown example id {example_id}, choose 1, 2 or 3")
     sigma_fn, kappa_fn, init_fn = triple
     return ToyProblem(
         CellFunction.from_function(grid, sigma_fn),
@@ -204,25 +206,34 @@ def solve_toy_eps(
 
 @dataclass(frozen=True, eq=False)
 class TwoScaleToySolution:
+    """The limit phi0(t, E, y) = a(E) X(t, y) + Z(t, y) and its y-mean."""
+
     times: np.ndarray
     energies: np.ndarray
     e_weights: np.ndarray
-    cell_nodes: np.ndarray
-    y_weights: np.ndarray
-    values: np.ndarray    # (nt+1, nE, ny)
-    phi_hom: np.ndarray   # (nt+1, nE)
+    profile: np.ndarray   # a, (nE,)
+    cell: np.ndarray      # X and Z, (nt+1, 2, ny)
 
-    def full_field(self) -> CellEnergyField:
-        return CellEnergyField(
-            self.times, self.energies, self.e_weights, self.y_weights, self.values
-        )
+    def _mean_on(self, a: np.ndarray) -> np.ndarray:
+        means = self.cell.mean(axis=2)
+        return np.outer(means[:, 0], a) + means[:, 1:]
+
+    @property
+    def phi_hom(self) -> np.ndarray:
+        """<phi0>_y = a(E) <X>_y + <Z>_y, (nt+1, nE)."""
+        return self._mean_on(self.profile)
+
+    def l2_norm(self) -> float:
+        """||phi0||_{L2(t, E, y)}; the E integrals act on the profile a alone."""
+        a, we = self.profile, self.e_weights
+        x, z = self.cell[:, 0], self.cell[:, 1]
+        density = ((we @ a**2) * x + 2.0 * (we @ a) * z) * x + z**2
+        return float(np.sqrt(np.trapezoid(density.mean(axis=1), self.times)))
 
     def hom_field_on(self, energies: np.ndarray) -> EnergyField:
-        """phi_hom linearly interpolated onto a foreign energy grid."""
+        """phi_hom on a foreign energy grid; it is affine in a, so a is interpolated."""
         energies = np.asarray(energies, dtype=float)
-        vals = np.empty((len(self.times), len(energies)))
-        for j in range(len(self.times)):
-            vals[j] = np.interp(energies, self.energies, self.phi_hom[j])
+        vals = self._mean_on(np.interp(energies, self.energies, self.profile))
         h = energies[1] - energies[0]
         return EnergyField(self.times, energies, np.full(len(energies), h), vals)
 
@@ -233,36 +244,30 @@ def solve_toy_two_scale(
     n_e: int = 64,
     n_y: int = 256,
 ) -> TwoScaleToySolution:
-    """RK4 march of the two-scale limit system on the (E, y) tensor grid."""
-    egrid = EnergyGrid(n_e)
-    ygrid = PeriodicGrid(n_y)
+    """RK4 march of the two-scale limit as phi0 = a(E) X(t, y) + Z(t, y).
+
+    The data is a product a(E) b(y) and the source is constant in E, so
+    X(0) = b, Z(0) = 0, dX/dt = -sigma X and dZ/dt = -sigma Z + source of
+    the E-integral A X + Z (A = int a dE; the window (0, 1) has length
+    one).  An RK4 step is a polynomial in the linear operator, so this
+    is the full (E, y) march step by step, up to rounding.
+    """
+    egrid, ygrid = EnergyGrid(n_e), PeriodicGrid(n_y)
     sig = problem.sigma.eval_periodic(ygrid.nodes)
     kap = problem.kappa.eval_periodic(ygrid.nodes)
-    he, wy = egrid.h, 1.0 / n_y
     if problem.init_mode == "oscillatory":
-        phi0 = np.broadcast_to(
-            problem.phi_in.eval_periodic(ygrid.nodes), (n_e, n_y)
-        ).copy()
+        a, b = np.ones(n_e), problem.phi_in.eval_periodic(ygrid.nodes)
     else:
-        phi0 = np.broadcast_to(
-            problem.phi_in.eval_periodic(egrid.nodes)[:, None], (n_e, n_y)
-        ).copy()
+        a, b = problem.phi_in.eval_periodic(egrid.nodes), np.ones(n_y)
+    # mix @ [X; Z] is the E-integral A X + Z; the source enters Z alone
+    mix, to_z = np.array([egrid.h * a.sum(), 1.0]), np.array([[0.0], [1.0]])
     if problem.placement == "inside":
-        rhs = lambda phi: -sig * phi + he * wy * float(np.einsum("y,ey->", kap, phi))
+        rhs = lambda xz: -sig * xz + to_z * (kap @ (mix @ xz) / n_y)
     else:
-        rhs = lambda phi: -sig * phi + kap * (he * wy * phi.sum())
+        rhs = lambda xz: -sig * xz + to_z * kap * ((mix @ xz).sum() / n_y)
     times = np.linspace(0.0, problem.t_end, n_steps + 1)
-    values = _rk4_linear_march(phi0, rhs, times)
-    phi_hom = values.mean(axis=2)
-    return TwoScaleToySolution(
-        times,
-        egrid.nodes,
-        egrid.weights,
-        ygrid.nodes,
-        ygrid.weights,
-        values,
-        phi_hom,
-    )
+    cell = _rk4_linear_march(np.stack([b, np.zeros(n_y)]), rhs, times)
+    return TwoScaleToySolution(times, egrid.nodes, egrid.weights, a, cell)
 
 
 def solve_separable_energy_model(
@@ -323,10 +328,8 @@ def sweep_point(
     errors = np.array(
         [mode_error(e, hmode) for e, hmode in zip(eps_modes, hom_modes)]
     )
-    ndiff = norm_difference(eps_field, hom.full_field())
-    sup_l2 = float(
-        np.max(np.sqrt((eps_field.values**2) @ eps_field.e_weights))
-    )
+    ndiff = norm_difference(eps_field, hom)
+    sup_l2 = float(np.max(np.sqrt((eps_field.values**2) @ eps_field.e_weights)))
     return SweepPointResult(epsilon, errors, ndiff, sup_l2)
 
 

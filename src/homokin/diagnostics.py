@@ -123,8 +123,8 @@ def mode_error(eps_modes: ModeSeries, hom_modes: ModeSeries) -> float:
     return float(np.max(np.abs(eps_modes.values - hom_on_eps)))
 
 
-def norm_difference(phi_eps: EnergyField, phi0: CellEnergyField) -> float:
-    """| ||phi_eps||_{L2(t,E)} - ||phi0||_{L2(t,E,y)} |, native quadratures."""
+def norm_difference(phi_eps: EnergyField, phi0) -> float:
+    """| ||phi_eps||_{L2(t,E)} - phi0.l2_norm() |, native quadratures."""
     return abs(phi_eps.l2_norm_time_energy() - phi0.l2_norm())
 
 

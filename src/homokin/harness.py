@@ -24,6 +24,7 @@ import numpy as np
 from . import ConfigError, __version__
 from .boltzmann import DEFAULT_SWEEP, sweep_point
 from .cell import CellFunction, PeriodicGrid, sine_profile, two_valued_profile
+from .diagnostics import ConvergenceReport
 from .kernels import KernelTable, verify_tartar_equivalence
 from .multiscale import (
     OdeProblem,
@@ -257,6 +258,8 @@ def _boltzmann_job(args):
 
 
 def _run_boltzmann(config: ExperimentConfig, out_dir: str) -> dict:
+    if not str(config.preset).isdigit():
+        raise ConfigError(f"preset: expected an example number, got {config.preset!r}")
     example_id = int(config.preset)
     eps_sorted = sorted(config.epsilons)[::-1]
     jobs = [
@@ -265,9 +268,6 @@ def _run_boltzmann(config: ExperimentConfig, out_dir: str) -> dict:
     ]
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
         points = list(pool.map(_boltzmann_job, jobs))
-    points.sort(key=lambda p: -p.epsilon)
-    from .diagnostics import ConvergenceReport
-
     report = ConvergenceReport.from_sweep(
         np.array([p.epsilon for p in points]),
         np.stack([p.mode_errors for p in points]),
@@ -275,11 +275,7 @@ def _run_boltzmann(config: ExperimentConfig, out_dir: str) -> dict:
     )
     files = {}
     modes_path = os.path.join(out_dir, "modes.csv")
-    rows = [
-        (p.epsilon, k, p.mode_errors[k])
-        for p in points
-        for k in range(len(p.mode_errors))
-    ]
+    rows = [(p.epsilon, k, e) for p in points for k, e in enumerate(p.mode_errors)]
     write_csv(modes_path, "epsilon,k,e_k", rows)
     files["modes.csv"] = modes_path
     norm_path = os.path.join(out_dir, "norm_diff.csv")

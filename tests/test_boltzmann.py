@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from homokin.boltzmann import (
     DEFAULT_SWEEP,
@@ -13,7 +16,8 @@ from homokin.boltzmann import (
     solve_toy_two_scale,
     sweep_point,
 )
-from homokin.cell import CellFunction, PeriodicGrid
+from homokin.cell import CellFunction, PeriodicGrid, rk4_step
+from homokin.diagnostics import CellEnergyField
 
 
 class TestEnergyGrid:
@@ -143,6 +147,86 @@ class TestTwoScaleSolver:
         sol = solve_toy_two_scale(problem, n_steps=2000)
         exact = 0.5 * (np.exp(-sol.times) + np.exp(-3.0 * sol.times))
         assert np.max(np.abs(sol.phi_hom - exact[:, None])) < 1e-9
+
+
+def dense_two_scale(problem, n_steps=50, n_e=64, n_y=256):
+    """Oracle: RK4 march of the limit on the full (E, y) grid.
+
+    Returns phi_hom and the L2(t, E, y) norm of the whole field.
+    """
+    egrid, ygrid = EnergyGrid(n_e), PeriodicGrid(n_y)
+    sig = problem.sigma.eval_periodic(ygrid.nodes)
+    kap = problem.kappa.eval_periodic(ygrid.nodes)
+    he, wy = egrid.h, 1.0 / n_y
+    if problem.init_mode == "oscillatory":
+        phi = np.broadcast_to(problem.phi_in.eval_periodic(ygrid.nodes), (n_e, n_y))
+    else:
+        phi = np.broadcast_to(
+            problem.phi_in.eval_periodic(egrid.nodes)[:, None], (n_e, n_y)
+        )
+    if problem.placement == "inside":
+        rhs = lambda t, p: (-sig * p + he * wy * float(np.einsum("y,ey->", kap, p)),)
+    else:
+        rhs = lambda t, p: (-sig * p + kap * (he * wy * p.sum()),)
+    times = np.linspace(0.0, problem.t_end, n_steps + 1)
+    values = [phi]
+    for j in range(n_steps):
+        (phi,) = rk4_step(rhs, times[j], times[j + 1] - times[j], phi)
+        values.append(phi)
+    values = np.array(values)
+    field = CellEnergyField(times, egrid.nodes, egrid.weights, ygrid.weights, values)
+    return values.mean(axis=2), field.l2_norm()
+
+
+def dense_gaps(problem, **grids):
+    """phi_hom gap, relative norm gap and max|phi_hom| against the oracle."""
+    sol = solve_toy_two_scale(problem, **grids)
+    phi_hom, norm = dense_two_scale(problem, **grids)
+    assert sol.phi_hom.shape == phi_hom.shape
+    norm_gap = abs(sol.l2_norm() - norm) / norm if norm else sol.l2_norm()
+    return np.max(np.abs(sol.phi_hom - phi_hom)), norm_gap, np.max(np.abs(phi_hom))
+
+
+class TestTwoScaleDenseOracle:
+    @pytest.mark.parametrize("example_id", [1, 2, 3])
+    @pytest.mark.parametrize("placement", ["inside", "outside"])
+    @pytest.mark.parametrize("init_mode", ["oscillatory", "profile"])
+    def test_presets_match_full_grid_march(self, example_id, placement, init_mode):
+        problem = example_presets(example_id, placement, 0.1, init_mode=init_mode)
+        phi_gap, norm_gap, _ = dense_gaps(problem)
+        assert phi_gap <= 1e-13
+        assert norm_gap <= 1e-13
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_y=st.integers(2, 64),
+        n_e=st.integers(2, 16),
+        placement=st.sampled_from(["inside", "outside"]),
+        init_mode=st.sampled_from(["oscillatory", "profile"]),
+        data=st.data(),
+    )
+    def test_random_coefficients_match_full_grid_march(
+        self, n_y, n_e, placement, init_mode, data
+    ):
+        def cell_values(elements):
+            return data.draw(hnp.arrays(np.float64, n_y, elements=elements))
+
+        # signed data, kept clear of magnitudes whose squares underflow
+        init = st.floats(-2.0, 2.0).filter(lambda v: v == 0.0 or abs(v) > 1e-6)
+        grid = PeriodicGrid(n_y)
+        problem = ToyProblem(
+            CellFunction(grid, cell_values(st.floats(0.1, 5.0))),
+            CellFunction(grid, cell_values(st.floats(0.0, 3.0))),
+            CellFunction(grid, cell_values(init)),
+            placement,
+            0.1,
+            t_end=2.0,
+            init_mode=init_mode,
+        )
+        phi_gap, norm_gap, scale = dense_gaps(problem, n_steps=20, n_e=n_e, n_y=n_y)
+        # kappa > sigma lets the field grow, so the phi_hom gap scales with it
+        assert phi_gap <= 1e-13 * max(scale, 1.0)
+        assert norm_gap <= 1e-13
 
 
 class TestSweep:

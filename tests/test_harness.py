@@ -192,6 +192,21 @@ class TestCli:
         assert code == 2
         assert "eps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--preset", "x"], "preset"),
+            (["--preset", "7"], "preset"),
+            (["--preset", "2", "--n-cell", "255"], "n_cell"),
+        ],
+    )
+    def test_boltzmann_config_exit_code(self, tmp_path, capsys, flags, field):
+        code = main(["boltzmann", *flags, "--eps", "0.1", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: ")
+        assert "numerical failure" not in err
+
     def test_kernel_pole_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         def corrupted(values, weights):
             poles, residues = secular_poles(values, weights)
