@@ -4,12 +4,14 @@ Everything downstream is built from five pieces living on the cell:
 
 * the average ``<v> = sum_j w_j v_j`` (midpoint rule),
 * the multiply-and-center operator ``L_g v = g*v - <g*v>``,
-* its semigroup ``exp(-tau*L_sigma)``,
 * its resolvent ``(p + L_sigma)^{-1}`` on zero-mean data, whose
   normalization constant is the shifted harmonic mean
   ``B(p) = ( <1/(p+sigma)> )^{-1}``,
 * the poles and residues of ``B(p)``, roots of a secular equation, which
-  turn the semigroup's action on zero-mean data into exponential sums.
+  turn the semigroup ``exp(-tau*L_sigma)`` on zero-mean data into
+  exponential sums; the semigroup itself is never formed here,
+* a few-node Gauss rule of the positive measure those poles and residues
+  form, from Lanczos on ``diag(sigma)``, certified by Gauss-Radau bounds.
 
 Cell functions are midpoint samples ``v_j = v((j+1/2)/n)`` with uniform
 weights ``1/n``; the rule is spectrally accurate for smooth periodic
@@ -23,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,48 +94,20 @@ def cell_average(v: CellFunction) -> float:
     return float(v.grid.weights @ v.values)
 
 
-def _check_same_grid(a: CellFunction, b: CellFunction) -> None:
-    if a.grid.n != b.grid.n:
-        raise ValueError(f"grid mismatch: n={a.grid.n} vs n={b.grid.n}")
-
-
 @dataclass(frozen=True, eq=False)
 class CellOperator:
     """Multiply-and-center operator L_g v = g*v - <g*v>."""
 
     g: CellFunction
 
-    def matrix(self) -> np.ndarray:
-        """Dense n x n representation diag(g) - 1 (w*g)^T."""
-        gv = self.g.values
-        w = self.g.grid.weights
-        return np.diag(gv) - np.outer(np.ones_like(gv), w * gv)
-
     def apply(self, values: np.ndarray) -> np.ndarray:
         gv = self.g.values * values
         return gv - self.g.grid.weights @ gv
 
 
-def apply_L(op: CellOperator, v: CellFunction) -> CellFunction:
-    """Apply L_g; the result has zero cell average by construction."""
-    _check_same_grid(op.g, v)
-    return CellFunction(v.grid, op.apply(v.values))
-
-
 def fluctuation(v: CellFunction) -> CellFunction:
     """L_1 v = v - <v>, the zero-mean part of v."""
     return CellFunction(v.grid, v.values - cell_average(v))
-
-
-def default_semigroup_step(sigma: CellFunction) -> float:
-    """Default RK4 step for the ode-integrate path.
-
-    The stability bound is min(0.1, 1/(4 max sigma)); the extra factor 32
-    pushes the O(h^4) integration error below 1e-10 so the two semigroup
-    routes agree to the contracted 1e-8.
-    """
-    smax = float(np.max(np.abs(sigma.values)))
-    return min(0.1, 1.0 / (4.0 * max(smax, 1e-30))) / 32.0
 
 
 def rk4_step(rhs: Callable, t: float, h: float, *state) -> tuple:
@@ -153,56 +126,52 @@ def rk4_step(rhs: Callable, t: float, h: float, *state) -> tuple:
     )
 
 
-def semigroup_apply(
-    sigma: CellFunction,
-    tau: float,
-    h: CellFunction,
-    method: str = "matrix-exp",
-    step: float | None = None,
-) -> CellFunction:
-    """Apply exp(-tau * L_sigma) to h.
-
-    ``matrix-exp`` exponentiates the dense operator matrix
-    (scaling-and-squaring); ``ode-integrate`` advances the decay ODE with
-    RK4 and is kept as an independent cross-check path.  The cell mean of
-    h is conserved for every tau.
-    """
-    if tau < 0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
-    _check_same_grid(sigma, h)
-    op = CellOperator(sigma)
-    if method == "matrix-exp":
-        out = expm(-tau * op.matrix()) @ h.values
-    elif method == "ode-integrate":
-        if step is None:
-            step = default_semigroup_step(sigma)
-        else:
-            smax = float(np.max(np.abs(sigma.values)))
-            step = min(step, 0.1, 1.0 / (4.0 * max(smax, 1e-30)))
-        nsteps = int(np.ceil(tau / step))
-        out = h.values.copy()
-        for _ in range(nsteps):
-            (out,) = rk4_step(lambda t, w: (-op.apply(w),), 0.0, tau / nsteps, out)
-    else:
-        raise ValueError(f"unknown semigroup method {method!r}")
-    return CellFunction(h.grid, out)
-
-
 # Array elements per row chunk of the pole solve and of pole sums: 4 rows
 # of a 4096-node cell.  Each temporary stays at 128 KB, which keeps peak
 # memory flat and was no slower than larger chunks at n = 4096.
 POLE_CHUNK = 1 << 14
 _SECULAR_MAX_ITER = 60
+# Rounding level of the Gauss rules, for values scaled into [-1, 1]: a
+# Lanczos beta this small ends the Krylov space, and a Gauss-Radau bracket
+# this many times Var sigma wide certifies the Gauss rule.
+_ROUNDING = 16.0 * np.finfo(float).eps
+
+
+def pole_sum(rates, amplitudes, taus) -> np.ndarray:
+    """sum_k amplitudes_k exp(-rates_k tau) at each tau, in chunks of lags.
+
+    Complex rates give oscillating sums; the chunks keep the (lags x poles)
+    exponential block at POLE_CHUNK elements.
+    """
+    rates = np.asarray(rates)
+    taus = np.asarray(taus, dtype=float)
+    out = np.empty(len(taus), dtype=np.result_type(rates, amplitudes, float))
+    rows = max(1, POLE_CHUNK // max(len(rates), 1))
+    for i in range(0, len(taus), rows):
+        out[i : i + rows] = np.exp(-np.outer(taus[i : i + rows], rates)) @ amplitudes
+    return out
+
+
+def _distinct(values, weights) -> tuple[np.ndarray, np.ndarray, float]:
+    """(d, W, scale): values within 4 eps of each other merged, weights summed,
+    zero weights dropped, and d_1 < ... < d_m scaled into [-1, 1] by a power of two."""
+    v, w = (np.ravel(np.asarray(x, dtype=float)) for x in (values, weights))
+    order = np.argsort(v, kind="stable")
+    v, w = v[order], w[order]
+    v, w = v[w > 0], w[w > 0]
+    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(v), initial=0.0))[1])
+    split = np.diff(v) > 4.0 * np.finfo(float).eps * scale
+    d = v[np.concatenate(([True], split))] / scale
+    return d, np.bincount(np.concatenate(([0], np.cumsum(split))), weights=w), scale
 
 
 def secular_poles(values, weights) -> tuple[np.ndarray, np.ndarray]:
     """Roots and residues of the secular equation sum_j W_j / (d_j - x) = 0.
 
-    Values equal up to rounding (closer than 4 eps times the largest
-    magnitude) are merged, weights summed and zero weights dropped, into
-    distinct d_1 < ... < d_m.  The secular function rises from -inf to +inf on
-    each gap (d_k, d_{k+1}), so it has exactly one root lambda_k there; its
-    residue is r_k = 1 / sum_j W_j (d_j - lambda_k)^-2.
+    Values equal up to rounding are merged, weights summed and zero
+    weights dropped, into distinct d_1 < ... < d_m.  The secular function
+    rises from -inf to +inf on each gap (d_k, d_{k+1}), so it has exactly one
+    root lambda_k there; its residue is r_k = 1 / sum_j W_j (d_j - lambda_k)^-2.
 
     Applied to (sigma, grid weights) the roots are the eigenvalues of the
     rank-one update L_sigma = diag(sigma) - 1 (w sigma)^T other than 0 and
@@ -216,16 +185,7 @@ def secular_poles(values, weights) -> tuple[np.ndarray, np.ndarray]:
     a shrinking bracket; rows of roots are solved in bounded chunks.
     Raises RuntimeError if a root does not converge.
     """
-    values = np.ravel(np.asarray(values, dtype=float))
-    weights = np.ravel(np.asarray(weights, dtype=float))
-    order = np.argsort(values, kind="stable")
-    v, w = values[order], weights[order]
-    v, w = v[w > 0], w[w > 0]
-    # a power-of-two scale maps the values into [-1, 1] without rounding
-    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(v), initial=0.0))[1])
-    split = np.diff(v) > 4.0 * np.finfo(float).eps * scale
-    d = v[np.concatenate(([True], split))] / scale
-    w = np.bincount(np.concatenate(([0], np.cumsum(split))), weights=w)
+    d, w, scale = _distinct(values, weights)
     roots = np.empty(max(len(w) - 1, 0))
     residues = np.empty_like(roots)
     rows = max(1, POLE_CHUNK // max(len(w), 1))
@@ -233,6 +193,67 @@ def secular_poles(values, weights) -> tuple[np.ndarray, np.ndarray]:
         gaps = np.arange(start, min(start + rows, len(roots)))
         roots[gaps], residues[gaps] = _solve_gaps(d, w, gaps)
     return scale * roots, scale * scale * residues
+
+
+def gauss_radau_rules(values, weights, q: int):
+    """((nodes, weights), (radau_nodes, radau_weights)): the q-point Gauss and
+    (q+1)-point Gauss-Radau rules of the kernel measure sum_k r_k delta_{lambda_k}.
+
+    With J the Jacobi matrix of the cell measure sum_j W_j delta_{d_j} (Lanczos
+    on diag(d) from sqrt(W), fully reorthogonalized, one basis row per step),
+    B(p) = p + <sigma> - beta_1^2 e_1^T (p + J[1:, 1:])^{-1} e_1 (Mori), so the
+    kernel measure is beta_1^2 = Var sigma times the spectral measure of
+    J[1:, 1:] at e_1.  Gauss: eigensystem of its leading q x q block; Radau:
+    that block bordered so a node sits at min(values) (Golub & Meurant 2010).
+    When the Krylov space ends (a beta of rounding level, or m steps on m
+    distinct values) the Gauss rule is exact and is returned as both rules.
+    """
+    d, w, scale = _distinct(values, weights)
+    mean = (w @ d) / w.sum()
+    d = d - mean  # centred, so the first residual does not cancel
+    basis = np.empty((min(q + 1, len(d)), len(d)))
+    basis[0] = np.sqrt(w / w.sum())
+    alpha, beta = [], []
+    for k in range(len(basis)):
+        r = d * basis[k]
+        alpha.append(basis[k] @ r)
+        for _ in range(2):  # Gram-Schmidt against the whole basis, twice
+            r -= basis[: k + 1].T @ (basis[: k + 1] @ r)
+        beta.append(float(np.linalg.norm(r)))
+        if beta[-1] <= _ROUNDING or k + 1 == len(basis):
+            break
+        basis[k + 1] = r / beta[-1]
+    size, off = len(alpha) - 1, np.array(beta[1:])
+    jac = np.diag(np.append(alpha[1:], 0.0)) + np.diag(off, 1) + np.diag(off, -1)
+
+    def rule(block):
+        nodes, vectors = np.linalg.eigh(block)
+        first = np.square(vectors[:1]).sum(axis=0)  # first components; none if q = 0
+        mass = scale * scale * beta[0] ** 2 / w.sum() * first / first.sum()
+        return (scale * (nodes + mean), mass), nodes, vectors
+
+    gauss, nodes, vectors = rule(jac[:size, :size])
+    if beta[-1] <= _ROUNDING or len(alpha) == len(d):
+        return gauss, gauss
+    jac[size, size] = d[0] + off[-1] ** 2 * np.sum(vectors[-1] ** 2 / (nodes - d[0]))
+    return gauss, rule(jac)[0]
+
+
+def gauss_poles(values, weights, taus) -> tuple[np.ndarray, np.ndarray]:
+    """Rates and residues, shaped as by :func:`secular_poles`, of a Q-point Gauss rule.
+
+    The derivatives of e^{-tau x} alternate in sign, so for tau >= 0 the kernel
+    lies between the Gauss and Radau sums of :func:`gauss_radau_rules`.  Q doubles
+    from 1 until they differ by at most 16 eps Var sigma on every lag of ``taus``.
+    """
+    q = 1
+    while True:
+        gauss, radau = gauss_radau_rules(values, weights, q)
+        # every 64th lag first: it rejects most short rules at 1/64 of the cost
+        gaps = (pole_sum(*radau, t) - pole_sum(*gauss, t) for t in (taus[::64], taus))
+        if all(np.max(gap) <= _ROUNDING * gauss[1].sum() for gap in gaps):
+            return gauss
+        q *= 2
 
 
 def _solve_gaps(d: np.ndarray, w: np.ndarray, k: np.ndarray):
@@ -305,7 +326,8 @@ def resolvent_apply(sigma: CellFunction, p: float, f: CellFunction) -> CellFunct
     """
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
-    _check_same_grid(sigma, f)
+    if sigma.grid.n != f.grid.n:
+        raise ValueError(f"grid mismatch: n={sigma.grid.n} vs n={f.grid.n}")
     mean_f = cell_average(f)
     scale = max(1.0, float(np.max(np.abs(f.values))))
     if abs(mean_f) > 1e-10 * scale:

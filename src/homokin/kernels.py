@@ -17,16 +17,17 @@ The two agree identically; :func:`verify_tartar_equivalence` checks the
 identity numerically along with a third route (numeric Laplace transform
 of the tabulated kernel).
 
-Tables are exponential sums over the poles -lambda_k of B(p), which
-:func:`homokin.cell.secular_poles` returns with their residues r_k:
+With the poles -lambda_k of B(p) and their residues r_k
+(:func:`homokin.cell.secular_poles`), K(tau) = sum_k r_k e^{-lambda_k tau}.
+:class:`KernelTable` sums a Q-point Gauss rule of the positive measure
+sum_k r_k delta_{lambda_k} instead (:func:`homokin.cell.gauss_poles`),
+certified on the table's lags by a Gauss-Radau bracket: Q = 8 for a smooth
+4096-cell profile with 4095 poles.  The source table sums every pole,
 
-    K(tau) = sum_k r_k e^{-lambda_k tau},
     < sigma e^{-tau L_sigma} v > = sum_k r_k <v/(sigma - lambda_k)> e^{-lambda_k tau}
 
-the second for zero-mean v, from the explicit eigenvectors
-1/(sigma - lambda_k).
-:func:`memory_kernel_eval` keeps the dense semigroup as an independent
-pointwise oracle.
+for zero-mean v, from the eigenvectors 1/(sigma - lambda_k); its amplitudes
+are signed, so no Gauss rule bounds it.
 """
 
 from __future__ import annotations
@@ -40,35 +41,12 @@ from .cell import (
     CellFunction,
     cell_average,
     fluctuation,
+    gauss_poles,
     harmonic_factor_B,
+    pole_sum,
     resolvent_apply,
     secular_poles,
-    semigroup_apply,
 )
-
-
-def memory_kernel_eval(sigma: CellFunction, tau: float) -> float:
-    """Pointwise kernel value K(tau); K(0) is the cell variance of sigma."""
-    if tau < 0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
-    h = fluctuation(sigma)
-    w = semigroup_apply(sigma, tau, h)
-    return float(sigma.grid.weights @ (sigma.values * w.values))
-
-
-def pole_sum(rates, amplitudes, taus) -> np.ndarray:
-    """sum_k amplitudes_k exp(-rates_k tau) at each tau, in chunks of lags.
-
-    Complex rates give oscillating sums; the chunks keep the (lags x poles)
-    exponential block at POLE_CHUNK elements.
-    """
-    rates = np.asarray(rates)
-    taus = np.asarray(taus, dtype=float)
-    out = np.empty(len(taus), dtype=np.result_type(rates, amplitudes, float))
-    rows = max(1, POLE_CHUNK // max(len(rates), 1))
-    for i in range(0, len(taus), rows):
-        out[i : i + rows] = np.exp(-np.outer(taus[i : i + rows], rates)) @ amplitudes
-    return out
 
 
 def _eigen_coefficients(sigma: CellFunction, poles: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -137,16 +115,17 @@ class KernelTable:
     def from_cell_coefficient(
         cls, sigma: CellFunction, dt: float, count: int
     ) -> "KernelTable":
-        """Tabulate K on {0, dt, ..., count*dt} as a sum over the poles of B.
+        """Tabulate K on {0, dt, ..., count*dt} by a Gauss rule certified on these lags.
 
         The lag-zero value is <sigma (sigma - <sigma>)> directly.  Raises
-        RuntimeError when the residues miss the variance identity
+        RuntimeError when the weights miss the variance identity
         sum_k r_k = Var sigma.
         """
         if dt <= 0 or count < 0:
             raise ValueError("need dt > 0 and count >= 0")
         h = fluctuation(sigma).values
-        poles, residues = secular_poles(sigma.values, sigma.grid.weights)
+        taus = np.arange(count + 1) * dt
+        poles, residues = gauss_poles(sigma.values, sigma.grid.weights, taus)
         var = float(sigma.grid.weights @ h**2)
         pole_var = float(residues.sum())
         if abs(pole_var - var) > 1e-10 * max(1.0, abs(var)):
@@ -154,7 +133,6 @@ class KernelTable:
                 f"kernel poles violate the variance identity: sum of residues "
                 f"{pole_var:.17g} vs Var sigma {var:.17g}"
             )
-        taus = np.arange(count + 1) * dt
         values = pole_sum(poles, residues, taus)
         values[0] = float((sigma.grid.weights * sigma.values) @ h)
         return cls(taus, values, modes=(poles, residues))

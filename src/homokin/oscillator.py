@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import CellFunction, secular_poles
-from .kernels import KernelTable, pole_sum
+from .cell import CellFunction, pole_sum, secular_poles
+from .kernels import KernelTable
 from .volterra import TimeGrid, VolterraProblem, solve_volterra
 
 SKEW = np.array([[0.0, 1.0], [-1.0, 0.0]])

@@ -18,12 +18,11 @@ from homokin.cell import (
     PeriodicGrid,
     fluctuation,
     indicator_sine_profile,
-    semigroup_apply,
     sine_profile,
     two_valued_profile,
 )
 from homokin.harness import ExperimentConfig, run_experiment
-from homokin.kernels import KernelTable, memory_kernel_eval, verify_tartar_equivalence
+from homokin.kernels import KernelTable, verify_tartar_equivalence
 from homokin.multiscale import OdeProblem, three_route_report
 from homokin.oscillator import (
     YoungMeasure,
@@ -46,6 +45,7 @@ from homokin.transport import (
     windowed_weak_error,
 )
 from homokin.volterra import TimeGrid, VolterraProblem, solve_volterra
+from oracles import memory_kernel_eval, semigroup_apply
 
 
 def report(criterion: int, ok: bool, detail: str) -> bool:

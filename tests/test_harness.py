@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ import homokin.kernels
 import homokin.multiscale
 import homokin.oscillator
 import homokin.transport
-from homokin.cell import secular_poles
+from homokin.cell import gauss_poles
 from homokin.cli import build_parser, config_from_args, main
 from homokin.harness import (
     ConfigError,
@@ -208,11 +212,11 @@ class TestCli:
         assert "numerical failure" not in err
 
     def test_kernel_pole_failure_exit_code(self, tmp_path, monkeypatch, capsys):
-        def corrupted(values, weights):
-            poles, residues = secular_poles(values, weights)
+        def corrupted(values, weights, taus):
+            poles, residues = gauss_poles(values, weights, taus)
             return poles, 2.0 * residues
 
-        monkeypatch.setattr(homokin.kernels, "secular_poles", corrupted)
+        monkeypatch.setattr(homokin.kernels, "gauss_poles", corrupted)
         code = main(["kernel-dump", "--preset", "two-valued", "--out", str(tmp_path)])
         assert code == 1
         assert "variance identity" in capsys.readouterr().err
@@ -254,7 +258,18 @@ class TestCli:
         assert homokin.transport.ConfigurationError is ConfigError
 
     def test_secular_nonconvergence_exit_code(self, tmp_path, monkeypatch, capsys):
+        # the ode kind's source table still solves the secular equation
         monkeypatch.setattr(homokin.cell, "_SECULAR_MAX_ITER", 0)
-        code = main(["kernel-dump", "--preset", "two-valued", "--out", str(tmp_path)])
+        code = main(["ode", "--out", str(tmp_path)])
         assert code == 1
         assert "did not converge" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only; the package runs on numpy alone
+    code = "import sys, homokin.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -6,12 +6,10 @@ from scipy.linalg import expm
 
 from homokin.cell import (
     CellFunction,
-    CellOperator,
     PeriodicGrid,
     cell_average,
     fluctuation,
     indicator_sine_profile,
-    semigroup_apply,
     sine_profile,
     two_valued_profile,
 )
@@ -21,10 +19,10 @@ from homokin.kernels import (
     kernel_laplace_semigroup,
     laplace_of_table,
     laplace_truncation_horizon,
-    memory_kernel_eval,
     tartar_kernel_laplace,
     verify_tartar_equivalence,
 )
+from oracles import memory_kernel_eval, operator_matrix, semigroup_apply
 
 GRID = PeriodicGrid(256)
 SINE = CellFunction.from_function(GRID, sine_profile(2.0, 0.5))
@@ -45,7 +43,7 @@ class TestKernelEval:
 
     def test_two_valued_exponential_kernel(self):
         # oracle: dense matrix exponential applied to L_1 sigma
-        L = CellOperator(TWOVAL).matrix()
+        L = operator_matrix(TWOVAL)
         h = fluctuation(TWOVAL).values
         wsig = GRID.weights * TWOVAL.values
         for tau in (0.0, 0.5, 1.0):

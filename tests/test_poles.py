@@ -7,17 +7,30 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import homokin.cell
-from homokin.cell import CellFunction, CellOperator, PeriodicGrid, secular_poles, sine_profile
-from homokin.kernels import (
-    KernelTable,
-    kernel_laplace_semigroup,
-    memory_kernel_eval,
-    tartar_kernel_laplace,
+from homokin.cell import (
+    CellFunction,
+    PeriodicGrid,
+    gauss_poles,
+    gauss_radau_rules,
+    pole_sum,
+    secular_poles,
+    sine_profile,
+    two_valued_profile,
 )
+from homokin.kernels import KernelTable, kernel_laplace_semigroup, tartar_kernel_laplace
 from homokin.oscillator import YoungMeasure, cell_averaged_limit, solve_oscillator_limit
 from homokin.volterra import TimeGrid
+from oracles import memory_kernel_eval, operator_matrix
 
 EPS = np.finfo(float).eps
+# Gauss rule against the full secular pole sum, in units of eps Var sigma.
+# Both merge the weights of equal values by one running sum, and the secular
+# residues stop at a 16-eps secular residual: against exact rational
+# arithmetic, on two-valued profiles with one rare value, the residues miss
+# Var by up to 117 eps (secular) and 55 eps (Gauss), and the two kernels
+# differ by up to 67 eps.
+KERNEL_GAP_EPS = 128.0
+HORIZONS = st.sampled_from([1.0, 20.0, 300.0])
 
 
 def variance(sigma: CellFunction) -> float:
@@ -52,7 +65,7 @@ class TestSecularPoles:
         grid = PeriodicGrid(32)
         sigma = CellFunction(grid, rng.uniform(0.5, 3.0, grid.n))
         poles, _ = secular_poles(sigma.values, grid.weights)
-        eig = np.sort(np.linalg.eigvals(CellOperator(sigma).matrix()).real)
+        eig = np.sort(np.linalg.eigvals(operator_matrix(sigma)).real)
         # the one remaining eigenvalue is 0, for the constants
         assert abs(eig[0]) < 1e-12
         assert np.max(np.abs(poles - eig[1:])) < 1e-12
@@ -83,6 +96,57 @@ class TestSecularPoles:
         values = np.random.default_rng(3).uniform(1.0, 2.0, 64)
         with pytest.raises(RuntimeError, match="did not converge"):
             secular_poles(values, np.full(64, 1 / 64))
+
+
+class TestGaussPoles:
+    @settings(max_examples=60, deadline=None)
+    @given(sigma_profiles(), HORIZONS)
+    def test_positive_rule_of_mass_var_inside_the_values(self, sigma, horizon):
+        v = sigma.values
+        nodes, weights = gauss_poles(v, sigma.grid.weights, np.linspace(0.0, horizon, 2001))
+        assert np.all(weights > 0)
+        assert np.all((nodes >= v.min()) & (nodes <= v.max()))
+        assert abs(weights.sum() - variance(sigma)) < 1e-12
+        assert len(nodes) <= len(np.unique(v)) - 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(sigma_profiles(), HORIZONS)
+    def test_matches_full_pole_sum_inside_the_radau_bracket(self, sigma, horizon):
+        v, w = sigma.values, sigma.grid.weights
+        taus = np.linspace(0.0, horizon, 2001)
+        assert_certified_rule(v, w, taus, variance(sigma))
+
+    def test_wide_ratio(self):
+        # sigma in [0.01, 5]: the slowest pole decays over the whole horizon
+        v = np.random.default_rng(17).uniform(0.01, 5.0, 1024)
+        w = np.full(1024, 1 / 1024)
+        assert_certified_rule(v, w, np.linspace(0.0, 300.0, 3001), float(w @ (v - w @ v) ** 2))
+
+    def test_exhausted_krylov_space_is_exact(self):
+        # two values: one pole at the swapped mean 1 * 1/2 + 3 * 1/2, weight Var = 1
+        sigma = CellFunction.from_function(PeriodicGrid(64), two_valued_profile(1.0, 3.0))
+        nodes, weights = gauss_poles(sigma.values, sigma.grid.weights, [0.0, 1.0, 50.0])
+        assert np.allclose(nodes, [2.0], rtol=0, atol=1e-15)
+        assert np.allclose(weights, [1.0], rtol=0, atol=1e-15)
+        constant = gauss_poles(np.full(8, 2.0), np.full(8, 0.125), [0.0, 1.0])
+        assert constant[0].shape == constant[1].shape == (0,)
+
+    def test_smooth_profile_needs_few_nodes(self):
+        sigma = CellFunction.from_function(PeriodicGrid(4096), sine_profile(2.0, 0.5))
+        nodes, _ = gauss_poles(sigma.values, sigma.grid.weights, np.arange(4001) * 5e-3)
+        assert len(nodes) <= 16  # of 2047 secular poles
+
+
+def assert_certified_rule(v, w, taus, var):
+    """K_Q within KERNEL_GAP_EPS of the full pole sum; Gauss <= K <= Radau at q = 1, 2, Q/2, Q."""
+    full = pole_sum(*secular_poles(v, w), taus)
+    tol = KERNEL_GAP_EPS * EPS * var
+    nodes, weights = gauss_poles(v, w, taus)
+    assert np.max(np.abs(pole_sum(nodes, weights, taus) - full)) <= tol
+    for q in {1, 2, max(len(nodes) // 2, 1), max(len(nodes), 1)}:
+        gauss, radau = gauss_radau_rules(v, w, q)
+        assert np.max(pole_sum(*gauss, taus) - full) <= tol
+        assert np.max(full - pole_sum(*radau, taus)) <= tol
 
 
 class TestKernelProperties:
