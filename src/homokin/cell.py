@@ -7,13 +7,17 @@ Everything downstream is built from five pieces living on the cell:
 * its resolvent ``(p + L_sigma)^{-1}`` on zero-mean data, whose
   normalization constant is the shifted harmonic mean
   ``B(p) = ( <1/(p+sigma)> )^{-1}``,
-* the poles and residues of ``B(p)``, roots of a secular equation, which
-  turn the semigroup ``exp(-tau*L_sigma)`` on zero-mean data into
-  exponential sums; the semigroup itself is never formed here,
-* a few-node Gauss rule of the positive measure those poles and residues
-  form, from Lanczos on ``diag(sigma)``, certified by Gauss-Radau bounds.
+* pole sums for ``<sigma exp(-tau L_sigma) (v - <v>)>`` from Lanczos on
+  ``diag(sigma)``: for ``v = sigma`` a few-node Gauss rule of the positive
+  kernel measure ``sum_k r_k delta_{lambda_k}``, whose nodes and weights
+  stand in for the poles ``-lambda_k`` of ``B(p)`` and their residues, and
+  for other data two such rules by polarization, all certified by
+  Gauss-Radau bounds on the lags they serve,
+* every pole and residue of ``B(p)`` from one dense eigensystem, for the
+  small sets of distinct values where each pole is needed.
 
-Cell functions are midpoint samples ``v_j = v((j+1/2)/n)`` with uniform
+The semigroup ``exp(-tau L_sigma)`` itself is never formed here.  Cell
+functions are midpoint samples ``v_j = v((j+1/2)/n)`` with uniform
 weights ``1/n``; the rule is spectrally accurate for smooth periodic
 integrands and places half-cell jumps exactly between nodes when ``n`` is
 even.
@@ -126,14 +130,13 @@ def rk4_step(rhs: Callable, t: float, h: float, *state) -> tuple:
     )
 
 
-# Array elements per row chunk of the pole solve and of pole sums: 4 rows
-# of a 4096-node cell.  Each temporary stays at 128 KB, which keeps peak
-# memory flat and was no slower than larger chunks at n = 4096.
+# Array elements per chunk of a pole sum: 4 rows of a 4096-pole block.  Each
+# temporary stays at 128 KB, which keeps peak memory flat and was no slower
+# than larger chunks at n = 4096.
 POLE_CHUNK = 1 << 14
-_SECULAR_MAX_ITER = 60
 # Rounding level of the Gauss rules, for values scaled into [-1, 1]: a
 # Lanczos beta this small ends the Krylov space, and a Gauss-Radau bracket
-# this many times Var sigma wide certifies the Gauss rule.
+# this many times ||h|| ||vbar|| wide certifies the polarized Gauss rule.
 _ROUNDING = 16.0 * np.finfo(float).eps
 
 
@@ -152,69 +155,79 @@ def pole_sum(rates, amplitudes, taus) -> np.ndarray:
     return out
 
 
-def _distinct(values, weights) -> tuple[np.ndarray, np.ndarray, float]:
-    """(d, W, scale): values within 4 eps of each other merged, weights summed,
-    zero weights dropped, and d_1 < ... < d_m scaled into [-1, 1] by a power of two."""
+def _power_of_two(x) -> float:
+    """The power of two that scales max |x| into [1/2, 1) (1 for x = 0)."""
+    return float(np.ldexp(1.0, np.frexp(np.max(np.abs(x), initial=0.0))[1]))
+
+
+def _distinct(values, weights):
+    """(d, W, scale, nodes): values within 4 eps of each other merged, weights
+    summed, zero weights dropped, and d_1 < ... < d_m scaled into [-1, 1] by a
+    power of two.  nodes = (level, first): node j lies on level d[level[j]]
+    (zero-weight nodes on 0), and first[l] is the node that gives d[l]."""
     v, w = (np.ravel(np.asarray(x, dtype=float)) for x in (values, weights))
-    order = np.argsort(v, kind="stable")
-    v, w = v[order], w[order]
-    v, w = v[w > 0], w[w > 0]
-    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(v), initial=0.0))[1])
-    split = np.diff(v) > 4.0 * np.finfo(float).eps * scale
-    d = v[np.concatenate(([True], split))] / scale
-    return d, np.bincount(np.concatenate(([0], np.cumsum(split))), weights=w), scale
+    kept = np.flatnonzero(w > 0)
+    order = kept[np.argsort(v[kept], kind="stable")]
+    scale = _power_of_two(v[kept])
+    split = np.diff(v[order]) > 4.0 * np.finfo(float).eps * scale
+    group = np.concatenate(([0], np.cumsum(split)))
+    level = np.zeros(len(v), dtype=int)
+    level[order] = group
+    first = order[np.concatenate(([True], split))]
+    return v[first] / scale, np.bincount(group, weights=w[order]), scale, (level, first)
 
 
-def secular_poles(values, weights) -> tuple[np.ndarray, np.ndarray]:
-    """Roots and residues of the secular equation sum_j W_j / (d_j - x) = 0.
+def _level_means(x, weights, nodes, W) -> np.ndarray:
+    """Mean-free level-set means of node data x: its average over each level
+    of :func:`_distinct`, less its cell average.  Each level sums the
+    deviations from x at its first node, so data constant on a level, sigma
+    among them, has that value as its exact mean."""
+    level, first = nodes
+    x = np.ravel(np.asarray(x, dtype=float))
+    w = np.asarray(weights, dtype=float)
+    ref = x[first]
+    spread = np.bincount(level, weights=w * (x - ref[level]), minlength=len(W))
+    return ref + spread / W - (w @ x) / W.sum()
 
-    Values equal up to rounding are merged, weights summed and zero
-    weights dropped, into distinct d_1 < ... < d_m.  The secular function
-    rises from -inf to +inf on each gap (d_k, d_{k+1}), so it has exactly one
-    root lambda_k there; its residue is r_k = 1 / sum_j W_j (d_j - lambda_k)^-2.
 
-    Applied to (sigma, grid weights) the roots are the eigenvalues of the
-    rank-one update L_sigma = diag(sigma) - 1 (w sigma)^T other than 0 and
-    the sigma values, with eigenvectors 1/(sigma - lambda_k).  They are the
-    poles of B(p) at p = -lambda_k, so B(p) = p + <sigma> -
-    sum_k r_k/(p + lambda_k), the kernel is K(tau) = sum_k r_k
-    e^{-lambda_k tau} and sum_k r_k = Var sigma (Golub 1973).
+def exact_poles(values, weights) -> tuple[np.ndarray, np.ndarray]:
+    """All poles lambda_k and residues r_k of the kernel measure, by one dense eigh.
 
-    Each root is found in the variable shifted to the nearer end of its
-    gap, by the two-pole rational iteration of Gu & Eisenstat kept inside
-    a shrinking bracket; rows of roots are solved in bounded chunks.
-    Raises RuntimeError if a root does not converge.
+    With the unit vector u = sqrt(W / sum W) over the distinct values d
+    (:func:`_distinct`), the cell operator on mean-free data is
+    A = P diag(d) P, P = I - u u^T.  One Householder reflector H maps u to
+    -e_1, and H diag(d - <d>) H = [[0, b^T], [b, C]]: the eigenvalues of
+    C + <d> are the poles of B(p), the eigenvectors of L_sigma are
+    1/(sigma - lambda_k), and r_k = (y_k^T b)^2 for the unit eigenvectors
+    y_k of C, so sum_k r_k = |b|^2 = Var sigma.  O(m^3) in the number m of
+    distinct values; for small m only.
     """
-    d, w, scale = _distinct(values, weights)
-    roots = np.empty(max(len(w) - 1, 0))
-    residues = np.empty_like(roots)
-    rows = max(1, POLE_CHUNK // max(len(w), 1))
-    for start in range(0, len(roots), rows):
-        gaps = np.arange(start, min(start + rows, len(roots)))
-        roots[gaps], residues[gaps] = _solve_gaps(d, w, gaps)
-    return scale * roots, scale * scale * residues
-
-
-def gauss_radau_rules(values, weights, q: int):
-    """((nodes, weights), (radau_nodes, radau_weights)): the q-point Gauss and
-    (q+1)-point Gauss-Radau rules of the kernel measure sum_k r_k delta_{lambda_k}.
-
-    With J the Jacobi matrix of the cell measure sum_j W_j delta_{d_j} (Lanczos
-    on diag(d) from sqrt(W), fully reorthogonalized, one basis row per step),
-    B(p) = p + <sigma> - beta_1^2 e_1^T (p + J[1:, 1:])^{-1} e_1 (Mori), so the
-    kernel measure is beta_1^2 = Var sigma times the spectral measure of
-    J[1:, 1:] at e_1.  Gauss: eigensystem of its leading q x q block; Radau:
-    that block bordered so a node sits at min(values) (Golub & Meurant 2010).
-    When the Krylov space ends (a beta of rounding level, or m steps on m
-    distinct values) the Gauss rule is exact and is returned as both rules.
-    """
-    d, w, scale = _distinct(values, weights)
+    d, w, scale, _ = _distinct(values, weights)
     mean = (w @ d) / w.sum()
-    d = d - mean  # centred, so the first residual does not cancel
+    u = np.sqrt(w / w.sum())
+    u[0] += 1.0  # reflector vector u + e_1, with |u + e_1|^2 = 2 (1 + u_0)
+    house = np.eye(len(d)) - np.outer(u, u) / u[0]
+    block = house @ ((d - mean)[:, None] * house)
+    poles, vectors = np.linalg.eigh(block[1:, 1:])
+    return scale * (poles + mean), scale * scale * (vectors.T @ block[1:, 0]) ** 2
+
+
+def _rules(d, W, scale, z, q: int):
+    """Gauss and Radau rules of <z, e^{-tau A} z> on the levels; see gauss_radau_rules."""
+    mean = (W @ d) / W.sum()
+    d = d - mean  # centred, so the residuals do not cancel
     basis = np.empty((min(q + 1, len(d)), len(d)))
-    basis[0] = np.sqrt(w / w.sum())
+    basis[0] = np.sqrt(W / W.sum())
+    x = np.sqrt(W) * z
+    for _ in range(2):  # Gram-Schmidt against the constants, twice
+        x -= basis[0] * (basis[0] @ x)
+    mass = float(x @ x)
+    if mass == 0.0 or len(basis) == 1:
+        empty = (np.empty(0), np.empty(0))
+        return empty, empty
+    basis[1] = x / np.sqrt(mass)
     alpha, beta = [], []
-    for k in range(len(basis)):
+    for k in range(1, len(basis)):
         r = d * basis[k]
         alpha.append(basis[k] @ r)
         for _ in range(2):  # Gram-Schmidt against the whole basis, twice
@@ -223,88 +236,98 @@ def gauss_radau_rules(values, weights, q: int):
         if beta[-1] <= _ROUNDING or k + 1 == len(basis):
             break
         basis[k + 1] = r / beta[-1]
-    size, off = len(alpha) - 1, np.array(beta[1:])
-    jac = np.diag(np.append(alpha[1:], 0.0)) + np.diag(off, 1) + np.diag(off, -1)
+    size, off = len(alpha), np.array(beta)
+    jac = np.diag(np.append(alpha, 0.0)) + np.diag(off, 1) + np.diag(off, -1)
 
     def rule(block):
         nodes, vectors = np.linalg.eigh(block)
-        first = np.square(vectors[:1]).sum(axis=0)  # first components; none if q = 0
-        mass = scale * scale * beta[0] ** 2 / w.sum() * first / first.sum()
-        return (scale * (nodes + mean), mass), nodes, vectors
+        first = np.square(vectors[0])
+        return (scale * (nodes + mean), mass * first / first.sum()), nodes, vectors
 
     gauss, nodes, vectors = rule(jac[:size, :size])
-    if beta[-1] <= _ROUNDING or len(alpha) == len(d):
+    if beta[-1] <= _ROUNDING or size == len(d) - 1:
         return gauss, gauss
     jac[size, size] = d[0] + off[-1] ** 2 * np.sum(vectors[-1] ** 2 / (nodes - d[0]))
     return gauss, rule(jac)[0]
 
 
-def gauss_poles(values, weights, taus) -> tuple[np.ndarray, np.ndarray]:
-    """Rates and residues, shaped as by :func:`secular_poles`, of a Q-point Gauss rule.
+def gauss_radau_rules(values, weights, q: int, start):
+    """((nodes, weights), (radau_nodes, radau_weights)): the q-point Gauss and
+    (q+1)-point Gauss-Radau rules of the spectral measure of <z, e^{-tau A} z>.
 
-    The derivatives of e^{-tau x} alternate in sign, so for tau >= 0 the kernel
-    lies between the Gauss and Radau sums of :func:`gauss_radau_rules`.  Q doubles
-    from 1 until they differ by at most 16 eps Var sigma on every lag of ``taus``.
+    A = P diag(sigma) P is the cell operator on mean-free data and z the
+    mean-free level-set means of ``start`` (the rest of ``start`` is
+    invariant under A and orthogonal to every level-set function).  Lanczos
+    on diag(d) from z, fully reorthogonalized against z's Krylov space and
+    the constants, one basis row per step, gives the Jacobi matrix J of that
+    measure, of mass <z^2>.  Gauss: eigensystem of the leading q x q block
+    of J; Radau: that block bordered so a node sits at min(values) (Golub &
+    Meurant 2010).  For start = sigma this is the kernel measure
+    sum_k r_k delta_{lambda_k} of mass Var sigma (Mori).  When the Krylov
+    space ends (a beta of rounding level, or m - 1 steps on m distinct
+    values) the Gauss rule is exact and is returned as both rules; z = 0
+    gives two empty rules.
     """
+    d, w, scale, nodes = _distinct(values, weights)
+    return _rules(d, w, scale, _level_means(start, weights, nodes, w), q)
+
+
+def gauss_poles(values, weights, v, taus) -> tuple[np.ndarray, np.ndarray]:
+    """Rates and signed amplitudes of <h, e^{-tau A} vbar> from certified Gauss rules.
+
+    For cell data v this is <sigma e^{-tau L_sigma} (v - <v>)>: h = sigma -
+    <sigma>, and vbar, the mean-free level-set means of v, carries all of v
+    that h's Krylov space sees.  By polarization (Golub & Meurant 2010, ch. 7)
+    it is [q(h + s vbar) - q(h - s vbar)] / (4 s), s = |h| / |vbar|, where
+    q(z) = <z, e^{-tau A} z> is the Laplace transform of a positive measure.
+    The derivatives of e^{-tau x} alternate in sign, so for tau >= 0 each q
+    lies between its Gauss and Radau sums of :func:`gauss_radau_rules`.  Q
+    doubles from 1 until the two bracket widths sum to at most 16 eps |h|
+    |vbar| (4 s) on every lag of ``taus``; the result is the 2Q Gauss poles.
+    For v = sigma the minus rule is empty and the amplitudes are the
+    positive kernel residues, certified to 16 eps Var sigma.  Data whose
+    level-set means vanish to 16 times the rounding bound of their sums
+    gives an empty rule.
+    """
+    d, w, scale, nodes = _distinct(values, weights)
+    x = np.ravel(np.asarray(v, dtype=float))
+    v_scale = _power_of_two(x)  # exact scalings: no square below under- or overflows
+    x = x / v_scale
+    h, vbar = (_level_means(y, weights, nodes, w) for y in (np.ravel(values) / scale, x))
+    hh, vv = float(w @ h**2), float(w @ vbar**2)
+    # rounding of vbar: a running sum of n_l deviations from v at the level's
+    # first node errs by up to n_l eps sum |deviations| (Higham 2002), adding
+    # that first value and subtracting the cell average by eps each
+    level, first = nodes
+    cell = np.asarray(weights, dtype=float)
+    ref = x[first]
+    deviation = np.bincount(level, weights=cell * np.abs(x - ref[level])) / w
+    noise = np.bincount(level) * deviation + np.abs(ref) + abs(cell @ x)
+    if hh == 0.0 or vv <= _ROUNDING**2 * float(w @ noise**2):
+        return np.empty(0), np.empty(0)
+    s = np.sqrt(hh / vv)
+    bound = 4.0 * s * _ROUNDING * np.sqrt(hh * vv)
+    starts = [(sign, h + sign * s * vbar) for sign in (1.0, -1.0)]
+    starts = [(sign, z) for sign, z in starts if z.any()]  # v = sigma: no minus rule
     q = 1
     while True:
-        gauss, radau = gauss_radau_rules(values, weights, q)
+        rules = [(sign, _rules(d, w, scale, z, q)) for sign, z in starts]
         # every 64th lag first: it rejects most short rules at 1/64 of the cost
-        gaps = (pole_sum(*radau, t) - pole_sum(*gauss, t) for t in (taus[::64], taus))
-        if all(np.max(gap) <= _ROUNDING * gauss[1].sum() for gap in gaps):
-            return gauss
-        q *= 2
-
-
-def _solve_gaps(d: np.ndarray, w: np.ndarray, k: np.ndarray):
-    """Secular roots in the gaps (d_k, d_{k+1}) for a run of indices k."""
-    rows = np.arange(len(k))
-    # origin: the end of the gap nearer the root, by the sign at mid-gap
-    delta = d - d[k][:, None]
-    f_mid = (w / (delta - 0.5 * delta[rows, k + 1][:, None])).sum(axis=1)
-    origin = np.where(f_mid >= 0.0, k, k + 1)
-    delta = d - d[origin][:, None]
-    lo, hi = delta[rows, k], delta[rows, k + 1]  # the gap's poles, shifted
-    y = 0.5 * (lo + hi)
-    # columns j <= k hold the left partial sum: all up to k[0], a band after
-    band = np.arange(k[0] + 1, k[-1] + 1) <= k[:, None]
-
-    def left_sum(a):
-        return a[:, : k[0] + 1].sum(axis=1) + (a[:, k[0] + 1 : k[-1] + 1] * band).sum(axis=1)
-
-    done = np.zeros(len(k), dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_SECULAR_MAX_ITER):
-            inv = 1.0 / (delta - y[:, None])
-            terms = w * inv
-            f = terms.sum(axis=1)
-            f_left = left_sum(terms)
-            done |= np.abs(f) <= 16.0 * np.finfo(float).eps * (f - 2.0 * f_left)
-            if done.all():
-                break
-            lo = np.where(f < 0.0, y, lo)
-            hi = np.where(f > 0.0, y, hi)
-            # model c + s/(d1 - eta) + t/(d2 - eta) matching the slopes of
-            # the left and right partial sums; take its root in the gap
-            slope = terms * inv
-            s_left = left_sum(slope)
-            d1, d2 = delta[rows, k] - y, delta[rows, k + 1] - y
-            s, t = d1 * d1 * s_left, d2 * d2 * (slope.sum(axis=1) - s_left)
-            c = f - s / d1 - t / d2
-            b = c * (d1 + d2) + s + t
-            disc = np.sqrt(np.maximum(b * b - 4.0 * c * d1 * d2 * f, 0.0))
-            step = y + 2.0 * d1 * d2 * f / (b + np.copysign(disc, b))
-            step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
-            # a bracket too narrow to split leaves the root at full precision
-            done |= (step <= lo) | (step >= hi) | (step == y)
-            y = np.where(done, y, step)
-    if not done.all():
-        raise RuntimeError(
-            f"secular equation: {int((~done).sum())} of {len(k)} roots did not "
-            f"converge in {_SECULAR_MAX_ITER} iterations"
+        gaps = (
+            sum(
+                pole_sum(*radau, t) - pole_sum(*gauss, t)
+                for _, (gauss, radau) in rules
+                if radau is not gauss  # an exact rule has no gap
+            )
+            for t in (taus[::64], taus)
         )
-    inv = 1.0 / (delta - y[:, None])
-    return d[origin] + y, 1.0 / (w * inv * inv).sum(axis=1)
+        if all(np.max(gap, initial=0.0) <= bound for gap in gaps):
+            return (
+                np.concatenate([gauss[0] for _, (gauss, _) in rules]),
+                np.concatenate([sign * gauss[1] for sign, (gauss, _) in rules])
+                * (scale * v_scale / (4.0 * s)),
+            )
+        q *= 2
 
 
 def harmonic_factor_B(sigma: CellFunction, p: float) -> float:

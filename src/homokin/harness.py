@@ -136,17 +136,24 @@ def default_out_dir() -> str:
 
 
 def write_csv(path, header: str, rows) -> None:
-    """CSV dialect: comma, dot decimals, %.17g floats, LF endings."""
+    """CSV dialect: comma, dot decimals, %.17g floats, LF endings.
 
-    def fmt(v):
-        if isinstance(v, (float, np.floating)):
-            return f"{v:.17g}"
-        return str(v)
-
+    The file is formatted by one % operation: each row's template follows
+    the types of its values, %.17g for floats and %s for the rest.
+    """
+    templates, lines, values = {}, [], []
+    for row in rows:
+        row = tuple(row)
+        kinds = tuple(map(type, row))
+        if kinds not in templates:
+            templates[kinds] = ",".join(
+                "%.17g" if issubclass(kind, (float, np.floating)) else "%s" for kind in kinds
+            ) + "\n"
+        lines.append(templates[kinds])
+        values.extend(row)
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        fh.write("".join(lines) % tuple(values))
 
 
 def _sha256(path) -> str:

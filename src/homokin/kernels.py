@@ -5,9 +5,9 @@ equation whose convolution kernel is built from the cell semigroup:
 
     K(tau) = < sigma * exp(-tau L_sigma) (sigma - <sigma>) >
 
-with source
+with source, for forcing f constant in time,
 
-    S(t) = <f>(t) - int_0^t < sigma e^{-(t-s) L_sigma} L_1 f(s) > ds
+    S(t) = <f> - int_0^t < sigma e^{-s L_sigma} L_1 f > ds
            - < sigma e^{-t L_sigma} L_1 u_in >.
 
 In Laplace variables the kernel admits two independent expressions: the
@@ -17,17 +17,19 @@ The two agree identically; :func:`verify_tartar_equivalence` checks the
 identity numerically along with a third route (numeric Laplace transform
 of the tabulated kernel).
 
-With the poles -lambda_k of B(p) and their residues r_k
-(:func:`homokin.cell.secular_poles`), K(tau) = sum_k r_k e^{-lambda_k tau}.
-:class:`KernelTable` sums a Q-point Gauss rule of the positive measure
-sum_k r_k delta_{lambda_k} instead (:func:`homokin.cell.gauss_poles`),
-certified on the table's lags by a Gauss-Radau bracket: Q = 8 for a smooth
-4096-cell profile with 4095 poles.  The source table sums every pole,
+With the poles -lambda_k of B(p) and their residues r_k, K(tau) = sum_k
+r_k e^{-lambda_k tau}.  Neither table sums every pole.  Both are the one
+certified Lanczos rule of :func:`homokin.cell.gauss_poles` for
 
-    < sigma e^{-tau L_sigma} v > = sum_k r_k <v/(sigma - lambda_k)> e^{-lambda_k tau}
+    < sigma e^{-tau L_sigma} (v - <v>) > = < h, e^{-tau A} vbar >,
 
-for zero-mean v, from the eigenvectors 1/(sigma - lambda_k); its amplitudes
-are signed, so no Gauss rule bounds it.
+A = L_sigma on mean-free data, h = sigma - <sigma>, vbar the mean-free
+level-set means of v.  v = sigma gives the kernel, a Gauss rule of the
+positive measure sum_k r_k delta_{lambda_k} bracketed by Gauss-Radau on
+the table's lags (Q = 8 for a smooth 4096-cell profile with 4095 poles);
+v = u_in or f gives the signed source amplitudes, by polarization into
+two such positive rules.  Each table checks that its amplitudes sum to
+its lag-zero value.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cell import (
-    POLE_CHUNK,
     CellFunction,
     cell_average,
     fluctuation,
@@ -45,18 +46,24 @@ from .cell import (
     harmonic_factor_B,
     pole_sum,
     resolvent_apply,
-    secular_poles,
 )
 
 
-def _eigen_coefficients(sigma: CellFunction, poles: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """<v / (sigma - lambda_k)> per pole for cell data v of shape (..., n)."""
-    wv = np.asarray(v) * sigma.grid.weights
-    out = np.empty(wv.shape[:-1] + (len(poles),))
-    cols = max(1, POLE_CHUNK // sigma.grid.n)
-    for i in range(0, len(poles), cols):
-        out[..., i : i + cols] = wv @ (1.0 / np.subtract.outer(sigma.values, poles[i : i + cols]))
-    return out
+def _checked_poles(sigma: CellFunction, v: np.ndarray, taus, identity: str):
+    """:func:`gauss_poles` of <sigma e^{-tau L_sigma} (v - <v>)> on ``taus``.
+
+    Raises RuntimeError, naming ``identity``, unless the amplitudes sum to
+    the lag-zero value <h (v - <v>)> within 1e-10 max(1, |h| |v - <v>|).
+    """
+    w = sigma.grid.weights
+    h, g = fluctuation(sigma).values, v - w @ v
+    rates, amplitudes = gauss_poles(sigma.values, w, v, taus)
+    lag0, pole0 = float(w @ (h * g)), float(amplitudes.sum())
+    if abs(pole0 - lag0) > 1e-10 * max(1.0, np.sqrt((w @ h**2) * (w @ g**2))):
+        raise RuntimeError(
+            f"{identity}: sum of amplitudes {pole0:.17g} vs lag-zero value {lag0:.17g}"
+        )
+    return rates, amplitudes
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,18 +130,12 @@ class KernelTable:
         """
         if dt <= 0 or count < 0:
             raise ValueError("need dt > 0 and count >= 0")
-        h = fluctuation(sigma).values
         taus = np.arange(count + 1) * dt
-        poles, residues = gauss_poles(sigma.values, sigma.grid.weights, taus)
-        var = float(sigma.grid.weights @ h**2)
-        pole_var = float(residues.sum())
-        if abs(pole_var - var) > 1e-10 * max(1.0, abs(var)):
-            raise RuntimeError(
-                f"kernel poles violate the variance identity: sum of residues "
-                f"{pole_var:.17g} vs Var sigma {var:.17g}"
-            )
+        poles, residues = _checked_poles(
+            sigma, sigma.values, taus, "kernel poles violate the variance identity"
+        )
         values = pole_sum(poles, residues, taus)
-        values[0] = float((sigma.grid.weights * sigma.values) @ h)
+        values[0] = float((sigma.grid.weights * sigma.values) @ fluctuation(sigma).values)
         return cls(taus, values, modes=(poles, residues))
 
     def to_csv(self, path) -> None:
@@ -248,56 +249,35 @@ class SourceTable:
 def build_source_table(
     sigma: CellFunction,
     u_in: CellFunction,
-    f,
+    f: CellFunction | None,
     dt: float,
     count: int,
 ) -> SourceTable:
     """Tabulate S(t) on {0, dt, ..., count*dt}.
 
-    ``f`` may be None (no forcing), a CellFunction (time-independent
-    forcing), or a callable t -> cell-values array.  Every term is a pole
-    sum; the time integral is the trapezoid rule on the same grid, which
-    for callable f advances one exact decay factor per pole and step.
+    ``f`` is None (no forcing) or a CellFunction (time-independent
+    forcing).  Each term is the pole sum of one polarized rule, certified
+    on the grid; the time integral of the forcing term is the trapezoid
+    rule on the same grid.  Raises RuntimeError when a rule's amplitudes
+    miss <sigma (v - <v>)> at lag 0.
     """
     if dt <= 0 or count < 0:
         raise ValueError("need dt > 0 and count >= 0")
+    if f is not None and not isinstance(f, CellFunction):
+        raise TypeError("f must be None or a CellFunction")
     times = np.arange(count + 1) * dt
-    poles, residues = secular_poles(sigma.values, sigma.grid.weights)
 
-    def response(v: np.ndarray) -> np.ndarray:
-        """<sigma e^{-t L_sigma} v> on the grid, for zero-mean v."""
-        return pole_sum(poles, residues * _eigen_coefficients(sigma, poles, v), times)
+    def response(v: CellFunction) -> np.ndarray:
+        """<sigma e^{-t L_sigma} (v - <v>)> on the grid."""
+        rates, amplitudes = _checked_poles(
+            sigma, v.values, times, "source poles miss <sigma (v - <v>)> at lag 0"
+        )
+        return pole_sum(rates, amplitudes, times)
 
     # initial-data term d(t) = < sigma e^{-t L} L_1 u_in >
-    d = response(fluctuation(u_in).values)
-
+    d = response(u_in)
     if f is None:
         return SourceTable(times, -d)
-
-    if isinstance(f, CellFunction):
-        g = response(fluctuation(f).values)
-        conv = np.concatenate(
-            ([0.0], np.cumsum(0.5 * dt * (g[1:] + g[:-1])))
-        )
-        return SourceTable(times, cell_average(f) - conv - d)
-
-    if callable(f):
-        n = sigma.grid.n
-        fvals = np.empty((count + 1, n))
-        for j in range(count + 1):
-            fj = np.asarray(f(times[j]), dtype=float)
-            if fj.shape != (n,):
-                raise ValueError("f(t) must return cell values on sigma's grid")
-            fvals[j] = fj
-        favg = fvals @ sigma.grid.weights
-        coef = _eigen_coefficients(sigma, poles, fvals - favg[:, None])
-        # trapezoid of int_0^t e^{-lambda_k (t-s)} coef_k(s) ds, per pole
-        decay = np.exp(-poles * dt)
-        acc = np.zeros(len(poles))
-        integral = np.zeros(count + 1)
-        for j in range(1, count + 1):
-            acc = decay * (acc + 0.5 * dt * coef[j - 1]) + 0.5 * dt * coef[j]
-            integral[j] = residues @ acc
-        return SourceTable(times, favg - integral - d)
-
-    raise TypeError("f must be None, a CellFunction, or a callable t -> values")
+    g = response(f)
+    conv = np.concatenate(([0.0], np.cumsum(0.5 * dt * (g[1:] + g[:-1]))))
+    return SourceTable(times, cell_average(f) - conv - d)

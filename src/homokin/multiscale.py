@@ -3,7 +3,7 @@
 For du/dt + sigma(x, x/eps) u = f with positive sigma, four routes to the
 (weak) limit are implemented and cross-checked:
 
-1. the oscillatory problem itself, solved exactly per x-node (Duhamel),
+1. the oscillatory problem itself, in closed form per x-node,
 2. the two-scale closed form u0(t, y) on the cell, averaged in y,
 3. the coupled mean/remainder system for (u_hom, r) with <r> = 0,
 4. the homogenized Volterra equation with the memory kernel and source
@@ -29,18 +29,21 @@ from .volterra import TimeGrid, VolterraProblem, solve_volterra
 class OdeProblem:
     """Cell data of the decay problem at a fixed macroscopic point.
 
-    ``f`` is None, a CellFunction (time-independent forcing), or a
-    callable t -> cell-values array.  ``epsilon`` only matters for the
-    oscillatory route.
+    ``f`` is None or a CellFunction: forcing constant in time, so every
+    route keeps a closed form, f (1 - e^{-t sigma}) / sigma per node, and
+    the homogenized source is one certified rule per term.  ``epsilon``
+    only matters for the oscillatory route.
     """
 
     sigma: CellFunction
-    f: object
+    f: CellFunction | None
     u_in: CellFunction
     t_end: float
     epsilon: float | None = None
 
     def __post_init__(self) -> None:
+        if self.f is not None and not isinstance(self.f, CellFunction):
+            raise TypeError("f must be None or a CellFunction")
         if np.min(self.sigma.values) <= 0:
             raise ValueError("decay coefficient must be strictly positive")
         if self.t_end <= 0:
@@ -74,50 +77,15 @@ class EpsOdeSolution:
     values: np.ndarray  # (nt+1, n_x)
 
 
-def _forcing_at(problem: OdeProblem, t: float) -> np.ndarray | None:
-    f = problem.f
-    if f is None:
-        return None
-    if isinstance(f, CellFunction):
-        return f.values
-    return np.asarray(f(t), dtype=float)
-
-
-def _add_duhamel(values: np.ndarray, times: np.ndarray, sig, forcing: Callable) -> None:
-    """values[j] += int_0^{t_j} e^{-(t_j - s) sig} forcing(s) ds, in place.
-
-    Trapezoid rule in s on the uniform grid ``times``, with one exact decay
-    factor per step: duh <- e duh + dt/2 (e f_{j-1} + f_j), e = e^{-dt sig}.
-    """
-    dt = times[1] - times[0]
-    e = np.exp(-sig * dt)
-    duh = np.zeros_like(sig)
-    fprev = forcing(0.0)
-    for j in range(1, len(times)):
-        fnext = forcing(times[j])
-        duh = e * duh + 0.5 * dt * (e * fprev + fnext)
-        values[j] += duh
-        fprev = fnext
-
-
 def solve_two_scale_closed(problem: OdeProblem, nt: int = 5000) -> TwoScaleOdeSolution:
-    """Closed-form two-scale solution on the cell grid.
-
-    Exact for forcing that is constant in time; trapezoid-in-time Duhamel
-    otherwise.  u_hom is the cell average of u0.
-    """
+    """Closed-form two-scale solution on the cell grid; u_hom is the cell average of u0."""
     grid = problem.sigma.grid
     sig = problem.sigma.values
     times = np.linspace(0.0, problem.t_end, nt + 1)
     decay = np.exp(-np.outer(times, sig))
     u0 = decay * problem.u_in.values
-    f = problem.f
-    if isinstance(f, CellFunction):
-        u0 = u0 + f.values * (1.0 - decay) / sig
-    elif callable(f):
-        _add_duhamel(u0, times, sig, lambda t: np.asarray(f(t), dtype=float))
-    elif f is not None:
-        raise TypeError("f must be None, a CellFunction, or a callable")
+    if problem.f is not None:
+        u0 = u0 + problem.f.values * (1.0 - decay) / sig
     return TwoScaleOdeSolution(times, u0, u0 @ grid.weights)
 
 
@@ -136,14 +104,10 @@ def solve_coupled_system(problem: OdeProblem, grid: TimeGrid) -> CoupledOdeSolut
     sig_mean = cell_average(problem.sigma)
     l1sig = fluctuation(problem.sigma).values
     op = CellOperator(problem.sigma)
+    f = problem.f
+    favg, fl = (0.0, 0.0) if f is None else (cell_average(f), fluctuation(f).values)
 
     def rhs(t: float, u: float, r: np.ndarray):
-        fv = _forcing_at(problem, t)
-        if fv is None:
-            favg, fl = 0.0, 0.0
-        else:
-            favg = float(w @ fv)
-            fl = fv - favg
         du = favg - sig_mean * u - float(w @ (sig * r))
         dr = -op.apply(r) - u * l1sig + fl
         return du, dr
@@ -202,18 +166,10 @@ def solve_eps_exact(
         raise ValueError("oscillatory decay coefficient must stay positive")
 
     times = np.linspace(0.0, problem.t_end, nt + 1)
-    values = np.exp(-np.outer(times, sig)) * u0x
-    f = problem.f
-    if f is not None:
-        if isinstance(f, CellFunction):
-            fx = lambda t: f.eval_periodic(y)
-        elif callable(f):
-            fx = lambda t: CellFunction(
-                problem.sigma.grid, np.asarray(f(t), dtype=float)
-            ).eval_periodic(y)
-        else:
-            raise TypeError("f must be None, a CellFunction, or a callable")
-        _add_duhamel(values, times, sig, fx)
+    decay = np.exp(-np.outer(times, sig))
+    values = decay * u0x
+    if problem.f is not None:
+        values += problem.f.eval_periodic(y) * (1.0 - decay) / sig
     return EpsOdeSolution(times, x, eps, values)
 
 

@@ -20,8 +20,10 @@ which decays like Var(l)/p, and the algebraically equivalent equation
 
 On the eigenvector of A for eigenvalue i, M(p) acts as sum_j w_j/(p - i l_j),
 which vanishes at p = i omega_k exactly where sum_j w_j/(l_j - omega) = 0.
-These secular roots interlace the atoms, the residue of B there is
-r_k = 1/sum_j w_j (l_j - omega_k)^-2, and Ktilde is the finite sum
+These roots interlace the atoms: they are the poles of the atoms' kernel
+measure, the eigenvalues of diag(l) compressed onto the mean-free data,
+with residues r_k = 1/sum_j w_j (l_j - omega_k)^-2 of total Var(l)
+(:func:`homokin.cell.exact_poles`).  Ktilde is the finite sum
 
     Ktilde(t) = sum_k r_k [cos(omega_k t) Id + sin(omega_k t) A],
 
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import CellFunction, pole_sum, secular_poles
+from .cell import exact_poles, pole_sum
 from .kernels import KernelTable
 from .volterra import TimeGrid, VolterraProblem, solve_volterra
 
@@ -57,11 +59,6 @@ class YoungMeasure:
             raise ValueError("weights must be nonnegative and sum to 1")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
-
-    @classmethod
-    def from_cell_function(cls, b: CellFunction) -> "YoungMeasure":
-        """Pushforward of the uniform cell measure under a periodic b(y)."""
-        return cls(b.values.copy(), b.grid.weights.copy())
 
     @classmethod
     def two_atoms(cls, low: float, high: float) -> "YoungMeasure":
@@ -153,10 +150,10 @@ def talbot_nodes_for(nu: YoungMeasure, t_max: float, base: int = 32) -> int:
 def kernel_time_table(nu: YoungMeasure, grid: TimeGrid) -> KernelTable:
     """Tabulate Ktilde = sum_k r_k [cos(omega_k t) Id + sin(omega_k t) A].
 
-    The frequencies and residues are the secular roots of the atoms; the
+    The frequencies and residues are the exact poles of the atoms; the
     lag-zero value is sum_k r_k = Var(l).
     """
-    freqs, residues = secular_poles(nu.atoms, nu.weights)
+    freqs, residues = exact_poles(nu.atoms, nu.weights)
     z = pole_sum(-1j * freqs, residues, grid.times)  # alpha + i beta
     values = z.real[:, None, None] * np.eye(2) + z.imag[:, None, None] * SKEW
     # Re[(r e^{i w t}) (Id - i A)] = r [cos(w t) Id + sin(w t) A]

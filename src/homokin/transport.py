@@ -33,12 +33,12 @@ slices; data that misses every r-node, or characteristics that would
 leave the spatial box, raise ConfigError.
 An independent closed-kernel route rebuilds psi_hom from memory kernels
 instead and must agree with it to solver accuracy.  Per (w, E) the
-corrector decays under sqrt(E) L_sigma, so that route works in the
-secular poles of the cell profile (:func:`homokin.cell.secular_poles`):
-kernels and corrector data are pole sums plus a remainder that decays
-pointwise, each advanced by an exact factor per step, and the implicit
-coupling goes through the same reduced n_omega^2 system.  Both limit
-solvers share one set of operators.
+corrector decays under sqrt(E) L_sigma, so that route works in all the
+poles of the cell profile, from one dense eigensystem per distinct
+profile (:func:`homokin.cell.exact_poles`): kernels and corrector data are
+pole sums plus a remainder that decays pointwise, each advanced by an
+exact factor per step, and the implicit coupling goes through the same
+reduced n_omega^2 system.  Both limit solvers share one set of operators.
 """
 
 from __future__ import annotations
@@ -49,10 +49,7 @@ from typing import Callable
 import numpy as np
 
 from . import ConfigError
-from .cell import PeriodicGrid, secular_poles
-
-# the older name of ConfigError, kept for callers that catch it
-ConfigurationError = ConfigError
+from .cell import PeriodicGrid, exact_poles
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,25 +386,20 @@ def _march(
     phi(t) = e^{-t rate} phi0 + int_0^t e^{-(t-s) rate} F(s) ds with
     F = S R phi, R reducing over (w', E', y') against kern with ``weight``,
     so F does not depend on y.  The decay is exact per node and the
-    integral is the trapezoid rule in s, its history advanced by one exact
-    factor per step, G <- e^{-dt rate} (G + F/2); the time error is
-    O(dt^2).  The implicit end point phi = known + (dt/2) F is solved
-    through g = R phi, and R sums kern over y' on the y-constant F.
+    integral is the trapezoid rule in s, so one step is
+    known = e^{-dt rate} (phi + (dt/2) F), phi = known + (dt/2) F; the time
+    error is O(dt^2).  The implicit end point is solved through g = R phi,
+    and R sums kern over y' on the y-constant F.
     """
     decay_step = np.exp(-dt * rate)
     solve = _implicit_inverse(ops.matrix(kern.sum(axis=3), 0.5 * dt * weight))
-    decay_t = np.ones_like(rate)
-    G = np.zeros(phi0.shape)
-    F = ops.spread(ops.reduce(kern, phi0, weight))[..., None]
-    yield phi0
+    phi = phi0
+    F = ops.spread(ops.reduce(kern, phi, weight))[..., None]
+    yield phi
     for _ in range(n_steps):
-        decay_t = decay_t * decay_step
-        G += 0.5 * F
-        G *= decay_step
-        known = decay_t * phi0 + dt * G
+        known = decay_step * (phi + 0.5 * dt * F)
         F = ops.spread(solve(ops.reduce(kern, known, weight)))[..., None]
-        phi = known + dt * 0.5 * F
-        G += 0.5 * F
+        phi = known + 0.5 * dt * F
         yield phi
 
 
@@ -588,7 +580,7 @@ def solve_closed_kernel_transport(
 
     The corrector is eliminated through its Duhamel formula, leaving a
     Volterra equation for psi_hom.  Per (w, E) the corrector decays under
-    sqrt(E) L_sigma.  On mean-free cell data L_sigma has the secular poles
+    sqrt(E) L_sigma.  On mean-free cell data L_sigma has the poles
     lambda_k of the profile sigma(w, E, .), with eigenvectors
     phi_k = 1/(sigma - lambda_k) and r_k = 1/<phi_k^2>, and it multiplies
     by sigma on the remainder, the data mean-free on each level set of
@@ -617,7 +609,7 @@ def solve_closed_kernel_transport(
     nw, ne, ny = sig.shape
     profiles, which = np.unique(sig.reshape(-1, ny), axis=0, return_inverse=True)
     which = which.reshape(nw, ne)
-    solved = [secular_poles(p, np.full(ny, wy)) for p in profiles]
+    solved = [exact_poles(p, np.full(ny, wy)) for p in profiles]
     m = max(len(poles) for poles, _ in solved)
     lam = np.zeros((len(profiles), m))
     res = np.zeros((len(profiles), m))  # padded poles carry no weight

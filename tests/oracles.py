@@ -1,9 +1,11 @@
-"""Dense reference routes that only the tests use.
+"""Reference routes that only the tests use.
 
-The package computes the cell semigroup and the memory kernel through
-exponential sums over poles.  These routes form the semigroup directly,
-by scaling-and-squaring of the dense operator matrix or by RK4 on the
-decay ODE, and serve as independent oracles for those sums.
+The package computes the cell semigroup, the memory kernel and the source
+through exponential sums over poles from Lanczos Gauss rules.  These routes
+form the semigroup directly, by scaling-and-squaring of the dense operator
+matrix or by RK4 on the decay ODE, or sum every pole of the secular
+equation (Golub 1973) with the eigenvector coefficients, and serve as
+independent oracles for those sums.
 """
 
 from __future__ import annotations
@@ -12,11 +14,16 @@ import numpy as np
 from scipy.linalg import expm
 
 from homokin.cell import (
+    POLE_CHUNK,
     CellFunction,
     CellOperator,
+    _distinct,
     fluctuation,
+    pole_sum,
     rk4_step,
 )
+
+_SECULAR_MAX_ITER = 60
 
 
 def _check_same_grid(a: CellFunction, b: CellFunction) -> None:
@@ -89,3 +96,101 @@ def memory_kernel_eval(sigma: CellFunction, tau: float) -> float:
     h = fluctuation(sigma)
     w = semigroup_apply(sigma, tau, h)
     return float(sigma.grid.weights @ (sigma.values * w.values))
+
+
+def secular_poles(values, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Roots and residues of the secular equation sum_j W_j / (d_j - x) = 0.
+
+    Values equal up to rounding are merged, weights summed and zero
+    weights dropped, into distinct d_1 < ... < d_m.  The secular function
+    rises from -inf to +inf on each gap (d_k, d_{k+1}), so it has exactly one
+    root lambda_k there; its residue is r_k = 1 / sum_j W_j (d_j - lambda_k)^-2.
+
+    Applied to (sigma, grid weights) the roots are the eigenvalues of the
+    rank-one update L_sigma = diag(sigma) - 1 (w sigma)^T other than 0 and
+    the sigma values, with eigenvectors 1/(sigma - lambda_k).  They are the
+    poles of B(p) at p = -lambda_k, so B(p) = p + <sigma> -
+    sum_k r_k/(p + lambda_k), the kernel is K(tau) = sum_k r_k
+    e^{-lambda_k tau} and sum_k r_k = Var sigma (Golub 1973).
+
+    Each root is found in the variable shifted to the nearer end of its
+    gap, by the two-pole rational iteration of Gu & Eisenstat kept inside
+    a shrinking bracket; rows of roots are solved in bounded chunks.
+    Raises RuntimeError if a root does not converge.
+    """
+    d, w, scale, _ = _distinct(values, weights)
+    roots = np.empty(max(len(w) - 1, 0))
+    residues = np.empty_like(roots)
+    rows = max(1, POLE_CHUNK // max(len(w), 1))
+    for start in range(0, len(roots), rows):
+        gaps = np.arange(start, min(start + rows, len(roots)))
+        roots[gaps], residues[gaps] = _solve_gaps(d, w, gaps)
+    return scale * roots, scale * scale * residues
+
+
+def _solve_gaps(d: np.ndarray, w: np.ndarray, k: np.ndarray):
+    """Secular roots in the gaps (d_k, d_{k+1}) for a run of indices k."""
+    rows = np.arange(len(k))
+    # origin: the end of the gap nearer the root, by the sign at mid-gap
+    delta = d - d[k][:, None]
+    f_mid = (w / (delta - 0.5 * delta[rows, k + 1][:, None])).sum(axis=1)
+    origin = np.where(f_mid >= 0.0, k, k + 1)
+    delta = d - d[origin][:, None]
+    lo, hi = delta[rows, k], delta[rows, k + 1]  # the gap's poles, shifted
+    y = 0.5 * (lo + hi)
+    # columns j <= k hold the left partial sum: all up to k[0], a band after
+    band = np.arange(k[0] + 1, k[-1] + 1) <= k[:, None]
+
+    def left_sum(a):
+        return a[:, : k[0] + 1].sum(axis=1) + (a[:, k[0] + 1 : k[-1] + 1] * band).sum(axis=1)
+
+    done = np.zeros(len(k), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_SECULAR_MAX_ITER):
+            inv = 1.0 / (delta - y[:, None])
+            terms = w * inv
+            f = terms.sum(axis=1)
+            f_left = left_sum(terms)
+            done |= np.abs(f) <= 16.0 * np.finfo(float).eps * (f - 2.0 * f_left)
+            if done.all():
+                break
+            lo = np.where(f < 0.0, y, lo)
+            hi = np.where(f > 0.0, y, hi)
+            # model c + s/(d1 - eta) + t/(d2 - eta) matching the slopes of
+            # the left and right partial sums; take its root in the gap
+            slope = terms * inv
+            s_left = left_sum(slope)
+            d1, d2 = delta[rows, k] - y, delta[rows, k + 1] - y
+            s, t = d1 * d1 * s_left, d2 * d2 * (slope.sum(axis=1) - s_left)
+            c = f - s / d1 - t / d2
+            b = c * (d1 + d2) + s + t
+            disc = np.sqrt(np.maximum(b * b - 4.0 * c * d1 * d2 * f, 0.0))
+            step = y + 2.0 * d1 * d2 * f / (b + np.copysign(disc, b))
+            step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+            # a bracket too narrow to split leaves the root at full precision
+            done |= (step <= lo) | (step >= hi) | (step == y)
+            y = np.where(done, y, step)
+    if not done.all():
+        raise RuntimeError(
+            f"secular equation: {int((~done).sum())} of {len(k)} roots did not "
+            f"converge in {_SECULAR_MAX_ITER} iterations"
+        )
+    inv = 1.0 / (delta - y[:, None])
+    return d[origin] + y, 1.0 / (w * inv * inv).sum(axis=1)
+
+
+def _eigen_coefficients(sigma: CellFunction, poles: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """<v / (sigma - lambda_k)> per pole for cell data v of shape (..., n)."""
+    wv = np.asarray(v) * sigma.grid.weights
+    out = np.empty(wv.shape[:-1] + (len(poles),))
+    cols = max(1, POLE_CHUNK // sigma.grid.n)
+    for i in range(0, len(poles), cols):
+        out[..., i : i + cols] = wv @ (1.0 / np.subtract.outer(sigma.values, poles[i : i + cols]))
+    return out
+
+
+def secular_response(sigma: CellFunction, v: np.ndarray, taus) -> np.ndarray:
+    """<sigma e^{-tau L_sigma} (v - <v>)> summed over every secular pole."""
+    poles, residues = secular_poles(sigma.values, sigma.grid.weights)
+    g = v - sigma.grid.weights @ v
+    return pole_sum(poles, residues * _eigen_coefficients(sigma, poles, g), taus)

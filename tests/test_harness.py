@@ -10,11 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import homokin.cell
 import homokin.kernels
 import homokin.multiscale
 import homokin.oscillator
-import homokin.transport
 from homokin.cell import gauss_poles
 from homokin.cli import build_parser, config_from_args, main
 from homokin.harness import (
@@ -90,6 +88,24 @@ class TestCsvDialect:
         assert text.splitlines()[0] == "a,b"
         assert text.splitlines()[1] == "0.33333333333333331,2"
         assert float(text.splitlines()[1].split(",")[0]) == 1.0 / 3.0
+
+    def test_mixed_types_match_per_value_formatting(self, tmp_path):
+        rows = [
+            ("closed-coupled", 1.0 / 3.0, 7, np.int64(-12), np.float64(2.0 / 3.0)),
+            ("t", np.float64(1e-300), np.int64(0), 5, -0.0),
+            (np.float64(np.pi), "x", 2.5e17, np.int64(2**40), float("inf")),
+            ("%s", 0.1, 1, np.int64(1), np.float64(1e22)),
+        ]
+        path = tmp_path / "mixed.csv"
+        write_csv(path, "a,b,c,d,e", rows)
+
+        def per_value(v):
+            return f"{v:.17g}" if isinstance(v, (float, np.floating)) else str(v)
+
+        expected = "a,b,c,d,e\n" + "".join(",".join(map(per_value, r)) + "\n" for r in rows)
+        assert path.read_bytes() == expected.encode()
+        write_csv(path, "a", [])
+        assert path.read_bytes() == b"a\n"
 
 
 class TestExperiments:
@@ -212,8 +228,8 @@ class TestCli:
         assert "numerical failure" not in err
 
     def test_kernel_pole_failure_exit_code(self, tmp_path, monkeypatch, capsys):
-        def corrupted(values, weights, taus):
-            poles, residues = gauss_poles(values, weights, taus)
+        def corrupted(values, weights, v, taus):
+            poles, residues = gauss_poles(values, weights, v, taus)
             return poles, 2.0 * residues
 
         monkeypatch.setattr(homokin.kernels, "gauss_poles", corrupted)
@@ -255,14 +271,17 @@ class TestCli:
         )
         assert code == 2
         assert "n_r" in capsys.readouterr().err
-        assert homokin.transport.ConfigurationError is ConfigError
 
-    def test_secular_nonconvergence_exit_code(self, tmp_path, monkeypatch, capsys):
-        # the ode kind's source table still solves the secular equation
-        monkeypatch.setattr(homokin.cell, "_SECULAR_MAX_ITER", 0)
+    def test_source_rule_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        # the ode kind's source table: a rule whose amplitudes miss <sigma u_in>
+        def corrupted(values, weights, v, taus):
+            rates, amplitudes = gauss_poles(values, weights, v, taus)
+            return rates, amplitudes if v is values else 2.0 * amplitudes
+
+        monkeypatch.setattr(homokin.kernels, "gauss_poles", corrupted)
         code = main(["ode", "--out", str(tmp_path)])
         assert code == 1
-        assert "did not converge" in capsys.readouterr().err
+        assert "lag 0" in capsys.readouterr().err
 
 
 def test_cli_import_loads_no_scipy():

@@ -79,6 +79,19 @@ class TestEpsRoute:
         with pytest.raises(ValueError):
             solve_eps_exact(prob, midpoints(10))
 
+    def test_callable_forcing_rejected(self):
+        with pytest.raises(TypeError, match="CellFunction"):
+            OdeProblem(SINE, lambda t: np.ones(GRID.n), ONES, 1.0)
+
+    def test_constant_forcing_closed_form(self):
+        # sigma and f constant: u = u_in e^{-2t} + (1 - e^{-2t}) / 2 at every node
+        sig = CellFunction(GRID, np.full(GRID.n, 2.0))
+        f = CellFunction(GRID, np.ones(GRID.n))
+        prob = OdeProblem(sig, f, ONES, 3.0, epsilon=0.1)
+        sol = solve_eps_exact(prob, midpoints(10), nt=30)
+        exact = 0.5 + 0.5 * np.exp(-2.0 * sol.times)
+        assert np.max(np.abs(sol.values - exact[:, None])) < 1e-15
+
 
 class TestTwoScaleClosed:
     def test_two_valued_average(self):

@@ -30,7 +30,7 @@ class TestYoungMeasure:
 
     def test_from_cell_function(self):
         b = CellFunction.from_function(PeriodicGrid(64), lambda y: 2 + np.cos(2 * np.pi * y))
-        nu = YoungMeasure.from_cell_function(b)
+        nu = YoungMeasure(b.values, b.grid.weights)
         assert abs(nu.weights.sum() - 1.0) < 1e-12
         assert abs(nu.mean - 2.0) < 1e-12
         assert abs(nu.variance - 0.5) < 1e-12
@@ -200,7 +200,7 @@ class TestEpsRouteConsistency:
         b = CellFunction.from_function(
             PeriodicGrid(128), lambda y: 2.0 + np.cos(2 * np.pi * y)
         )
-        nu = YoungMeasure.from_cell_function(b)
+        nu = YoungMeasure(b.values, b.grid.weights)
         t = 2.0
         ref = cell_averaged_limit(nu, t, U_IN)
         windows = [(0.13, 0.47), (0.28, 0.91), (0.55, 0.83)]

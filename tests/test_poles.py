@@ -1,4 +1,4 @@
-"""Secular-equation poles: unit checks and properties over random profiles."""
+"""Pole sums: Lanczos rules and exact poles against the secular-equation oracle."""
 
 import numpy as np
 import pytest
@@ -6,21 +6,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-import homokin.cell
+import homokin.kernels
+import oracles
 from homokin.cell import (
     CellFunction,
     PeriodicGrid,
+    cell_average,
+    exact_poles,
     gauss_poles,
     gauss_radau_rules,
     pole_sum,
-    secular_poles,
     sine_profile,
     two_valued_profile,
 )
-from homokin.kernels import KernelTable, kernel_laplace_semigroup, tartar_kernel_laplace
+from homokin.kernels import (
+    KernelTable,
+    build_source_table,
+    kernel_laplace_semigroup,
+    tartar_kernel_laplace,
+)
 from homokin.oscillator import YoungMeasure, cell_averaged_limit, solve_oscillator_limit
 from homokin.volterra import TimeGrid
-from oracles import memory_kernel_eval, operator_matrix
+from oracles import memory_kernel_eval, operator_matrix, secular_poles, secular_response
 
 EPS = np.finfo(float).eps
 # Gauss rule against the full secular pole sum, in units of eps Var sigma.
@@ -92,7 +99,7 @@ class TestSecularPoles:
         assert poles.shape == residues.shape == (0,)
 
     def test_unconverged_root_raises(self, monkeypatch):
-        monkeypatch.setattr(homokin.cell, "_SECULAR_MAX_ITER", 1)
+        monkeypatch.setattr(oracles, "_SECULAR_MAX_ITER", 1)
         values = np.random.default_rng(3).uniform(1.0, 2.0, 64)
         with pytest.raises(RuntimeError, match="did not converge"):
             secular_poles(values, np.full(64, 1 / 64))
@@ -103,7 +110,7 @@ class TestGaussPoles:
     @given(sigma_profiles(), HORIZONS)
     def test_positive_rule_of_mass_var_inside_the_values(self, sigma, horizon):
         v = sigma.values
-        nodes, weights = gauss_poles(v, sigma.grid.weights, np.linspace(0.0, horizon, 2001))
+        nodes, weights = gauss_poles(v, sigma.grid.weights, v, np.linspace(0.0, horizon, 2001))
         assert np.all(weights > 0)
         assert np.all((nodes >= v.min()) & (nodes <= v.max()))
         assert abs(weights.sum() - variance(sigma)) < 1e-12
@@ -125,15 +132,17 @@ class TestGaussPoles:
     def test_exhausted_krylov_space_is_exact(self):
         # two values: one pole at the swapped mean 1 * 1/2 + 3 * 1/2, weight Var = 1
         sigma = CellFunction.from_function(PeriodicGrid(64), two_valued_profile(1.0, 3.0))
-        nodes, weights = gauss_poles(sigma.values, sigma.grid.weights, [0.0, 1.0, 50.0])
+        v = sigma.values
+        nodes, weights = gauss_poles(v, sigma.grid.weights, v, [0.0, 1.0, 50.0])
         assert np.allclose(nodes, [2.0], rtol=0, atol=1e-15)
         assert np.allclose(weights, [1.0], rtol=0, atol=1e-15)
-        constant = gauss_poles(np.full(8, 2.0), np.full(8, 0.125), [0.0, 1.0])
+        constant = gauss_poles(np.full(8, 2.0), np.full(8, 0.125), np.arange(8.0), [0.0, 1.0])
         assert constant[0].shape == constant[1].shape == (0,)
 
     def test_smooth_profile_needs_few_nodes(self):
         sigma = CellFunction.from_function(PeriodicGrid(4096), sine_profile(2.0, 0.5))
-        nodes, _ = gauss_poles(sigma.values, sigma.grid.weights, np.arange(4001) * 5e-3)
+        v = sigma.values
+        nodes, _ = gauss_poles(v, sigma.grid.weights, v, np.arange(4001) * 5e-3)
         assert len(nodes) <= 16  # of 2047 secular poles
 
 
@@ -141,12 +150,134 @@ def assert_certified_rule(v, w, taus, var):
     """K_Q within KERNEL_GAP_EPS of the full pole sum; Gauss <= K <= Radau at q = 1, 2, Q/2, Q."""
     full = pole_sum(*secular_poles(v, w), taus)
     tol = KERNEL_GAP_EPS * EPS * var
-    nodes, weights = gauss_poles(v, w, taus)
+    nodes, weights = gauss_poles(v, w, v, taus)
     assert np.max(np.abs(pole_sum(nodes, weights, taus) - full)) <= tol
     for q in {1, 2, max(len(nodes) // 2, 1), max(len(nodes), 1)}:
-        gauss, radau = gauss_radau_rules(v, w, q)
+        gauss, radau = gauss_radau_rules(v, w, q, v)
         assert np.max(pole_sum(*gauss, taus) - full) <= tol
         assert np.max(full - pole_sum(*radau, taus)) <= tol
+
+
+def level_mean_norm(sigma: CellFunction, v: np.ndarray) -> float:
+    """|vbar|: the weighted norm of the mean-free level-set means of v.
+
+    Levels are the exactly equal values; merging values equal up to
+    rounding, as the package does, only lowers the norm.
+    """
+    w = sigma.grid.weights
+    _, level = np.unique(sigma.values, return_inverse=True)
+    mass = np.bincount(level, weights=w)
+    vbar = np.bincount(level, weights=w * v) / mass - w @ v
+    return float(np.sqrt(mass @ vbar**2))
+
+
+@st.composite
+def cell_data(draw, sigma):
+    """Data on sigma's grid: a mean in [-2, 2] plus a bounded fluctuation."""
+    mean = draw(st.floats(-2.0, 2.0))
+    spread = draw(hnp.arrays(np.float64, sigma.grid.n, elements=st.floats(-1.0, 1.0)))
+    return mean + spread
+
+
+@st.composite
+def level_free_pairs(draw):
+    """(sigma, v) whose level-set means vanish: each value of sigma on two
+    nodes, v = c + b on the first and c - b on the second."""
+    k = draw(st.integers(1, 128))
+    values = draw(hnp.arrays(np.float64, k, elements=st.floats(0.2, 5.0)))
+    b = draw(hnp.arrays(np.float64, k, elements=st.floats(-1.0, 1.0)))
+    c = draw(st.floats(-2.0, 2.0))
+    sigma = CellFunction(PeriodicGrid(2 * k), np.concatenate((values, values)))
+    return sigma, np.concatenate((c + b, c - b))
+
+
+class TestPolarizedSource:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), HORIZONS)
+    def test_matches_secular_oracle_inside_the_bracket(self, data, horizon):
+        sigma = data.draw(sigma_profiles())
+        v = data.draw(cell_data(sigma))
+        w = sigma.grid.weights
+        taus = np.linspace(0.0, horizon, 2001)
+        rates, amplitudes = gauss_poles(sigma.values, w, v, taus)
+        # 16 eps |h| |vbar| certified, plus the rounding of both routes
+        certified = 16.0 * level_mean_norm(sigma, v)
+        rounding = KERNEL_GAP_EPS * np.max(np.abs(v))
+        tol = (certified + rounding) * EPS * np.sqrt(variance(sigma))
+        gap = pole_sum(rates, amplitudes, taus) - secular_response(sigma, v, taus)
+        assert np.max(np.abs(gap)) <= tol
+
+    @settings(max_examples=60, deadline=None)
+    @given(level_free_pairs())
+    def test_vanishing_level_means_give_an_exact_zero(self, pair):
+        sigma, v = pair
+        table = build_source_table(sigma, CellFunction(sigma.grid, v), None, 0.1, 50)
+        assert np.all(table.values == 0.0)
+
+    def test_cosine_on_the_sine_profile_is_zero(self):
+        # sin(2 pi y) takes each value at y and 1/2 - y, where cos(2 pi y) flips sign
+        for n in (64, 4096):
+            grid = PeriodicGrid(n)
+            sigma = CellFunction.from_function(grid, sine_profile(2.0, 0.5))
+            u_in = CellFunction.from_function(grid, lambda y: np.cos(2 * np.pi * y))
+            rates, _ = gauss_poles(sigma.values, grid.weights, u_in.values, [0.0, 1.0])
+            assert rates.shape == (0,)
+            table = build_source_table(sigma, u_in, u_in, 0.1, 50)
+            # only the forcing's own mean, rounding noise here, is left
+            assert np.all(table.values == cell_average(u_in))
+
+    def test_small_level_means_are_kept(self):
+        # constant on each of two levels of 2048 nodes: the level sums are exact
+        grid = PeriodicGrid(4096)
+        sigma = CellFunction.from_function(grid, two_valued_profile(1.0, 3.0))
+        v = 1.0 + 1e-11 * (sigma.values > 2.0)
+        taus = np.linspace(0.0, 5.0, 11)
+        table = pole_sum(*gauss_poles(sigma.values, grid.weights, v, taus), taus)
+        oracle = secular_response(sigma, v, taus)
+        assert np.max(np.abs(table - oracle)) <= 1e-6 * np.max(np.abs(oracle))
+
+    def test_missed_lag_zero_value_raises(self, monkeypatch):
+        def corrupted(values, weights, v, taus):
+            rates, amplitudes = gauss_poles(values, weights, v, taus)
+            return rates, 1.5 * amplitudes
+
+        monkeypatch.setattr(homokin.kernels, "gauss_poles", corrupted)
+        grid = PeriodicGrid(64)
+        sigma = CellFunction.from_function(grid, sine_profile(2.0, 0.5))
+        u_in = CellFunction.from_function(grid, lambda y: 1.0 + np.sin(2 * np.pi * y))
+        with pytest.raises(RuntimeError, match="lag 0"):
+            build_source_table(sigma, u_in, None, 0.1, 10)
+
+
+class TestExactPoles:
+    @settings(max_examples=60, deadline=None)
+    @given(sigma_profiles())
+    def test_matches_secular_oracle_on_profiles(self, sigma):
+        assert_same_poles(sigma.values, sigma.grid.weights)
+
+    @settings(max_examples=60, deadline=None)
+    @given(young_measures())
+    def test_matches_secular_oracle_on_young_measures(self, nu):
+        assert_same_poles(nu.atoms, nu.weights)
+
+    def test_equal_values_merge_and_zero_weights_drop(self):
+        values = [1.0, 3.0, 1.0 + EPS, 3.0, 7.0]
+        poles, residues = exact_poles(values, [0.25, 0.25, 0.25, 0.25, 0.0])
+        assert np.allclose(poles, [2.0], rtol=0, atol=1e-15)
+        assert np.allclose(residues, [1.0], rtol=0, atol=1e-15)
+        constant = exact_poles(np.full(8, 2.0), np.full(8, 0.125))
+        assert constant[0].shape == constant[1].shape == (0,)
+
+
+def assert_same_poles(values, weights):
+    """exact_poles against the secular roots: poles to 64 eps of the largest value,
+    residues to the oracle's own KERNEL_GAP_EPS eps Var."""
+    poles, residues = exact_poles(values, weights)
+    oracle_poles, oracle_residues = secular_poles(values, weights)
+    var = float(weights @ (values - weights @ values) ** 2)
+    assert poles.shape == oracle_poles.shape
+    assert np.max(np.abs(poles - oracle_poles), initial=0.0) <= 64 * EPS * np.max(np.abs(values))
+    assert np.max(np.abs(residues - oracle_residues), initial=0.0) <= KERNEL_GAP_EPS * EPS * var
 
 
 class TestKernelProperties:

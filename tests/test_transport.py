@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from homokin import ConfigError
 from homokin.boltzmann import solve_separable_energy_model
 from homokin.cell import PeriodicGrid
 from homokin.transport import (
-    ConfigurationError,
     OpticalParameters,
     TransportGrids,
     coercivity_test,
@@ -200,7 +200,7 @@ class TestCharacteristicsSolver:
         assert sol.min_value >= 0.0
 
     def test_exterior_characteristics_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigError):
             solve_characteristics_eps(
                 SUB, hat_initial_data(0.5), 0.25, GRIDS, t_end=5.0
             )
