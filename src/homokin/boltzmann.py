@@ -29,13 +29,7 @@ from . import ConfigError
 from .cell import (
     CellFunction, PeriodicGrid, indicator_sine_profile, rk4_step, sine_profile
 )
-from .diagnostics import (
-    ConvergenceReport,
-    EnergyField,
-    legendre_modes,
-    mode_error,
-    norm_difference,
-)
+from .diagnostics import EnergyField, legendre_modes, mode_error, norm_difference
 
 PLACEMENTS = ("inside", "outside")
 INIT_MODES = ("oscillatory", "profile")
@@ -331,26 +325,3 @@ def sweep_point(
     ndiff = norm_difference(eps_field, hom)
     sup_l2 = float(np.max(np.sqrt((eps_field.values**2) @ eps_field.e_weights)))
     return SweepPointResult(epsilon, errors, ndiff, sup_l2)
-
-
-def convergence_study(
-    example_id: int,
-    placement: str,
-    epsilons=None,
-    k_max: int = 8,
-    **kwargs,
-) -> tuple[ConvergenceReport, list[SweepPointResult]]:
-    """Run a full eps sweep and aggregate it into a ConvergenceReport."""
-    if epsilons is None:
-        epsilons = DEFAULT_SWEEP
-    eps_sorted = sorted(float(e) for e in epsilons)[::-1]
-    points = [
-        sweep_point(example_id, placement, eps, k_max, **kwargs)
-        for eps in eps_sorted
-    ]
-    report = ConvergenceReport.from_sweep(
-        np.array(eps_sorted),
-        np.stack([p.mode_errors for p in points]),
-        np.array([p.norm_diff for p in points]),
-    )
-    return report, points

@@ -18,6 +18,7 @@ from .harness import (
     default_out_dir,
     emit_plot_script,
     parse_config_file,
+    parse_epsilons,
     run_experiment,
 )
 
@@ -61,9 +62,7 @@ def config_from_args(args) -> ExperimentConfig:
     if args.init_mode is not None:
         overrides["init_mode"] = args.init_mode
     if args.eps is not None:
-        overrides["epsilons"] = tuple(
-            float(tok) for tok in args.eps.split(",") if tok.strip()
-        )
+        overrides["epsilons"] = parse_epsilons(args.eps)
     if args.out is not None:
         overrides["out_dir"] = args.out
     for name in ("workers", "seed", "n_cell", "n_e", "n_omega", "n_r", "n_y"):

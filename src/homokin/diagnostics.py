@@ -52,21 +52,6 @@ class EnergyField:
         return float(np.sqrt(np.trapezoid(sq, self.times)))
 
 
-@dataclass(frozen=True, eq=False)
-class CellEnergyField:
-    """Field over (t, E, y); y carries cell-average weights."""
-
-    times: np.ndarray
-    energies: np.ndarray
-    e_weights: np.ndarray
-    y_weights: np.ndarray
-    values: np.ndarray  # (nt, nE, ny)
-
-    def l2_norm(self) -> float:
-        sq = np.einsum("tey,e,y->t", self.values**2, self.e_weights, self.y_weights)
-        return float(np.sqrt(np.trapezoid(sq, self.times)))
-
-
 def orthonormal_polynomials(
     nodes: np.ndarray, weights: np.ndarray, k_max: int
 ) -> np.ndarray:

@@ -102,6 +102,18 @@ _SECTION_FIELDS = {
 _INT_FIELDS = {"n_cell", "n_e", "n_omega", "n_r", "n_y", "seed", "workers"}
 
 
+def parse_epsilons(text: str) -> tuple:
+    """Comma-separated sweep values; ConfigError names a token that is no number."""
+    eps = []
+    for tok in text.split(","):
+        if tok.strip():
+            try:
+                eps.append(float(tok))
+            except ValueError as exc:
+                raise ConfigError(f"eps: expected a number, got {tok.strip()!r}") from exc
+    return tuple(eps)
+
+
 def parse_config_file(path: str) -> dict:
     """Read the flat INI config into a plain override dict."""
     parser = configparser.ConfigParser()
@@ -116,9 +128,7 @@ def parse_config_file(path: str) -> dict:
             if key not in keys:
                 raise ConfigError(f"{section}.{key}: unknown configuration key")
             if key == "eps":
-                overrides["epsilons"] = tuple(
-                    float(tok) for tok in value.split(",") if tok.strip()
-                )
+                overrides["epsilons"] = parse_epsilons(value)
             elif key == "out":
                 overrides["out_dir"] = value
             elif key in _INT_FIELDS:
@@ -338,7 +348,7 @@ def _run_transport(config: ExperimentConfig, out_dir: str) -> dict:
             params, phi_in, eps, grids, t_end=t_end, n_steps=150, n_windows=n_windows
         )
         weak_rows.append(
-            (eps, windowed_weak_error(sol, hom.psi_hom, n_windows), sol.sup_l2)
+            (eps, windowed_weak_error(sol, hom, n_windows), sol.sup_l2)
         )
     weak_path = os.path.join(out_dir, "transport_weak.csv")
     write_csv(weak_path, "epsilon,weak_error,sup_l2", weak_rows)

@@ -73,16 +73,17 @@ class KernelTable:
     ``values`` is (count+1,) for scalar kernels or (count+1, d, d) for
     matrix-valued ones (used by the oscillator limit equation).
 
-    ``modes = (rates, amplitudes)``, when given, is the pole form of the
-    kernel at positive lags: K(tau) = Re sum_k amplitudes_k e^{-rates_k tau}
-    for tau >= dt, with amplitudes of shape (m,) or (m, d, d), possibly
-    complex.  Lag zero is always the tabulated value.  The solver advances
-    its history through one recursion per pole when modes are present.
+    ``modes = (rates, amplitudes)`` is the pole form of the kernel at
+    positive lags: K(tau) = Re sum_k amplitudes_k e^{-rates_k tau} for
+    tau >= dt, with amplitudes of shape (m,) or (m, d, d), possibly
+    complex; a zero kernel has no modes (m = 0).  Lag zero is always the
+    tabulated value.  The solver advances its history through one
+    recursion per pole.
     """
 
     taus: np.ndarray
     values: np.ndarray
-    modes: tuple[np.ndarray, np.ndarray] | None = None
+    modes: tuple[np.ndarray, np.ndarray]
 
     def __post_init__(self) -> None:
         taus = np.asarray(self.taus, dtype=float)
@@ -95,8 +96,7 @@ class KernelTable:
             raise ValueError("kernel values must be finite")
         object.__setattr__(self, "taus", taus)
         object.__setattr__(self, "values", values)
-        if self.modes is not None:
-            object.__setattr__(self, "modes", self._checked_modes())
+        object.__setattr__(self, "modes", self._checked_modes())
 
     def _checked_modes(self) -> tuple[np.ndarray, np.ndarray]:
         """The modes as arrays; ValueError unless they reproduce lag 1 and the last lag."""

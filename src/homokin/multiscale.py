@@ -10,14 +10,12 @@ For du/dt + sigma(x, x/eps) u = f with positive sigma, four routes to the
    from :mod:`homokin.kernels`.
 
 Routes 2-4 must agree to solver accuracy; route 1 converges to them only
-weakly in x, which is what the windowed-average diagnostics measure.
+weakly in x, which is what the weak test-function errors measure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .cell import CellFunction, CellOperator, cell_average, fluctuation, rk4_step
@@ -145,23 +143,19 @@ def solve_eps_exact(
     problem: OdeProblem,
     x_nodes: np.ndarray,
     nt: int = 5000,
-    sigma_xy: Callable | None = None,
-    u_in_xy: Callable | None = None,
 ) -> EpsOdeSolution:
     """Duhamel evaluation of the oscillatory problem per x-node.
 
-    By default the cell data is purely periodic, sampled at y = x/eps
-    (analytic profile when available, periodic linear interpolation
-    otherwise).  ``sigma_xy`` / ``u_in_xy`` override with genuinely
-    x-modulated coefficients, called as fn(x, y) on arrays.
+    The cell data is purely periodic, sampled at y = x/eps (analytic
+    profile when available, periodic linear interpolation otherwise).
     """
     if problem.epsilon is None:
         raise ValueError("oscillatory route needs problem.epsilon")
     eps = problem.epsilon
     x = np.asarray(x_nodes, dtype=float)
     y = np.mod(x / eps, 1.0)
-    sig = sigma_xy(x, y) if sigma_xy is not None else problem.sigma.eval_periodic(y)
-    u0x = u_in_xy(x, y) if u_in_xy is not None else problem.u_in.eval_periodic(y)
+    sig = problem.sigma.eval_periodic(y)
+    u0x = problem.u_in.eval_periodic(y)
     if np.min(sig) <= 0:
         raise ValueError("oscillatory decay coefficient must stay positive")
 
@@ -171,35 +165,6 @@ def solve_eps_exact(
     if problem.f is not None:
         values += problem.f.eval_periodic(y) * (1.0 - decay) / sig
     return EpsOdeSolution(times, x, eps, values)
-
-
-def two_scale_reference_on_x(
-    sigma_xy: Callable,
-    u_in_xy: Callable,
-    x_nodes: np.ndarray,
-    cell_nodes: np.ndarray,
-    t: float,
-) -> np.ndarray:
-    """u_hom(t, x) for x-modulated data: per-x cell average of the closed form."""
-    x = np.asarray(x_nodes, dtype=float)[:, None]
-    y = np.asarray(cell_nodes, dtype=float)[None, :]
-    return np.mean(u_in_xy(x, y) * np.exp(-sigma_xy(x, y) * t), axis=1)
-
-
-def windowed_average_errors(
-    x_nodes: np.ndarray,
-    diff: np.ndarray,
-    windows,
-) -> np.ndarray:
-    """|window average of diff| per window, midpoint quadrature in x."""
-    x = np.asarray(x_nodes)
-    out = []
-    for a, b in windows:
-        mask = (x >= a) & (x < b)
-        if not np.any(mask):
-            raise ValueError(f"window ({a}, {b}) contains no x-nodes")
-        out.append(abs(float(np.mean(diff[mask]))))
-    return np.array(out)
 
 
 def weak_test_function_errors(

@@ -77,16 +77,6 @@ class YoungMeasure:
         return float(np.max(np.abs(self.atoms)))
 
 
-def rotation_matrix(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, s], [-s, c]])
-
-
-def exact_rotation(b: float, t: float, u_in: np.ndarray) -> np.ndarray:
-    """Flow of dU/dt = b A U: a rotation by angle b t."""
-    return rotation_matrix(b * t) @ np.asarray(u_in, dtype=float)
-
-
 def cell_averaged_limit(nu: YoungMeasure, t, u_in: np.ndarray) -> np.ndarray:
     """Measure-averaged rotations: the reference weak limit.
 
@@ -101,38 +91,6 @@ def cell_averaged_limit(nu: YoungMeasure, t, u_in: np.ndarray) -> np.ndarray:
         [c * u_in[0] + s * u_in[1], -s * u_in[0] + c * u_in[1]], axis=-1
     )
     return out[0] if np.isscalar(t) else out
-
-
-def _resolvent_scalars(nu: YoungMeasure, p):
-    """a(p), c(p) with M(p) = a Id + c A; complex p allowed."""
-    p = np.asarray(p)
-    denom = p[..., None] ** 2 + nu.atoms**2
-    a = ((p[..., None] / denom) * nu.weights).sum(axis=-1)
-    c = ((nu.atoms / denom) * nu.weights).sum(axis=-1)
-    return a, c
-
-
-def _commutant_matrix(alpha, beta) -> np.ndarray:
-    """alpha Id + beta A as an explicit 2x2 (works for complex entries)."""
-    return np.array([[alpha, beta], [-beta, alpha]])
-
-
-def matrix_B(nu: YoungMeasure, p) -> np.ndarray:
-    """B(p) = M(p)^{-1}; M's commutant form inverts in closed form."""
-    if not np.iscomplexobj(np.asarray(p)) and np.real(p) <= 0:
-        raise ValueError(f"p must be positive, got {p}")
-    a, c = _resolvent_scalars(nu, p)
-    det = a * a + c * c
-    return _commutant_matrix(a / det, -c / det)
-
-
-def regularized_kernel_laplace(nu: YoungMeasure, p) -> np.ndarray:
-    """Ktilde_hat(p) = B(p) - p Id + b* A; decays like Var/p at large p."""
-    if not np.iscomplexobj(np.asarray(p)) and np.real(p) <= 0:
-        raise ValueError(f"p must be positive, got {p}")
-    a, c = _resolvent_scalars(nu, p)
-    det = a * a + c * c
-    return _commutant_matrix(a / det - p, -c / det + nu.mean)
 
 
 # Talbot contour size; unused here, perfbench/workloads.py counts work with it.
@@ -188,22 +146,3 @@ def kernel_components(table: KernelTable) -> tuple[np.ndarray, np.ndarray]:
     alpha = 0.5 * (vals[:, 0, 0] + vals[:, 1, 1])
     beta = 0.5 * (vals[:, 0, 1] - vals[:, 1, 0])
     return alpha, beta
-
-
-def averaged_rotation_laplace_numeric(
-    nu: YoungMeasure, p: float, u_in: np.ndarray, tail_tol: float = 1e-6
-) -> np.ndarray:
-    """Trapezoid Laplace transform of the averaged rotations.
-
-    The averages oscillate without decay, so the horizon is set from
-    exp(-p T)/p <= tail_tol and the step resolves the fastest rotation.
-    """
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
-    t_max = np.log(1.0 / (p * tail_tol)) / p
-    dt = min(2e-4, 0.05 / max(nu.max_abs_atom, 1.0))
-    n = int(np.ceil(t_max / dt))
-    ts = np.linspace(0.0, n * dt, n + 1)
-    vals = cell_averaged_limit(nu, ts, np.asarray(u_in, dtype=float))
-    weights = np.exp(-p * ts)
-    return np.trapezoid(weights[:, None] * vals, ts, axis=0)

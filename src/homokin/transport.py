@@ -244,14 +244,13 @@ def coercivity_test(
 
 @dataclass(frozen=True, eq=False)
 class PhaseSpaceField:
-    """Kinetic field over (t, r, omega, E) with optional cell axis."""
+    """Kinetic field over (t, r, omega, E)."""
 
     times: np.ndarray
     r_nodes: np.ndarray
     angles: np.ndarray
     energies: np.ndarray
-    values: np.ndarray          # (nt, nr, nw, nE[, ny])
-    y_nodes: np.ndarray | None = None
+    values: np.ndarray          # (nt, nr, nw, nE)
 
 
 def transport_preset(name: str) -> OpticalParameters:
@@ -495,13 +494,6 @@ def solve_characteristics_eps(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class TwoScaleTransportSolution:
-    psi_hom: PhaseSpaceField
-    rho: PhaseSpaceField
-    max_mean_rho: float
-
-
 class _TwoScaleOperators(_Scattering):
     """Set-up shared by the two limit solvers on the (omega, E, y) grid.
 
@@ -517,15 +509,12 @@ class _TwoScaleOperators(_Scattering):
         super().__init__(grids, self.energies, k1)
         self.we = grids.energy_weight()
         self.sqrtE = np.sqrt(self.energies)
-        self.y_nodes = PeriodicGrid(grids.n_y).nodes
+        y = PeriodicGrid(grids.n_y).nodes
         self.wy = 1.0 / grids.n_y
-        self.sig = params.sample_sigma(grids.angles, self.energies, self.y_nodes)
-        self.k2y = _mu_table(
-            params.kappa2, grids, self.energies[:, None], self.y_nodes
-        )  # (nw, nw, nE', ny)
+        self.sig = params.sample_sigma(grids.angles, self.energies, y)
+        self.k2y = _mu_table(params.kappa2, grids, self.energies[:, None], y)  # (nw, nw, nE', ny)
         self.active, self.phi0 = _initial_slices(
-            phi_in, grids, t_end,
-            grids.angles[:, None, None], self.energies[:, None], self.y_nodes,
+            phi_in, grids, t_end, grids.angles[:, None, None], self.energies[:, None], y
         )  # (na, nw, nE, ny)
 
 
@@ -535,18 +524,16 @@ def solve_two_scale_transport(
     grids: TransportGrids,
     t_end: float = 1.5,
     n_steps: int = 300,
-) -> TwoScaleTransportSolution:
+) -> PhaseSpaceField:
     """Product-trapezoid march of the two-scale field phi(r, w, E, y).
 
     phi starts at phi_in and solves dphi/dt = -sqrt(E) sigma phi + S R phi
     through :func:`_march`, where R reduces phi over (w', E', y') against
     kappa2, so the scattering term does not depend on y.  The decay is
     exact at each cell node and the time error is O(dt^2), that of the
-    oscillatory solver it is compared with.  psi_hom = <phi>_y is the
-    homogenized field and rho = phi - <phi>_y the corrector, returned at
-    the final time; ``max_mean_rho`` is the largest y-mean of that
-    corrector, zero up to rounding.  Only the r-slices where phi_in is
-    nonzero are marched; the returned fields cover every r-node.
+    oscillatory solver it is compared with.  Returns the homogenized
+    field psi_hom = <phi>_y at every step.  Only the r-slices where phi_in
+    is nonzero are marched; the returned field covers every r-node.
     """
     op = _TwoScaleOperators(params, phi_in, grids, t_end)
     rate = op.sqrtE[None, :, None] * op.sig
@@ -557,16 +544,7 @@ def solve_two_scale_transport(
     march = _march(op, op.k2y, op.we * op.wy, rate, op.phi0, dt, n_steps)
     for n, phi in enumerate(march):
         psis[n, op.active] = phi.mean(axis=3)
-    hom_field = PhaseSpaceField(times, r, grids.angles, op.energies, psis)
-    # only the final corrector state is kept; its history would dominate
-    # memory and downstream consumers need the invariant, not the path
-    rho = np.zeros((1, len(r)) + phi.shape[1:])
-    rho[0, op.active] = phi - psis[-1, op.active][..., None]
-    max_mean = float(np.max(np.abs(rho.mean(axis=4))))
-    rho_field = PhaseSpaceField(
-        times[-1:], r, grids.angles, op.energies, rho, y_nodes=op.y_nodes
-    )
-    return TwoScaleTransportSolution(hom_field, rho_field, max_mean)
+    return PhaseSpaceField(times, r, grids.angles, op.energies, psis)
 
 
 def solve_closed_kernel_transport(

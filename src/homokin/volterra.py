@@ -16,15 +16,14 @@ coefficients.  Kernels are supplied tabulated on the solver's own grid;
 the solver never interpolates.
 
 The known part of each step's history, sum_{j=1}^{n} K_{n+1-j} u_j, comes
-from one of two places.  A table that carries its pole form
-K(tau) = Re sum_k A_k e^{-rates_k tau} (``KernelTable.modes``) gives it as
-Re sum_k A_k H_k, and each pole state advances by one recursion per step,
+from the kernel's pole form K(tau) = Re sum_k A_k e^{-rates_k tau}
+(``KernelTable.modes``) as Re sum_k A_k H_k, and each pole state advances
+by one recursion per step,
 
     H_k <- q_k (H_k + u_n),    q_k = e^{-rates_k dt},
 
 so a march of N steps over m poles costs O(N m) (Jiang, Zhang, Zhang &
-Zhang 2017; Lubich & Schaedle 2002).  A plain table, without modes, is
-summed directly at each step, which costs O(N^2).
+Zhang 2017; Lubich & Schaedle 2002).
 """
 
 from __future__ import annotations
@@ -129,7 +128,7 @@ def _source_samples(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:
 
 
 def _history_poles(problem: VolterraProblem, dt: float):
-    """(q, amplitudes, H) of the pole recursion, or None for a plain table.
+    """(q, amplitudes, H) of the pole recursion.
 
     q_k = e^{-rates_k dt}, shaped to scale the pole states H_k, which start
     at zero.  A memoryless problem has no poles.
@@ -137,8 +136,6 @@ def _history_poles(problem: VolterraProblem, dt: float):
     if problem.kernel is None:
         rates = np.zeros(0)
         amps = np.zeros((0,) if problem.dim == 1 else (0, 2, 2))
-    elif problem.kernel.modes is None:
-        return None
     else:
         rates, amps = problem.kernel.modes
     q = np.exp(-rates * dt)
@@ -156,9 +153,7 @@ def solve_volterra(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:
     count, dt = grid.count, grid.dt
     K = _kernel_samples(problem, grid)
     S = _source_samples(problem, grid)
-    poles = _history_poles(problem, dt)
-    if poles is not None:
-        q, amps, H = poles
+    q, amps, H = _history_poles(problem, dt)
     local_src = 0.5 * dt * (S[:-1] + S[1:])
 
     if problem.dim == 1:
@@ -171,11 +166,7 @@ def solve_volterra(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:
         head = 0.5 * dt * K[1:] * u[0]  # the u_0 end of the trapezoid
         conv_prev = 0.0  # full trapezoid convolution at t_n
         for n in range(count):
-            if poles is None:
-                hist = K[n:0:-1] @ u[1 : n + 1]
-            else:
-                hist = (amps @ H).real
-            conv_next_known = head[n] + dt * hist
+            conv_next_known = head[n] + dt * (amps @ H).real
             rhs = (
                 u[n] * (1.0 - 0.5 * dt * a)
                 + local_src[n]
@@ -183,8 +174,7 @@ def solve_volterra(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:
             )
             u[n + 1] = rhs / factor
             conv_prev = conv_next_known + 0.5 * dt * K[0] * u[n + 1]
-            if poles is not None:
-                H = q * (H + u[n + 1])
+            H = q * (H + u[n + 1])
         return u
 
     a = problem.a
@@ -199,11 +189,7 @@ def solve_volterra(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:
     head = 0.5 * dt * K[1:] @ u[0]
     conv_prev = np.zeros(2)
     for n in range(count):
-        if poles is None:
-            hist = np.einsum("tij,tj->i", K[n:0:-1], u[1 : n + 1])
-        else:
-            hist = np.einsum("kij,kj->i", amps, H).real
-        conv_next_known = head[n] + dt * hist
+        conv_next_known = head[n] + dt * np.einsum("kij,kj->i", amps, H).real
         rhs = (
             explicit @ u[n]
             + local_src[n]
@@ -211,8 +197,7 @@ def solve_volterra(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:
         )
         u[n + 1] = finv @ rhs
         conv_prev = conv_next_known + 0.5 * dt * (K[0] @ u[n + 1])
-        if poles is not None:
-            H = q * (H + u[n + 1])
+        H = q * (H + u[n + 1])
     return u
 
 

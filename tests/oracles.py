@@ -6,13 +6,29 @@ form the semigroup directly, by scaling-and-squaring of the dense operator
 matrix or by RK4 on the decay ODE, or sum every pole of the secular
 equation (Golub 1973) with the eigenvector coefficients, and serve as
 independent oracles for those sums.
+
+The other oracles check the package against routes it no longer runs:
+
+- :func:`solve_volterra_direct` marches the product-trapezoid scheme of
+  :func:`homokin.volterra.solve_volterra` with the history summed directly
+  over the tabulated values, O(N^2), against the solver's pole recursion;
+- the oscillator's resolvent B(p) = M(p)^{-1} (:func:`matrix_B`), the
+  regularized kernel transform (:func:`regularized_kernel_laplace`), the
+  exact rotations and a trapezoid Laplace transform of the averaged
+  rotations (:func:`averaged_rotation_laplace_numeric`);
+- :func:`windowed_average_errors`, window averages of a field gap in x;
+- :class:`CellEnergyField`, the L2 norm of a field over (t, E, y);
+- :func:`convergence_study`, one serial eps sweep of the toy model.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.linalg import expm
 
+from homokin.boltzmann import SweepPointResult, sweep_point
 from homokin.cell import (
     POLE_CHUNK,
     CellFunction,
@@ -21,6 +37,15 @@ from homokin.cell import (
     fluctuation,
     pole_sum,
     rk4_step,
+)
+from homokin.diagnostics import ConvergenceReport
+from homokin.oscillator import YoungMeasure, cell_averaged_limit
+from homokin.volterra import (
+    SolverError,
+    TimeGrid,
+    VolterraProblem,
+    _kernel_samples,
+    _source_samples,
 )
 
 _SECULAR_MAX_ITER = 60
@@ -194,3 +219,164 @@ def secular_response(sigma: CellFunction, v: np.ndarray, taus) -> np.ndarray:
     poles, residues = secular_poles(sigma.values, sigma.grid.weights)
     g = v - sigma.grid.weights @ v
     return pole_sum(poles, residues * _eigen_coefficients(sigma, poles, g), taus)
+
+
+def solve_volterra_direct(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:
+    """The product-trapezoid march with the history summed directly, O(N^2).
+
+    Same scheme and implicit factor as :func:`homokin.volterra.solve_volterra`,
+    but each step's history sum_{j=1}^{n} K_{n+1-j} u_j runs over the
+    tabulated values instead of the kernel's pole form.
+    """
+    count, dt = grid.count, grid.dt
+    K = _kernel_samples(problem, grid)
+    S = _source_samples(problem, grid)
+    local_src = 0.5 * dt * (S[:-1] + S[1:])
+
+    if problem.dim == 1:
+        a = float(problem.a)
+        u = np.empty(count + 1)
+        u[0] = float(problem.u0)
+        factor = 1.0 + 0.5 * dt * a - 0.25 * dt * dt * K[0]
+        if abs(factor) < 1e-14:
+            raise SolverError(f"implicit factor {factor:.3e} is singular")
+        head = 0.5 * dt * K[1:] * u[0]
+        conv_prev = 0.0
+        for n in range(count):
+            conv_next_known = head[n] + dt * (K[n:0:-1] @ u[1 : n + 1])
+            rhs = (
+                u[n] * (1.0 - 0.5 * dt * a)
+                + local_src[n]
+                + 0.5 * dt * (conv_next_known + conv_prev)
+            )
+            u[n + 1] = rhs / factor
+            conv_prev = conv_next_known + 0.5 * dt * K[0] * u[n + 1]
+        return u
+
+    a = problem.a
+    eye = np.eye(2)
+    u = np.empty((count + 1, 2))
+    u[0] = problem.u0
+    factor = eye + 0.5 * dt * a - 0.25 * dt * dt * K[0]
+    if abs(np.linalg.det(factor)) < 1e-14:
+        raise SolverError("implicit 2x2 factor is singular")
+    finv = np.linalg.inv(factor)
+    explicit = eye - 0.5 * dt * a
+    head = 0.5 * dt * K[1:] @ u[0]
+    conv_prev = np.zeros(2)
+    for n in range(count):
+        hist = np.einsum("tij,tj->i", K[n:0:-1], u[1 : n + 1])
+        conv_next_known = head[n] + dt * hist
+        rhs = explicit @ u[n] + local_src[n] + 0.5 * dt * (conv_next_known + conv_prev)
+        u[n + 1] = finv @ rhs
+        conv_prev = conv_next_known + 0.5 * dt * (K[0] @ u[n + 1])
+    return u
+
+
+def rotation_matrix(theta: float) -> np.ndarray:
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, s], [-s, c]])
+
+
+def exact_rotation(b: float, t: float, u_in: np.ndarray) -> np.ndarray:
+    """Flow of dU/dt = b A U: a rotation by angle b t."""
+    return rotation_matrix(b * t) @ np.asarray(u_in, dtype=float)
+
+
+def _resolvent_scalars(nu: YoungMeasure, p):
+    """a(p), c(p) with M(p) = a Id + c A; complex p allowed."""
+    p = np.asarray(p)
+    denom = p[..., None] ** 2 + nu.atoms**2
+    a = ((p[..., None] / denom) * nu.weights).sum(axis=-1)
+    c = ((nu.atoms / denom) * nu.weights).sum(axis=-1)
+    return a, c
+
+
+def _commutant_matrix(alpha, beta) -> np.ndarray:
+    """alpha Id + beta A as an explicit 2x2 (works for complex entries)."""
+    return np.array([[alpha, beta], [-beta, alpha]])
+
+
+def matrix_B(nu: YoungMeasure, p) -> np.ndarray:
+    """B(p) = M(p)^{-1}; M's commutant form inverts in closed form."""
+    if not np.iscomplexobj(np.asarray(p)) and np.real(p) <= 0:
+        raise ValueError(f"p must be positive, got {p}")
+    a, c = _resolvent_scalars(nu, p)
+    det = a * a + c * c
+    return _commutant_matrix(a / det, -c / det)
+
+
+def regularized_kernel_laplace(nu: YoungMeasure, p) -> np.ndarray:
+    """Ktilde_hat(p) = B(p) - p Id + b* A; decays like Var/p at large p."""
+    if not np.iscomplexobj(np.asarray(p)) and np.real(p) <= 0:
+        raise ValueError(f"p must be positive, got {p}")
+    a, c = _resolvent_scalars(nu, p)
+    det = a * a + c * c
+    return _commutant_matrix(a / det - p, -c / det + nu.mean)
+
+
+def averaged_rotation_laplace_numeric(
+    nu: YoungMeasure, p: float, u_in: np.ndarray, tail_tol: float = 1e-6
+) -> np.ndarray:
+    """Trapezoid Laplace transform of the averaged rotations.
+
+    The averages oscillate without decay, so the horizon is set from
+    exp(-p T)/p <= tail_tol and the step resolves the fastest rotation.
+    """
+    if p <= 0:
+        raise ValueError(f"p must be positive, got {p}")
+    t_max = np.log(1.0 / (p * tail_tol)) / p
+    dt = min(2e-4, 0.05 / max(nu.max_abs_atom, 1.0))
+    n = int(np.ceil(t_max / dt))
+    ts = np.linspace(0.0, n * dt, n + 1)
+    vals = cell_averaged_limit(nu, ts, np.asarray(u_in, dtype=float))
+    weights = np.exp(-p * ts)
+    return np.trapezoid(weights[:, None] * vals, ts, axis=0)
+
+
+def windowed_average_errors(x_nodes: np.ndarray, diff: np.ndarray, windows) -> np.ndarray:
+    """|window average of diff| per window, midpoint quadrature in x."""
+    x = np.asarray(x_nodes)
+    out = []
+    for a, b in windows:
+        mask = (x >= a) & (x < b)
+        if not np.any(mask):
+            raise ValueError(f"window ({a}, {b}) contains no x-nodes")
+        out.append(abs(float(np.mean(diff[mask]))))
+    return np.array(out)
+
+
+@dataclass(frozen=True, eq=False)
+class CellEnergyField:
+    """Field over (t, E, y); y carries cell-average weights."""
+
+    times: np.ndarray
+    energies: np.ndarray
+    e_weights: np.ndarray
+    y_weights: np.ndarray
+    values: np.ndarray  # (nt, nE, ny)
+
+    def l2_norm(self) -> float:
+        sq = np.einsum("tey,e,y->t", self.values**2, self.e_weights, self.y_weights)
+        return float(np.sqrt(np.trapezoid(sq, self.times)))
+
+
+def convergence_study(
+    example_id: int,
+    placement: str,
+    epsilons,
+    k_max: int = 8,
+    **kwargs,
+) -> tuple[ConvergenceReport, list[SweepPointResult]]:
+    """Run an eps sweep serially and aggregate it into a ConvergenceReport."""
+    eps_sorted = sorted(float(e) for e in epsilons)[::-1]
+    points = [
+        sweep_point(example_id, placement, eps, k_max, **kwargs)
+        for eps in eps_sorted
+    ]
+    report = ConvergenceReport.from_sweep(
+        np.array(eps_sorted),
+        np.stack([p.mode_errors for p in points]),
+        np.array([p.norm_diff for p in points]),
+    )
+    return report, points

@@ -10,14 +10,13 @@ from homokin.boltzmann import (
     DEFAULT_SWEEP,
     EnergyGrid,
     ToyProblem,
-    convergence_study,
     example_presets,
     solve_toy_eps,
     solve_toy_two_scale,
     sweep_point,
 )
 from homokin.cell import CellFunction, PeriodicGrid, rk4_step
-from homokin.diagnostics import CellEnergyField
+from oracles import CellEnergyField, convergence_study
 
 
 class TestEnergyGrid:

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homokin.diagnostics import (
-    CellEnergyField,
     ConvergenceReport,
     EnergyField,
     ModeSeries,
@@ -16,6 +15,7 @@ from homokin.diagnostics import (
     norm_difference,
     orthonormal_polynomials,
 )
+from oracles import CellEnergyField
 
 
 def midpoint_grid(n, lo=0.0, hi=1.0):

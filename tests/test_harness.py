@@ -73,6 +73,12 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="n_q"):
             parse_config_file(str(path))
 
+    def test_malformed_sweep_value_named(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_text("[sweep]\neps = 0.1,zz\n")
+        with pytest.raises(ConfigError, match="eps: .*'zz'"):
+            parse_config_file(str(path))
+
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="config"):
             parse_config_file("/nonexistent/path.ini")
@@ -208,9 +214,11 @@ class TestCli:
         assert cfg.out_dir == str(tmp_path)
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
-        code = main(["boltzmann", "--eps", "0.5,0.7", "--out", str(tmp_path)])
-        assert code == 2
-        assert "eps" in capsys.readouterr().err
+        # an increasing sweep, and a value that is no number
+        for eps in ("0.5,0.7", "0.1,abc"):
+            code = main(["boltzmann", "--eps", eps, "--out", str(tmp_path)])
+            assert code == 2
+            assert "eps" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags, field",

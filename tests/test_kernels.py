@@ -95,7 +95,7 @@ class TestKernelTable:
     def test_matrix_valued_table_accepted(self):
         taus = np.linspace(0, 1, 11)
         vals = np.zeros((11, 2, 2))
-        table = KernelTable(taus, vals)
+        table = KernelTable(taus, vals, modes=(np.zeros(0), np.zeros((0, 2, 2))))
 
 
 class TestLaplaceRoutes:

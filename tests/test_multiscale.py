@@ -17,11 +17,10 @@ from homokin.multiscale import (
     solve_homogenized_volterra,
     solve_two_scale_closed,
     three_route_report,
-    two_scale_reference_on_x,
     weak_test_function_errors,
-    windowed_average_errors,
 )
 from homokin.volterra import TimeGrid
+from oracles import windowed_average_errors
 
 GRID = PeriodicGrid(256)
 SINE = CellFunction.from_function(GRID, sine_profile(2.0, 0.5))
@@ -182,26 +181,6 @@ class TestThreeRouteAgreement:
 
 
 class TestWeakConvergenceRate:
-    def test_windowed_error_halves_with_epsilon(self):
-        # x-modulated coefficient so the windowed averages see a genuine
-        # first-order two-scale gap; windows have endpoints on every sweep
-        # lattice, which pins the oscillation phase at the window edges.
-        sigma_xy = lambda x, y: (1.0 + 0.5 * x) * (2.0 + 0.5 * np.sin(2 * np.pi * y))
-        u_in_xy = lambda x, y: np.ones(np.broadcast(x, y).shape)
-        T = 1.0
-        cell_nodes = PeriodicGrid(512).nodes
-        windows = [(0.1, 0.4), (0.3, 0.9), (0.5, 0.8)]
-        errs = []
-        for eps in (1 / 10, 1 / 20, 1 / 40):
-            nx = round(100 / eps)
-            x = midpoints(nx)
-            prob = OdeProblem(SINE, None, ONES, T, epsilon=eps)
-            sol = solve_eps_exact(prob, x, nt=500, sigma_xy=sigma_xy, u_in_xy=u_in_xy)
-            ref = two_scale_reference_on_x(sigma_xy, u_in_xy, x, cell_nodes, T)
-            errs.append(np.max(windowed_average_errors(x, sol.values[-1] - ref, windows)))
-        for coarse, fine in zip(errs[:-1], errs[1:]):
-            assert 1.5 <= coarse / fine <= 3.0
-
     def test_weak_test_function_errors_shrink(self):
         T = 1.0
         target = cell_average(CellFunction(GRID, np.exp(-SINE.values * T)))

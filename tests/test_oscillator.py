@@ -7,17 +7,19 @@ from homokin.cell import CellFunction, PeriodicGrid
 from homokin.oscillator import (
     SKEW,
     YoungMeasure,
-    averaged_rotation_laplace_numeric,
     cell_averaged_limit,
-    exact_rotation,
     kernel_components,
     kernel_time_table,
-    matrix_B,
-    regularized_kernel_laplace,
-    rotation_matrix,
     solve_oscillator_limit,
 )
 from homokin.volterra import TimeGrid
+from oracles import (
+    averaged_rotation_laplace_numeric,
+    exact_rotation,
+    matrix_B,
+    regularized_kernel_laplace,
+    rotation_matrix,
+)
 
 TWO_ATOMS = YoungMeasure.two_atoms(1.0, 3.0)
 U_IN = np.array([1.0, 0.0])

@@ -1,8 +1,6 @@
 """Volterra solver tests: closed forms, residuals, order, linearity,
 and agreement of the pole recursion with the direct history sum."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,14 +18,21 @@ from homokin.volterra import (
     solve_volterra,
     volterra_residual,
 )
+from oracles import solve_volterra_direct
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])  # skew generator of plane rotations
 EPS = np.finfo(float).eps
 
 
 def exp_kernel_table(rate: float, grid: TimeGrid) -> KernelTable:
+    """K(tau) = e^{-rate tau}, one pole of unit amplitude."""
     taus = grid.times
-    return KernelTable(taus, np.exp(-rate * taus))
+    return KernelTable(taus, np.exp(-rate * taus), modes=([rate], [1.0]))
+
+
+def zero_kernel_table(taus) -> KernelTable:
+    """K = 0: no poles."""
+    return KernelTable(taus, np.zeros(len(taus)), modes=(np.zeros(0), np.zeros(0)))
 
 
 def pole_table(rates, amps, grid: TimeGrid) -> KernelTable:
@@ -86,10 +91,8 @@ def noncommuting_problem(grid: TimeGrid) -> VolterraProblem:
 
 def assert_paths_agree(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:
     """The pole recursion and the direct sum over the same values agree."""
-    assert problem.kernel.modes is not None
-    plain = KernelTable(problem.kernel.taus, problem.kernel.values)
     u_modes = solve_volterra(problem, grid)
-    u_plain = solve_volterra(dataclasses.replace(problem, kernel=plain), grid)
+    u_plain = solve_volterra_direct(problem, grid)
     gap = float(np.max(np.abs(u_modes - u_plain)))
     assert gap <= 1e-12 * max(1.0, float(np.max(np.abs(u_plain)))), gap
     return u_modes
@@ -186,22 +189,21 @@ class TestScalarSolve:
         grid = TimeGrid(3.0, 1e-2)
         table = exp_kernel_table(2.0, grid)
         u1 = solve_volterra(VolterraProblem(1, 2.0, table, None, 1.0), grid)
-        padded = KernelTable(
-            np.arange(len(table.taus) + 50) * grid.dt,
-            np.concatenate([table.values, np.zeros(50)]),
-        )
+        # lags past the final time, here the exponential continued, are never read
+        taus = np.arange(len(table.taus) + 50) * grid.dt
+        padded = KernelTable(taus, np.exp(-2.0 * taus), modes=table.modes)
         u2 = solve_volterra(VolterraProblem(1, 2.0, padded, None, 1.0), grid)
         assert np.array_equal(u1, u2)
 
     def test_kernel_grid_mismatch_rejected(self):
         grid = TimeGrid(3.0, 1e-2)
-        wrong = KernelTable(np.arange(301) * 2e-2, np.zeros(301))
+        wrong = zero_kernel_table(np.arange(301) * 2e-2)
         with pytest.raises(ValueError):
             solve_volterra(VolterraProblem(1, 2.0, wrong, None, 1.0), grid)
 
     def test_short_kernel_table_rejected(self):
         grid = TimeGrid(3.0, 1e-2)
-        short = KernelTable(np.arange(100) * 1e-2, np.zeros(100))
+        short = zero_kernel_table(np.arange(100) * 1e-2)
         with pytest.raises(ValueError, match="final lag"):
             solve_volterra(VolterraProblem(1, 2.0, short, None, 1.0), grid)
 
@@ -235,7 +237,7 @@ class TestSystemSolve:
         kmat = np.zeros((grid.count + 1, 2, 2))
         kmat[:, 0, 0] = ker.values
         kmat[:, 1, 1] = ker.values
-        table = KernelTable(grid.times, kmat)
+        table = KernelTable(grid.times, kmat, modes=([2.0], [np.eye(2)]))
         sys_u = solve_volterra(
             VolterraProblem(2, 2.0 * np.eye(2), table, None, np.array([1.0, 1.0])),
             grid,
@@ -283,7 +285,7 @@ class TestResidual:
 
 
 class TestPoleRecursion:
-    """solve_volterra with a table's modes against the same values without."""
+    """solve_volterra's pole recursion against the direct history sum over the same values."""
 
     def test_random_profile(self):
         rng = np.random.default_rng(2024)
@@ -342,6 +344,11 @@ class TestPoleRecursion:
         u_in = CellFunction(sigma.grid, 1.0 + np.cos(2 * np.pi * sigma.grid.nodes))
         grid = TimeGrid.from_count(5.0, 500)
         assert_paths_agree(homogenized_problem(sigma, u_in, grid), grid)
+
+    def test_table_without_modes_rejected(self):
+        grid = TimeGrid.from_count(5.0, 100)
+        with pytest.raises(TypeError):
+            KernelTable(grid.times, np.exp(-2.0 * grid.times))
 
     def test_inconsistent_modes_rejected(self):
         grid = TimeGrid.from_count(5.0, 100)
