@@ -29,7 +29,9 @@ from . import ConfigError
 from .cell import (
     CellFunction, PeriodicGrid, indicator_sine_profile, rk4_step, sine_profile
 )
-from .diagnostics import EnergyField, legendre_modes, mode_error, norm_difference
+from .diagnostics import (
+    EnergyField, ModeSeries, legendre_modes, mode_error, norm_difference
+)
 
 PLACEMENTS = ("inside", "outside")
 INIT_MODES = ("oscillatory", "profile")
@@ -208,14 +210,11 @@ class TwoScaleToySolution:
     profile: np.ndarray   # a, (nE,)
     cell: np.ndarray      # X and Z, (nt+1, 2, ny)
 
-    def _mean_on(self, a: np.ndarray) -> np.ndarray:
-        means = self.cell.mean(axis=2)
-        return np.outer(means[:, 0], a) + means[:, 1:]
-
     @property
     def phi_hom(self) -> np.ndarray:
         """<phi0>_y = a(E) <X>_y + <Z>_y, (nt+1, nE)."""
-        return self._mean_on(self.profile)
+        means = self.cell.mean(axis=2)
+        return np.outer(means[:, 0], self.profile) + means[:, 1:]
 
     def l2_norm(self) -> float:
         """||phi0||_{L2(t, E, y)}; the E integrals act on the profile a alone."""
@@ -223,13 +222,6 @@ class TwoScaleToySolution:
         x, z = self.cell[:, 0], self.cell[:, 1]
         density = ((we @ a**2) * x + 2.0 * (we @ a) * z) * x + z**2
         return float(np.sqrt(np.trapezoid(density.mean(axis=1), self.times)))
-
-    def hom_field_on(self, energies: np.ndarray) -> EnergyField:
-        """phi_hom on a foreign energy grid; it is affine in a, so a is interpolated."""
-        energies = np.asarray(energies, dtype=float)
-        vals = self._mean_on(np.interp(energies, self.energies, self.profile))
-        h = energies[1] - energies[0]
-        return EnergyField(self.times, energies, np.full(len(energies), h), vals)
 
 
 def solve_toy_two_scale(
@@ -292,6 +284,26 @@ class SweepPointResult:
     sup_norm_l2: float       # max_t ||phi_eps(t, .)||_{L2(E)}
 
 
+def paired_modes(
+    eps_field: EnergyField, hom: TwoScaleToySolution, k_max: int
+) -> tuple[list[ModeSeries], list[ModeSeries]]:
+    """Modes of phi_eps and of phi_hom in one basis on the eps energy grid.
+
+    phi_hom = <X>_y a(E) + <Z>_y has rank two, so its modes are
+    <X>_y (a, l_k) + <Z>_y (1, l_k): the profile a is interpolated onto
+    the eps grid once and the (nt+1, nE) field is never formed.
+    """
+    a = np.interp(eps_field.energies, hom.energies, hom.profile)
+    eps_modes, profile_modes = legendre_modes(
+        eps_field, k_max, np.stack([a, np.ones_like(a)])
+    )
+    coeffs = hom.cell.mean(axis=2) @ profile_modes  # (nt+1, k_max+1)
+    hom_modes = [
+        ModeSeries(k, hom.times, coeffs[:, k].copy()) for k in range(k_max + 1)
+    ]
+    return eps_modes, hom_modes
+
+
 def sweep_point(
     example_id: int,
     placement: str,
@@ -316,9 +328,7 @@ def sweep_point(
     )
     eps_field = solve_toy_eps(problem, n_steps, nodes_per_period)
     hom = solve_toy_two_scale(problem, n_steps, hom_n_e, hom_n_y)
-    hom_field = hom.hom_field_on(eps_field.energies)
-    eps_modes = legendre_modes(eps_field, k_max)
-    hom_modes = legendre_modes(hom_field, k_max)
+    eps_modes, hom_modes = paired_modes(eps_field, hom, k_max)
     errors = np.array(
         [mode_error(e, hmode) for e, hmode in zip(eps_modes, hom_modes)]
     )

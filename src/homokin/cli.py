@@ -37,7 +37,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--init-mode", choices=["oscillatory", "profile"], dest="init_mode")
         p.add_argument("--eps", help="comma-separated sweep values, decreasing")
         p.add_argument("--out", help="output directory (default $HOMOKIN_OUT or .)")
-        p.add_argument("--workers", type=int)
+        p.add_argument(
+            "--workers", type=int,
+            help="sweep points run at once, on threads of this process (boltzmann)",
+        )
         p.add_argument("--seed", type=int)
         for name in ("n-cell", "n-e", "n-omega", "n-r", "n-y"):
             p.add_argument(f"--{name}", type=int, dest=name.replace("-", "_"))

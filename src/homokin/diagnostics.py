@@ -89,13 +89,24 @@ def orthonormal_polynomials(
     return polys
 
 
-def legendre_modes(field: EnergyField, k_max: int) -> list[ModeSeries]:
-    """Modes m_k(t) for k = 0..k_max using the field's quadrature."""
+def legendre_modes(field: EnergyField, k_max: int, profiles=None):
+    """Modes m_k(t) for k = 0..k_max using the field's quadrature.
+
+    With ``profiles``, rows on the field's energy grid, the same basis
+    projects them too and the call returns ``(modes, coefficients)``, the
+    coefficients of shape (len(profiles), k_max+1).  A field that is a
+    sum of time factors times such rows has those factors times the row
+    coefficients as its modes, so it never needs to be formed.
+    """
     polys = orthonormal_polynomials(field.energies, field.e_weights, k_max)
-    coeffs = field.values @ (field.e_weights[None, :] * polys).T  # (nt, k_max+1)
-    return [
+    basis = (field.e_weights[None, :] * polys).T  # (nE, k_max+1)
+    coeffs = field.values @ basis  # (nt, k_max+1)
+    modes = [
         ModeSeries(k, field.times, coeffs[:, k].copy()) for k in range(k_max + 1)
     ]
+    if profiles is None:
+        return modes
+    return modes, np.asarray(profiles, dtype=float) @ basis
 
 
 def mode_error(eps_modes: ModeSeries, hom_modes: ModeSeries) -> float:

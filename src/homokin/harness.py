@@ -4,8 +4,9 @@ Configuration is flat INI text (key = value under named sections), merged
 with command-line flags.  Every experiment writes CSV files (comma
 separator, dot decimal point, header row, 17 significant digits, LF line
 endings) plus a JSON manifest listing inputs, code version, grids, wall
-time, and a content hash per artifact.  Sweep points run in a process
-pool; results are aggregated in sorted order so reruns are byte-identical
+time, and a content hash per artifact.  Sweep points run on a thread
+pool in one process, so they share one BLAS thread pool and one heap;
+results are aggregated in sorted order so reruns are byte-identical
 regardless of worker count.
 """
 
@@ -16,7 +17,7 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -229,7 +230,16 @@ def _run_tartar(config: ExperimentConfig, out_dir: str) -> dict:
     return {"tartar_equiv.csv": path}
 
 
+def _single_problem(config: ExperimentConfig) -> None:
+    """The ode and oscillator kinds run one problem, preset 1."""
+    if config.preset != "1":
+        raise ConfigError(
+            f"preset: the {config.kind} kind has only preset '1', got {config.preset!r}"
+        )
+
+
 def _run_ode(config: ExperimentConfig, out_dir: str) -> dict:
+    _single_problem(config)
     grid = PeriodicGrid(config.n_cell)
     sigma = CellFunction.from_function(grid, sine_profile(2.0, 0.5))
     u_in = CellFunction.from_function(grid, lambda y: 1.0 + np.sin(2 * np.pi * y))
@@ -269,22 +279,20 @@ def _run_ode(config: ExperimentConfig, out_dir: str) -> dict:
     return files
 
 
-def _boltzmann_job(args):
-    example_id, placement, eps, init_mode, n_cell = args
-    return sweep_point(example_id, placement, eps, n_cell=n_cell, init_mode=init_mode)
-
-
 def _run_boltzmann(config: ExperimentConfig, out_dir: str) -> dict:
     if not str(config.preset).isdigit():
         raise ConfigError(f"preset: expected an example number, got {config.preset!r}")
     example_id = int(config.preset)
     eps_sorted = sorted(config.epsilons)[::-1]
-    jobs = [
-        (example_id, config.placement, eps, config.init_mode, config.n_cell)
-        for eps in eps_sorted
-    ]
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        points = list(pool.map(_boltzmann_job, jobs))
+
+    def job(eps):
+        return sweep_point(
+            example_id, config.placement, eps,
+            n_cell=config.n_cell, init_mode=config.init_mode,
+        )
+
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        points = list(pool.map(job, eps_sorted))
     report = ConvergenceReport.from_sweep(
         np.array([p.epsilon for p in points]),
         np.stack([p.mode_errors for p in points]),
@@ -309,12 +317,10 @@ def _run_boltzmann(config: ExperimentConfig, out_dir: str) -> dict:
 
 
 def _run_transport(config: ExperimentConfig, out_dir: str) -> dict:
-    preset_name = (
-        config.preset
-        if str(config.preset).startswith("transport-")
-        else "transport-subcritical-1"
+    # preset 1, the default of every kind, is the first transport preset
+    params = transport_preset(
+        "transport-subcritical-1" if config.preset == "1" else config.preset
     )
-    params = transport_preset(preset_name)
     grids = TransportGrids(
         n_omega=config.n_omega, n_e=config.n_e, n_y=config.n_y, n_r=config.n_r
     )
@@ -357,6 +363,7 @@ def _run_transport(config: ExperimentConfig, out_dir: str) -> dict:
 
 
 def _run_oscillator(config: ExperimentConfig, out_dir: str) -> dict:
+    _single_problem(config)
     nu = YoungMeasure.two_atoms(1.0, 3.0)
     u_in = np.array([1.0, 0.0])
     grid = TimeGrid.from_count(10.0, 10000)

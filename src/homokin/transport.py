@@ -267,7 +267,7 @@ def transport_preset(name: str) -> OpticalParameters:
             kappa1=lambda mu, E: np.zeros_like(mu * E),
             kappa2=lambda mu, Ep, yp: np.zeros_like(mu * Ep * yp),
         )
-    raise ValueError(f"unknown transport preset {name!r}")
+    raise ConfigError(f"preset: unknown transport preset {name!r}")
 
 
 def hat_initial_data(support: float = 0.5):

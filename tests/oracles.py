@@ -18,6 +18,9 @@ The other oracles check the package against routes it no longer runs:
   rotations (:func:`averaged_rotation_laplace_numeric`);
 - :func:`windowed_average_errors`, window averages of a field gap in x;
 - :class:`CellEnergyField`, the L2 norm of a field over (t, E, y);
+- :func:`hom_field_on`, the full (t, E) homogenized toy field on a foreign
+  energy grid, whose Legendre modes the rank-two projection of
+  :func:`homokin.boltzmann.paired_modes` is checked against;
 - :func:`convergence_study`, one serial eps sweep of the toy model.
 """
 
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from homokin.boltzmann import SweepPointResult, sweep_point
+from homokin.boltzmann import SweepPointResult, TwoScaleToySolution, sweep_point
 from homokin.cell import (
     POLE_CHUNK,
     CellFunction,
@@ -38,7 +41,7 @@ from homokin.cell import (
     pole_sum,
     rk4_step,
 )
-from homokin.diagnostics import ConvergenceReport
+from homokin.diagnostics import ConvergenceReport, EnergyField
 from homokin.oscillator import YoungMeasure, cell_averaged_limit
 from homokin.volterra import (
     SolverError,
@@ -359,6 +362,19 @@ class CellEnergyField:
     def l2_norm(self) -> float:
         sq = np.einsum("tey,e,y->t", self.values**2, self.e_weights, self.y_weights)
         return float(np.sqrt(np.trapezoid(sq, self.times)))
+
+
+def hom_field_on(hom: TwoScaleToySolution, energies: np.ndarray) -> EnergyField:
+    """phi_hom as a full (nt+1, nE) field on a foreign uniform energy grid.
+
+    phi_hom = a(E) <X>_y + <Z>_y is affine in a, so a is interpolated.
+    """
+    energies = np.asarray(energies, dtype=float)
+    means = hom.cell.mean(axis=2)
+    a = np.interp(energies, hom.energies, hom.profile)
+    vals = np.outer(means[:, 0], a) + means[:, 1:]
+    h = energies[1] - energies[0]
+    return EnergyField(hom.times, energies, np.full(len(energies), h), vals)
 
 
 def convergence_study(

@@ -11,12 +11,14 @@ from homokin.boltzmann import (
     EnergyGrid,
     ToyProblem,
     example_presets,
+    paired_modes,
     solve_toy_eps,
     solve_toy_two_scale,
     sweep_point,
 )
 from homokin.cell import CellFunction, PeriodicGrid, rk4_step
-from oracles import CellEnergyField, convergence_study
+from homokin.diagnostics import legendre_modes
+from oracles import CellEnergyField, convergence_study, hom_field_on
 
 
 class TestEnergyGrid:
@@ -226,6 +228,32 @@ class TestTwoScaleDenseOracle:
         # kappa > sigma lets the field grow, so the phi_hom gap scales with it
         assert phi_gap <= 1e-13 * max(scale, 1.0)
         assert norm_gap <= 1e-13
+
+
+class TestRankTwoModes:
+    """The homogenized modes from the two profile projections against the
+    modes of the full (t, E) field."""
+
+    @pytest.mark.parametrize("example_id", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "placement, init_mode", [("inside", "oscillatory"), ("outside", "profile")]
+    )
+    @pytest.mark.parametrize("epsilon", [1 / 10.1, 1 / 160.1])
+    def test_match_full_field_projection(self, example_id, placement, init_mode, epsilon):
+        problem = example_presets(example_id, placement, epsilon, init_mode=init_mode)
+        eps_field = solve_toy_eps(problem)
+        hom = solve_toy_two_scale(problem)
+        eps_modes, hom_modes = paired_modes(eps_field, hom, 8)
+        full = legendre_modes(hom_field_on(hom, eps_field.energies), 8)
+        expect = np.stack([m.values for m in full])
+        got = np.stack([m.values for m in hom_modes])
+        assert [m.k for m in hom_modes] == list(range(9))
+        assert np.array_equal(hom_modes[0].times, full[0].times)
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+        # the eps modes are those of legendre_modes alone
+        alone = legendre_modes(eps_field, 8)
+        for m, ref in zip(eps_modes, alone):
+            assert np.array_equal(m.values, ref.values)
 
 
 class TestSweep:

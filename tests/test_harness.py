@@ -134,9 +134,10 @@ class TestExperiments:
         assert manifest["wall_time_s"] >= 0.0
 
     def test_sweep_determinism_across_workers(self, tmp_path):
+        # workers = 8 twice: more threads than sweep points, and a rerun
         outs = {}
-        for workers in (1, 2):
-            out = tmp_path / f"w{workers}"
+        for run, workers in (("w1", 1), ("w2", 2), ("w8", 8), ("w8-again", 8)):
+            out = tmp_path / run
             cfg = ExperimentConfig(
                 kind="boltzmann",
                 preset="1",
@@ -147,11 +148,11 @@ class TestExperiments:
             )
             result = run_experiment(cfg)
             assert result.status == 0
-            outs[workers] = out
+            outs[run] = out
         for name in ("modes.csv", "norm_diff.csv", "rates.csv"):
-            b1 = (outs[1] / name).read_bytes()
-            b2 = (outs[2] / name).read_bytes()
-            assert b1 == b2
+            b1 = (outs["w1"] / name).read_bytes()
+            for run in ("w2", "w8", "w8-again"):
+                assert (outs[run] / name).read_bytes() == b1, (run, name)
 
 
 class TestPlotScript:
@@ -234,6 +235,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}: ")
         assert "numerical failure" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["transport", "--preset", "foo"],
+            ["transport", "--preset", "transport-foo"],
+            ["ode", "--preset", "two-valued"],
+            ["oscillator", "--preset", "7"],
+        ],
+    )
+    def test_unknown_preset_exit_code(self, tmp_path, capsys, argv):
+        code = main([*argv, "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: preset: ")
+        assert repr(argv[-1]) in err
+        assert not any(tmp_path.iterdir())
 
     def test_kernel_pole_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         def corrupted(values, weights, v, taus):
