@@ -116,8 +116,8 @@ def parse_epsilons(text: str) -> tuple:
 
 
 def parse_config_file(path: str) -> dict:
-    """Read the flat INI config into a plain override dict."""
-    parser = configparser.ConfigParser()
+    """Read the flat INI config (inline ``; comments`` allowed) into an override dict."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     read = parser.read(path)
     if not read:
         raise ConfigError(f"config: cannot read file {path!r}")

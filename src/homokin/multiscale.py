@@ -4,7 +4,7 @@ For du/dt + sigma(x, x/eps) u = f with positive sigma, four routes to the
 (weak) limit are implemented and cross-checked:
 
 1. the oscillatory problem itself, in closed form per x-node,
-2. the two-scale closed form u0(t, y) on the cell, averaged in y,
+2. the closed form of u_hom, the cell average of the two-scale u0(t, y),
 3. the coupled mean/remainder system for (u_hom, r) with <r> = 0,
 4. the homogenized Volterra equation with the memory kernel and source
    from :mod:`homokin.kernels`.
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .cell import CellFunction, CellOperator, cell_average, fluctuation, rk4_step
+from .cell import CellFunction, cell_average, fluctuation, pole_sum, rk4_step
 from .kernels import KernelTable, build_source_table
 from .volterra import TimeGrid, VolterraProblem, solve_volterra
 
@@ -53,7 +53,6 @@ class OdeProblem:
 @dataclass(frozen=True, eq=False)
 class TwoScaleOdeSolution:
     times: np.ndarray
-    u0: np.ndarray      # (nt+1, n_cell)
     u_hom: np.ndarray   # (nt+1,)
 
 
@@ -76,15 +75,20 @@ class EpsOdeSolution:
 
 
 def solve_two_scale_closed(problem: OdeProblem, nt: int = 5000) -> TwoScaleOdeSolution:
-    """Closed-form two-scale solution on the cell grid; u_hom is the cell average of u0."""
-    grid = problem.sigma.grid
+    """Closed form of u_hom, the cell average of the two-scale solution u0.
+
+    u0 = e^{-t sigma} u_in + f (1 - e^{-t sigma}) / sigma per cell node, so
+    u_hom = <e^{-t sigma} u_in> + <f/sigma> - <e^{-t sigma} f/sigma> is a
+    sum over the cell nodes as poles; u0 itself is never formed.
+    """
+    w = problem.sigma.grid.weights
     sig = problem.sigma.values
     times = np.linspace(0.0, problem.t_end, nt + 1)
-    decay = np.exp(-np.outer(times, sig))
-    u0 = decay * problem.u_in.values
+    u_hom = pole_sum(sig, w * problem.u_in.values, times)
     if problem.f is not None:
-        u0 = u0 + problem.f.values * (1.0 - decay) / sig
-    return TwoScaleOdeSolution(times, u0, u0 @ grid.weights)
+        f_sig = w * problem.f.values / sig
+        u_hom += np.sum(f_sig) - pole_sum(sig, f_sig, times)
+    return TwoScaleOdeSolution(times, u_hom)
 
 
 def solve_coupled_system(problem: OdeProblem, grid: TimeGrid) -> CoupledOdeSolution:
@@ -101,13 +105,14 @@ def solve_coupled_system(problem: OdeProblem, grid: TimeGrid) -> CoupledOdeSolut
     sig = problem.sigma.values
     sig_mean = cell_average(problem.sigma)
     l1sig = fluctuation(problem.sigma).values
-    op = CellOperator(problem.sigma)
     f = problem.f
     favg, fl = (0.0, 0.0) if f is None else (cell_average(f), fluctuation(f).values)
 
     def rhs(t: float, u: float, r: np.ndarray):
-        du = favg - sig_mean * u - float(w @ (sig * r))
-        dr = -op.apply(r) - u * l1sig + fl
+        sr = sig * r
+        sr_mean = float(w @ sr)  # <sigma r>, once for both equations
+        du = favg - sig_mean * u - sr_mean
+        dr = (sr_mean - sr) - u * l1sig + fl  # -L_sigma r = <sigma r> - sigma r
         return du, dr
 
     nt, dt = grid.count, grid.dt

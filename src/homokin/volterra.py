@@ -6,24 +6,22 @@ Solves, for scalar or 2x2-system unknowns,
 
 with a product-trapezoidal scheme: Crank-Nicolson in the local terms, the
 history integral by the trapezoid rule over past nodes.  The newest node
-of the convolution makes the step implicit; the implicit factor
+of the convolution makes the step implicit; the d x d implicit factor
 
-    1 + (dt/2) a - (dt^2/4) K(0)
+    Id + (dt/2) a - (dt^2/4) K(0)
 
-is inverted exactly (scalar division or a 2x2 solve), giving a globally
-second-order, unconditionally stable march for positive decay
-coefficients.  Kernels are supplied tabulated on the solver's own grid;
-the solver never interpolates.
+is inverted exactly, giving a globally second-order, unconditionally
+stable march for positive decay coefficients.  Kernels are supplied
+tabulated on the solver's own grid; the solver never interpolates.
 
-The known part of each step's history, sum_{j=1}^{n} K_{n+1-j} u_j, comes
-from the kernel's pole form K(tau) = Re sum_k A_k e^{-rates_k tau}
-(``KernelTable.modes``) as Re sum_k A_k H_k, and each pole state advances
-by one recursion per step,
-
-    H_k <- q_k (H_k + u_n),    q_k = e^{-rates_k dt},
-
-so a march of N steps over m poles costs O(N m) (Jiang, Zhang, Zhang &
-Zhang 2017; Lubich & Schaedle 2002).
+The history comes from the kernel's pole form K(tau) = Re sum_k A_k
+e^{-rates_k tau} (``KernelTable.modes``): sum_{j=1}^{n} K_{n+1-j} u_j =
+Re sum_k A_k H_k, with pole states H_k <- q_k (H_k + u_n), q_k =
+e^{-rates_k dt} (Jiang, Zhang, Zhang & Zhang 2017; Lubich & Schaedle 2002).
+The whole scheme is then one affine step z <- T z + G_n of the real state
+z = (u, conv_prev, Re H, Im H) of size D = d (2 + 2m) for m poles, where
+conv_prev is the trapezoid convolution at the last node and G_n carries
+the source and the u_0 end of the trapezoid; N steps cost O(N D^2).
 """
 
 from __future__ import annotations
@@ -127,21 +125,35 @@ def _source_samples(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:
     return src
 
 
-def _history_poles(problem: VolterraProblem, dt: float):
-    """(q, amplitudes, H) of the pole recursion.
+def _affine_step(problem: VolterraProblem, k0: np.ndarray, dt: float):
+    """(T, B_src, B_head) with z' = T z + B_src local_src[n] + B_head head[n].
 
-    q_k = e^{-rates_k dt}, shaped to scale the pole states H_k, which start
-    at zero.  A memoryless problem has no poles.
+    The step is linear in z and in the two inputs, so the loop body, written
+    once for d x d blocks, runs on the unit vectors of (z, inputs) at once.
     """
+    d = problem.dim
     if problem.kernel is None:
-        rates = np.zeros(0)
-        amps = np.zeros((0,) if problem.dim == 1 else (0, 2, 2))
+        rates, amps = np.zeros(0), np.zeros(0)
     else:
         rates, amps = problem.kernel.modes
-    q = np.exp(-rates * dt)
-    if problem.dim == 1:
-        return q, amps, np.zeros(len(q), dtype=q.dtype)
-    return q[:, None], amps, np.zeros((len(q), 2), dtype=q.dtype)
+    m = len(rates)
+    amps = np.reshape(amps, (m, d, d))
+    a, k0 = np.reshape(problem.a, (d, d)), np.reshape(k0, (d, d))
+    factor = np.eye(d) + 0.5 * dt * a - 0.25 * dt * dt * k0
+    if abs(np.linalg.det(factor)) < 1e-14:
+        raise SolverError(f"implicit {d}x{d} factor is singular")
+    size = d * (2 + 2 * m)
+    columns = size + 2 * d
+    unit = np.eye(columns)
+    u, conv_prev, re_h, im_h, src, head = np.split(unit, np.cumsum([d, d, m * d, m * d, d]))
+    H = (re_h + 1j * im_h).reshape(m, d, columns)
+    conv_next_known = head + dt * np.einsum("kij,kjc->ic", amps, H).real
+    rhs = u - 0.5 * dt * a @ u + src + 0.5 * dt * (conv_next_known + conv_prev)
+    u_next = np.linalg.solve(factor, rhs)
+    conv_next = conv_next_known + 0.5 * dt * k0 @ u_next
+    H_next = (np.exp(-rates * dt)[:, None, None] * (H + u_next)).reshape(m * d, columns)
+    step = np.concatenate([u_next, conv_next, H_next.real, H_next.imag])
+    return np.split(step, [size, size + d], axis=1)
 
 
 def solve_volterra(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:
@@ -150,54 +162,23 @@ def solve_volterra(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:
     Returns u sampled at the grid nodes, shape (count+1,) for scalars and
     (count+1, 2) for systems.
     """
-    count, dt = grid.count, grid.dt
-    K = _kernel_samples(problem, grid)
-    S = _source_samples(problem, grid)
-    q, amps, H = _history_poles(problem, dt)
+    count, dt, d = grid.count, grid.dt, problem.dim
+    K = _kernel_samples(problem, grid).reshape(count + 1, d, d)
+    S = _source_samples(problem, grid).reshape(count + 1, d)
+    T, B_src, B_head = _affine_step(problem, K[0], dt)
+    u0 = np.reshape(problem.u0, d).astype(float)
+    # the u_0 end of the trapezoid and the Crank-Nicolson source, per step
+    head = 0.5 * dt * K[1:] @ u0
     local_src = 0.5 * dt * (S[:-1] + S[1:])
+    G = local_src @ B_src.T + head @ B_head.T
 
-    if problem.dim == 1:
-        a = float(problem.a)
-        u = np.empty(count + 1)
-        u[0] = float(problem.u0)
-        factor = 1.0 + 0.5 * dt * a - 0.25 * dt * dt * K[0]
-        if abs(factor) < 1e-14:
-            raise SolverError(f"implicit factor {factor:.3e} is singular")
-        head = 0.5 * dt * K[1:] * u[0]  # the u_0 end of the trapezoid
-        conv_prev = 0.0  # full trapezoid convolution at t_n
-        for n in range(count):
-            conv_next_known = head[n] + dt * (amps @ H).real
-            rhs = (
-                u[n] * (1.0 - 0.5 * dt * a)
-                + local_src[n]
-                + 0.5 * dt * (conv_next_known + conv_prev)
-            )
-            u[n + 1] = rhs / factor
-            conv_prev = conv_next_known + 0.5 * dt * K[0] * u[n + 1]
-            H = q * (H + u[n + 1])
-        return u
-
-    a = problem.a
-    eye = np.eye(2)
-    u = np.empty((count + 1, 2))
-    u[0] = problem.u0
-    factor = eye + 0.5 * dt * a - 0.25 * dt * dt * K[0]
-    if abs(np.linalg.det(factor)) < 1e-14:
-        raise SolverError("implicit 2x2 factor is singular")
-    finv = np.linalg.inv(factor)
-    explicit = eye - 0.5 * dt * a
-    head = 0.5 * dt * K[1:] @ u[0]
-    conv_prev = np.zeros(2)
+    u = np.empty((count + 1, d) if d == 2 else count + 1)
+    rows = u.reshape(count + 1, d)
+    z = np.zeros(len(T))
+    z[:d] = rows[0] = u0
     for n in range(count):
-        conv_next_known = head[n] + dt * np.einsum("kij,kj->i", amps, H).real
-        rhs = (
-            explicit @ u[n]
-            + local_src[n]
-            + 0.5 * dt * (conv_next_known + conv_prev)
-        )
-        u[n + 1] = finv @ rhs
-        conv_prev = conv_next_known + 0.5 * dt * (K[0] @ u[n + 1])
-        H = q * (H + u[n + 1])
+        z = T @ z + G[n]
+        rows[n + 1] = z[:d]
     return u
 
 

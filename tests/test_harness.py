@@ -83,6 +83,18 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="config"):
             parse_config_file("/nonexistent/path.ini")
 
+    def test_readme_example_parses(self, tmp_path):
+        # the README's INI block, inline "; comments" and all
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.ini"
+        path.write_text(block)
+        overrides = parse_config_file(str(path))
+        assert overrides["preset"] == "1"
+        assert overrides["n_cell"] == 256
+        assert overrides["placement"] == "inside"
+        assert overrides["epsilons"][0] == 0.0990099
+
 
 class TestCsvDialect:
     def test_seventeen_digits_and_lf(self, tmp_path):

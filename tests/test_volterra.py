@@ -245,6 +245,58 @@ class TestSystemSolve:
         assert np.max(np.abs(sys_u - scalar[:, None])) < 1e-12
 
 
+class TestAffineStep:
+    """The march as one affine step z <- T z + G_n of the real state."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("poles", [0, 3])
+    def test_result_owns_real_memory(self, dim, poles):
+        grid = TimeGrid.from_count(2.0, 200)
+        rates = np.array([0.5, 1.0 + 2.0j, 1.0 - 2.0j])[:poles]
+        amps = np.array([0.3, 0.2 - 0.1j, 0.2 + 0.1j])[:poles]
+        if dim == 2:
+            amps = amps[:, None, None] * np.array([[1.0, 0.5], [-0.5, 1.0]])
+        a = 2.0 if dim == 1 else 2.0 * np.eye(2) + ROT
+        u0 = 1.0 if dim == 1 else np.array([1.0, -0.5])
+        problem = VolterraProblem(dim, a, pole_table(rates, amps, grid), None, u0)
+        u = solve_volterra(problem, grid)
+        assert u.flags.owndata
+        assert u.dtype == np.float64
+        assert u.shape == ((grid.count + 1,) if dim == 1 else (grid.count + 1, 2))
+        assert np.all(u[0] == u0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        dim=st.sampled_from([1, 2]),
+        a=hnp.arrays(np.float64, (2, 2), elements=st.floats(-1.0, 1.0)),
+        shift=st.floats(0.05, 2.0),
+        poles=st.integers(0, 3).flatmap(
+            lambda m: st.tuples(
+                hnp.arrays(np.float64, (m, 2), elements=st.floats(-3.0, 3.0)),
+                hnp.arrays(np.float64, (m, 2, 2, 2), elements=st.floats(-1.0, 1.0)),
+            )
+        ),
+        src=hnp.arrays(np.float64, (3, 2), elements=st.floats(-2.0, 2.0)),
+    )
+    def test_matches_direct_history_sum(self, dim, a, shift, poles, src):
+        # decay has a positive definite symmetric part; complex rates with positive real parts
+        # and complex amplitudes, so the pole states carry both parts
+        grid = TimeGrid.from_count(3.0, 150)
+        decay = a @ a.T + shift * np.eye(2) + (a - a.T)
+        rate_parts, amp_parts = poles
+        rates = np.abs(rate_parts[:, 0]) + 0.1 + 1j * rate_parts[:, 1]
+        amps = amp_parts[..., 0] + 1j * amp_parts[..., 1]
+        t = grid.times
+        source = src[0] + np.outer(np.sin(t), src[1]) + np.outer(t, src[2])
+        if dim == 1:
+            decay, amps, source = decay[0, 0], amps[:, 0, 0], source[:, 0]
+            u0 = 1.0
+        else:
+            u0 = np.array([1.0, -1.0])
+        problem = VolterraProblem(dim, decay, pole_table(rates, amps, grid), source, u0)
+        assert_paths_agree(problem, grid)
+
+
 class TestResidual:
     def test_exact_solution_gives_small_residual(self):
         grid = TimeGrid(5.0, 1e-3)
