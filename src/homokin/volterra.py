@@ -18,10 +18,13 @@ The history comes from the kernel's pole form K(tau) = Re sum_k A_k
 e^{-rates_k tau} (``KernelTable.modes``): sum_{j=1}^{n} K_{n+1-j} u_j =
 Re sum_k A_k H_k, with pole states H_k <- q_k (H_k + u_n), q_k =
 e^{-rates_k dt} (Jiang, Zhang, Zhang & Zhang 2017; Lubich & Schaedle 2002).
-The whole scheme is then one affine step z <- T z + G_n of the real state
-z = (u, conv_prev, Re H, Im H) of size D = d (2 + 2m) for m poles, where
-conv_prev is the trapezoid convolution at the last node and G_n carries
-the source and the u_0 end of the trapezoid; N steps cost O(N D^2).
+The whole scheme is then one affine step z <- T z + B_in x_n of the real
+state z = (u, conv_prev, Re H, Im H) of size D = d (2 + 2m) for m poles,
+where conv_prev is the trapezoid convolution at the last node and the k =
+2d inputs x_n are the source and the u_0 end of the trapezoid.
+:func:`march_affine` takes that step in blocks of BLOCK steps, so N steps
+observed at p = d outputs cost O(log BLOCK D^3 + (N / BLOCK) D^2 +
+N D (k + p)), with N / BLOCK Python iterations.
 """
 
 from __future__ import annotations
@@ -31,6 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KernelTable
+
+
+# Steps per block of march_affine: block starts advance by T^BLOCK, formed by
+# log2(BLOCK) squarings, and the outputs inside a block come from C T^j and
+# C T^j B_in, j < BLOCK, in a few matrix products.
+BLOCK = 32
 
 
 class SolverError(RuntimeError):
@@ -126,7 +135,7 @@ def _source_samples(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:
 
 
 def _affine_step(problem: VolterraProblem, k0: np.ndarray, dt: float):
-    """(T, B_src, B_head) with z' = T z + B_src local_src[n] + B_head head[n].
+    """(T, B_in) with z' = T z + B_in (local_src[n], head[n]).
 
     The step is linear in z and in the two inputs, so the loop body, written
     once for d x d blocks, runs on the unit vectors of (z, inputs) at once.
@@ -153,7 +162,48 @@ def _affine_step(problem: VolterraProblem, k0: np.ndarray, dt: float):
     conv_next = conv_next_known + 0.5 * dt * k0 @ u_next
     H_next = (np.exp(-rates * dt)[:, None, None] * (H + u_next)).reshape(m * d, columns)
     step = np.concatenate([u_next, conv_next, H_next.real, H_next.imag])
-    return np.split(step, [size, size + d], axis=1)
+    return np.split(step, [size], axis=1)
+
+
+def march_affine(
+    T: np.ndarray, B_in: np.ndarray, X: np.ndarray, z0: np.ndarray, C: np.ndarray
+) -> np.ndarray:
+    """Outputs y_n = C z_n, n = 0..N, of the march z_{n+1} = T z_n + B_in x_n.
+
+    X holds the N inputs x_n as rows, shape (N, k); C is (p, D), or (D,)
+    for one output.  Within a block starting at z_s,
+
+        y_{s+j} = C T^j z_s + sum_{i<j} C T^{j-1-i} B_in x_{s+i},
+
+    and the next block starts at T^BLOCK z_s + sum_i T^{BLOCK-1-i} B_in x_{s+i},
+    so only the block starts are marched one by one.  Returns an array of
+    shape (N+1,) + C.shape[:-1] that owns its memory.
+    """
+    N, k = X.shape
+    outputs = np.atleast_2d(C)
+    p = len(outputs)
+    # doubling: obs[j] = C T^j, resp[j] = T^j B_in for j < BLOCK; power = T^BLOCK
+    obs, resp, power = outputs[None], B_in[None], T
+    while len(obs) < BLOCK:
+        obs = np.concatenate([obs, obs @ power])
+        resp = np.concatenate([resp, power @ resp])
+        power = power @ power
+    # block-lower-triangular Toeplitz map from a block's inputs to its outputs
+    j, i = np.tril_indices(BLOCK, -1)
+    forced = np.zeros((BLOCK, p, BLOCK, k))
+    forced[j, :, i, :] = (obs @ B_in)[j - i - 1]
+    blocks = -(-(N + 1) // BLOCK)
+    inputs = np.zeros((blocks * BLOCK, k))
+    inputs[:N] = X
+    inputs = inputs.reshape(blocks, BLOCK * k)
+    drive = inputs[:-1] @ resp[::-1].transpose(1, 0, 2).reshape(len(T), BLOCK * k).T
+    starts = np.empty((blocks, len(T)))
+    starts[0] = z0
+    for b in range(blocks - 1):
+        starts[b + 1] = power @ starts[b] + drive[b]
+    y = starts @ obs.reshape(BLOCK * p, len(T)).T
+    y += inputs @ forced.reshape(BLOCK * p, BLOCK * k).T
+    return y.reshape(blocks * BLOCK, *C.shape[:-1])[: N + 1].copy()
 
 
 def solve_volterra(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:
@@ -165,21 +215,14 @@ def solve_volterra(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:
     count, dt, d = grid.count, grid.dt, problem.dim
     K = _kernel_samples(problem, grid).reshape(count + 1, d, d)
     S = _source_samples(problem, grid).reshape(count + 1, d)
-    T, B_src, B_head = _affine_step(problem, K[0], dt)
+    T, B_in = _affine_step(problem, K[0], dt)
     u0 = np.reshape(problem.u0, d).astype(float)
-    # the u_0 end of the trapezoid and the Crank-Nicolson source, per step
-    head = 0.5 * dt * K[1:] @ u0
-    local_src = 0.5 * dt * (S[:-1] + S[1:])
-    G = local_src @ B_src.T + head @ B_head.T
-
-    u = np.empty((count + 1, d) if d == 2 else count + 1)
-    rows = u.reshape(count + 1, d)
-    z = np.zeros(len(T))
-    z[:d] = rows[0] = u0
-    for n in range(count):
-        z = T @ z + G[n]
-        rows[n + 1] = z[:d]
-    return u
+    # the Crank-Nicolson source and the u_0 end of the trapezoid, per step
+    inputs = np.concatenate([0.5 * dt * (S[:-1] + S[1:]), 0.5 * dt * K[1:] @ u0], axis=1)
+    z0 = np.zeros(len(T))
+    z0[:d] = u0
+    observe = np.eye(d, len(T))
+    return march_affine(T, B_in, inputs, z0, observe[0] if d == 1 else observe)
 
 
 def volterra_residual(

@@ -12,6 +12,9 @@ The other oracles check the package against routes it no longer runs:
 - :func:`solve_volterra_direct` marches the product-trapezoid scheme of
   :func:`homokin.volterra.solve_volterra` with the history summed directly
   over the tabulated values, O(N^2), against the solver's pole recursion;
+- :func:`solve_coupled_direct` takes the mean/remainder system's RK4 steps
+  one at a time and keeps the full remainder, against the block march of
+  :func:`homokin.multiscale.solve_coupled_system`;
 - the oscillator's resolvent B(p) = M(p)^{-1} (:func:`matrix_B`), the
   regularized kernel transform (:func:`regularized_kernel_laplace`), the
   exact rotations and a trapezoid Laplace transform of the averaged
@@ -37,11 +40,13 @@ from homokin.cell import (
     CellFunction,
     CellOperator,
     _distinct,
+    cell_average,
     fluctuation,
     pole_sum,
     rk4_step,
 )
 from homokin.diagnostics import ConvergenceReport, EnergyField
+from homokin.multiscale import OdeProblem
 from homokin.oscillator import YoungMeasure, cell_averaged_limit
 from homokin.volterra import (
     SolverError,
@@ -274,6 +279,38 @@ def solve_volterra_direct(problem: VolterraProblem, grid: TimeGrid) -> np.ndarra
         u[n + 1] = finv @ rhs
         conv_prev = conv_next_known + 0.5 * dt * (K[0] @ u[n + 1])
     return u
+
+
+def solve_coupled_direct(problem: OdeProblem, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(u_hom, r) of the mean/remainder system, one RK4 step at a time.
+
+    Same equations as :func:`homokin.multiscale.solve_coupled_system`, but
+    each step calls ``rk4_step`` on the state itself instead of marching
+    the step matrix in blocks, and the full remainder r, shape
+    (nt+1, n_cell), is kept.
+    """
+    w = problem.sigma.grid.weights
+    sig = problem.sigma.values
+    sig_mean = cell_average(problem.sigma)
+    l1sig = fluctuation(problem.sigma).values
+    f = problem.f
+    favg, fl = (0.0, 0.0) if f is None else (cell_average(f), fluctuation(f).values)
+
+    def rhs(t: float, u: float, r: np.ndarray):
+        sr = sig * r
+        sr_mean = float(w @ sr)
+        return favg - sig_mean * u - sr_mean, (sr_mean - sr) - u * l1sig + fl
+
+    nt, dt = grid.count, grid.dt
+    u_hom = np.empty(nt + 1)
+    r_hist = np.empty((nt + 1, len(sig)))
+    u = float(cell_average(problem.u_in))
+    r = fluctuation(problem.u_in).values.copy()
+    u_hom[0], r_hist[0] = u, r
+    for j in range(nt):
+        u, r = rk4_step(rhs, j * dt, dt, u, r)
+        u_hom[j + 1], r_hist[j + 1] = u, r
+    return u_hom, r_hist
 
 
 def rotation_matrix(theta: float) -> np.ndarray:

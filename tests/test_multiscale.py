@@ -20,7 +20,7 @@ from homokin.multiscale import (
     weak_test_function_errors,
 )
 from homokin.volterra import TimeGrid
-from oracles import windowed_average_errors
+from oracles import solve_coupled_direct, windowed_average_errors
 
 GRID = PeriodicGrid(256)
 SINE = CellFunction.from_function(GRID, sine_profile(2.0, 0.5))
@@ -120,8 +120,11 @@ class TestCoupledSystem:
         sig = CellFunction(GRID, np.full(GRID.n, 2.0))
         u_in = CellFunction(GRID, np.full(GRID.n, 0.7))
         prob = OdeProblem(sig, None, u_in, 3.0)
-        sol = solve_coupled_system(prob, TimeGrid.from_count(3.0, 1000))
-        assert np.max(np.abs(sol.r)) < 1e-13
+        grid = TimeGrid.from_count(3.0, 1000)
+        _, r = solve_coupled_direct(prob, grid)
+        assert np.max(np.abs(r)) < 1e-13
+        sol = solve_coupled_system(prob, grid)
+        assert np.max(np.abs(sol.mean_r)) < 1e-13
         assert np.max(np.abs(sol.u_hom - 0.7 * np.exp(-2.0 * sol.times))) < 1e-9
 
     def test_two_valued_matches_closed_form(self):
@@ -133,7 +136,18 @@ class TestCoupledSystem:
     def test_remainder_stays_mean_free(self):
         prob = OdeProblem(SINE, OSC_INIT, OSC_INIT, 4.0)
         sol = solve_coupled_system(prob, TimeGrid.from_count(4.0, 2000))
-        assert sol.max_mean_remainder(GRID.weights) < 1e-10
+        assert np.max(np.abs(sol.mean_r)) < 1e-10
+
+    @pytest.mark.parametrize("sigma", [SINE, TWOVAL], ids=["sine", "two-valued"])
+    @pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
+    def test_block_march_matches_step_by_step(self, sigma, forced):
+        f = CellFunction.from_function(GRID, lambda y: 0.5 + 0.4 * np.cos(2 * np.pi * y))
+        prob = OdeProblem(sigma, f if forced else None, OSC_INIT, 4.0)
+        grid = TimeGrid.from_count(4.0, 2000)
+        sol = solve_coupled_system(prob, grid)
+        u_hom, r = solve_coupled_direct(prob, grid)
+        assert np.max(np.abs(sol.u_hom - u_hom)) < 1e-11
+        assert np.max(np.abs(sol.mean_r - r @ GRID.weights)) < 1e-11
 
 
 class TestVolterraRoute:

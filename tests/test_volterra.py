@@ -12,9 +12,11 @@ from homokin.kernels import KernelTable, build_source_table
 from homokin.multiscale import OdeProblem, solve_homogenized_volterra
 from homokin.oscillator import SKEW, YoungMeasure, kernel_time_table, solve_oscillator_limit
 from homokin.volterra import (
+    BLOCK,
     SolverError,
     TimeGrid,
     VolterraProblem,
+    march_affine,
     solve_volterra,
     volterra_residual,
 )
@@ -295,6 +297,43 @@ class TestAffineStep:
             u0 = np.array([1.0, -1.0])
         problem = VolterraProblem(dim, decay, pole_table(rates, amps, grid), source, u0)
         assert_paths_agree(problem, grid)
+
+
+@st.composite
+def affine_marches(draw):
+    """(T, B_in, X, z0, C) with ||T||_2, so the spectral radius, at most 1.05."""
+    D, k, p = draw(st.integers(1, 12)), draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    edges = st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    N = draw(edges | st.integers(0, 300))
+    entries = st.floats(-1.0, 1.0)
+    T = draw(hnp.arrays(np.float64, (D, D), elements=entries))
+    norm = np.linalg.norm(T, 2)
+    if norm > 0:
+        T = draw(st.floats(0.0, 1.05)) * (T / norm)
+    B_in = draw(hnp.arrays(np.float64, (D, k), elements=entries))
+    X = draw(hnp.arrays(np.float64, (N, k), elements=entries))
+    z0 = draw(hnp.arrays(np.float64, D, elements=entries))
+    C = draw(hnp.arrays(np.float64, (p, D), elements=entries))
+    return T, B_in, X, z0, C
+
+
+class TestMarchAffine:
+    """The block march against the plain loop z <- T z + B_in x_n."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(affine_marches())
+    def test_matches_plain_loop(self, march):
+        T, B_in, X, z0, C = march
+        z, plain = z0, [C @ z0]
+        for x in X:
+            z = T @ z + B_in @ x
+            plain.append(C @ z)
+        plain = np.array(plain)
+        y = march_affine(T, B_in, X, z0, C)
+        assert y.flags.owndata
+        assert y.shape == plain.shape
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(plain))))
+        assert np.max(np.abs(y - plain)) <= tol
 
 
 class TestResidual:
