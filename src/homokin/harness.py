@@ -28,6 +28,7 @@ from .cell import CellFunction, PeriodicGrid, sine_profile, two_valued_profile
 from .diagnostics import ConvergenceReport
 from .kernels import KernelTable, verify_tartar_equivalence
 from .multiscale import (
+    COUPLED_MAX_CELLS,
     OdeProblem,
     solve_eps_exact,
     three_route_report,
@@ -92,6 +93,11 @@ class ExperimentConfig:
         for name in ("n_cell", "n_e", "n_omega", "n_r", "n_y"):
             if getattr(self, name) < 2:
                 raise ConfigError(f"{name}: grid sizes must be at least 2")
+        if self.kind == "ode" and self.n_cell > COUPLED_MAX_CELLS:
+            raise ConfigError(
+                f"n_cell: the ode kind takes at most {COUPLED_MAX_CELLS} cell nodes, "
+                f"got {self.n_cell}"
+            )
 
 
 _SECTION_FIELDS = {

@@ -88,6 +88,15 @@ def solve_two_scale_closed(problem: OdeProblem, nt: int = 5000) -> TwoScaleOdeSo
     return TwoScaleOdeSolution(times, u_hom)
 
 
+# Largest cell grid the ode kind accepts.  The coupled route's dense step
+# costs O(n_cell^3) time and O(n_cell^2) memory to set up.  A whole
+# `homokin ode` run (10,000 steps, 2-core host) with this route against one
+# with a step-by-step march: 1.00-1.11 s against 1.39-1.52 s at 1280 cell
+# nodes; 1.41-1.72 s against 1.43-1.56 s, and a 180 MB peak against 158 MB,
+# at 1536; 12.9 s and 1061 MB against 2.3 s and 353 MB at 4096.
+COUPLED_MAX_CELLS = 1024
+
+
 def solve_coupled_system(problem: OdeProblem, grid: TimeGrid) -> CoupledOdeSolution:
     """RK4 march of the mean/remainder system.
 
@@ -100,8 +109,9 @@ def solve_coupled_system(problem: OdeProblem, grid: TimeGrid) -> CoupledOdeSolut
     unit vectors of (u_hom, r, 1), is the affine map z <- T z + B_in of
     z = (u_hom, r); :func:`homokin.volterra.march_affine` marches it in
     blocks and observes u_hom and <r> only, so r is never stored.  Set-up
-    is O(n_cell^3) against the O(nt n_cell) of a step-by-step march, which
-    only wins beyond about 1500 cell nodes at nt = 10000.
+    is O(n_cell^3) time and O(n_cell^2) memory against the O(nt n_cell) of
+    a step-by-step march, hence the ``COUPLED_MAX_CELLS`` limit of the
+    ``ode`` kind.
     """
     cell = problem.sigma.grid
     n, w = cell.n, cell.weights

@@ -23,6 +23,7 @@ from homokin.harness import (
     run_experiment,
     write_csv,
 )
+from homokin.multiscale import COUPLED_MAX_CELLS
 from homokin.volterra import SolverError
 
 
@@ -44,6 +45,13 @@ class TestConfigValidation:
     def test_bad_workers_rejected(self):
         with pytest.raises(ConfigError, match="workers"):
             ExperimentConfig(kind="ode", workers=0).validate()
+
+    def test_ode_cell_grid_limited(self):
+        ExperimentConfig(kind="ode", n_cell=COUPLED_MAX_CELLS).validate()
+        with pytest.raises(ConfigError, match="n_cell"):
+            ExperimentConfig(kind="ode", n_cell=COUPLED_MAX_CELLS + 1).validate()
+        # only the ode kind runs the coupled route
+        ExperimentConfig(kind="tartar", n_cell=4096).validate()
 
     def test_run_experiment_reports_config_error(self):
         result = run_experiment(ExperimentConfig(kind="boltzmann", epsilons=()))
