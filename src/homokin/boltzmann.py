@@ -256,26 +256,6 @@ def solve_toy_two_scale(
     return TwoScaleToySolution(times, egrid.nodes, egrid.weights, a, cell)
 
 
-def solve_separable_energy_model(
-    decay: np.ndarray,
-    emit: np.ndarray,
-    collect: np.ndarray,
-    phi0: np.ndarray,
-    e_weight: float,
-    t_end: float,
-    n_steps: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """General rank-one energy model  dphi/dt = -decay phi + emit <collect, phi>.
-
-    Covers both toy placements (emit = 1 or kappa, collect = kappa or 1)
-    and the angle-averaged transport reduction with its sqrt(E) weights.
-    Returns (times, values).
-    """
-    rhs = lambda phi: -decay * phi + emit * (e_weight * (collect @ phi))
-    times = np.linspace(0.0, t_end, n_steps + 1)
-    return times, _rk4_linear_march(np.asarray(phi0, dtype=float), rhs, times)
-
-
 @dataclass(frozen=True, eq=False)
 class SweepPointResult:
     epsilon: float

@@ -1,6 +1,6 @@
 """Discrete calculus on the periodic unit cell Y = (0, 1).
 
-Everything downstream is built from five pieces living on the cell:
+Everything downstream is built from four pieces living on the cell:
 
 * the average ``<v> = sum_j w_j v_j`` (midpoint rule),
 * the multiply-and-center operator ``L_g v = g*v - <g*v>``,
@@ -12,9 +12,9 @@ Everything downstream is built from five pieces living on the cell:
   kernel measure ``sum_k r_k delta_{lambda_k}``, whose nodes and weights
   stand in for the poles ``-lambda_k`` of ``B(p)`` and their residues, and
   for other data two such rules by polarization, all certified by
-  Gauss-Radau bounds on the lags they serve,
-* every pole and residue of ``B(p)`` from one dense eigensystem, for the
-  small sets of distinct values where each pole is needed.
+  Gauss-Radau bounds on the lags they serve; once the Krylov space ends,
+  after at most m - 1 steps on m distinct values, the Gauss rule holds
+  every pole and residue of ``B(p)`` exactly.
 
 The semigroup ``exp(-tau L_sigma)`` itself is never formed here.  Cell
 functions are midpoint samples ``v_j = v((j+1/2)/n)`` with uniform
@@ -188,28 +188,6 @@ def _level_means(x, weights, nodes, W) -> np.ndarray:
     ref = x[first]
     spread = np.bincount(level, weights=w * (x - ref[level]), minlength=len(W))
     return ref + spread / W - (w @ x) / W.sum()
-
-
-def exact_poles(values, weights) -> tuple[np.ndarray, np.ndarray]:
-    """All poles lambda_k and residues r_k of the kernel measure, by one dense eigh.
-
-    With the unit vector u = sqrt(W / sum W) over the distinct values d
-    (:func:`_distinct`), the cell operator on mean-free data is
-    A = P diag(d) P, P = I - u u^T.  One Householder reflector H maps u to
-    -e_1, and H diag(d - <d>) H = [[0, b^T], [b, C]]: the eigenvalues of
-    C + <d> are the poles of B(p), the eigenvectors of L_sigma are
-    1/(sigma - lambda_k), and r_k = (y_k^T b)^2 for the unit eigenvectors
-    y_k of C, so sum_k r_k = |b|^2 = Var sigma.  O(m^3) in the number m of
-    distinct values; for small m only.
-    """
-    d, w, scale, _ = _distinct(values, weights)
-    mean = (w @ d) / w.sum()
-    u = np.sqrt(w / w.sum())
-    u[0] += 1.0  # reflector vector u + e_1, with |u + e_1|^2 = 2 (1 + u_0)
-    house = np.eye(len(d)) - np.outer(u, u) / u[0]
-    block = house @ ((d - mean)[:, None] * house)
-    poles, vectors = np.linalg.eigh(block[1:, 1:])
-    return scale * (poles + mean), scale * scale * (vectors.T @ block[1:, 0]) ** 2
 
 
 def _rules(d, W, scale, z, q: int):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import ConfigError, __version__
-from .boltzmann import DEFAULT_SWEEP, sweep_point
+from .boltzmann import DEFAULT_SWEEP, EnergyGrid, sweep_point
 from .cell import CellFunction, PeriodicGrid, sine_profile, two_valued_profile
 from .diagnostics import ConvergenceReport
 from .kernels import KernelTable, verify_tartar_equivalence
@@ -98,6 +98,11 @@ class ExperimentConfig:
                 f"n_cell: the ode kind takes at most {COUPLED_MAX_CELLS} cell nodes, "
                 f"got {self.n_cell}"
             )
+        if self.kind == "boltzmann":
+            try:  # sizes the smallest eps's energy mesh without allocating it
+                EnergyGrid.for_epsilon(eps[-1])
+            except MemoryError as exc:
+                raise ConfigError(f"eps: {exc}") from exc
 
 
 _SECTION_FIELDS = {

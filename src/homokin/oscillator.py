@@ -22,8 +22,11 @@ On the eigenvector of A for eigenvalue i, M(p) acts as sum_j w_j/(p - i l_j),
 which vanishes at p = i omega_k exactly where sum_j w_j/(l_j - omega) = 0.
 These roots interlace the atoms: they are the poles of the atoms' kernel
 measure, the eigenvalues of diag(l) compressed onto the mean-free data,
-with residues r_k = 1/sum_j w_j (l_j - omega_k)^-2 of total Var(l)
-(:func:`homokin.cell.exact_poles`).  Ktilde is the finite sum
+with residues r_k = 1/sum_j w_j (l_j - omega_k)^-2 of total Var(l).  The
+Lanczos Gauss rule of that measure (:func:`homokin.cell.gauss_radau_rules`,
+started at the atoms) with as many nodes as there are atoms ends the
+Krylov space, so its nodes and weights are these omega_k and r_k.
+Ktilde is the finite sum
 
     Ktilde(t) = sum_k r_k [cos(omega_k t) Id + sin(omega_k t) A],
 
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import exact_poles, pole_sum
+from .cell import gauss_radau_rules, pole_sum
 from .kernels import KernelTable
 from .volterra import TimeGrid, VolterraProblem, solve_volterra
 
@@ -108,10 +111,11 @@ def talbot_nodes_for(nu: YoungMeasure, t_max: float, base: int = 32) -> int:
 def kernel_time_table(nu: YoungMeasure, grid: TimeGrid) -> KernelTable:
     """Tabulate Ktilde = sum_k r_k [cos(omega_k t) Id + sin(omega_k t) A].
 
-    The frequencies and residues are the exact poles of the atoms; the
-    lag-zero value is sum_k r_k = Var(l).
+    The frequencies and residues are the poles of the atoms, from their
+    Gauss rule with one node per atom, which is exact; the lag-zero value
+    is sum_k r_k = Var(l).
     """
-    freqs, residues = exact_poles(nu.atoms, nu.weights)
+    (freqs, residues), _ = gauss_radau_rules(nu.atoms, nu.weights, len(nu.atoms), nu.atoms)
     z = pole_sum(-1j * freqs, residues, grid.times)  # alpha + i beta
     values = z.real[:, None, None] * np.eye(2) + z.imag[:, None, None] * SKEW
     # Re[(r e^{i w t}) (Id - i A)] = r [cos(w t) Id + sin(w t) A]

@@ -8,39 +8,32 @@ periodic cell.  The optical parameters follow the separable form
     sigma_eps(w, E)       = sqrt(E) sigma(w, E, E/eps)
     kappa_eps(mu, E, E')  = sqrt(E) kappa1(mu, E) kappa2(mu, E', E'/eps),
 
-with mu = cos(angle difference).  After the characteristics change of
-variables the spatial label r rides along passively, so the oscillatory
-problem is a family of Volterra fixed points
+with mu = cos(angle difference).  The model is space-homogeneous at each
+spatial label r: the scattering at label r reads only label r, so labels
+do not interact and no solver moves mass between them.  At each label the
+oscillatory problem is the Volterra fixed point
 
     psi = phi_in e^{-t sigma_eps} + int_0^t int kappa_eps e^{-(t-s) sigma_eps} psi(s)
 
-The homogenized limit is the same equation for the two-scale field
-phi(r, w, E, y) on the (omega, E, y) grid, with the decay sqrt(E) sigma
-taken at each cell node and the scattering reduced over (w', E', y').
-Its y-average is psi_hom and phi - <phi>_y is the mean-free corrector rho.
-Both problems run through the one product-trapezoid march of
-:func:`_march`; the oscillatory one is the cell of a single node
+A streaming term sqrt(E) w.grad_x would shift the labels inside the
+scattering integral and couple them; that is a separate route and is not
+built here.  The homogenized limit is the same equation for the two-scale
+field phi(r, w, E, y) on the (omega, E, y) grid, with the decay sqrt(E)
+sigma taken at each cell node and the scattering reduced over (w', E',
+y').  Its y-average is psi_hom and phi - <phi>_y is the mean-free
+corrector rho.  Both problems run through the one product-trapezoid march
+of :func:`_march`; the oscillatory one is the cell of a single node
 y = E/eps.  The scattering operator factors as K = S R through the
 angle-pair field g[r, v, w]: R (``_Scattering.reduce``) contracts a field
 against a kappa2 table over its trailing axes, S (``_Scattering.spread``)
-spreads g back over kappa1, and all solvers call this one pair.  Each
+spreads g back over kappa1, and both solvers call this one pair.  Each
 implicit trapezoid step reduces to a linear system of size n_omega^2,
 inverted once per run by :func:`_implicit_inverse`; a singular step, or
 one whose spectral radius reaches 1, raises RuntimeError.  Every solver
 marches only the r-slices where the initial data is nonzero; the other
-slices stay exactly zero.  The support of the data is read off those
-slices; data that misses every r-node, or characteristics that would
-leave the spatial box, raise ConfigError.
-An independent closed-kernel route rebuilds psi_hom from memory kernels
-instead and must agree with it to solver accuracy.  Per (w, E) the
-corrector decays under sqrt(E) L_sigma, so that route works in all the
-poles of the cell profile, from one dense eigensystem per distinct
-profile (:func:`homokin.cell.exact_poles`): kernels and corrector data are
-pole sums plus a remainder that decays pointwise, each advanced by an
-exact factor per step, and the implicit coupling goes through the same
-reduced n_omega^2 system.  Both limit solvers share one set of operators.
+slices stay exactly zero.  Data that misses every r-node raises
+ConfigError.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -49,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from . import ConfigError
-from .cell import PeriodicGrid, exact_poles
+from .cell import PeriodicGrid
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,17 +274,13 @@ def hat_initial_data(support: float = 0.5):
     return phi_in
 
 
-def _initial_slices(
-    phi_in, grids: TransportGrids, t_end: float, *axes
-) -> tuple[np.ndarray, np.ndarray]:
+def _initial_slices(phi_in, grids: TransportGrids, *axes) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the r-slices where phi_in is nonzero, and phi_in on them.
 
     ``axes`` are the (omega, E[, y]) arguments after r, broadcast to the
-    slice shape.  The labels r ride along passively and every solver is
-    linear, so the slices left out stay exactly zero.  The support of the
-    data is the outer edge of the outermost active r-cell; characteristics
-    that leave the box from there by t_end raise ConfigError, and so does
-    data that vanishes on every r-node.
+    slice shape.  Labels do not interact and every solver is linear, so
+    the slices left out stay exactly zero.  Data that vanishes on every
+    r-node raises ConfigError.
     """
     r = grids.r_nodes
     data = np.stack([phi_in(rv, *axes) for rv in r])
@@ -301,13 +290,6 @@ def _initial_slices(
             f"n_r: initial data vanishes on all {len(r)} r-nodes; "
             "refine n_r so that a node falls inside its support"
         )
-    support = np.max(np.abs(r[active])) + grids.r_box / grids.n_r
-    reach = support + np.sqrt(grids.e_max) * t_end
-    if reach > grids.r_box + 1e-12:
-        raise ConfigError(
-            f"characteristics reach {reach:.3f} > r_box {grids.r_box}; "
-            "shrink T or the initial support"
-        )
     return active, data[active]
 
 
@@ -315,7 +297,7 @@ class _Scattering:
     """Scattering K = S R on one energy grid, through g[r, v, w].
 
     R contracts a field f[r, w, T] against a kernel table kern[v, w, T]
-    over its trailing axes T, which are E', (E', y') or (E', k); S spreads
+    over its trailing axes T, which are E' or (E', y'); S spreads
     g back to (r, v, E) over kappa1.  Both run as batched matmuls (BLAS),
     one per angle.
     """
@@ -407,8 +389,8 @@ class CharacteristicsSolution:
     """Oscillatory transport solution restricted to the active r-slices.
 
     ``values`` holds the full field only when the run was small enough to
-    ask for it; sweep-scale runs keep the windowed-in-E averages, the
-    final-time field, and the running L2 norm instead.
+    ask for it; sweep-scale runs keep the windowed-in-E averages and the
+    running L2 norm instead.
     """
 
     times: np.ndarray
@@ -417,7 +399,6 @@ class CharacteristicsSolution:
     energies: np.ndarray
     values: np.ndarray | None    # (nt+1, na, nw, nE) if stored
     windowed: np.ndarray | None  # (nt+1, na, nw, n_windows)
-    final: np.ndarray            # (na, nw, nE)
     sup_l2: float                # max_t L2(r, w, E) norm
     min_value: float
 
@@ -450,9 +431,7 @@ def solve_characteristics_eps(
     sig = params.sigma_eps(grids.angles, energies, epsilon)  # (nw, nE)
 
     r = grids.r_nodes
-    active, base0 = _initial_slices(
-        phi_in, grids, t_end, grids.angles[:, None], energies, y
-    )
+    active, base0 = _initial_slices(phi_in, grids, grids.angles[:, None], energies, y)
     times = np.linspace(0.0, t_end, n_steps + 1)
     dt = times[1] - times[0]
     ops = _Scattering(grids, energies, k1)
@@ -488,34 +467,9 @@ def solve_characteristics_eps(
         energies,
         full,
         windowed,
-        psi,
         sup_l2,
         min_value,
     )
-
-
-class _TwoScaleOperators(_Scattering):
-    """Set-up shared by the two limit solvers on the (omega, E, y) grid.
-
-    Holds sigma, the kappa tables and the active r-slices of the initial
-    data phi0.  Scattering factors as K = S R through
-    the inherited ``reduce`` and ``spread``; on a cell field R reduces
-    over (w', E', y') against kappa2.
-    """
-
-    def __init__(self, params: OpticalParameters, phi_in, grids: TransportGrids, t_end):
-        self.energies = grids.energy_nodes()
-        k1 = _mu_table(params.kappa1, grids, self.energies)
-        super().__init__(grids, self.energies, k1)
-        self.we = grids.energy_weight()
-        self.sqrtE = np.sqrt(self.energies)
-        y = PeriodicGrid(grids.n_y).nodes
-        self.wy = 1.0 / grids.n_y
-        self.sig = params.sample_sigma(grids.angles, self.energies, y)
-        self.k2y = _mu_table(params.kappa2, grids, self.energies[:, None], y)  # (nw, nw, nE', ny)
-        self.active, self.phi0 = _initial_slices(
-            phi_in, grids, t_end, grids.angles[:, None, None], self.energies[:, None], y
-        )  # (na, nw, nE, ny)
 
 
 def solve_two_scale_transport(
@@ -535,116 +489,23 @@ def solve_two_scale_transport(
     field psi_hom = <phi>_y at every step.  Only the r-slices where phi_in
     is nonzero are marched; the returned field covers every r-node.
     """
-    op = _TwoScaleOperators(params, phi_in, grids, t_end)
-    rate = op.sqrtE[None, :, None] * op.sig
+    energies = grids.energy_nodes()
+    y = PeriodicGrid(grids.n_y).nodes
+    ops = _Scattering(grids, energies, _mu_table(params.kappa1, grids, energies))
+    k2y = _mu_table(params.kappa2, grids, energies[:, None], y)  # (nw, nw, nE', ny)
+    active, phi0 = _initial_slices(
+        phi_in, grids, grids.angles[:, None, None], energies[:, None], y
+    )  # (na, nw, nE, ny)
+    sig = params.sample_sigma(grids.angles, energies, y)  # (nw, nE, ny)
+    rate = np.sqrt(energies)[None, :, None] * sig
     r = grids.r_nodes
     times = np.linspace(0.0, t_end, n_steps + 1)
     dt = times[1] - times[0]
-    psis = np.zeros((n_steps + 1, len(r)) + op.phi0.shape[1:3])
-    march = _march(op, op.k2y, op.we * op.wy, rate, op.phi0, dt, n_steps)
-    for n, phi in enumerate(march):
-        psis[n, op.active] = phi.mean(axis=3)
-    return PhaseSpaceField(times, r, grids.angles, op.energies, psis)
-
-
-def solve_closed_kernel_transport(
-    params: OpticalParameters,
-    phi_in,
-    grids: TransportGrids,
-    t_end: float = 1.5,
-    n_steps: int = 300,
-) -> PhaseSpaceField:
-    """Verification route: march the closed memory-kernel equation in poles.
-
-    The corrector is eliminated through its Duhamel formula, leaving a
-    Volterra equation for psi_hom.  Per (w, E) the corrector decays under
-    sqrt(E) L_sigma.  On mean-free cell data L_sigma has the poles
-    lambda_k of the profile sigma(w, E, .), with eigenvectors
-    phi_k = 1/(sigma - lambda_k) and r_k = 1/<phi_k^2>, and it multiplies
-    by sigma on the remainder, the data mean-free on each level set of
-    sigma.  sigma - <sigma> = sum_k r_k phi_k has no remainder, so the
-    kernels are pole sums:
-
-        kd(tau) = E sum_k r_k e^{-sqrt(E) lambda_k tau}
-        kc(tau)[v, w, E'] = sqrt(E') sum_k r_k <kappa2 phi_k> e^{-sqrt(E') lambda_k tau}
-
-    The corrector is carried as its pole coordinates Y_k, which start at
-    beta_k = r_k <rho0 phi_k> and take up the trapezoid history of psi,
-    Y <- q (Y - dt sqrt(E) r_k psi_n) with q_k = e^{-dt sqrt(E) lambda_k},
-    plus the remainder V_perp = rho0 - sum_k beta_k phi_k, which decays by
-    e^{-dt sqrt(E) sigma} per step.  The implicit coupling is solved
-    through the reduced n_omega^2 system of :func:`_implicit_inverse`.
-    Poles are solved once per distinct cell profile and the y grid is
-    never marched.  Only the r-slices where phi_in is nonzero are marched.
-    """
-    op = _TwoScaleOperators(params, phi_in, grids, t_end)
-    sig, sqrtE, wy, we = op.sig, op.sqrtE, op.wy, op.we
-    psi0 = op.phi0.mean(axis=3)
-    sig_mean = sig.mean(axis=2)  # (nw, nE)
-    sig_fluct = sig - sig_mean[:, :, None]
-    k2bar = op.k2y.mean(axis=3)  # y-average of kappa2(mu, E', .)
-    rho0 = op.phi0 - psi0[..., None]
-    nw, ne, ny = sig.shape
-    profiles, which = np.unique(sig.reshape(-1, ny), axis=0, return_inverse=True)
-    which = which.reshape(nw, ne)
-    solved = [exact_poles(p, np.full(ny, wy)) for p in profiles]
-    m = max(len(poles) for poles, _ in solved)
-    lam = np.zeros((len(profiles), m))
-    res = np.zeros((len(profiles), m))  # padded poles carry no weight
-    c2 = np.zeros(op.k2y.shape[:3] + (m,))  # <kappa2 phi_k>
-    beta = np.zeros(rho0.shape[:3] + (m,))
-    v_perp = rho0.copy()
-    for p, (poles, residues) in enumerate(solved):
-        k, at = len(poles), which == p
-        lam[p, :k], res[p, :k] = poles, residues
-        phi = 1.0 / (profiles[p][None, :] - poles[:, None])  # (k, ny)
-        c2[:, at, :k] = op.k2y[:, at] @ phi.T * wy
-        beta[:, at, :k] = rho0[:, at] @ phi.T * (wy * residues)
-        v_perp[:, at] -= beta[:, at, :k] @ phi
-
-    r = grids.r_nodes
-    times = np.linspace(0.0, t_end, n_steps + 1)
-    dt = times[1] - times[0]
-    rate = sqrtE[None, :, None]
-    q = np.exp(-dt * rate * lam[which])
-    kick = dt * rate * res[which]
-    decay = np.exp(-dt * rate * sig)
-
-    def memory(Y, X):
-        # S R_kappa2 rho - sqrt(E) <sig rho> for the corrector rho with pole
-        # coordinates Y and remainder X: the kernel history and the source
-        g = op.reduce(c2, Y, we) + op.reduce(op.k2y, X, we * wy)
-        local = Y.sum(axis=3) + (sig * X).mean(axis=3)
-        return op.spread(g) - sqrtE * local
-
-    # trapezoid step of dpsi/dt + sqrt(E)<sig> psi - K_bar psi = memory,
-    # the lag-zero kernels kd0, kc0 taken implicitly with the K_bar coupling
-    diag = sqrtE[None, :] * sig_mean
-    kd0 = op.energies[None, :] * (sig * sig_fluct).mean(axis=2)
-    kc0 = sqrtE[None, None, :] * np.einsum("vwey,wey->vwe", op.k2y, sig_fluct) * wy
-    denom = 1.0 + 0.5 * dt * diag - 0.25 * dt * dt * kd0
-    coupling = 0.5 * dt * k2bar - 0.25 * dt * dt * kc0
-    solve = _implicit_inverse(op.matrix(coupling / denom[None], we))
-
-    psis = np.zeros((n_steps + 1, len(r)) + psi0.shape[1:])
-    psis[0, op.active] = psi0
-    mem_prev = memory(beta, v_perp)
-    # each step takes kick * psi_n off Y; the trapezoid halves it for psi0
-    psi, Y, X = psi0, beta + 0.5 * kick * psi0[..., None], v_perp
-    for n in range(n_steps):
-        Y -= kick * psi[..., None]
-        Y *= q
-        X *= decay
-        mem = memory(Y, X)
-        rhs = psi * (1.0 - 0.5 * dt * diag) + 0.5 * dt * (
-            op.spread(op.reduce(k2bar, psi, we)) + mem_prev + mem
-        )
-        # (D - S R_M) psi = rhs through g = R_M psi: (I - C) g = R_M(rhs / D)
-        g = solve(op.reduce(coupling, rhs / denom, we))
-        psi = (rhs + op.spread(g)) / denom
-        psis[n + 1, op.active] = psi
-        mem_prev = mem + 0.5 * dt * (kd0 * psi - op.spread(op.reduce(kc0, psi, we)))
-    return PhaseSpaceField(times, r, grids.angles, op.energies, psis)
+    psis = np.zeros((n_steps + 1, len(r)) + phi0.shape[1:3])
+    weight = grids.energy_weight() * (1.0 / grids.n_y)
+    for n, phi in enumerate(_march(ops, k2y, weight, rate, phi0, dt, n_steps)):
+        psis[n, active] = phi.mean(axis=3)
+    return PhaseSpaceField(times, r, grids.angles, energies, psis)
 
 
 def windowed_weak_error(

@@ -24,7 +24,15 @@ The other oracles check the package against routes it no longer runs:
 - :func:`hom_field_on`, the full (t, E) homogenized toy field on a foreign
   energy grid, whose Legendre modes the rank-two projection of
   :func:`homokin.boltzmann.paired_modes` is checked against;
-- :func:`convergence_study`, one serial eps sweep of the toy model.
+- :func:`convergence_study`, one serial eps sweep of the toy model;
+- :func:`exact_poles`, every pole and residue of B(p) from one dense
+  eigensystem, against the Lanczos Gauss rules and as the pole engine of
+  the closed transport route;
+- :func:`solve_separable_energy_model`, RK4 on a rank-one energy model,
+  which the angle-isotropic transport run is checked against;
+- :func:`solve_closed_kernel_transport`, the closed memory-kernel route
+  to psi_hom, against the two-scale march of
+  :func:`homokin.transport.solve_two_scale_transport`.
 """
 
 from __future__ import annotations
@@ -34,11 +42,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from homokin.boltzmann import SweepPointResult, TwoScaleToySolution, sweep_point
+from homokin.boltzmann import (
+    SweepPointResult,
+    TwoScaleToySolution,
+    _rk4_linear_march,
+    sweep_point,
+)
 from homokin.cell import (
     POLE_CHUNK,
     CellFunction,
     CellOperator,
+    PeriodicGrid,
     _distinct,
     cell_average,
     fluctuation,
@@ -48,6 +62,15 @@ from homokin.cell import (
 from homokin.diagnostics import ConvergenceReport, EnergyField
 from homokin.multiscale import OdeProblem
 from homokin.oscillator import YoungMeasure, cell_averaged_limit
+from homokin.transport import (
+    OpticalParameters,
+    PhaseSpaceField,
+    TransportGrids,
+    _implicit_inverse,
+    _initial_slices,
+    _mu_table,
+    _Scattering,
+)
 from homokin.volterra import (
     SolverError,
     TimeGrid,
@@ -433,3 +456,156 @@ def convergence_study(
         np.array([p.norm_diff for p in points]),
     )
     return report, points
+
+
+def exact_poles(values, weights) -> tuple[np.ndarray, np.ndarray]:
+    """All poles lambda_k and residues r_k of the kernel measure, by one dense eigh.
+
+    With the unit vector u = sqrt(W / sum W) over the distinct values d
+    (:func:`homokin.cell._distinct`), the cell operator on mean-free data
+    is A = P diag(d) P, P = I - u u^T.  One Householder reflector H maps u
+    to -e_1, and H diag(d - <d>) H = [[0, b^T], [b, C]]: the eigenvalues of
+    C + <d> are the poles of B(p), the eigenvectors of L_sigma are
+    1/(sigma - lambda_k), and r_k = (y_k^T b)^2 for the unit eigenvectors
+    y_k of C, so sum_k r_k = |b|^2 = Var sigma.  O(m^3) in the number m of
+    distinct values; for small m only.
+    """
+    d, w, scale, _ = _distinct(values, weights)
+    mean = (w @ d) / w.sum()
+    u = np.sqrt(w / w.sum())
+    u[0] += 1.0  # reflector vector u + e_1, with |u + e_1|^2 = 2 (1 + u_0)
+    house = np.eye(len(d)) - np.outer(u, u) / u[0]
+    block = house @ ((d - mean)[:, None] * house)
+    poles, vectors = np.linalg.eigh(block[1:, 1:])
+    return scale * (poles + mean), scale * scale * (vectors.T @ block[1:, 0]) ** 2
+
+
+def solve_separable_energy_model(
+    decay: np.ndarray,
+    emit: np.ndarray,
+    collect: np.ndarray,
+    phi0: np.ndarray,
+    e_weight: float,
+    t_end: float,
+    n_steps: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """General rank-one energy model  dphi/dt = -decay phi + emit <collect, phi>.
+
+    Covers both toy placements (emit = 1 or kappa, collect = kappa or 1)
+    and the angle-averaged transport reduction with its sqrt(E) weights.
+    Returns (times, values), marched with the toy model's RK4 steps.
+    """
+    rhs = lambda phi: -decay * phi + emit * (e_weight * (collect @ phi))
+    times = np.linspace(0.0, t_end, n_steps + 1)
+    return times, _rk4_linear_march(np.asarray(phi0, dtype=float), rhs, times)
+
+
+def solve_closed_kernel_transport(
+    params: OpticalParameters,
+    phi_in,
+    grids: TransportGrids,
+    t_end: float = 1.5,
+    n_steps: int = 300,
+) -> PhaseSpaceField:
+    """March the closed memory-kernel equation for psi_hom in poles.
+
+    The corrector is eliminated through its Duhamel formula, leaving a
+    Volterra equation for psi_hom.  Per (w, E) the corrector decays under
+    sqrt(E) L_sigma.  On mean-free cell data L_sigma has the poles
+    lambda_k of the profile sigma(w, E, .), with eigenvectors
+    phi_k = 1/(sigma - lambda_k) and r_k = 1/<phi_k^2>, and it multiplies
+    by sigma on the remainder, the data mean-free on each level set of
+    sigma.  sigma - <sigma> = sum_k r_k phi_k has no remainder, so the
+    kernels are pole sums:
+
+        kd(tau) = E sum_k r_k e^{-sqrt(E) lambda_k tau}
+        kc(tau)[v, w, E'] = sqrt(E') sum_k r_k <kappa2 phi_k> e^{-sqrt(E') lambda_k tau}
+
+    The corrector is carried as its pole coordinates Y_k, which start at
+    beta_k = r_k <rho0 phi_k> and take up the trapezoid history of psi,
+    Y <- q (Y - dt sqrt(E) r_k psi_n) with q_k = e^{-dt sqrt(E) lambda_k},
+    plus the remainder V_perp = rho0 - sum_k beta_k phi_k, which decays by
+    e^{-dt sqrt(E) sigma} per step.  The implicit coupling is solved
+    through the package's reduced n_omega^2 system
+    (:func:`homokin.transport._implicit_inverse`), and the scattering runs
+    through its ``reduce``/``spread`` pair, here over the trailing axes
+    (E', k) of the pole tables too.  Poles come from :func:`exact_poles`
+    once per distinct cell profile and the y grid is never marched.  Only
+    the r-slices where phi_in is nonzero are marched.
+    """
+    energies = grids.energy_nodes()
+    sqrtE, we = np.sqrt(energies), grids.energy_weight()
+    y = PeriodicGrid(grids.n_y).nodes
+    wy = 1.0 / grids.n_y
+    op = _Scattering(grids, energies, _mu_table(params.kappa1, grids, energies))
+    sig = params.sample_sigma(grids.angles, energies, y)
+    k2y = _mu_table(params.kappa2, grids, energies[:, None], y)  # (nw, nw, nE', ny)
+    active, phi0 = _initial_slices(
+        phi_in, grids, grids.angles[:, None, None], energies[:, None], y
+    )  # (na, nw, nE, ny)
+    psi0 = phi0.mean(axis=3)
+    sig_mean = sig.mean(axis=2)  # (nw, nE)
+    sig_fluct = sig - sig_mean[:, :, None]
+    k2bar = k2y.mean(axis=3)  # y-average of kappa2(mu, E', .)
+    rho0 = phi0 - psi0[..., None]
+    nw, ne, ny = sig.shape
+    profiles, which = np.unique(sig.reshape(-1, ny), axis=0, return_inverse=True)
+    which = which.reshape(nw, ne)
+    solved = [exact_poles(p, np.full(ny, wy)) for p in profiles]
+    m = max(len(poles) for poles, _ in solved)
+    lam = np.zeros((len(profiles), m))
+    res = np.zeros((len(profiles), m))  # padded poles carry no weight
+    c2 = np.zeros(k2y.shape[:3] + (m,))  # <kappa2 phi_k>
+    beta = np.zeros(rho0.shape[:3] + (m,))
+    v_perp = rho0.copy()
+    for p, (poles, residues) in enumerate(solved):
+        k, at = len(poles), which == p
+        lam[p, :k], res[p, :k] = poles, residues
+        phi = 1.0 / (profiles[p][None, :] - poles[:, None])  # (k, ny)
+        c2[:, at, :k] = k2y[:, at] @ phi.T * wy
+        beta[:, at, :k] = rho0[:, at] @ phi.T * (wy * residues)
+        v_perp[:, at] -= beta[:, at, :k] @ phi
+
+    r = grids.r_nodes
+    times = np.linspace(0.0, t_end, n_steps + 1)
+    dt = times[1] - times[0]
+    rate = sqrtE[None, :, None]
+    q = np.exp(-dt * rate * lam[which])
+    kick = dt * rate * res[which]
+    decay = np.exp(-dt * rate * sig)
+
+    def memory(Y, X):
+        # S R_kappa2 rho - sqrt(E) <sig rho> for the corrector rho with pole
+        # coordinates Y and remainder X: the kernel history and the source
+        g = op.reduce(c2, Y, we) + op.reduce(k2y, X, we * wy)
+        local = Y.sum(axis=3) + (sig * X).mean(axis=3)
+        return op.spread(g) - sqrtE * local
+
+    # trapezoid step of dpsi/dt + sqrt(E)<sig> psi - K_bar psi = memory,
+    # the lag-zero kernels kd0, kc0 taken implicitly with the K_bar coupling
+    diag = sqrtE[None, :] * sig_mean
+    kd0 = energies[None, :] * (sig * sig_fluct).mean(axis=2)
+    kc0 = sqrtE[None, None, :] * np.einsum("vwey,wey->vwe", k2y, sig_fluct) * wy
+    denom = 1.0 + 0.5 * dt * diag - 0.25 * dt * dt * kd0
+    coupling = 0.5 * dt * k2bar - 0.25 * dt * dt * kc0
+    solve = _implicit_inverse(op.matrix(coupling / denom[None], we))
+
+    psis = np.zeros((n_steps + 1, len(r)) + psi0.shape[1:])
+    psis[0, active] = psi0
+    mem_prev = memory(beta, v_perp)
+    # each step takes kick * psi_n off Y; the trapezoid halves it for psi0
+    psi, Y, X = psi0, beta + 0.5 * kick * psi0[..., None], v_perp
+    for n in range(n_steps):
+        Y -= kick * psi[..., None]
+        Y *= q
+        X *= decay
+        mem = memory(Y, X)
+        rhs = psi * (1.0 - 0.5 * dt * diag) + 0.5 * dt * (
+            op.spread(op.reduce(k2bar, psi, we)) + mem_prev + mem
+        )
+        # (D - S R_M) psi = rhs through g = R_M psi: (I - C) g = R_M(rhs / D)
+        g = solve(op.reduce(coupling, rhs / denom, we))
+        psi = (rhs + op.spread(g)) / denom
+        psis[n + 1, active] = psi
+        mem_prev = mem + 0.5 * dt * (kd0 * psi - op.spread(op.reduce(kc0, psi, we)))
+    return PhaseSpaceField(times, r, grids.angles, energies, psis)

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from homokin.boltzmann import DEFAULT_SWEEP, solve_separable_energy_model
+from homokin.boltzmann import DEFAULT_SWEEP
 from homokin.cell import (
     CellFunction,
     PeriodicGrid,
@@ -27,7 +27,6 @@ from homokin.transport import (
     coercivity_test,
     hat_initial_data,
     solve_characteristics_eps,
-    solve_closed_kernel_transport,
     solve_two_scale_transport,
     subcriticality_check,
     transport_preset,
@@ -41,6 +40,8 @@ from oracles import (
     memory_kernel_eval,
     regularized_kernel_laplace,
     semigroup_apply,
+    solve_closed_kernel_transport,
+    solve_separable_energy_model,
 )
 
 

@@ -53,6 +53,17 @@ class TestConfigValidation:
         # only the ode kind runs the coupled route
         ExperimentConfig(kind="tartar", n_cell=4096).validate()
 
+    def test_boltzmann_eps_over_node_budget(self, tmp_path):
+        # eps = 1e-5 asks for 10^7 energy nodes against a budget of 2 * 10^6;
+        # validation sizes the mesh without allocating it
+        out = tmp_path / "out"
+        config = ExperimentConfig(kind="boltzmann", epsilons=(0.1, 1e-5), out_dir=str(out))
+        result = run_experiment(config)
+        assert result.status == 2
+        assert result.message.startswith("eps: ")
+        assert "10000000 nodes" in result.message
+        assert not out.exists()
+
     def test_run_experiment_reports_config_error(self):
         result = run_experiment(ExperimentConfig(kind="boltzmann", epsilons=()))
         assert result.status == 2

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -12,7 +12,6 @@ from homokin.cell import (
     CellFunction,
     PeriodicGrid,
     cell_average,
-    exact_poles,
     gauss_poles,
     gauss_radau_rules,
     pole_sum,
@@ -25,9 +24,20 @@ from homokin.kernels import (
     kernel_laplace_semigroup,
     tartar_kernel_laplace,
 )
-from homokin.oscillator import YoungMeasure, cell_averaged_limit, solve_oscillator_limit
+from homokin.oscillator import (
+    YoungMeasure,
+    cell_averaged_limit,
+    kernel_time_table,
+    solve_oscillator_limit,
+)
 from homokin.volterra import TimeGrid
-from oracles import memory_kernel_eval, operator_matrix, secular_poles, secular_response
+from oracles import (
+    exact_poles,
+    memory_kernel_eval,
+    operator_matrix,
+    secular_poles,
+    secular_response,
+)
 
 EPS = np.finfo(float).eps
 # Gauss rule against the full secular pole sum, in units of eps Var sigma.
@@ -63,6 +73,27 @@ def young_measures(draw):
     m = draw(st.integers(2, 3))
     atoms = draw(hnp.arrays(np.float64, m, elements=st.floats(-3.0, 6.0)))
     raw = draw(hnp.arrays(np.float64, m, elements=st.floats(0.1, 1.0)))
+    return YoungMeasure(atoms, raw / raw.sum())
+
+
+@st.composite
+def tied_young_measures(draw):
+    """2-12 atoms in [-5, 5] picked from a pool, so atoms repeat, with
+    weights zero or in [0.1, 1] before normalization.
+
+    Distinct pool values lie at least 1e-6 apart: closer ones cancel to
+    rounding in any computed Var(l).  Far smaller weights are left out as
+    well: they make the residues of the dense and the secular route differ
+    from each other by thousands of eps Var.
+    """
+    m = draw(st.integers(2, 12))
+    size = draw(st.integers(1, m))
+    pool = np.unique(draw(hnp.arrays(np.float64, size, elements=st.floats(-5.0, 5.0))))
+    assume(np.all(np.diff(pool) >= 1e-6))
+    atoms = pool[draw(hnp.arrays(np.intp, m, elements=st.integers(0, len(pool) - 1)))]
+    weight = st.one_of(st.just(0.0), st.floats(0.1, 1.0))
+    raw = draw(hnp.arrays(np.float64, m, elements=weight))
+    assume(raw.sum() > 0.0)
     return YoungMeasure(atoms, raw / raw.sum())
 
 
@@ -321,3 +352,18 @@ class TestOscillatorProperties:
         grid = TimeGrid.from_count(5.0, 2500)
         u = solve_oscillator_limit(nu, u_in, grid)
         assert np.max(np.abs(u - cell_averaged_limit(nu, grid.times, u_in))) < 1e-3
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_young_measures())
+    def test_kernel_modes_match_dense_oracle(self, nu):
+        # one Gauss node per atom ends the Krylov space: the rule is every pole
+        rates, amplitudes = kernel_time_table(nu, TimeGrid.from_count(1.0, 4)).modes
+        freqs, residues = (1j * rates).real, amplitudes[:, 0, 0].real
+        oracle_freqs, oracle_residues = exact_poles(nu.atoms, nu.weights)
+        # Var as a sum of nonnegative pair terms: no cancellation, 0 on one atom
+        w, gaps = nu.weights, nu.atoms[:, None] - nu.atoms[None, :]
+        var = float(0.5 * w @ gaps**2 @ w)
+        assert freqs.shape == oracle_freqs.shape
+        assert np.max(np.abs(freqs - oracle_freqs), initial=0.0) <= 64 * EPS * nu.max_abs_atom
+        assert np.max(np.abs(residues - oracle_residues), initial=0.0) <= 64 * EPS * var
+        assert abs(residues.sum() - var) <= 64 * EPS * var

@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 
-from homokin import ConfigError
-from homokin.boltzmann import solve_separable_energy_model
 from homokin.cell import PeriodicGrid
 from homokin.transport import (
     OpticalParameters,
@@ -14,17 +12,27 @@ from homokin.transport import (
     kappa_bars,
     scattering_matrix,
     solve_characteristics_eps,
-    solve_closed_kernel_transport,
     solve_two_scale_transport,
     subcriticality_check,
     transport_preset,
     windowed_weak_error,
     _mu_table,
 )
+from oracles import solve_closed_kernel_transport, solve_separable_energy_model
 
 GRIDS = TransportGrids()
 SUB = transport_preset("transport-subcritical-1")
 KAPPA0 = transport_preset("transport-kappa0")
+
+
+def assert_exact_decay(sol, phi_in, grids, eps):
+    """A kappa = 0 run: each active slice is phi_in e^{-t sigma_eps}, to 1e-8."""
+    y = np.mod(sol.energies / eps, 1.0)
+    sig = KAPPA0.sigma_eps(grids.angles, sol.energies, eps)
+    for i, rv in enumerate(sol.r_nodes):
+        base = phi_in(rv, grids.angles[:, None], sol.energies[None, :], y[None, :])
+        exact = base[None] * np.exp(-sol.times[:, None, None] * sig[None])
+        assert np.max(np.abs(sol.values[:, i] - exact)) < 1e-8
 
 
 class TestMuTable:
@@ -169,12 +177,7 @@ class TestCharacteristicsSolver:
         sol = solve_characteristics_eps(
             KAPPA0, phi_in, eps, grids, t_end=1.0, n_steps=20, store_full=True
         )
-        y = np.mod(sol.energies / eps, 1.0)
-        sig = KAPPA0.sigma_eps(grids.angles, sol.energies, eps)
-        for i, rv in enumerate(sol.r_nodes):
-            base = phi_in(rv, grids.angles[:, None], sol.energies[None, :], y[None, :])
-            exact = base[None] * np.exp(-sol.times[:, None, None] * sig[None])
-            assert np.max(np.abs(sol.values[:, i] - exact)) < 1e-8
+        assert_exact_decay(sol, phi_in, grids, eps)
 
     def test_linearity_in_initial_data(self):
         grids = TransportGrids(n_r=8, n_e=48)
@@ -199,11 +202,18 @@ class TestCharacteristicsSolver:
         )
         assert sol.min_value >= 0.0
 
-    def test_exterior_characteristics_rejected(self):
-        with pytest.raises(ConfigError):
-            solve_characteristics_eps(
-                SUB, hat_initial_data(0.5), 0.25, GRIDS, t_end=5.0
-            )
+    def test_labels_do_not_interact_at_late_times(self):
+        # streaming at speed sqrt(E) would carry the data 5 units by t_end,
+        # past r_box = 2; the model has no streaming, labels do not
+        # interact, and each one still decays on its own
+        grids = TransportGrids(n_r=8, n_e=48)
+        phi_in = hat_initial_data(0.5)
+        eps = 0.25
+        sol = solve_characteristics_eps(
+            KAPPA0, phi_in, eps, grids, t_end=5.0, store_full=True
+        )
+        assert np.array_equal(sol.r_nodes, [-0.25, 0.25])
+        assert_exact_decay(sol, phi_in, grids, eps)
 
     def test_bad_window_count_rejected_before_setup(self):
         # the implicit step of test_singular_implicit_step_raises is singular,
@@ -428,8 +438,8 @@ class TestTwoScaleTransport:
 
 class TestActiveSlices:
     def test_support_read_off_the_data(self):
-        # a plain function carries no support attribute; its reach is
-        # 0.5 + 0.01 from the outermost active r-cell, well inside r_box
+        # a plain function carries no support attribute: the active
+        # r-slices are read off its values at the r-nodes
         def phi_in(r, th, E, y):
             shape = np.broadcast(r, th, E, y).shape
             hat = np.maximum(0.0, 1.0 - np.abs(r) / 0.5)
