@@ -98,11 +98,37 @@ class ExperimentConfig:
                 f"n_cell: the ode kind takes at most {COUPLED_MAX_CELLS} cell nodes, "
                 f"got {self.n_cell}"
             )
+        # each kind sizes the smallest eps's grid without allocating it
         if self.kind == "boltzmann":
-            try:  # sizes the smallest eps's energy mesh without allocating it
+            try:
                 EnergyGrid.for_epsilon(eps[-1])
             except MemoryError as exc:
                 raise ConfigError(f"eps: {exc}") from exc
+        if self.kind == "transport":
+            try:
+                self.transport_grids().eps_energy_count(eps[-1])
+            except MemoryError as exc:
+                raise ConfigError(f"eps: {exc}") from exc
+        if self.kind == "ode" and _weak_x_count(eps[-1]) > WEAK_X_BUDGET:
+            raise ConfigError(
+                f"eps: the weak study at eps = {eps[-1]:g} needs "
+                f"{_weak_x_count(eps[-1])} x-nodes, the budget is {WEAK_X_BUDGET}"
+            )
+
+    def transport_grids(self) -> TransportGrids:
+        return TransportGrids(
+            n_omega=self.n_omega, n_e=self.n_e, n_y=self.n_y, n_r=self.n_r
+        )
+
+
+# x-nodes of the ode kind's weak study, which holds (201, n_x) float arrays:
+# 105 MB each at the budget
+WEAK_X_BUDGET = 2**16
+
+
+def _weak_x_count(eps: float) -> int:
+    """x-nodes of the ode kind's weak study: 100 per period, at least 64."""
+    return max(64, round(100 / eps))
 
 
 _SECTION_FIELDS = {
@@ -277,7 +303,7 @@ def _run_ode(config: ExperimentConfig, out_dir: str) -> dict:
     target = report["closed"][-1]
     weak_rows = []
     for eps in config.epsilons:
-        nx = max(64, round(100 / eps))
+        nx = _weak_x_count(eps)
         x = (np.arange(nx) + 0.5) / nx
         eps_problem = OdeProblem(sigma, None, u_in, 10.0, epsilon=eps)
         sol = solve_eps_exact(eps_problem, x, nt=200)
@@ -332,9 +358,7 @@ def _run_transport(config: ExperimentConfig, out_dir: str) -> dict:
     params = transport_preset(
         "transport-subcritical-1" if config.preset == "1" else config.preset
     )
-    grids = TransportGrids(
-        n_omega=config.n_omega, n_e=config.n_e, n_y=config.n_y, n_r=config.n_r
-    )
+    grids = config.transport_grids()
     rows = []
     for eps in config.epsilons:
         margin = subcriticality_check(params, eps, grids)

@@ -30,9 +30,13 @@ spreads g back over kappa1, and both solvers call this one pair.  Each
 implicit trapezoid step reduces to a linear system of size n_omega^2,
 inverted once per run by :func:`_implicit_inverse`; a singular step, or
 one whose spectral radius reaches 1, raises RuntimeError.  Every solver
-marches only the r-slices where the initial data is nonzero; the other
+keeps only the r-slices where the initial data is nonzero; the other
 slices stay exactly zero.  Data that misses every r-node raises
-ConfigError.
+ConfigError.  Since labels do not interact and the march is linear,
+slices that are proportional at t = 0 stay proportional, so both
+solvers march the data's r-rank, not its r-slices: :func:`_rank_rows`
+factors the active slices once as slices = C @ rows, the march runs on
+the rows, and every output is mapped back through C.
 """
 from __future__ import annotations
 
@@ -43,6 +47,11 @@ import numpy as np
 
 from . import ConfigError
 from .cell import PeriodicGrid
+
+
+# entries of one (n_omega, n_omega, n_E) kappa table of the eps grid, 64 MB;
+# the default sweep's smallest eps, 1/160.1, needs 3.1e6 at n_omega = 16
+EPS_TABLE_BUDGET = 2**23
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +94,19 @@ class TransportGrids:
         return -self.r_box + (np.arange(self.n_r) + 0.5) * h
 
     def eps_energy_count(self, epsilon: float, nodes_per_period: int = 100) -> int:
-        return int(round((self.e_max - self.e_min) * nodes_per_period / epsilon))
+        """Energy nodes of the eps grid; MemoryError above the kappa-table budget.
+
+        The oscillatory solver holds a few (n_omega, n_omega, n) kappa
+        tables, so n_omega^2 n is held to EPS_TABLE_BUDGET entries.
+        """
+        n = int(round((self.e_max - self.e_min) * nodes_per_period / epsilon))
+        if self.n_omega**2 * n > EPS_TABLE_BUDGET:
+            raise MemoryError(
+                f"eps = {epsilon:g} needs {n} energy nodes, so each "
+                f"(n_omega, n_omega, n_E) kappa table would hold "
+                f"{self.n_omega**2 * n} entries; the budget is {EPS_TABLE_BUDGET}"
+            )
+        return n
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,6 +314,63 @@ def _initial_slices(phi_in, grids: TransportGrids, *axes) -> tuple[np.ndarray, n
     return active, data[active]
 
 
+def _rank_rows(slices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Skeleton factoring slices = C @ rows over the leading axis.
+
+    The rows are slices of the data itself.  Slices that are bitwise equal
+    share one row with coefficient exactly 1.  The distinct ones go through
+    a column-pivoted Gram-Schmidt (reorthogonalized once), which takes the
+    slice of largest residual as the next row and stops when every
+    residual is at most 16 sqrt(N) eps max|slice| in the 2-norm, N the
+    slice size.  C solves the triangular factor of the chosen rows, and
+    each row's own coefficients are set to the exact unit vector.
+    """
+    flat = slices.reshape(len(slices), -1)
+    distinct, owner = [], []
+    for s in flat:
+        j = next((j for j, d in enumerate(distinct) if np.array_equal(flat[d], s)), None)
+        if j is None:
+            j = len(distinct)
+            distinct.append(len(owner))
+        owner.append(j)
+    res = flat[distinct].copy()
+    largest = np.linalg.norm(res, axis=1).max()
+    tol = 16.0 * np.sqrt(flat.shape[1]) * np.finfo(float).eps * largest
+    pivots, basis, coef = [], [], []
+    while len(pivots) < len(distinct):
+        norms = np.linalg.norm(res, axis=1)
+        p = int(np.argmax(norms))
+        if not norms[p] > tol:
+            break
+        q = res[p] / norms[p]
+        if basis:
+            B = np.array(basis)
+            q -= (B * q).sum(axis=1) @ B
+            q /= np.linalg.norm(q)
+        c = (res * q).sum(axis=1)  # not res @ q: BLAS would split the sum
+        res -= np.outer(c, q)
+        res[p] = 0.0  # a chosen row takes no later coefficients
+        pivots.append(p)
+        basis.append(q)
+        coef.append(c)
+    # distinct = coef.T @ basis + res, so coef = R X with R = coef[:, pivots]
+    # upper triangular; back-substitute for X, the rows' coefficients
+    R = np.array(coef)
+    k = len(pivots)
+    X = np.empty_like(R)
+    for i in reversed(range(k)):
+        X[i] = (R[i] - R[i, pivots][i + 1:] @ X[i + 1:]) / R[i, pivots[i]]
+    X[:, pivots] = np.eye(k)
+    C = X.T[owner]
+    rows = slices[[distinct[p] for p in pivots]]
+    return C, rows
+
+
+def _expand(C: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """C @ f over the leading axis: rank rows back to slices."""
+    return (C @ f.reshape(len(f), -1)).reshape((len(C),) + f.shape[1:])
+
+
 class _Scattering:
     """Scattering K = S R on one energy grid, through g[r, v, w].
 
@@ -420,7 +498,10 @@ def solve_characteristics_eps(
     stay zero and are dropped.  The field runs through :func:`_march` as
     a cell of the one node y = E/eps, with rate sigma_eps; the march
     raises RuntimeError on a numerically singular implicit step or a
-    spectral radius of (dt/2) R S of at least 1.
+    spectral radius of (dt/2) R S of at least 1.  It marches the data's
+    r-rank: the rows of :func:`_rank_rows`.  The windowed averages and
+    the L2 norm come from the rows through C; the minimum too for rank
+    one, and the stored field and a higher-rank minimum are rebuilt.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -432,23 +513,33 @@ def solve_characteristics_eps(
 
     r = grids.r_nodes
     active, base0 = _initial_slices(phi_in, grids, grids.angles[:, None], energies, y)
+    C, rows = _rank_rows(base0)
     times = np.linspace(0.0, t_end, n_steps + 1)
     dt = times[1] - times[0]
     ops = _Scattering(grids, energies, k1)
     march = _march(
-        ops, k2_diag[..., None], we, sig[..., None], base0[..., None], dt, n_steps
+        ops, k2_diag[..., None], we, sig[..., None], rows[..., None], dt, n_steps
     )
 
     per_win = n_e // n_windows
     r_weight = 2.0 * grids.r_box / grids.n_r
+    gram_weight = C.T @ C
 
     def windowed_avg(f):
         return f.reshape(f.shape[:-1] + (n_windows, per_win)).mean(axis=-1)
 
     def l2_norm(f):
-        return float(
-            np.sqrt((f**2).sum() * we * grids.angle_weight * r_weight)
-        )
+        # sum over slices of |C f|^2 = sum (C^T C) * (f f^T); numpy's sums
+        # keep it independent of the BLAS thread count, which splits dot
+        f = f.reshape(len(f), -1)
+        gram = np.stack([(f * fa).sum(axis=1) for fa in f])
+        sq = float(np.sum(gram_weight * gram))
+        return float(np.sqrt(sq * we * grids.angle_weight * r_weight))
+
+    def slice_min(f):
+        if len(f) > 1:
+            return float(_expand(C, f).min())
+        return float(np.min(C * [f.min(), f.max()]))
 
     full = np.empty((n_steps + 1,) + base0.shape) if store_full else None
     windowed = np.empty((n_steps + 1,) + base0.shape[:-1] + (n_windows,))
@@ -456,10 +547,10 @@ def solve_characteristics_eps(
     for n, phi in enumerate(march):
         psi = phi[..., 0]
         if store_full:
-            full[n] = psi
-        windowed[n] = windowed_avg(psi)
+            full[n] = _expand(C, psi)
+        windowed[n] = _expand(C, windowed_avg(psi))
         sup_l2 = max(sup_l2, l2_norm(psi))
-        min_value = min(min_value, float(psi.min()))
+        min_value = min(min_value, slice_min(psi))
     return CharacteristicsSolution(
         times,
         r[active],
@@ -486,8 +577,10 @@ def solve_two_scale_transport(
     kappa2, so the scattering term does not depend on y.  The decay is
     exact at each cell node and the time error is O(dt^2), that of the
     oscillatory solver it is compared with.  Returns the homogenized
-    field psi_hom = <phi>_y at every step.  Only the r-slices where phi_in
-    is nonzero are marched; the returned field covers every r-node.
+    field psi_hom = <phi>_y at every step.  Only the data's r-rank is
+    marched, the rows of :func:`_rank_rows` over the r-slices where phi_in
+    is nonzero, and psi_hom = C <rows>_y; the returned field covers every
+    r-node.
     """
     energies = grids.energy_nodes()
     y = PeriodicGrid(grids.n_y).nodes
@@ -503,8 +596,9 @@ def solve_two_scale_transport(
     dt = times[1] - times[0]
     psis = np.zeros((n_steps + 1, len(r)) + phi0.shape[1:3])
     weight = grids.energy_weight() * (1.0 / grids.n_y)
-    for n, phi in enumerate(_march(ops, k2y, weight, rate, phi0, dt, n_steps)):
-        psis[n, active] = phi.mean(axis=3)
+    C, rows = _rank_rows(phi0)
+    for n, phi in enumerate(_march(ops, k2y, weight, rate, rows, dt, n_steps)):
+        psis[n, active] = _expand(C, phi.mean(axis=3))
     return PhaseSpaceField(times, r, grids.angles, energies, psis)
 
 

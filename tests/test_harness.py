@@ -64,6 +64,30 @@ class TestConfigValidation:
         assert "10000000 nodes" in result.message
         assert not out.exists()
 
+    def test_transport_eps_over_table_budget(self, tmp_path):
+        # eps = 1e-4 asks for 750,000 energy nodes, so (16, 16, 750000) kappa
+        # tables of 1.5 GB each; validation sizes them without allocating
+        ExperimentConfig(kind="transport", epsilons=(0.1, 1 / 256)).validate()
+        out = tmp_path / "out"
+        config = ExperimentConfig(kind="transport", epsilons=(0.1, 1e-4), out_dir=str(out))
+        result = run_experiment(config)
+        assert result.status == 2
+        assert result.message.startswith("eps: ")
+        assert "750000 energy nodes" in result.message
+        assert not out.exists()
+        # the budget is on table entries, so it tightens with n_omega
+        with pytest.raises(ConfigError, match="^eps: "):
+            ExperimentConfig(kind="transport", epsilons=(1 / 256,), n_omega=64).validate()
+
+    def test_ode_weak_grid_over_budget(self):
+        # 100 x-nodes per period: eps = 100 / 2^16 is the smallest within budget
+        ExperimentConfig(kind="ode", epsilons=(0.1, 100 / 2**16)).validate()
+        for eps in (0.99 * 100 / 2**16, 1e-7):
+            with pytest.raises(ConfigError, match="^eps: .* x-nodes, the budget is 65536"):
+                ExperimentConfig(kind="ode", epsilons=(eps,)).validate()
+        # only the ode kind runs the weak study on an x grid
+        ExperimentConfig(kind="oscillator", epsilons=(1e-7,)).validate()
+
     def test_run_experiment_reports_config_error(self):
         result = run_experiment(ExperimentConfig(kind="boltzmann", epsilons=()))
         assert result.status == 2

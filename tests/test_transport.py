@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homokin.cell import PeriodicGrid
 from homokin.transport import (
@@ -17,6 +19,7 @@ from homokin.transport import (
     transport_preset,
     windowed_weak_error,
     _mu_table,
+    _rank_rows,
 )
 from oracles import solve_closed_kernel_transport, solve_separable_energy_model
 
@@ -486,6 +489,133 @@ class TestActiveSlices:
         assert not np.any(np.delete(closed[1], idx[1], axis=1))
         assert np.array_equal(chars[0].r_nodes, chars[1].r_nodes)
         assert np.array_equal(chars[0].values, chars[1].values)
+
+
+RANK_GRIDS = TransportGrids(n_omega=4, n_e=12, n_y=16, n_r=8)
+
+
+def _features(th, E, y):
+    """Smooth functions of (theta, E, y) that the data combines."""
+    return [
+        np.ones_like(th * E * y),
+        np.cos(th) * E,
+        np.sin(th) + E * E,
+        np.sin(2 * np.pi * y),
+        np.cos(2 * np.pi * y + th) * np.sqrt(E),
+    ]
+
+
+def _coefficient_data(phi_coef, row_coef):
+    """phi_in(r, ...) = sum_j row_coef[i(r), j] G_j with G_j = sum_m phi_coef[j, m] F_m."""
+    r_nodes = RANK_GRIDS.r_nodes
+
+    def phi_in(r, th, E, y):
+        i = int(np.argmin(np.abs(r_nodes - r)))
+        feats = _features(th, E, y)
+        out = np.zeros(np.broadcast(th, E, y).shape)
+        for j, a in enumerate(row_coef[i]):
+            out = out + a * sum(c * f for c, f in zip(phi_coef[j], feats))
+        return out
+
+    return phi_in
+
+
+@st.composite
+def rank_data(draw):
+    """Data of rank 1-3 over the r-nodes, with exact duplicates, scaled
+    copies and near-dependent pairs; the last coefficient column holds only
+    the near-dependent perturbations."""
+    k = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(
+        st.sampled_from(["zero", "fresh", "duplicate", "scaled", "near"]),
+        min_size=RANK_GRIDS.n_r, max_size=RANK_GRIDS.n_r,
+    ))
+    rows = np.zeros((RANK_GRIDS.n_r, k + 1))
+    for i, kind in enumerate(kinds):
+        earlier = [j for j in range(i) if rows[j].any()]
+        if kind == "fresh" or (kind != "zero" and not earlier):
+            rows[i, :k] = rng.uniform(-1.0, 1.0, k) + np.sign(rng.uniform(-1, 1, k))
+        elif kind == "duplicate":
+            rows[i] = rows[rng.choice(earlier)]
+        elif kind == "scaled":
+            rows[i] = rng.uniform(-3.0, 3.0) * rows[rng.choice(earlier)]
+        elif kind == "near":
+            rows[i] = rows[rng.choice(earlier)]
+            rows[i, k] += 10.0 ** rng.uniform(-15.0, -6.0)
+    if not rows.any():
+        rows[3, 0] = 1.0
+    phi_coef = rng.uniform(-1.0, 1.0, (k + 1, len(_features(0.0, 1.0, 0.0))))
+    return phi_coef, rows
+
+
+class TestRankMarch:
+    """Both solvers march the data's r-rank; the slice-by-slice march is the oracle.
+
+    The oracle sums solves of the data restricted to one r-node each, so
+    every one of them marches a single slice.
+    """
+
+    EPS, NODES_PER_PERIOD, T_END, N_STEPS = 0.5, 8, 0.5, 20
+
+    def _chars(self, phi_in):
+        return solve_characteristics_eps(
+            SUB, phi_in, self.EPS, RANK_GRIDS, t_end=self.T_END,
+            n_steps=self.N_STEPS, nodes_per_period=self.NODES_PER_PERIOD,
+            store_full=True,
+        )
+
+    def _hom(self, phi_in):
+        return solve_two_scale_transport(
+            SUB, phi_in, RANK_GRIDS, t_end=self.T_END, n_steps=self.N_STEPS
+        )
+
+    @given(rank_data())
+    @settings(max_examples=20, deadline=None)
+    def test_rank_march_matches_slice_by_slice(self, data):
+        phi_coef, rows = data
+        chars = self._chars(_coefficient_data(phi_coef, rows))
+        hom = self._hom(_coefficient_data(phi_coef, rows))
+        singles, hom_sum = [], np.zeros_like(hom.values)
+        for i in np.nonzero(rows.any(axis=1))[0]:
+            only_i = np.where(np.arange(len(rows))[:, None] == i, rows, 0.0)
+            singles.append(self._chars(_coefficient_data(phi_coef, only_i)))
+            hom_sum += self._hom(_coefficient_data(phi_coef, only_i)).values
+        values = np.concatenate([s.values for s in singles], axis=1)
+        windowed = np.concatenate([s.windowed for s in singles], axis=1)
+        we = RANK_GRIDS.energy_weight(len(chars.energies))
+        r_weight = 2.0 * RANK_GRIDS.r_box / RANK_GRIDS.n_r
+        sup_l2 = np.sqrt(
+            (values**2).sum(axis=(1, 2, 3)) * we * RANK_GRIDS.angle_weight * r_weight
+        ).max()
+        gate = 1e-12 * max(1.0, float(np.max(np.abs(values))))
+        assert np.array_equal(chars.r_nodes, np.concatenate([s.r_nodes for s in singles]))
+        assert np.max(np.abs(chars.values - values)) <= gate
+        assert np.max(np.abs(chars.windowed - windowed)) <= gate
+        assert abs(chars.sup_l2 - sup_l2) <= gate
+        assert abs(chars.min_value - min(s.min_value for s in singles)) <= gate
+        assert np.max(np.abs(hom.values - hom_sum)) <= gate
+
+    def test_equal_slices_share_a_row_with_coefficient_one(self):
+        # three independent slice patterns, each repeated: every slice is a
+        # row or a bitwise copy of one, so the factoring is exact
+        rng = np.random.default_rng(5)
+        patterns = rng.standard_normal((3, 4, 12))
+        which = [0, 1, 0, 2, 1, 0]
+        C, rows = _rank_rows(patterns[which])
+        assert len(rows) == 3
+        assert np.array_equal(C, np.eye(3)[[0, 1, 0, 2, 1, 0]])
+        assert np.array_equal(rows, patterns)
+        phi_coef = rng.uniform(-1.0, 1.0, (3, len(_features(0.0, 1.0, 0.0))))
+        row_coef = np.zeros((RANK_GRIDS.n_r, 3))
+        row_coef[1:7] = np.eye(3)[which]
+        phi_in = _coefficient_data(phi_coef, row_coef)
+        sol = self._chars(phi_in)
+        y = np.mod(sol.energies / self.EPS, 1.0)
+        data = np.stack([
+            phi_in(rv, RANK_GRIDS.angles[:, None], sol.energies, y) for rv in sol.r_nodes
+        ])
+        assert np.array_equal(sol.values[0], data)
 
 
 class TestClosedKernelEquivalence:
