@@ -306,7 +306,7 @@ def _run_ode(config: ExperimentConfig, out_dir: str) -> dict:
         nx = _weak_x_count(eps)
         x = (np.arange(nx) + 0.5) / nx
         eps_problem = OdeProblem(sigma, None, u_in, 10.0, epsilon=eps)
-        sol = solve_eps_exact(eps_problem, x, nt=200)
+        sol = solve_eps_exact(eps_problem, x, nt=1)  # only t_end is read
         errs = weak_test_function_errors(x, sol.values[-1] - target)
         for name, err in sorted(errs.items()):
             weak_rows.append((eps, name, err))

@@ -23,20 +23,22 @@ sigma taken at each cell node and the scattering reduced over (w', E',
 y').  Its y-average is psi_hom and phi - <phi>_y is the mean-free
 corrector rho.  Both problems run through the one product-trapezoid march
 of :func:`_march`; the oscillatory one is the cell of a single node
-y = E/eps.  The scattering operator factors as K = S R through the
-angle-pair field g[r, v, w]: R (``_Scattering.reduce``) contracts a field
-against a kappa2 table over its trailing axes, S (``_Scattering.spread``)
-spreads g back over kappa1, and both solvers call this one pair.  Each
-implicit trapezoid step reduces to a linear system of size n_omega^2,
-inverted once per run by :func:`_implicit_inverse`; a singular step, or
-one whose spectral radius reaches 1, raises RuntimeError.  Every solver
-keeps only the r-slices where the initial data is nonzero; the other
-slices stay exactly zero.  Data that misses every r-node raises
-ConfigError.  Since labels do not interact and the march is linear,
-slices that are proportional at t = 0 stay proportional, so both
-solvers march the data's r-rank, not its r-slices: :func:`_rank_rows`
-factors the active slices once as slices = C @ rows, the march runs on
-the rows, and every output is mapped back through C.
+y = E/eps.  kappa sees angles only through mu = cos(w - w'), so it is
+rotation invariant and each kappa table holds one row per angle gap
+min(|v - w|, n_omega - |v - w|) of a node pair (v, w).  K = S R runs
+through the angle-pair field g[r, v, w]: R (``_Scattering.reduce``)
+contracts a field against a kappa2 table over its trailing axes, S
+(``_Scattering.spread``) spreads g back over kappa1; both solvers call
+this pair.  Each implicit trapezoid step reduces to a linear system of
+size n_omega^2, inverted once per run by :func:`_implicit_inverse`; a
+singular step, or one whose spectral radius reaches 1, raises
+RuntimeError.  Every solver keeps only the r-slices where the initial
+data is nonzero; the other slices stay exactly zero.  Data that misses
+every r-node raises ConfigError.  Since labels do not interact and the
+march is linear, slices that are proportional at t = 0 stay proportional,
+so both solvers march the data's r-rank, not its r-slices:
+:func:`_rank_rows` factors the active slices once as slices = C @ rows,
+the march runs on the rows, and every output is mapped back through C.
 """
 from __future__ import annotations
 
@@ -49,8 +51,7 @@ from . import ConfigError
 from .cell import PeriodicGrid
 
 
-# entries of one (n_omega, n_omega, n_E) kappa table of the eps grid, 64 MB;
-# the default sweep's smallest eps, 1/160.1, needs 3.1e6 at n_omega = 16
+# n_omega^2 n_E <= 2^23: at most 32768 eps-grid energy nodes at n_omega = 16
 EPS_TABLE_BUDGET = 2**23
 
 
@@ -94,17 +95,16 @@ class TransportGrids:
         return -self.r_box + (np.arange(self.n_r) + 0.5) * h
 
     def eps_energy_count(self, epsilon: float, nodes_per_period: int = 100) -> int:
-        """Energy nodes of the eps grid; MemoryError above the kappa-table budget.
+        """Energy nodes of the eps grid; MemoryError above the grid budget.
 
-        The oscillatory solver holds a few (n_omega, n_omega, n) kappa
-        tables, so n_omega^2 n is held to EPS_TABLE_BUDGET entries.
+        n_omega^2 n is held to EPS_TABLE_BUDGET.
         """
         n = int(round((self.e_max - self.e_min) * nodes_per_period / epsilon))
         if self.n_omega**2 * n > EPS_TABLE_BUDGET:
             raise MemoryError(
-                f"eps = {epsilon:g} needs {n} energy nodes, so each "
-                f"(n_omega, n_omega, n_E) kappa table would hold "
-                f"{self.n_omega**2 * n} entries; the budget is {EPS_TABLE_BUDGET}"
+                f"eps = {epsilon:g} needs {n} energy nodes, so n_omega^2 n_E = "
+                f"{self.n_omega**2 * n}; the budget is {EPS_TABLE_BUDGET}, "
+                f"at most {EPS_TABLE_BUDGET // self.n_omega**2} energy nodes"
             )
         return n
 
@@ -140,19 +140,25 @@ class OpticalParameters:
         )
 
 
-def _mu_table(fn, grids: TransportGrids, *args) -> np.ndarray:
-    """fn(mu, *args) at the cosines of the angle gaps, shape (w, w', *rest).
+def _gap_index(n_omega: int) -> np.ndarray:
+    """gap[v, w] = min(|v - w|, n_omega - |v - w|), the angle gap of a node pair."""
+    d = np.abs(np.arange(n_omega)[:, None] - np.arange(n_omega)[None, :])
+    return np.minimum(d, n_omega - d)
 
-    fn is sampled on a uniform mu-grid and interpolated linearly in mu.
-    ``rest`` is the broadcast shape of ``args``: equal 1-D arrays pair
-    their entries (E'_j, y_j), axes set up to broadcast give a tensor table.
+
+def _mu_table(fn, grids: TransportGrids, *args) -> np.ndarray:
+    """fn(mu, *args) per angle gap k, mu = cos(2 pi k / n_omega), shape (k, *rest).
+
+    The pair (v, w) reads row _gap_index(n_omega)[v, w].  fn is sampled on
+    a uniform mu-grid and interpolated linearly in mu.  ``rest`` is the
+    broadcast shape of ``args``: equal 1-D arrays pair their entries
+    (E'_j, y_j), axes set up to broadcast give a tensor table.
     """
     n_mu = grids.n_mu
     rest = np.broadcast(*args).shape
     mu_grid = np.linspace(-1.0, 1.0, n_mu).reshape((n_mu,) + (1,) * len(rest))
     samples = np.asarray(fn(mu_grid, *args) * np.ones((n_mu,) + rest))
-    angles = grids.angles
-    mu = np.cos(angles[:, None] - angles[None, :])
+    mu = np.cos(grids.angles[: grids.n_omega // 2 + 1])
     pos = (np.clip(mu, -1.0, 1.0) + 1.0) / 2.0 * (n_mu - 1)
     j0 = np.clip(np.floor(pos).astype(int), 0, n_mu - 2)
     w = (pos - j0).reshape(mu.shape + (1,) * len(rest))
@@ -162,9 +168,9 @@ def _mu_table(fn, grids: TransportGrids, *args) -> np.ndarray:
 def _eps_operators(
     params: OpticalParameters, grids: TransportGrids, epsilon: float, n_e: int | None
 ):
-    """Energy nodes and weight, y = E/eps, sqrt(E), K1[w, w', E] and K2.
+    """Energy nodes and weight, y = E/eps, sqrt(E), K1[k, E] and K2 per angle gap k.
 
-    K2[w, w', E'] = kappa2(mu, E', E'/eps) is sampled along the curve
+    K2[k, E'] = kappa2(mu_k, E', E'/eps) is sampled along the curve
     y = E'/eps, which avoids materializing the full (E', y') tensor.
     """
     energies = grids.energy_nodes(n_e)
@@ -187,15 +193,13 @@ def kappa_bars(
     trapezoid in angle (uniform circle nodes), midpoint in energy.
     """
     _, we, _, sqrtE, k1, k2_diag = _eps_operators(params, grids, epsilon, n_e)
-    aw = grids.angle_weight
+    # every w has mult[k] partners w' at gap k, so both rates are angle-blind
+    mult = grids.angle_weight * np.bincount(_gap_index(grids.n_omega)[0])
     # bar(w, E): integrate sqrt(E) k1(mu, E) k2(mu, E', y(E')) over (w', E')
-    bar = sqrtE[None, :] * aw * np.einsum(
-        "vwE,vw->vE", k1, we * k2_diag.sum(axis=2)
-    )
+    bar = sqrtE * ((mult * we * k2_diag.sum(axis=1)) @ k1)
     # tilde(w, E): roles swapped, sqrt(E') k1(mu, E') k2(mu, E, y(E))
-    c1 = we * np.einsum("vwe,e->vw", k1, sqrtE)
-    tilde = aw * np.einsum("vw,vwE->vE", c1, k2_diag)
-    return bar, tilde
+    tilde = (mult * we * (k1 @ sqrtE)) @ k2_diag
+    return np.tile(bar, (grids.n_omega, 1)), np.tile(tilde, (grids.n_omega, 1))
 
 
 def subcriticality_check(
@@ -225,7 +229,8 @@ def scattering_matrix(
     energies, we, _, sqrtE, k1, k2_diag = _eps_operators(params, grids, epsilon, n_e)
     n = grids.n_omega * len(energies)
     # kernel(v,E; w,E') = sqrt(E) k1(mu_vw, E) k2(mu_vw, E', y(E')) w_angle w_E
-    kern = np.einsum("E,vwE,vwf->vEwf", sqrtE, k1, k2_diag)
+    gap = _gap_index(grids.n_omega)
+    kern = np.einsum("E,vwE,vwf->vEwf", sqrtE, k1[gap], k2_diag[gap])
     kern *= grids.angle_weight * we
     return kern.reshape(n, n)
 
@@ -304,14 +309,14 @@ def _initial_slices(phi_in, grids: TransportGrids, *axes) -> tuple[np.ndarray, n
     r-node raises ConfigError.
     """
     r = grids.r_nodes
-    data = np.stack([phi_in(rv, *axes) for rv in r])
-    active = np.nonzero(np.abs(data).reshape(len(r), -1).max(axis=1) > 0)[0]
-    if len(active) == 0:
+    slices = ((i, phi_in(rv, *axes)) for i, rv in enumerate(r))
+    kept = [(i, s) for i, s in slices if np.abs(s).max() > 0]
+    if not kept:
         raise ConfigError(
             f"n_r: initial data vanishes on all {len(r)} r-nodes; "
             "refine n_r so that a node falls inside its support"
         )
-    return active, data[active]
+    return np.array([i for i, _ in kept]), np.stack([s for _, s in kept])
 
 
 def _rank_rows(slices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -374,32 +379,33 @@ def _expand(C: np.ndarray, f: np.ndarray) -> np.ndarray:
 class _Scattering:
     """Scattering K = S R on one energy grid, through g[r, v, w].
 
-    R contracts a field f[r, w, T] against a kernel table kern[v, w, T]
-    over its trailing axes T, which are E' or (E', y'); S spreads
-    g back to (r, v, E) over kappa1.  Both run as batched matmuls (BLAS),
-    one per angle.
+    R contracts a field f[r, w, T] against a gap table kern[k, T] over its
+    trailing axes T, which are E' or (E', y'), in one matmul (BLAS) and
+    gathers g through the gap index; S folds g onto the gaps of v and
+    spreads it back to (r, v, E) over the kappa1 gap table in one matmul.
     """
 
     def __init__(self, grids: TransportGrids, energies: np.ndarray, k1: np.ndarray):
         self.k1 = k1
         self.scale = np.sqrt(energies) * grids.angle_weight
+        self.gap = _gap_index(grids.n_omega)
+        self.gather = np.arange(grids.n_omega) * len(k1) + self.gap
+        self.fold = (self.gap[..., None] == np.arange(len(k1))).astype(float)
 
-    @staticmethod
-    def reduce(kern: np.ndarray, f: np.ndarray, weight) -> np.ndarray:
-        """R: g[r, v, w] = weight sum_T kern[v, w, T] f[r, w, T]."""
-        nw = kern.shape[0]
-        kt = kern.reshape(nw, nw, -1).transpose(1, 2, 0)  # (w, T, v)
-        ft = f.reshape(len(f), nw, -1).transpose(1, 0, 2)  # (w, r, T)
-        return weight * np.matmul(ft, kt).transpose(1, 2, 0)
+    def reduce(self, kern: np.ndarray, f: np.ndarray, weight) -> np.ndarray:
+        """R: g[r, v, w] = weight sum_T kern[gap[v, w], T] f[r, w, T]."""
+        P = f.reshape(-1, kern[0].size) @ kern.reshape(len(kern), -1).T  # (r w, k)
+        return weight * P.reshape(len(f), -1)[:, self.gather]  # P[r, w, gap[v, w]]
 
     def spread(self, g: np.ndarray) -> np.ndarray:
-        """S: g[r, v, w] -> sqrt(E) aw sum_w k1[v, w, E] g[r, v, w]."""
-        gv = g.transpose(1, 0, 2)  # (v, r, w)
-        return self.scale * np.matmul(gv, self.k1).transpose(1, 0, 2)
+        """S: g[r, v, w] -> sqrt(E) aw sum_w k1[gap[v, w], E] g[r, v, w]."""
+        H = np.einsum("rvw,vwk->rvk", g, self.fold)  # exact: a gap holds <= 2 w
+        return self.scale * np.tensordot(H, self.k1, axes=1)  # one GEMM over (r v)
 
     def matrix(self, kern: np.ndarray, weight) -> np.ndarray:
-        """C of R S for kern[v, w, E']: (R S g)[v, w] = sum_x C[v, w, x] g[w, x]."""
-        return weight * np.einsum("vwe,wxe->vwx", kern * self.scale, self.k1)
+        """C of R S for kern[k, E']: (R S g)[v, w] = sum_x C[v, w, x] g[w, x]."""
+        M = (kern * self.scale) @ self.k1.T  # (k, k')
+        return weight * M[self.gap[:, :, None], self.gap]
 
 
 def _implicit_inverse(C: np.ndarray) -> Callable:
@@ -451,7 +457,7 @@ def _march(
     and R sums kern over y' on the y-constant F.
     """
     decay_step = np.exp(-dt * rate)
-    solve = _implicit_inverse(ops.matrix(kern.sum(axis=3), 0.5 * dt * weight))
+    solve = _implicit_inverse(ops.matrix(kern.sum(axis=-1), 0.5 * dt * weight))
     phi = phi0
     F = ops.spread(ops.reduce(kern, phi, weight))[..., None]
     yield phi
@@ -585,7 +591,7 @@ def solve_two_scale_transport(
     energies = grids.energy_nodes()
     y = PeriodicGrid(grids.n_y).nodes
     ops = _Scattering(grids, energies, _mu_table(params.kappa1, grids, energies))
-    k2y = _mu_table(params.kappa2, grids, energies[:, None], y)  # (nw, nw, nE', ny)
+    k2y = _mu_table(params.kappa2, grids, energies[:, None], y)  # (n_gap, nE', ny)
     active, phi0 = _initial_slices(
         phi_in, grids, grids.angles[:, None, None], energies[:, None], y
     )  # (na, nw, nE, ny)

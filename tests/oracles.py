@@ -30,6 +30,9 @@ The other oracles check the package against routes it no longer runs:
   the closed transport route;
 - :func:`solve_separable_energy_model`, RK4 on a rank-one energy model,
   which the angle-isotropic transport run is checked against;
+- :func:`pair_mu_table` and :class:`PairScattering`, the kappa tables
+  and the scattering pair ``reduce``/``spread``/``matrix`` per angle pair
+  (w, w'), against the package's tables per angle gap;
 - :func:`solve_closed_kernel_transport`, the closed memory-kernel route
   to psi_hom, against the two-scale march of
   :func:`homokin.transport.solve_two_scale_transport`.
@@ -68,8 +71,6 @@ from homokin.transport import (
     TransportGrids,
     _implicit_inverse,
     _initial_slices,
-    _mu_table,
-    _Scattering,
 )
 from homokin.volterra import (
     SolverError,
@@ -500,6 +501,56 @@ def solve_separable_energy_model(
     return times, _rk4_linear_march(np.asarray(phi0, dtype=float), rhs, times)
 
 
+def pair_mu_table(fn, grids: TransportGrids, *args) -> np.ndarray:
+    """fn(mu, *args) at the cosines of the angle gaps, shape (w, w', *rest).
+
+    fn is sampled on a uniform mu-grid and interpolated linearly in mu.
+    ``rest`` is the broadcast shape of ``args``: equal 1-D arrays pair
+    their entries (E'_j, y_j), axes set up to broadcast give a tensor table.
+    """
+    n_mu = grids.n_mu
+    rest = np.broadcast(*args).shape
+    mu_grid = np.linspace(-1.0, 1.0, n_mu).reshape((n_mu,) + (1,) * len(rest))
+    samples = np.asarray(fn(mu_grid, *args) * np.ones((n_mu,) + rest))
+    angles = grids.angles
+    mu = np.cos(angles[:, None] - angles[None, :])
+    pos = (np.clip(mu, -1.0, 1.0) + 1.0) / 2.0 * (n_mu - 1)
+    j0 = np.clip(np.floor(pos).astype(int), 0, n_mu - 2)
+    w = (pos - j0).reshape(mu.shape + (1,) * len(rest))
+    return (1.0 - w) * samples[j0] + w * samples[j0 + 1]
+
+
+class PairScattering:
+    """Scattering K = S R on one energy grid, through g[r, v, w].
+
+    R contracts a field f[r, w, T] against a kernel table kern[v, w, T]
+    over its trailing axes T, which are E' or (E', y'); S spreads
+    g back to (r, v, E) over kappa1.  Both run as batched matmuls (BLAS),
+    one per angle.
+    """
+
+    def __init__(self, grids: TransportGrids, energies: np.ndarray, k1: np.ndarray):
+        self.k1 = k1
+        self.scale = np.sqrt(energies) * grids.angle_weight
+
+    @staticmethod
+    def reduce(kern: np.ndarray, f: np.ndarray, weight) -> np.ndarray:
+        """R: g[r, v, w] = weight sum_T kern[v, w, T] f[r, w, T]."""
+        nw = kern.shape[0]
+        kt = kern.reshape(nw, nw, -1).transpose(1, 2, 0)  # (w, T, v)
+        ft = f.reshape(len(f), nw, -1).transpose(1, 0, 2)  # (w, r, T)
+        return weight * np.matmul(ft, kt).transpose(1, 2, 0)
+
+    def spread(self, g: np.ndarray) -> np.ndarray:
+        """S: g[r, v, w] -> sqrt(E) aw sum_w k1[v, w, E] g[r, v, w]."""
+        gv = g.transpose(1, 0, 2)  # (v, r, w)
+        return self.scale * np.matmul(gv, self.k1).transpose(1, 0, 2)
+
+    def matrix(self, kern: np.ndarray, weight) -> np.ndarray:
+        """C of R S for kern[v, w, E']: (R S g)[v, w] = sum_x C[v, w, x] g[w, x]."""
+        return weight * np.einsum("vwe,wxe->vwx", kern * self.scale, self.k1)
+
+
 def solve_closed_kernel_transport(
     params: OpticalParameters,
     phi_in,
@@ -528,18 +579,18 @@ def solve_closed_kernel_transport(
     e^{-dt sqrt(E) sigma} per step.  The implicit coupling is solved
     through the package's reduced n_omega^2 system
     (:func:`homokin.transport._implicit_inverse`), and the scattering runs
-    through its ``reduce``/``spread`` pair, here over the trailing axes
-    (E', k) of the pole tables too.  Poles come from :func:`exact_poles`
-    once per distinct cell profile and the y grid is never marched.  Only
-    the r-slices where phi_in is nonzero are marched.
+    through the angle-pair tables of :class:`PairScattering`, here over
+    the trailing axes (E', k) of the pole tables too.  Poles come from
+    :func:`exact_poles` once per distinct cell profile and the y grid is
+    never marched.  Only the r-slices where phi_in is nonzero are marched.
     """
     energies = grids.energy_nodes()
     sqrtE, we = np.sqrt(energies), grids.energy_weight()
     y = PeriodicGrid(grids.n_y).nodes
     wy = 1.0 / grids.n_y
-    op = _Scattering(grids, energies, _mu_table(params.kappa1, grids, energies))
+    op = PairScattering(grids, energies, pair_mu_table(params.kappa1, grids, energies))
     sig = params.sample_sigma(grids.angles, energies, y)
-    k2y = _mu_table(params.kappa2, grids, energies[:, None], y)  # (nw, nw, nE', ny)
+    k2y = pair_mu_table(params.kappa2, grids, energies[:, None], y)  # (nw, nw, nE', ny)
     active, phi0 = _initial_slices(
         phi_in, grids, grids.angles[:, None, None], energies[:, None], y
     )  # (na, nw, nE, ny)

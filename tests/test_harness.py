@@ -13,17 +13,19 @@ import pytest
 import homokin.kernels
 import homokin.multiscale
 import homokin.oscillator
-from homokin.cell import gauss_poles
+from homokin.cell import CellFunction, PeriodicGrid, gauss_poles, sine_profile
 from homokin.cli import build_parser, config_from_args, main
 from homokin.harness import (
     ConfigError,
     ExperimentConfig,
     emit_plot_script,
+    WEAK_X_BUDGET,
+    _weak_x_count,
     parse_config_file,
     run_experiment,
     write_csv,
 )
-from homokin.multiscale import COUPLED_MAX_CELLS
+from homokin.multiscale import COUPLED_MAX_CELLS, OdeProblem, solve_eps_exact
 from homokin.volterra import SolverError
 
 
@@ -187,6 +189,22 @@ class TestExperiments:
         assert "kernel.csv" in manifest["files"]
         assert len(manifest["files"]["kernel.csv"]) == 64
         assert manifest["wall_time_s"] >= 0.0
+
+    def test_ode_weak_study_reads_the_last_row_of_a_full_march(self):
+        # the weak study marches one step to t_end; linspace ends exactly at
+        # t_end, so its row is bitwise the last row of a 200-step march, over
+        # the default sweep and the budget edge
+        grid = PeriodicGrid(256)
+        sigma = CellFunction.from_function(grid, sine_profile(2.0, 0.5))
+        u_in = CellFunction.from_function(grid, lambda y: 1.0 + np.sin(2 * np.pi * y))
+        for eps in ExperimentConfig(kind="ode").epsilons + (100 / WEAK_X_BUDGET,):
+            nx = _weak_x_count(eps)
+            x = (np.arange(nx) + 0.5) / nx
+            problem = OdeProblem(sigma, None, u_in, 10.0, epsilon=eps)
+            one = solve_eps_exact(problem, x, nt=1)
+            full = solve_eps_exact(problem, x, nt=200)
+            assert one.times[-1] == full.times[-1] == 10.0
+            assert np.array_equal(one.values[-1], full.values[-1]), eps
 
     def test_sweep_determinism_across_workers(self, tmp_path):
         # workers = 8 twice: more threads than sweep points, and a rerun

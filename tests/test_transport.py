@@ -18,10 +18,17 @@ from homokin.transport import (
     subcriticality_check,
     transport_preset,
     windowed_weak_error,
+    _gap_index,
     _mu_table,
     _rank_rows,
+    _Scattering,
 )
-from oracles import solve_closed_kernel_transport, solve_separable_energy_model
+from oracles import (
+    PairScattering,
+    pair_mu_table,
+    solve_closed_kernel_transport,
+    solve_separable_energy_model,
+)
 
 GRIDS = TransportGrids()
 SUB = transport_preset("transport-subcritical-1")
@@ -40,20 +47,129 @@ def assert_exact_decay(sol, phi_in, grids, eps):
 
 class TestMuTable:
     def test_linear_kappa_reproduced_at_angle_gaps(self):
-        # linear interpolation in mu is exact for kappa linear in mu
+        # linear interpolation in mu is exact for kappa linear in mu; the
+        # table holds one row per angle gap, read per pair through the index
         grids = TransportGrids(n_omega=8, n_mu=16)
         fn = lambda mu, E, y: (0.5 + 0.25 * mu) * E * y
         E = grids.energy_nodes(6)
         y = np.linspace(0.1, 0.9, 6)
         mu = np.cos(grids.angles[:, None] - grids.angles[None, :])
+        gap = _gap_index(grids.n_omega)
         paired = _mu_table(fn, grids, E, y)
-        assert paired.shape == (8, 8, 6)
-        assert np.max(np.abs(paired - fn(mu[:, :, None], E, y))) < 1e-15
+        assert paired.shape == (5, 6)
+        assert np.max(np.abs(paired[gap] - fn(mu[:, :, None], E, y))) < 1e-15
         y_cell = np.linspace(0.0, 1.0, 5)
         tensor = _mu_table(fn, grids, E[:, None], y_cell)
-        assert tensor.shape == (8, 8, 6, 5)
+        assert tensor.shape == (5, 6, 5)
         expect = fn(mu[:, :, None, None], E[:, None], y_cell)
-        assert np.max(np.abs(tensor - expect)) < 1e-15
+        assert np.max(np.abs(tensor[gap] - expect)) < 1e-15
+
+
+@st.composite
+def scattering_data(draw):
+    """Grids with odd and even n_omega, kappa nonlinear in mu, kappa2 varying
+    with E' and y', a field and an angle-pair field of rank 1-3 rows, and a
+    positive scale, the reduce weight or eps."""
+    n_omega = draw(st.integers(2, 24))
+    grids = TransportGrids(n_omega=n_omega, n_mu=draw(st.integers(2, 64)))
+    n_e, n_y = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    rank = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, b = rng.uniform(0.1, 1.0, 4), rng.uniform(0.1, 1.0, 4)
+    params = OpticalParameters(
+        sigma=lambda th, E, y: 2.0 + 0.0 * y,
+        kappa1=lambda mu, E: a[0] + a[1] * mu**2 + a[2] * np.exp(a[3] * mu) * (1.0 + E),
+        kappa2=lambda mu, Ep, yp: (b[0] + b[1] * np.cos(3.0 * mu))
+        * (1.0 + b[2] * Ep * Ep)
+        * (1.0 + 0.5 * np.sin(2 * np.pi * (yp + b[3] * mu))),
+    )
+    energies = grids.energy_nodes(n_e)
+    y = rng.uniform(0.0, 1.0, n_y)
+    f = rng.standard_normal((rank, n_omega, n_e, n_y))
+    g = rng.standard_normal((rank, n_omega, n_omega))
+    return grids, params, energies, y, f, g, rng.uniform(0.1, 2.0)
+
+
+def _peak_table(fn, grids, *args):
+    """max over the mu-grid of |fn(mu, *args)|, per angle pair.
+
+    Every table entry is a convex combination of two mu-samples, so this
+    bounds it, and it scales the rounding of the cosine the entry is read at.
+    """
+    rest = np.broadcast(*args).shape
+    mu = np.linspace(-1.0, 1.0, grids.n_mu).reshape((-1,) + (1,) * len(rest))
+    peak = np.abs(fn(mu, *args) * np.ones((grids.n_mu,) + rest)).max(axis=0)
+    return np.broadcast_to(peak, (grids.n_omega,) * 2 + rest)
+
+
+class TestGapScattering:
+    """Tables per angle gap against the angle-pair oracle of tests/oracles.py.
+
+    The pair table reads the cosine of the difference of two angle nodes,
+    the gap table that of one node; both round, so every gate is a few
+    eps per interpolation node and summed term, scaled by the same
+    operation on the peak tables and absolute values.
+    """
+
+    @staticmethod
+    def _gate(n_mu, n_terms, magnitude):
+        return 16.0 * np.finfo(float).eps * (n_mu + n_terms) * magnitude
+
+    @given(scattering_data())
+    @settings(max_examples=60, deadline=None)
+    def test_reduce_spread_matrix_match_pair_tables(self, data):
+        grids, params, energies, y, f, g, weight = data
+        k1 = _mu_table(params.kappa1, grids, energies)
+        k2 = _mu_table(params.kappa2, grids, energies[:, None], y)
+        p1 = pair_mu_table(params.kappa1, grids, energies)
+        p2 = pair_mu_table(params.kappa2, grids, energies[:, None], y)
+        peak2 = _peak_table(params.kappa2, grids, energies[:, None], y)
+        assert k1.shape == (grids.n_omega // 2 + 1, len(energies))
+        ops = _Scattering(grids, energies, k1)
+        pair = PairScattering(grids, energies, p1)
+        peak = PairScattering(grids, energies, _peak_table(params.kappa1, grids, energies))
+        n_mu, n_t = grids.n_mu, f[0, 0].size
+
+        got, want = ops.reduce(k2, f, weight), pair.reduce(p2, f, weight)
+        bound = pair.reduce(peak2, np.abs(f), weight)
+        assert np.all(np.abs(got - want) <= self._gate(n_mu, n_t, bound))
+
+        got, want = ops.spread(g), pair.spread(g)
+        bound = peak.spread(np.abs(g))
+        assert np.all(np.abs(got - want) <= self._gate(n_mu, grids.n_omega, bound))
+
+        got = ops.matrix(k2.sum(axis=-1), weight)
+        want = pair.matrix(p2.sum(axis=-1), weight)
+        bound = peak.matrix(peak2.sum(axis=-1), weight)
+        assert np.all(np.abs(got - want) <= self._gate(n_mu, n_t, bound))
+
+    @given(scattering_data())
+    @settings(max_examples=30, deadline=None)
+    def test_kappa_bars_match_pair_tables(self, data):
+        grids, params, energies, _, _, _, eps = data
+        bar, tilde = kappa_bars(params, eps, grids, len(energies))
+        y = np.mod(energies / eps, 1.0)
+        we, aw = grids.energy_weight(len(energies)), grids.angle_weight
+        sqrtE = np.sqrt(energies)
+
+        def rates(k1, k2):
+            # (v, w, E) terms of bar and tilde, summed over w by the caller
+            t_bar = sqrtE * aw * k1 * (we * k2.sum(axis=2))[..., None]
+            t_tilde = aw * (we * np.einsum("vwe,e->vw", k1, sqrtE))[..., None] * k2
+            return t_bar, t_tilde
+
+        pairs = rates(
+            pair_mu_table(params.kappa1, grids, energies),
+            pair_mu_table(params.kappa2, grids, energies, y),
+        )
+        peaks = rates(
+            _peak_table(params.kappa1, grids, energies),
+            _peak_table(params.kappa2, grids, energies, y),
+        )
+        n_terms = grids.n_omega * len(energies)
+        for got, terms, peak in zip((bar, tilde), pairs, peaks):
+            gate = self._gate(grids.n_mu, n_terms, peak.sum(axis=1))
+            assert np.all(np.abs(got - terms.sum(axis=1)) <= gate)
 
 
 class TestKappaBars:
@@ -417,8 +533,8 @@ class TestTwoScaleTransport:
         E, we, aw = grids.energy_nodes(), grids.energy_weight(), grids.angle_weight
         y = PeriodicGrid(grids.n_y).nodes
         rate = (np.sqrt(E)[:, None] * params.sample_sigma(grids.angles, E, y)).ravel()
-        k1 = _mu_table(params.kappa1, grids, E)
-        k2y = _mu_table(params.kappa2, grids, E[:, None], y)
+        k1 = pair_mu_table(params.kappa1, grids, E)
+        k2y = pair_mu_table(params.kappa2, grids, E[:, None], y)
         # K[(v, E, y), (w, E', y')] = sqrt(E) aw k1[v, w, E] k2[v, w, E', y'] we wy
         K = np.einsum("E,vwE,vwfz,y->vEywfz", np.sqrt(E), k1, k2y, np.ones_like(y))
         K = K.reshape(len(rate), len(rate)) * aw * we / grids.n_y
