@@ -360,6 +360,7 @@ def _run_transport(config: ExperimentConfig, out_dir: str) -> dict:
     )
     grids = config.transport_grids()
     rows = []
+    # on the n_e reference grid, not the eps grid: the margin aliases at small eps
     for eps in config.epsilons:
         margin = subcriticality_check(params, eps, grids)
         quotient = coercivity_test(params, eps, grids, trials=100, seed=config.seed)

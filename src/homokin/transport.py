@@ -25,20 +25,24 @@ corrector rho.  Both problems run through the one product-trapezoid march
 of :func:`_march`; the oscillatory one is the cell of a single node
 y = E/eps.  kappa sees angles only through mu = cos(w - w'), so it is
 rotation invariant and each kappa table holds one row per angle gap
-min(|v - w|, n_omega - |v - w|) of a node pair (v, w).  K = S R runs
-through the angle-pair field g[r, v, w]: R (``_Scattering.reduce``)
-contracts a field against a kappa2 table over its trailing axes, S
-(``_Scattering.spread``) spreads g back over kappa1; both solvers call
-this pair.  Each implicit trapezoid step reduces to a linear system of
-size n_omega^2, inverted once per run by :func:`_implicit_inverse`; a
-singular step, or one whose spectral radius reaches 1, raises
-RuntimeError.  Every solver keeps only the r-slices where the initial
-data is nonzero; the other slices stay exactly zero.  Data that misses
-every r-node raises ConfigError.  Since labels do not interact and the
-march is linear, slices that are proportional at t = 0 stay proportional,
-so both solvers march the data's r-rank, not its r-slices:
-:func:`_rank_rows` factors the active slices once as slices = C @ rows,
-the march runs on the rows, and every output is mapped back through C.
+min(|v - w|, n_omega - |v - w|) of a node pair (v, w).  :func:`_set_up`
+builds the tables and the rate sqrt(E) sigma for both solvers and both
+checks, on the node y = E/eps of each energy or on the periodic cell.
+K = S R runs through the angle-pair field g[r, v, w]: R
+(``_Scattering.reduce``) contracts a field against a kappa2 table over
+its trailing axes, S (``_Scattering.spread``) spreads g back over
+kappa1; the solvers and the coercivity check call this pair, and no
+dense kernel matrix is built.  Each implicit trapezoid step reduces to a
+linear system of size n_omega^2, inverted once per run by
+:func:`_implicit_inverse`; a singular step, or one whose spectral radius
+reaches 1, raises RuntimeError.  Every solver keeps only the r-slices
+where the initial data is nonzero; the other slices stay exactly zero.
+Data that misses every r-node raises ConfigError.  Since labels do not
+interact and the march is linear, slices that are proportional at t = 0
+stay proportional, so both solvers march the data's r-rank, not its
+r-slices: :func:`_rank_rows` factors the active slices once as
+slices = C @ rows, the march runs on the rows, and every output is
+mapped back through C.
 """
 from __future__ import annotations
 
@@ -123,22 +127,6 @@ class OpticalParameters:
     kappa1: Callable
     kappa2: Callable
 
-    def sample_sigma(self, angles, energies, y) -> np.ndarray:
-        th = np.asarray(angles)[:, None, None]
-        ee = np.asarray(energies)[None, :, None]
-        yy = np.asarray(y)[None, None, :]
-        return np.asarray(self.sigma(th, ee, yy) * np.ones_like(th * ee * yy))
-
-    def sigma_eps(self, angles, energies, epsilon: float) -> np.ndarray:
-        """sqrt(E) sigma(theta, E, E/eps) on the (angle, energy) grid."""
-        energies = np.asarray(energies)
-        y = np.mod(energies / epsilon, 1.0)
-        th = np.asarray(angles)[:, None]
-        base = self.sigma(th, energies[None, :], y[None, :])
-        return np.sqrt(energies)[None, :] * np.asarray(
-            base * np.ones_like(th * energies[None, :])
-        )
-
 
 def _gap_index(n_omega: int) -> np.ndarray:
     """gap[v, w] = min(|v - w|, n_omega - |v - w|), the angle gap of a node pair."""
@@ -165,19 +153,46 @@ def _mu_table(fn, grids: TransportGrids, *args) -> np.ndarray:
     return (1.0 - w) * samples[j0] + w * samples[j0 + 1]
 
 
-def _eps_operators(
-    params: OpticalParameters, grids: TransportGrids, epsilon: float, n_e: int | None
-):
-    """Energy nodes and weight, y = E/eps, sqrt(E), K1[k, E] and K2 per angle gap k.
+def _set_up(params: OpticalParameters, grids: TransportGrids, energies, y):
+    """Scattering pair, kappa2[k, E', y'] per angle gap k and rate sqrt(E) sigma.
 
-    K2[k, E'] = kappa2(mu_k, E', E'/eps) is sampled along the curve
-    y = E'/eps, which avoids materializing the full (E', y') tensor.
+    ``y`` broadcasts against energies[:, None]: shape (nE, 1) holds the one
+    node E/eps of each energy, shape (1, n_y) the periodic cell.  The rate
+    has shape (n_omega, nE, ny).
     """
+    ee = energies[:, None]
+    ops = _Scattering(grids, energies, _mu_table(params.kappa1, grids, energies))
+    k2 = _mu_table(params.kappa2, grids, ee, y)
+    shape = (grids.n_omega,) + np.broadcast(ee, y).shape
+    sig = params.sigma(grids.angles[:, None, None], ee, y) * np.ones(shape)
+    return ops, k2, np.sqrt(ee) * sig
+
+
+def _eps_set_up(params, grids, epsilon: float, n_e=None, nodes_per_period=None):
+    """Energies, the cell y = E/eps of shape (nE, 1) and :func:`_set_up` on it.
+
+    The energies are ``n_e`` nodes (the reference grid if None) or, given
+    ``nodes_per_period``, the eps grid.  eps <= 0 raises ValueError.
+    """
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    if nodes_per_period is not None:
+        n_e = grids.eps_energy_count(epsilon, nodes_per_period)
     energies = grids.energy_nodes(n_e)
-    y = np.mod(energies / epsilon, 1.0)
-    k1 = _mu_table(params.kappa1, grids, energies)
-    k2 = _mu_table(params.kappa2, grids, energies, y)
-    return energies, grids.energy_weight(n_e), y, np.sqrt(energies), k1, k2
+    y = np.mod(energies / epsilon, 1.0)[:, None]
+    return (energies, y) + _set_up(params, grids, energies, y)
+
+
+def _bars(grids: TransportGrids, energies, ops, k2) -> tuple[np.ndarray, np.ndarray]:
+    """kappa_bar(E) and kappa_tilde(E) from the eps-grid tables, angle-blind."""
+    we, sqrtE, k2 = grids.energy_weight(len(energies)), np.sqrt(energies), k2[..., 0]
+    # every w has mult[k] partners w' at gap k, so both rates are angle-blind
+    mult = grids.angle_weight * np.bincount(ops.gap[0])
+    # bar(w, E): integrate sqrt(E) k1(mu, E) k2(mu, E', y(E')) over (w', E')
+    bar = sqrtE * ((mult * we * k2.sum(axis=1)) @ ops.k1)
+    # tilde(w, E): roles swapped, sqrt(E') k1(mu, E') k2(mu, E, y(E))
+    tilde = (mult * we * (ops.k1 @ sqrtE)) @ k2
+    return bar, tilde
 
 
 def kappa_bars(
@@ -192,13 +207,8 @@ def kappa_bars(
     kappa_tilde(w,E) integrates kappa_eps(mu, E', E) over (w', E');
     trapezoid in angle (uniform circle nodes), midpoint in energy.
     """
-    _, we, _, sqrtE, k1, k2_diag = _eps_operators(params, grids, epsilon, n_e)
-    # every w has mult[k] partners w' at gap k, so both rates are angle-blind
-    mult = grids.angle_weight * np.bincount(_gap_index(grids.n_omega)[0])
-    # bar(w, E): integrate sqrt(E) k1(mu, E) k2(mu, E', y(E')) over (w', E')
-    bar = sqrtE * ((mult * we * k2_diag.sum(axis=1)) @ k1)
-    # tilde(w, E): roles swapped, sqrt(E') k1(mu, E') k2(mu, E, y(E))
-    tilde = (mult * we * (k1 @ sqrtE)) @ k2_diag
+    energies, _, ops, k2, _ = _eps_set_up(params, grids, epsilon, n_e)
+    bar, tilde = _bars(grids, energies, ops, k2)
     return np.tile(bar, (grids.n_omega, 1)), np.tile(tilde, (grids.n_omega, 1))
 
 
@@ -213,26 +223,25 @@ def subcriticality_check(
     A positive value certifies the subcritical hypothesis on the grid; a
     negative one is a valid (flagged) answer, not an error.
     """
-    energies = grids.energy_nodes(n_e)
-    sig = params.sigma_eps(grids.angles, energies, epsilon)
-    bar, tilde = kappa_bars(params, epsilon, grids, n_e)
+    energies, _, ops, k2, rate = _eps_set_up(params, grids, epsilon, n_e)
+    bar, tilde = _bars(grids, energies, ops, k2)
+    sig = rate[..., 0]
     return float(min(np.min(sig - bar), np.min(sig - tilde)))
 
 
-def scattering_matrix(
-    params: OpticalParameters,
-    epsilon: float,
-    grids: TransportGrids,
-    n_e: int | None = None,
-) -> np.ndarray:
-    """Dense kernel action K[(w,E),(w',E')] including quadrature weights."""
-    energies, we, _, sqrtE, k1, k2_diag = _eps_operators(params, grids, epsilon, n_e)
-    n = grids.n_omega * len(energies)
-    # kernel(v,E; w,E') = sqrt(E) k1(mu_vw, E) k2(mu_vw, E', y(E')) w_angle w_E
-    gap = _gap_index(grids.n_omega)
-    kern = np.einsum("E,vwE,vwf->vEwf", sqrtE, k1[gap], k2_diag[gap])
-    kern *= grids.angle_weight * we
-    return kern.reshape(n, n)
+def _rayleigh_quotients(params, epsilon: float, grids, trials: int, seed: int, n_e):
+    """<f, Q f> / <f, f> of Q = sigma_eps - K for ``trials`` seeded random f.
+
+    All trials are drawn at once and K = S R runs through the solvers'
+    scattering pair; the inner products are numpy sums, which do not
+    depend on the BLAS thread count.
+    """
+    energies, _, ops, k2, rate = _eps_set_up(params, grids, epsilon, n_e)
+    we = grids.energy_weight(len(energies))
+    F = np.random.default_rng(seed).standard_normal((trials,) + rate.shape)
+    QF = rate * F - ops.spread(ops.reduce(k2, F, we))[..., None]
+    wF = (grids.angle_weight * we) * F
+    return (wF * QF).sum(axis=(1, 2, 3)) / (wF * F).sum(axis=(1, 2, 3))
 
 
 def coercivity_test(
@@ -246,19 +255,7 @@ def coercivity_test(
     """Minimum Rayleigh quotient of Q over seeded random grid functions."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    energies = grids.energy_nodes(n_e)
-    we = grids.energy_weight(n_e)
-    sig = params.sigma_eps(grids.angles, energies, epsilon).reshape(-1)
-    K = scattering_matrix(params, epsilon, grids, n_e)
-    weights = np.full(len(sig), grids.angle_weight * we)
-    rng = np.random.default_rng(seed)
-    best = np.inf
-    for _ in range(trials):
-        f = rng.standard_normal(len(sig))
-        qf = sig * f - K @ f
-        quotient = float((weights * f) @ qf) / float((weights * f) @ f)
-        best = min(best, quotient)
-    return best
+    return float(_rayleigh_quotients(params, epsilon, grids, trials, seed, n_e).min())
 
 
 @dataclass(frozen=True, eq=False)
@@ -509,23 +506,22 @@ def solve_characteristics_eps(
     the L2 norm come from the rows through C; the minimum too for rank
     one, and the stored field and a higher-rank minimum are rebuilt.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    n_e = grids.eps_energy_count(epsilon, nodes_per_period)
+    energies, y, ops, k2, rate = _eps_set_up(
+        params, grids, epsilon, nodes_per_period=nodes_per_period
+    )
+    n_e = len(energies)
     if n_e % n_windows != 0:
         raise ValueError("window count must divide the energy grid")
-    energies, we, y, _, k1, k2_diag = _eps_operators(params, grids, epsilon, n_e)
-    sig = params.sigma_eps(grids.angles, energies, epsilon)  # (nw, nE)
+    we = grids.energy_weight(n_e)
 
     r = grids.r_nodes
-    active, base0 = _initial_slices(phi_in, grids, grids.angles[:, None], energies, y)
+    active, base0 = _initial_slices(
+        phi_in, grids, grids.angles[:, None, None], energies[:, None], y
+    )  # (na, nw, nE, 1)
     C, rows = _rank_rows(base0)
     times = np.linspace(0.0, t_end, n_steps + 1)
     dt = times[1] - times[0]
-    ops = _Scattering(grids, energies, k1)
-    march = _march(
-        ops, k2_diag[..., None], we, sig[..., None], rows[..., None], dt, n_steps
-    )
+    march = _march(ops, k2, we, rate, rows, dt, n_steps)
 
     per_win = n_e // n_windows
     r_weight = 2.0 * grids.r_box / grids.n_r
@@ -547,8 +543,8 @@ def solve_characteristics_eps(
             return float(_expand(C, f).min())
         return float(np.min(C * [f.min(), f.max()]))
 
-    full = np.empty((n_steps + 1,) + base0.shape) if store_full else None
-    windowed = np.empty((n_steps + 1,) + base0.shape[:-1] + (n_windows,))
+    full = np.empty((n_steps + 1,) + base0.shape[:-1]) if store_full else None
+    windowed = np.empty((n_steps + 1,) + base0.shape[:-2] + (n_windows,))
     sup_l2, min_value = 0.0, np.inf
     for n, phi in enumerate(march):
         psi = phi[..., 0]
@@ -589,14 +585,11 @@ def solve_two_scale_transport(
     r-node.
     """
     energies = grids.energy_nodes()
-    y = PeriodicGrid(grids.n_y).nodes
-    ops = _Scattering(grids, energies, _mu_table(params.kappa1, grids, energies))
-    k2y = _mu_table(params.kappa2, grids, energies[:, None], y)  # (n_gap, nE', ny)
+    y = PeriodicGrid(grids.n_y).nodes[None, :]
+    ops, k2y, rate = _set_up(params, grids, energies, y)
     active, phi0 = _initial_slices(
         phi_in, grids, grids.angles[:, None, None], energies[:, None], y
     )  # (na, nw, nE, ny)
-    sig = params.sample_sigma(grids.angles, energies, y)  # (nw, nE, ny)
-    rate = np.sqrt(energies)[None, :, None] * sig
     r = grids.r_nodes
     times = np.linspace(0.0, t_end, n_steps + 1)
     dt = times[1] - times[0]

@@ -33,6 +33,13 @@ The other oracles check the package against routes it no longer runs:
 - :func:`pair_mu_table` and :class:`PairScattering`, the kappa tables
   and the scattering pair ``reduce``/``spread``/``matrix`` per angle pair
   (w, w'), against the package's tables per angle gap;
+- :func:`sample_sigma` and :func:`sigma_eps`, sigma sampled straight from
+  its callable on the (omega, E, y) tensor grid and along y = E/eps,
+  against the rate of the package's one transport set-up;
+- :func:`scattering_matrix`, the dense (n_omega n_E)^2 kernel matrix of K
+  on an eps grid, against the scattering pair through which
+  :func:`homokin.transport.coercivity_test` applies K and
+  :func:`homokin.transport.kappa_bars` sums it;
 - :func:`solve_closed_kernel_transport`, the closed memory-kernel route
   to psi_hom, against the two-scale march of
   :func:`homokin.transport.solve_two_scale_transport`.
@@ -69,8 +76,10 @@ from homokin.transport import (
     OpticalParameters,
     PhaseSpaceField,
     TransportGrids,
+    _gap_index,
     _implicit_inverse,
     _initial_slices,
+    _mu_table,
 )
 from homokin.volterra import (
     SolverError,
@@ -520,6 +529,46 @@ def pair_mu_table(fn, grids: TransportGrids, *args) -> np.ndarray:
     return (1.0 - w) * samples[j0] + w * samples[j0 + 1]
 
 
+def sample_sigma(params: OpticalParameters, angles, energies, y) -> np.ndarray:
+    """sigma(theta, E, y) on the (angle, energy, y) tensor grid, no sqrt(E)."""
+    th = np.asarray(angles)[:, None, None]
+    ee = np.asarray(energies)[None, :, None]
+    yy = np.asarray(y)[None, None, :]
+    return np.asarray(params.sigma(th, ee, yy) * np.ones_like(th * ee * yy))
+
+
+def sigma_eps(params: OpticalParameters, angles, energies, epsilon: float) -> np.ndarray:
+    """The rate sqrt(E) sigma(theta, E, E/eps) on the (angle, energy) grid."""
+    energies = np.asarray(energies)
+    y = np.mod(energies / epsilon, 1.0)
+    th = np.asarray(angles)[:, None]
+    base = params.sigma(th, energies[None, :], y[None, :])
+    return np.sqrt(energies)[None, :] * np.asarray(
+        base * np.ones_like(th * energies[None, :])
+    )
+
+
+def scattering_matrix(
+    params: OpticalParameters,
+    epsilon: float,
+    grids: TransportGrids,
+    n_e: int | None = None,
+) -> np.ndarray:
+    """Dense kernel action K[(w,E),(w',E')] including quadrature weights.
+
+    kernel(v, E; w, E') = sqrt(E) k1(mu_vw, E) k2(mu_vw, E', E'/eps) aw we,
+    one einsum over the package's gap tables read per angle pair.
+    """
+    energies = grids.energy_nodes(n_e)
+    k1 = _mu_table(params.kappa1, grids, energies)
+    k2 = _mu_table(params.kappa2, grids, energies, np.mod(energies / epsilon, 1.0))
+    gap = _gap_index(grids.n_omega)
+    kern = np.einsum("E,vwE,vwf->vEwf", np.sqrt(energies), k1[gap], k2[gap])
+    kern *= grids.angle_weight * grids.energy_weight(n_e)
+    n = grids.n_omega * len(energies)
+    return kern.reshape(n, n)
+
+
 class PairScattering:
     """Scattering K = S R on one energy grid, through g[r, v, w].
 
@@ -589,7 +638,7 @@ def solve_closed_kernel_transport(
     y = PeriodicGrid(grids.n_y).nodes
     wy = 1.0 / grids.n_y
     op = PairScattering(grids, energies, pair_mu_table(params.kappa1, grids, energies))
-    sig = params.sample_sigma(grids.angles, energies, y)
+    sig = sample_sigma(params, grids.angles, energies, y)
     k2y = pair_mu_table(params.kappa2, grids, energies[:, None], y)  # (nw, nw, nE', ny)
     active, phi0 = _initial_slices(
         phi_in, grids, grids.angles[:, None, None], energies[:, None], y

@@ -40,6 +40,7 @@ from oracles import (
     memory_kernel_eval,
     regularized_kernel_laplace,
     semigroup_apply,
+    sigma_eps,
     solve_closed_kernel_transport,
     solve_separable_energy_model,
 )
@@ -187,7 +188,7 @@ def test_criterion_07_transport_coercivity():
     quotient = coercivity_test(sub, 0.125, grids, trials=100, seed=2026)
     kappa0 = transport_preset("transport-kappa0")
     sig_min = float(
-        np.min(kappa0.sigma_eps(grids.angles, grids.energy_nodes(), 0.125))
+        np.min(sigma_eps(kappa0, grids.angles, grids.energy_nodes(), 0.125))
     )
     q0 = coercivity_test(kappa0, 0.125, grids, trials=100, seed=2026)
     checks = [margin > 0, quotient >= margin - 1e-6, q0 >= sig_min - 1e-12]
@@ -216,7 +217,7 @@ def test_criterion_08_transport_consistency():
         kappa0, phi_in, eps, small, t_end=1.0, n_steps=20, store_full=True
     )
     y = np.mod(sol0.energies / eps, 1.0)
-    sig = kappa0.sigma_eps(small.angles, sol0.energies, eps)
+    sig = sigma_eps(kappa0, small.angles, sol0.energies, eps)
     decay_gap = 0.0
     for i, rv in enumerate(sol0.r_nodes):
         base = phi_in(rv, small.angles[:, None], sol0.energies[None, :], y[None, :])

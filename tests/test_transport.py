@@ -12,7 +12,6 @@ from homokin.transport import (
     coercivity_test,
     hat_initial_data,
     kappa_bars,
-    scattering_matrix,
     solve_characteristics_eps,
     solve_two_scale_transport,
     subcriticality_check,
@@ -21,11 +20,15 @@ from homokin.transport import (
     _gap_index,
     _mu_table,
     _rank_rows,
+    _rayleigh_quotients,
     _Scattering,
 )
 from oracles import (
     PairScattering,
     pair_mu_table,
+    sample_sigma,
+    scattering_matrix,
+    sigma_eps,
     solve_closed_kernel_transport,
     solve_separable_energy_model,
 )
@@ -38,7 +41,7 @@ KAPPA0 = transport_preset("transport-kappa0")
 def assert_exact_decay(sol, phi_in, grids, eps):
     """A kappa = 0 run: each active slice is phi_in e^{-t sigma_eps}, to 1e-8."""
     y = np.mod(sol.energies / eps, 1.0)
-    sig = KAPPA0.sigma_eps(grids.angles, sol.energies, eps)
+    sig = sigma_eps(KAPPA0, grids.angles, sol.energies, eps)
     for i, rv in enumerate(sol.r_nodes):
         base = phi_in(rv, grids.angles[:, None], sol.energies[None, :], y[None, :])
         exact = base[None] * np.exp(-sol.times[:, None, None] * sig[None])
@@ -208,7 +211,7 @@ class TestKappaBars:
 class TestSubcriticality:
     def test_kappa0_margin_is_min_sigma(self):
         margin = subcriticality_check(KAPPA0, 0.125, GRIDS)
-        sig = KAPPA0.sigma_eps(GRIDS.angles, GRIDS.energy_nodes(), 0.125)
+        sig = sigma_eps(KAPPA0, GRIDS.angles, GRIDS.energy_nodes(), 0.125)
         assert abs(margin - float(np.min(sig))) < 1e-14
 
     def test_constant_sigma_on_upper_window(self):
@@ -255,7 +258,9 @@ class TestSubcriticality:
         )
         m1 = subcriticality_check(SUB, 0.125, GRIDS)
         m2 = subcriticality_check(doubled, 0.125, GRIDS)
-        sig_min = float(np.min(SUB.sigma_eps(GRIDS.angles, GRIDS.energy_nodes(), 0.125)))
+        sig_min = float(
+            np.min(sigma_eps(SUB, GRIDS.angles, GRIDS.energy_nodes(), 0.125))
+        )
         assert m2 >= m1 + sig_min - 1e-12
 
 
@@ -266,12 +271,12 @@ class TestCoercivity:
         assert q >= margin - 1e-6
 
     def test_kappa0_quotient_at_least_min_sigma(self):
-        sig = KAPPA0.sigma_eps(GRIDS.angles, GRIDS.energy_nodes(), 0.125)
+        sig = sigma_eps(KAPPA0, GRIDS.angles, GRIDS.energy_nodes(), 0.125)
         q = coercivity_test(KAPPA0, 0.125, GRIDS, trials=25, seed=7)
         assert q >= float(np.min(sig)) - 1e-12
 
     def test_constant_field_value(self):
-        sig = SUB.sigma_eps(GRIDS.angles, GRIDS.energy_nodes(), 0.125).reshape(-1)
+        sig = sigma_eps(SUB, GRIDS.angles, GRIDS.energy_nodes(), 0.125).reshape(-1)
         K = scattering_matrix(SUB, 0.125, GRIDS)
         we = GRIDS.energy_weight()
         w = np.full(len(sig), GRIDS.angle_weight * we)
@@ -286,6 +291,73 @@ class TestCoercivity:
         q1 = coercivity_test(SUB, 0.125, GRIDS, trials=10, seed=3)
         q2 = coercivity_test(SUB, 0.125, GRIDS, trials=10, seed=3)
         assert q1 == q2
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1])
+@pytest.mark.parametrize(
+    "check",
+    [
+        kappa_bars,
+        subcriticality_check,
+        coercivity_test,
+        lambda p, e, g: solve_characteristics_eps(p, hat_initial_data(0.5), e, g),
+    ],
+    ids=["kappa_bars", "subcriticality_check", "coercivity_test", "characteristics"],
+)
+def test_nonpositive_epsilon_raises(check, eps):
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        check(SUB, eps, GRIDS)
+
+
+@st.composite
+def optical_data(draw):
+    """Grids, random optical data with sigma > 0 depending on theta,
+    kappa1 >= 0 and kappa2 >= 0, an eps, and a seeded trial count."""
+    grids = TransportGrids(
+        n_omega=draw(st.integers(2, 8)),
+        n_e=draw(st.integers(2, 10)),
+        n_mu=draw(st.integers(2, 32)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s, a, b = rng.uniform(0.1, 1.0, 4), rng.uniform(0.0, 1.0, 3), rng.uniform(0.0, 1.0, 3)
+    params = OpticalParameters(
+        sigma=lambda th, E, y: s[0]
+        + s[1] * (1.0 + np.cos(th + 2 * np.pi * s[2])) * E
+        + s[3] * (1.0 + np.sin(2 * np.pi * y)),
+        kappa1=lambda mu, E: a[0] + a[1] * mu**2 + a[2] * (1.0 + mu) * E,
+        kappa2=lambda mu, Ep, yp: (b[0] + b[1] * (1.0 - mu))
+        * (1.0 + np.sin(2 * np.pi * (yp + b[2]))),
+    )
+    eps = draw(st.floats(0.01, 1.0))
+    return grids, params, eps, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 8))
+
+
+class TestChecksAgainstDenseKernel:
+    """The checks apply K through the scattering pair; the dense matrix
+    of tests/oracles.py is the oracle.  Rayleigh quotients are gated at
+    1e-13 relative to max sigma_eps + ||K||_2, which bounds them, and the
+    rates, sums of nonnegative terms, at 1e-13 relative to themselves."""
+
+    @given(optical_data())
+    @settings(max_examples=60, deadline=None)
+    def test_quotients_and_rates_match_dense_kernel(self, data):
+        grids, params, eps, seed, trials = data
+        K = scattering_matrix(params, eps, grids)
+        sig = sigma_eps(params, grids.angles, grids.energy_nodes(), eps).reshape(-1)
+        w = grids.angle_weight * grids.energy_weight()
+        rng = np.random.default_rng(seed)
+        F = [rng.standard_normal(len(sig)) for _ in range(trials)]  # one draw a trial
+        dense = np.array([((w * f) @ (sig * f - K @ f)) / ((w * f) @ f) for f in F])
+        got = _rayleigh_quotients(params, eps, grids, trials, seed, None)
+        gate = 1e-13 * (np.max(np.abs(sig)) + np.linalg.norm(K, 2))
+        assert np.all(np.abs(got - dense) <= gate)
+        assert abs(coercivity_test(params, eps, grids, trials, seed) - dense.min()) <= gate
+
+        bar, tilde = kappa_bars(params, eps, grids)
+        for got, want in ((bar, K.sum(axis=1)), (tilde, K.sum(axis=0))):
+            assert np.all(np.abs(got.reshape(-1) - want) <= 1e-13 * want)
+        margin = min(np.min(sig - K.sum(axis=1)), np.min(sig - K.sum(axis=0)))
+        assert abs(subcriticality_check(params, eps, grids) - margin) <= gate
 
 
 class TestCharacteristicsSolver:
@@ -398,7 +470,7 @@ class TestCharacteristicsSolver:
         n_e = grids.eps_energy_count(eps, per_period)
         energies = grids.energy_nodes(n_e)
         y = np.mod(energies / eps, 1.0)
-        sig = SUB.sigma_eps(grids.angles, energies, eps).reshape(-1)
+        sig = sigma_eps(SUB, grids.angles, energies, eps).reshape(-1)
         K = scattering_matrix(SUB, eps, grids, n_e)
         dt = t_end / n_steps
         step = np.eye(len(sig)) - 0.5 * dt * K
@@ -532,7 +604,8 @@ class TestTwoScaleTransport:
 
         E, we, aw = grids.energy_nodes(), grids.energy_weight(), grids.angle_weight
         y = PeriodicGrid(grids.n_y).nodes
-        rate = (np.sqrt(E)[:, None] * params.sample_sigma(grids.angles, E, y)).ravel()
+        sig = sample_sigma(params, grids.angles, E, y)
+        rate = (np.sqrt(E)[:, None] * sig).ravel()
         k1 = pair_mu_table(params.kappa1, grids, E)
         k2y = pair_mu_table(params.kappa2, grids, E[:, None], y)
         # K[(v, E, y), (w, E', y')] = sqrt(E) aw k1[v, w, E] k2[v, w, E', y'] we wy
