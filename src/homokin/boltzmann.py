@@ -78,7 +78,9 @@ class EnergyGrid:
         e_max: float = 1.0,
         node_budget: int = DEFAULT_NODE_BUDGET,
     ) -> "EnergyGrid":
-        """Mesh of size eps/nodes_per_period, guarded by a node budget."""
+        """Mesh of size eps > 0 over nodes_per_period, guarded by a node budget."""
+        if epsilon <= 0:
+            raise ValueError("epsilon must be positive")
         n = int(round((e_max - e_min) * nodes_per_period / epsilon))
         if n > node_budget:
             raise MemoryError(

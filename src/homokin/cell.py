@@ -143,16 +143,22 @@ _ROUNDING = 16.0 * np.finfo(float).eps
 def pole_sum(rates, amplitudes, taus) -> np.ndarray:
     """sum_k amplitudes_k exp(-rates_k tau) at each tau, in chunks of lags.
 
-    Complex rates give oscillating sums; the chunks keep the (lags x poles)
-    exponential block at POLE_CHUNK elements.
+    Amplitudes (m,) give (lags,); amplitudes (m, d, d) give (lags, d, d),
+    through one product with them as (m, d d).  Complex rates give
+    oscillating sums; the chunks keep the (lags x poles) exponential block
+    at POLE_CHUNK elements.
     """
-    rates = np.asarray(rates)
+    rates, amplitudes = np.asarray(rates), np.asarray(amplitudes)
     taus = np.asarray(taus, dtype=float)
-    out = np.empty(len(taus), dtype=np.result_type(rates, amplitudes, float))
+    shape = amplitudes.shape[1:]
+    if shape:
+        amplitudes = amplitudes.reshape(len(rates), np.prod(shape, dtype=int))
+    dtype = np.result_type(rates, amplitudes, float)
+    out = np.empty((len(taus),) + amplitudes.shape[1:], dtype)
     rows = max(1, POLE_CHUNK // max(len(rates), 1))
     for i in range(0, len(taus), rows):
         out[i : i + rows] = np.exp(-np.outer(taus[i : i + rows], rates)) @ amplitudes
-    return out
+    return out.reshape((len(taus),) + shape)
 
 
 def _power_of_two(x) -> float:
@@ -243,11 +249,13 @@ def gauss_radau_rules(values, weights, q: int, start):
     Meurant 2010).  For start = sigma this is the kernel measure
     sum_k r_k delta_{lambda_k} of mass Var sigma (Mori).  When the Krylov
     space ends (a beta of rounding level, or m - 1 steps on m distinct
-    values) the Gauss rule is exact and is returned as both rules; z = 0
+    values) the Gauss rule is exact and both rules are that rule; z = 0
     gives two empty rules.
     """
     d, w, scale, nodes = _distinct(values, weights)
-    return _rules(d, w, scale, _level_means(start, weights, nodes, w), q)
+    z_scale = _power_of_two(start)  # exact, so the mass <z^2> does not underflow
+    z = _level_means(np.ravel(start) / z_scale, weights, nodes, w)
+    return tuple((x, r * z_scale * z_scale) for x, r in _rules(d, w, scale, z, q))
 
 
 def gauss_poles(values, weights, v, taus) -> tuple[np.ndarray, np.ndarray]:

@@ -35,6 +35,7 @@ its lag-zero value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,55 +69,39 @@ def _checked_poles(sigma: CellFunction, v: np.ndarray, taus, identity: str):
 
 @dataclass(frozen=True, eq=False)
 class KernelTable:
-    """Kernel samples on a uniform lag grid.
+    """A kernel in pole form, sampled on increasing lags ``taus`` from 0.
 
-    ``values`` is (count+1,) for scalar kernels or (count+1, d, d) for
-    matrix-valued ones (used by the oscillator limit equation).
-
-    ``modes = (rates, amplitudes)`` is the pole form of the kernel at
-    positive lags: K(tau) = Re sum_k amplitudes_k e^{-rates_k tau} for
-    tau >= dt, with amplitudes of shape (m,) or (m, d, d), possibly
-    complex; a zero kernel has no modes (m = 0).  Lag zero is always the
-    tabulated value.  The solver advances its history through one
-    recursion per pole.
+    ``modes = (rates, amplitudes)`` gives K(tau) = Re sum_k amplitudes_k
+    e^{-rates_k tau} at positive lags, with amplitudes (m,) for a scalar
+    kernel or (m, d, d) for a matrix one, possibly complex; a zero kernel
+    has no modes.  ``lag0`` is K(0).  ``values``, computed once, is lag0 at
+    lag zero and the pole sum at every other lag.  The Volterra solver
+    reads only the pole form and lag0, and evaluates them on its own grid.
     """
 
     taus: np.ndarray
-    values: np.ndarray
     modes: tuple[np.ndarray, np.ndarray]
+    lag0: float | np.ndarray
 
     def __post_init__(self) -> None:
         taus = np.asarray(self.taus, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if taus.ndim != 1 or np.any(np.diff(taus) <= 0) or taus[0] < 0:
-            raise ValueError("taus must be increasing and nonnegative")
-        if values.shape[0] != taus.shape[0]:
-            raise ValueError("kernel values misaligned with taus")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("kernel values must be finite")
-        object.__setattr__(self, "taus", taus)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "modes", self._checked_modes())
-
-    def _checked_modes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The modes as arrays; ValueError unless they reproduce lag 1 and the last lag."""
         rates, amps = (np.asarray(x) for x in self.modes)
-        if rates.ndim != 1 or amps.shape != rates.shape + self.values.shape[1:]:
-            raise ValueError(
-                f"modes: rates {rates.shape} and amplitudes {amps.shape} do not fit "
-                f"kernel values {self.values.shape}"
-            )
-        if len(self.taus) > 1:
-            lags = [1, len(self.taus) - 1]
-            pole = np.tensordot(np.exp(-np.outer(self.taus[lags], rates)), amps, axes=1)
-            gap = float(np.max(np.abs(pole.real - self.values[lags])))
-            if gap > 1e-12 * float(np.max(np.abs(self.values))):
-                raise ValueError(f"modes miss the tabulated kernel by {gap:.3e}")
-        return rates, amps
+        lag0 = np.asarray(self.lag0, dtype=float)
+        if taus.ndim != 1 or taus[0] != 0 or np.any(np.diff(taus) <= 0):
+            raise ValueError("taus must start at 0 and increase")
+        if rates.ndim != 1 or amps.shape != rates.shape + lag0.shape:
+            raise ValueError(f"modes {rates.shape}, {amps.shape} do not fit lag0 {lag0.shape}")
+        if not all(np.all(np.isfinite(x)) for x in (rates, amps, lag0)):
+            raise ValueError("kernel modes and lag0 must be finite")
+        object.__setattr__(self, "taus", taus)
+        object.__setattr__(self, "modes", (rates, amps))
+        object.__setattr__(self, "lag0", lag0)
 
-    @property
-    def dt(self) -> float:
-        return float(self.taus[1] - self.taus[0]) if len(self.taus) > 1 else 0.0
+    @cached_property
+    def values(self) -> np.ndarray:
+        values = np.array(pole_sum(*self.modes, self.taus).real)
+        values[0] = self.lag0
+        return values
 
     @classmethod
     def from_cell_coefficient(
@@ -131,12 +116,11 @@ class KernelTable:
         if dt <= 0 or count < 0:
             raise ValueError("need dt > 0 and count >= 0")
         taus = np.arange(count + 1) * dt
-        poles, residues = _checked_poles(
+        modes = _checked_poles(
             sigma, sigma.values, taus, "kernel poles violate the variance identity"
         )
-        values = pole_sum(poles, residues, taus)
-        values[0] = float((sigma.grid.weights * sigma.values) @ fluctuation(sigma).values)
-        return cls(taus, values, modes=(poles, residues))
+        lag0 = (sigma.grid.weights * sigma.values) @ fluctuation(sigma).values
+        return cls(taus, modes, lag0)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="\n") as fh:

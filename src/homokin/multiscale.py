@@ -147,7 +147,6 @@ def solve_homogenized_volterra(problem: OdeProblem, grid: TimeGrid) -> np.ndarra
         problem.sigma, problem.u_in, problem.f, grid.dt, grid.count
     )
     vp = VolterraProblem(
-        dim=1,
         a=cell_average(problem.sigma),
         kernel=kernel,
         source=source.values,

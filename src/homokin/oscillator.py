@@ -30,7 +30,7 @@ Ktilde is the finite sum
 
     Ktilde(t) = sum_k r_k [cos(omega_k t) Id + sin(omega_k t) A],
 
-tabulated exactly on any time grid.
+a pole form the Volterra solver evaluates exactly on any time grid.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import gauss_radau_rules, pole_sum
+from .cell import gauss_radau_rules
 from .kernels import KernelTable
 from .volterra import TimeGrid, VolterraProblem, solve_volterra
 
@@ -116,11 +116,9 @@ def kernel_time_table(nu: YoungMeasure, grid: TimeGrid) -> KernelTable:
     is sum_k r_k = Var(l).
     """
     (freqs, residues), _ = gauss_radau_rules(nu.atoms, nu.weights, len(nu.atoms), nu.atoms)
-    z = pole_sum(-1j * freqs, residues, grid.times)  # alpha + i beta
-    values = z.real[:, None, None] * np.eye(2) + z.imag[:, None, None] * SKEW
     # Re[(r e^{i w t}) (Id - i A)] = r [cos(w t) Id + sin(w t) A]
     amplitudes = residues[:, None, None] * (np.eye(2) - 1j * SKEW)
-    return KernelTable(grid.times, values, modes=(-1j * freqs, amplitudes))
+    return KernelTable(grid.times, (-1j * freqs, amplitudes), residues.sum() * np.eye(2))
 
 
 def solve_oscillator_limit(
@@ -133,13 +131,12 @@ def solve_oscillator_limit(
     """
     table = kernel_time_table(nu, grid)
     rates, amplitudes = table.modes
-    neg_table = KernelTable(table.taus, -table.values, modes=(rates, -amplitudes))
+    neg_table = KernelTable(table.taus, (rates, -amplitudes), -table.lag0)
     problem = VolterraProblem(
-        dim=2,
         a=-nu.mean * SKEW,
         kernel=neg_table,
         source=None,
-        u0=np.asarray(u_in, dtype=float),
+        u0=u_in,
     )
     return solve_volterra(problem, grid)
 

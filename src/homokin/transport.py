@@ -99,10 +99,12 @@ class TransportGrids:
         return -self.r_box + (np.arange(self.n_r) + 0.5) * h
 
     def eps_energy_count(self, epsilon: float, nodes_per_period: int = 100) -> int:
-        """Energy nodes of the eps grid; MemoryError above the grid budget.
+        """Energy nodes of the eps grid; ValueError for eps <= 0, MemoryError above budget.
 
         n_omega^2 n is held to EPS_TABLE_BUDGET.
         """
+        if epsilon <= 0:
+            raise ValueError("epsilon must be positive")
         n = int(round((self.e_max - self.e_min) * nodes_per_period / epsilon))
         if self.n_omega**2 * n > EPS_TABLE_BUDGET:
             raise MemoryError(

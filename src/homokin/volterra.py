@@ -1,6 +1,6 @@
 """Linear Volterra integro-differential solver.
 
-Solves, for scalar or 2x2-system unknowns,
+Solves, for a scalar or a d-vector unknown,
 
     du/dt + a u - int_0^t K(t - s) u(s) ds = S(t),    u(0) = u0,
 
@@ -11,8 +11,8 @@ of the convolution makes the step implicit; the d x d implicit factor
     Id + (dt/2) a - (dt^2/4) K(0)
 
 is inverted exactly, giving a globally second-order, unconditionally
-stable march for positive decay coefficients.  Kernels are supplied
-tabulated on the solver's own grid; the solver never interpolates.
+stable march for positive decay coefficients.  Kernels come in pole form;
+the solver evaluates the pole form on its grid and never interpolates.
 
 The history comes from the kernel's pole form K(tau) = Re sum_k A_k
 e^{-rates_k tau} (``KernelTable.modes``): sum_{j=1}^{n} K_{n+1-j} u_j =
@@ -77,61 +77,50 @@ class TimeGrid:
 
 @dataclass(frozen=True, eq=False)
 class VolterraProblem:
-    """Problem data; dim is 1 (scalar) or 2 (2x2 system).
+    """Problem data for a scalar u0 (d = 1) or a vector u0 of d entries.
 
-    ``kernel`` may be None for a memoryless equation.  ``source`` is either
-    None or samples on the solver grid, shape (count+1,) or (count+1, 2).
+    ``a`` and the kernel's lag0 are scalars or d x d; a memoryless equation
+    has kernel None, stored as a kernel without modes.  ``source`` is None
+    or samples on the solver grid, shape (count+1,) + u0.shape.
     """
 
-    dim: int
     a: float | np.ndarray
     kernel: KernelTable | None
     source: np.ndarray | None
     u0: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        if self.dim == 2:
-            a = np.asarray(self.a, dtype=float)
-            if a.shape != (2, 2):
-                raise ValueError("system decay coefficient must be 2x2")
-            object.__setattr__(self, "a", a)
-            u0 = np.asarray(self.u0, dtype=float)
-            if u0.shape != (2,):
-                raise ValueError("system initial value must be a 2-vector")
-            object.__setattr__(self, "u0", u0)
+        u0 = np.asarray(self.u0, dtype=float)
+        a = np.asarray(self.a, dtype=float)
+        if u0.ndim > 1 or a.shape != 2 * u0.shape:
+            raise ValueError(f"u0 of shape {u0.shape} needs a of shape {2 * u0.shape}")
+        kernel = self.kernel
+        if kernel is None:
+            no_modes = (np.zeros(0), np.zeros((0,) + a.shape))
+            kernel = KernelTable(np.zeros(1), no_modes, np.zeros_like(a))
+        if kernel.lag0.shape != a.shape:
+            raise ValueError(f"kernel of shape {kernel.lag0.shape}, need {a.shape}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "u0", u0)
 
 
 def _kernel_samples(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:
-    count = grid.count
-    if problem.kernel is None:
-        shape = (count + 1,) if problem.dim == 1 else (count + 1, 2, 2)
-        return np.zeros(shape)
-    table = problem.kernel
-    if len(table.taus) > 1 and abs(table.dt - grid.dt) > 1e-12 * max(1.0, grid.dt):
-        raise ValueError(
-            f"kernel tabulated with dt={table.dt}, solver grid has dt={grid.dt}"
-        )
-    if len(table.taus) < count + 1:
-        raise ValueError("kernel table does not reach the final lag")
-    vals = table.values[: count + 1]
-    if problem.dim == 1 and vals.ndim != 1:
-        raise ValueError("scalar problem needs a scalar kernel")
-    if problem.dim == 2 and vals.shape[1:] != (2, 2):
-        raise ValueError("system problem needs a 2x2 kernel")
-    return vals
+    """The kernel on the grid's lags, (count+1, d, d): its pole form, lag0 at lag 0."""
+    d = problem.u0.size
+    table = KernelTable(grid.times, problem.kernel.modes, problem.kernel.lag0)
+    return table.values.reshape(grid.count + 1, d, d)
 
 
 def _source_samples(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:
-    count = grid.count
+    count, d = grid.count, problem.u0.size
     if problem.source is None:
-        return np.zeros((count + 1,) if problem.dim == 1 else (count + 1, 2))
+        return np.zeros((count + 1, d))
     src = np.asarray(problem.source, dtype=float)
-    expected = (count + 1,) if problem.dim == 1 else (count + 1, 2)
+    expected = (count + 1,) + problem.u0.shape
     if src.shape != expected:
         raise ValueError(f"source shape {src.shape}, expected {expected}")
-    return src
+    return src.reshape(count + 1, d)
 
 
 def _affine_step(problem: VolterraProblem, k0: np.ndarray, dt: float):
@@ -140,14 +129,11 @@ def _affine_step(problem: VolterraProblem, k0: np.ndarray, dt: float):
     The step is linear in z and in the two inputs, so the loop body, written
     once for d x d blocks, runs on the unit vectors of (z, inputs) at once.
     """
-    d = problem.dim
-    if problem.kernel is None:
-        rates, amps = np.zeros(0), np.zeros(0)
-    else:
-        rates, amps = problem.kernel.modes
+    d = len(k0)
+    rates, amps = problem.kernel.modes
     m = len(rates)
     amps = np.reshape(amps, (m, d, d))
-    a, k0 = np.reshape(problem.a, (d, d)), np.reshape(k0, (d, d))
+    a = np.reshape(problem.a, (d, d))
     factor = np.eye(d) + 0.5 * dt * a - 0.25 * dt * dt * k0
     if abs(np.linalg.det(factor)) < 1e-14:
         raise SolverError(f"implicit {d}x{d} factor is singular")
@@ -209,20 +195,18 @@ def march_affine(
 def solve_volterra(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:
     """March the product-trapezoidal scheme over the grid.
 
-    Returns u sampled at the grid nodes, shape (count+1,) for scalars and
-    (count+1, 2) for systems.
+    Returns u sampled at the grid nodes, shape (count+1,) + u0.shape.
     """
-    count, dt, d = grid.count, grid.dt, problem.dim
-    K = _kernel_samples(problem, grid).reshape(count + 1, d, d)
-    S = _source_samples(problem, grid).reshape(count + 1, d)
+    dt, u0 = grid.dt, problem.u0.ravel()
+    K = _kernel_samples(problem, grid)
+    S = _source_samples(problem, grid)
     T, B_in = _affine_step(problem, K[0], dt)
-    u0 = np.reshape(problem.u0, d).astype(float)
     # the Crank-Nicolson source and the u_0 end of the trapezoid, per step
     inputs = np.concatenate([0.5 * dt * (S[:-1] + S[1:]), 0.5 * dt * K[1:] @ u0], axis=1)
     z0 = np.zeros(len(T))
-    z0[:d] = u0
-    observe = np.eye(d, len(T))
-    return march_affine(T, B_in, inputs, z0, observe[0] if d == 1 else observe)
+    z0[: len(u0)] = u0
+    observe = np.eye(len(u0), len(T)).reshape(problem.u0.shape + (len(T),))
+    return march_affine(T, B_in, inputs, z0, observe)
 
 
 def volterra_residual(
@@ -235,26 +219,15 @@ def volterra_residual(
     norm of  du/dt + a u - conv - S.  The trapezoid at t_n is the discrete
     convolution sum_{j<=n} K_{n-j} u_j less half its two end terms.
     """
-    count, dt = grid.count, grid.dt
+    count, dt, d = grid.count, grid.dt, problem.u0.size
     K = _kernel_samples(problem, grid)
     S = _source_samples(problem, grid)
-    u = np.asarray(solution, dtype=float)
-
-    if problem.dim == 1:
-        full = np.convolve(K, u)[: count + 1]
-        ends = K * u[0] + K[0] * u
-        decay = problem.a * u
-    else:
-        full = np.stack(
-            [
-                sum(np.convolve(K[:, i, j], u[:, j])[: count + 1] for j in range(2))
-                for i in range(2)
-            ],
-            axis=1,
-        )
-        ends = K @ u[0] + u @ K[0].T
-        decay = u @ problem.a.T
+    u = np.asarray(solution, dtype=float).reshape(count + 1, d)
+    full = np.zeros((count + 1, d))
+    for i, j in np.ndindex(d, d):
+        full[:, i] += np.convolve(K[:, i, j], u[:, j])[: count + 1]
+    ends = K @ u[0] + u @ K[0].T
     conv = dt * (full - 0.5 * ends)
     dudt = (u[2:] - u[:-2]) / (2.0 * dt)
-    res = dudt + decay[1:-1] - conv[1:-1] - S[1:-1]
+    res = dudt + u[1:-1] @ problem.a.reshape(d, d).T - conv[1:-1] - S[1:-1]
     return float(np.max(np.abs(res))) if len(res) else 0.0

@@ -267,51 +267,30 @@ def solve_volterra_direct(problem: VolterraProblem, grid: TimeGrid) -> np.ndarra
 
     Same scheme and implicit factor as :func:`homokin.volterra.solve_volterra`,
     but each step's history sum_{j=1}^{n} K_{n+1-j} u_j runs over the
-    tabulated values instead of the kernel's pole form.
+    sampled kernel instead of the kernel's pole form.
     """
-    count, dt = grid.count, grid.dt
+    count, dt, d = grid.count, grid.dt, problem.u0.size
     K = _kernel_samples(problem, grid)
     S = _source_samples(problem, grid)
     local_src = 0.5 * dt * (S[:-1] + S[1:])
-
-    if problem.dim == 1:
-        a = float(problem.a)
-        u = np.empty(count + 1)
-        u[0] = float(problem.u0)
-        factor = 1.0 + 0.5 * dt * a - 0.25 * dt * dt * K[0]
-        if abs(factor) < 1e-14:
-            raise SolverError(f"implicit factor {factor:.3e} is singular")
-        head = 0.5 * dt * K[1:] * u[0]
-        conv_prev = 0.0
-        for n in range(count):
-            conv_next_known = head[n] + dt * (K[n:0:-1] @ u[1 : n + 1])
-            rhs = (
-                u[n] * (1.0 - 0.5 * dt * a)
-                + local_src[n]
-                + 0.5 * dt * (conv_next_known + conv_prev)
-            )
-            u[n + 1] = rhs / factor
-            conv_prev = conv_next_known + 0.5 * dt * K[0] * u[n + 1]
-        return u
-
-    a = problem.a
-    eye = np.eye(2)
-    u = np.empty((count + 1, 2))
-    u[0] = problem.u0
+    a = problem.a.reshape(d, d)
+    eye = np.eye(d)
+    u = np.empty((count + 1, d))
+    u[0] = problem.u0.ravel()
     factor = eye + 0.5 * dt * a - 0.25 * dt * dt * K[0]
     if abs(np.linalg.det(factor)) < 1e-14:
-        raise SolverError("implicit 2x2 factor is singular")
+        raise SolverError(f"implicit {d}x{d} factor is singular")
     finv = np.linalg.inv(factor)
     explicit = eye - 0.5 * dt * a
     head = 0.5 * dt * K[1:] @ u[0]
-    conv_prev = np.zeros(2)
+    conv_prev = np.zeros(d)
     for n in range(count):
         hist = np.einsum("tij,tj->i", K[n:0:-1], u[1 : n + 1])
         conv_next_known = head[n] + dt * hist
         rhs = explicit @ u[n] + local_src[n] + 0.5 * dt * (conv_next_known + conv_prev)
         u[n + 1] = finv @ rhs
         conv_prev = conv_next_known + 0.5 * dt * (K[0] @ u[n + 1])
-    return u
+    return u.reshape((count + 1,) + problem.u0.shape)
 
 
 def solve_coupled_direct(problem: OdeProblem, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:

@@ -313,8 +313,8 @@ def test_criterion_09_oscillator_end_to_end():
 def test_criterion_10_solver_orders():
     def volterra_err(dt):
         grid = TimeGrid(5.0, dt)
-        kernel = KernelTable(grid.times, np.exp(-2.0 * grid.times), modes=([2.0], [1.0]))
-        u = solve_volterra(VolterraProblem(1, 2.0, kernel, None, 1.0), grid)
+        kernel = KernelTable(grid.times, ([2.0], [1.0]), 1.0)
+        u = solve_volterra(VolterraProblem(2.0, kernel, None, 1.0), grid)
         exact = 0.5 * (np.exp(-grid.times) + np.exp(-3.0 * grid.times))
         return float(np.max(np.abs(u - exact)))
 

@@ -32,6 +32,11 @@ class TestEnergyGrid:
         with pytest.raises(MemoryError):
             EnergyGrid.for_epsilon(1e-5, node_budget=1000)
 
+    @pytest.mark.parametrize("eps", [0.0, -0.1])
+    def test_nonpositive_epsilon_raises(self, eps):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            EnergyGrid.for_epsilon(eps)
+
 
 class TestPresets:
     def test_example_one_coefficients(self):

@@ -94,8 +94,8 @@ class TestKernelTable:
 
     def test_matrix_valued_table_accepted(self):
         taus = np.linspace(0, 1, 11)
-        vals = np.zeros((11, 2, 2))
-        table = KernelTable(taus, vals, modes=(np.zeros(0), np.zeros((0, 2, 2))))
+        table = KernelTable(taus, (np.zeros(0), np.zeros((0, 2, 2))), np.zeros((2, 2)))
+        assert table.values.shape == (11, 2, 2) and not table.values.any()
 
 
 class TestLaplaceRoutes:

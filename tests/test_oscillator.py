@@ -15,6 +15,7 @@ from homokin.oscillator import (
 from homokin.volterra import TimeGrid
 from oracles import (
     averaged_rotation_laplace_numeric,
+    exact_poles,
     exact_rotation,
     matrix_B,
     regularized_kernel_laplace,
@@ -165,6 +166,13 @@ class TestKernelTable:
         table = kernel_time_table(TWO_ATOMS, grid)
         assert np.max(np.abs(table.values[:, 0, 0] - table.values[:, 1, 1])) < 1e-12
         assert np.max(np.abs(table.values[:, 0, 1] + table.values[:, 1, 0])) < 1e-12
+
+    def test_tiny_atoms_keep_their_pole(self):
+        # the mass <z^2> ~ 6e-386 of the unscaled Lanczos start underflows to
+        # zero; scaled by a power of two, the rule keeps the one pole
+        atoms, weights = np.array([5.06e-193, 0.0]), np.array([0.5, 0.5])
+        table = kernel_time_table(YoungMeasure(atoms, weights), TimeGrid.from_count(1.0, 10))
+        assert len(table.modes[0]) == len(exact_poles(atoms, weights)[0]) == 1
 
 
 class TestLimitSolve:

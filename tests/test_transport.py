@@ -301,8 +301,12 @@ class TestCoercivity:
         subcriticality_check,
         coercivity_test,
         lambda p, e, g: solve_characteristics_eps(p, hat_initial_data(0.5), e, g),
+        lambda p, e, g: g.eps_energy_count(e),
     ],
-    ids=["kappa_bars", "subcriticality_check", "coercivity_test", "characteristics"],
+    ids=[
+        "kappa_bars", "subcriticality_check", "coercivity_test", "characteristics",
+        "eps_energy_count",
+    ],
 )
 def test_nonpositive_epsilon_raises(check, eps):
     with pytest.raises(ValueError, match="epsilon must be positive"):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from homokin.cell import CellFunction, PeriodicGrid, cell_average, sine_profile
+from homokin.cell import CellFunction, PeriodicGrid, cell_average, pole_sum, sine_profile
 from homokin.kernels import KernelTable, build_source_table
 from homokin.multiscale import OdeProblem, solve_homogenized_volterra
 from homokin.oscillator import SKEW, YoungMeasure, kernel_time_table, solve_oscillator_limit
@@ -28,20 +28,12 @@ EPS = np.finfo(float).eps
 
 def exp_kernel_table(rate: float, grid: TimeGrid) -> KernelTable:
     """K(tau) = e^{-rate tau}, one pole of unit amplitude."""
-    taus = grid.times
-    return KernelTable(taus, np.exp(-rate * taus), modes=([rate], [1.0]))
-
-
-def zero_kernel_table(taus) -> KernelTable:
-    """K = 0: no poles."""
-    return KernelTable(taus, np.zeros(len(taus)), modes=(np.zeros(0), np.zeros(0)))
+    return KernelTable(grid.times, ([rate], [1.0]), 1.0)
 
 
 def pole_table(rates, amps, grid: TimeGrid) -> KernelTable:
-    """Table of K(tau) = Re sum_k amps_k e^{-rates_k tau}, carrying its modes."""
-    terms = np.exp(-np.outer(grid.times, rates))
-    values = np.tensordot(terms, np.asarray(amps), axes=1).real
-    return KernelTable(grid.times, values, modes=(rates, amps))
+    """K(tau) = Re sum_k amps_k e^{-rates_k tau}, lag 0 included."""
+    return KernelTable(grid.times, (rates, amps), np.sum(amps, axis=0).real)
 
 
 def random_profile(rng: np.random.Generator, n: int) -> CellFunction:
@@ -60,7 +52,6 @@ def random_profile(rng: np.random.Generator, n: int) -> CellFunction:
 def homogenized_problem(sigma: CellFunction, u_in: CellFunction, grid: TimeGrid):
     """The scalar Volterra problem that solve_homogenized_volterra marches."""
     return VolterraProblem(
-        1,
         cell_average(sigma),
         KernelTable.from_cell_coefficient(sigma, grid.dt, grid.count),
         build_source_table(sigma, u_in, None, grid.dt, grid.count).values,
@@ -72,8 +63,8 @@ def oscillator_problem(nu: YoungMeasure, u_in, grid: TimeGrid) -> VolterraProble
     """The 2x2 problem that solve_oscillator_limit marches."""
     table = kernel_time_table(nu, grid)
     rates, amps = table.modes
-    neg = KernelTable(table.taus, -table.values, modes=(rates, -amps))
-    return VolterraProblem(2, -nu.mean * SKEW, neg, None, np.asarray(u_in, dtype=float))
+    neg = KernelTable(table.taus, (rates, -amps), -table.lag0)
+    return VolterraProblem(-nu.mean * SKEW, neg, None, np.asarray(u_in, dtype=float))
 
 
 def noncommuting_problem(grid: TimeGrid) -> VolterraProblem:
@@ -88,7 +79,7 @@ def noncommuting_problem(grid: TimeGrid) -> VolterraProblem:
     )
     a = np.array([[1.0, 0.3], [-0.2, 1.5]])
     src = np.stack([np.sin(grid.times), np.ones(grid.count + 1)], axis=1)
-    return VolterraProblem(2, a, pole_table(rates, amps, grid), src, np.array([1.0, -0.5]))
+    return VolterraProblem(a, pole_table(rates, amps, grid), src, np.array([1.0, -0.5]))
 
 
 def assert_paths_agree(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:
@@ -110,19 +101,20 @@ def closed_form_mean(sigma: CellFunction, u_in: CellFunction, times, chunk=2048)
 
 
 def residual_by_loop(problem: VolterraProblem, u: np.ndarray, grid: TimeGrid) -> float:
-    """Reference residual: one trapezoid sum per node, as a Python loop."""
-    count, dt = grid.count, grid.dt
-    K = problem.kernel.values[: count + 1]
-    S = np.zeros_like(u) if problem.source is None else problem.source
+    """Reference residual: one trapezoid sum per node, as a Python loop.
+
+    The kernel is the problem's table, which must reach the grid's last lag.
+    """
+    count, dt, d = grid.count, grid.dt, problem.u0.size
+    K = problem.kernel.values[: count + 1].reshape(count + 1, d, d)
+    u = u.reshape(count + 1, d)
+    S = np.zeros_like(u) if problem.source is None else problem.source.reshape(count + 1, d)
     conv = np.zeros_like(u)
     for n in range(1, count + 1):
-        if problem.dim == 1:
-            vals = K[: n + 1][::-1] * u[: n + 1]
-        else:
-            vals = np.einsum("tij,tj->ti", K[: n + 1][::-1], u[: n + 1])
+        vals = np.einsum("tij,tj->ti", K[: n + 1][::-1], u[: n + 1])
         conv[n] = dt * np.trapezoid(vals, axis=0)
     dudt = (u[2:] - u[:-2]) / (2.0 * dt)
-    decay = problem.a * u if problem.dim == 1 else u @ problem.a.T
+    decay = u @ problem.a.reshape(d, d).T
     return float(np.max(np.abs(dudt + decay[1:-1] - conv[1:-1] - S[1:-1])))
 
 
@@ -144,7 +136,7 @@ class TestTimeGrid:
 class TestScalarSolve:
     def test_pure_decay(self):
         grid = TimeGrid(5.0, 1e-3)
-        problem = VolterraProblem(1, 2.0, None, None, 1.0)
+        problem = VolterraProblem(2.0, None, None, 1.0)
         u = solve_volterra(problem, grid)
         assert np.max(np.abs(u - np.exp(-2.0 * grid.times))) < 1e-5
 
@@ -152,7 +144,7 @@ class TestScalarSolve:
         # du/dt + 2u - int e^{-2(t-s)} u(s) ds = 0 has u = (e^{-t}+e^{-3t})/2,
         # the cell average of exp(-sigma t) for the two-valued sigma in {1,3}
         grid = TimeGrid(5.0, 1e-3)
-        problem = VolterraProblem(1, 2.0, exp_kernel_table(2.0, grid), None, 1.0)
+        problem = VolterraProblem(2.0, exp_kernel_table(2.0, grid), None, 1.0)
         u = solve_volterra(problem, grid)
         exact = 0.5 * (np.exp(-grid.times) + np.exp(-3.0 * grid.times))
         assert np.max(np.abs(u - exact)) < 1e-5
@@ -161,14 +153,14 @@ class TestScalarSolve:
         # du/dt + a u = s has steady state s / a
         grid = TimeGrid(20.0, 2e-3)
         src = np.full(grid.count + 1, 3.0)
-        problem = VolterraProblem(1, 1.5, None, src, 0.0)
+        problem = VolterraProblem(1.5, None, src, 0.0)
         u = solve_volterra(problem, grid)
         assert abs(u[-1] - 2.0) < 1e-7
 
     def test_order_two_under_dt_halving(self):
         def max_err(dt):
             grid = TimeGrid(5.0, dt)
-            problem = VolterraProblem(1, 2.0, exp_kernel_table(2.0, grid), None, 1.0)
+            problem = VolterraProblem(2.0, exp_kernel_table(2.0, grid), None, 1.0)
             u = solve_volterra(problem, grid)
             exact = 0.5 * (np.exp(-grid.times) + np.exp(-3.0 * grid.times))
             return np.max(np.abs(u - exact))
@@ -180,40 +172,28 @@ class TestScalarSolve:
         grid = TimeGrid(3.0, 1e-2)
         kernel = exp_kernel_table(1.0, grid)
         src = np.sin(grid.times)
-        base = solve_volterra(VolterraProblem(1, 2.0, kernel, src, 1.0), grid)
+        base = solve_volterra(VolterraProblem(2.0, kernel, src, 1.0), grid)
         alpha = -2.5
         scaled = solve_volterra(
-            VolterraProblem(1, 2.0, kernel, alpha * src, alpha * 1.0), grid
+            VolterraProblem(2.0, kernel, alpha * src, alpha * 1.0), grid
         )
         assert np.max(np.abs(scaled - alpha * base)) < 1e-12
 
     def test_kernel_zero_padding_is_inert(self):
         grid = TimeGrid(3.0, 1e-2)
         table = exp_kernel_table(2.0, grid)
-        u1 = solve_volterra(VolterraProblem(1, 2.0, table, None, 1.0), grid)
+        u1 = solve_volterra(VolterraProblem(2.0, table, None, 1.0), grid)
         # lags past the final time, here the exponential continued, are never read
         taus = np.arange(len(table.taus) + 50) * grid.dt
-        padded = KernelTable(taus, np.exp(-2.0 * taus), modes=table.modes)
-        u2 = solve_volterra(VolterraProblem(1, 2.0, padded, None, 1.0), grid)
+        padded = KernelTable(taus, table.modes, table.lag0)
+        u2 = solve_volterra(VolterraProblem(2.0, padded, None, 1.0), grid)
         assert np.array_equal(u1, u2)
-
-    def test_kernel_grid_mismatch_rejected(self):
-        grid = TimeGrid(3.0, 1e-2)
-        wrong = zero_kernel_table(np.arange(301) * 2e-2)
-        with pytest.raises(ValueError):
-            solve_volterra(VolterraProblem(1, 2.0, wrong, None, 1.0), grid)
-
-    def test_short_kernel_table_rejected(self):
-        grid = TimeGrid(3.0, 1e-2)
-        short = zero_kernel_table(np.arange(100) * 1e-2)
-        with pytest.raises(ValueError, match="final lag"):
-            solve_volterra(VolterraProblem(1, 2.0, short, None, 1.0), grid)
 
     def test_singular_implicit_factor(self):
         grid = TimeGrid(1.0, 0.5)
         # 1 + dt a/2 - dt^2 K0/4 = 0 for a = -2, K0 = 0, dt arbitrary ... use
         # a = -4, dt = 0.5: 1 - 1 = 0
-        problem = VolterraProblem(1, -4.0, None, None, 1.0)
+        problem = VolterraProblem(-4.0, None, None, 1.0)
         with pytest.raises(SolverError):
             solve_volterra(problem, grid)
 
@@ -223,9 +203,7 @@ class TestSystemSolve:
         # kernel-free system with decay matrix -A (the sign convention of the
         # regularized limit equation): u(t) = (cos t, -sin t) from (1, 0)
         grid = TimeGrid(5.0, 1e-3)
-        problem = VolterraProblem(
-            2, -ROT, None, None, np.array([1.0, 0.0])
-        )
+        problem = VolterraProblem(-ROT, None, None, np.array([1.0, 0.0]))
         u = solve_volterra(problem, grid)
         exact = np.stack([np.cos(grid.times), -np.sin(grid.times)], axis=1)
         assert np.max(np.abs(u - exact)) < 1e-5
@@ -235,13 +213,10 @@ class TestSystemSolve:
         # scalar solution componentwise
         grid = TimeGrid(4.0, 2e-3)
         ker = exp_kernel_table(2.0, grid)
-        scalar = solve_volterra(VolterraProblem(1, 2.0, ker, None, 1.0), grid)
-        kmat = np.zeros((grid.count + 1, 2, 2))
-        kmat[:, 0, 0] = ker.values
-        kmat[:, 1, 1] = ker.values
-        table = KernelTable(grid.times, kmat, modes=([2.0], [np.eye(2)]))
+        scalar = solve_volterra(VolterraProblem(2.0, ker, None, 1.0), grid)
+        table = KernelTable(grid.times, ([2.0], [np.eye(2)]), np.eye(2))
         sys_u = solve_volterra(
-            VolterraProblem(2, 2.0 * np.eye(2), table, None, np.array([1.0, 1.0])),
+            VolterraProblem(2.0 * np.eye(2), table, None, np.array([1.0, 1.0])),
             grid,
         )
         assert np.max(np.abs(sys_u - scalar[:, None])) < 1e-12
@@ -260,7 +235,7 @@ class TestAffineStep:
             amps = amps[:, None, None] * np.array([[1.0, 0.5], [-0.5, 1.0]])
         a = 2.0 if dim == 1 else 2.0 * np.eye(2) + ROT
         u0 = 1.0 if dim == 1 else np.array([1.0, -0.5])
-        problem = VolterraProblem(dim, a, pole_table(rates, amps, grid), None, u0)
+        problem = VolterraProblem(a, pole_table(rates, amps, grid), None, u0)
         u = solve_volterra(problem, grid)
         assert u.flags.owndata
         assert u.dtype == np.float64
@@ -295,7 +270,7 @@ class TestAffineStep:
             u0 = 1.0
         else:
             u0 = np.array([1.0, -1.0])
-        problem = VolterraProblem(dim, decay, pole_table(rates, amps, grid), source, u0)
+        problem = VolterraProblem(decay, pole_table(rates, amps, grid), source, u0)
         assert_paths_agree(problem, grid)
 
 
@@ -336,27 +311,76 @@ class TestMarchAffine:
         assert np.max(np.abs(y - plain)) <= tol
 
 
+@st.composite
+def pole_forms(draw):
+    """(rates, amplitudes, lag0) of up to three poles, real or complex, with
+    rates of positive real part and scalar or 2x2 amplitudes."""
+    m, shape = draw(st.integers(0, 3)), draw(st.sampled_from([(), (2, 2)]))
+    parts = st.floats(-2.0, 2.0)
+    rates = draw(hnp.arrays(np.float64, m, elements=st.floats(0.1, 3.0)))
+    amps = draw(hnp.arrays(np.float64, (m,) + shape, elements=parts))
+    if draw(st.booleans()):  # complex rates and amplitudes
+        rates = rates + 1j * draw(hnp.arrays(np.float64, m, elements=parts))
+        amps = amps + 1j * draw(hnp.arrays(np.float64, (m,) + shape, elements=parts))
+    return rates, amps, draw(hnp.arrays(np.float64, shape, elements=parts))
+
+
+class TestPoleForm:
+    """A kernel table is its pole form: its values, and the solver's samples on any grid."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(pole_forms(), st.integers(2, 4), st.integers(1, 150))
+    def test_values_and_solution_come_from_the_pole_form(self, form, coarse, lags):
+        rates, amps, lag0 = form
+        grid = TimeGrid.from_count(3.0, 150)
+        table = KernelTable(grid.times, (rates, amps), lag0)
+        assert np.array_equal(table.values[0], lag0)
+        assert np.array_equal(table.values[1:], pole_sum(rates, amps, grid.times)[1:].real)
+        direct = np.tensordot(np.exp(-np.outer(grid.times, rates)), amps, axes=1).real
+        tol = 1e-14 * (1.0 + np.abs(amps).sum())
+        assert np.max(np.abs(table.values[1:] - direct[1:]), initial=0.0) <= tol
+        # the solver evaluates the pole form on its own grid: a table on a
+        # coarser grid, or with fewer lags, gives bitwise the same march
+        a, u0 = (2.0, 1.0)
+        if lag0.ndim:
+            a, u0 = 2.0 * np.eye(2) + ROT, np.array([1.0, -0.5])
+        u = solve_volterra(VolterraProblem(a, table, None, u0), grid)
+        assert u.shape == (grid.count + 1,) + np.shape(u0)
+        for taus in (coarse * grid.times, grid.times[:lags]):
+            other = KernelTable(taus, (rates, amps), lag0)
+            assert np.array_equal(solve_volterra(VolterraProblem(a, other, None, u0), grid), u)
+
+    def test_shapes_must_fit(self):
+        grid = TimeGrid.from_count(1.0, 10)
+        with pytest.raises(ValueError, match="do not fit"):
+            KernelTable(grid.times, ([1.0], [np.eye(2)]), 1.0)
+        with pytest.raises(ValueError, match="kernel of shape"):
+            VolterraProblem(2.0 * np.eye(2), exp_kernel_table(1.0, grid), None, np.ones(2))
+        with pytest.raises(ValueError, match="needs a of shape"):
+            VolterraProblem(2.0, None, None, np.ones(2))
+
+
 class TestResidual:
     def test_exact_solution_gives_small_residual(self):
         grid = TimeGrid(5.0, 1e-3)
-        problem = VolterraProblem(1, 2.0, exp_kernel_table(2.0, grid), None, 1.0)
+        problem = VolterraProblem(2.0, exp_kernel_table(2.0, grid), None, 1.0)
         exact = 0.5 * (np.exp(-grid.times) + np.exp(-3.0 * grid.times))
         assert volterra_residual(problem, exact, grid) < 1e-4
 
     def test_solver_output_residual(self):
         grid = TimeGrid(5.0, 1e-3)
-        problem = VolterraProblem(1, 2.0, exp_kernel_table(2.0, grid), None, 1.0)
+        problem = VolterraProblem(2.0, exp_kernel_table(2.0, grid), None, 1.0)
         u = solve_volterra(problem, grid)
         assert volterra_residual(problem, u, grid) < 1e-4
 
     def test_zero_solution_zero_residual(self):
         grid = TimeGrid(2.0, 1e-2)
-        problem = VolterraProblem(1, 2.0, exp_kernel_table(2.0, grid), None, 0.0)
+        problem = VolterraProblem(2.0, exp_kernel_table(2.0, grid), None, 0.0)
         assert volterra_residual(problem, np.zeros(grid.count + 1), grid) == 0.0
 
     def test_scalar_residual_matches_loop(self):
         grid = TimeGrid(5.0, 1e-3)
-        problem = VolterraProblem(1, 2.0, exp_kernel_table(2.0, grid), None, 1.0)
+        problem = VolterraProblem(2.0, exp_kernel_table(2.0, grid), None, 1.0)
         u = solve_volterra(problem, grid)
         # each convolution sums count products of magnitude <= 1 over [0, 5]
         bound = grid.count * EPS * grid.t_end
@@ -371,7 +395,7 @@ class TestResidual:
         assert fast < 1e-4
         scale = float(np.max(np.abs(problem.kernel.values)) * np.max(np.abs(u))) * grid.t_end
         assert abs(fast - residual_by_loop(problem, u, grid)) <= grid.count * EPS * scale
-        zero = VolterraProblem(2, problem.a, problem.kernel, None, np.zeros(2))
+        zero = VolterraProblem(problem.a, problem.kernel, None, np.zeros(2))
         assert volterra_residual(zero, np.zeros_like(u), grid) == 0.0
 
 
@@ -407,7 +431,7 @@ class TestPoleRecursion:
         amps = np.array([0.4 - 0.2j, 0.4 + 0.2j, 0.7 + 0.0j])
         table = pole_table(rates, amps, grid)
         src = np.cos(grid.times)
-        assert_paths_agree(VolterraProblem(1, 2.0, table, src, 1.0), grid)
+        assert_paths_agree(VolterraProblem(2.0, table, src, 1.0), grid)
 
     def test_noncommuting_matrix_amplitudes(self):
         grid = TimeGrid.from_count(8.0, 2000)
@@ -421,7 +445,7 @@ class TestPoleRecursion:
         sigma = CellFunction.from_function(cell, sine_profile(2.0, 0.5))
         grid = TimeGrid.from_count(50.0, 5000)
         table = KernelTable.from_cell_coefficient(sigma, grid.dt, grid.count)
-        u = assert_paths_agree(VolterraProblem(1, -1.0, table, None, 1.0), grid)
+        u = assert_paths_agree(VolterraProblem(-1.0, table, None, 1.0), grid)
         assert u[-1] > 1e20
 
     @settings(max_examples=25, deadline=None)
@@ -439,18 +463,7 @@ class TestPoleRecursion:
     def test_table_without_modes_rejected(self):
         grid = TimeGrid.from_count(5.0, 100)
         with pytest.raises(TypeError):
-            KernelTable(grid.times, np.exp(-2.0 * grid.times))
-
-    def test_inconsistent_modes_rejected(self):
-        grid = TimeGrid.from_count(5.0, 100)
-        table = pole_table(np.array([1.0, 2.0]), np.array([0.5, 0.25]), grid)
-        rates, amps = table.modes
-        with pytest.raises(ValueError, match="miss"):
-            KernelTable(table.taus, table.values, modes=(rates, amps * (1 + 1e-9)))
-        with pytest.raises(ValueError, match="miss"):
-            KernelTable(table.taus, table.values, modes=(rates + 1e-9, amps))
-        with pytest.raises(ValueError, match="fit"):
-            KernelTable(table.taus, table.values, modes=(rates, amps[:1]))
+            KernelTable(grid.times, lag0=1.0)
 
     def test_long_march_against_closed_form(self):
         rng = np.random.default_rng(5)
