@@ -17,10 +17,18 @@ source is constant in E, so phi0 = a(E) X(t, y) + Z(t, y) and only the
 cell vectors X, Z are marched.  The homogenized reference is marched with
 the same RK4 step as the oscillatory run so the common time-discretization
 error cancels from the mode differences instead of flooring them.
+
+Both generators are a diagonal plus a rank-one term, so one march in
+moment form (``_rank_one_march``) steps both, each RK4 step a few passes
+over the state.  ``sweep`` solves the limit, which does not depend on eps,
+once per sweep, and each sweep point reduces the states of its eps run as
+they come (modes in one grid-orthonormal basis and L2(E) norms), so no
+(t, E) field is formed.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +37,7 @@ from . import ConfigError
 from .cell import (
     CellFunction, PeriodicGrid, indicator_sine_profile, rk4_step, sine_profile
 )
-from .diagnostics import (
-    EnergyField, ModeSeries, legendre_modes, mode_error, norm_difference
-)
+from .diagnostics import EnergyField, orthonormal_polynomials
 
 PLACEMENTS = ("inside", "outside")
 INIT_MODES = ("oscillatory", "profile")
@@ -164,15 +170,47 @@ def example_presets(
     )
 
 
-def _rk4_linear_march(phi0: np.ndarray, rhs, times: np.ndarray) -> np.ndarray:
-    out = np.empty((len(times),) + phi0.shape)
-    out[0] = phi0
+def _rank_one_march(decay, emit, collect, phi0, times):
+    """RK4 states of d phi/dt = -decay phi + emit <collect, phi> on uniform times.
+
+    The generator is a diagonal plus a rank-one term, so one RK4 step is
+    phi -> P phi + R^T (V phi) with the four moment rows
+    V_k = collect (-decay)^k.  Its moments m_k = <V_k, phi> obey
+    m_k' = m_{k+1} + <V_k, emit> m_0, and the cut m_4 := 0 leaves the phi
+    part of an RK4 step exact, as four stages reach m_3 at most: P and the
+    rows of R are ``rk4_step`` of that joint system from (1, 0) and from
+    (0, e_k).  A step then reads V, R, P and phi once.  Energy sums run
+    through ``np.einsum``, not BLAS, so the states do not depend on the
+    BLAS thread count.  Yields phi0, then the state after each step.
+    """
+    moments = collect * np.cumprod([np.ones_like(decay)] + 3 * [-decay], axis=0)
+    feed = np.einsum("kn,n->k", moments, emit)
+    shift = np.eye(4, k=1)
+    rhs = lambda t, phi, m: (-decay * phi + emit * m[0], shift @ m + feed * m[0])
+    dt = (times[-1] - times[0]) / (len(times) - 1)
+    probes = [(np.ones_like(phi0), np.zeros(4))]
+    probes += [(np.zeros_like(phi0), unit) for unit in np.eye(4)]
+    (keep, _), *unit_steps = [rk4_step(rhs, 0.0, dt, *probe) for probe in probes]
+    spread = np.stack([row for row, _ in unit_steps])
     phi = phi0
-    step_rhs = lambda t, p: (rhs(p),)
-    for j in range(len(times) - 1):
-        (phi,) = rk4_step(step_rhs, times[j], times[j + 1] - times[j], phi)
-        out[j + 1] = phi
-    return out
+    yield phi
+    for _ in range(len(times) - 1):
+        phi = keep * phi + np.einsum("k,kn->n", np.einsum("kn,n->k", moments, phi), spread)
+        yield phi
+
+
+def _toy_eps_set_up(problem: ToyProblem, egrid: EnergyGrid):
+    """(decay, emit, collect, phi0) of the oscillatory run on its energy mesh."""
+    y = np.mod(egrid.nodes / problem.epsilon, 1.0)
+    sig = problem.sigma.eval_periodic(y)
+    kap = problem.kappa.eval_periodic(y)
+    if problem.init_mode == "oscillatory":
+        phi0 = problem.phi_in.eval_periodic(y)
+    else:
+        phi0 = problem.phi_in.eval_periodic(egrid.nodes)
+    if problem.placement == "inside":
+        return sig, np.ones(egrid.n), egrid.weights * kap, phi0
+    return sig, kap, egrid.weights, phi0
 
 
 def solve_toy_eps(
@@ -185,21 +223,9 @@ def solve_toy_eps(
     egrid = EnergyGrid.for_epsilon(
         problem.epsilon, nodes_per_period, node_budget=node_budget
     )
-    y = np.mod(egrid.nodes / problem.epsilon, 1.0)
-    sig = problem.sigma.eval_periodic(y)
-    kap = problem.kappa.eval_periodic(y)
-    if problem.init_mode == "oscillatory":
-        phi0 = problem.phi_in.eval_periodic(y)
-    else:
-        phi0 = problem.phi_in.eval_periodic(egrid.nodes)
-    h = egrid.h
-    if problem.placement == "inside":
-        rhs = lambda phi: -sig * phi + h * (kap @ phi)
-    else:
-        rhs = lambda phi: -sig * phi + kap * (h * phi.sum())
     times = np.linspace(0.0, problem.t_end, n_steps + 1)
-    values = _rk4_linear_march(phi0, rhs, times)
-    return EnergyField(times, egrid.nodes, egrid.weights, values)
+    march = _rank_one_march(*_toy_eps_set_up(problem, egrid), times)
+    return EnergyField(times, egrid.nodes, egrid.weights, np.stack(list(march)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,6 +251,19 @@ class TwoScaleToySolution:
         density = ((we @ a**2) * x + 2.0 * (we @ a) * z) * x + z**2
         return float(np.sqrt(np.trapezoid(density.mean(axis=1), self.times)))
 
+    def modes_on(self, energies: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Coefficients (rows, phi_hom(t, .)) on another energy grid, (nt+1, k).
+
+        ``rows`` are the weighted basis rows on ``energies``.  phi_hom =
+        <X>_y a(E) + <Z>_y has rank two, so its coefficients are
+        <X>_y (a, row) + <Z>_y (1, row): the profile a is interpolated onto
+        the grid once and the (nt+1, nE) field is never formed.
+        """
+        a = np.interp(energies, self.energies, self.profile)
+        # pairwise sums along E, as accurate as BLAS and free of its threads
+        profile_modes = np.stack([np.sum(rows * a, axis=1), np.sum(rows, axis=1)])
+        return self.cell.mean(axis=2) @ profile_modes
+
 
 def solve_toy_two_scale(
     problem: ToyProblem,
@@ -237,7 +276,10 @@ def solve_toy_two_scale(
     The data is a product a(E) b(y) and the source is constant in E, so
     X(0) = b, Z(0) = 0, dX/dt = -sigma X and dZ/dt = -sigma Z + source of
     the E-integral A X + Z (A = int a dE; the window (0, 1) has length
-    one).  An RK4 step is a polynomial in the linear operator, so this
+    one).  So the stacked [X; Z] is a rank-one model, marched by
+    ``_rank_one_march``: decay [sigma; sigma], emit [0; 1] and collect
+    [A kappa; kappa] / n_y inside, emit [0; kappa] and collect [A; 1] / n_y
+    outside.  An RK4 step is a polynomial in the linear operator, so this
     is the full (E, y) march step by step, up to rounding.
     """
     egrid, ygrid = EnergyGrid(n_e), PeriodicGrid(n_y)
@@ -247,14 +289,19 @@ def solve_toy_two_scale(
         a, b = np.ones(n_e), problem.phi_in.eval_periodic(ygrid.nodes)
     else:
         a, b = problem.phi_in.eval_periodic(egrid.nodes), np.ones(n_y)
-    # mix @ [X; Z] is the E-integral A X + Z; the source enters Z alone
-    mix, to_z = np.array([egrid.h * a.sum(), 1.0]), np.array([[0.0], [1.0]])
     if problem.placement == "inside":
-        rhs = lambda xz: -sig * xz + to_z * (kap @ (mix @ xz) / n_y)
+        emit, collect = np.ones(n_y), ygrid.weights * kap
     else:
-        rhs = lambda xz: -sig * xz + to_z * kap * ((mix @ xz).sum() / n_y)
+        emit, collect = kap, ygrid.weights
     times = np.linspace(0.0, problem.t_end, n_steps + 1)
-    cell = _rk4_linear_march(np.stack([b, np.zeros(n_y)]), rhs, times)
+    march = _rank_one_march(
+        np.concatenate([sig, sig]),
+        np.concatenate([np.zeros(n_y), emit]),
+        np.concatenate([egrid.h * a.sum() * collect, collect]),
+        np.concatenate([b, np.zeros(n_y)]),
+        times,
+    )
+    cell = np.stack(list(march)).reshape(-1, 2, n_y)
     return TwoScaleToySolution(times, egrid.nodes, egrid.weights, a, cell)
 
 
@@ -266,24 +313,29 @@ class SweepPointResult:
     sup_norm_l2: float       # max_t ||phi_eps(t, .)||_{L2(E)}
 
 
-def paired_modes(
-    eps_field: EnergyField, hom: TwoScaleToySolution, k_max: int
-) -> tuple[list[ModeSeries], list[ModeSeries]]:
-    """Modes of phi_eps and of phi_hom in one basis on the eps energy grid.
+def _point_errors(
+    problem: ToyProblem, hom: TwoScaleToySolution, k_max: int, egrid: EnergyGrid
+) -> SweepPointResult:
+    """Mode errors and norms of one eps run against its limit, streamed.
 
-    phi_hom = <X>_y a(E) + <Z>_y has rank two, so its modes are
-    <X>_y (a, l_k) + <Z>_y (1, l_k): the profile a is interpolated onto
-    the eps grid once and the (nt+1, nE) field is never formed.
+    The oscillatory run is marched on ``egrid`` and the limit's time grid,
+    and each state is reduced as it comes: its coefficients in the basis
+    built once on ``egrid`` and its squared L2(E) norm.  The limit's modes
+    are taken in the same basis, so the two mode series share quadrature
+    and time discretization exactly, and the (nt+1, nE) field is never
+    formed.
     """
-    a = np.interp(eps_field.energies, hom.energies, hom.profile)
-    eps_modes, profile_modes = legendre_modes(
-        eps_field, k_max, np.stack([a, np.ones_like(a)])
-    )
-    coeffs = hom.cell.mean(axis=2) @ profile_modes  # (nt+1, k_max+1)
-    hom_modes = [
-        ModeSeries(k, hom.times, coeffs[:, k].copy()) for k in range(k_max + 1)
-    ]
-    return eps_modes, hom_modes
+    rows = egrid.weights * orthonormal_polynomials(egrid.nodes, egrid.weights, k_max)
+    coeffs = np.empty((len(hom.times), k_max + 1))
+    sq = np.empty(len(hom.times))
+    march = _rank_one_march(*_toy_eps_set_up(problem, egrid), hom.times)
+    for j, phi in enumerate(march):
+        coeffs[j] = np.einsum("ke,e->k", rows, phi)
+        sq[j] = egrid.h * np.einsum("e,e->", phi, phi)
+    errors = np.max(np.abs(coeffs - hom.modes_on(egrid.nodes, rows)), axis=0)
+    norm = float(np.sqrt(np.trapezoid(sq, hom.times)))
+    sup_l2 = float(np.sqrt(np.max(sq)))
+    return SweepPointResult(problem.epsilon, errors, abs(norm - hom.l2_norm()), sup_l2)
 
 
 def sweep_point(
@@ -301,19 +353,40 @@ def sweep_point(
 ) -> SweepPointResult:
     """Errors of one sweep point: per-mode gaps and the norm difference.
 
-    The homogenized reference is marched with the same RK4 step and its
-    modes are taken on the oscillatory solver's own energy grid, so the
-    two mode series share quadrature and time discretization exactly.
+    The homogenized reference is marched with the same RK4 step for this
+    point alone (``sweep`` shares one across its points), and its modes
+    are taken on the oscillatory solver's own energy grid.
     """
     problem = example_presets(
         example_id, placement, epsilon, n_cell, t_end, init_mode
     )
-    eps_field = solve_toy_eps(problem, n_steps, nodes_per_period)
     hom = solve_toy_two_scale(problem, n_steps, hom_n_e, hom_n_y)
-    eps_modes, hom_modes = paired_modes(eps_field, hom, k_max)
-    errors = np.array(
-        [mode_error(e, hmode) for e, hmode in zip(eps_modes, hom_modes)]
+    egrid = EnergyGrid.for_epsilon(epsilon, nodes_per_period)
+    return _point_errors(problem, hom, k_max, egrid)
+
+
+def sweep(
+    example_id: int,
+    placement: str,
+    epsilons,
+    k_max: int = 8,
+    n_cell: int = 256,
+    init_mode: str = "oscillatory",
+    workers: int = 1,
+) -> list[SweepPointResult]:
+    """The sweep points of ``epsilons``, in order, ``workers`` at a time.
+
+    The limit does not depend on eps, so it is solved once for the whole
+    sweep; the points run on the threads of one pool and share it, read
+    only.  Each point is the ``sweep_point`` of its eps at the defaults.
+    """
+    problems = [
+        example_presets(example_id, placement, eps, n_cell, init_mode=init_mode)
+        for eps in epsilons
+    ]
+    hom = solve_toy_two_scale(problems[0])
+    point = lambda problem: _point_errors(
+        problem, hom, k_max, EnergyGrid.for_epsilon(problem.epsilon)
     )
-    ndiff = norm_difference(eps_field, hom)
-    sup_l2 = float(np.max(np.sqrt((eps_field.values**2) @ eps_field.e_weights)))
-    return SweepPointResult(epsilon, errors, ndiff, sup_l2)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(point, problems))

@@ -67,21 +67,24 @@ def orthonormal_polynomials(
         raise ValueError("need more quadrature nodes than modes")
     nodes = np.asarray(nodes, dtype=float)
     weights = np.asarray(weights, dtype=float)
+    # grid sums through einsum, not BLAS: the basis must not depend on the
+    # BLAS thread count
+    dot = lambda f, g: float(np.einsum("e,e,e->", weights, f, g))
     polys = np.empty((k_max + 1, len(nodes)))
     p_prev = np.zeros_like(nodes)
     p = np.ones_like(nodes)
-    p = p / np.sqrt(weights @ p**2)
+    p = p / np.sqrt(dot(p, p))
     polys[0] = p
     for k in range(k_max):
-        alpha = float(weights @ (nodes * p * p))
+        alpha = dot(nodes * p, p)
         q = (nodes - alpha) * p
         if k > 0:
             q -= beta * p_prev
         # re-orthogonalize against the two previous rows for stability
-        q -= polys[k] * float(weights @ (polys[k] * q))
+        q -= polys[k] * dot(polys[k], q)
         if k > 0:
-            q -= polys[k - 1] * float(weights @ (polys[k - 1] * q))
-        beta = float(np.sqrt(weights @ q**2))
+            q -= polys[k - 1] * dot(polys[k - 1], q)
+        beta = np.sqrt(dot(q, q))
         if beta == 0.0:
             raise ValueError("grid cannot support the requested mode count")
         p_prev, p = p, q / beta
@@ -89,24 +92,14 @@ def orthonormal_polynomials(
     return polys
 
 
-def legendre_modes(field: EnergyField, k_max: int, profiles=None):
-    """Modes m_k(t) for k = 0..k_max using the field's quadrature.
-
-    With ``profiles``, rows on the field's energy grid, the same basis
-    projects them too and the call returns ``(modes, coefficients)``, the
-    coefficients of shape (len(profiles), k_max+1).  A field that is a
-    sum of time factors times such rows has those factors times the row
-    coefficients as its modes, so it never needs to be formed.
-    """
+def legendre_modes(field: EnergyField, k_max: int) -> list[ModeSeries]:
+    """Modes m_k(t) for k = 0..k_max using the field's quadrature."""
     polys = orthonormal_polynomials(field.energies, field.e_weights, k_max)
     basis = (field.e_weights[None, :] * polys).T  # (nE, k_max+1)
     coeffs = field.values @ basis  # (nt, k_max+1)
-    modes = [
+    return [
         ModeSeries(k, field.times, coeffs[:, k].copy()) for k in range(k_max + 1)
     ]
-    if profiles is None:
-        return modes
-    return modes, np.asarray(profiles, dtype=float) @ basis
 
 
 def mode_error(eps_modes: ModeSeries, hom_modes: ModeSeries) -> float:

@@ -4,10 +4,10 @@ Configuration is flat INI text (key = value under named sections), merged
 with command-line flags.  Every experiment writes CSV files (comma
 separator, dot decimal point, header row, 17 significant digits, LF line
 endings) plus a JSON manifest listing inputs, code version, grids, wall
-time, and a content hash per artifact.  Sweep points run on a thread
-pool in one process, so they share one BLAS thread pool and one heap;
-results are aggregated in sorted order so reruns are byte-identical
-regardless of worker count.
+time, and a content hash per artifact.  The boltzmann kind's sweep
+points run on a thread pool in one process (``boltzmann.sweep``), so
+they share one heap and one solve of the limit; results are aggregated
+in sorted order so reruns are byte-identical regardless of worker count.
 """
 
 from __future__ import annotations
@@ -17,13 +17,12 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import ConfigError, __version__
-from .boltzmann import DEFAULT_SWEEP, EnergyGrid, sweep_point
+from .boltzmann import DEFAULT_SWEEP, EnergyGrid, sweep
 from .cell import CellFunction, PeriodicGrid, sine_profile, two_valued_profile
 from .diagnostics import ConvergenceReport
 from .kernels import KernelTable, verify_tartar_equivalence
@@ -320,16 +319,10 @@ def _run_boltzmann(config: ExperimentConfig, out_dir: str) -> dict:
     if not str(config.preset).isdigit():
         raise ConfigError(f"preset: expected an example number, got {config.preset!r}")
     example_id = int(config.preset)
-    eps_sorted = sorted(config.epsilons)[::-1]
-
-    def job(eps):
-        return sweep_point(
-            example_id, config.placement, eps,
-            n_cell=config.n_cell, init_mode=config.init_mode,
-        )
-
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        points = list(pool.map(job, eps_sorted))
+    points = sweep(
+        example_id, config.placement, sorted(config.epsilons)[::-1],
+        n_cell=config.n_cell, init_mode=config.init_mode, workers=config.workers,
+    )
     report = ConvergenceReport.from_sweep(
         np.array([p.epsilon for p in points]),
         np.stack([p.mode_errors for p in points]),

@@ -23,13 +23,15 @@ The other oracles check the package against routes it no longer runs:
 - :class:`CellEnergyField`, the L2 norm of a field over (t, E, y);
 - :func:`hom_field_on`, the full (t, E) homogenized toy field on a foreign
   energy grid, whose Legendre modes the rank-two projection of
-  :func:`homokin.boltzmann.paired_modes` is checked against;
+  :meth:`homokin.boltzmann.TwoScaleToySolution.modes_on` is checked
+  against;
 - :func:`convergence_study`, one serial eps sweep of the toy model;
 - :func:`exact_poles`, every pole and residue of B(p) from one dense
   eigensystem, against the Lanczos Gauss rules and as the pole engine of
   the closed transport route;
-- :func:`solve_separable_energy_model`, RK4 on a rank-one energy model,
-  which the angle-isotropic transport run is checked against;
+- :func:`solve_separable_energy_model`, RK4 on a rank-one energy model
+  stage by stage, which the angle-isotropic transport run and the toy
+  model's moment march are checked against;
 - :func:`pair_mu_table` and :class:`PairScattering`, the kappa tables
   and the scattering pair ``reduce``/``spread``/``matrix`` per angle pair
   (w, w'), against the package's tables per angle gap;
@@ -52,12 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from homokin.boltzmann import (
-    SweepPointResult,
-    TwoScaleToySolution,
-    _rk4_linear_march,
-    sweep_point,
-)
+from homokin.boltzmann import SweepPointResult, TwoScaleToySolution, sweep
 from homokin.cell import (
     POLE_CHUNK,
     CellFunction,
@@ -435,10 +432,7 @@ def convergence_study(
 ) -> tuple[ConvergenceReport, list[SweepPointResult]]:
     """Run an eps sweep serially and aggregate it into a ConvergenceReport."""
     eps_sorted = sorted(float(e) for e in epsilons)[::-1]
-    points = [
-        sweep_point(example_id, placement, eps, k_max, **kwargs)
-        for eps in eps_sorted
-    ]
+    points = sweep(example_id, placement, eps_sorted, k_max, **kwargs)
     report = ConvergenceReport.from_sweep(
         np.array(eps_sorted),
         np.stack([p.mode_errors for p in points]),
@@ -482,11 +476,16 @@ def solve_separable_energy_model(
 
     Covers both toy placements (emit = 1 or kappa, collect = kappa or 1)
     and the angle-averaged transport reduction with its sqrt(E) weights.
-    Returns (times, values), marched with the toy model's RK4 steps.
+    Returns (times, values), marched stage by stage on the full state,
+    against the moment form of :func:`homokin.boltzmann._rank_one_march`.
     """
-    rhs = lambda phi: -decay * phi + emit * (e_weight * (collect @ phi))
+    rhs = lambda t, phi: (-decay * phi + emit * (e_weight * (collect @ phi)),)
     times = np.linspace(0.0, t_end, n_steps + 1)
-    return times, _rk4_linear_march(np.asarray(phi0, dtype=float), rhs, times)
+    states = [np.asarray(phi0, dtype=float)]
+    for j in range(n_steps):
+        (phi,) = rk4_step(rhs, times[j], times[j + 1] - times[j], states[-1])
+        states.append(phi)
+    return times, np.array(states)
 
 
 def pair_mu_table(fn, grids: TransportGrids, *args) -> np.ndarray:

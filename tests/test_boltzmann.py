@@ -10,15 +10,26 @@ from homokin.boltzmann import (
     DEFAULT_SWEEP,
     EnergyGrid,
     ToyProblem,
+    _rank_one_march,
     example_presets,
-    paired_modes,
     solve_toy_eps,
     solve_toy_two_scale,
+    sweep,
     sweep_point,
 )
 from homokin.cell import CellFunction, PeriodicGrid, rk4_step
-from homokin.diagnostics import legendre_modes
-from oracles import CellEnergyField, convergence_study, hom_field_on
+from homokin.diagnostics import (
+    legendre_modes,
+    mode_error,
+    norm_difference,
+    orthonormal_polynomials,
+)
+from oracles import (
+    CellEnergyField,
+    convergence_study,
+    hom_field_on,
+    solve_separable_energy_model,
+)
 
 
 class TestEnergyGrid:
@@ -235,6 +246,44 @@ class TestTwoScaleDenseOracle:
         assert norm_gap <= 1e-13
 
 
+class TestRankOneMarch:
+    """The moment form of the RK4 step against the stage-by-stage march."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 300),
+        stacked=st.booleans(),
+        n_steps=st.integers(1, 120),
+        t_end=st.floats(0.1, 10.0),
+        data=st.data(),
+    )
+    def test_matches_stage_by_stage_march(self, n, stacked, n_steps, t_end, data):
+        size = n // 2 if stacked else n
+
+        def draw(elements):
+            return data.draw(hnp.arrays(np.float64, size, elements=elements))
+
+        # signed data, kept clear of magnitudes whose squares underflow
+        phi0 = draw(st.floats(-2.0, 2.0).filter(lambda v: v == 0.0 or abs(v) > 1e-6))
+        decay = draw(st.floats(0.01, 5.0))
+        emit = draw(st.floats(0.0, 3.0))
+        collect = draw(st.floats(0.0, 3.0)) / size
+        if stacked:
+            # the two-scale layout [X; Z]: no emission into X, which starts
+            # from the data, while Z starts from zero
+            mean_a = data.draw(st.floats(0.0, 3.0))
+            decay = np.concatenate([decay, decay])
+            emit = np.concatenate([np.zeros(size), emit])
+            collect = np.concatenate([mean_a * collect, collect])
+            phi0 = np.concatenate([phi0, np.zeros(size)])
+        times, ref = solve_separable_energy_model(
+            decay, emit, collect, phi0, 1.0, t_end, n_steps
+        )
+        got = np.stack(list(_rank_one_march(decay, emit, collect, phi0, times)))
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 class TestRankTwoModes:
     """The homogenized modes from the two profile projections against the
     modes of the full (t, E) field."""
@@ -246,19 +295,58 @@ class TestRankTwoModes:
     @pytest.mark.parametrize("epsilon", [1 / 10.1, 1 / 160.1])
     def test_match_full_field_projection(self, example_id, placement, init_mode, epsilon):
         problem = example_presets(example_id, placement, epsilon, init_mode=init_mode)
-        eps_field = solve_toy_eps(problem)
         hom = solve_toy_two_scale(problem)
-        eps_modes, hom_modes = paired_modes(eps_field, hom, 8)
-        full = legendre_modes(hom_field_on(hom, eps_field.energies), 8)
-        expect = np.stack([m.values for m in full])
-        got = np.stack([m.values for m in hom_modes])
-        assert [m.k for m in hom_modes] == list(range(9))
-        assert np.array_equal(hom_modes[0].times, full[0].times)
+        egrid = EnergyGrid.for_epsilon(epsilon)
+        rows = egrid.weights * orthonormal_polynomials(egrid.nodes, egrid.weights, 8)
+        got = hom.modes_on(egrid.nodes, rows)
+        full = legendre_modes(hom_field_on(hom, egrid.nodes), 8)
+        expect = np.stack([m.values for m in full], axis=1)
+        assert got.shape == (len(hom.times), 9)
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
-        # the eps modes are those of legendre_modes alone
-        alone = legendre_modes(eps_field, 8)
-        for m, ref in zip(eps_modes, alone):
-            assert np.array_equal(m.values, ref.values)
+
+
+class TestStreamedSweep:
+    """sweep_point reduces each state as it comes; the field route forms
+    both (t, E) fields and reduces them with the diagnostics functions."""
+
+    CASES = [
+        (ex, placement, init_mode)
+        for ex in (1, 2, 3)
+        for placement, init_mode in (("inside", "oscillatory"), ("outside", "profile"))
+    ]
+
+    @pytest.mark.parametrize("example_id, placement, init_mode", CASES)
+    @pytest.mark.parametrize("epsilon", [1 / 10.1, 1 / 160.1])
+    def test_matches_field_route(self, example_id, placement, init_mode, epsilon):
+        got = sweep_point(example_id, placement, epsilon, init_mode=init_mode)
+        problem = example_presets(example_id, placement, epsilon, init_mode=init_mode)
+        field = solve_toy_eps(problem)
+        hom = solve_toy_two_scale(problem)
+        hom_modes = legendre_modes(hom_field_on(hom, field.energies), 8)
+        errors = [
+            mode_error(e, h) for e, h in zip(legendre_modes(field, 8), hom_modes)
+        ]
+        sup_l2 = np.max(np.sqrt((field.values**2) @ field.e_weights))
+        assert got.epsilon == epsilon
+        # the gaps are differences of O(1) sums taken in another order, so
+        # they agree on the scale of the largest gap and of the norm
+        scale = np.max(errors)
+        assert np.max(np.abs(got.mode_errors - errors)) <= 1e-10 * scale
+        assert abs(got.norm_diff - norm_difference(field, hom)) <= 1e-10 * sup_l2
+        assert abs(got.sup_norm_l2 - sup_l2) <= 1e-10 * sup_l2
+
+    @pytest.mark.parametrize("example_id, placement, init_mode", CASES[:2])
+    def test_sweep_solves_the_limit_once_for_the_same_points(
+        self, example_id, placement, init_mode
+    ):
+        epsilons = [1 / 10.1, 1 / 20.1, 1 / 40.1]
+        points = sweep(example_id, placement, epsilons, init_mode=init_mode, workers=2)
+        for eps, point in zip(epsilons, points):
+            alone = sweep_point(example_id, placement, eps, init_mode=init_mode)
+            assert point.epsilon == eps
+            assert np.array_equal(point.mode_errors, alone.mode_errors)
+            assert point.norm_diff == alone.norm_diff
+            assert point.sup_norm_l2 == alone.sup_norm_l2
 
 
 class TestSweep:
