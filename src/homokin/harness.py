@@ -6,8 +6,9 @@ separator, dot decimal point, header row, 17 significant digits, LF line
 endings) plus a JSON manifest listing inputs, code version, grids, wall
 time, and a content hash per artifact.  The boltzmann kind's sweep
 points run on a thread pool in one process (``boltzmann.sweep``), so
-they share one heap and one solve of the limit; results are aggregated
-in sorted order so reruns are byte-identical regardless of worker count.
+they share one heap and one solve of the limit; results come back in
+the validated sweep order, so reruns are byte-identical regardless of
+worker count.
 """
 
 from __future__ import annotations
@@ -320,7 +321,7 @@ def _run_boltzmann(config: ExperimentConfig, out_dir: str) -> dict:
         raise ConfigError(f"preset: expected an example number, got {config.preset!r}")
     example_id = int(config.preset)
     points = sweep(
-        example_id, config.placement, sorted(config.epsilons)[::-1],
+        example_id, config.placement, config.epsilons,
         n_cell=config.n_cell, init_mode=config.init_mode, workers=config.workers,
     )
     report = ConvergenceReport.from_sweep(

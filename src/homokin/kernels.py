@@ -123,10 +123,11 @@ class KernelTable:
         return cls(taus, modes, lag0)
 
     def to_csv(self, path) -> None:
+        """Write ``tau,K`` rows in the CSV dialect, formatted by one % operation."""
+        pairs = np.column_stack([self.taus, self.values]).ravel().tolist()
         with open(path, "w", newline="\n") as fh:
             fh.write("tau,K\n")
-            for tau, k in zip(self.taus, self.values):
-                fh.write(f"{tau:.17g},{k:.17g}\n")
+            fh.write("%.17g,%.17g\n" * len(self.taus) % tuple(pairs))
 
 
 def laplace_of_table(table: KernelTable, p: float) -> tuple[float, float]:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from homokin import boltzmann
 from homokin.boltzmann import (
     DEFAULT_SWEEP,
     EnergyGrid,
@@ -336,17 +337,44 @@ class TestStreamedSweep:
         assert abs(got.sup_norm_l2 - sup_l2) <= 1e-10 * sup_l2
 
     @pytest.mark.parametrize("example_id, placement, init_mode", CASES[:2])
+    @pytest.mark.parametrize(
+        "epsilons, workers",
+        [
+            ([1 / 10.1, 1 / 20.1, 1 / 40.1], 2),
+            # points start finest mesh first, yet come back in this order
+            ([1 / 40.1, 1 / 10.1, 1 / 20.1], 1),
+            ([1 / 40.1, 1 / 10.1, 1 / 20.1], 2),
+            ([1 / 40.1, 1 / 10.1, 1 / 20.1], 3),
+            ([1 / 20.1, 1 / 40.1, 1 / 20.1], 2),
+        ],
+    )
     def test_sweep_solves_the_limit_once_for_the_same_points(
-        self, example_id, placement, init_mode
+        self, example_id, placement, init_mode, epsilons, workers
     ):
-        epsilons = [1 / 10.1, 1 / 20.1, 1 / 40.1]
-        points = sweep(example_id, placement, epsilons, init_mode=init_mode, workers=2)
+        points = sweep(
+            example_id, placement, epsilons, init_mode=init_mode, workers=workers
+        )
+        assert len(points) == len(epsilons)
         for eps, point in zip(epsilons, points):
             alone = sweep_point(example_id, placement, eps, init_mode=init_mode)
             assert point.epsilon == eps
             assert np.array_equal(point.mode_errors, alone.mode_errors)
             assert point.norm_diff == alone.norm_diff
             assert point.sup_norm_l2 == alone.sup_norm_l2
+
+    def test_sweep_starts_the_finest_mesh_first(self, monkeypatch):
+        started = []
+        point_errors = boltzmann._point_errors
+
+        def record(problem, hom, k_max, egrid):
+            started.append(egrid.n)
+            return point_errors(problem, hom, k_max, egrid)
+
+        monkeypatch.setattr(boltzmann, "_point_errors", record)
+        epsilons = [1 / 40.1, 1 / 10.1, 1 / 20.1]
+        points = sweep(1, "inside", epsilons, workers=1)
+        assert started == [4010, 2010, 1010]
+        assert [p.epsilon for p in points] == epsilons
 
 
 class TestSweep:

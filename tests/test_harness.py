@@ -2,13 +2,17 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import homokin.kernels
 import homokin.multiscale
@@ -16,8 +20,10 @@ import homokin.oscillator
 from homokin.cell import CellFunction, PeriodicGrid, gauss_poles, sine_profile
 from homokin.cli import build_parser, config_from_args, main
 from homokin.harness import (
+    KINDS,
     ConfigError,
     ExperimentConfig,
+    _SECTION_FIELDS,
     emit_plot_script,
     WEAK_X_BUDGET,
     _weak_x_count,
@@ -94,6 +100,73 @@ class TestConfigValidation:
         result = run_experiment(ExperimentConfig(kind="boltzmann", epsilons=()))
         assert result.status == 2
         assert "eps" in result.message
+
+
+# config field names as the INI file and the flags spell them
+FIELD_NAMES = {key for keys in _SECTION_FIELDS.values() for key in keys}
+# one field set to a value that some or every kind rejects; eps = 1e-9 is
+# over every eps budget, which validation sizes without allocating
+BAD_FIELDS = [
+    ("kind", "frobnicate"),
+    ("placement", "middle"),
+    ("init_mode", "flat"),
+    ("epsilons", ()),
+    ("epsilons", (0.1, 0.5)),
+    ("epsilons", (0.5, 0.5)),
+    ("epsilons", (0.0,)),
+    ("epsilons", (-0.1,)),
+    ("epsilons", (1.5,)),
+    ("epsilons", (math.nan,)),
+    ("epsilons", (math.inf,)),
+    ("epsilons", (0.5, 1e-9)),
+    ("n_cell", 1),
+    ("n_cell", COUPLED_MAX_CELLS + 1),
+    ("n_e", 0),
+    ("n_omega", 1),
+    ("n_r", -3),
+    ("n_y", 1),
+    ("seed", -1),
+    ("workers", 0),
+]
+
+
+@st.composite
+def tiny_configs(draw):
+    """Tiny grids, a few presets and eps lists, one field bad half the time."""
+    epsilons = draw(
+        st.lists(
+            st.sampled_from((1, 0.5, 0.3, 1 / 10.1, 0.05)),
+            min_size=1, max_size=3, unique=True,
+        )
+    )
+    values = dict(
+        preset=draw(
+            st.sampled_from(("1", "2", "3", "7", "two-valued", "transport-kappa0", "foo"))
+        ),
+        placement=draw(st.sampled_from(("inside", "outside"))),
+        init_mode=draw(st.sampled_from(("oscillatory", "profile"))),
+        epsilons=tuple(sorted(epsilons, reverse=True)),
+        seed=draw(st.integers(0, 3)),
+        workers=draw(st.integers(1, 3)),
+        **{name: draw(st.integers(2, 9)) for name in ("n_cell", "n_e", "n_omega", "n_r", "n_y")},
+    )
+    if draw(st.booleans()):
+        name, value = draw(st.sampled_from(BAD_FIELDS))
+        values[name] = value
+    return values
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=20, deadline=None)
+@given(values=tiny_configs())
+def test_run_experiment_exits_0_1_or_2_and_names_the_field(kind, values):
+    with tempfile.TemporaryDirectory() as out_dir:
+        result = run_experiment(
+            ExperimentConfig(**{"kind": kind, **values}, out_dir=out_dir)
+        )
+    assert result.status in (0, 1, 2)
+    if result.status == 2:
+        assert result.message.split(":")[0] in FIELD_NAMES, result.message
 
 
 class TestConfigFile:
