@@ -4,7 +4,10 @@ Configuration is flat INI text (key = value under named sections), merged
 with command-line flags.  Every experiment writes CSV files (comma
 separator, dot decimal point, header row, 17 significant digits, LF line
 endings) plus a JSON manifest listing inputs, code version, grids, wall
-time, and a content hash per artifact.  The boltzmann kind's sweep
+time, and a content hash per artifact.  ``write_csv`` takes a file's
+columns and formats it by one % operation; the ode and oscillator kinds
+format their time axis once (``csv_text``) and share that text among
+their three time-series files.  The boltzmann kind's sweep
 points run on a thread pool in one process (``boltzmann.sweep``), so
 they share one heap and one solve of the limit; results come back in
 the validated sweep order, so reruns are byte-identical regardless of
@@ -75,6 +78,15 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.kind not in KINDS:
             raise ConfigError(f"kind: unknown experiment kind {self.kind!r}")
+        # built-in numbers only: the manifest dumps the config as JSON
+        if not isinstance(self.epsilons, (tuple, list)) or not all(
+            isinstance(e, (int, float)) and not isinstance(e, bool) for e in self.epsilons
+        ):
+            raise ConfigError(f"eps: sweep values must be real numbers, got {self.epsilons!r}")
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name}: expected an integer, got {value!r}")
         eps = tuple(float(e) for e in self.epsilons)
         if len(eps) == 0:
             raise ConfigError("eps: the sweep list must not be empty")
@@ -137,7 +149,7 @@ _SECTION_FIELDS = {
     "grids": ("n_cell", "n_e", "n_omega", "n_r", "n_y"),
     "run": ("out", "seed", "workers"),
 }
-_INT_FIELDS = {"n_cell", "n_e", "n_omega", "n_r", "n_y", "seed", "workers"}
+_INT_FIELDS = ("n_cell", "n_e", "n_omega", "n_r", "n_y", "seed", "workers")
 
 
 def parse_epsilons(text: str) -> tuple:
@@ -183,25 +195,63 @@ def default_out_dir() -> str:
     return os.environ.get("HOMOKIN_OUT", ".")
 
 
-def write_csv(path, header: str, rows) -> None:
+class _CsvText(tuple):
+    """A column already in the dialect's text, from ``csv_text``."""
+
+
+def _column(column):
+    """(slots, values) of one CSV column.
+
+    A float array or a text column takes one slot for all its values;
+    any other column takes a slot per value, %.17g for floats and %s for
+    the rest.
+    """
+    if isinstance(column, _CsvText):
+        return "%s", column
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return "%.17g", column.tolist()
+    values = list(column)
+    return [
+        "%.17g" if isinstance(v, (float, np.floating)) else "%s" for v in values
+    ], values
+
+
+def csv_text(column) -> _CsvText:
+    """The text of one column, formatted once and shared by several files.
+
+    ``write_csv`` puts a text column into its files as it is, so the bytes
+    equal those of passing ``column`` itself.
+    """
+    if isinstance(column, _CsvText):
+        return column
+    slots, values = _column(column)
+    if isinstance(slots, str):  # one % for a float array; its text holds no LF
+        return _CsvText(((slots + "\n") * len(values) % tuple(values)).split("\n")[:-1])
+    return _CsvText(slot % (v,) for slot, v in zip(slots, values))
+
+
+def write_csv(path, header: str, *columns) -> None:
     """CSV dialect: comma, dot decimals, %.17g floats, LF endings.
 
-    The file is formatted by one % operation: each row's template follows
-    the types of its values, %.17g for floats and %s for the rest.
+    The file is formatted by one % operation over its columns, which must
+    be of equal length.  A float array enters it as Python floats in a
+    %.17g slot, a ``csv_text`` column as its text in a %s slot; any other
+    column is formatted value by value, %.17g for floats and %s for the
+    rest.
     """
-    templates, lines, values = {}, [], []
-    for row in rows:
-        row = tuple(row)
-        kinds = tuple(map(type, row))
-        if kinds not in templates:
-            templates[kinds] = ",".join(
-                "%.17g" if issubclass(kind, (float, np.floating)) else "%s" for kind in kinds
-            ) + "\n"
-        lines.append(templates[kinds])
-        values.extend(row)
+    slots, values = zip(*map(_column, columns)) if columns else ((), ())
+    n_rows, n_cols = (len(values[0]) if values else 0), len(values)
+    if all(isinstance(s, str) for s in slots):
+        template = (",".join(slots) + "\n") * n_rows
+    else:
+        per_row = [[s] * n_rows if isinstance(s, str) else s for s in slots]
+        template = "".join(",".join(row) + "\n" for row in zip(*per_row))
+    flat = [None] * (n_rows * n_cols)
+    for j, column in enumerate(values):
+        flat[j::n_cols] = column  # ValueError on a column of another length
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        fh.write("".join(lines) % tuple(values))
+        fh.write(template % tuple(flat))
 
 
 def _sha256(path) -> str:
@@ -255,7 +305,9 @@ def _run_tartar(config: ExperimentConfig, out_dir: str) -> dict:
     ps = np.array([0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
     report = verify_tartar_equivalence(sigma, ps)
     path = os.path.join(out_dir, "tartar_equiv.csv")
-    rows = zip(
+    write_csv(
+        path,
+        "p,khat,mhat,numeric,numeric_tail,rel_err",
         report.ps,
         report.khat,
         report.mhat,
@@ -263,7 +315,6 @@ def _run_tartar(config: ExperimentConfig, out_dir: str) -> dict:
         report.numeric_tail,
         np.abs(report.khat - report.mhat) / np.maximum(np.abs(report.mhat), 1e-14),
     )
-    write_csv(path, "p,khat,mhat,numeric,numeric_tail,rel_err", rows)
     return {"tartar_equiv.csv": path}
 
 
@@ -283,19 +334,21 @@ def _run_ode(config: ExperimentConfig, out_dir: str) -> dict:
     problem = OdeProblem(sigma, None, u_in, 10.0)
     report = three_route_report(problem, TimeGrid.from_count(10.0, 10000))
     files = {}
+    times = csv_text(report["times"])  # one time axis for the three routes
     for route in ("closed", "coupled", "volterra"):
         path = os.path.join(out_dir, f"ode_{route}.csv")
-        write_csv(path, "t,u_hom", zip(report["times"], report[route]))
+        write_csv(path, "t,u_hom", times, report[route])
         files[f"ode_{route}.csv"] = path
     summary = os.path.join(out_dir, "ode_summary.csv")
     write_csv(
         summary,
         "pair,sup_difference",
+        ("closed-coupled", "closed-volterra", "coupled-volterra", "max-mean-remainder"),
         [
-            ("closed-coupled", report["sup_closed_coupled"]),
-            ("closed-volterra", report["sup_closed_volterra"]),
-            ("coupled-volterra", report["sup_coupled_volterra"]),
-            ("max-mean-remainder", report["max_mean_remainder"]),
+            report["sup_closed_coupled"],
+            report["sup_closed_volterra"],
+            report["sup_coupled_volterra"],
+            report["max_mean_remainder"],
         ],
     )
     files["ode_summary.csv"] = summary
@@ -311,7 +364,7 @@ def _run_ode(config: ExperimentConfig, out_dir: str) -> dict:
         for name, err in sorted(errs.items()):
             weak_rows.append((eps, name, err))
     weak_path = os.path.join(out_dir, "ode_weak.csv")
-    write_csv(weak_path, "epsilon,test_fn,weak_error", weak_rows)
+    write_csv(weak_path, "epsilon,test_fn,weak_error", *zip(*weak_rows))
     files["ode_weak.csv"] = weak_path
     return files
 
@@ -332,16 +385,18 @@ def _run_boltzmann(config: ExperimentConfig, out_dir: str) -> dict:
     files = {}
     modes_path = os.path.join(out_dir, "modes.csv")
     rows = [(p.epsilon, k, e) for p in points for k, e in enumerate(p.mode_errors)]
-    write_csv(modes_path, "epsilon,k,e_k", rows)
+    write_csv(modes_path, "epsilon,k,e_k", *zip(*rows))
     files["modes.csv"] = modes_path
     norm_path = os.path.join(out_dir, "norm_diff.csv")
-    write_csv(norm_path, "epsilon,norm_diff", [(p.epsilon, p.norm_diff) for p in points])
+    write_csv(
+        norm_path, "epsilon,norm_diff", [p.epsilon for p in points], [p.norm_diff for p in points]
+    )
     files["norm_diff.csv"] = norm_path
     rates_path = os.path.join(out_dir, "rates.csv")
     write_csv(
         rates_path,
         "k,slope,residual",
-        [(k, fit.slope, fit.residual) for k, fit in enumerate(report.fits)],
+        *zip(*[(k, fit.slope, fit.residual) for k, fit in enumerate(report.fits)]),
     )
     files["rates.csv"] = rates_path
     return files
@@ -360,7 +415,7 @@ def _run_transport(config: ExperimentConfig, out_dir: str) -> dict:
         quotient = coercivity_test(params, eps, grids, trials=100, seed=config.seed)
         rows.append((eps, margin, quotient))
     checks_path = os.path.join(out_dir, "transport_checks.csv")
-    write_csv(checks_path, "epsilon,margin,min_quotient", rows)
+    write_csv(checks_path, "epsilon,margin,min_quotient", *zip(*rows))
     files = {"transport_checks.csv": checks_path}
 
     phi_in = hat_initial_data(0.5)
@@ -387,7 +442,7 @@ def _run_transport(config: ExperimentConfig, out_dir: str) -> dict:
             (eps, windowed_weak_error(sol, hom, n_windows), sol.sup_l2)
         )
     weak_path = os.path.join(out_dir, "transport_weak.csv")
-    write_csv(weak_path, "epsilon,weak_error,sup_l2", weak_rows)
+    write_csv(weak_path, "epsilon,weak_error,sup_l2", *zip(*weak_rows))
     files["transport_weak.csv"] = weak_path
     return files
 
@@ -402,14 +457,15 @@ def _run_oscillator(config: ExperimentConfig, out_dir: str) -> dict:
     table = kernel_time_table(nu, grid)
     alpha, beta = kernel_components(table)
     files = {}
+    times = csv_text(grid.times)  # the kernel's lags are grid.times too
     sol_path = os.path.join(out_dir, "oscillator_solution.csv")
-    write_csv(sol_path, "t,u1,u2", zip(grid.times, u[:, 0], u[:, 1]))
+    write_csv(sol_path, "t,u1,u2", times, u[:, 0], u[:, 1])
     files["oscillator_solution.csv"] = sol_path
     ref_path = os.path.join(out_dir, "oscillator_reference.csv")
-    write_csv(ref_path, "t,u1,u2", zip(grid.times, ref[:, 0], ref[:, 1]))
+    write_csv(ref_path, "t,u1,u2", times, ref[:, 0], ref[:, 1])
     files["oscillator_reference.csv"] = ref_path
     ker_path = os.path.join(out_dir, "oscillator_kernel.csv")
-    write_csv(ker_path, "t,alpha,beta", zip(table.taus, alpha, beta))
+    write_csv(ker_path, "t,alpha,beta", times, alpha, beta)
     files["oscillator_kernel.csv"] = ker_path
     return files
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import homokin.kernels
@@ -27,12 +27,14 @@ from homokin.harness import (
     emit_plot_script,
     WEAK_X_BUDGET,
     _weak_x_count,
+    csv_text,
     parse_config_file,
     run_experiment,
     write_csv,
 )
 from homokin.multiscale import COUPLED_MAX_CELLS, OdeProblem, solve_eps_exact
-from homokin.volterra import SolverError
+from homokin.oscillator import YoungMeasure, kernel_time_table
+from homokin.volterra import SolverError, TimeGrid
 
 
 class TestConfigValidation:
@@ -96,6 +98,28 @@ class TestConfigValidation:
         # only the ode kind runs the weak study on an x grid
         ExperimentConfig(kind="oscillator", epsilons=(1e-7,)).validate()
 
+    @pytest.mark.parametrize(
+        "kind, values, field",
+        [
+            ("boltzmann", dict(epsilons=("0.1",)), "eps"),
+            ("ode", dict(epsilons=(0.5, True)), "eps"),
+            ("tartar", dict(epsilons=0.1), "eps"),
+            ("ode", dict(n_cell=8.0), "n_cell"),
+            ("transport", dict(n_e=8.0), "n_e"),
+            ("boltzmann", dict(workers=1.5), "workers"),
+            ("oscillator", dict(seed=False), "seed"),
+            ("kernel-dump", dict(n_y=True), "n_y"),
+        ],
+    )
+    def test_python_api_types_rejected(self, tmp_path, kind, values, field):
+        # the CLI and the INI file hand over floats and ints; the Python API
+        # can hand over anything, and validation names the field
+        out = tmp_path / "out"
+        result = run_experiment(ExperimentConfig(kind=kind, out_dir=str(out), **values))
+        assert result.status == 2
+        assert result.message.startswith(f"{field}: "), result.message
+        assert not out.exists()
+
     def test_run_experiment_reports_config_error(self):
         result = run_experiment(ExperimentConfig(kind="boltzmann", epsilons=()))
         assert result.status == 2
@@ -127,6 +151,20 @@ BAD_FIELDS = [
     ("n_y", 1),
     ("seed", -1),
     ("workers", 0),
+    # types the CLI never hands over: numbers as text, bools, float sizes
+    ("epsilons", ("0.1",)),
+    ("epsilons", (True,)),
+    ("epsilons", (0.5, False)),
+    ("epsilons", "0.1"),
+    ("n_cell", 8.0),
+    ("n_e", 8.0),
+    ("n_omega", True),
+    ("n_r", "8"),
+    ("n_y", 16.0),
+    ("seed", 1.0),
+    ("seed", False),
+    ("workers", 1.5),
+    ("workers", True),
 ]
 
 
@@ -214,10 +252,54 @@ class TestConfigFile:
         assert overrides["epsilons"][0] == 0.0990099
 
 
+def per_value(v):
+    """The dialect's text of one value: %.17g for floats, str for the rest."""
+    return f"{v:.17g}" if isinstance(v, (float, np.floating)) else str(v)
+
+
+def reference_csv(header, columns):
+    """The dialect's bytes, built row by row and value by value."""
+    rows = zip(*columns)
+    return (header + "\n" + "".join(",".join(map(per_value, r)) + "\n" for r in rows)).encode()
+
+
+# nan, +-inf, -0.0, the smallest and largest subnormals, +-1e308, and
+# values whose repr is shorter than their 17 digits
+SPECIAL_FLOATS = (
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.225073858507201e-308,
+    1e308, -1e308, 0.1, 1.0 / 3.0, 2.5e17,
+)
+FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+INTS = st.integers(-(2**63), 2**63 - 1)
+TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6)
+
+
+@st.composite
+def csv_columns(draw):
+    """1-4 columns of 0-50 rows, each a float array or a per-value sequence."""
+    n = draw(st.integers(0, 50))
+    values = lambda strategy: draw(st.lists(strategy, min_size=n, max_size=n))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(range(5)), min_size=1, max_size=4)):
+        if kind == 0:
+            columns.append(np.array(values(FLOATS), dtype=float))
+        elif kind == 1:
+            columns.append(values(INTS))
+        elif kind == 2:
+            columns.append([np.int64(v) for v in values(INTS)])
+        elif kind == 3:
+            columns.append(values(TEXT))
+        else:
+            columns.append(tuple(values(st.one_of(
+                FLOATS, FLOATS.map(np.float64), INTS, INTS.map(np.int64), TEXT, st.booleans()
+            ))))
+    return columns
+
+
 class TestCsvDialect:
     def test_seventeen_digits_and_lf(self, tmp_path):
         path = tmp_path / "x.csv"
-        write_csv(path, "a,b", [(1.0 / 3.0, 2)])
+        write_csv(path, "a,b", np.array([1.0 / 3.0]), [2])
         raw = path.read_bytes()
         assert b"\r" not in raw
         text = raw.decode()
@@ -233,15 +315,33 @@ class TestCsvDialect:
             ("%s", 0.1, 1, np.int64(1), np.float64(1e22)),
         ]
         path = tmp_path / "mixed.csv"
-        write_csv(path, "a,b,c,d,e", rows)
-
-        def per_value(v):
-            return f"{v:.17g}" if isinstance(v, (float, np.floating)) else str(v)
-
+        write_csv(path, "a,b,c,d,e", *zip(*rows))
         expected = "a,b,c,d,e\n" + "".join(",".join(map(per_value, r)) + "\n" for r in rows)
         assert path.read_bytes() == expected.encode()
-        write_csv(path, "a", [])
+        write_csv(path, "a")
         assert path.read_bytes() == b"a\n"
+        write_csv(path, "a,b", np.array([]), [])
+        assert path.read_bytes() == b"a,b\n"
+
+    def test_columns_of_other_lengths_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "x.csv", "a,b", np.array([1.0, 2.0]), [1])
+
+    # 0.1 reads "0.1" under repr and "0.10000000000000001" in the dialect
+    @example(columns=[np.array([0.1]), [0.1]], shared=[False, True])
+    @settings(max_examples=100, deadline=None)
+    @given(columns=csv_columns(), shared=st.lists(st.booleans(), min_size=4, max_size=4))
+    def test_columns_match_per_value_reference(self, columns, shared):
+        header = ",".join("abcd"[: len(columns)])
+        expected = reference_csv(header, columns)
+        with tempfile.TemporaryDirectory() as out_dir:
+            path = Path(out_dir) / "x.csv"
+            write_csv(path, header, *columns)
+            assert path.read_bytes() == expected
+            # a csv_text column is the same text, formatted ahead of the file
+            texts = [csv_text(c) if s else c for c, s in zip(columns, shared)]
+            write_csv(path, header, *texts)
+            assert path.read_bytes() == expected
 
 
 class TestExperiments:
@@ -301,10 +401,57 @@ class TestExperiments:
                 assert (outs[run] / name).read_bytes() == b1, (run, name)
 
 
+# each kind at small grids; the ode and oscillator kinds march 10,000 steps
+KIND_ARGS = {
+    "tartar": [],
+    "ode": ["--n-cell", "16", "--eps", "0.5"],
+    "boltzmann": ["--n-cell", "16", "--eps", "0.5,0.25"],
+    "transport": ["--n-r", "8", "--n-e", "12", "--n-y", "16", "--n-omega", "4", "--eps", "0.5"],
+    "oscillator": [],
+    "kernel-dump": ["--preset", "two-valued"],
+}
+# files of one kind that share its time axis, first column "t"
+TIME_SERIES = {
+    "ode": ("ode_closed.csv", "ode_coupled.csv", "ode_volterra.csv"),
+    "oscillator": (
+        "oscillator_solution.csv", "oscillator_reference.csv", "oscillator_kernel.csv"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_kind_writes_the_dialect(kind, tmp_path):
+    assert main([kind, *KIND_ARGS[kind], "--out", str(tmp_path)]) == 0
+    csvs = sorted(tmp_path.glob("*.csv"))
+    assert csvs
+    for path in csvs:
+        raw = path.read_bytes()
+        assert b"\r" not in raw and raw.endswith(b"\n"), path.name
+        for line in raw.decode().splitlines()[1:]:
+            for field in line.split(","):
+                try:
+                    value = float(field)
+                except ValueError:
+                    continue  # a name, such as a test function's
+                assert field == "%.17g" % value, (path.name, line)
+    axes = [
+        [line.split(",", 1)[0] for line in (tmp_path / name).read_text().splitlines()]
+        for name in TIME_SERIES.get(kind, ())
+    ]
+    assert all(axis == axes[0] for axis in axes)
+    assert all(axis[0] == "t" for axis in axes)
+    if kind == "oscillator":
+        # the kernel file shares the solution's axis: its lags are the grid's times
+        grid = TimeGrid.from_count(1.0, 7)
+        table = kernel_time_table(YoungMeasure.two_atoms(1.0, 3.0), grid)
+        assert table.taus.tobytes() == grid.times.tobytes()
+
+
 class TestPlotScript:
     def test_rate_csv_gets_loglog(self, tmp_path):
         rates = tmp_path / "modes.csv"
-        write_csv(rates, "epsilon,k,e_k", [(0.1, 0, 0.5), (0.05, 0, 0.25)])
+        write_csv(rates, "epsilon,k,e_k", np.array([0.1, 0.05]), [0, 0], np.array([0.5, 0.25]))
+        assert rates.read_bytes() == b"epsilon,k,e_k\n0.10000000000000001,0,0.5\n0.050000000000000003,0,0.25\n"
         out = tmp_path / "plot.py"
         text = emit_plot_script([rates], out)
         assert "loglog" in text
@@ -313,7 +460,8 @@ class TestPlotScript:
 
     def test_norm_diff_linear_panel(self, tmp_path):
         nd = tmp_path / "norm_diff.csv"
-        write_csv(nd, "epsilon,norm_diff", [(0.1, 0.5), (0.05, 0.25)])
+        write_csv(nd, "epsilon,norm_diff", [0.1, 0.05], [0.5, 0.25])
+        assert nd.read_bytes() == b"epsilon,norm_diff\n0.10000000000000001,0.5\n0.050000000000000003,0.25\n"
         text = emit_plot_script([nd], tmp_path / "plot.py")
         assert "norm difference" in text
         assert "loglog" not in text
@@ -321,8 +469,8 @@ class TestPlotScript:
     def test_two_panel_layout(self, tmp_path):
         rates = tmp_path / "modes.csv"
         nd = tmp_path / "norm_diff.csv"
-        write_csv(rates, "epsilon,k,e_k", [(0.1, 0, 0.5)])
-        write_csv(nd, "epsilon,norm_diff", [(0.1, 0.5)])
+        write_csv(rates, "epsilon,k,e_k", [0.1], [0], [0.5])
+        write_csv(nd, "epsilon,norm_diff", np.array([0.1]), np.array([0.5]))
         text = emit_plot_script([rates, nd], tmp_path / "plot.py")
         assert "subplots(1, 2" in text
 
