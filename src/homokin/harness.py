@@ -82,11 +82,15 @@ class ExperimentConfig:
         if not isinstance(self.epsilons, (tuple, list)) or not all(
             isinstance(e, (int, float)) and not isinstance(e, bool) for e in self.epsilons
         ):
-            raise ConfigError(f"eps: sweep values must be real numbers, got {self.epsilons!r}")
+            raise ConfigError(
+                f"eps: sweep values must be Python int or float, got {self.epsilons!r}"
+            )
         for name in _INT_FIELDS:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name}: expected an integer, got {value!r}")
+                raise ConfigError(
+                    f"{name}: expected a Python int (the manifest is JSON), got {value!r}"
+                )
         eps = tuple(float(e) for e in self.epsilons)
         if len(eps) == 0:
             raise ConfigError("eps: the sweep list must not be empty")
@@ -200,20 +204,19 @@ class _CsvText(tuple):
 
 
 def _column(column):
-    """(slots, values) of one CSV column.
+    """(slot, values) of one CSV column: one slot for all its values.
 
-    A float array or a text column takes one slot for all its values;
-    any other column takes a slot per value, %.17g for floats and %s for
-    the rest.
+    A float array enters as Python floats in a %.17g slot.  A text column
+    enters as it is in a %s slot, and so does any other column once its
+    values are formatted one by one, %.17g for floats and %s for the rest.
     """
-    if isinstance(column, _CsvText):
-        return "%s", column
     if isinstance(column, np.ndarray) and column.dtype.kind == "f":
         return "%.17g", column.tolist()
-    values = list(column)
-    return [
-        "%.17g" if isinstance(v, (float, np.floating)) else "%s" for v in values
-    ], values
+    if isinstance(column, _CsvText):
+        return "%s", column
+    return "%s", [
+        ("%.17g" if isinstance(v, (float, np.floating)) else "%s") % (v,) for v in column
+    ]
 
 
 def csv_text(column) -> _CsvText:
@@ -222,36 +225,27 @@ def csv_text(column) -> _CsvText:
     ``write_csv`` puts a text column into its files as it is, so the bytes
     equal those of passing ``column`` itself.
     """
-    if isinstance(column, _CsvText):
-        return column
-    slots, values = _column(column)
-    if isinstance(slots, str):  # one % for a float array; its text holds no LF
-        return _CsvText(((slots + "\n") * len(values) % tuple(values)).split("\n")[:-1])
-    return _CsvText(slot % (v,) for slot, v in zip(slots, values))
+    slot, values = _column(column)
+    if slot == "%s":  # already text
+        return _CsvText(values)
+    # one % for a float array; its text holds no LF
+    return _CsvText(((slot + "\n") * len(values) % tuple(values)).split("\n")[:-1])
 
 
 def write_csv(path, header: str, *columns) -> None:
     """CSV dialect: comma, dot decimals, %.17g floats, LF endings.
 
-    The file is formatted by one % operation over its columns, which must
-    be of equal length.  A float array enters it as Python floats in a
-    %.17g slot, a ``csv_text`` column as its text in a %s slot; any other
-    column is formatted value by value, %.17g for floats and %s for the
-    rest.
+    The file is formatted by one % operation over its columns, at least
+    one, all of equal length; ``_column`` gives each column its slot.
     """
-    slots, values = zip(*map(_column, columns)) if columns else ((), ())
-    n_rows, n_cols = (len(values[0]) if values else 0), len(values)
-    if all(isinstance(s, str) for s in slots):
-        template = (",".join(slots) + "\n") * n_rows
-    else:
-        per_row = [[s] * n_rows if isinstance(s, str) else s for s in slots]
-        template = "".join(",".join(row) + "\n" for row in zip(*per_row))
+    slots, values = zip(*map(_column, columns))
+    n_rows, n_cols = len(values[0]), len(values)
     flat = [None] * (n_rows * n_cols)
     for j, column in enumerate(values):
         flat[j::n_cols] = column  # ValueError on a column of another length
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        fh.write(template % tuple(flat))
+        fh.write((",".join(slots) + "\n") * n_rows % tuple(flat))
 
 
 def _sha256(path) -> str:

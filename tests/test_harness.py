@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import homokin.harness
 import homokin.kernels
 import homokin.multiscale
 import homokin.oscillator
@@ -33,8 +34,8 @@ from homokin.harness import (
     write_csv,
 )
 from homokin.multiscale import COUPLED_MAX_CELLS, OdeProblem, solve_eps_exact
-from homokin.oscillator import YoungMeasure, kernel_time_table
-from homokin.volterra import SolverError, TimeGrid
+from homokin.oscillator import kernel_time_table
+from homokin.volterra import SolverError
 
 
 class TestConfigValidation:
@@ -109,6 +110,8 @@ class TestConfigValidation:
             ("boltzmann", dict(workers=1.5), "workers"),
             ("oscillator", dict(seed=False), "seed"),
             ("kernel-dump", dict(n_y=True), "n_y"),
+            ("ode", dict(n_cell=np.int64(8)), "n_cell"),
+            ("tartar", dict(epsilons=(np.float32(0.5),)), "eps"),
         ],
     )
     def test_python_api_types_rejected(self, tmp_path, kind, values, field):
@@ -318,7 +321,7 @@ class TestCsvDialect:
         write_csv(path, "a,b,c,d,e", *zip(*rows))
         expected = "a,b,c,d,e\n" + "".join(",".join(map(per_value, r)) + "\n" for r in rows)
         assert path.read_bytes() == expected.encode()
-        write_csv(path, "a")
+        write_csv(path, "a", [])
         assert path.read_bytes() == b"a\n"
         write_csv(path, "a,b", np.array([]), [])
         assert path.read_bytes() == b"a,b\n"
@@ -420,7 +423,15 @@ TIME_SERIES = {
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_every_kind_writes_the_dialect(kind, tmp_path):
+def test_every_kind_writes_the_dialect(kind, tmp_path, monkeypatch):
+    tables = []
+
+    def recording_kernel_time_table(nu, grid):
+        table = kernel_time_table(nu, grid)
+        tables.append((table, grid))
+        return table
+
+    monkeypatch.setattr(homokin.harness, "kernel_time_table", recording_kernel_time_table)
     assert main([kind, *KIND_ARGS[kind], "--out", str(tmp_path)]) == 0
     csvs = sorted(tmp_path.glob("*.csv"))
     assert csvs
@@ -441,9 +452,9 @@ def test_every_kind_writes_the_dialect(kind, tmp_path):
     assert all(axis == axes[0] for axis in axes)
     assert all(axis[0] == "t" for axis in axes)
     if kind == "oscillator":
-        # the kernel file shares the solution's axis: its lags are the grid's times
-        grid = TimeGrid.from_count(1.0, 7)
-        table = kernel_time_table(YoungMeasure.two_atoms(1.0, 3.0), grid)
+        # the kernel file shares the solution's axis: on the grid the kind
+        # runs, the kernel's lags are bitwise the grid's times
+        (table, grid), = tables
         assert table.taus.tobytes() == grid.times.tobytes()
 
 
