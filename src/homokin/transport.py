@@ -28,21 +28,26 @@ rotation invariant and each kappa table holds one row per angle gap
 min(|v - w|, n_omega - |v - w|) of a node pair (v, w).  :func:`_set_up`
 builds the tables and the rate sqrt(E) sigma for both solvers and both
 checks, on the node y = E/eps of each energy or on the periodic cell.
-K = S R runs through the angle-pair field g[r, v, w]: R
-(``_Scattering.reduce``) contracts a field against a kappa2 table over
-its trailing axes, S (``_Scattering.spread``) spreads g back over
-kappa1; the solvers and the coercivity check call this pair, and no
-dense kernel matrix is built.  Each implicit trapezoid step reduces to a
-linear system of size n_omega^2, inverted once per run by
-:func:`_implicit_inverse`; a singular step, or one whose spectral radius
-reaches 1, raises RuntimeError.  Every solver keeps only the r-slices
-where the initial data is nonzero; the other slices stay exactly zero.
-Data that misses every r-node raises ConfigError.  Since labels do not
-interact and the march is linear, slices that are proportional at t = 0
-stay proportional, so both solvers march the data's r-rank, not its
-r-slices: :func:`_rank_rows` factors the active slices once as
-slices = C @ rows, the march runs on the rows, and every output is
-mapped back through C.
+The coercivity check applies K = S R through the angle-pair field
+g[r, v, w]: R (``_Scattering.reduce``) contracts a field against a
+kappa2 table over its trailing axes, S (``_Scattering.spread``) spreads
+g back over kappa1; no dense kernel matrix is built.  The solvers march
+K in the energy rank of its gap tables (:func:`_energy_rank`): the
+kappa2 table is factored once as Ck @ Rk with c rows, the kappa1 table
+as C1 @ R1 with c1 rows (c = c1 = 1 for transport-subcritical-1, 0 for
+transport-kappa0), a field enters the step only through its c
+contractions against Rk per angle, and the implicit trapezoid step is a
+linear system of size n_omega c1, inverted once per run by
+:func:`_implicit_map`; a singular step, or one whose spectral radius
+reaches 1, raises RuntimeError.  No angle-pair field is formed per step,
+and the fields come out bitwise the same at 1 and 2 BLAS threads.
+Every solver keeps only the r-slices where the initial data is nonzero;
+the other slices stay exactly zero.  Data that misses every r-node
+raises ConfigError.  Since labels do not interact and the march is
+linear, slices that are proportional at t = 0 stay proportional, so both
+solvers march the data's r-rank, not its r-slices: :func:`_rank_rows`
+factors the active slices once as slices = C @ rows, the march runs on
+the rows, and every output is mapped back through C.
 """
 from __future__ import annotations
 
@@ -327,7 +332,8 @@ def _rank_rows(slices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     slice of largest residual as the next row and stops when every
     residual is at most 16 sqrt(N) eps max|slice| in the 2-norm, N the
     slice size.  C solves the triangular factor of the chosen rows, and
-    each row's own coefficients are set to the exact unit vector.
+    each row's own coefficients are set to the exact unit vector.  An
+    all-zero stack has rank 0: C has no columns and there are no rows.
     """
     flat = slices.reshape(len(slices), -1)
     distinct, owner = [], []
@@ -359,8 +365,8 @@ def _rank_rows(slices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         coef.append(c)
     # distinct = coef.T @ basis + res, so coef = R X with R = coef[:, pivots]
     # upper triangular; back-substitute for X, the rows' coefficients
-    R = np.array(coef)
     k = len(pivots)
+    R = np.array(coef).reshape(k, len(distinct))  # k = 0 for all-zero slices
     X = np.empty_like(R)
     for i in reversed(range(k)):
         X[i] = (R[i] - R[i, pivots][i + 1:] @ X[i + 1:]) / R[i, pivots[i]]
@@ -382,6 +388,8 @@ class _Scattering:
     trailing axes T, which are E' or (E', y'), in one matmul (BLAS) and
     gathers g through the gap index; S folds g onto the gaps of v and
     spreads it back to (r, v, E) over the kappa1 gap table in one matmul.
+    The solvers march K in its energy rank (:func:`_energy_rank`); this
+    pair serves the coercivity check.
     """
 
     def __init__(self, grids: TransportGrids, energies: np.ndarray, k1: np.ndarray):
@@ -401,44 +409,58 @@ class _Scattering:
         H = np.einsum("rvw,vwk->rvk", g, self.fold)  # exact: a gap holds <= 2 w
         return self.scale * np.tensordot(H, self.k1, axes=1)  # one GEMM over (r v)
 
-    def matrix(self, kern: np.ndarray, weight) -> np.ndarray:
-        """C of R S for kern[k, E']: (R S g)[v, w] = sum_x C[v, w, x] g[w, x]."""
-        M = (kern * self.scale) @ self.k1.T  # (k, k')
-        return weight * M[self.gap[:, :, None], self.gap]
 
+def _energy_rank(ops: _Scattering, kern: np.ndarray, weight, h: float):
+    """h K = S R in the energy rank of its gap tables: (Rk, s, A, B).
 
-def _implicit_inverse(C: np.ndarray) -> Callable:
-    """Application of (I - C)^{-1} to g[r, v, w], for the reduced implicit step.
-
-    C[v, w, x] acts as (C g)[v, w] = sum_x C[v, w, x] g[w, x].  The inverse
-    is formed once and keeps every step in numpy's BLAS: scipy's LAPACK
-    brings a second thread pool that contends with numpy's on each step.
-    A numerically singular system raises RuntimeError, and so does a
-    spectral radius rho(C) >= 1, where the trapezoid step flips the sign
-    of the scattering growth.  The infinity norm bounds rho(C), so
-    eigenvalues are computed only when it reaches 1.
+    :func:`_rank_rows` factors kern = Ck @ Rk (c rows) and ops.k1 = C1 @ R1
+    (c1 rows), every row a row of the table, so a full-rank table has C = I.
+    Then h K f = sum_i q[r, v, i] s[i, E] with s = h sqrt(E) aw R1,
+    q = A p, p[r, w, j] = sum_T Rk[j, T] f[r, w, T] and
+    A[(v, i), (w, j)] = weight C1[gap[v, w], i] Ck[gap[v, w], j].  A field
+    F[r, w, E'] constant in y' is mapped to p = (I_omega x G^T) q by
+    G = s @ Rk.sum(y')^T, so B = A (I_omega x G^T) is h R S in reduced
+    coordinates, of size n_omega c1 and with the nonzero spectrum of h R S.
     """
-    nw = C.shape[0]
-    block = np.einsum("vwx,wu->vwux", C, np.eye(nw)).reshape(nw * nw, nw * nw)
-    step_matrix = np.eye(nw * nw) - block
+    Ck, Rk = _rank_rows(kern)
+    C1, R1 = _rank_rows(ops.k1)
+    nw, c, c1 = len(ops.gap), len(Rk), len(R1)
+    s = (h * ops.scale) * R1
+    G = s @ Rk.sum(axis=-1).T  # (c1, c)
+    A = np.einsum("vwi,vwj->viwj", C1[ops.gap], Ck[ops.gap]).reshape(nw * c1, nw * c)
+    A *= weight
+    B = (A.reshape(nw * c1, nw, c) @ G.T).reshape(nw * c1, nw * c1)
+    return Rk.reshape(c, kern[0].size), s, A, B
+
+
+def _implicit_map(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """M = (I - B)^{-1} A, the implicit end point q = M p of the reduced step.
+
+    The inverse is formed once, of size n_omega c1.  A numerically
+    singular I - B raises RuntimeError, and so does a spectral radius
+    rho(B) >= 1, where the trapezoid step flips the sign of the scattering
+    growth.  The infinity norm bounds rho(B), so eigenvalues are computed
+    only when it reaches 1.
+    """
+    n = len(B)
+    step_matrix = np.eye(n) - B
     try:
         step_inv = np.linalg.inv(step_matrix)
         cond = np.linalg.norm(step_matrix, 1) * np.linalg.norm(step_inv, 1)
     except np.linalg.LinAlgError:
         cond = np.inf
-    if cond * nw * nw * np.finfo(float).eps > 1.0:
+    if cond * n * np.finfo(float).eps > 1.0:
         raise RuntimeError(
             "implicit scattering step is numerically singular; increase n_steps"
         )
-    if np.abs(C).sum(axis=2).max() >= 1.0:
-        radius = float(np.max(np.abs(np.linalg.eigvals(block))))
+    if np.abs(B).sum(axis=1).max(initial=0.0) >= 1.0:
+        radius = float(np.max(np.abs(np.linalg.eigvals(B))))
         if radius >= 1.0:
             raise RuntimeError(
                 f"implicit scattering step unresolved: spectral radius "
                 f"{radius:.3g} >= 1; increase n_steps"
             )
-    inv_t = step_inv.T
-    return lambda g: (g.reshape(len(g), -1) @ inv_t).reshape(g.shape)
+    return step_inv @ A
 
 
 def _march(
@@ -450,20 +472,31 @@ def _march(
     phi(t) = e^{-t rate} phi0 + int_0^t e^{-(t-s) rate} F(s) ds with
     F = S R phi, R reducing over (w', E', y') against kern with ``weight``,
     so F does not depend on y.  The decay is exact per node and the
-    integral is the trapezoid rule in s, so one step is
-    known = e^{-dt rate} (phi + (dt/2) F), phi = known + (dt/2) F; the time
-    error is O(dt^2).  The implicit end point is solved through g = R phi,
-    and R sums kern over y' on the y-constant F.
+    integral is the trapezoid rule in s, so one step with h = dt/2 is
+    known = e^{-dt rate} (phi + h F), phi = known + h F; the time error is
+    O(dt^2).  h F runs in the energy rank of :func:`_energy_rank`, and the
+    implicit end point is q = M p(known) with M of :func:`_implicit_map`.
+    Every step updates one buffer in place, so a yielded field is valid
+    until the next one is drawn.
     """
+    Rk, s, A, B = _energy_rank(ops, kern, weight, 0.5 * dt)
+    step_t, explicit_t = _implicit_map(A, B).T, A.T
     decay_step = np.exp(-dt * rate)
-    solve = _implicit_inverse(ops.matrix(kern.sum(axis=-1), 0.5 * dt * weight))
-    phi = phi0
-    F = ops.spread(ops.reduce(kern, phi, weight))[..., None]
+    phi = phi0.astype(float)
+    n_r, n_w, n_e = phi.shape[:3]
+
+    def h_scatter(f, m_t):
+        p = (f.reshape(n_r * n_w, -1) @ Rk.T).reshape(n_r, n_w * len(Rk))
+        q = (p @ m_t).reshape(n_r * n_w, len(s))
+        return (q @ s).reshape(n_r, n_w, n_e, 1)
+
+    hF = h_scatter(phi, explicit_t)
     yield phi
     for _ in range(n_steps):
-        known = decay_step * (phi + 0.5 * dt * F)
-        F = ops.spread(solve(ops.reduce(kern, known, weight)))[..., None]
-        phi = known + 0.5 * dt * F
+        phi += hF
+        phi *= decay_step
+        hF = h_scatter(phi, step_t)
+        phi += hF
         yield phi
 
 

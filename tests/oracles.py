@@ -35,6 +35,9 @@ The other oracles check the package against routes it no longer runs:
 - :func:`pair_mu_table` and :class:`PairScattering`, the kappa tables
   and the scattering pair ``reduce``/``spread``/``matrix`` per angle pair
   (w, w'), against the package's tables per angle gap;
+- :class:`GapScattering` and :func:`implicit_inverse`, the implicit step
+  on the n_omega^2 angle-pair field g[v, w], against the package's step
+  in the kernel's energy rank;
 - :func:`sample_sigma` and :func:`sigma_eps`, sigma sampled straight from
   its callable on the (omega, E, y) tensor grid and along y = E/eps,
   against the rate of the package's one transport set-up;
@@ -50,6 +53,7 @@ The other oracles check the package against routes it no longer runs:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import expm
@@ -73,8 +77,8 @@ from homokin.transport import (
     OpticalParameters,
     PhaseSpaceField,
     TransportGrids,
+    _Scattering,
     _gap_index,
-    _implicit_inverse,
     _initial_slices,
     _mu_table,
 )
@@ -578,6 +582,54 @@ class PairScattering:
         return weight * np.einsum("vwe,wxe->vwx", kern * self.scale, self.k1)
 
 
+class GapScattering(_Scattering):
+    """The package's scattering pair per angle gap, with the g-space step.
+
+    ``matrix`` is C of R S on the angle-pair field g[v, w], n_omega^2
+    unknowns per r-slice, where the solvers' implicit step works in the
+    kernel's energy rank.
+    """
+
+    def matrix(self, kern: np.ndarray, weight) -> np.ndarray:
+        """C of R S for kern[k, E']: (R S g)[v, w] = sum_x C[v, w, x] g[w, x]."""
+        M = (kern * self.scale) @ self.k1.T  # (k, k')
+        return weight * M[self.gap[:, :, None], self.gap]
+
+
+def implicit_inverse(C: np.ndarray) -> Callable:
+    """Application of (I - C)^{-1} to g[r, v, w], for the reduced implicit step.
+
+    C[v, w, x] acts as (C g)[v, w] = sum_x C[v, w, x] g[w, x].  The inverse
+    is formed once and keeps every step in numpy's BLAS: scipy's LAPACK
+    brings a second thread pool that contends with numpy's on each step.
+    A numerically singular system raises RuntimeError, and so does a
+    spectral radius rho(C) >= 1, where the trapezoid step flips the sign
+    of the scattering growth.  The infinity norm bounds rho(C), so
+    eigenvalues are computed only when it reaches 1.
+    """
+    nw = C.shape[0]
+    block = np.einsum("vwx,wu->vwux", C, np.eye(nw)).reshape(nw * nw, nw * nw)
+    step_matrix = np.eye(nw * nw) - block
+    try:
+        step_inv = np.linalg.inv(step_matrix)
+        cond = np.linalg.norm(step_matrix, 1) * np.linalg.norm(step_inv, 1)
+    except np.linalg.LinAlgError:
+        cond = np.inf
+    if cond * nw * nw * np.finfo(float).eps > 1.0:
+        raise RuntimeError(
+            "implicit scattering step is numerically singular; increase n_steps"
+        )
+    if np.abs(C).sum(axis=2).max() >= 1.0:
+        radius = float(np.max(np.abs(np.linalg.eigvals(block))))
+        if radius >= 1.0:
+            raise RuntimeError(
+                f"implicit scattering step unresolved: spectral radius "
+                f"{radius:.3g} >= 1; increase n_steps"
+            )
+    inv_t = step_inv.T
+    return lambda g: (g.reshape(len(g), -1) @ inv_t).reshape(g.shape)
+
+
 def solve_closed_kernel_transport(
     params: OpticalParameters,
     phi_in,
@@ -604,10 +656,10 @@ def solve_closed_kernel_transport(
     Y <- q (Y - dt sqrt(E) r_k psi_n) with q_k = e^{-dt sqrt(E) lambda_k},
     plus the remainder V_perp = rho0 - sum_k beta_k phi_k, which decays by
     e^{-dt sqrt(E) sigma} per step.  The implicit coupling is solved
-    through the package's reduced n_omega^2 system
-    (:func:`homokin.transport._implicit_inverse`), and the scattering runs
-    through the angle-pair tables of :class:`PairScattering`, here over
-    the trailing axes (E', k) of the pole tables too.  Poles come from
+    through the reduced n_omega^2 system of :func:`implicit_inverse`, and
+    the scattering runs through the angle-pair tables of
+    :class:`PairScattering`, here over the trailing axes (E', k) of the
+    pole tables too.  Poles come from
     :func:`exact_poles` once per distinct cell profile and the y grid is
     never marched.  Only the r-slices where phi_in is nonzero are marched.
     """
@@ -666,7 +718,7 @@ def solve_closed_kernel_transport(
     kc0 = sqrtE[None, None, :] * np.einsum("vwey,wey->vwe", k2y, sig_fluct) * wy
     denom = 1.0 + 0.5 * dt * diag - 0.25 * dt * dt * kd0
     coupling = 0.5 * dt * k2bar - 0.25 * dt * dt * kc0
-    solve = _implicit_inverse(op.matrix(coupling / denom[None], we))
+    solve = implicit_inverse(op.matrix(coupling / denom[None], we))
 
     psis = np.zeros((n_steps + 1, len(r)) + psi0.shape[1:])
     psis[0, active] = psi0

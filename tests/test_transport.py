@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homokin.cell import PeriodicGrid
+from homokin.harness import ExperimentConfig, run_experiment
 from homokin.transport import (
     OpticalParameters,
     TransportGrids,
@@ -17,13 +18,17 @@ from homokin.transport import (
     subcriticality_check,
     transport_preset,
     windowed_weak_error,
+    _energy_rank,
+    _eps_set_up,
     _gap_index,
     _mu_table,
     _rank_rows,
     _rayleigh_quotients,
     _Scattering,
+    _set_up,
 )
 from oracles import (
+    GapScattering,
     PairScattering,
     pair_mu_table,
     sample_sigma,
@@ -141,7 +146,7 @@ class TestGapScattering:
         bound = peak.spread(np.abs(g))
         assert np.all(np.abs(got - want) <= self._gate(n_mu, grids.n_omega, bound))
 
-        got = ops.matrix(k2.sum(axis=-1), weight)
+        got = GapScattering(grids, energies, k1).matrix(k2.sum(axis=-1), weight)
         want = pair.matrix(p2.sum(axis=-1), weight)
         bound = peak.matrix(peak2.sum(axis=-1), weight)
         assert np.all(np.abs(got - want) <= self._gate(n_mu, n_t, bound))
@@ -364,6 +369,101 @@ class TestChecksAgainstDenseKernel:
         assert abs(subcriticality_check(params, eps, grids) - margin) <= gate
 
 
+def assert_chars_match_dense_oracle(params, grids, eps, per_period, t_end=0.5, n_steps=20):
+    """solve_characteristics_eps against a direct product-trapezoid sum with
+    the dense kernel and one dense solve per implicit step, to 1e-12."""
+    phi_in = hat_initial_data(0.5)
+    sol = solve_characteristics_eps(
+        params, phi_in, eps, grids, t_end=t_end, n_steps=n_steps,
+        nodes_per_period=per_period, store_full=True,
+    )
+    n_e = grids.eps_energy_count(eps, per_period)
+    energies = grids.energy_nodes(n_e)
+    y = np.mod(energies / eps, 1.0)
+    sig = sigma_eps(params, grids.angles, energies, eps).reshape(-1)
+    K = scattering_matrix(params, eps, grids, n_e)
+    dt = t_end / n_steps
+    step = np.eye(len(sig)) - 0.5 * dt * K
+    assert len(sol.r_nodes) == 2
+    for i, rv in enumerate(sol.r_nodes):
+        psi0 = phi_in(rv, grids.angles[:, None], energies[None, :], y[None, :])
+        psis = [psi0.reshape(-1)]
+        for n in range(1, n_steps + 1):
+            hist = 0.5 * np.exp(-n * dt * sig) * (K @ psis[0])
+            for j in range(1, n):
+                hist = hist + np.exp(-(n - j) * dt * sig) * (K @ psis[j])
+            known = np.exp(-n * dt * sig) * psis[0] + dt * hist
+            psis.append(np.linalg.solve(step, known))
+        oracle = np.array(psis).reshape(sol.values[:, i].shape)
+        assert np.max(np.abs(sol.values[:, i] - oracle)) < 1e-12
+
+
+def assert_two_scale_matches_dense_oracle(params, grids, t_end, n_steps):
+    """solve_two_scale_transport against a direct product-trapezoid sum on
+    the (w, E, y) grid with the dense scattering matrix, each implicit step
+    solved with the dense inverse of I - (dt/2) K, to 1e-13."""
+    phi_in = hat_initial_data(0.5)
+    sol = solve_two_scale_transport(params, phi_in, grids, t_end, n_steps)
+
+    E, we, aw = grids.energy_nodes(), grids.energy_weight(), grids.angle_weight
+    y = PeriodicGrid(grids.n_y).nodes
+    sig = sample_sigma(params, grids.angles, E, y)
+    rate = (np.sqrt(E)[:, None] * sig).ravel()
+    k1 = pair_mu_table(params.kappa1, grids, E)
+    k2y = pair_mu_table(params.kappa2, grids, E[:, None], y)
+    # K[(v, E, y), (w, E', y')] = sqrt(E) aw k1[v, w, E] k2[v, w, E', y'] we wy
+    K = np.einsum("E,vwE,vwfz,y->vEywfz", np.sqrt(E), k1, k2y, np.ones_like(y))
+    K = K.reshape(len(rate), len(rate)) * aw * we / grids.n_y
+    dt = t_end / n_steps
+    step_inv = np.linalg.inv(np.eye(len(rate)) - 0.5 * dt * K)
+    r = grids.r_nodes[:, None, None, None]
+    phi0 = phi_in(r, grids.angles[:, None, None], E[:, None], y)
+    phis = [phi0.reshape(len(grids.r_nodes), -1).T]  # (node, r)
+    hist_terms = [0.5 * K @ phis[0]]
+    decay = np.exp(-np.arange(n_steps + 1)[:, None, None] * dt * rate[:, None])
+    for n in range(1, n_steps + 1):
+        hist = sum(decay[n - j] * hist_terms[j] for j in range(n))
+        known = decay[n] * phis[0] + dt * hist
+        phis.append(step_inv @ known)
+        hist_terms.append(K @ phis[-1])
+    oracle = np.array(phis).T.reshape((len(grids.r_nodes),) + phi0.shape[1:] + (-1,))
+    psis = np.moveaxis(oracle.mean(axis=3), -1, 0)
+    assert np.max(np.abs(sol.values - psis)) <= 1e-13
+
+
+@st.composite
+def ranked_kernels(draw):
+    """kappa1(mu, E) and kappa2(mu, E', y') as sums of k1 and k2 terms
+    T_m(mu) g_m, m < k, with T_m the Chebyshev polynomials and g_m cosines
+    in E of frequency m (times a y'-profile for kappa2), so that their gap
+    tables have energy rank k1 and k2, up to the gap count n_omega//2 + 1;
+    an eps grid of 12 to 36 energy nodes and a cell of 2 to 8."""
+    n_omega = draw(st.integers(2, 7))
+    n_gap = n_omega // 2 + 1
+    ranks = [draw(st.integers(1, n_gap)), draw(st.integers(1, n_gap))]
+    grids = TransportGrids(
+        n_omega=n_omega, n_e=draw(st.integers(n_gap, 6)), n_y=draw(st.integers(2, 8)), n_r=8
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, b = (rng.uniform(0.5, 1.0, k) * rng.choice([-1.0, 1.0], k) for k in ranks)
+    shift = rng.uniform(0.0, 1.0, ranks[1])
+
+    def term(m, mu, E):
+        x = (E - grids.e_min) / (grids.e_max - grids.e_min)
+        return np.cos(m * np.arccos(np.clip(mu, -1.0, 1.0))) * np.cos(np.pi * m * x)
+
+    params = OpticalParameters(
+        sigma=lambda th, E, y: 2.0 + (0.5 + 0.2 * np.cos(th)) * np.sin(2 * np.pi * y),
+        kappa1=lambda mu, E: 0.3 + 0.05 * sum(c * term(m, mu, E) for m, c in enumerate(a)),
+        kappa2=lambda mu, Ep, yp: 0.6 + 0.1 * sum(
+            c * term(m, mu, Ep) * (1.0 + 0.5 * np.sin(2 * np.pi * (yp + shift[m])))
+            for m, c in enumerate(b)
+        ),
+    )
+    eps, per_period = draw(st.sampled_from((0.25, 0.5))), draw(st.sampled_from((8, 12)))
+    return grids, params, ranks, eps, per_period
+
+
 class TestCharacteristicsSolver:
     def test_kappa0_pure_decay(self):
         grids = TransportGrids(n_r=8, n_e=48)
@@ -462,34 +562,17 @@ class TestCharacteristicsSolver:
         assert np.max(np.abs(got - ref)) < 1e-6
 
     def test_matches_dense_oracle(self):
-        # direct product-trapezoid sum with the dense kernel and one dense
-        # solve per implicit step
+        # kernel tables of energy rank one: SUB
         grids = TransportGrids(n_r=8, n_omega=4)
-        phi_in = hat_initial_data(0.5)
-        eps, t_end, n_steps, per_period = 0.25, 0.5, 20, 12
-        sol = solve_characteristics_eps(
-            SUB, phi_in, eps, grids, t_end=t_end, n_steps=n_steps,
-            nodes_per_period=per_period, store_full=True,
-        )
-        n_e = grids.eps_energy_count(eps, per_period)
-        energies = grids.energy_nodes(n_e)
-        y = np.mod(energies / eps, 1.0)
-        sig = sigma_eps(SUB, grids.angles, energies, eps).reshape(-1)
-        K = scattering_matrix(SUB, eps, grids, n_e)
-        dt = t_end / n_steps
-        step = np.eye(len(sig)) - 0.5 * dt * K
-        assert len(sol.r_nodes) == 2
-        for i, rv in enumerate(sol.r_nodes):
-            psi0 = phi_in(rv, grids.angles[:, None], energies[None, :], y[None, :])
-            psis = [psi0.reshape(-1)]
-            for n in range(1, n_steps + 1):
-                hist = 0.5 * np.exp(-n * dt * sig) * (K @ psis[0])
-                for j in range(1, n):
-                    hist = hist + np.exp(-(n - j) * dt * sig) * (K @ psis[j])
-                known = np.exp(-n * dt * sig) * psis[0] + dt * hist
-                psis.append(np.linalg.solve(step, known))
-            oracle = np.array(psis).reshape(sol.values[:, i].shape)
-            assert np.max(np.abs(sol.values[:, i] - oracle)) < 1e-12
+        assert_chars_match_dense_oracle(SUB, grids, eps=0.25, per_period=12)
+
+    @given(ranked_kernels())
+    @settings(max_examples=15, deadline=None)
+    def test_matches_dense_oracle_at_higher_rank(self, data):
+        grids, params, ranks, eps, per_period = data
+        ops, k2 = _eps_set_up(params, grids, eps, nodes_per_period=per_period)[2:4]
+        assert [len(_rank_rows(t)[1]) for t in (ops.k1, k2)] == ranks
+        assert_chars_match_dense_oracle(params, grids, eps, per_period)
 
     def test_singular_implicit_step_raises(self):
         # isotropic kappa tuned so that (dt/2) R S has the eigenvalue 1
@@ -590,9 +673,8 @@ class TestTwoScaleTransport:
         assert np.max(np.abs(got - expect)) < 1e-6
 
     def test_matches_dense_oracle(self):
-        # direct product-trapezoid sum on the (w, E, y) grid with the dense
-        # scattering matrix, each implicit step solved with the dense inverse
-        # of I - (dt/2) K; sigma varies with (w, E) and kappa2 with y'
+        # sigma varies with (w, E) and kappa2 with y', both tables of energy
+        # rank one
         params = OpticalParameters(
             sigma=lambda th, E, y: 2.0
             + (0.5 + 0.2 * np.cos(th)) * (1.0 + E) * np.sin(2 * np.pi * y),
@@ -601,35 +683,17 @@ class TestTwoScaleTransport:
             * (1.0 + 0.5 * np.cos(2 * np.pi * yp))
             * (1.0 + 0.25 * mu),
         )
-        phi_in = hat_initial_data(0.5)
         grids = TransportGrids(n_omega=4, n_e=8, n_y=32, n_r=8)
-        t_end, n_steps = 0.75, 150
-        sol = solve_two_scale_transport(params, phi_in, grids, t_end, n_steps)
+        assert_two_scale_matches_dense_oracle(params, grids, t_end=0.75, n_steps=150)
 
-        E, we, aw = grids.energy_nodes(), grids.energy_weight(), grids.angle_weight
-        y = PeriodicGrid(grids.n_y).nodes
-        sig = sample_sigma(params, grids.angles, E, y)
-        rate = (np.sqrt(E)[:, None] * sig).ravel()
-        k1 = pair_mu_table(params.kappa1, grids, E)
-        k2y = pair_mu_table(params.kappa2, grids, E[:, None], y)
-        # K[(v, E, y), (w, E', y')] = sqrt(E) aw k1[v, w, E] k2[v, w, E', y'] we wy
-        K = np.einsum("E,vwE,vwfz,y->vEywfz", np.sqrt(E), k1, k2y, np.ones_like(y))
-        K = K.reshape(len(rate), len(rate)) * aw * we / grids.n_y
-        dt = t_end / n_steps
-        step_inv = np.linalg.inv(np.eye(len(rate)) - 0.5 * dt * K)
-        r = grids.r_nodes[:, None, None, None]
-        phi0 = phi_in(r, grids.angles[:, None, None], E[:, None], y)
-        phis = [phi0.reshape(len(grids.r_nodes), -1).T]  # (node, r)
-        hist_terms = [0.5 * K @ phis[0]]
-        decay = np.exp(-np.arange(n_steps + 1)[:, None, None] * dt * rate[:, None])
-        for n in range(1, n_steps + 1):
-            hist = sum(decay[n - j] * hist_terms[j] for j in range(n))
-            known = decay[n] * phis[0] + dt * hist
-            phis.append(step_inv @ known)
-            hist_terms.append(K @ phis[-1])
-        oracle = np.array(phis).T.reshape((len(grids.r_nodes),) + phi0.shape[1:] + (-1,))
-        psis = np.moveaxis(oracle.mean(axis=3), -1, 0)
-        assert np.max(np.abs(sol.values - psis)) <= 1e-13
+    @given(ranked_kernels())
+    @settings(max_examples=15, deadline=None)
+    def test_matches_dense_oracle_at_higher_rank(self, data):
+        grids, params, ranks = data[:3]
+        y = PeriodicGrid(grids.n_y).nodes[None, :]
+        ops, k2y = _set_up(params, grids, grids.energy_nodes(), y)[:2]
+        assert [len(_rank_rows(t)[1]) for t in (ops.k1, k2y)] == ranks
+        assert_two_scale_matches_dense_oracle(params, grids, t_end=0.5, n_steps=40)
 
 
 class TestActiveSlices:
@@ -809,6 +873,51 @@ class TestRankMarch:
             phi_in(rv, RANK_GRIDS.angles[:, None], sol.energies, y) for rv in sol.r_nodes
         ])
         assert np.array_equal(sol.values[0], data)
+
+
+class TestEnergyRankStep:
+    """The march's implicit step in the energy rank of the kernel tables."""
+
+    def test_zero_stack_has_rank_zero(self):
+        C, rows = _rank_rows(np.zeros((9, 5, 1)))
+        assert C.shape == (9, 0) and rows.shape == (0, 5, 1)
+
+    def test_zero_kernel_preset_runs_the_transport_kind(self, tmp_path):
+        # both solvers and both checks on the kappa0 preset, whose tables are
+        # exactly zero, so both march rank-0 tables; test_kappa0_pure_decay
+        # and test_kappa0_two_valued_sigma_pointwise_average check the decay
+        config = ExperimentConfig(
+            kind="transport", preset="transport-kappa0", epsilons=(0.5, 0.25),
+            n_e=12, n_omega=4, n_r=8, n_y=16, out_dir=str(tmp_path),
+        )
+        result = run_experiment(config)
+        assert result.status == 0, result.message
+        for name in ("transport_checks.csv", "transport_weak.csv"):
+            rows = np.loadtxt(result.files[name], delimiter=",", skiprows=1)
+            assert rows.shape == (2, 3) and np.all(np.isfinite(rows))
+
+    @given(ranked_kernels())
+    @settings(max_examples=30, deadline=None)
+    def test_spectral_radius_matches_g_space_step(self, data):
+        # B = h A (I x G^T) is h R S in reduced coordinates: its spectral
+        # radius is that of the n_omega^2 step on g[v, w] of the oracle
+        grids, params, _, eps, per_period = data
+        h = 0.5 * 0.5 / 20  # dt/2 of the dense-oracle runs: t_end 0.5, 20 steps
+        energies, _, ops, k2, _ = _eps_set_up(params, grids, eps, nodes_per_period=per_period)
+        cell = PeriodicGrid(grids.n_y).nodes[None, :]
+        cell_ops, k2y = _set_up(params, grids, grids.energy_nodes(), cell)[:2]
+        nw = grids.n_omega
+        for E, ops, kern, weight in (
+            (energies, ops, k2, grids.energy_weight(len(energies))),
+            (grids.energy_nodes(), cell_ops, k2y, grids.energy_weight() / grids.n_y),
+        ):
+            B = _energy_rank(ops, kern, weight, h)[3]
+            C = GapScattering(grids, E, ops.k1).matrix(kern.sum(axis=-1), h * weight)
+            block = np.einsum("vwx,wu->vwux", C, np.eye(nw)).reshape(nw * nw, nw * nw)
+            radius = np.max(np.abs(np.linalg.eigvals(B)))
+            want = np.max(np.abs(np.linalg.eigvals(block)))
+            assert len(B) == nw * len(_rank_rows(ops.k1)[1])
+            assert abs(radius - want) <= 1e-12 * want
 
 
 class TestClosedKernelEquivalence:
