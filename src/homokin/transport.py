@@ -28,19 +28,17 @@ rotation invariant and each kappa table holds one row per angle gap
 min(|v - w|, n_omega - |v - w|) of a node pair (v, w).  :func:`_set_up`
 builds the tables and the rate sqrt(E) sigma for both solvers and both
 checks, on the node y = E/eps of each energy or on the periodic cell.
-The coercivity check applies K = S R through the angle-pair field
-g[r, v, w]: R (``_Scattering.reduce``) contracts a field against a
-kappa2 table over its trailing axes, S (``_Scattering.spread``) spreads
-g back over kappa1; no dense kernel matrix is built.  The solvers march
-K in the energy rank of its gap tables (:func:`_energy_rank`): the
-kappa2 table is factored once as Ck @ Rk with c rows, the kappa1 table
-as C1 @ R1 with c1 rows (c = c1 = 1 for transport-subcritical-1, 0 for
-transport-kappa0), a field enters the step only through its c
-contractions against Rk per angle, and the implicit trapezoid step is a
-linear system of size n_omega c1, inverted once per run by
+Both solvers and the coercivity check apply K in the energy rank of its
+gap tables (:func:`_energy_rank`): the kappa2 table is factored once as
+Ck @ Rk with c rows, the kappa1 table as C1 @ R1 with c1 rows (c = c1 =
+1 for transport-subcritical-1, 0 for transport-kappa0), and a field
+enters K only through its c contractions against Rk per angle, in the
+three matrix products of :func:`_scatter`; no angle-pair field and no
+dense kernel matrix is built.  The implicit trapezoid step is a linear
+system of size n_omega c1, inverted once per run by
 :func:`_implicit_map`; a singular step, or one whose spectral radius
-reaches 1, raises RuntimeError.  No angle-pair field is formed per step,
-and the fields come out bitwise the same at 1 and 2 BLAS threads.
+reaches 1, raises RuntimeError.  The fields come out bitwise the same at
+1 and 2 BLAS threads.
 Every solver keeps only the r-slices where the initial data is nonzero;
 the other slices stay exactly zero.  Data that misses every r-node
 raises ConfigError.  Since labels do not interact and the march is
@@ -161,18 +159,18 @@ def _mu_table(fn, grids: TransportGrids, *args) -> np.ndarray:
 
 
 def _set_up(params: OpticalParameters, grids: TransportGrids, energies, y):
-    """Scattering pair, kappa2[k, E', y'] per angle gap k and rate sqrt(E) sigma.
+    """kappa1[k, E], kappa2[k, E', y'] per angle gap k and rate sqrt(E) sigma.
 
     ``y`` broadcasts against energies[:, None]: shape (nE, 1) holds the one
     node E/eps of each energy, shape (1, n_y) the periodic cell.  The rate
     has shape (n_omega, nE, ny).
     """
     ee = energies[:, None]
-    ops = _Scattering(grids, energies, _mu_table(params.kappa1, grids, energies))
+    k1 = _mu_table(params.kappa1, grids, energies)
     k2 = _mu_table(params.kappa2, grids, ee, y)
     shape = (grids.n_omega,) + np.broadcast(ee, y).shape
     sig = params.sigma(grids.angles[:, None, None], ee, y) * np.ones(shape)
-    return ops, k2, np.sqrt(ee) * sig
+    return k1, k2, np.sqrt(ee) * sig
 
 
 def _eps_set_up(params, grids, epsilon: float, n_e=None, nodes_per_period=None):
@@ -190,33 +188,21 @@ def _eps_set_up(params, grids, epsilon: float, n_e=None, nodes_per_period=None):
     return (energies, y) + _set_up(params, grids, energies, y)
 
 
-def _bars(grids: TransportGrids, energies, ops, k2) -> tuple[np.ndarray, np.ndarray]:
-    """kappa_bar(E) and kappa_tilde(E) from the eps-grid tables, angle-blind."""
+def _bars(grids: TransportGrids, energies, k1, k2) -> tuple[np.ndarray, np.ndarray]:
+    """kappa_bar(E) and kappa_tilde(E) from the eps-grid tables, angle-blind.
+
+    kappa_bar integrates kappa_eps(mu, E, E') over (w', E'), kappa_tilde
+    integrates kappa_eps(mu, E', E); trapezoid in angle (uniform circle
+    nodes), midpoint in energy.
+    """
     we, sqrtE, k2 = grids.energy_weight(len(energies)), np.sqrt(energies), k2[..., 0]
     # every w has mult[k] partners w' at gap k, so both rates are angle-blind
-    mult = grids.angle_weight * np.bincount(ops.gap[0])
+    mult = grids.angle_weight * np.bincount(_gap_index(grids.n_omega)[0])
     # bar(w, E): integrate sqrt(E) k1(mu, E) k2(mu, E', y(E')) over (w', E')
-    bar = sqrtE * ((mult * we * k2.sum(axis=1)) @ ops.k1)
+    bar = sqrtE * ((mult * we * k2.sum(axis=1)) @ k1)
     # tilde(w, E): roles swapped, sqrt(E') k1(mu, E') k2(mu, E, y(E))
-    tilde = (mult * we * (ops.k1 @ sqrtE)) @ k2
+    tilde = (mult * we * (k1 @ sqrtE)) @ k2
     return bar, tilde
-
-
-def kappa_bars(
-    params: OpticalParameters,
-    epsilon: float,
-    grids: TransportGrids,
-    n_e: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Outgoing and incoming integrated scattering rates on (omega, E).
-
-    kappa_bar(w, E)  integrates kappa_eps(mu, E, E') over (w', E'),
-    kappa_tilde(w,E) integrates kappa_eps(mu, E', E) over (w', E');
-    trapezoid in angle (uniform circle nodes), midpoint in energy.
-    """
-    energies, _, ops, k2, _ = _eps_set_up(params, grids, epsilon, n_e)
-    bar, tilde = _bars(grids, energies, ops, k2)
-    return np.tile(bar, (grids.n_omega, 1)), np.tile(tilde, (grids.n_omega, 1))
 
 
 def subcriticality_check(
@@ -230,8 +216,8 @@ def subcriticality_check(
     A positive value certifies the subcritical hypothesis on the grid; a
     negative one is a valid (flagged) answer, not an error.
     """
-    energies, _, ops, k2, rate = _eps_set_up(params, grids, epsilon, n_e)
-    bar, tilde = _bars(grids, energies, ops, k2)
+    energies, _, k1, k2, rate = _eps_set_up(params, grids, epsilon, n_e)
+    bar, tilde = _bars(grids, energies, k1, k2)
     sig = rate[..., 0]
     return float(min(np.min(sig - bar), np.min(sig - tilde)))
 
@@ -239,14 +225,15 @@ def subcriticality_check(
 def _rayleigh_quotients(params, epsilon: float, grids, trials: int, seed: int, n_e):
     """<f, Q f> / <f, f> of Q = sigma_eps - K for ``trials`` seeded random f.
 
-    All trials are drawn at once and K = S R runs through the solvers'
-    scattering pair; the inner products are numpy sums, which do not
-    depend on the BLAS thread count.
+    All trials are drawn at once and K runs through the solvers' energy
+    rank factors (:func:`_energy_rank` at h = 1); the inner products are
+    numpy sums, which do not depend on the BLAS thread count.
     """
-    energies, _, ops, k2, rate = _eps_set_up(params, grids, epsilon, n_e)
+    energies, _, k1, k2, rate = _eps_set_up(params, grids, epsilon, n_e)
     we = grids.energy_weight(len(energies))
+    Rk, s, A, _ = _energy_rank(grids, energies, k1, k2, we, 1.0)
     F = np.random.default_rng(seed).standard_normal((trials,) + rate.shape)
-    QF = rate * F - ops.spread(ops.reduce(k2, F, we))[..., None]
+    QF = rate * F - _scatter(Rk, s, A.T, F)
     wF = (grids.angle_weight * we) * F
     return (wF * QF).sum(axis=(1, 2, 3)) / (wF * F).sum(axis=(1, 2, 3))
 
@@ -381,39 +368,10 @@ def _expand(C: np.ndarray, f: np.ndarray) -> np.ndarray:
     return (C @ f.reshape(len(f), -1)).reshape((len(C),) + f.shape[1:])
 
 
-class _Scattering:
-    """Scattering K = S R on one energy grid, through g[r, v, w].
-
-    R contracts a field f[r, w, T] against a gap table kern[k, T] over its
-    trailing axes T, which are E' or (E', y'), in one matmul (BLAS) and
-    gathers g through the gap index; S folds g onto the gaps of v and
-    spreads it back to (r, v, E) over the kappa1 gap table in one matmul.
-    The solvers march K in its energy rank (:func:`_energy_rank`); this
-    pair serves the coercivity check.
-    """
-
-    def __init__(self, grids: TransportGrids, energies: np.ndarray, k1: np.ndarray):
-        self.k1 = k1
-        self.scale = np.sqrt(energies) * grids.angle_weight
-        self.gap = _gap_index(grids.n_omega)
-        self.gather = np.arange(grids.n_omega) * len(k1) + self.gap
-        self.fold = (self.gap[..., None] == np.arange(len(k1))).astype(float)
-
-    def reduce(self, kern: np.ndarray, f: np.ndarray, weight) -> np.ndarray:
-        """R: g[r, v, w] = weight sum_T kern[gap[v, w], T] f[r, w, T]."""
-        P = f.reshape(-1, kern[0].size) @ kern.reshape(len(kern), -1).T  # (r w, k)
-        return weight * P.reshape(len(f), -1)[:, self.gather]  # P[r, w, gap[v, w]]
-
-    def spread(self, g: np.ndarray) -> np.ndarray:
-        """S: g[r, v, w] -> sqrt(E) aw sum_w k1[gap[v, w], E] g[r, v, w]."""
-        H = np.einsum("rvw,vwk->rvk", g, self.fold)  # exact: a gap holds <= 2 w
-        return self.scale * np.tensordot(H, self.k1, axes=1)  # one GEMM over (r v)
-
-
-def _energy_rank(ops: _Scattering, kern: np.ndarray, weight, h: float):
+def _energy_rank(grids: TransportGrids, energies, k1, kern: np.ndarray, weight, h: float):
     """h K = S R in the energy rank of its gap tables: (Rk, s, A, B).
 
-    :func:`_rank_rows` factors kern = Ck @ Rk (c rows) and ops.k1 = C1 @ R1
+    :func:`_rank_rows` factors kern = Ck @ Rk (c rows) and k1 = C1 @ R1
     (c1 rows), every row a row of the table, so a full-rank table has C = I.
     Then h K f = sum_i q[r, v, i] s[i, E] with s = h sqrt(E) aw R1,
     q = A p, p[r, w, j] = sum_T Rk[j, T] f[r, w, T] and
@@ -423,14 +381,26 @@ def _energy_rank(ops: _Scattering, kern: np.ndarray, weight, h: float):
     coordinates, of size n_omega c1 and with the nonzero spectrum of h R S.
     """
     Ck, Rk = _rank_rows(kern)
-    C1, R1 = _rank_rows(ops.k1)
-    nw, c, c1 = len(ops.gap), len(Rk), len(R1)
-    s = (h * ops.scale) * R1
+    C1, R1 = _rank_rows(k1)
+    gap, nw, c, c1 = _gap_index(grids.n_omega), grids.n_omega, len(Rk), len(R1)
+    s = (h * (np.sqrt(energies) * grids.angle_weight)) * R1
     G = s @ Rk.sum(axis=-1).T  # (c1, c)
-    A = np.einsum("vwi,vwj->viwj", C1[ops.gap], Ck[ops.gap]).reshape(nw * c1, nw * c)
+    A = np.einsum("vwi,vwj->viwj", C1[gap], Ck[gap]).reshape(nw * c1, nw * c)
     A *= weight
     B = (A.reshape(nw * c1, nw, c) @ G.T).reshape(nw * c1, nw * c1)
     return Rk.reshape(c, kern[0].size), s, A, B
+
+
+def _scatter(Rk: np.ndarray, s: np.ndarray, m_t: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """q @ s with q = p @ m_t, p = f @ Rk^T: three GEMMs, f[r, w, T] -> (r, w, E, 1).
+
+    With the factors of :func:`_energy_rank`, m_t = A^T gives h K f and
+    m_t = M^T of :func:`_implicit_map` the implicit end point of a step.
+    """
+    n_r, n_w = f.shape[:2]
+    p = (f.reshape(n_r * n_w, -1) @ Rk.T).reshape(n_r, n_w * len(Rk))
+    q = (p @ m_t).reshape(n_r * n_w, len(s))
+    return (q @ s).reshape(n_r, n_w, s.shape[1], 1)
 
 
 def _implicit_map(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -464,7 +434,7 @@ def _implicit_map(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _march(
-    ops: _Scattering, kern: np.ndarray, weight, rate: np.ndarray,
+    grids: TransportGrids, energies, k1, kern: np.ndarray, weight, rate: np.ndarray,
     phi0: np.ndarray, dt: float, n_steps: int,
 ):
     """Product-trapezoid march of phi[r, w, E, y]; yields phi0, then each step.
@@ -474,28 +444,21 @@ def _march(
     so F does not depend on y.  The decay is exact per node and the
     integral is the trapezoid rule in s, so one step with h = dt/2 is
     known = e^{-dt rate} (phi + h F), phi = known + h F; the time error is
-    O(dt^2).  h F runs in the energy rank of :func:`_energy_rank`, and the
-    implicit end point is q = M p(known) with M of :func:`_implicit_map`.
-    Every step updates one buffer in place, so a yielded field is valid
-    until the next one is drawn.
+    O(dt^2).  h F runs through :func:`_scatter` in the energy rank of
+    :func:`_energy_rank`, and the implicit end point is q = M p(known) with
+    M of :func:`_implicit_map`.  Every step updates one buffer in place, so
+    a yielded field is valid until the next one is drawn.
     """
-    Rk, s, A, B = _energy_rank(ops, kern, weight, 0.5 * dt)
+    Rk, s, A, B = _energy_rank(grids, energies, k1, kern, weight, 0.5 * dt)
     step_t, explicit_t = _implicit_map(A, B).T, A.T
     decay_step = np.exp(-dt * rate)
     phi = phi0.astype(float)
-    n_r, n_w, n_e = phi.shape[:3]
-
-    def h_scatter(f, m_t):
-        p = (f.reshape(n_r * n_w, -1) @ Rk.T).reshape(n_r, n_w * len(Rk))
-        q = (p @ m_t).reshape(n_r * n_w, len(s))
-        return (q @ s).reshape(n_r, n_w, n_e, 1)
-
-    hF = h_scatter(phi, explicit_t)
+    hF = _scatter(Rk, s, explicit_t, phi)
     yield phi
     for _ in range(n_steps):
         phi += hF
         phi *= decay_step
-        hF = h_scatter(phi, step_t)
+        hF = _scatter(Rk, s, step_t, phi)
         phi += hF
         yield phi
 
@@ -541,7 +504,7 @@ def solve_characteristics_eps(
     the L2 norm come from the rows through C; the minimum too for rank
     one, and the stored field and a higher-rank minimum are rebuilt.
     """
-    energies, y, ops, k2, rate = _eps_set_up(
+    energies, y, k1, k2, rate = _eps_set_up(
         params, grids, epsilon, nodes_per_period=nodes_per_period
     )
     n_e = len(energies)
@@ -556,7 +519,7 @@ def solve_characteristics_eps(
     C, rows = _rank_rows(base0)
     times = np.linspace(0.0, t_end, n_steps + 1)
     dt = times[1] - times[0]
-    march = _march(ops, k2, we, rate, rows, dt, n_steps)
+    march = _march(grids, energies, k1, k2, we, rate, rows, dt, n_steps)
 
     per_win = n_e // n_windows
     r_weight = 2.0 * grids.r_box / grids.n_r
@@ -621,7 +584,7 @@ def solve_two_scale_transport(
     """
     energies = grids.energy_nodes()
     y = PeriodicGrid(grids.n_y).nodes[None, :]
-    ops, k2y, rate = _set_up(params, grids, energies, y)
+    k1, k2y, rate = _set_up(params, grids, energies, y)
     active, phi0 = _initial_slices(
         phi_in, grids, grids.angles[:, None, None], energies[:, None], y
     )  # (na, nw, nE, ny)
@@ -631,7 +594,8 @@ def solve_two_scale_transport(
     psis = np.zeros((n_steps + 1, len(r)) + phi0.shape[1:3])
     weight = grids.energy_weight() * (1.0 / grids.n_y)
     C, rows = _rank_rows(phi0)
-    for n, phi in enumerate(_march(ops, k2y, weight, rate, rows, dt, n_steps)):
+    march = _march(grids, energies, k1, k2y, weight, rate, rows, dt, n_steps)
+    for n, phi in enumerate(march):
         psis[n, active] = _expand(C, phi.mean(axis=3))
     return PhaseSpaceField(times, r, grids.angles, energies, psis)
 

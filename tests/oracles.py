@@ -35,16 +35,18 @@ The other oracles check the package against routes it no longer runs:
 - :func:`pair_mu_table` and :class:`PairScattering`, the kappa tables
   and the scattering pair ``reduce``/``spread``/``matrix`` per angle pair
   (w, w'), against the package's tables per angle gap;
-- :class:`GapScattering` and :func:`implicit_inverse`, the implicit step
-  on the n_omega^2 angle-pair field g[v, w], against the package's step
-  in the kernel's energy rank;
+- :class:`GapScattering` and :func:`implicit_inverse`, the scattering
+  pair ``reduce``/``spread`` per angle gap through the angle-pair field
+  g[v, w] and the implicit step on its n_omega^2 unknowns, against the
+  package's K and step in the kernel's energy rank;
 - :func:`sample_sigma` and :func:`sigma_eps`, sigma sampled straight from
   its callable on the (omega, E, y) tensor grid and along y = E/eps,
   against the rate of the package's one transport set-up;
 - :func:`scattering_matrix`, the dense (n_omega n_E)^2 kernel matrix of K
-  on an eps grid, against the scattering pair through which
-  :func:`homokin.transport.coercivity_test` applies K and
-  :func:`homokin.transport.kappa_bars` sums it;
+  on an eps grid, against the energy-rank factors through which
+  :func:`homokin.transport.coercivity_test` applies K and the rates
+  kappa_bar and kappa_tilde that
+  :func:`homokin.transport.subcriticality_check` reads;
 - :func:`solve_closed_kernel_transport`, the closed memory-kernel route
   to psi_hom, against the two-scale march of
   :func:`homokin.transport.solve_two_scale_transport`.
@@ -77,7 +79,6 @@ from homokin.transport import (
     OpticalParameters,
     PhaseSpaceField,
     TransportGrids,
-    _Scattering,
     _gap_index,
     _initial_slices,
     _mu_table,
@@ -582,13 +583,34 @@ class PairScattering:
         return weight * np.einsum("vwe,wxe->vwx", kern * self.scale, self.k1)
 
 
-class GapScattering(_Scattering):
-    """The package's scattering pair per angle gap, with the g-space step.
+class GapScattering:
+    """Scattering K = S R on one energy grid per angle gap, through g[r, v, w].
 
+    R contracts a field f[r, w, T] against a gap table kern[k, T] over its
+    trailing axes T, which are E' or (E', y'), in one matmul (BLAS) and
+    gathers g through the gap index; S folds g onto the gaps of v and
+    spreads it back to (r, v, E) over the kappa1 gap table in one matmul.
     ``matrix`` is C of R S on the angle-pair field g[v, w], n_omega^2
-    unknowns per r-slice, where the solvers' implicit step works in the
-    kernel's energy rank.
+    unknowns per r-slice, where the package works in the kernel's energy
+    rank.
     """
+
+    def __init__(self, grids: TransportGrids, energies: np.ndarray, k1: np.ndarray):
+        self.k1 = k1
+        self.scale = np.sqrt(energies) * grids.angle_weight
+        self.gap = _gap_index(grids.n_omega)
+        self.gather = np.arange(grids.n_omega) * len(k1) + self.gap
+        self.fold = (self.gap[..., None] == np.arange(len(k1))).astype(float)
+
+    def reduce(self, kern: np.ndarray, f: np.ndarray, weight) -> np.ndarray:
+        """R: g[r, v, w] = weight sum_T kern[gap[v, w], T] f[r, w, T]."""
+        P = f.reshape(-1, kern[0].size) @ kern.reshape(len(kern), -1).T  # (r w, k)
+        return weight * P.reshape(len(f), -1)[:, self.gather]  # P[r, w, gap[v, w]]
+
+    def spread(self, g: np.ndarray) -> np.ndarray:
+        """S: g[r, v, w] -> sqrt(E) aw sum_w k1[gap[v, w], E] g[r, v, w]."""
+        H = np.einsum("rvw,vwk->rvk", g, self.fold)  # exact: a gap holds <= 2 w
+        return self.scale * np.tensordot(H, self.k1, axes=1)  # one GEMM over (r v)
 
     def matrix(self, kern: np.ndarray, weight) -> np.ndarray:
         """C of R S for kern[k, E']: (R S g)[v, w] = sum_x C[v, w, x] g[w, x]."""

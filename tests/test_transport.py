@@ -12,19 +12,18 @@ from homokin.transport import (
     TransportGrids,
     coercivity_test,
     hat_initial_data,
-    kappa_bars,
     solve_characteristics_eps,
     solve_two_scale_transport,
     subcriticality_check,
     transport_preset,
     windowed_weak_error,
+    _bars,
     _energy_rank,
     _eps_set_up,
     _gap_index,
     _mu_table,
     _rank_rows,
     _rayleigh_quotients,
-    _Scattering,
     _set_up,
 )
 from oracles import (
@@ -51,6 +50,12 @@ def assert_exact_decay(sol, phi_in, grids, eps):
         base = phi_in(rv, grids.angles[:, None], sol.energies[None, :], y[None, :])
         exact = base[None] * np.exp(-sol.times[:, None, None] * sig[None])
         assert np.max(np.abs(sol.values[:, i] - exact)) < 1e-8
+
+
+def kappa_rates(params, eps, grids, n_e=None):
+    """kappa_bar(E) and kappa_tilde(E) of :func:`_bars` on the checks' tables."""
+    energies, _, k1, k2, _ = _eps_set_up(params, grids, eps, n_e)
+    return _bars(grids, energies, k1, k2)
 
 
 class TestMuTable:
@@ -113,7 +118,8 @@ def _peak_table(fn, grids, *args):
 class TestGapScattering:
     """Tables per angle gap against the angle-pair oracle of tests/oracles.py.
 
-    The pair table reads the cosine of the difference of two angle nodes,
+    The gap tables are read through GapScattering, the reference that the
+    energy-rank factors are checked against.  The pair table reads the cosine of the difference of two angle nodes,
     the gap table that of one node; both round, so every gate is a few
     eps per interpolation node and summed term, scaled by the same
     operation on the peak tables and absolute values.
@@ -133,20 +139,20 @@ class TestGapScattering:
         p2 = pair_mu_table(params.kappa2, grids, energies[:, None], y)
         peak2 = _peak_table(params.kappa2, grids, energies[:, None], y)
         assert k1.shape == (grids.n_omega // 2 + 1, len(energies))
-        ops = _Scattering(grids, energies, k1)
+        gaps = GapScattering(grids, energies, k1)
         pair = PairScattering(grids, energies, p1)
         peak = PairScattering(grids, energies, _peak_table(params.kappa1, grids, energies))
         n_mu, n_t = grids.n_mu, f[0, 0].size
 
-        got, want = ops.reduce(k2, f, weight), pair.reduce(p2, f, weight)
+        got, want = gaps.reduce(k2, f, weight), pair.reduce(p2, f, weight)
         bound = pair.reduce(peak2, np.abs(f), weight)
         assert np.all(np.abs(got - want) <= self._gate(n_mu, n_t, bound))
 
-        got, want = ops.spread(g), pair.spread(g)
+        got, want = gaps.spread(g), pair.spread(g)
         bound = peak.spread(np.abs(g))
         assert np.all(np.abs(got - want) <= self._gate(n_mu, grids.n_omega, bound))
 
-        got = GapScattering(grids, energies, k1).matrix(k2.sum(axis=-1), weight)
+        got = gaps.matrix(k2.sum(axis=-1), weight)
         want = pair.matrix(p2.sum(axis=-1), weight)
         bound = peak.matrix(peak2.sum(axis=-1), weight)
         assert np.all(np.abs(got - want) <= self._gate(n_mu, n_t, bound))
@@ -155,7 +161,7 @@ class TestGapScattering:
     @settings(max_examples=30, deadline=None)
     def test_kappa_bars_match_pair_tables(self, data):
         grids, params, energies, _, _, _, eps = data
-        bar, tilde = kappa_bars(params, eps, grids, len(energies))
+        bar, tilde = kappa_rates(params, eps, grids, len(energies))
         y = np.mod(energies / eps, 1.0)
         we, aw = grids.energy_weight(len(energies)), grids.angle_weight
         sqrtE = np.sqrt(energies)
@@ -182,7 +188,7 @@ class TestGapScattering:
 
 class TestKappaBars:
     def test_zero_kernel(self):
-        bar, tilde = kappa_bars(KAPPA0, 0.125, GRIDS)
+        bar, tilde = kappa_rates(KAPPA0, 0.125, GRIDS)
         assert np.max(np.abs(bar)) == 0.0
         assert np.max(np.abs(tilde)) == 0.0
 
@@ -194,7 +200,7 @@ class TestKappaBars:
             kappa2=lambda mu, Ep, yp: np.ones_like(mu * Ep * yp),
         )
         grids = TransportGrids(e_min=0.0, e_max=1.0)
-        bar, tilde = kappa_bars(params, 0.1, grids)
+        bar, tilde = kappa_rates(params, 0.1, grids)
         expect = 2.0 * np.pi * np.sqrt(grids.energy_nodes())
         assert np.max(np.abs(bar - expect[None, :])) < 1e-12
         # tilde integrates sqrt(E') over the outgoing energy: constant
@@ -207,8 +213,8 @@ class TestKappaBars:
             kappa1=lambda mu, E: (1.0 + 0.5 * mu) / (2 * np.pi),
             kappa2=lambda mu, Ep, yp: 0.5 + 0.0 * yp,
         )
-        a1, t1 = kappa_bars(params, 0.1, GRIDS)
-        a2, t2 = kappa_bars(params, 0.025, GRIDS)
+        a1, t1 = kappa_rates(params, 0.1, GRIDS)
+        a2, t2 = kappa_rates(params, 0.025, GRIDS)
         assert np.max(np.abs(a1 - a2)) < 1e-14
         assert np.max(np.abs(t1 - t2)) < 1e-14
 
@@ -302,14 +308,13 @@ class TestCoercivity:
 @pytest.mark.parametrize(
     "check",
     [
-        kappa_bars,
         subcriticality_check,
         coercivity_test,
         lambda p, e, g: solve_characteristics_eps(p, hat_initial_data(0.5), e, g),
         lambda p, e, g: g.eps_energy_count(e),
     ],
     ids=[
-        "kappa_bars", "subcriticality_check", "coercivity_test", "characteristics",
+        "subcriticality_check", "coercivity_test", "characteristics",
         "eps_energy_count",
     ],
 )
@@ -341,32 +346,87 @@ def optical_data(draw):
     return grids, params, eps, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 8))
 
 
+@st.composite
+def ranked_kernels(draw):
+    """kappa1(mu, E) and kappa2(mu, E', y') as sums of k1 and k2 terms
+    T_m(mu) g_m, m < k, with T_m the Chebyshev polynomials and g_m cosines
+    in E of frequency m (times a y'-profile for kappa2), so that their gap
+    tables have energy rank k1 and k2, up to the gap count n_omega//2 + 1;
+    an eps grid of 12 to 36 energy nodes and a cell of 2 to 8."""
+    n_omega = draw(st.integers(2, 7))
+    n_gap = n_omega // 2 + 1
+    ranks = [draw(st.integers(1, n_gap)), draw(st.integers(1, n_gap))]
+    grids = TransportGrids(
+        n_omega=n_omega, n_e=draw(st.integers(n_gap, 6)), n_y=draw(st.integers(2, 8)), n_r=8
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, b = (rng.uniform(0.5, 1.0, k) * rng.choice([-1.0, 1.0], k) for k in ranks)
+    shift = rng.uniform(0.0, 1.0, ranks[1])
+
+    def term(m, mu, E):
+        x = (E - grids.e_min) / (grids.e_max - grids.e_min)
+        return np.cos(m * np.arccos(np.clip(mu, -1.0, 1.0))) * np.cos(np.pi * m * x)
+
+    params = OpticalParameters(
+        sigma=lambda th, E, y: 2.0 + (0.5 + 0.2 * np.cos(th)) * np.sin(2 * np.pi * y),
+        kappa1=lambda mu, E: 0.3 + 0.05 * sum(c * term(m, mu, E) for m, c in enumerate(a)),
+        kappa2=lambda mu, Ep, yp: 0.6 + 0.1 * sum(
+            c * term(m, mu, Ep) * (1.0 + 0.5 * np.sin(2 * np.pi * (yp + shift[m])))
+            for m, c in enumerate(b)
+        ),
+    )
+    eps, per_period = draw(st.sampled_from((0.25, 0.5))), draw(st.sampled_from((8, 12)))
+    return grids, params, ranks, eps, per_period
+
+
+def assert_checks_match_dense_kernel(params, eps, grids, seed, trials, n_e=None):
+    """The checks against the dense matrix of tests/oracles.py.
+
+    Rayleigh quotients are gated at 1e-13 relative to max sigma_eps +
+    ||K||_2, which bounds them, and the rates, sums of nonnegative terms,
+    at 1e-13 relative to themselves.
+    """
+    K = scattering_matrix(params, eps, grids, n_e)
+    sig = sigma_eps(params, grids.angles, grids.energy_nodes(n_e), eps).reshape(-1)
+    w = grids.angle_weight * grids.energy_weight(n_e)
+    rng = np.random.default_rng(seed)
+    F = [rng.standard_normal(len(sig)) for _ in range(trials)]  # one draw a trial
+    dense = np.array([((w * f) @ (sig * f - K @ f)) / ((w * f) @ f) for f in F])
+    got = _rayleigh_quotients(params, eps, grids, trials, seed, n_e)
+    gate = 1e-13 * (np.max(np.abs(sig)) + np.linalg.norm(K, 2))
+    assert np.all(np.abs(got - dense) <= gate)
+    assert abs(coercivity_test(params, eps, grids, trials, seed, n_e) - dense.min()) <= gate
+
+    bar, tilde = kappa_rates(params, eps, grids, n_e)
+    for got, want in ((bar, K.sum(axis=1)), (tilde, K.sum(axis=0))):
+        want = want.reshape(grids.n_omega, -1)  # (w, E): the rates are angle-blind
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+    margin = min(np.min(sig - K.sum(axis=1)), np.min(sig - K.sum(axis=0)))
+    assert abs(subcriticality_check(params, eps, grids, n_e) - margin) <= gate
+
+
 class TestChecksAgainstDenseKernel:
-    """The checks apply K through the scattering pair; the dense matrix
-    of tests/oracles.py is the oracle.  Rayleigh quotients are gated at
-    1e-13 relative to max sigma_eps + ||K||_2, which bounds them, and the
-    rates, sums of nonnegative terms, at 1e-13 relative to themselves."""
+    """The checks apply K through the energy-rank factors of the march;
+    the dense kernel matrix is the oracle."""
 
     @given(optical_data())
     @settings(max_examples=60, deadline=None)
     def test_quotients_and_rates_match_dense_kernel(self, data):
         grids, params, eps, seed, trials = data
-        K = scattering_matrix(params, eps, grids)
-        sig = sigma_eps(params, grids.angles, grids.energy_nodes(), eps).reshape(-1)
-        w = grids.angle_weight * grids.energy_weight()
-        rng = np.random.default_rng(seed)
-        F = [rng.standard_normal(len(sig)) for _ in range(trials)]  # one draw a trial
-        dense = np.array([((w * f) @ (sig * f - K @ f)) / ((w * f) @ f) for f in F])
-        got = _rayleigh_quotients(params, eps, grids, trials, seed, None)
-        gate = 1e-13 * (np.max(np.abs(sig)) + np.linalg.norm(K, 2))
-        assert np.all(np.abs(got - dense) <= gate)
-        assert abs(coercivity_test(params, eps, grids, trials, seed) - dense.min()) <= gate
+        assert_checks_match_dense_kernel(params, eps, grids, seed, trials)
 
-        bar, tilde = kappa_bars(params, eps, grids)
-        for got, want in ((bar, K.sum(axis=1)), (tilde, K.sum(axis=0))):
-            assert np.all(np.abs(got.reshape(-1) - want) <= 1e-13 * want)
-        margin = min(np.min(sig - K.sum(axis=1)), np.min(sig - K.sum(axis=0)))
-        assert abs(subcriticality_check(params, eps, grids) - margin) <= gate
+    @given(ranked_kernels(), st.integers(0, 2**32 - 1), st.integers(1, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_quotients_and_rates_match_dense_kernel_at_higher_rank(
+        self, data, seed, trials
+    ):
+        # optical_data's kappa2 tables have energy rank one; these reach the
+        # gap count, on the eps grid of the characteristics solver
+        grids, params, ranks, eps, per_period = data
+        n_e = grids.eps_energy_count(eps, per_period)
+        k1, k2 = _eps_set_up(params, grids, eps, n_e)[2:4]
+        assert [len(_rank_rows(t)[1]) for t in (k1, k2)] == ranks
+        assert_checks_match_dense_kernel(params, eps, grids, seed, trials, n_e)
 
 
 def assert_chars_match_dense_oracle(params, grids, eps, per_period, t_end=0.5, n_steps=20):
@@ -429,39 +489,6 @@ def assert_two_scale_matches_dense_oracle(params, grids, t_end, n_steps):
     oracle = np.array(phis).T.reshape((len(grids.r_nodes),) + phi0.shape[1:] + (-1,))
     psis = np.moveaxis(oracle.mean(axis=3), -1, 0)
     assert np.max(np.abs(sol.values - psis)) <= 1e-13
-
-
-@st.composite
-def ranked_kernels(draw):
-    """kappa1(mu, E) and kappa2(mu, E', y') as sums of k1 and k2 terms
-    T_m(mu) g_m, m < k, with T_m the Chebyshev polynomials and g_m cosines
-    in E of frequency m (times a y'-profile for kappa2), so that their gap
-    tables have energy rank k1 and k2, up to the gap count n_omega//2 + 1;
-    an eps grid of 12 to 36 energy nodes and a cell of 2 to 8."""
-    n_omega = draw(st.integers(2, 7))
-    n_gap = n_omega // 2 + 1
-    ranks = [draw(st.integers(1, n_gap)), draw(st.integers(1, n_gap))]
-    grids = TransportGrids(
-        n_omega=n_omega, n_e=draw(st.integers(n_gap, 6)), n_y=draw(st.integers(2, 8)), n_r=8
-    )
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    a, b = (rng.uniform(0.5, 1.0, k) * rng.choice([-1.0, 1.0], k) for k in ranks)
-    shift = rng.uniform(0.0, 1.0, ranks[1])
-
-    def term(m, mu, E):
-        x = (E - grids.e_min) / (grids.e_max - grids.e_min)
-        return np.cos(m * np.arccos(np.clip(mu, -1.0, 1.0))) * np.cos(np.pi * m * x)
-
-    params = OpticalParameters(
-        sigma=lambda th, E, y: 2.0 + (0.5 + 0.2 * np.cos(th)) * np.sin(2 * np.pi * y),
-        kappa1=lambda mu, E: 0.3 + 0.05 * sum(c * term(m, mu, E) for m, c in enumerate(a)),
-        kappa2=lambda mu, Ep, yp: 0.6 + 0.1 * sum(
-            c * term(m, mu, Ep) * (1.0 + 0.5 * np.sin(2 * np.pi * (yp + shift[m])))
-            for m, c in enumerate(b)
-        ),
-    )
-    eps, per_period = draw(st.sampled_from((0.25, 0.5))), draw(st.sampled_from((8, 12)))
-    return grids, params, ranks, eps, per_period
 
 
 class TestCharacteristicsSolver:
@@ -570,8 +597,8 @@ class TestCharacteristicsSolver:
     @settings(max_examples=15, deadline=None)
     def test_matches_dense_oracle_at_higher_rank(self, data):
         grids, params, ranks, eps, per_period = data
-        ops, k2 = _eps_set_up(params, grids, eps, nodes_per_period=per_period)[2:4]
-        assert [len(_rank_rows(t)[1]) for t in (ops.k1, k2)] == ranks
+        k1, k2 = _eps_set_up(params, grids, eps, nodes_per_period=per_period)[2:4]
+        assert [len(_rank_rows(t)[1]) for t in (k1, k2)] == ranks
         assert_chars_match_dense_oracle(params, grids, eps, per_period)
 
     def test_singular_implicit_step_raises(self):
@@ -691,8 +718,8 @@ class TestTwoScaleTransport:
     def test_matches_dense_oracle_at_higher_rank(self, data):
         grids, params, ranks = data[:3]
         y = PeriodicGrid(grids.n_y).nodes[None, :]
-        ops, k2y = _set_up(params, grids, grids.energy_nodes(), y)[:2]
-        assert [len(_rank_rows(t)[1]) for t in (ops.k1, k2y)] == ranks
+        k1, k2y = _set_up(params, grids, grids.energy_nodes(), y)[:2]
+        assert [len(_rank_rows(t)[1]) for t in (k1, k2y)] == ranks
         assert_two_scale_matches_dense_oracle(params, grids, t_end=0.5, n_steps=40)
 
 
@@ -903,20 +930,20 @@ class TestEnergyRankStep:
         # radius is that of the n_omega^2 step on g[v, w] of the oracle
         grids, params, _, eps, per_period = data
         h = 0.5 * 0.5 / 20  # dt/2 of the dense-oracle runs: t_end 0.5, 20 steps
-        energies, _, ops, k2, _ = _eps_set_up(params, grids, eps, nodes_per_period=per_period)
+        energies, _, eps_k1, k2, _ = _eps_set_up(params, grids, eps, nodes_per_period=per_period)
         cell = PeriodicGrid(grids.n_y).nodes[None, :]
-        cell_ops, k2y = _set_up(params, grids, grids.energy_nodes(), cell)[:2]
+        cell_k1, k2y = _set_up(params, grids, grids.energy_nodes(), cell)[:2]
         nw = grids.n_omega
-        for E, ops, kern, weight in (
-            (energies, ops, k2, grids.energy_weight(len(energies))),
-            (grids.energy_nodes(), cell_ops, k2y, grids.energy_weight() / grids.n_y),
+        for E, k1, kern, weight in (
+            (energies, eps_k1, k2, grids.energy_weight(len(energies))),
+            (grids.energy_nodes(), cell_k1, k2y, grids.energy_weight() / grids.n_y),
         ):
-            B = _energy_rank(ops, kern, weight, h)[3]
-            C = GapScattering(grids, E, ops.k1).matrix(kern.sum(axis=-1), h * weight)
+            B = _energy_rank(grids, E, k1, kern, weight, h)[3]
+            C = GapScattering(grids, E, k1).matrix(kern.sum(axis=-1), h * weight)
             block = np.einsum("vwx,wu->vwux", C, np.eye(nw)).reshape(nw * nw, nw * nw)
             radius = np.max(np.abs(np.linalg.eigvals(B)))
             want = np.max(np.abs(np.linalg.eigvals(block)))
-            assert len(B) == nw * len(_rank_rows(ops.k1)[1])
+            assert len(B) == nw * len(_rank_rows(k1)[1])
             assert abs(radius - want) <= 1e-12 * want
 
 
