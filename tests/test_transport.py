@@ -312,10 +312,11 @@ class TestCoercivity:
         coercivity_test,
         lambda p, e, g: solve_characteristics_eps(p, hat_initial_data(0.5), e, g),
         lambda p, e, g: g.eps_energy_count(e),
+        lambda p, e, g: _eps_set_up(p, g, e),
     ],
     ids=[
         "subcriticality_check", "coercivity_test", "characteristics",
-        "eps_energy_count",
+        "eps_energy_count", "eps_set_up",
     ],
 )
 def test_nonpositive_epsilon_raises(check, eps):
