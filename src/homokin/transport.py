@@ -37,8 +37,14 @@ three matrix products of :func:`_scatter`; no angle-pair field and no
 dense kernel matrix is built.  The implicit trapezoid step is a linear
 system of size n_omega c1, inverted once per run by
 :func:`_implicit_map`; a singular step, or one whose spectral radius
-reaches 1, raises RuntimeError.  The fields come out bitwise the same at
-1 and 2 BLAS threads.
+reaches 1, raises RuntimeError.  Since K commutes with rotations of the
+circle, a field that is the same at every angle stays so under a rate
+that is: when the rate and the marched data are both bitwise constant in
+angle, as for every preset with :func:`hat_initial_data`, the march
+steps one angle with the m = 0 block of the factors, a c1-square step,
+and the outputs are broadcast to the n_omega angles; the n_omega c1
+system is still formed and checked.  The fields come out bitwise the
+same at 1 and 2 BLAS threads.
 Every solver keeps only the r-slices where the initial data is nonzero;
 the other slices stay exactly zero.  Data that misses every r-node
 raises ConfigError.  Since labels do not interact and the march is
@@ -143,19 +149,24 @@ def _mu_table(fn, grids: TransportGrids, *args) -> np.ndarray:
     """fn(mu, *args) per angle gap k, mu = cos(2 pi k / n_omega), shape (k, *rest).
 
     The pair (v, w) reads row _gap_index(n_omega)[v, w].  fn is sampled on
-    a uniform mu-grid and interpolated linearly in mu.  ``rest`` is the
-    broadcast shape of ``args``: equal 1-D arrays pair their entries
-    (E'_j, y_j), axes set up to broadcast give a tensor table.
+    a uniform mu-grid and interpolated linearly in mu; fn is pointwise, so
+    it is evaluated only at the (at most 2 (n_omega//2 + 1)) grid nodes
+    that bracket a gap's mu.  ``rest`` is the broadcast shape of ``args``:
+    equal 1-D arrays pair their entries (E'_j, y_j), axes set up to
+    broadcast give a tensor table.
     """
     n_mu = grids.n_mu
     rest = np.broadcast(*args).shape
-    mu_grid = np.linspace(-1.0, 1.0, n_mu).reshape((n_mu,) + (1,) * len(rest))
-    samples = np.asarray(fn(mu_grid, *args) * np.ones((n_mu,) + rest))
     mu = np.cos(grids.angles[: grids.n_omega // 2 + 1])
     pos = (np.clip(mu, -1.0, 1.0) + 1.0) / 2.0 * (n_mu - 1)
     j0 = np.clip(np.floor(pos).astype(int), 0, n_mu - 2)
+    used = np.zeros(n_mu, dtype=bool)
+    used[j0] = used[j0 + 1] = True
+    at = np.cumsum(used) - 1  # row of each used node in samples
+    mu_grid = np.linspace(-1.0, 1.0, n_mu)[used].reshape((-1,) + (1,) * len(rest))
+    samples = np.asarray(fn(mu_grid, *args) * np.ones(mu_grid.shape[:1] + rest))
     w = (pos - j0).reshape(mu.shape + (1,) * len(rest))
-    return (1.0 - w) * samples[j0] + w * samples[j0 + 1]
+    return (1.0 - w) * samples[at[j0]] + w * samples[at[j0 + 1]]
 
 
 def _set_up(params: OpticalParameters, grids: TransportGrids, energies, y):
@@ -392,13 +403,17 @@ def _energy_rank(grids: TransportGrids, energies, k1, kern: np.ndarray, weight, 
 
 
 def _scatter(Rk: np.ndarray, s: np.ndarray, m_t: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """q @ s with q = p @ m_t, p = f @ Rk^T: three GEMMs, f[r, w, T] -> (r, w, E, 1).
+    """q @ s with q = p @ m_t, p = f Rk^T: three products, f[r, w, T] -> (r, w, E, 1).
 
     With the factors of :func:`_energy_rank`, m_t = A^T gives h K f and
     m_t = M^T of :func:`_implicit_map` the implicit end point of a step.
+    A field of one angle, that of an isotropic march, is contracted by
+    einsum: with one row and c = 1, f @ Rk^T is a dot product, which
+    OpenBLAS splits over its threads on long energy grids.
     """
     n_r, n_w = f.shape[:2]
-    p = (f.reshape(n_r * n_w, -1) @ Rk.T).reshape(n_r, n_w * len(Rk))
+    f = f.reshape(n_r * n_w, -1)
+    p = (np.einsum("ax,cx->ac", f, Rk) if n_w == 1 else f @ Rk.T).reshape(n_r, -1)
     q = (p @ m_t).reshape(n_r * n_w, len(s))
     return (q @ s).reshape(n_r, n_w, s.shape[1], 1)
 
@@ -448,9 +463,22 @@ def _march(
     :func:`_energy_rank`, and the implicit end point is q = M p(known) with
     M of :func:`_implicit_map`.  Every step updates one buffer in place, so
     a yielded field is valid until the next one is drawn.
+
+    K commutes with rotations of the circle, so a field that is the same
+    at every angle stays so when the rate is too.  If rate and phi0 are
+    both bitwise constant along the angle axis, the march steps one
+    angle, rate[:1] and phi0[:, :1], and yields fields of one angle.  A
+    field constant in w' meets only the m = 0 block of the factors: the
+    first block-row of A, and of M, summed over w'.  M is still formed
+    and checked on all n_omega c1 unknowns, so the same inputs raise.
     """
     Rk, s, A, B = _energy_rank(grids, energies, k1, kern, weight, 0.5 * dt)
-    step_t, explicit_t = _implicit_map(A, B).T, A.T
+    M = _implicit_map(A, B)
+    if np.all(rate == rate[:1]) and np.all(phi0 == phi0[:, :1]):
+        nw = len(rate)
+        rate, phi0 = rate[:1], phi0[:, :1]
+        A, M = (m.reshape(nw, len(s), nw, len(Rk))[0].sum(axis=1) for m in (A, M))
+    step_t, explicit_t = M.T, A.T
     decay_step = np.exp(-dt * rate)
     phi = phi0.astype(float)
     hF = _scatter(Rk, s, explicit_t, phi)
@@ -503,6 +531,10 @@ def solve_characteristics_eps(
     r-rank: the rows of :func:`_rank_rows`.  The windowed averages and
     the L2 norm come from the rows through C; the minimum too for rank
     one, and the stored field and a higher-rank minimum are rebuilt.
+    When sigma and the data are angle-blind the march steps one angle:
+    the averages, the minimum and the L2 norm (scaled by n_omega) are
+    taken on it, and it is broadcast to every angle only when written
+    into ``windowed`` and ``values``.
     """
     energies, y, k1, k2, rate = _eps_set_up(
         params, grids, epsilon, nodes_per_period=nodes_per_period
@@ -530,11 +562,13 @@ def solve_characteristics_eps(
 
     def l2_norm(f):
         # sum over slices of |C f|^2 = sum (C^T C) * (f f^T); numpy's sums
-        # keep it independent of the BLAS thread count, which splits dot
+        # keep it independent of the BLAS thread count, which splits dot.
+        # A one-angle field stands for n_omega equal angles
+        copies = grids.n_omega // f.shape[1]
         f = f.reshape(len(f), -1)
         gram = np.stack([(f * fa).sum(axis=1) for fa in f])
         sq = float(np.sum(gram_weight * gram))
-        return float(np.sqrt(sq * we * grids.angle_weight * r_weight))
+        return float(np.sqrt(sq * copies * we * grids.angle_weight * r_weight))
 
     def slice_min(f):
         if len(f) > 1:
@@ -580,7 +614,8 @@ def solve_two_scale_transport(
     field psi_hom = <phi>_y at every step.  Only the data's r-rank is
     marched, the rows of :func:`_rank_rows` over the r-slices where phi_in
     is nonzero, and psi_hom = C <rows>_y; the returned field covers every
-    r-node.
+    r-node.  Angle-blind sigma and data march one angle, broadcast to
+    every angle in psi_hom.
     """
     energies = grids.energy_nodes()
     y = PeriodicGrid(grids.n_y).nodes[None, :]

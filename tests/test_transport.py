@@ -21,6 +21,7 @@ from homokin.transport import (
     _energy_rank,
     _eps_set_up,
     _gap_index,
+    _march,
     _mu_table,
     _rank_rows,
     _rayleigh_quotients,
@@ -76,6 +77,29 @@ class TestMuTable:
         assert tensor.shape == (5, 6, 5)
         expect = fn(mu[:, :, None, None], E[:, None], y_cell)
         assert np.max(np.abs(tensor[gap] - expect)) < 1e-15
+
+    @given(st.integers(2, 64), st.integers(2, 24), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_samples_only_the_bracketing_nodes(self, n_mu, n_omega, seed):
+        # fn is pointwise, so the table equals that interpolated from fn on
+        # the whole mu-grid bitwise, from at most 2 (n_omega//2 + 1) nodes
+        grids = TransportGrids(n_omega=n_omega, n_mu=n_mu)
+        a = np.random.default_rng(seed).uniform(0.1, 1.0, 3)
+        sampled = []
+
+        def fn(mu, E, y):
+            sampled.append(mu.size)
+            return (a[0] + a[1] * np.cos(3.0 * mu)) * (1.0 + E * np.sin(a[2] * y + mu))
+
+        E, y = grids.energy_nodes(5)[:, None], np.linspace(0.0, 1.0, 3)
+        got = _mu_table(fn, grids, E, y)
+        assert sampled[0] <= 2 * (n_omega // 2 + 1)
+        samples = fn(np.linspace(-1.0, 1.0, n_mu)[:, None, None], E, y)
+        pos = (np.clip(np.cos(grids.angles[: n_omega // 2 + 1]), -1.0, 1.0) + 1.0) / 2.0
+        pos *= n_mu - 1
+        j0 = np.clip(np.floor(pos).astype(int), 0, n_mu - 2)
+        w = (pos - j0)[:, None, None]
+        assert np.array_equal(got, (1.0 - w) * samples[j0] + w * samples[j0 + 1])
 
 
 @st.composite
@@ -348,12 +372,13 @@ def optical_data(draw):
 
 
 @st.composite
-def ranked_kernels(draw):
+def ranked_kernels(draw, angle_blind=False):
     """kappa1(mu, E) and kappa2(mu, E', y') as sums of k1 and k2 terms
     T_m(mu) g_m, m < k, with T_m the Chebyshev polynomials and g_m cosines
     in E of frequency m (times a y'-profile for kappa2), so that their gap
     tables have energy rank k1 and k2, up to the gap count n_omega//2 + 1;
-    an eps grid of 12 to 36 energy nodes and a cell of 2 to 8."""
+    an eps grid of 12 to 36 energy nodes and a cell of 2 to 8.  sigma has
+    a cos(theta) term unless ``angle_blind``."""
     n_omega = draw(st.integers(2, 7))
     n_gap = n_omega // 2 + 1
     ranks = [draw(st.integers(1, n_gap)), draw(st.integers(1, n_gap))]
@@ -368,8 +393,9 @@ def ranked_kernels(draw):
         x = (E - grids.e_min) / (grids.e_max - grids.e_min)
         return np.cos(m * np.arccos(np.clip(mu, -1.0, 1.0))) * np.cos(np.pi * m * x)
 
+    tilt = 0.0 if angle_blind else 0.2
     params = OpticalParameters(
-        sigma=lambda th, E, y: 2.0 + (0.5 + 0.2 * np.cos(th)) * np.sin(2 * np.pi * y),
+        sigma=lambda th, E, y: 2.0 + (0.5 + tilt * np.cos(th)) * np.sin(2 * np.pi * y),
         kappa1=lambda mu, E: 0.3 + 0.05 * sum(c * term(m, mu, E) for m, c in enumerate(a)),
         kappa2=lambda mu, Ep, yp: 0.6 + 0.1 * sum(
             c * term(m, mu, Ep) * (1.0 + 0.5 * np.sin(2 * np.pi * (yp + shift[m])))
@@ -430,10 +456,17 @@ class TestChecksAgainstDenseKernel:
         assert_checks_match_dense_kernel(params, eps, grids, seed, trials, n_e)
 
 
-def assert_chars_match_dense_oracle(params, grids, eps, per_period, t_end=0.5, n_steps=20):
+def tilted_data(r, th, E, y):
+    """hat(r)(1 + sin 2 pi y)(1 + 0.5 cos theta): the CLI's data tilted in angle."""
+    return hat_initial_data(0.5)(r, th, E, y) * (1.0 + 0.5 * np.cos(th))
+
+
+def assert_chars_match_dense_oracle(
+    params, grids, eps, per_period, t_end=0.5, n_steps=20, phi_in=hat_initial_data(0.5)
+):
     """solve_characteristics_eps against a direct product-trapezoid sum with
-    the dense kernel and one dense solve per implicit step, to 1e-12."""
-    phi_in = hat_initial_data(0.5)
+    the dense kernel and one dense solve per implicit step, to 1e-12; the
+    windowed averages, the L2 norm and the minimum are read off the field."""
     sol = solve_characteristics_eps(
         params, phi_in, eps, grids, t_end=t_end, n_steps=n_steps,
         nodes_per_period=per_period, store_full=True,
@@ -446,6 +479,7 @@ def assert_chars_match_dense_oracle(params, grids, eps, per_period, t_end=0.5, n
     dt = t_end / n_steps
     step = np.eye(len(sig)) - 0.5 * dt * K
     assert len(sol.r_nodes) == 2
+    oracles = []
     for i, rv in enumerate(sol.r_nodes):
         psi0 = phi_in(rv, grids.angles[:, None], energies[None, :], y[None, :])
         psis = [psi0.reshape(-1)]
@@ -457,13 +491,22 @@ def assert_chars_match_dense_oracle(params, grids, eps, per_period, t_end=0.5, n
             psis.append(np.linalg.solve(step, known))
         oracle = np.array(psis).reshape(sol.values[:, i].shape)
         assert np.max(np.abs(sol.values[:, i] - oracle)) < 1e-12
+        oracles.append(oracle)
+    field = np.stack(oracles, axis=1)
+    windows = field.reshape(field.shape[:-1] + (sol.windowed.shape[-1], -1)).mean(axis=-1)
+    assert np.max(np.abs(sol.windowed - windows)) < 1e-12
+    cell = grids.energy_weight(n_e) * grids.angle_weight * 2.0 * grids.r_box / grids.n_r
+    sup_l2 = np.sqrt((field**2).sum(axis=(1, 2, 3)) * cell).max()
+    assert abs(sol.sup_l2 - sup_l2) < 1e-12 * sup_l2
+    assert abs(sol.min_value - field.min()) < 1e-12
 
 
-def assert_two_scale_matches_dense_oracle(params, grids, t_end, n_steps):
+def assert_two_scale_matches_dense_oracle(
+    params, grids, t_end, n_steps, phi_in=hat_initial_data(0.5)
+):
     """solve_two_scale_transport against a direct product-trapezoid sum on
     the (w, E, y) grid with the dense scattering matrix, each implicit step
     solved with the dense inverse of I - (dt/2) K, to 1e-13."""
-    phi_in = hat_initial_data(0.5)
     sol = solve_two_scale_transport(params, phi_in, grids, t_end, n_steps)
 
     E, we, aw = grids.energy_nodes(), grids.energy_weight(), grids.angle_weight
@@ -602,8 +645,21 @@ class TestCharacteristicsSolver:
         assert [len(_rank_rows(t)[1]) for t in (k1, k2)] == ranks
         assert_chars_match_dense_oracle(params, grids, eps, per_period)
 
-    def test_singular_implicit_step_raises(self):
-        # isotropic kappa tuned so that (dt/2) R S has the eigenvalue 1
+    @given(ranked_kernels(angle_blind=True), st.sampled_from((hat_initial_data(0.5), tilted_data)))
+    @settings(max_examples=15, deadline=None)
+    def test_matches_dense_oracle_angle_blind(self, data, phi_in):
+        # an angle-blind rate marches one angle for the hat data and every
+        # angle for the tilted data; both match the oracle
+        grids, params, ranks, eps, per_period = data
+        k1, k2, rate = _eps_set_up(params, grids, eps, nodes_per_period=per_period)[2:]
+        assert [len(_rank_rows(t)[1]) for t in (k1, k2)] == ranks
+        assert np.all(rate == rate[:1])
+        assert_chars_match_dense_oracle(params, grids, eps, per_period, phi_in=phi_in)
+
+    @pytest.mark.parametrize("phi_in", [hat_initial_data(0.5), tilted_data])
+    def test_singular_implicit_step_raises(self, phi_in):
+        # isotropic kappa tuned so that (dt/2) R S has the eigenvalue 1; the
+        # step on all angles is checked whether the march steps one or all
         grids = TransportGrids(n_r=8, n_omega=4)
         eps, t_end, n_steps, per_period = 0.25, 0.5, 20, 12
         energies = grids.energy_nodes(grids.eps_energy_count(eps, per_period))
@@ -617,11 +673,12 @@ class TestCharacteristicsSolver:
         )
         with pytest.raises(RuntimeError, match="singular"):
             solve_characteristics_eps(
-                params, hat_initial_data(0.5), eps, grids, t_end=t_end,
+                params, phi_in, eps, grids, t_end=t_end,
                 n_steps=n_steps, nodes_per_period=per_period,
             )
 
-    def test_unresolved_implicit_step_raises(self):
+    @pytest.mark.parametrize("phi_in", [hat_initial_data(0.5), tilted_data])
+    def test_unresolved_implicit_step_raises(self, phi_in):
         # the set-up of test_singular_implicit_step_raises with kappa x1.5:
         # (dt/2) R S has the eigenvalue 1.5, so the step is solvable but
         # flips the sign of the scattering growth
@@ -638,7 +695,7 @@ class TestCharacteristicsSolver:
         )
         with pytest.raises(RuntimeError, match="spectral radius 1.5 >= 1"):
             solve_characteristics_eps(
-                params, hat_initial_data(0.5), eps, grids, t_end=t_end,
+                params, phi_in, eps, grids, t_end=t_end,
                 n_steps=n_steps, nodes_per_period=per_period,
             )
 
@@ -722,6 +779,36 @@ class TestTwoScaleTransport:
         k1, k2y = _set_up(params, grids, grids.energy_nodes(), y)[:2]
         assert [len(_rank_rows(t)[1]) for t in (k1, k2y)] == ranks
         assert_two_scale_matches_dense_oracle(params, grids, t_end=0.5, n_steps=40)
+
+    @given(ranked_kernels(angle_blind=True), st.sampled_from((hat_initial_data(0.5), tilted_data)))
+    @settings(max_examples=15, deadline=None)
+    def test_matches_dense_oracle_angle_blind(self, data, phi_in):
+        # the one-angle march for the hat data, every angle for the tilted data
+        grids, params, ranks = data[:3]
+        y = PeriodicGrid(grids.n_y).nodes[None, :]
+        k1, k2y, rate = _set_up(params, grids, grids.energy_nodes(), y)
+        assert [len(_rank_rows(t)[1]) for t in (k1, k2y)] == ranks
+        assert np.all(rate == rate[:1])
+        assert_two_scale_matches_dense_oracle(params, grids, 0.5, 40, phi_in=phi_in)
+
+    @pytest.mark.parametrize("phi_in", [hat_initial_data(0.5), tilted_data])
+    @pytest.mark.parametrize(
+        "radius, message", [(1.0, "singular"), (1.5, "spectral radius 1.5 >= 1")]
+    )
+    def test_implicit_step_raises(self, phi_in, radius, message):
+        # flat kappa1 = level, kappa2 = 1: (dt/2) R S has the one nonzero
+        # eigenvalue pi dt we level sum sqrt(E), whatever the data's angles
+        grids = TransportGrids(n_omega=4, n_e=8, n_y=16, n_r=8)
+        t_end, n_steps = 0.5, 10
+        sum_sqrt = np.sqrt(grids.energy_nodes()).sum()
+        level = radius / (np.pi * t_end / n_steps * grids.energy_weight() * sum_sqrt)
+        params = OpticalParameters(
+            sigma=lambda th, E, y: 2.0 + 0.0 * y,
+            kappa1=lambda mu, E: np.full_like(mu * E, level),
+            kappa2=lambda mu, Ep, yp: np.ones_like(mu * Ep * yp),
+        )
+        with pytest.raises(RuntimeError, match=message):
+            solve_two_scale_transport(params, phi_in, grids, t_end=t_end, n_steps=n_steps)
 
 
 class TestActiveSlices:
@@ -947,6 +1034,33 @@ class TestEnergyRankStep:
             assert len(B) == nw * len(_rank_rows(k1)[1])
             assert abs(radius - want) <= 1e-12 * want
 
+    @given(ranked_kernels(angle_blind=True))
+    @settings(max_examples=20, deadline=None)
+    def test_march_steps_one_angle_for_angle_blind_inputs(self, data):
+        # one angle only when both the rate and the data are angle-blind;
+        # the one-angle field is the all-angle march's field at each angle
+        grids, params = data[:2]
+        E, y = grids.energy_nodes(), PeriodicGrid(grids.n_y).nodes[None, :]
+        k1, k2y, rate = _set_up(params, grids, E, y)
+        tilt = 1.0 + 0.1 * np.cos(grids.angles)[:, None, None]
+        hat = hat_initial_data(0.5)(0.25, grids.angles[:, None, None], E[:, None], y)
+        weight = grids.energy_weight() / grids.n_y
+
+        def last(rate, phi0):
+            *_, phi = _march(grids, E, k1, k2y, weight, rate, phi0[None], 0.05, 4)
+            return phi
+
+        blind = last(rate, hat)
+        assert blind.shape == (1, 1) + hat.shape[1:]
+        assert last(tilt * rate, hat).shape == (1,) + hat.shape
+        assert last(rate, tilt * hat).shape == (1,) + hat.shape
+        # a rate one ulp off at one angle is not blind: the all-angle march
+        nudged = rate.copy()
+        nudged[-1] = np.nextafter(nudged[-1], np.inf)
+        full = last(nudged, hat)
+        assert full.shape == (1,) + hat.shape
+        assert np.max(np.abs(full - blind)) <= 1e-13 * np.max(np.abs(full))
+
 
 class TestClosedKernelEquivalence:
     def test_routes_agree(self):
@@ -1001,6 +1115,11 @@ class TestClosedKernelEquivalence:
         grids = TransportGrids(n_omega=4, n_e=8, n_y=16, n_r=8)
         with pytest.raises(RuntimeError, match="spectral radius"):
             solve_closed_kernel_transport(
+                strong, hat_initial_data(0.5), grids, t_end=0.5, n_steps=10
+            )
+        # the isotropic march checks its step on all angles too
+        with pytest.raises(RuntimeError, match="spectral radius 8.75 >= 1"):
+            solve_two_scale_transport(
                 strong, hat_initial_data(0.5), grids, t_end=0.5, n_steps=10
             )
 
