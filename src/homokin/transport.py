@@ -51,7 +51,9 @@ raises ConfigError.  Since labels do not interact and the march is
 linear, slices that are proportional at t = 0 stay proportional, so both
 solvers march the data's r-rank, not its r-slices: :func:`_rank_rows`
 factors the active slices once as slices = C @ rows, the march runs on
-the rows, and every output is mapped back through C.
+the rows, and every output is mapped back through C.  The march hands
+the solvers blocks of consecutive steps (MARCH_CHUNK floats), and each
+solver reduces a whole block at once.
 """
 from __future__ import annotations
 
@@ -66,6 +68,11 @@ from .cell import PeriodicGrid
 
 # n_omega^2 n_E <= 2^23: at most 32768 eps-grid energy nodes at n_omega = 16
 EPS_TABLE_BUDGET = 2**23
+# Floats in one block of march states, 512 kB: the solvers reduce a block of
+# steps at a time.  2 MB blocks were no faster on the benchmark grids and
+# raised the peak RSS by 2.5 MB.  An all-angle eps march at the finest
+# default eps (16 x 12007 nodes) falls back to one step per block.
+MARCH_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,8 +331,9 @@ def _initial_slices(phi_in, grids: TransportGrids, *axes) -> tuple[np.ndarray, n
 def _rank_rows(slices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Skeleton factoring slices = C @ rows over the leading axis.
 
-    The rows are slices of the data itself.  Slices that are bitwise equal
-    share one row with coefficient exactly 1.  The distinct ones go through
+    The rows are slices of the data itself.  Slices that are bitwise equal,
+    keyed on their bytes (so 0.0 and -0.0 differ), share one row with
+    coefficient exactly 1.  The distinct ones go through
     a column-pivoted Gram-Schmidt (reorthogonalized once), which takes the
     slice of largest residual as the next row and stops when every
     residual is at most 16 sqrt(N) eps max|slice| in the 2-norm, N the
@@ -333,13 +341,19 @@ def _rank_rows(slices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     each row's own coefficients are set to the exact unit vector.  An
     all-zero stack has rank 0: C has no columns and there are no rows.
     """
-    flat = slices.reshape(len(slices), -1)
+    flat = np.ascontiguousarray(slices.reshape(len(slices), -1))
+    # bitwise equal slices have equal bytes; hashing all of them costs more
+    # than the compares, so the dict keys on the bytes of a strided sample
+    bits, sample = flat.view(np.uint8), slice(None, None, max(1, flat.shape[1] // 16))
+    places = {}  # the bytes of a sample -> places in distinct of slices with it
     distinct, owner = [], []
-    for s in flat:
-        j = next((j for j, d in enumerate(distinct) if np.array_equal(flat[d], s)), None)
+    for i, s in enumerate(flat):
+        bucket = places.setdefault(s[sample].tobytes(), [])
+        j = next((j for j in bucket if np.array_equal(bits[distinct[j]], bits[i])), None)
         if j is None:
             j = len(distinct)
-            distinct.append(len(owner))
+            bucket.append(j)
+            distinct.append(i)
         owner.append(j)
     res = flat[distinct].copy()
     largest = np.linalg.norm(res, axis=1).max()
@@ -375,8 +389,12 @@ def _rank_rows(slices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _expand(C: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """C @ f over the leading axis: rank rows back to slices."""
-    return (C @ f.reshape(len(f), -1)).reshape((len(C),) + f.shape[1:])
+    """C @ f[i] for each step i of a block f[k, rank, ...]: rank rows back to slices.
+
+    One stacked np.matmul, which multiplies each step as C @ f[i] would.
+    """
+    k, rank = f.shape[:2]
+    return np.matmul(C, f.reshape(k, rank, -1)).reshape((k, len(C)) + f.shape[2:])
 
 
 def _energy_rank(grids: TransportGrids, energies, k1, kern: np.ndarray, weight, h: float):
@@ -452,7 +470,7 @@ def _march(
     grids: TransportGrids, energies, k1, kern: np.ndarray, weight, rate: np.ndarray,
     phi0: np.ndarray, dt: float, n_steps: int,
 ):
-    """Product-trapezoid march of phi[r, w, E, y]; yields phi0, then each step.
+    """Product-trapezoid march of phi[r, w, E, y]; yields blocks of states.
 
     phi(t) = e^{-t rate} phi0 + int_0^t e^{-(t-s) rate} F(s) ds with
     F = S R phi, R reducing over (w', E', y') against kern with ``weight``,
@@ -461,13 +479,18 @@ def _march(
     known = e^{-dt rate} (phi + h F), phi = known + h F; the time error is
     O(dt^2).  h F runs through :func:`_scatter` in the energy rank of
     :func:`_energy_rank`, and the implicit end point is q = M p(known) with
-    M of :func:`_implicit_map`.  Every step updates one buffer in place, so
-    a yielded field is valid until the next one is drawn.
+    M of :func:`_implicit_map`.
+
+    The states phi0, phi(dt), ..., phi(n_steps dt) are written into the
+    rows of one block buffer of max(1, MARCH_CHUNK // phi0.size) rows, and
+    each filled block (the last one possibly shorter) is yielded, of shape
+    (k,) + phi0.shape, so the consumers reduce k steps at a time.  The
+    buffer is reused: a yielded block is valid until the next one is drawn.
 
     K commutes with rotations of the circle, so a field that is the same
     at every angle stays so when the rate is too.  If rate and phi0 are
     both bitwise constant along the angle axis, the march steps one
-    angle, rate[:1] and phi0[:, :1], and yields fields of one angle.  A
+    angle, rate[:1] and phi0[:, :1], and its states have one angle.  A
     field constant in w' meets only the m = 0 block of the factors: the
     first block-row of A, and of M, summed over w'.  M is still formed
     and checked on all n_omega c1 unknowns, so the same inputs raise.
@@ -480,15 +503,21 @@ def _march(
         A, M = (m.reshape(nw, len(s), nw, len(Rk))[0].sum(axis=1) for m in (A, M))
     step_t, explicit_t = M.T, A.T
     decay_step = np.exp(-dt * rate)
-    phi = phi0.astype(float)
+    rows = min(max(1, MARCH_CHUNK // phi0.size), n_steps + 1)
+    block = np.empty((rows,) + phi0.shape)
+    block[0] = phi0
+    phi, j = block[0], 1
     hF = _scatter(Rk, s, explicit_t, phi)
-    yield phi
     for _ in range(n_steps):
-        phi += hF
+        if j == rows:
+            yield block
+            j = 0
+        phi = np.add(phi, hF, out=block[j])
         phi *= decay_step
         hF = _scatter(Rk, s, step_t, phi)
         phi += hF
-        yield phi
+        j += 1
+    yield block[:j]
 
 
 @dataclass(frozen=True, eq=False)
@@ -496,8 +525,9 @@ class CharacteristicsSolution:
     """Oscillatory transport solution restricted to the active r-slices.
 
     ``values`` holds the full field only when the run was small enough to
-    ask for it; sweep-scale runs keep the windowed-in-E averages and the
-    running L2 norm instead.
+    ask for it; sweep-scale runs keep the windowed-in-E averages, the
+    largest L2 norm over the steps and the minimum instead, each reduced
+    from the march one block of steps at a time.
     """
 
     times: np.ndarray
@@ -528,9 +558,14 @@ def solve_characteristics_eps(
     a cell of the one node y = E/eps, with rate sigma_eps; the march
     raises RuntimeError on a numerically singular implicit step or a
     spectral radius of (dt/2) R S of at least 1.  It marches the data's
-    r-rank: the rows of :func:`_rank_rows`.  The windowed averages and
-    the L2 norm come from the rows through C; the minimum too for rank
-    one, and the stored field and a higher-rank minimum are rebuilt.
+    r-rank: the rows of :func:`_rank_rows`.  The march yields blocks of
+    k consecutive steps, and each block is reduced with a few numpy calls
+    over its (k, rank, nw, nE) states, each step exactly as a one-step
+    block would reduce it.  The windowed averages and the L2 norm come
+    from the rows through C (one stacked product per block); the minimum
+    too for rank one, and the stored field and a higher-rank minimum are
+    rebuilt.  That minimum is rebuilt one step at a time, so its
+    temporary holds one step of slices, not a block.
     When sigma and the data are angle-blind the march steps one angle:
     the averages, the minimum and the L2 norm (scaled by n_omega) are
     taken on it, and it is broadcast to every angle only when written
@@ -544,7 +579,6 @@ def solve_characteristics_eps(
         raise ValueError("window count must divide the energy grid")
     we = grids.energy_weight(n_e)
 
-    r = grids.r_nodes
     active, base0 = _initial_slices(
         phi_in, grids, grids.angles[:, None, None], energies[:, None], y
     )  # (na, nw, nE, 1)
@@ -556,38 +590,35 @@ def solve_characteristics_eps(
     per_win = n_e // n_windows
     r_weight = 2.0 * grids.r_box / grids.n_r
     gram_weight = C.T @ C
-
-    def windowed_avg(f):
-        return f.reshape(f.shape[:-1] + (n_windows, per_win)).mean(axis=-1)
-
-    def l2_norm(f):
+    # a rank-one c f is least at min f where c > 0 and at max f where c < 0
+    ends = [end for end, used in ((np.min, C.max() > 0), (np.max, C.min() < 0)) if used]
+    full = np.empty((n_steps + 1,) + base0.shape[:-1]) if store_full else None
+    windowed = np.empty((n_steps + 1,) + base0.shape[:-2] + (n_windows,))
+    sup_l2, min_value, n = 0.0, np.inf, 0
+    for block in march:
+        psi, k = block[..., 0], len(block)  # (k, rank, nw, nE)
+        if store_full:
+            full[n:n + k] = _expand(C, psi)
+        windows = psi.reshape(psi.shape[:-1] + (n_windows, per_win))
+        windowed[n:n + k] = _expand(C, windows.mean(axis=-1))
         # sum over slices of |C f|^2 = sum (C^T C) * (f f^T); numpy's sums
         # keep it independent of the BLAS thread count, which splits dot.
         # A one-angle field stands for n_omega equal angles
-        copies = grids.n_omega // f.shape[1]
-        f = f.reshape(len(f), -1)
-        gram = np.stack([(f * fa).sum(axis=1) for fa in f])
-        sq = float(np.sum(gram_weight * gram))
-        return float(np.sqrt(sq * copies * we * grids.angle_weight * r_weight))
-
-    def slice_min(f):
-        if len(f) > 1:
-            return float(_expand(C, f).min())
-        return float(np.min(C * [f.min(), f.max()]))
-
-    full = np.empty((n_steps + 1,) + base0.shape[:-1]) if store_full else None
-    windowed = np.empty((n_steps + 1,) + base0.shape[:-2] + (n_windows,))
-    sup_l2, min_value = 0.0, np.inf
-    for n, phi in enumerate(march):
-        psi = phi[..., 0]
-        if store_full:
-            full[n] = _expand(C, psi)
-        windowed[n] = _expand(C, windowed_avg(psi))
-        sup_l2 = max(sup_l2, l2_norm(psi))
-        min_value = min(min_value, slice_min(psi))
+        copies = grids.n_omega // psi.shape[2]
+        f = psi.reshape(k, len(rows), -1)
+        gram = np.stack([(f * f[:, a, None]).sum(axis=-1) for a in range(len(rows))], axis=1)
+        sq = (gram_weight * gram).sum(axis=(1, 2))
+        l2 = np.sqrt(sq * copies * we * grids.angle_weight * r_weight)
+        sup_l2 = max(sup_l2, float(l2.max()))
+        if len(rows) > 1:  # step by step: the expanded block is na/rank times larger
+            low = min(float(_expand(C, psi[i:i + 1]).min()) for i in range(k))
+        else:
+            low = float(np.min(C * [end(psi) for end in ends]))
+        min_value = min(min_value, low)
+        n += k
     return CharacteristicsSolution(
         times,
-        r[active],
+        grids.r_nodes[active],
         grids.angles,
         energies,
         full,
@@ -613,9 +644,9 @@ def solve_two_scale_transport(
     oscillatory solver it is compared with.  Returns the homogenized
     field psi_hom = <phi>_y at every step.  Only the data's r-rank is
     marched, the rows of :func:`_rank_rows` over the r-slices where phi_in
-    is nonzero, and psi_hom = C <rows>_y; the returned field covers every
-    r-node.  Angle-blind sigma and data march one angle, broadcast to
-    every angle in psi_hom.
+    is nonzero, and psi_hom = C <rows>_y, written once per block of steps
+    of the march; the returned field covers every r-node.  Angle-blind
+    sigma and data march one angle, broadcast to every angle in psi_hom.
     """
     energies = grids.energy_nodes()
     y = PeriodicGrid(grids.n_y).nodes[None, :]
@@ -630,8 +661,10 @@ def solve_two_scale_transport(
     weight = grids.energy_weight() * (1.0 / grids.n_y)
     C, rows = _rank_rows(phi0)
     march = _march(grids, energies, k1, k2y, weight, rate, rows, dt, n_steps)
-    for n, phi in enumerate(march):
-        psis[n, active] = _expand(C, phi.mean(axis=3))
+    n = 0
+    for block in march:
+        psis[n:n + len(block), active] = _expand(C, block.mean(axis=4))
+        n += len(block)
     return PhaseSpaceField(times, r, grids.angles, energies, psis)
 
 

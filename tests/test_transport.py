@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homokin.cell import PeriodicGrid
+from homokin import transport
 from homokin.harness import ExperimentConfig, run_experiment
 from homokin.transport import (
     OpticalParameters,
@@ -21,6 +22,7 @@ from homokin.transport import (
     _energy_rank,
     _eps_set_up,
     _gap_index,
+    _initial_slices,
     _march,
     _mu_table,
     _rank_rows,
@@ -989,6 +991,35 @@ class TestRankMarch:
         ])
         assert np.array_equal(sol.values[0], data)
 
+    def test_signed_zeros_are_distinct_slices_of_one_row(self):
+        # 0.0 and -0.0 compare equal but differ in their bytes: the second
+        # slice is no copy of the first, and the Gram-Schmidt gives it the
+        # exact coefficient 1 on the first slice's row
+        positive = np.maximum(0.0, np.sin(np.linspace(0.0, 6.0, 40))).reshape(4, 10)
+        negative = np.where(positive == 0.0, -0.0, positive)
+        assert np.array_equal(positive, negative)
+        assert positive.tobytes() != negative.tobytes()
+        C, rows = _rank_rows(np.stack([positive, negative, positive]))
+        assert np.array_equal(C, np.ones((3, 1)))
+        assert rows.tobytes() == positive.tobytes()
+
+    def test_the_default_grids_hat_slices(self):
+        # the 8 active slices of the default n_r = 32: 4 mirror pairs of
+        # bitwise-equal slices, one rank row, and 8 copies of one slice
+        grids = TransportGrids()
+        y = PeriodicGrid(grids.n_y).nodes[None, :]
+        axes = (grids.angles[:, None, None], grids.energy_nodes()[:, None], y)
+        active, slices = _initial_slices(hat_initial_data(0.5), grids, *axes)
+        assert len(active) == 8
+        assert all(np.array_equal(a, b) for a, b in zip(slices, slices[::-1]))
+        C, rows = _rank_rows(slices)
+        assert len(rows) == 1 and np.array_equal(C[:, 0], C[::-1, 0])
+        assert np.array_equal(rows[0], slices[3]) and C[3, 0] == 1.0
+        hat = np.maximum(0.0, 1.0 - np.abs(grids.r_nodes[active]) / 0.5)
+        assert np.max(np.abs(C[:, 0] - hat / hat[3])) <= 1e-15
+        C, rows = _rank_rows(np.stack([slices[3]] * 8))
+        assert np.array_equal(C, np.ones((8, 1))) and np.array_equal(rows, slices[3:4])
+
 
 class TestEnergyRankStep:
     """The march's implicit step in the energy rank of the kernel tables."""
@@ -1047,8 +1078,8 @@ class TestEnergyRankStep:
         weight = grids.energy_weight() / grids.n_y
 
         def last(rate, phi0):
-            *_, phi = _march(grids, E, k1, k2y, weight, rate, phi0[None], 0.05, 4)
-            return phi
+            *_, block = _march(grids, E, k1, k2y, weight, rate, phi0[None], 0.05, 4)
+            return block[-1]
 
         blind = last(rate, hat)
         assert blind.shape == (1, 1) + hat.shape[1:]
@@ -1060,6 +1091,183 @@ class TestEnergyRankStep:
         full = last(nudged, hat)
         assert full.shape == (1,) + hat.shape
         assert np.max(np.abs(full - blind)) <= 1e-13 * np.max(np.abs(full))
+
+
+# two angles and 16 r-nodes: the hat's 4 active slices have coefficients
+# 1/3, 1, 1, 1/3 on their one rank row
+BLOCK_GRIDS = TransportGrids(n_omega=2, n_e=48, n_y=64, n_r=16)
+BLOCK_EPS, BLOCK_PER_PERIOD = 1 / 64, 100  # 4800 eps-grid energy nodes
+# eight times the preset's kappa2, far past subcritical: the L2 norm grows,
+# so its sup is at the last step, in the last block
+GROWING = OpticalParameters(
+    sigma=SUB.sigma, kappa1=SUB.kappa1, kappa2=lambda mu, Ep, yp: 8.0 * SUB.kappa2(mu, Ep, yp)
+)
+BOUNDARIES = pytest.mark.parametrize("at", range(5), ids=("1", "k-1", "k", "k+1", "2k+3"))
+
+
+def block_steps(k: int) -> tuple:
+    """Step counts around blocks of k states.  A run holds n_steps + 1
+    states: 2 (inside the first block), k (one full block), k + 1 and
+    k + 2 (just past it) and 2 k + 4 (two full blocks and four states)."""
+    return (1, k - 1, k, k + 1, 2 * k + 3)
+
+
+def steps_per_block(state_size: int) -> int:
+    return max(1, transport.MARCH_CHUNK // state_size)
+
+
+def eps_slices(params, phi_in, grids, eps, per_period):
+    """The solver's active slices and their factors, C and the rank rows."""
+    energies, y = _eps_set_up(params, grids, eps, nodes_per_period=per_period)[:2]
+    base0 = _initial_slices(
+        phi_in, grids, grids.angles[:, None, None], energies[:, None], y
+    )[1]
+    return energies, _rank_rows(base0)
+
+
+def chars_at(params, phi_in, grids, eps, per_period, n_steps):
+    return solve_characteristics_eps(
+        params, phi_in, eps, grids, t_end=0.5, n_steps=n_steps,
+        nodes_per_period=per_period, store_full=True,
+    )
+
+
+class TestMarchBlocks:
+    """The march yields blocks of k = max(1, MARCH_CHUNK // state size)
+    consecutive states and both solvers reduce a block at a time.  Runs of
+    n_steps in block_steps(k) end inside, at and past a block boundary."""
+
+    @pytest.mark.parametrize(
+        "params, sign",
+        [(SUB, 1.0), (GROWING, 1.0), (SUB, -1.0), (SUB, lambda r: -np.sign(r))],
+        ids=("decaying", "growing", "negative", "odd"),
+    )
+    @BOUNDARIES
+    def test_chars_rank_one_reductions_are_per_step_bitwise(self, params, sign, at, monkeypatch):
+        # the stored field holds the rank row at a slice whose coefficient is
+        # exactly 1; the windowed means, the L2 norm and the minimum of the
+        # row taken step by step, as the one-step reductions take them.  The
+        # hat times -sign(r) has its row at r < 0 and coefficients -1, -1/3
+        # at r > 0, so its minimum is at the row's maximum
+        grids = BLOCK_GRIDS
+
+        def phi_in(r, th, E, y):
+            return (sign(r) if callable(sign) else sign) * hat_initial_data(0.5)(r, th, E, y)
+
+        energies, (C, rows) = eps_slices(params, phi_in, grids, BLOCK_EPS, BLOCK_PER_PERIOD)
+        n_e = len(energies)
+        k = steps_per_block(n_e)  # one angle, one rank row
+        assert C.shape == (4, 1) and 1 < k < 100
+        assert np.array_equal(np.abs(C[:, 0]) * 3.0, [1.0, 3.0, 3.0, 1.0])
+        n_steps = block_steps(k)[at]
+        sol = chars_at(params, phi_in, grids, BLOCK_EPS, BLOCK_PER_PERIOD, n_steps)
+        p = int(np.flatnonzero(C[:, 0] == 1.0)[0])
+        n_windows = sol.windowed.shape[-1]
+        we, r_weight = grids.energy_weight(n_e), 2.0 * grids.r_box / grids.n_r
+        windowed, l2, low = [], [], []
+        for field in sol.values:
+            f = field[p, :1]  # (angle, E) of the marched row
+            assert np.array_equal(field, np.broadcast_to((C @ f)[:, None], field.shape))
+            windowed.append(C @ f.reshape(n_windows, -1).mean(axis=-1)[None])
+            sq = float(np.sum(C.T @ C * (f * f).sum(axis=1)))
+            l2.append(float(np.sqrt(sq * grids.n_omega * we * grids.angle_weight * r_weight)))
+            low.append(float(np.min(C * [f.min(), f.max()])))
+        assert len(sol.values) == n_steps + 1
+        assert np.array_equal(sol.windowed, np.broadcast_to(
+            np.array(windowed)[:, :, None], sol.windowed.shape
+        ))
+        assert sol.sup_l2 == max(l2) and sol.min_value == min(low)
+        assert np.argmax(l2) == (0 if params is SUB else n_steps)
+        # one state per block is the step-by-step march
+        monkeypatch.setattr(transport, "MARCH_CHUNK", 1)
+        one = chars_at(params, phi_in, grids, BLOCK_EPS, BLOCK_PER_PERIOD, n_steps)
+        for name in ("values", "windowed", "sup_l2", "min_value"):
+            assert np.array_equal(getattr(sol, name), getattr(one, name)), name
+
+    @BOUNDARIES
+    def test_two_scale_rank_one_psi_hom_is_per_step_bitwise(self, at, monkeypatch):
+        grids, phi_in = BLOCK_GRIDS, hat_initial_data(0.5)
+        k = steps_per_block(grids.n_e * grids.n_y)  # one angle, one rank row
+        assert 1 < k < 100
+        n_steps = block_steps(k)[at]
+        sol = solve_two_scale_transport(SUB, phi_in, grids, t_end=0.5, n_steps=n_steps)
+        assert sol.values.shape[0] == n_steps + 1
+        E, y = grids.energy_nodes(), PeriodicGrid(grids.n_y).nodes[None, :]
+        k1, k2y, rate = _set_up(SUB, grids, E, y)
+        active, phi0 = _initial_slices(
+            phi_in, grids, grids.angles[:, None, None], E[:, None], y
+        )
+        C, rows = _rank_rows(phi0)
+        weight = grids.energy_weight() / grids.n_y
+        want = np.zeros_like(sol.values)
+        n = 0
+        for block in _march(grids, E, k1, k2y, weight, rate, rows, 0.5 / n_steps, n_steps):
+            for phi in block:
+                hom = phi.mean(axis=3)
+                want[n, active] = (C @ hom.reshape(len(hom), -1)).reshape((len(C),) + hom.shape[1:])
+                n += 1
+        assert np.array_equal(sol.values, want)
+        monkeypatch.setattr(transport, "MARCH_CHUNK", 1)
+        one = solve_two_scale_transport(SUB, phi_in, grids, t_end=0.5, n_steps=n_steps)
+        assert np.array_equal(sol.values, one.values)
+
+    @staticmethod
+    def _rank_two_data():
+        rng = np.random.default_rng(28)
+        phi_coef = rng.uniform(-1.0, 1.0, (2, len(_features(0.0, 1.0, 0.0))))
+        row_coef = np.array(
+            [[0, 0], [1, 0], [0, 1], [1, 1], [2, -1], [0, 0], [0.5, 0.5], [1, 0]]
+        )
+        return _coefficient_data(phi_coef, row_coef)
+
+    def _cases(self):
+        """(grids, eps, nodes per period, data, r-rank) of the all-angle and
+        rank-two runs; the tilted data has one rank row on every angle."""
+        return [
+            (TransportGrids(n_omega=4, n_e=48, n_y=64, n_r=16), BLOCK_EPS, 100, tilted_data, 1),
+            (RANK_GRIDS, 0.5, 400, self._rank_two_data(), 2),
+        ]
+
+    @pytest.mark.parametrize("case", range(2))
+    @BOUNDARIES
+    def test_all_angle_and_rank_two_data(self, case, at, monkeypatch):
+        # the reductions read off the stored field, to the dense-oracle gates
+        grids, eps, per_period, phi_in, rank = self._cases()[case]
+        energies, (C, rows) = eps_slices(SUB, phi_in, grids, eps, per_period)
+        assert len(rows) == rank and rows.shape[1] == grids.n_omega
+        k = steps_per_block(rows.size)
+        assert 1 < k < 100
+        n_steps = block_steps(k)[at]
+        sol = chars_at(SUB, phi_in, grids, eps, per_period, n_steps)
+        field = sol.values
+        assert len(field) == n_steps + 1
+        windows = field.reshape(field.shape[:-1] + (sol.windowed.shape[-1], -1)).mean(axis=-1)
+        assert np.max(np.abs(sol.windowed - windows)) < 1e-12
+        cell = grids.energy_weight(len(energies)) * grids.angle_weight * 2.0 * grids.r_box / grids.n_r
+        sup_l2 = np.sqrt((field**2).sum(axis=(1, 2, 3)) * cell).max()
+        assert abs(sol.sup_l2 - sup_l2) < 1e-12 * sup_l2
+        assert abs(sol.min_value - field.min()) < 1e-12
+        # psi_hom against the step-by-step march, one state per block
+        hom = solve_two_scale_transport(SUB, phi_in, grids, t_end=0.5, n_steps=n_steps)
+        monkeypatch.setattr(transport, "MARCH_CHUNK", 1)
+        one = chars_at(SUB, phi_in, grids, eps, per_period, n_steps)
+        assert np.array_equal(sol.values, one.values)
+        assert np.max(np.abs(sol.windowed - one.windowed)) < 1e-12
+        assert abs(sol.sup_l2 - one.sup_l2) < 1e-12 * sup_l2
+        assert abs(sol.min_value - one.min_value) < 1e-12
+        one_hom = solve_two_scale_transport(SUB, phi_in, grids, t_end=0.5, n_steps=n_steps)
+        assert np.max(np.abs(hom.values - one_hom.values)) < 1e-12
+
+    @pytest.mark.parametrize("phi_in", [hat_initial_data(0.5), tilted_data])
+    def test_blocked_march_matches_dense_oracle(self, phi_in, monkeypatch):
+        # blocks of three states: 2 k + 3 = 9 steps cross three boundaries
+        grids = TransportGrids(n_r=8, n_omega=4)
+        n_w = 1 if phi_in is not tilted_data else grids.n_omega
+        monkeypatch.setattr(transport, "MARCH_CHUNK", 3 * n_w * grids.eps_energy_count(0.25, 12))
+        assert_chars_match_dense_oracle(SUB, grids, 0.25, 12, n_steps=block_steps(3)[4], phi_in=phi_in)
+        grids = TransportGrids(n_omega=4, n_e=8, n_y=32, n_r=8)
+        monkeypatch.setattr(transport, "MARCH_CHUNK", 3 * n_w * grids.n_e * grids.n_y)
+        assert_two_scale_matches_dense_oracle(SUB, grids, 0.5, block_steps(3)[4], phi_in=phi_in)
 
 
 class TestClosedKernelEquivalence:
