@@ -51,9 +51,11 @@ raises ConfigError.  Since labels do not interact and the march is
 linear, slices that are proportional at t = 0 stay proportional, so both
 solvers march the data's r-rank, not its r-slices: :func:`_rank_rows`
 factors the active slices once as slices = C @ rows, the march runs on
-the rows, and every output is mapped back through C.  The march hands
-the solvers blocks of consecutive steps (MARCH_CHUNK floats), and each
-solver reduces a whole block at once.
+the rows, and every output is mapped back through C.  psi_hom is
+returned in those factors (:class:`HomogenizedField`) and expanded only
+where it is read.  Initial data that is not finite at some r-node raises
+ValueError.  The march hands the solvers blocks of consecutive steps
+(MARCH_CHUNK floats), and each solver reduces a whole block at once.
 """
 from __future__ import annotations
 
@@ -73,6 +75,8 @@ EPS_TABLE_BUDGET = 2**23
 # raised the peak RSS by 2.5 MB.  An all-angle eps march at the finest
 # default eps (16 x 12007 nodes) falls back to one step per block.
 MARCH_CHUNK = 1 << 16
+# Floats of coercivity trials drawn and reduced at a time, 64 kB
+TRIAL_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,14 +185,16 @@ def _set_up(params: OpticalParameters, grids: TransportGrids, energies, y):
 
     ``y`` broadcasts against energies[:, None]: shape (nE, 1) holds the one
     node E/eps of each energy, shape (1, n_y) the periodic cell.  The rate
-    has shape (n_omega, nE, ny).
+    has shape (n_omega, nE, ny) and is a read-only broadcast view of
+    sqrt(E) sigma as sigma returns it, so a sigma that does not depend on
+    angle takes no n_omega copies.
     """
     ee = energies[:, None]
     k1 = _mu_table(params.kappa1, grids, energies)
     k2 = _mu_table(params.kappa2, grids, ee, y)
     shape = (grids.n_omega,) + np.broadcast(ee, y).shape
-    sig = params.sigma(grids.angles[:, None, None], ee, y) * np.ones(shape)
-    return k1, k2, np.sqrt(ee) * sig
+    rate = np.sqrt(ee) * params.sigma(grids.angles[:, None, None], ee, y)
+    return k1, k2, np.broadcast_to(rate, shape)
 
 
 def _eps_set_up(params, grids, epsilon: float, n_e=None, nodes_per_period=None):
@@ -243,17 +249,25 @@ def subcriticality_check(
 def _rayleigh_quotients(params, epsilon: float, grids, trials: int, seed: int, n_e):
     """<f, Q f> / <f, f> of Q = sigma_eps - K for ``trials`` seeded random f.
 
-    All trials are drawn at once and K runs through the solvers' energy
-    rank factors (:func:`_energy_rank` at h = 1); the inner products are
-    numpy sums, which do not depend on the BLAS thread count.
+    The trials are drawn and reduced TRIAL_CHUNK floats at a time from one
+    generator, whose consecutive draws are those of a single draw of all
+    of them.  K runs through the solvers' energy rank factors
+    (:func:`_energy_rank` at h = 1); the inner products are numpy sums,
+    which do not depend on the BLAS thread count.
     """
     energies, _, k1, k2, rate = _eps_set_up(params, grids, epsilon, n_e)
     we = grids.energy_weight(len(energies))
     Rk, s, A, _ = _energy_rank(grids, energies, k1, k2, we, 1.0)
-    F = np.random.default_rng(seed).standard_normal((trials,) + rate.shape)
-    QF = rate * F - _scatter(Rk, s, A.T, F)
-    wF = (grids.angle_weight * we) * F
-    return (wF * QF).sum(axis=(1, 2, 3)) / (wF * F).sum(axis=(1, 2, 3))
+    rng, per_chunk = np.random.default_rng(seed), max(1, TRIAL_CHUNK // rate.size)
+    quotients = np.empty(trials)
+    for start in range(0, trials, per_chunk):
+        F = rng.standard_normal((min(per_chunk, trials - start),) + rate.shape)
+        QF = rate * F - _scatter(Rk, s, A.T, F)
+        wF = (grids.angle_weight * we) * F
+        quotients[start:start + len(F)] = (
+            (wF * QF).sum(axis=(1, 2, 3)) / (wF * F).sum(axis=(1, 2, 3))
+        )
+    return quotients
 
 
 def coercivity_test(
@@ -268,17 +282,6 @@ def coercivity_test(
     if trials < 1:
         raise ValueError("need at least one trial")
     return float(_rayleigh_quotients(params, epsilon, grids, trials, seed, n_e).min())
-
-
-@dataclass(frozen=True, eq=False)
-class PhaseSpaceField:
-    """Kinetic field over (t, r, omega, E)."""
-
-    times: np.ndarray
-    r_nodes: np.ndarray
-    angles: np.ndarray
-    energies: np.ndarray
-    values: np.ndarray          # (nt, nr, nw, nE)
 
 
 def transport_preset(name: str) -> OpticalParameters:
@@ -314,12 +317,18 @@ def _initial_slices(phi_in, grids: TransportGrids, *axes) -> tuple[np.ndarray, n
 
     ``axes`` are the (omega, E[, y]) arguments after r, broadcast to the
     slice shape.  Labels do not interact and every solver is linear, so
-    the slices left out stay exactly zero.  Data that vanishes on every
-    r-node raises ConfigError.
+    the slices left out stay exactly zero.  A slice holding a NaN or an
+    infinity raises ValueError naming its r-node, and data that vanishes
+    on every r-node raises ConfigError.
     """
     r = grids.r_nodes
-    slices = ((i, phi_in(rv, *axes)) for i, rv in enumerate(r))
-    kept = [(i, s) for i, s in slices if np.abs(s).max() > 0]
+    kept = []
+    for i, rv in enumerate(r):
+        s = phi_in(rv, *axes)
+        if not np.all(np.isfinite(s)):
+            raise ValueError(f"initial data is not finite at the r-node {rv:g}")
+        if np.any(s):
+            kept.append((i, s))
     if not kept:
         raise ConfigError(
             f"n_r: initial data vanishes on all {len(r)} r-nodes; "
@@ -532,6 +541,7 @@ class CharacteristicsSolution:
 
     times: np.ndarray
     r_nodes: np.ndarray          # active slices only
+    active: np.ndarray           # their indices in grids.r_nodes
     angles: np.ndarray
     energies: np.ndarray
     values: np.ndarray | None    # (nt+1, na, nw, nE) if stored
@@ -619,6 +629,7 @@ def solve_characteristics_eps(
     return CharacteristicsSolution(
         times,
         grids.r_nodes[active],
+        active,
         grids.angles,
         energies,
         full,
@@ -628,25 +639,45 @@ def solve_characteristics_eps(
     )
 
 
+@dataclass(frozen=True, eq=False)
+class HomogenizedField:
+    """psi_hom over (t, r, omega, E), kept in the factors it is marched in.
+
+    At the active r-nodes ``r_nodes[active]`` psi_hom at step n is
+    ``C @ means[n]``, mapped by :func:`_expand`; it is exactly zero at the
+    other r-nodes.  ``means`` holds the y-means of the marched rank rows,
+    shape (nt, rank, n_omega or 1, nE); one angle stands for all n_omega
+    when sigma and the data are angle-blind.
+    """
+
+    times: np.ndarray
+    r_nodes: np.ndarray          # every r-node of the grid
+    active: np.ndarray           # indices of the nonzero slices
+    angles: np.ndarray
+    energies: np.ndarray
+    C: np.ndarray                # (len(active), rank)
+    means: np.ndarray            # (nt, rank, nw or 1, nE)
+
+
 def solve_two_scale_transport(
     params: OpticalParameters,
     phi_in,
     grids: TransportGrids,
     t_end: float = 1.5,
     n_steps: int = 300,
-) -> PhaseSpaceField:
+) -> HomogenizedField:
     """Product-trapezoid march of the two-scale field phi(r, w, E, y).
 
     phi starts at phi_in and solves dphi/dt = -sqrt(E) sigma phi + S R phi
     through :func:`_march`, where R reduces phi over (w', E', y') against
     kappa2, so the scattering term does not depend on y.  The decay is
     exact at each cell node and the time error is O(dt^2), that of the
-    oscillatory solver it is compared with.  Returns the homogenized
-    field psi_hom = <phi>_y at every step.  Only the data's r-rank is
+    oscillatory solver it is compared with.  Only the data's r-rank is
     marched, the rows of :func:`_rank_rows` over the r-slices where phi_in
-    is nonzero, and psi_hom = C <rows>_y, written once per block of steps
-    of the march; the returned field covers every r-node.  Angle-blind
-    sigma and data march one angle, broadcast to every angle in psi_hom.
+    is nonzero, and the homogenized field psi_hom = <phi>_y comes back in
+    that form: the active indices, C and the y-means of the rows at every
+    step, one block of steps at a time.  Angle-blind sigma and data march
+    one angle, and the means keep that one angle.
     """
     energies = grids.energy_nodes()
     y = PeriodicGrid(grids.n_y).nodes[None, :]
@@ -654,44 +685,44 @@ def solve_two_scale_transport(
     active, phi0 = _initial_slices(
         phi_in, grids, grids.angles[:, None, None], energies[:, None], y
     )  # (na, nw, nE, ny)
-    r = grids.r_nodes
     times = np.linspace(0.0, t_end, n_steps + 1)
     dt = times[1] - times[0]
-    psis = np.zeros((n_steps + 1, len(r)) + phi0.shape[1:3])
     weight = grids.energy_weight() * (1.0 / grids.n_y)
     C, rows = _rank_rows(phi0)
     march = _march(grids, energies, k1, k2y, weight, rate, rows, dt, n_steps)
-    n = 0
-    for block in march:
-        psis[n:n + len(block), active] = _expand(C, block.mean(axis=4))
-        n += len(block)
-    return PhaseSpaceField(times, r, grids.angles, energies, psis)
+    means = np.concatenate([block.mean(axis=4) for block in march])
+    return HomogenizedField(times, grids.r_nodes, active, grids.angles, energies, C, means)
 
 
 def windowed_weak_error(
     eps_sol: CharacteristicsSolution,
-    hom_field: PhaseSpaceField,
+    hom_field: HomogenizedField,
     n_windows: int = 6,
 ) -> float:
     """Max over (t, r, omega, window) of the windowed-in-E average gap.
 
-    Each field integrates over the windows with its own quadrature, the
-    homogenized reference is restricted to the oscillatory run's active
-    r-slices and interpolated linearly onto its time grid.  Window edges
-    must align with the cells of both energy grids.
+    Each field integrates over the windows with its own quadrature.  The
+    homogenized reference is read at the oscillatory run's active r-slices
+    by index, zero where it has no active slice, expanded through C and
+    only then windowed, and interpolated linearly onto the oscillatory
+    time grid.  ValueError when the r-grids differ at those indices or
+    when window edges do not align with the cells of both energy grids.
     """
     per_hom = len(hom_field.energies) // n_windows
     if per_hom * n_windows != len(hom_field.energies):
         raise ValueError("window count must divide the reference energy grid")
     if eps_sol.windowed is None or eps_sol.windowed.shape[-1] != n_windows:
         raise ValueError("oscillatory solution lacks matching windowed data")
-    r_idx = []
-    for rv in eps_sol.r_nodes:
-        matches = np.nonzero(np.abs(hom_field.r_nodes - rv) < 1e-12)[0]
-        if len(matches) != 1:
-            raise ValueError("r-grids of the two solutions do not align")
-        r_idx.append(matches[0])
-    hom_vals = hom_field.values[:, r_idx]
+    r, active = hom_field.r_nodes, eps_sol.active
+    if active.max() >= len(r) or not np.array_equal(r[active], eps_sol.r_nodes):
+        raise ValueError("r-grids of the two solutions do not align")
+    # each active slice of the oscillatory run reads its slice of psi_hom,
+    # or the zero slice appended last where psi_hom has none
+    slot = np.full(len(r), len(hom_field.active))
+    slot[hom_field.active] = np.arange(len(hom_field.active))
+    expanded = _expand(hom_field.C, hom_field.means)
+    zero = np.zeros_like(expanded[:, :1])
+    hom_vals = np.concatenate([expanded, zero], axis=1)[:, slot[active]]
     hom_win = hom_vals.reshape(hom_vals.shape[:-1] + (n_windows, per_hom)).mean(
         axis=-1
     )

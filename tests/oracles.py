@@ -49,7 +49,11 @@ The other oracles check the package against routes it no longer runs:
   :func:`homokin.transport.subcriticality_check` reads;
 - :func:`solve_closed_kernel_transport`, the closed memory-kernel route
   to psi_hom, against the two-scale march of
-  :func:`homokin.transport.solve_two_scale_transport`.
+  :func:`homokin.transport.solve_two_scale_transport`, with its own dense
+  output :class:`PhaseSpaceField`;
+- :func:`dense_psi_hom`, the factored psi_hom of
+  :func:`homokin.transport.solve_two_scale_transport` expanded over every
+  r-node and angle, the one place where the tests densify it.
 """
 
 from __future__ import annotations
@@ -76,9 +80,10 @@ from homokin.diagnostics import ConvergenceReport, EnergyField
 from homokin.multiscale import OdeProblem
 from homokin.oscillator import YoungMeasure, cell_averaged_limit
 from homokin.transport import (
+    HomogenizedField,
     OpticalParameters,
-    PhaseSpaceField,
     TransportGrids,
+    _expand,
     _gap_index,
     _initial_slices,
     _mu_table,
@@ -650,6 +655,27 @@ def implicit_inverse(C: np.ndarray) -> Callable:
             )
     inv_t = step_inv.T
     return lambda g: (g.reshape(len(g), -1) @ inv_t).reshape(g.shape)
+
+
+@dataclass(frozen=True, eq=False)
+class PhaseSpaceField:
+    """Dense kinetic field over (t, r, omega, E)."""
+
+    times: np.ndarray
+    r_nodes: np.ndarray
+    angles: np.ndarray
+    energies: np.ndarray
+    values: np.ndarray          # (nt, nr, nw, nE)
+
+
+def dense_psi_hom(field: HomogenizedField) -> np.ndarray:
+    """psi_hom on every (t, r, omega, E): zero off the active r-nodes,
+    C @ means through :func:`homokin.transport._expand` on them, and a
+    one-angle field broadcast to every angle."""
+    shape = (len(field.times), len(field.r_nodes), len(field.angles), len(field.energies))
+    out = np.zeros(shape)
+    out[:, field.active] = _expand(field.C, field.means)
+    return out
 
 
 def solve_closed_kernel_transport(

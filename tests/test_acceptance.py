@@ -36,6 +36,7 @@ from homokin.volterra import TimeGrid, VolterraProblem, solve_volterra
 from oracles import (
     averaged_rotation_laplace_numeric,
     convergence_study,
+    dense_psi_hom,
     matrix_B,
     memory_kernel_eval,
     regularized_kernel_laplace,
@@ -265,7 +266,7 @@ def test_criterion_08_transport_consistency():
 
     # (d) the closed memory-kernel route rebuilds psi_hom without the corrector
     closed = solve_closed_kernel_transport(sub, phi_in, grids, t_end=1.0, n_steps=150)
-    closed_gap = float(np.max(np.abs(closed.values - hom.values)))
+    closed_gap = float(np.max(np.abs(closed.values - dense_psi_hom(hom))))
     elapsed = time.time() - start
     checks = [
         decay_gap <= 1e-8,

@@ -1,5 +1,8 @@
 """Transport tests: subcriticality, coercivity, solvers, equivalences."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,7 @@ from homokin.transport import (
     _bars,
     _energy_rank,
     _eps_set_up,
+    _expand,
     _gap_index,
     _initial_slices,
     _march,
@@ -32,6 +36,7 @@ from homokin.transport import (
 from oracles import (
     GapScattering,
     PairScattering,
+    dense_psi_hom,
     pair_mu_table,
     sample_sigma,
     scattering_matrix,
@@ -329,6 +334,21 @@ class TestCoercivity:
         q2 = coercivity_test(SUB, 0.125, GRIDS, trials=10, seed=3)
         assert q1 == q2
 
+    @pytest.mark.parametrize("grids", [GRIDS, TransportGrids(n_e=48, n_r=8, n_y=64)])
+    def test_trial_chunks_are_one_draw(self, grids, monkeypatch):
+        # consecutive draws of one generator are the numbers of one big draw
+        # and each trial is reduced on its own: the quotients of the chunks
+        # (16 and 10 trials here) are those of all trials at once, bitwise.
+        # One trial per chunk contracts through other BLAS kernels, so it
+        # agrees to rounding
+        chunked = _rayleigh_quotients(SUB, 0.0625, grids, 100, 12345, None)
+        monkeypatch.setattr(transport, "TRIAL_CHUNK", 1 << 30)
+        whole = _rayleigh_quotients(SUB, 0.0625, grids, 100, 12345, None)
+        monkeypatch.setattr(transport, "TRIAL_CHUNK", 1)
+        single = _rayleigh_quotients(SUB, 0.0625, grids, 100, 12345, None)
+        assert np.array_equal(chunked, whole)
+        assert np.max(np.abs(single - whole)) <= 1e-14 * np.max(np.abs(whole))
+
 
 @pytest.mark.parametrize("eps", [0.0, -0.1])
 @pytest.mark.parametrize(
@@ -534,7 +554,7 @@ def assert_two_scale_matches_dense_oracle(
         hist_terms.append(K @ phis[-1])
     oracle = np.array(phis).T.reshape((len(grids.r_nodes),) + phi0.shape[1:] + (-1,))
     psis = np.moveaxis(oracle.mean(axis=3), -1, 0)
-    assert np.max(np.abs(sol.values - psis)) <= 1e-13
+    assert np.max(np.abs(dense_psi_hom(sol) - psis)) <= 1e-13
 
 
 class TestCharacteristicsSolver:
@@ -724,7 +744,7 @@ class TestTwoScaleTransport:
             )
             for n_y in (16, 2)
         )
-        assert np.max(np.abs(fine.values - coarse.values)) < 1e-14
+        assert np.max(np.abs(dense_psi_hom(fine) - dense_psi_hom(coarse))) < 1e-14
 
     def test_kappa0_two_valued_sigma_pointwise_average(self):
         params = OpticalParameters(
@@ -756,8 +776,7 @@ class TestTwoScaleTransport:
             ]
         )
         expect = (mean_decay + osc)[:, None, None, :] * hats[None, :, None, None]
-        got = np.moveaxis(sol.values, 1, 1)
-        assert np.max(np.abs(got - expect)) < 1e-6
+        assert np.max(np.abs(dense_psi_hom(sol) - expect)) < 1e-6
 
     def test_matches_dense_oracle(self):
         # sigma varies with (w, E) and kappa2 with y', both tables of energy
@@ -814,6 +833,29 @@ class TestTwoScaleTransport:
 
 
 class TestActiveSlices:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["one slice", "every active slice"])
+    @pytest.mark.parametrize("solver", ["two-scale", "characteristics"])
+    def test_non_finite_data_raises(self, bad, where, solver):
+        # a NaN fails every comparison, so a max > 0 test would drop its
+        # slice as if it were zero; the slice is named instead
+        grids = TransportGrids(n_omega=4, n_e=12, n_y=16, n_r=8)
+
+        def phi_in(r, th, E, y):
+            out = hat_initial_data(0.5)(r, th, E, y)
+            if abs(r) < 0.5 and (r > 0 or where == "every active slice"):
+                out[..., 0] = bad
+            return out
+
+        node = "-0.25" if where == "every active slice" else "0.25"
+        with pytest.raises(ValueError, match=f"not finite at the r-node {node}$"):
+            if solver == "two-scale":
+                solve_two_scale_transport(SUB, phi_in, grids, t_end=0.1, n_steps=2)
+            else:
+                solve_characteristics_eps(
+                    SUB, phi_in, 0.25, grids, t_end=0.1, n_steps=2, nodes_per_period=12
+                )
+
     def test_support_read_off_the_data(self):
         # a plain function carries no support attribute: the active
         # r-slices are read off its values at the r-nodes
@@ -828,7 +870,7 @@ class TestActiveSlices:
         chars = solve_characteristics_eps(
             SUB, phi_in, 0.25, grids, t_end=0.01, n_steps=2, nodes_per_period=12
         )
-        assert np.all(np.isfinite(ts.values))
+        assert np.all(np.isfinite(dense_psi_hom(ts)))
         assert np.all(np.isfinite(ck.values))
         assert np.array_equal(chars.r_nodes, [-0.25, 0.25])
 
@@ -840,9 +882,9 @@ class TestActiveSlices:
         phi_in = hat_initial_data(0.5)
         hom, chars, closed = [], [], []
         for grids in (narrow, wide):
-            hom.append(
-                solve_two_scale_transport(SUB, phi_in, grids, t_end=0.5, n_steps=50).values
-            )
+            hom.append(dense_psi_hom(
+                solve_two_scale_transport(SUB, phi_in, grids, t_end=0.5, n_steps=50)
+            ))
             closed.append(
                 solve_closed_kernel_transport(
                     SUB, phi_in, grids, t_end=0.5, n_steps=50
@@ -950,11 +992,11 @@ class TestRankMarch:
         phi_coef, rows = data
         chars = self._chars(_coefficient_data(phi_coef, rows))
         hom = self._hom(_coefficient_data(phi_coef, rows))
-        singles, hom_sum = [], np.zeros_like(hom.values)
+        singles, hom_sum = [], np.zeros_like(dense_psi_hom(hom))
         for i in np.nonzero(rows.any(axis=1))[0]:
             only_i = np.where(np.arange(len(rows))[:, None] == i, rows, 0.0)
             singles.append(self._chars(_coefficient_data(phi_coef, only_i)))
-            hom_sum += self._hom(_coefficient_data(phi_coef, only_i)).values
+            hom_sum += dense_psi_hom(self._hom(_coefficient_data(phi_coef, only_i)))
         values = np.concatenate([s.values for s in singles], axis=1)
         windowed = np.concatenate([s.windowed for s in singles], axis=1)
         we = RANK_GRIDS.energy_weight(len(chars.energies))
@@ -968,7 +1010,7 @@ class TestRankMarch:
         assert np.max(np.abs(chars.windowed - windowed)) <= gate
         assert abs(chars.sup_l2 - sup_l2) <= gate
         assert abs(chars.min_value - min(s.min_value for s in singles)) <= gate
-        assert np.max(np.abs(hom.values - hom_sum)) <= gate
+        assert np.max(np.abs(dense_psi_hom(hom) - hom_sum)) <= gate
 
     def test_equal_slices_share_a_row_with_coefficient_one(self):
         # three independent slice patterns, each repeated: every slice is a
@@ -1191,7 +1233,8 @@ class TestMarchBlocks:
         assert 1 < k < 100
         n_steps = block_steps(k)[at]
         sol = solve_two_scale_transport(SUB, phi_in, grids, t_end=0.5, n_steps=n_steps)
-        assert sol.values.shape[0] == n_steps + 1
+        field = dense_psi_hom(sol)
+        assert field.shape[0] == n_steps + 1
         E, y = grids.energy_nodes(), PeriodicGrid(grids.n_y).nodes[None, :]
         k1, k2y, rate = _set_up(SUB, grids, E, y)
         active, phi0 = _initial_slices(
@@ -1199,17 +1242,17 @@ class TestMarchBlocks:
         )
         C, rows = _rank_rows(phi0)
         weight = grids.energy_weight() / grids.n_y
-        want = np.zeros_like(sol.values)
+        want = np.zeros_like(field)
         n = 0
         for block in _march(grids, E, k1, k2y, weight, rate, rows, 0.5 / n_steps, n_steps):
             for phi in block:
                 hom = phi.mean(axis=3)
                 want[n, active] = (C @ hom.reshape(len(hom), -1)).reshape((len(C),) + hom.shape[1:])
                 n += 1
-        assert np.array_equal(sol.values, want)
+        assert np.array_equal(field, want)
         monkeypatch.setattr(transport, "MARCH_CHUNK", 1)
         one = solve_two_scale_transport(SUB, phi_in, grids, t_end=0.5, n_steps=n_steps)
-        assert np.array_equal(sol.values, one.values)
+        assert np.array_equal(sol.means, one.means)
 
     @staticmethod
     def _rank_two_data():
@@ -1256,7 +1299,7 @@ class TestMarchBlocks:
         assert abs(sol.sup_l2 - one.sup_l2) < 1e-12 * sup_l2
         assert abs(sol.min_value - one.min_value) < 1e-12
         one_hom = solve_two_scale_transport(SUB, phi_in, grids, t_end=0.5, n_steps=n_steps)
-        assert np.max(np.abs(hom.values - one_hom.values)) < 1e-12
+        assert np.max(np.abs(dense_psi_hom(hom) - dense_psi_hom(one_hom))) < 1e-12
 
     @pytest.mark.parametrize("phi_in", [hat_initial_data(0.5), tilted_data])
     def test_blocked_march_matches_dense_oracle(self, phi_in, monkeypatch):
@@ -1276,7 +1319,7 @@ class TestClosedKernelEquivalence:
         phi_in = hat_initial_data(0.5)
         ts = solve_two_scale_transport(SUB, phi_in, grids, t_end=0.75, n_steps=600)
         ck = solve_closed_kernel_transport(SUB, phi_in, grids, t_end=0.75, n_steps=600)
-        assert np.max(np.abs(ts.values - ck.values)) < 1e-6
+        assert np.max(np.abs(dense_psi_hom(ts) - ck.values)) < 1e-6
 
     def test_stiff_sigma_stays_bounded(self):
         # sqrt(E) sigma up to 2500, about ten times what an RK4 step of this
@@ -1294,7 +1337,7 @@ class TestClosedKernelEquivalence:
         ts = solve_two_scale_transport(
             stiff, hat_initial_data(0.5), grids, t_end=0.2, n_steps=50
         )
-        for values in (ck.values, ts.values):
+        for values in (ck.values, dense_psi_hom(ts)):
             assert np.all(np.isfinite(values))
             assert np.max(np.abs(values)) <= 0.5
 
@@ -1399,7 +1442,7 @@ class TestClosedKernelEquivalence:
         grids = TransportGrids(n_omega=4, n_e=8, n_y=32, n_r=8)
         ts = solve_two_scale_transport(params, phi_in, grids, t_end=0.75, n_steps=600)
         ck = solve_closed_kernel_transport(params, phi_in, grids, t_end=0.75, n_steps=600)
-        assert np.max(np.abs(ts.values - ck.values)) < 1e-6
+        assert np.max(np.abs(dense_psi_hom(ts) - ck.values)) < 1e-6
 
 
 class TestWeakSweep:
@@ -1417,3 +1460,105 @@ class TestWeakSweep:
             sups.append(sol.sup_l2)
         assert 1.5 <= errs[0] / errs[1] <= 3.0
         assert max(sups) / min(sups) < 1.05  # uniform a-priori bound
+
+
+class TestFactoredPsiHom:
+    """solve_two_scale_transport returns psi_hom as the active r-indices,
+    C and the y-means of the marched rank rows."""
+
+    @pytest.mark.parametrize("case", ["hat", "tilted", "rank two"])
+    def test_expanded_field_is_expand_of_the_marched_means(self, case):
+        grids = RANK_GRIDS
+        phi_in, rank, n_w = {
+            "hat": (hat_initial_data(0.5), 1, 1),
+            "tilted": (tilted_data, 1, grids.n_omega),
+            "rank two": (TestMarchBlocks._rank_two_data(), 2, grids.n_omega),
+        }[case]
+        n_steps = 30
+        sol = solve_two_scale_transport(SUB, phi_in, grids, t_end=0.5, n_steps=n_steps)
+        E, y = grids.energy_nodes(), PeriodicGrid(grids.n_y).nodes[None, :]
+        k1, k2y, rate = _set_up(SUB, grids, E, y)
+        active, phi0 = _initial_slices(
+            phi_in, grids, grids.angles[:, None, None], E[:, None], y
+        )
+        C, rows = _rank_rows(phi0)
+        weight = grids.energy_weight() / grids.n_y
+        march = _march(grids, E, k1, k2y, weight, rate, rows, 0.5 / n_steps, n_steps)
+        means = np.stack([phi.mean(axis=3) for block in march for phi in block])
+        assert means.shape == (n_steps + 1, rank, n_w, grids.n_e)
+        assert np.array_equal(sol.active, active) and np.array_equal(sol.C, C)
+        assert np.array_equal(sol.means, means)
+        field = dense_psi_hom(sol)
+        assert np.array_equal(
+            field[:, active], np.broadcast_to(_expand(C, means), field[:, active].shape)
+        )
+        assert not np.any(np.delete(field, active, axis=1))
+
+    def test_weak_error_reads_slices_by_index(self):
+        grids = TransportGrids(n_omega=4, n_e=12, n_y=16, n_r=8)
+        phi_in = hat_initial_data(0.5)
+        hom = solve_two_scale_transport(SUB, phi_in, grids, t_end=0.5, n_steps=20)
+        sol = solve_characteristics_eps(
+            SUB, phi_in, 0.25, grids, t_end=0.5, n_steps=20, nodes_per_period=12,
+            n_windows=3,
+        )
+        assert np.array_equal(sol.active, hom.active)
+        assert np.array_equal(grids.r_nodes[sol.active], sol.r_nodes)
+        err = windowed_weak_error(sol, hom, 3)
+        assert 0.0 < err < 0.1
+        # a slice active only in the oscillatory run is compared against zero
+        only_right = dataclasses.replace(hom, active=hom.active[1:], C=hom.C[1:])
+        gap = np.max(np.abs(sol.windowed[:, 0]))
+        assert windowed_weak_error(sol, only_right, 3) == max(err, gap)
+        # r-grids of different n_r do not align
+        finer = TransportGrids(n_omega=4, n_e=12, n_y=16, n_r=16)
+        hom_finer = solve_two_scale_transport(SUB, phi_in, finer, t_end=0.5, n_steps=20)
+        with pytest.raises(ValueError, match="do not align"):
+            windowed_weak_error(sol, hom_finer, 3)
+        with pytest.raises(ValueError, match="do not align"):
+            windowed_weak_error(
+                solve_characteristics_eps(
+                    SUB, phi_in, 0.25, finer, t_end=0.5, n_steps=20,
+                    nodes_per_period=12, n_windows=3,
+                ),
+                hom, 3,
+            )
+
+
+# the benchmark's transport grids
+BENCH_GRIDS = TransportGrids(n_e=48, n_r=8, n_omega=16, n_y=64)
+
+
+def traced_peak_mb(run) -> float:
+    """tracemalloc peak of run() in MB, after one untraced call: the first
+    call in a process also counts numpy's lazy imports and caches."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    def test_two_scale_keeps_no_dense_field(self):
+        # the dense (151, 8, 16, 48) psi_hom alone took 7.08 MB
+        run = lambda: solve_two_scale_transport(
+            SUB, hat_initial_data(0.5), BENCH_GRIDS, t_end=1.0, n_steps=150
+        )
+        assert traced_peak_mb(run) < 3.5
+
+    @pytest.mark.parametrize("eps", [0.125, 0.0625, 0.03125])
+    def test_coercivity_trials_drawn_in_chunks(self, eps):
+        # all 100 trials at once took 614 kB per array
+        run = lambda: coercivity_test(SUB, eps, BENCH_GRIDS, trials=100, seed=12345)
+        assert traced_peak_mb(run) < 1.0
+
+    def test_rate_is_a_read_only_view(self):
+        E, y = GRIDS.energy_nodes(), PeriodicGrid(GRIDS.n_y).nodes[None, :]
+        rate = _set_up(SUB, GRIDS, E, y)[2]
+        want = np.sqrt(E)[:, None] * sample_sigma(SUB, GRIDS.angles, E, y[0])
+        assert np.array_equal(rate, want)
+        with pytest.raises(ValueError, match="read-only"):
+            rate[0, 0, 0] = 1.0
