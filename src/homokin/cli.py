@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers", type=int,
             help="sweep points run at once, on threads of this process (boltzmann)",
         )
-        p.add_argument("--seed", type=int)
+        p.add_argument("--seed", type=int, help="accepted for older configs; seeds nothing")
         for name in ("n-cell", "n-e", "n-omega", "n-r", "n-y"):
             p.add_argument(f"--{name}", type=int, dest=name.replace("-", "_"))
 

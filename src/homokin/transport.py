@@ -28,13 +28,15 @@ rotation invariant and each kappa table holds one row per angle gap
 min(|v - w|, n_omega - |v - w|) of a node pair (v, w).  :func:`_set_up`
 builds the tables and the rate sqrt(E) sigma for both solvers and both
 checks, on the node y = E/eps of each energy or on the periodic cell.
-Both solvers and the coercivity check apply K in the energy rank of its
+Both solvers and the coercivity check use K in the energy rank of its
 gap tables (:func:`_energy_rank`): the kappa2 table is factored once as
 Ck @ Rk with c rows, the kappa1 table as C1 @ R1 with c1 rows (c = c1 =
-1 for transport-subcritical-1, 0 for transport-kappa0), and a field
+1 for transport-subcritical-1, 0 for transport-kappa0), and a marched field
 enters K only through its c contractions against Rk per angle, in the
 three matrix products of :func:`_scatter`; no angle-pair field and no
-dense kernel matrix is built.  The implicit trapezoid step is a linear
+dense kernel matrix is built.  :func:`coercivity_test` splits
+sym(sigma_eps - K) by angular mode into n_E-square blocks and returns
+the exact least eigenvalue.  The implicit trapezoid step is a linear
 system of size n_omega c1, inverted once per run by
 :func:`_implicit_map`; a singular step, or one whose spectral radius
 reaches 1, raises RuntimeError.  Since K commutes with rotations of the
@@ -75,8 +77,6 @@ EPS_TABLE_BUDGET = 2**23
 # raised the peak RSS by 2.5 MB.  An all-angle eps march at the finest
 # default eps (16 x 12007 nodes) falls back to one step per block.
 MARCH_CHUNK = 1 << 16
-# Floats of coercivity trials drawn and reduced at a time, 64 kB
-TRIAL_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,13 +119,15 @@ class TransportGrids:
         return -self.r_box + (np.arange(self.n_r) + 0.5) * h
 
     def eps_energy_count(self, epsilon: float, nodes_per_period: int = 100) -> int:
-        """Energy nodes of the eps grid; ValueError for eps <= 0, MemoryError above budget.
+        """Energy nodes of the eps grid; ValueError for eps <= 0 or no node.
 
-        n_omega^2 n is held to EPS_TABLE_BUDGET.
+        n_omega^2 n is held to EPS_TABLE_BUDGET; MemoryError above it.
         """
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")
         n = int(round((self.e_max - self.e_min) * nodes_per_period / epsilon))
+        if n < 1:
+            raise ValueError(f"eps = {epsilon:g} gives {n} energy nodes; need at least one")
         if self.n_omega**2 * n > EPS_TABLE_BUDGET:
             raise MemoryError(
                 f"eps = {epsilon:g} needs {n} energy nodes, so n_omega^2 n_E = "
@@ -246,42 +248,30 @@ def subcriticality_check(
     return float(min(np.min(sig - bar), np.min(sig - tilde)))
 
 
-def _rayleigh_quotients(params, epsilon: float, grids, trials: int, seed: int, n_e):
-    """<f, Q f> / <f, f> of Q = sigma_eps - K for ``trials`` seeded random f.
-
-    The trials are drawn and reduced TRIAL_CHUNK floats at a time from one
-    generator, whose consecutive draws are those of a single draw of all
-    of them.  K runs through the solvers' energy rank factors
-    (:func:`_energy_rank` at h = 1); the inner products are numpy sums,
-    which do not depend on the BLAS thread count.
-    """
-    energies, _, k1, k2, rate = _eps_set_up(params, grids, epsilon, n_e)
-    we = grids.energy_weight(len(energies))
-    Rk, s, A, _ = _energy_rank(grids, energies, k1, k2, we, 1.0)
-    rng, per_chunk = np.random.default_rng(seed), max(1, TRIAL_CHUNK // rate.size)
-    quotients = np.empty(trials)
-    for start in range(0, trials, per_chunk):
-        F = rng.standard_normal((min(per_chunk, trials - start),) + rate.shape)
-        QF = rate * F - _scatter(Rk, s, A.T, F)
-        wF = (grids.angle_weight * we) * F
-        quotients[start:start + len(F)] = (
-            (wF * QF).sum(axis=(1, 2, 3)) / (wF * F).sum(axis=(1, 2, 3))
-        )
-    return quotients
-
-
 def coercivity_test(
     params: OpticalParameters,
     epsilon: float,
     grids: TransportGrids,
-    trials: int = 100,
-    seed: int = 0,
     n_e: int | None = None,
 ) -> float:
-    """Minimum Rayleigh quotient of Q over seeded random grid functions."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    return float(_rayleigh_quotients(params, epsilon, grids, trials, seed, n_e).min())
+    """Least eigenvalue of sym Q, Q = sigma_eps - K: the exact minimum Rayleigh quotient.
+
+    K is block-circulant in angle with blocks symmetric in the gap, so for
+    a rate constant in angle a real DFT over angles splits sym Q into
+    n_omega//2 + 1 real n_E-square blocks diag(rate) - sym(s^T A_m Rk), one
+    per mode m, with the factors of :func:`_energy_rank` at h = 1.  A rate
+    not bitwise constant in angle raises ValueError.
+    """
+    energies, _, k1, k2, rate = _eps_set_up(params, grids, epsilon, n_e)
+    if not np.all(rate == rate[:1]):
+        raise ValueError("coercivity_test needs a sigma that does not depend on angle")
+    we, nw = grids.energy_weight(len(energies)), grids.n_omega
+    Rk, s, A, _ = _energy_rank(grids, energies, k1, k2, we, 1.0)
+    # A[(0, i), (w, j)] is the block of the gap of w; A_m is its cosine sum
+    cos = np.cos(2.0 * np.pi * np.outer(np.arange(nw // 2 + 1), np.arange(nw)) / nw)
+    K_m = s.T @ np.einsum("mw,iwj->mij", cos, A.reshape(nw, len(s), nw, len(Rk))[0]) @ Rk
+    Q_m = np.diag(rate[0, :, 0]) - 0.5 * (K_m + K_m.transpose(0, 2, 1))
+    return float(np.linalg.eigvalsh(Q_m).min())
 
 
 def transport_preset(name: str) -> OpticalParameters:

@@ -43,9 +43,9 @@ The other oracles check the package against routes it no longer runs:
   its callable on the (omega, E, y) tensor grid and along y = E/eps,
   against the rate of the package's one transport set-up;
 - :func:`scattering_matrix`, the dense (n_omega n_E)^2 kernel matrix of K
-  on an eps grid, against the energy-rank factors through which
-  :func:`homokin.transport.coercivity_test` applies K and the rates
-  kappa_bar and kappa_tilde that
+  on an eps grid, whose symmetric part's least eigenvalue checks the
+  per-mode blocks of :func:`homokin.transport.coercivity_test`, and whose
+  row and column sums check the rates kappa_bar and kappa_tilde that
   :func:`homokin.transport.subcriticality_check` reads;
 - :func:`solve_closed_kernel_transport`, the closed memory-kernel route
   to psi_hom, against the two-scale march of

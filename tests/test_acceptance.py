@@ -186,12 +186,12 @@ def test_criterion_07_transport_coercivity():
     grids = TransportGrids()
     sub = transport_preset("transport-subcritical-1")
     margin = subcriticality_check(sub, 0.125, grids)
-    quotient = coercivity_test(sub, 0.125, grids, trials=100, seed=2026)
+    quotient = coercivity_test(sub, 0.125, grids)
     kappa0 = transport_preset("transport-kappa0")
     sig_min = float(
         np.min(sigma_eps(kappa0, grids.angles, grids.energy_nodes(), 0.125))
     )
-    q0 = coercivity_test(kappa0, 0.125, grids, trials=100, seed=2026)
+    q0 = coercivity_test(kappa0, 0.125, grids)
     checks = [margin > 0, quotient >= margin - 1e-6, q0 >= sig_min - 1e-12]
     ok = report(
         7,

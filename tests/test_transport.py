@@ -30,7 +30,6 @@ from homokin.transport import (
     _march,
     _mu_table,
     _rank_rows,
-    _rayleigh_quotients,
     _set_up,
 )
 from oracles import (
@@ -309,13 +308,29 @@ class TestSubcriticality:
 class TestCoercivity:
     def test_quotient_dominates_margin(self):
         margin = subcriticality_check(SUB, 0.125, GRIDS)
-        q = coercivity_test(SUB, 0.125, GRIDS, trials=100, seed=42)
+        q = coercivity_test(SUB, 0.125, GRIDS)
         assert q >= margin - 1e-6
 
     def test_kappa0_quotient_at_least_min_sigma(self):
         sig = sigma_eps(KAPPA0, GRIDS.angles, GRIDS.energy_nodes(), 0.125)
-        q = coercivity_test(KAPPA0, 0.125, GRIDS, trials=25, seed=7)
+        q = coercivity_test(KAPPA0, 0.125, GRIDS)
         assert q >= float(np.min(sig)) - 1e-12
+
+    @pytest.mark.parametrize("eps", [0.125, 0.0625, 1 / 80.1])
+    def test_kappa0_quotient_is_min_sigma(self, eps):
+        # K = 0: every mode block is diag(sigma_eps), whose least eigenvalue
+        # is its least entry
+        sig = sigma_eps(KAPPA0, GRIDS.angles, GRIDS.energy_nodes(), eps)
+        assert coercivity_test(KAPPA0, eps, GRIDS) == float(np.min(sig))
+
+    def test_angle_dependent_sigma_raises(self):
+        tilted = OpticalParameters(
+            sigma=lambda th, E, y: 2.0 + 0.1 * np.cos(th) + 0.0 * y,
+            kappa1=SUB.kappa1,
+            kappa2=SUB.kappa2,
+        )
+        with pytest.raises(ValueError, match="does not depend on angle"):
+            coercivity_test(tilted, 0.125, GRIDS)
 
     def test_constant_field_value(self):
         sig = sigma_eps(SUB, GRIDS.angles, GRIDS.energy_nodes(), 0.125).reshape(-1)
@@ -328,26 +343,6 @@ class TestCoercivity:
         qf = sig - K.sum(axis=1)
         oracle = float((w * qf).sum() / w.sum())
         assert abs(expect - oracle) < 1e-12
-
-    def test_deterministic_under_seed(self):
-        q1 = coercivity_test(SUB, 0.125, GRIDS, trials=10, seed=3)
-        q2 = coercivity_test(SUB, 0.125, GRIDS, trials=10, seed=3)
-        assert q1 == q2
-
-    @pytest.mark.parametrize("grids", [GRIDS, TransportGrids(n_e=48, n_r=8, n_y=64)])
-    def test_trial_chunks_are_one_draw(self, grids, monkeypatch):
-        # consecutive draws of one generator are the numbers of one big draw
-        # and each trial is reduced on its own: the quotients of the chunks
-        # (16 and 10 trials here) are those of all trials at once, bitwise.
-        # One trial per chunk contracts through other BLAS kernels, so it
-        # agrees to rounding
-        chunked = _rayleigh_quotients(SUB, 0.0625, grids, 100, 12345, None)
-        monkeypatch.setattr(transport, "TRIAL_CHUNK", 1 << 30)
-        whole = _rayleigh_quotients(SUB, 0.0625, grids, 100, 12345, None)
-        monkeypatch.setattr(transport, "TRIAL_CHUNK", 1)
-        single = _rayleigh_quotients(SUB, 0.0625, grids, 100, 12345, None)
-        assert np.array_equal(chunked, whole)
-        assert np.max(np.abs(single - whole)) <= 1e-14 * np.max(np.abs(whole))
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.1])
@@ -370,10 +365,27 @@ def test_nonpositive_epsilon_raises(check, eps):
         check(SUB, eps, GRIDS)
 
 
+@pytest.mark.parametrize(
+    "eps, per_period", [(1000.0, 100), (0.1, 0), (0.1, -5)], ids=["large-eps", "zero", "negative"]
+)
+def test_empty_eps_grid_raises(eps, per_period):
+    # 0.75 * 100 / 1000 rounds to 0 nodes; each route that builds the eps
+    # grid raises before it divides by the node count
+    with pytest.raises(ValueError, match="need at least one"):
+        GRIDS.eps_energy_count(eps, per_period)
+    with pytest.raises(ValueError, match="need at least one"):
+        _eps_set_up(SUB, GRIDS, eps, nodes_per_period=per_period)
+    with pytest.raises(ValueError, match="need at least one"):
+        solve_characteristics_eps(
+            SUB, hat_initial_data(0.5), eps, GRIDS, nodes_per_period=per_period
+        )
+
+
 @st.composite
-def optical_data(draw):
-    """Grids, random optical data with sigma > 0 depending on theta,
-    kappa1 >= 0 and kappa2 >= 0, an eps, and a seeded trial count."""
+def optical_data(draw, angle_blind=False):
+    """Grids, random optical data with sigma > 0, kappa1 >= 0 and
+    kappa2 >= 0, an eps, and a seeded trial count.  sigma has a
+    cos(theta) term unless ``angle_blind``."""
     grids = TransportGrids(
         n_omega=draw(st.integers(2, 8)),
         n_e=draw(st.integers(2, 10)),
@@ -381,9 +393,10 @@ def optical_data(draw):
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     s, a, b = rng.uniform(0.1, 1.0, 4), rng.uniform(0.0, 1.0, 3), rng.uniform(0.0, 1.0, 3)
+    tilt = 0.0 if angle_blind else 1.0
     params = OpticalParameters(
         sigma=lambda th, E, y: s[0]
-        + s[1] * (1.0 + np.cos(th + 2 * np.pi * s[2])) * E
+        + s[1] * (1.0 + tilt * np.cos(th + 2 * np.pi * s[2])) * E
         + s[3] * (1.0 + np.sin(2 * np.pi * y)),
         kappa1=lambda mu, E: a[0] + a[1] * mu**2 + a[2] * (1.0 + mu) * E,
         kappa2=lambda mu, Ep, yp: (b[0] + b[1] * (1.0 - mu))
@@ -394,13 +407,15 @@ def optical_data(draw):
 
 
 @st.composite
-def ranked_kernels(draw, angle_blind=False):
+def ranked_kernels(draw, angle_blind=False, signed=False):
     """kappa1(mu, E) and kappa2(mu, E', y') as sums of k1 and k2 terms
     T_m(mu) g_m, m < k, with T_m the Chebyshev polynomials and g_m cosines
     in E of frequency m (times a y'-profile for kappa2), so that their gap
     tables have energy rank k1 and k2, up to the gap count n_omega//2 + 1;
     an eps grid of 12 to 36 energy nodes and a cell of 2 to 8.  sigma has
-    a cos(theta) term unless ``angle_blind``."""
+    a cos(theta) term unless ``angle_blind``.  The kernels are positive
+    unless ``signed``, which drops their constant offsets and scales the
+    terms to 1, so that K takes either sign."""
     n_omega = draw(st.integers(2, 7))
     n_gap = n_omega // 2 + 1
     ranks = [draw(st.integers(1, n_gap)), draw(st.integers(1, n_gap))]
@@ -416,10 +431,11 @@ def ranked_kernels(draw, angle_blind=False):
         return np.cos(m * np.arccos(np.clip(mu, -1.0, 1.0))) * np.cos(np.pi * m * x)
 
     tilt = 0.0 if angle_blind else 0.2
+    (o1, w1), (o2, w2) = ((0.0, 1.0), (0.0, 1.0)) if signed else ((0.3, 0.05), (0.6, 0.1))
     params = OpticalParameters(
         sigma=lambda th, E, y: 2.0 + (0.5 + tilt * np.cos(th)) * np.sin(2 * np.pi * y),
-        kappa1=lambda mu, E: 0.3 + 0.05 * sum(c * term(m, mu, E) for m, c in enumerate(a)),
-        kappa2=lambda mu, Ep, yp: 0.6 + 0.1 * sum(
+        kappa1=lambda mu, E: o1 + w1 * sum(c * term(m, mu, E) for m, c in enumerate(a)),
+        kappa2=lambda mu, Ep, yp: o2 + w2 * sum(
             c * term(m, mu, Ep) * (1.0 + 0.5 * np.sin(2 * np.pi * (yp + shift[m])))
             for m, c in enumerate(b)
         ),
@@ -428,23 +444,38 @@ def ranked_kernels(draw, angle_blind=False):
     return grids, params, ranks, eps, per_period
 
 
-def assert_checks_match_dense_kernel(params, eps, grids, seed, trials, n_e=None):
-    """The checks against the dense matrix of tests/oracles.py.
-
-    Rayleigh quotients are gated at 1e-13 relative to max sigma_eps +
-    ||K||_2, which bounds them, and the rates, sums of nonnegative terms,
-    at 1e-13 relative to themselves.
-    """
+def dense_q(params, eps, grids, n_e=None):
+    """Q = sigma_eps - K from the dense matrix of tests/oracles.py, sigma_eps,
+    K, and the gate of Rayleigh quotients: 1e-13 relative to max sigma_eps
+    + ||K||_2, which bounds them."""
     K = scattering_matrix(params, eps, grids, n_e)
     sig = sigma_eps(params, grids.angles, grids.energy_nodes(n_e), eps).reshape(-1)
-    w = grids.angle_weight * grids.energy_weight(n_e)
-    rng = np.random.default_rng(seed)
-    F = [rng.standard_normal(len(sig)) for _ in range(trials)]  # one draw a trial
-    dense = np.array([((w * f) @ (sig * f - K @ f)) / ((w * f) @ f) for f in F])
-    got = _rayleigh_quotients(params, eps, grids, trials, seed, n_e)
     gate = 1e-13 * (np.max(np.abs(sig)) + np.linalg.norm(K, 2))
-    assert np.all(np.abs(got - dense) <= gate)
-    assert abs(coercivity_test(params, eps, grids, trials, seed, n_e) - dense.min()) <= gate
+    return np.diag(sig) - K, sig, K, gate
+
+
+def assert_checks_match_dense_kernel(params, eps, grids, seed, trials, angle_blind, n_e=None):
+    """The checks against the dense matrix of tests/oracles.py.
+
+    For angle-blind sigma, the minimum Rayleigh quotient is the least
+    eigenvalue of the symmetric part of the dense Q, and so at most each
+    of ``trials`` seeded trial quotients, both within the gate of
+    :func:`dense_q`.  A sigma that depends on angle raises ValueError.
+    The rates, sums of nonnegative terms, are gated at 1e-13 relative to
+    themselves.
+    """
+    Q, sig, K, gate = dense_q(params, eps, grids, n_e)
+    if angle_blind:
+        exact = np.linalg.eigvalsh(0.5 * (Q + Q.T))[0]
+        rng = np.random.default_rng(seed)
+        F = [rng.standard_normal(len(sig)) for _ in range(trials)]  # one draw a trial
+        sampled = np.array([(f @ (Q @ f)) / (f @ f) for f in F])
+        got = coercivity_test(params, eps, grids, n_e)
+        assert abs(got - exact) <= gate
+        assert np.all(got <= sampled + gate)
+    else:
+        with pytest.raises(ValueError, match="does not depend on angle"):
+            coercivity_test(params, eps, grids, n_e)
 
     bar, tilde = kappa_rates(params, eps, grids, n_e)
     for got, want in ((bar, K.sum(axis=1)), (tilde, K.sum(axis=0))):
@@ -458,24 +489,50 @@ class TestChecksAgainstDenseKernel:
     """The checks apply K through the energy-rank factors of the march;
     the dense kernel matrix is the oracle."""
 
-    @given(optical_data())
+    @given(st.booleans(), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_quotients_and_rates_match_dense_kernel(self, data):
-        grids, params, eps, seed, trials = data
-        assert_checks_match_dense_kernel(params, eps, grids, seed, trials)
+    def test_quotients_and_rates_match_dense_kernel(self, angle_blind, data):
+        grids, params, eps, seed, trials = data.draw(optical_data(angle_blind))
+        assert_checks_match_dense_kernel(params, eps, grids, seed, trials, angle_blind)
 
-    @given(ranked_kernels(), st.integers(0, 2**32 - 1), st.integers(1, 8))
+    @given(st.booleans(), st.data(), st.integers(0, 2**32 - 1), st.integers(1, 8))
     @settings(max_examples=40, deadline=None)
     def test_quotients_and_rates_match_dense_kernel_at_higher_rank(
-        self, data, seed, trials
+        self, angle_blind, data, seed, trials
     ):
         # optical_data's kappa2 tables have energy rank one; these reach the
         # gap count, on the eps grid of the characteristics solver
-        grids, params, ranks, eps, per_period = data
+        grids, params, ranks, eps, per_period = data.draw(ranked_kernels(angle_blind))
         n_e = grids.eps_energy_count(eps, per_period)
         k1, k2 = _eps_set_up(params, grids, eps, n_e)[2:4]
         assert [len(_rank_rows(t)[1]) for t in (k1, k2)] == ranks
-        assert_checks_match_dense_kernel(params, eps, grids, seed, trials, n_e)
+        assert_checks_match_dense_kernel(
+            params, eps, grids, seed, trials, angle_blind, n_e
+        )
+
+    @given(ranked_kernels(angle_blind=True, signed=True))
+    @settings(max_examples=40, deadline=None)
+    def test_exact_minimum_with_signed_kernels(self, data):
+        # a nonnegative kernel has its least block at m = 0, since |K_m| <=
+        # K_0 entrywise; kernels of either sign reach the other modes
+        grids, params, _, eps, per_period = data
+        n_e = grids.eps_energy_count(eps, per_period)
+        Q, _, _, gate = dense_q(params, eps, grids, n_e)
+        exact = np.linalg.eigvalsh(0.5 * (Q + Q.T))[0]
+        assert abs(coercivity_test(params, eps, grids, n_e) - exact) <= gate
+
+    @pytest.mark.parametrize("n_omega", [5, 16])
+    def test_minimum_in_the_first_mode(self, n_omega):
+        # kappa1 = mu sums to zero over the circle, so the m = 0 block is
+        # diag(sigma_eps) and the scattering lowers only the m = 1 block
+        params = OpticalParameters(
+            sigma=SUB.sigma, kappa1=lambda mu, E: mu + 0.0 * E, kappa2=SUB.kappa2
+        )
+        grids = TransportGrids(n_omega=n_omega)
+        Q, sig, _, gate = dense_q(params, 0.125, grids)
+        got = coercivity_test(params, 0.125, grids)
+        assert abs(got - np.linalg.eigvalsh(0.5 * (Q + Q.T))[0]) <= gate
+        assert got < np.min(sig) - 0.1
 
 
 def tilted_data(r, th, E, y):
@@ -1550,9 +1607,9 @@ class TestPeakMemory:
         assert traced_peak_mb(run) < 3.5
 
     @pytest.mark.parametrize("eps", [0.125, 0.0625, 0.03125])
-    def test_coercivity_trials_drawn_in_chunks(self, eps):
-        # all 100 trials at once took 614 kB per array
-        run = lambda: coercivity_test(SUB, eps, BENCH_GRIDS, trials=100, seed=12345)
+    def test_coercivity_blocks_are_small(self, eps):
+        # one n_E-square block per angular mode: 9 x 48^2 floats, 166 kB
+        run = lambda: coercivity_test(SUB, eps, BENCH_GRIDS)
         assert traced_peak_mb(run) < 1.0
 
     def test_rate_is_a_read_only_view(self):
