@@ -20,12 +20,14 @@ error cancels from the mode differences instead of flooring them.
 
 Both generators are a diagonal plus a rank-one term, so one march in
 moment form (``_rank_one_march``) steps both, each RK4 step a few passes
-over the state.  ``sweep`` solves the limit, which does not depend on eps,
-once per sweep, and each sweep point reduces the states of its eps run as
-they come (modes in one grid-orthonormal basis and L2(E) norms), so no
-(t, E) field is formed.  Its points start largest eps mesh first, so on
-2 cores a second worker shortens a sweep instead of idling while the
-finest point runs alone.
+over the state, written into a reused buffer and handed out a block of
+steps at a time.  ``sweep`` solves the limit, which does not depend on
+eps, once per sweep.  Each sweep point reads its grid once, builds the
+discrete Legendre basis in closed form and samples the coefficients with
+one periodic wrap, then reduces each block of its eps run as it comes
+(modes in that basis and L2(E) norms), so no (t, E) field is formed.  Its
+points start largest eps mesh first, so on 2 cores a second worker
+shortens a sweep instead of idling while the finest point runs alone.
 """
 
 from __future__ import annotations
@@ -37,13 +39,17 @@ import numpy as np
 
 from . import ConfigError
 from .cell import (
-    CellFunction, PeriodicGrid, indicator_sine_profile, rk4_step, sine_profile
+    CellFunction, PeriodicGrid, indicator_sine_profile, rk4_step, sine_profile, wrap
 )
 from .diagnostics import EnergyField, orthonormal_polynomials
 
 PLACEMENTS = ("inside", "outside")
 INIT_MODES = ("oscillatory", "profile")
 DEFAULT_NODE_BUDGET = 2_000_000
+# Floats in one block of march states, 256 kB: two steps a block at the finest
+# default mesh.  The six README sweeps at 2 workers took 88 ms a pass with one
+# step a block, 83 ms with 128 kB, 79 ms with 256 kB and 78 ms with 512 kB.
+MARCH_CHUNK = 1 << 15
 
 # Sweep values carry a 0.1-period offset against the energy window: with
 # 1/eps integer the examples are exactly resonant with (0, 1) and every
@@ -150,7 +156,7 @@ def example_presets(
     if example_id == 1:
         triple = (sine_sigma, sine_kappa, osc_init)
     elif example_id == 2:
-        step_init = lambda y: 1.0 + (np.mod(y, 1.0) <= 0.5)
+        step_init = lambda y: 1.0 + (wrap(y) <= 0.5)
         triple = (sine_sigma, sine_kappa, step_init)
     elif example_id == 3:
         triple = (
@@ -183,36 +189,56 @@ def _rank_one_march(decay, emit, collect, phi0, times):
     rows of R are ``rk4_step`` of that joint system from (1, 0) and from
     (0, e_k).  A step then reads V, R, P and phi once.  Energy sums run
     through ``np.einsum``, not BLAS, so the states do not depend on the
-    BLAS thread count.  Yields phi0, then the state after each step.
+    BLAS thread count.
+
+    The states phi0, phi(t_1), ... are written into the rows of one block
+    buffer of max(1, MARCH_CHUNK // phi0.size) rows, and each filled block
+    (the last one possibly shorter) is yielded, of shape (k, phi0.size).
+    The buffer is reused: a yielded block is valid until the next one is
+    drawn.
     """
-    moments = collect * np.cumprod([np.ones_like(decay)] + 3 * [-decay], axis=0)
+    # the powers by repeated multiplication, rounded as a cumprod rounds them
+    moments = np.empty((4, len(decay)))
+    moments[0], moments[1] = collect, -decay
+    moments[2] = moments[1] * moments[1]
+    moments[3] = moments[2] * moments[1]
+    moments[1:] *= collect
     feed = np.einsum("kn,n->k", moments, emit)
     shift = np.eye(4, k=1)
     rhs = lambda t, phi, m: (-decay * phi + emit * m[0], shift @ m + feed * m[0])
     dt = (times[-1] - times[0]) / (len(times) - 1)
-    probes = [(np.ones_like(phi0), np.zeros(4))]
-    probes += [(np.zeros_like(phi0), unit) for unit in np.eye(4)]
-    (keep, _), *unit_steps = [rk4_step(rhs, 0.0, dt, *probe) for probe in probes]
-    spread = np.stack([row for row, _ in unit_steps])
-    phi = phi0
-    yield phi
+    keep, _ = rk4_step(rhs, 0.0, dt, np.ones_like(phi0), np.zeros(4))
+    spread = np.empty((4, phi0.size))
+    for row, unit in zip(spread, np.eye(4)):
+        row[:], _ = rk4_step(rhs, 0.0, dt, np.zeros_like(phi0), unit)
+    rows = min(max(1, MARCH_CHUNK // phi0.size), len(times))
+    block = np.empty((rows, phi0.size))
+    block[0] = phi0
+    phi, j = block[0], 1
     for _ in range(len(times) - 1):
-        phi = keep * phi + np.einsum("k,kn->n", np.einsum("kn,n->k", moments, phi), spread)
-        yield phi
+        if j == rows:
+            yield block
+            j = 0
+        # the moments first: with one row a block, block[j] is phi itself
+        m = np.einsum("kn,n->k", moments, phi)
+        phi = np.multiply(keep, phi, out=block[j])
+        phi += np.einsum("k,kn->n", m, spread)
+        j += 1
+    yield block[:j]
 
 
-def _toy_eps_set_up(problem: ToyProblem, egrid: EnergyGrid):
-    """(decay, emit, collect, phi0) of the oscillatory run on its energy mesh."""
-    y = np.mod(egrid.nodes / problem.epsilon, 1.0)
+def _toy_eps_set_up(problem: ToyProblem, nodes: np.ndarray, h: float):
+    """(decay, emit, collect, phi0) of the oscillatory run on its energy mesh.
+
+    ``nodes`` and ``h`` are the mesh's nodes and its uniform weight.
+    """
+    y = wrap(nodes / problem.epsilon)
     sig = problem.sigma.eval_periodic(y)
     kap = problem.kappa.eval_periodic(y)
-    if problem.init_mode == "oscillatory":
-        phi0 = problem.phi_in.eval_periodic(y)
-    else:
-        phi0 = problem.phi_in.eval_periodic(egrid.nodes)
+    phi0 = problem.phi_in.eval_periodic(y if problem.init_mode == "oscillatory" else nodes)
     if problem.placement == "inside":
-        return sig, np.ones(egrid.n), egrid.weights * kap, phi0
-    return sig, kap, egrid.weights, phi0
+        return sig, np.ones(len(nodes)), h * kap, phi0
+    return sig, kap, np.full(len(nodes), h), phi0
 
 
 def solve_toy_eps(
@@ -225,9 +251,10 @@ def solve_toy_eps(
     egrid = EnergyGrid.for_epsilon(
         problem.epsilon, nodes_per_period, node_budget=node_budget
     )
-    times = np.linspace(0.0, problem.t_end, n_steps + 1)
-    march = _rank_one_march(*_toy_eps_set_up(problem, egrid), times)
-    return EnergyField(times, egrid.nodes, egrid.weights, np.stack(list(march)))
+    times, nodes = np.linspace(0.0, problem.t_end, n_steps + 1), egrid.nodes
+    march = _rank_one_march(*_toy_eps_set_up(problem, nodes, egrid.h), times)
+    values = np.concatenate([block.copy() for block in march])
+    return EnergyField(times, nodes, egrid.weights, values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,7 +330,7 @@ def solve_toy_two_scale(
         np.concatenate([b, np.zeros(n_y)]),
         times,
     )
-    cell = np.stack(list(march)).reshape(-1, 2, n_y)
+    cell = np.concatenate([block.copy() for block in march]).reshape(-1, 2, n_y)
     return TwoScaleToySolution(times, egrid.nodes, egrid.weights, a, cell)
 
 
@@ -321,20 +348,34 @@ def _point_errors(
     """Mode errors and norms of one eps run against its limit, streamed.
 
     The oscillatory run is marched on ``egrid`` and the limit's time grid,
-    and each state is reduced as it comes: its coefficients in the basis
-    built once on ``egrid`` and its squared L2(E) norm.  The limit's modes
-    are taken in the same basis, so the two mode series share quadrature
-    and time discretization exactly, and the (nt+1, nE) field is never
-    formed.
+    and each block of states is reduced as it comes: its coefficients in
+    the basis built once on ``egrid``, one ``einsum`` a block, and its
+    squared L2(E) norms.  The limit's modes are taken in the same basis,
+    so the two mode series share quadrature and time discretization
+    exactly, and the (nt+1, nE) field is never formed.  The grid's arrays
+    are read once, and only the basis outlives the set-up.
+
+    A norm is one ``einsum`` a state: numpy sums a row of over 8192 floats
+    in pieces once the call has a second axis, so a block call would round
+    long states by the block size.  The coefficient call has the mode axis
+    at any block size (for k_max >= 1), so it always sums in those pieces.
     """
-    rows = egrid.weights * orthonormal_polynomials(egrid.nodes, egrid.weights, k_max)
+    nodes, h = egrid.nodes, egrid.h
+    rows = orthonormal_polynomials(nodes, egrid.weights, k_max)
+    rows *= h
+    hom_modes = hom.modes_on(nodes, rows)
+    march = _rank_one_march(*_toy_eps_set_up(problem, nodes, h), hom.times)
+    del nodes
     coeffs = np.empty((len(hom.times), k_max + 1))
     sq = np.empty(len(hom.times))
-    march = _rank_one_march(*_toy_eps_set_up(problem, egrid), hom.times)
-    for j, phi in enumerate(march):
-        coeffs[j] = np.einsum("ke,e->k", rows, phi)
-        sq[j] = egrid.h * np.einsum("e,e->", phi, phi)
-    errors = np.max(np.abs(coeffs - hom.modes_on(egrid.nodes, rows)), axis=0)
+    j = 0
+    for block in march:
+        np.einsum("ke,be->bk", rows, block, out=coeffs[j : j + len(block)])
+        for phi in block:
+            sq[j] = np.einsum("e,e->", phi, phi)
+            j += 1
+    sq *= h
+    errors = np.max(np.abs(coeffs - hom_modes), axis=0)
     norm = float(np.sqrt(np.trapezoid(sq, hom.times)))
     sup_l2 = float(np.sqrt(np.max(sq)))
     return SweepPointResult(problem.epsilon, errors, abs(norm - hom.l2_norm()), sup_l2)
@@ -385,10 +426,7 @@ def sweep(
     Points start largest eps mesh first (a stable sort on the node
     count), and results come back in the order of ``epsilons``.  The
     finest point of the default sweep is about half its serial work;
-    started last, it ran alone while the other worker idled.  In process
-    on 2 cores, a pass of the six README sweeps at 2 workers went from
-    239-286 ms in sweep order to 197-231 ms largest first (17-19% in each
-    of five alternating rounds); at 1 worker it took 199-306 ms.
+    started last, it would run alone while the other worker idled.
     """
     problems = [
         example_presets(example_id, placement, eps, n_cell, init_mode=init_mode)

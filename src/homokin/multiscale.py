@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .cell import CellFunction, cell_average, fluctuation, pole_sum, rk4_step
+from .cell import CellFunction, cell_average, fluctuation, pole_sum, rk4_step, wrap
 from .kernels import KernelTable, build_source_table
 from .volterra import TimeGrid, VolterraProblem, march_affine, solve_volterra
 
@@ -169,7 +169,7 @@ def solve_eps_exact(
         raise ValueError("oscillatory route needs problem.epsilon")
     eps = problem.epsilon
     x = np.asarray(x_nodes, dtype=float)
-    y = np.mod(x / eps, 1.0)
+    y = wrap(x / eps)
     sig = problem.sigma.eval_periodic(y)
     u0x = problem.u_in.eval_periodic(y)
     if np.min(sig) <= 0:

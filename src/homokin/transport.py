@@ -67,7 +67,7 @@ from typing import Callable
 import numpy as np
 
 from . import ConfigError
-from .cell import PeriodicGrid
+from .cell import PeriodicGrid, wrap
 
 
 # n_omega^2 n_E <= 2^23: at most 32768 eps-grid energy nodes at n_omega = 16
@@ -106,11 +106,12 @@ class TransportGrids:
 
     def energy_nodes(self, n: int | None = None) -> np.ndarray:
         n = self.n_e if n is None else n
-        h = (self.e_max - self.e_min) / n
-        return self.e_min + (np.arange(n) + 0.5) * h
+        return self.e_min + (np.arange(n) + 0.5) * self.energy_weight(n)
 
     def energy_weight(self, n: int | None = None) -> float:
         n = self.n_e if n is None else n
+        if n < 1:
+            raise ValueError(f"energy grid needs n >= 1 nodes, got n={n}")
         return (self.e_max - self.e_min) / n
 
     @property
@@ -210,7 +211,7 @@ def _eps_set_up(params, grids, epsilon: float, n_e=None, nodes_per_period=None):
     if nodes_per_period is not None:
         n_e = grids.eps_energy_count(epsilon, nodes_per_period)
     energies = grids.energy_nodes(n_e)
-    y = np.mod(energies / epsilon, 1.0)[:, None]
+    y = wrap(energies / epsilon)[:, None]
     return (energies, y) + _set_up(params, grids, energies, y)
 
 

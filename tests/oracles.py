@@ -26,6 +26,10 @@ The other oracles check the package against routes it no longer runs:
   :meth:`homokin.boltzmann.TwoScaleToySolution.modes_on` is checked
   against;
 - :func:`convergence_study`, one serial eps sweep of the toy model;
+- :func:`stieltjes_polynomials`, the grid-orthonormal polynomials by the
+  Stieltjes recurrence with grid sums, on any grid, against the closed-form
+  discrete Legendre rows of
+  :func:`homokin.diagnostics.orthonormal_polynomials`;
 - :func:`exact_poles`, every pole and residue of B(p) from one dense
   eigensystem, against the Lanczos Gauss rules and as the pole engine of
   the closed transport route;
@@ -449,6 +453,34 @@ def convergence_study(
         np.array([p.norm_diff for p in points]),
     )
     return report, points
+
+
+def stieltjes_polynomials(nodes, weights, k_max: int) -> np.ndarray:
+    """Rows l_0..l_kmax orthonormal under sum_i w_i f_i g_i, any grid.
+
+    The Stieltjes three-term recurrence with its coefficients from grid
+    sums, each new row re-orthogonalized against the two before it.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    dot = lambda f, g: float(np.einsum("e,e,e->", weights, f, g))
+    polys = np.empty((k_max + 1, len(nodes)))
+    p_prev = np.zeros_like(nodes)
+    p = np.ones_like(nodes)
+    p = p / np.sqrt(dot(p, p))
+    polys[0] = p
+    for k in range(k_max):
+        alpha = dot(nodes * p, p)
+        q = (nodes - alpha) * p
+        if k > 0:
+            q -= beta * p_prev
+        q -= polys[k] * dot(polys[k], q)
+        if k > 0:
+            q -= polys[k - 1] * dot(polys[k - 1], q)
+        beta = np.sqrt(dot(q, q))
+        p_prev, p = p, q / beta
+        polys[k + 1] = p
+    return polys
 
 
 def exact_poles(values, weights) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,8 @@
 """Energy toy-model tests: presets, both solvers, sweep behavior."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -256,9 +259,12 @@ class TestRankOneMarch:
         stacked=st.booleans(),
         n_steps=st.integers(1, 120),
         t_end=st.floats(0.1, 10.0),
+        block_rows=st.integers(1, 8),
         data=st.data(),
     )
-    def test_matches_stage_by_stage_march(self, n, stacked, n_steps, t_end, data):
+    def test_matches_stage_by_stage_march(
+        self, n, stacked, n_steps, t_end, block_rows, data
+    ):
         size = n // 2 if stacked else n
 
         def draw(elements):
@@ -280,7 +286,14 @@ class TestRankOneMarch:
         times, ref = solve_separable_energy_model(
             decay, emit, collect, phi0, 1.0, t_end, n_steps
         )
-        got = np.stack(list(_rank_one_march(decay, emit, collect, phi0, times)))
+        # blocks of block_rows states; with one row a block, each state is
+        # written over the one before it
+        with mock.patch.object(boltzmann, "MARCH_CHUNK", block_rows * len(phi0)):
+            march = _rank_one_march(decay, emit, collect, phi0, times)
+            blocks = [block.copy() for block in march]
+        assert all(len(block) == block_rows for block in blocks[:-1])
+        assert 1 <= len(blocks[-1]) <= block_rows
+        got = np.concatenate(blocks)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -361,6 +374,39 @@ class TestStreamedSweep:
             assert np.array_equal(point.mode_errors, alone.mode_errors)
             assert point.norm_diff == alone.norm_diff
             assert point.sup_norm_l2 == alone.sup_norm_l2
+
+    @pytest.mark.parametrize("example_id, placement, init_mode", CASES[:2])
+    @pytest.mark.parametrize("epsilon", [1 / 10.1, 1 / 160.1])
+    def test_block_size_changes_no_bit(
+        self, example_id, placement, init_mode, epsilon, monkeypatch
+    ):
+        # 1, 3 and the default number of states a block (2 at 1/160.1, whose
+        # states are longer than numpy's 8192-float einsum buffer, 32 at 1/10.1)
+        n = EnergyGrid.for_epsilon(epsilon).n
+        points = []
+        for chunk in (n, 3 * n, boltzmann.MARCH_CHUNK):
+            monkeypatch.setattr(boltzmann, "MARCH_CHUNK", chunk)
+            points.append(sweep_point(example_id, placement, epsilon, init_mode=init_mode))
+        for point in points[1:]:
+            assert point.mode_errors.tobytes() == points[0].mode_errors.tobytes()
+            assert point.norm_diff == points[0].norm_diff
+            assert point.sup_norm_l2 == points[0].sup_norm_l2
+
+    def test_finest_default_point_peak_memory(self):
+        # the basis (9 rows), the march's set-up (moment and spread rows, its
+        # RK4 probes) and the run's coefficients: about 32 states of the
+        # finest default mesh at their peak, where the Stieltjes basis and a
+        # second, weighted copy of it took 37
+        epsilon = DEFAULT_SWEEP[-1]
+        state = EnergyGrid.for_epsilon(epsilon).n * 8
+        sweep_point(1, "inside", epsilon)  # first-call allocations
+        tracemalloc.start()
+        try:
+            sweep_point(1, "inside", epsilon)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 34 * state
 
     def test_sweep_starts_the_finest_mesh_first(self, monkeypatch):
         started = []

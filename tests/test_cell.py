@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homokin.cell import (
@@ -16,6 +16,7 @@ from homokin.cell import (
     rk4_step,
     sine_profile,
     two_valued_profile,
+    wrap,
 )
 from oracles import apply_L, operator_matrix, semigroup_apply
 
@@ -66,6 +67,29 @@ class TestCellFunction:
         y = np.linspace(0, 1, 37, endpoint=False)
         exact = 2.0 + 0.5 * np.sin(2 * np.pi * y)
         assert np.max(np.abs(cf.eval_periodic(y) - exact)) < 1e-4
+
+
+class TestWrap:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                st.floats(-4.0, 4.0),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    # signed zeros, a tiny negative that wraps to 1.0, subnormals, negative
+    # integers, values past 2^52 (all integers), infinities and NaNs
+    @example([0.0, -0.0, -1e-300, 5e-324, -5e-324, -3.0, -2.5, 2.0**52, -(2.0**52) - 0.5,
+              2.0**60, np.inf, -np.inf, np.nan, -np.nan])
+    def test_bitwise_equal_to_np_mod(self, values):
+        y = np.array(values)
+        with np.errstate(invalid="ignore"):
+            got, expect = wrap(y), np.mod(y, 1.0)
+        assert got.tobytes() == expect.tobytes()
 
 
 class TestCellAverage:

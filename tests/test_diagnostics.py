@@ -15,7 +15,7 @@ from homokin.diagnostics import (
     norm_difference,
     orthonormal_polynomials,
 )
-from oracles import CellEnergyField
+from oracles import CellEnergyField, stieltjes_polynomials
 
 
 def midpoint_grid(n, lo=0.0, hi=1.0):
@@ -48,6 +48,51 @@ class TestOrthonormalPolynomials:
         nodes, weights = midpoint_grid(64)
         with pytest.raises(ValueError):
             orthonormal_polynomials(nodes, weights, 17)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 3000),
+        k_max=st.integers(0, 16),
+        lo=st.floats(-2.0, 2.0),
+        width=st.floats(0.05, 4.0),
+    )
+    def test_closed_form_matches_stieltjes_oracle(self, n, k_max, lo, width):
+        k_max = min(k_max, n - 1)
+        nodes, weights = midpoint_grid(n, lo, lo + width)
+        polys = orthonormal_polynomials(nodes, weights, k_max)
+        # the Gram matrix through long-double sums, so that it measures the
+        # rows and not its own rounding
+        rows = polys.astype(np.longdouble)
+        gram = np.einsum("ke,je,e->kj", rows, rows, weights.astype(np.longdouble))
+        gap = np.max(np.abs(gram.astype(float) - np.eye(k_max + 1)))
+        if k_max**2 > 4 * n:
+            # past the recurrence's stable range (documented): fewer digits
+            assert gap <= 1e-12
+            return
+        assert gap <= 1e-13
+        # the basis does not change under a shift of E, so the oracle runs on
+        # the same grid centred at 0: a window far from 0 rounds its nodes by
+        # eps |E|, which the oracle's recurrence would read as a change of
+        # grid.  Rows scale as 1/sqrt(width).
+        centred, _ = midpoint_grid(n, -0.5 * width, 0.5 * width)
+        oracle = stieltjes_polynomials(centred, weights, k_max)
+        assert np.max(np.abs(polys - oracle)) * np.sqrt(width) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            lambda n, w: (np.linspace(0.0, 1.0, n) ** 2, w),  # nonuniform nodes
+            lambda n, w: (np.linspace(0.0, 1.0, n), w),       # gaps 1/(n-1), weights 1/n
+            lambda n, w: (midpoint_grid(n)[0], w * (1.0 + np.arange(n) / n)),
+            lambda n, w: (midpoint_grid(n)[0], w[:-1]),       # length mismatch
+            lambda n, w: (midpoint_grid(n)[0][::-1], w),      # decreasing nodes
+        ],
+        ids=["squared", "endpoint", "weights", "short-weights", "decreasing"],
+    )
+    def test_grid_that_is_not_uniform_midpoint_raises(self, grid):
+        nodes, weights = grid(40, midpoint_grid(40)[1])
+        with pytest.raises(ValueError, match="uniform midpoint grid"):
+            orthonormal_polynomials(nodes, weights, 4)
 
 
 class TestModes:

@@ -381,6 +381,16 @@ def test_empty_eps_grid_raises(eps, per_period):
         )
 
 
+@pytest.mark.parametrize("n_e", [0, -1])
+@pytest.mark.parametrize("check", [subcriticality_check, coercivity_test])
+def test_empty_reference_grid_raises(check, n_e):
+    # an explicit n_e below one raises, naming it, before any division by it
+    with pytest.raises(ValueError, match=f"n={n_e}"):
+        check(SUB, 0.1, GRIDS, n_e=n_e)
+    with pytest.raises(ValueError, match=f"n={n_e}"):
+        GRIDS.energy_weight(n_e)
+
+
 @st.composite
 def optical_data(draw, angle_blind=False):
     """Grids, random optical data with sigma > 0, kappa1 >= 0 and
