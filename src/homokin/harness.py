@@ -432,9 +432,7 @@ def _run_transport(config: ExperimentConfig, out_dir: str) -> dict:
         sol = solve_characteristics_eps(
             params, phi_in, eps, grids, t_end=t_end, n_steps=150, n_windows=n_windows
         )
-        weak_rows.append(
-            (eps, windowed_weak_error(sol, hom, n_windows), sol.sup_l2)
-        )
+        weak_rows.append((eps, windowed_weak_error(sol, hom), sol.sup_l2))
     weak_path = os.path.join(out_dir, "transport_weak.csv")
     write_csv(weak_path, "epsilon,weak_error,sup_l2", *zip(*weak_rows))
     files["transport_weak.csv"] = weak_path

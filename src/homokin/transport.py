@@ -25,9 +25,13 @@ corrector rho.  Both problems run through the one product-trapezoid march
 of :func:`_march`; the oscillatory one is the cell of a single node
 y = E/eps.  kappa sees angles only through mu = cos(w - w'), so it is
 rotation invariant and each kappa table holds one row per angle gap
-min(|v - w|, n_omega - |v - w|) of a node pair (v, w).  :func:`_set_up`
-builds the tables and the rate sqrt(E) sigma for both solvers and both
-checks, on the node y = E/eps of each energy or on the periodic cell.
+min(|v - w|, n_omega - |v - w|) of a node pair (v, w), sampled at the
+gap's exact cosine.  :func:`_set_up` builds the tables and the rate
+sqrt(E) sigma for both solvers and both checks, on the node y = E/eps
+of each energy or on the periodic cell.  Both solvers start in one
+front end, :func:`_front_end`, and differ only in the energies, the cell
+y and the reduction weight they hand it; n_steps < 1 or t_end <= 0
+raises ValueError there.
 Both solvers and the coercivity check use K in the energy rank of its
 gap tables (:func:`_energy_rank`): the kappa2 table is factored once as
 Ck @ Rk with c rows, the kappa1 table as C1 @ R1 with c1 rows (c = c1 =
@@ -88,13 +92,14 @@ class TransportGrids:
     e_min: float = 0.25
     e_max: float = 1.0
     r_box: float = 2.0
-    n_mu: int = 64
 
     def __post_init__(self) -> None:
         if self.e_min < 0 or self.e_max <= self.e_min:
             raise ValueError("need 0 <= e_min < e_max")
-        if min(self.n_omega, self.n_e, self.n_y, self.n_r, self.n_mu) < 2:
+        if min(self.n_omega, self.n_e, self.n_y, self.n_r) < 2:
             raise ValueError("grids need at least two nodes per axis")
+        if not self.r_box > 0:
+            raise ValueError(f"r_box must be positive, got r_box={self.r_box:g}")
 
     @property
     def angles(self) -> np.ndarray:
@@ -140,12 +145,12 @@ class TransportGrids:
 
 @dataclass(frozen=True, eq=False)
 class OpticalParameters:
-    """Optical data as callables plus the mu-tabulation policy.
+    """Optical data as callables.
 
     ``sigma(theta, E, y)`` is the base cross-section without the sqrt(E)
     factor, applied at use sites.  ``kappa1(mu, E)`` and
-    ``kappa2(mu, E', y')`` are evaluated on a uniform mu-grid and linearly
-    interpolated to the exact angle-difference cosines.
+    ``kappa2(mu, E', y')`` are evaluated at the exact cosines of the
+    n_omega//2 + 1 angle gaps.
     """
 
     sigma: Callable
@@ -162,25 +167,15 @@ def _gap_index(n_omega: int) -> np.ndarray:
 def _mu_table(fn, grids: TransportGrids, *args) -> np.ndarray:
     """fn(mu, *args) per angle gap k, mu = cos(2 pi k / n_omega), shape (k, *rest).
 
-    The pair (v, w) reads row _gap_index(n_omega)[v, w].  fn is sampled on
-    a uniform mu-grid and interpolated linearly in mu; fn is pointwise, so
-    it is evaluated only at the (at most 2 (n_omega//2 + 1)) grid nodes
-    that bracket a gap's mu.  ``rest`` is the broadcast shape of ``args``:
-    equal 1-D arrays pair their entries (E'_j, y_j), axes set up to
-    broadcast give a tensor table.
+    The pair (v, w) reads row _gap_index(n_omega)[v, w].  fn is called
+    once, at the n_omega//2 + 1 gap cosines, and its output is the table,
+    broadcast to the full shape.  ``rest`` is the broadcast shape of
+    ``args``: equal 1-D arrays pair their entries (E'_j, y_j), axes set up
+    to broadcast give a tensor table.
     """
-    n_mu = grids.n_mu
     rest = np.broadcast(*args).shape
-    mu = np.cos(grids.angles[: grids.n_omega // 2 + 1])
-    pos = (np.clip(mu, -1.0, 1.0) + 1.0) / 2.0 * (n_mu - 1)
-    j0 = np.clip(np.floor(pos).astype(int), 0, n_mu - 2)
-    used = np.zeros(n_mu, dtype=bool)
-    used[j0] = used[j0 + 1] = True
-    at = np.cumsum(used) - 1  # row of each used node in samples
-    mu_grid = np.linspace(-1.0, 1.0, n_mu)[used].reshape((-1,) + (1,) * len(rest))
-    samples = np.asarray(fn(mu_grid, *args) * np.ones(mu_grid.shape[:1] + rest))
-    w = (pos - j0).reshape(mu.shape + (1,) * len(rest))
-    return (1.0 - w) * samples[at[j0]] + w * samples[at[j0 + 1]]
+    mu = np.cos(grids.angles[: grids.n_omega // 2 + 1]).reshape((-1,) + (1,) * len(rest))
+    return np.asarray(fn(mu, *args) * np.ones(mu.shape[:1] + rest))
 
 
 def _set_up(params: OpticalParameters, grids: TransportGrids, energies, y):
@@ -200,8 +195,8 @@ def _set_up(params: OpticalParameters, grids: TransportGrids, energies, y):
     return k1, k2, np.broadcast_to(rate, shape)
 
 
-def _eps_set_up(params, grids, epsilon: float, n_e=None, nodes_per_period=None):
-    """Energies, the cell y = E/eps of shape (nE, 1) and :func:`_set_up` on it.
+def _eps_cell(grids: TransportGrids, epsilon: float, n_e=None, nodes_per_period=None):
+    """Energies and the cell y = E/eps of shape (nE, 1), one node per energy.
 
     The energies are ``n_e`` nodes (the reference grid if None) or, given
     ``nodes_per_period``, the eps grid.  eps <= 0 raises ValueError.
@@ -211,7 +206,12 @@ def _eps_set_up(params, grids, epsilon: float, n_e=None, nodes_per_period=None):
     if nodes_per_period is not None:
         n_e = grids.eps_energy_count(epsilon, nodes_per_period)
     energies = grids.energy_nodes(n_e)
-    y = wrap(energies / epsilon)[:, None]
+    return energies, wrap(energies / epsilon)[:, None]
+
+
+def _eps_set_up(params, grids, epsilon: float, n_e=None, nodes_per_period=None):
+    """The energies and cell of :func:`_eps_cell`, then :func:`_set_up` on them."""
+    energies, y = _eps_cell(grids, epsilon, n_e, nodes_per_period)
     return (energies, y) + _set_up(params, grids, energies, y)
 
 
@@ -520,14 +520,34 @@ def _march(
     yield block[:j]
 
 
+def _front_end(params, phi_in, grids: TransportGrids, energies, y, weight, t_end, n_steps):
+    """Set-up, active slices, rank rows and march, shared by both solvers.
+
+    ``y`` is the cell of :func:`_set_up` and ``weight`` the quadrature
+    weight of the reduction over (E', y').  Returns the time grid, the
+    active r-indices, C of :func:`_rank_rows` and the march of the rank
+    rows, which runs only as its blocks are drawn.  n_steps < 1 or
+    t_end <= 0 raises ValueError.
+    """
+    if n_steps < 1 or not t_end > 0:
+        raise ValueError(f"need n_steps >= 1 and t_end > 0, got {n_steps} and {t_end:g}")
+    k1, kern, rate = _set_up(params, grids, energies, y)
+    active, slices = _initial_slices(
+        phi_in, grids, grids.angles[:, None, None], energies[:, None], y
+    )  # (na, nw, nE, ny)
+    C, rows = _rank_rows(slices)
+    times = np.linspace(0.0, t_end, n_steps + 1)
+    march = _march(grids, energies, k1, kern, weight, rate, rows, times[1] - times[0], n_steps)
+    return times, active, C, march
+
+
 @dataclass(frozen=True, eq=False)
 class CharacteristicsSolution:
     """Oscillatory transport solution restricted to the active r-slices.
 
-    ``values`` holds the full field only when the run was small enough to
-    ask for it; sweep-scale runs keep the windowed-in-E averages, the
-    largest L2 norm over the steps and the minimum instead, each reduced
-    from the march one block of steps at a time.
+    The field itself is not kept: the windowed-in-E averages, the largest
+    L2 norm over the steps and the minimum are reduced from the march one
+    block of steps at a time.
     """
 
     times: np.ndarray
@@ -535,8 +555,7 @@ class CharacteristicsSolution:
     active: np.ndarray           # their indices in grids.r_nodes
     angles: np.ndarray
     energies: np.ndarray
-    values: np.ndarray | None    # (nt+1, na, nw, nE) if stored
-    windowed: np.ndarray | None  # (nt+1, na, nw, n_windows)
+    windowed: np.ndarray         # (nt+1, na, nw, n_windows)
     sup_l2: float                # max_t L2(r, w, E) norm
     min_value: float
 
@@ -549,14 +568,13 @@ def solve_characteristics_eps(
     t_end: float = 1.5,
     n_steps: int = 200,
     nodes_per_period: int = 100,
-    store_full: bool = False,
     n_windows: int = 6,
 ) -> CharacteristicsSolution:
     """Product-trapezoid march of the characteristics fixed point.
 
     r-slices are independent; slices where phi_in vanishes identically
-    stay zero and are dropped.  The field runs through :func:`_march` as
-    a cell of the one node y = E/eps, with rate sigma_eps; the march
+    stay zero and are dropped.  The field runs through :func:`_front_end`
+    as a cell of the one node y = E/eps, with rate sigma_eps; the march
     raises RuntimeError on a numerically singular implicit step or a
     spectral radius of (dt/2) R S of at least 1.  It marches the data's
     r-rank: the rows of :func:`_rank_rows`.  The march yields blocks of
@@ -564,69 +582,52 @@ def solve_characteristics_eps(
     over its (k, rank, nw, nE) states, each step exactly as a one-step
     block would reduce it.  The windowed averages and the L2 norm come
     from the rows through C (one stacked product per block); the minimum
-    too for rank one, and the stored field and a higher-rank minimum are
-    rebuilt.  That minimum is rebuilt one step at a time, so its
-    temporary holds one step of slices, not a block.
+    too for rank one.  A higher-rank minimum is rebuilt one step at a
+    time, so its temporary holds one step of slices, not a block.
     When sigma and the data are angle-blind the march steps one angle:
     the averages, the minimum and the L2 norm (scaled by n_omega) are
     taken on it, and it is broadcast to every angle only when written
-    into ``windowed`` and ``values``.
+    into ``windowed``.  ``n_windows`` below 1 or not dividing the eps
+    grid raises ValueError.
     """
-    energies, y, k1, k2, rate = _eps_set_up(
-        params, grids, epsilon, nodes_per_period=nodes_per_period
-    )
+    energies, y = _eps_cell(grids, epsilon, nodes_per_period=nodes_per_period)
     n_e = len(energies)
-    if n_e % n_windows != 0:
-        raise ValueError("window count must divide the energy grid")
+    if n_windows < 1 or n_e % n_windows != 0:
+        raise ValueError(
+            f"n_windows = {n_windows}: the window count must be at least 1 and "
+            f"divide the energy grid of {n_e} nodes"
+        )
     we = grids.energy_weight(n_e)
+    times, active, C, march = _front_end(params, phi_in, grids, energies, y, we, t_end, n_steps)
 
-    active, base0 = _initial_slices(
-        phi_in, grids, grids.angles[:, None, None], energies[:, None], y
-    )  # (na, nw, nE, 1)
-    C, rows = _rank_rows(base0)
-    times = np.linspace(0.0, t_end, n_steps + 1)
-    dt = times[1] - times[0]
-    march = _march(grids, energies, k1, k2, we, rate, rows, dt, n_steps)
-
-    per_win = n_e // n_windows
+    per_win, rank = n_e // n_windows, C.shape[1]
     r_weight = 2.0 * grids.r_box / grids.n_r
     gram_weight = C.T @ C
     # a rank-one c f is least at min f where c > 0 and at max f where c < 0
     ends = [end for end, used in ((np.min, C.max() > 0), (np.max, C.min() < 0)) if used]
-    full = np.empty((n_steps + 1,) + base0.shape[:-1]) if store_full else None
-    windowed = np.empty((n_steps + 1,) + base0.shape[:-2] + (n_windows,))
+    windowed = np.empty((len(times), len(C), grids.n_omega, n_windows))
     sup_l2, min_value, n = 0.0, np.inf, 0
     for block in march:
         psi, k = block[..., 0], len(block)  # (k, rank, nw, nE)
-        if store_full:
-            full[n:n + k] = _expand(C, psi)
         windows = psi.reshape(psi.shape[:-1] + (n_windows, per_win))
         windowed[n:n + k] = _expand(C, windows.mean(axis=-1))
         # sum over slices of |C f|^2 = sum (C^T C) * (f f^T); numpy's sums
         # keep it independent of the BLAS thread count, which splits dot.
         # A one-angle field stands for n_omega equal angles
         copies = grids.n_omega // psi.shape[2]
-        f = psi.reshape(k, len(rows), -1)
-        gram = np.stack([(f * f[:, a, None]).sum(axis=-1) for a in range(len(rows))], axis=1)
+        f = psi.reshape(k, rank, -1)
+        gram = np.stack([(f * f[:, a, None]).sum(axis=-1) for a in range(rank)], axis=1)
         sq = (gram_weight * gram).sum(axis=(1, 2))
         l2 = np.sqrt(sq * copies * we * grids.angle_weight * r_weight)
         sup_l2 = max(sup_l2, float(l2.max()))
-        if len(rows) > 1:  # step by step: the expanded block is na/rank times larger
+        if rank > 1:  # step by step: the expanded block is na/rank times larger
             low = min(float(_expand(C, psi[i:i + 1]).min()) for i in range(k))
         else:
             low = float(np.min(C * [end(psi) for end in ends]))
         min_value = min(min_value, low)
         n += k
     return CharacteristicsSolution(
-        times,
-        grids.r_nodes[active],
-        active,
-        grids.angles,
-        energies,
-        full,
-        windowed,
-        sup_l2,
-        min_value,
+        times, grids.r_nodes[active], active, grids.angles, energies, windowed, sup_l2, min_value
     )
 
 
@@ -660,50 +661,44 @@ def solve_two_scale_transport(
     """Product-trapezoid march of the two-scale field phi(r, w, E, y).
 
     phi starts at phi_in and solves dphi/dt = -sqrt(E) sigma phi + S R phi
-    through :func:`_march`, where R reduces phi over (w', E', y') against
-    kappa2, so the scattering term does not depend on y.  The decay is
-    exact at each cell node and the time error is O(dt^2), that of the
-    oscillatory solver it is compared with.  Only the data's r-rank is
-    marched, the rows of :func:`_rank_rows` over the r-slices where phi_in
-    is nonzero, and the homogenized field psi_hom = <phi>_y comes back in
-    that form: the active indices, C and the y-means of the rows at every
-    step, one block of steps at a time.  Angle-blind sigma and data march
-    one angle, and the means keep that one angle.
+    through :func:`_front_end` on the periodic cell, where R reduces phi
+    over (w', E', y') against kappa2, so the scattering term does not
+    depend on y.  The decay is exact at each cell node and the time error
+    is O(dt^2), that of the oscillatory solver it is compared with.  Only
+    the data's r-rank is marched, the rows of :func:`_rank_rows` over the
+    r-slices where phi_in is nonzero, and the homogenized field
+    psi_hom = <phi>_y comes back in that form: the active indices, C and
+    the y-means of the rows at every step, one block of steps at a time.
+    Angle-blind sigma and data march one angle, and the means keep that
+    one angle.
     """
     energies = grids.energy_nodes()
     y = PeriodicGrid(grids.n_y).nodes[None, :]
-    k1, k2y, rate = _set_up(params, grids, energies, y)
-    active, phi0 = _initial_slices(
-        phi_in, grids, grids.angles[:, None, None], energies[:, None], y
-    )  # (na, nw, nE, ny)
-    times = np.linspace(0.0, t_end, n_steps + 1)
-    dt = times[1] - times[0]
     weight = grids.energy_weight() * (1.0 / grids.n_y)
-    C, rows = _rank_rows(phi0)
-    march = _march(grids, energies, k1, k2y, weight, rate, rows, dt, n_steps)
+    times, active, C, march = _front_end(
+        params, phi_in, grids, energies, y, weight, t_end, n_steps
+    )
     means = np.concatenate([block.mean(axis=4) for block in march])
     return HomogenizedField(times, grids.r_nodes, active, grids.angles, energies, C, means)
 
 
 def windowed_weak_error(
-    eps_sol: CharacteristicsSolution,
-    hom_field: HomogenizedField,
-    n_windows: int = 6,
+    eps_sol: CharacteristicsSolution, hom_field: HomogenizedField
 ) -> float:
     """Max over (t, r, omega, window) of the windowed-in-E average gap.
 
-    Each field integrates over the windows with its own quadrature.  The
-    homogenized reference is read at the oscillatory run's active r-slices
-    by index, zero where it has no active slice, expanded through C and
-    only then windowed, and interpolated linearly onto the oscillatory
-    time grid.  ValueError when the r-grids differ at those indices or
-    when window edges do not align with the cells of both energy grids.
+    The window count is that of ``eps_sol.windowed``, and each field
+    integrates over the windows with its own quadrature.  The homogenized
+    reference is read at the oscillatory run's active r-slices by index,
+    zero where it has no active slice, expanded through C and only then
+    windowed, and interpolated linearly onto the oscillatory time grid.
+    ValueError when the r-grids differ at those indices or when the
+    windows do not divide the reference energy grid.
     """
+    n_windows = eps_sol.windowed.shape[-1]
     per_hom = len(hom_field.energies) // n_windows
     if per_hom * n_windows != len(hom_field.energies):
         raise ValueError("window count must divide the reference energy grid")
-    if eps_sol.windowed is None or eps_sol.windowed.shape[-1] != n_windows:
-        raise ValueError("oscillatory solution lacks matching windowed data")
     r, active = hom_field.r_nodes, eps_sol.active
     if active.max() >= len(r) or not np.array_equal(r[active], eps_sol.r_nodes):
         raise ValueError("r-grids of the two solutions do not align")

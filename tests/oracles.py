@@ -57,7 +57,10 @@ The other oracles check the package against routes it no longer runs:
   output :class:`PhaseSpaceField`;
 - :func:`dense_psi_hom`, the factored psi_hom of
   :func:`homokin.transport.solve_two_scale_transport` expanded over every
-  r-node and angle, the one place where the tests densify it.
+  r-node and angle, the one place where the tests densify it;
+- :func:`characteristics_field`, the dense field of the oscillatory
+  march at every step and active r-slice, from which the tests read off
+  the reductions of :func:`homokin.transport.solve_characteristics_eps`.
 """
 
 from __future__ import annotations
@@ -87,10 +90,13 @@ from homokin.transport import (
     HomogenizedField,
     OpticalParameters,
     TransportGrids,
+    _eps_set_up,
     _expand,
     _gap_index,
     _initial_slices,
+    _march,
     _mu_table,
+    _rank_rows,
 )
 from homokin.volterra import (
     SolverError,
@@ -531,22 +537,15 @@ def solve_separable_energy_model(
 
 
 def pair_mu_table(fn, grids: TransportGrids, *args) -> np.ndarray:
-    """fn(mu, *args) at the cosines of the angle gaps, shape (w, w', *rest).
+    """fn(mu, *args) at mu = cos(angle_w - angle_w') per angle pair, shape (w, w', *rest).
 
-    fn is sampled on a uniform mu-grid and interpolated linearly in mu.
     ``rest`` is the broadcast shape of ``args``: equal 1-D arrays pair
     their entries (E'_j, y_j), axes set up to broadcast give a tensor table.
     """
-    n_mu = grids.n_mu
     rest = np.broadcast(*args).shape
-    mu_grid = np.linspace(-1.0, 1.0, n_mu).reshape((n_mu,) + (1,) * len(rest))
-    samples = np.asarray(fn(mu_grid, *args) * np.ones((n_mu,) + rest))
     angles = grids.angles
-    mu = np.cos(angles[:, None] - angles[None, :])
-    pos = (np.clip(mu, -1.0, 1.0) + 1.0) / 2.0 * (n_mu - 1)
-    j0 = np.clip(np.floor(pos).astype(int), 0, n_mu - 2)
-    w = (pos - j0).reshape(mu.shape + (1,) * len(rest))
-    return (1.0 - w) * samples[j0] + w * samples[j0 + 1]
+    mu = np.cos(angles[:, None] - angles[None, :]).reshape(angles.shape * 2 + (1,) * len(rest))
+    return np.asarray(fn(mu, *args) * np.ones(mu.shape[:2] + rest))
 
 
 def sample_sigma(params: OpticalParameters, angles, energies, y) -> np.ndarray:
@@ -708,6 +707,39 @@ def dense_psi_hom(field: HomogenizedField) -> np.ndarray:
     out = np.zeros(shape)
     out[:, field.active] = _expand(field.C, field.means)
     return out
+
+
+def characteristics_field(
+    params: OpticalParameters,
+    phi_in,
+    epsilon: float,
+    grids: TransportGrids,
+    t_end: float = 1.5,
+    n_steps: int = 200,
+    nodes_per_period: int = 100,
+) -> np.ndarray:
+    """psi[t, r, omega, E] of the oscillatory march on its active r-slices.
+
+    The set-up, slices, rank rows and march of
+    :func:`homokin.transport.solve_characteristics_eps`, with every block
+    of rank-row states mapped back through C by
+    :func:`homokin.transport._expand` and a one-angle field broadcast to
+    every angle; shape (n_steps + 1, len(active), n_omega, nE).
+    """
+    energies, y, k1, k2, rate = _eps_set_up(
+        params, grids, epsilon, nodes_per_period=nodes_per_period
+    )
+    _, slices = _initial_slices(
+        phi_in, grids, grids.angles[:, None, None], energies[:, None], y
+    )
+    C, rows = _rank_rows(slices)
+    dt = np.linspace(0.0, t_end, n_steps + 1)[1]
+    we = grids.energy_weight(len(energies))
+    field, n = np.empty((n_steps + 1,) + slices.shape[:-1]), 0
+    for block in _march(grids, energies, k1, k2, we, rate, rows, dt, n_steps):
+        field[n:n + len(block)] = _expand(C, block[..., 0])
+        n += len(block)
+    return field
 
 
 def solve_closed_kernel_transport(

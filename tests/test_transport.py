@@ -35,6 +35,7 @@ from homokin.transport import (
 from oracles import (
     GapScattering,
     PairScattering,
+    characteristics_field,
     dense_psi_hom,
     pair_mu_table,
     sample_sigma,
@@ -49,14 +50,19 @@ SUB = transport_preset("transport-subcritical-1")
 KAPPA0 = transport_preset("transport-kappa0")
 
 
-def assert_exact_decay(sol, phi_in, grids, eps):
-    """A kappa = 0 run: each active slice is phi_in e^{-t sigma_eps}, to 1e-8."""
+def assert_exact_decay(phi_in, grids, eps, t_end, n_steps=200):
+    """A kappa = 0 run: each active slice of the field is phi_in
+    e^{-t sigma_eps}, to 1e-8, and the solver's minimum is the field's."""
+    sol = solve_characteristics_eps(KAPPA0, phi_in, eps, grids, t_end=t_end, n_steps=n_steps)
+    field = characteristics_field(KAPPA0, phi_in, eps, grids, t_end=t_end, n_steps=n_steps)
     y = np.mod(sol.energies / eps, 1.0)
     sig = sigma_eps(KAPPA0, grids.angles, sol.energies, eps)
     for i, rv in enumerate(sol.r_nodes):
         base = phi_in(rv, grids.angles[:, None], sol.energies[None, :], y[None, :])
         exact = base[None] * np.exp(-sol.times[:, None, None] * sig[None])
-        assert np.max(np.abs(sol.values[:, i] - exact)) < 1e-8
+        assert np.max(np.abs(field[:, i] - exact)) < 1e-8
+    assert sol.min_value == field.min()
+    return sol
 
 
 def kappa_rates(params, eps, grids, n_e=None):
@@ -67,9 +73,9 @@ def kappa_rates(params, eps, grids, n_e=None):
 
 class TestMuTable:
     def test_linear_kappa_reproduced_at_angle_gaps(self):
-        # linear interpolation in mu is exact for kappa linear in mu; the
-        # table holds one row per angle gap, read per pair through the index
-        grids = TransportGrids(n_omega=8, n_mu=16)
+        # the table holds one row per angle gap, read per pair through the
+        # index; the pair's cosine and the gap's differ only by rounding
+        grids = TransportGrids(n_omega=8)
         fn = lambda mu, E, y: (0.5 + 0.25 * mu) * E * y
         E = grids.energy_nodes(6)
         y = np.linspace(0.1, 0.9, 6)
@@ -84,28 +90,31 @@ class TestMuTable:
         expect = fn(mu[:, :, None, None], E[:, None], y_cell)
         assert np.max(np.abs(tensor[gap] - expect)) < 1e-15
 
-    @given(st.integers(2, 64), st.integers(2, 24), st.integers(0, 2**32 - 1))
+    @given(st.integers(2, 24), st.integers(0, 2**32 - 1), st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_samples_only_the_bracketing_nodes(self, n_mu, n_omega, seed):
-        # fn is pointwise, so the table equals that interpolated from fn on
-        # the whole mu-grid bitwise, from at most 2 (n_omega//2 + 1) nodes
-        grids = TransportGrids(n_omega=n_omega, n_mu=n_mu)
+    def test_calls_fn_once_at_the_gap_cosines(self, n_omega, seed, mu_blind):
+        # fn is called once, with exactly the n_omega//2 + 1 gap cosines,
+        # and the table is its output bitwise; an output that does not
+        # depend on mu, as the presets' kappa2, is broadcast over the gaps
+        grids = TransportGrids(n_omega=n_omega)
         a = np.random.default_rng(seed).uniform(0.1, 1.0, 3)
-        sampled = []
+        calls = []
 
         def fn(mu, E, y):
-            sampled.append(mu.size)
-            return (a[0] + a[1] * np.cos(3.0 * mu)) * (1.0 + E * np.sin(a[2] * y + mu))
+            out = (a[0] + a[1] * np.cos(3.0 * mu)) * (1.0 + E * np.sin(a[2] * y + mu))
+            out = out[0] if mu_blind else out
+            calls.append((mu.copy(), out.copy()))
+            return out
 
         E, y = grids.energy_nodes(5)[:, None], np.linspace(0.0, 1.0, 3)
         got = _mu_table(fn, grids, E, y)
-        assert sampled[0] <= 2 * (n_omega // 2 + 1)
-        samples = fn(np.linspace(-1.0, 1.0, n_mu)[:, None, None], E, y)
-        pos = (np.clip(np.cos(grids.angles[: n_omega // 2 + 1]), -1.0, 1.0) + 1.0) / 2.0
-        pos *= n_mu - 1
-        j0 = np.clip(np.floor(pos).astype(int), 0, n_mu - 2)
-        w = (pos - j0)[:, None, None]
-        assert np.array_equal(got, (1.0 - w) * samples[j0] + w * samples[j0 + 1])
+        n_gap = n_omega // 2 + 1
+        assert len(calls) == 1
+        mu, out = calls[0]
+        assert mu.shape == (n_gap, 1, 1)
+        assert np.array_equal(mu[:, 0, 0], np.cos(2.0 * np.pi * np.arange(n_gap) / n_omega))
+        assert got.shape == (n_gap, 5, 3)
+        assert np.array_equal(got, np.broadcast_to(out, got.shape))
 
 
 @st.composite
@@ -114,7 +123,7 @@ def scattering_data(draw):
     with E' and y', a field and an angle-pair field of rank 1-3 rows, and a
     positive scale, the reduce weight or eps."""
     n_omega = draw(st.integers(2, 24))
-    grids = TransportGrids(n_omega=n_omega, n_mu=draw(st.integers(2, 64)))
+    grids = TransportGrids(n_omega=n_omega)
     n_e, n_y = draw(st.integers(1, 6)), draw(st.integers(1, 4))
     rank = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -133,15 +142,18 @@ def scattering_data(draw):
     return grids, params, energies, y, f, g, rng.uniform(0.1, 2.0)
 
 
-def _peak_table(fn, grids, *args):
-    """max over the mu-grid of |fn(mu, *args)|, per angle pair.
+PEAK_NODES = 64
 
-    Every table entry is a convex combination of two mu-samples, so this
-    bounds it, and it scales the rounding of the cosine the entry is read at.
+
+def _peak_table(fn, grids, *args):
+    """max of |fn(mu, *args)| over PEAK_NODES uniform mu in [-1, 1], per angle pair.
+
+    The magnitude that the gates scale: |fn| at the cosine a table entry
+    is read at, up to the variation of fn between two grid nodes.
     """
     rest = np.broadcast(*args).shape
-    mu = np.linspace(-1.0, 1.0, grids.n_mu).reshape((-1,) + (1,) * len(rest))
-    peak = np.abs(fn(mu, *args) * np.ones((grids.n_mu,) + rest)).max(axis=0)
+    mu = np.linspace(-1.0, 1.0, PEAK_NODES).reshape((-1,) + (1,) * len(rest))
+    peak = np.abs(fn(mu, *args) * np.ones((PEAK_NODES,) + rest)).max(axis=0)
     return np.broadcast_to(peak, (grids.n_omega,) * 2 + rest)
 
 
@@ -149,15 +161,16 @@ class TestGapScattering:
     """Tables per angle gap against the angle-pair oracle of tests/oracles.py.
 
     The gap tables are read through GapScattering, the reference that the
-    energy-rank factors are checked against.  The pair table reads the cosine of the difference of two angle nodes,
-    the gap table that of one node; both round, so every gate is a few
-    eps per interpolation node and summed term, scaled by the same
-    operation on the peak tables and absolute values.
+    energy-rank factors are checked against.  The pair table reads kappa at
+    the cosine of the difference of two angle nodes, the gap table at that
+    of one node; both round, so every gate is 16 eps per summed term plus
+    16 x 16 eps for the cosine, scaled by the same operation on the peak
+    tables and absolute values.
     """
 
     @staticmethod
-    def _gate(n_mu, n_terms, magnitude):
-        return 16.0 * np.finfo(float).eps * (n_mu + n_terms) * magnitude
+    def _gate(n_terms, magnitude):
+        return 16.0 * np.finfo(float).eps * (16 + n_terms) * magnitude
 
     @given(scattering_data())
     @settings(max_examples=60, deadline=None)
@@ -172,20 +185,20 @@ class TestGapScattering:
         gaps = GapScattering(grids, energies, k1)
         pair = PairScattering(grids, energies, p1)
         peak = PairScattering(grids, energies, _peak_table(params.kappa1, grids, energies))
-        n_mu, n_t = grids.n_mu, f[0, 0].size
+        n_t = f[0, 0].size
 
         got, want = gaps.reduce(k2, f, weight), pair.reduce(p2, f, weight)
         bound = pair.reduce(peak2, np.abs(f), weight)
-        assert np.all(np.abs(got - want) <= self._gate(n_mu, n_t, bound))
+        assert np.all(np.abs(got - want) <= self._gate(n_t, bound))
 
         got, want = gaps.spread(g), pair.spread(g)
         bound = peak.spread(np.abs(g))
-        assert np.all(np.abs(got - want) <= self._gate(n_mu, grids.n_omega, bound))
+        assert np.all(np.abs(got - want) <= self._gate(grids.n_omega, bound))
 
         got = gaps.matrix(k2.sum(axis=-1), weight)
         want = pair.matrix(p2.sum(axis=-1), weight)
         bound = peak.matrix(peak2.sum(axis=-1), weight)
-        assert np.all(np.abs(got - want) <= self._gate(n_mu, n_t, bound))
+        assert np.all(np.abs(got - want) <= self._gate(n_t, bound))
 
     @given(scattering_data())
     @settings(max_examples=30, deadline=None)
@@ -212,7 +225,7 @@ class TestGapScattering:
         )
         n_terms = grids.n_omega * len(energies)
         for got, terms, peak in zip((bar, tilde), pairs, peaks):
-            gate = self._gate(grids.n_mu, n_terms, peak.sum(axis=1))
+            gate = self._gate(n_terms, peak.sum(axis=1))
             assert np.all(np.abs(got - terms.sum(axis=1)) <= gate)
 
 
@@ -399,7 +412,6 @@ def optical_data(draw, angle_blind=False):
     grids = TransportGrids(
         n_omega=draw(st.integers(2, 8)),
         n_e=draw(st.integers(2, 10)),
-        n_mu=draw(st.integers(2, 32)),
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     s, a, b = rng.uniform(0.1, 1.0, 4), rng.uniform(0.0, 1.0, 3), rng.uniform(0.0, 1.0, 3)
@@ -553,12 +565,14 @@ def tilted_data(r, th, E, y):
 def assert_chars_match_dense_oracle(
     params, grids, eps, per_period, t_end=0.5, n_steps=20, phi_in=hat_initial_data(0.5)
 ):
-    """solve_characteristics_eps against a direct product-trapezoid sum with
-    the dense kernel and one dense solve per implicit step, to 1e-12; the
-    windowed averages, the L2 norm and the minimum are read off the field."""
+    """The march's field against a direct product-trapezoid sum with the
+    dense kernel and one dense solve per implicit step, to 1e-12; the
+    solver's windowed averages, L2 norm and minimum are read off the sum."""
     sol = solve_characteristics_eps(
-        params, phi_in, eps, grids, t_end=t_end, n_steps=n_steps,
-        nodes_per_period=per_period, store_full=True,
+        params, phi_in, eps, grids, t_end=t_end, n_steps=n_steps, nodes_per_period=per_period
+    )
+    got = characteristics_field(
+        params, phi_in, eps, grids, t_end=t_end, n_steps=n_steps, nodes_per_period=per_period
     )
     n_e = grids.eps_energy_count(eps, per_period)
     energies = grids.energy_nodes(n_e)
@@ -578,8 +592,8 @@ def assert_chars_match_dense_oracle(
                 hist = hist + np.exp(-(n - j) * dt * sig) * (K @ psis[j])
             known = np.exp(-n * dt * sig) * psis[0] + dt * hist
             psis.append(np.linalg.solve(step, known))
-        oracle = np.array(psis).reshape(sol.values[:, i].shape)
-        assert np.max(np.abs(sol.values[:, i] - oracle)) < 1e-12
+        oracle = np.array(psis).reshape(got[:, i].shape)
+        assert np.max(np.abs(got[:, i] - oracle)) < 1e-12
         oracles.append(oracle)
     field = np.stack(oracles, axis=1)
     windows = field.reshape(field.shape[:-1] + (sol.windowed.shape[-1], -1)).mean(axis=-1)
@@ -627,28 +641,20 @@ def assert_two_scale_matches_dense_oracle(
 class TestCharacteristicsSolver:
     def test_kappa0_pure_decay(self):
         grids = TransportGrids(n_r=8, n_e=48)
-        phi_in = hat_initial_data(0.5)
-        eps = 0.125
-        sol = solve_characteristics_eps(
-            KAPPA0, phi_in, eps, grids, t_end=1.0, n_steps=20, store_full=True
-        )
-        assert_exact_decay(sol, phi_in, grids, eps)
+        assert_exact_decay(hat_initial_data(0.5), grids, 0.125, t_end=1.0, n_steps=20)
 
     def test_linearity_in_initial_data(self):
         grids = TransportGrids(n_r=8, n_e=48)
         eps = 0.25
-        sol1 = solve_characteristics_eps(
-            SUB, hat_initial_data(0.5), eps, grids, t_end=0.5, n_steps=20,
-            store_full=True,
-        )
 
         def scaled(r, th, E, y):
             return 2.5 * hat_initial_data(0.5)(r, th, E, y)
 
-        sol2 = solve_characteristics_eps(
-            SUB, scaled, eps, grids, t_end=0.5, n_steps=20, store_full=True
+        one, two = (
+            characteristics_field(SUB, phi_in, eps, grids, t_end=0.5, n_steps=20)
+            for phi_in in (hat_initial_data(0.5), scaled)
         )
-        assert np.max(np.abs(sol2.values - 2.5 * sol1.values)) < 1e-12
+        assert np.max(np.abs(two - 2.5 * one)) < 1e-12
 
     def test_positivity_preserved(self):
         grids = TransportGrids(n_r=8, n_e=48)
@@ -662,13 +668,8 @@ class TestCharacteristicsSolver:
         # past r_box = 2; the model has no streaming, labels do not
         # interact, and each one still decays on its own
         grids = TransportGrids(n_r=8, n_e=48)
-        phi_in = hat_initial_data(0.5)
-        eps = 0.25
-        sol = solve_characteristics_eps(
-            KAPPA0, phi_in, eps, grids, t_end=5.0, store_full=True
-        )
+        sol = assert_exact_decay(hat_initial_data(0.5), grids, 0.25, t_end=5.0)
         assert np.array_equal(sol.r_nodes, [-0.25, 0.25])
-        assert_exact_decay(sol, phi_in, grids, eps)
 
     def test_bad_window_count_rejected_before_setup(self):
         # the implicit step of test_singular_implicit_step_raises is singular,
@@ -704,10 +705,8 @@ class TestCharacteristicsSolver:
             return np.broadcast_to(hat * np.ones_like(E + y), shape).copy()
 
         t_end = 1.0
-        sol = solve_characteristics_eps(
-            params, phi_in, 0.5, grids, t_end, n_steps=4000, store_full=True
-        )
-        energies = sol.energies
+        field = characteristics_field(params, phi_in, 0.5, grids, t_end, n_steps=4000)
+        energies = grids.energy_nodes(grids.eps_energy_count(0.5))
         times, ref = solve_separable_energy_model(
             decay=2.0 * np.sqrt(energies),
             emit=np.sqrt(energies),
@@ -717,8 +716,9 @@ class TestCharacteristicsSolver:
             t_end=t_end,
             n_steps=1000,
         )
-        hat0 = np.maximum(0.0, 1.0 - np.abs(sol.r_nodes[0]) / 0.5)
-        got = sol.values[::4, 0, 0, :] / hat0
+        # the data at r = -0.25, the first active node
+        hat0 = np.maximum(0.0, 1.0 - np.abs(grids.r_nodes[3]) / 0.5)
+        got = field[::4, 0, 0, :] / hat0
         assert np.max(np.abs(got - ref)) < 1e-6
 
     def test_matches_dense_oracle(self):
@@ -957,12 +957,10 @@ class TestActiveSlices:
                     SUB, phi_in, grids, t_end=0.5, n_steps=50
                 ).values
             )
-            chars.append(
-                solve_characteristics_eps(
-                    SUB, phi_in, 0.25, grids, t_end=0.5, n_steps=50,
-                    nodes_per_period=12, store_full=True,
-                )
-            )
+            chars.append([
+                run(SUB, phi_in, 0.25, grids, t_end=0.5, n_steps=50, nodes_per_period=12)
+                for run in (solve_characteristics_eps, characteristics_field)
+            ])
         idx = [np.nonzero(np.abs(g.r_nodes) < 0.5)[0] for g in (narrow, wide)]
         assert np.array_equal(narrow.r_nodes[idx[0]], wide.r_nodes[idx[1]])
         assert np.array_equal(hom[0][:, idx[0]], hom[1][:, idx[1]])
@@ -970,8 +968,8 @@ class TestActiveSlices:
         assert not np.any(np.delete(hom[1], idx[1], axis=1))
         assert np.array_equal(closed[0][:, idx[0]], closed[1][:, idx[1]])
         assert not np.any(np.delete(closed[1], idx[1], axis=1))
-        assert np.array_equal(chars[0].r_nodes, chars[1].r_nodes)
-        assert np.array_equal(chars[0].values, chars[1].values)
+        assert np.array_equal(chars[0][0].r_nodes, chars[1][0].r_nodes)
+        assert np.array_equal(chars[0][1], chars[1][1])
 
 
 RANK_GRIDS = TransportGrids(n_omega=4, n_e=12, n_y=16, n_r=8)
@@ -1042,10 +1040,13 @@ class TestRankMarch:
     EPS, NODES_PER_PERIOD, T_END, N_STEPS = 0.5, 8, 0.5, 20
 
     def _chars(self, phi_in):
-        return solve_characteristics_eps(
-            SUB, phi_in, self.EPS, RANK_GRIDS, t_end=self.T_END,
-            n_steps=self.N_STEPS, nodes_per_period=self.NODES_PER_PERIOD,
-            store_full=True,
+        """The solution and the field of the oscillatory march."""
+        return tuple(
+            run(
+                SUB, phi_in, self.EPS, RANK_GRIDS, t_end=self.T_END,
+                n_steps=self.N_STEPS, nodes_per_period=self.NODES_PER_PERIOD,
+            )
+            for run in (solve_characteristics_eps, characteristics_field)
         )
 
     def _hom(self, phi_in):
@@ -1057,26 +1058,26 @@ class TestRankMarch:
     @settings(max_examples=20, deadline=None)
     def test_rank_march_matches_slice_by_slice(self, data):
         phi_coef, rows = data
-        chars = self._chars(_coefficient_data(phi_coef, rows))
+        chars, field = self._chars(_coefficient_data(phi_coef, rows))
         hom = self._hom(_coefficient_data(phi_coef, rows))
         singles, hom_sum = [], np.zeros_like(dense_psi_hom(hom))
         for i in np.nonzero(rows.any(axis=1))[0]:
             only_i = np.where(np.arange(len(rows))[:, None] == i, rows, 0.0)
             singles.append(self._chars(_coefficient_data(phi_coef, only_i)))
             hom_sum += dense_psi_hom(self._hom(_coefficient_data(phi_coef, only_i)))
-        values = np.concatenate([s.values for s in singles], axis=1)
-        windowed = np.concatenate([s.windowed for s in singles], axis=1)
+        values = np.concatenate([f for _, f in singles], axis=1)
+        windowed = np.concatenate([s.windowed for s, _ in singles], axis=1)
         we = RANK_GRIDS.energy_weight(len(chars.energies))
         r_weight = 2.0 * RANK_GRIDS.r_box / RANK_GRIDS.n_r
         sup_l2 = np.sqrt(
             (values**2).sum(axis=(1, 2, 3)) * we * RANK_GRIDS.angle_weight * r_weight
         ).max()
         gate = 1e-12 * max(1.0, float(np.max(np.abs(values))))
-        assert np.array_equal(chars.r_nodes, np.concatenate([s.r_nodes for s in singles]))
-        assert np.max(np.abs(chars.values - values)) <= gate
+        assert np.array_equal(chars.r_nodes, np.concatenate([s.r_nodes for s, _ in singles]))
+        assert np.max(np.abs(field - values)) <= gate
         assert np.max(np.abs(chars.windowed - windowed)) <= gate
         assert abs(chars.sup_l2 - sup_l2) <= gate
-        assert abs(chars.min_value - min(s.min_value for s in singles)) <= gate
+        assert abs(chars.min_value - min(s.min_value for s, _ in singles)) <= gate
         assert np.max(np.abs(dense_psi_hom(hom) - hom_sum)) <= gate
 
     def test_equal_slices_share_a_row_with_coefficient_one(self):
@@ -1093,12 +1094,12 @@ class TestRankMarch:
         row_coef = np.zeros((RANK_GRIDS.n_r, 3))
         row_coef[1:7] = np.eye(3)[which]
         phi_in = _coefficient_data(phi_coef, row_coef)
-        sol = self._chars(phi_in)
+        sol, field = self._chars(phi_in)
         y = np.mod(sol.energies / self.EPS, 1.0)
         data = np.stack([
             phi_in(rv, RANK_GRIDS.angles[:, None], sol.energies, y) for rv in sol.r_nodes
         ])
-        assert np.array_equal(sol.values[0], data)
+        assert np.array_equal(field[0], data)
 
     def test_signed_zeros_are_distinct_slices_of_one_row(self):
         # 0.0 and -0.0 compare equal but differ in their bytes: the second
@@ -1150,6 +1151,10 @@ class TestEnergyRankStep:
         for name in ("transport_checks.csv", "transport_weak.csv"):
             rows = np.loadtxt(result.files[name], delimiter=",", skiprows=1)
             assert rows.shape == (2, 3) and np.all(np.isfinite(rows))
+        # with kappa = 0 the margin and the least quotient are both min sigma_eps
+        with open(result.files["transport_checks.csv"]) as fh:
+            checks = [line.strip().split(",") for line in fh.readlines()[1:]]
+        assert all(margin == quotient for _, margin, quotient in checks)
 
     @given(ranked_kernels())
     @settings(max_examples=30, deadline=None)
@@ -1235,9 +1240,10 @@ def eps_slices(params, phi_in, grids, eps, per_period):
 
 
 def chars_at(params, phi_in, grids, eps, per_period, n_steps):
-    return solve_characteristics_eps(
-        params, phi_in, eps, grids, t_end=0.5, n_steps=n_steps,
-        nodes_per_period=per_period, store_full=True,
+    """The solution and the field of the oscillatory march to t = 0.5."""
+    return tuple(
+        run(params, phi_in, eps, grids, t_end=0.5, n_steps=n_steps, nodes_per_period=per_period)
+        for run in (solve_characteristics_eps, characteristics_field)
     )
 
 
@@ -1269,19 +1275,19 @@ class TestMarchBlocks:
         assert C.shape == (4, 1) and 1 < k < 100
         assert np.array_equal(np.abs(C[:, 0]) * 3.0, [1.0, 3.0, 3.0, 1.0])
         n_steps = block_steps(k)[at]
-        sol = chars_at(params, phi_in, grids, BLOCK_EPS, BLOCK_PER_PERIOD, n_steps)
+        sol, values = chars_at(params, phi_in, grids, BLOCK_EPS, BLOCK_PER_PERIOD, n_steps)
         p = int(np.flatnonzero(C[:, 0] == 1.0)[0])
         n_windows = sol.windowed.shape[-1]
         we, r_weight = grids.energy_weight(n_e), 2.0 * grids.r_box / grids.n_r
         windowed, l2, low = [], [], []
-        for field in sol.values:
+        for field in values:
             f = field[p, :1]  # (angle, E) of the marched row
             assert np.array_equal(field, np.broadcast_to((C @ f)[:, None], field.shape))
             windowed.append(C @ f.reshape(n_windows, -1).mean(axis=-1)[None])
             sq = float(np.sum(C.T @ C * (f * f).sum(axis=1)))
             l2.append(float(np.sqrt(sq * grids.n_omega * we * grids.angle_weight * r_weight)))
             low.append(float(np.min(C * [f.min(), f.max()])))
-        assert len(sol.values) == n_steps + 1
+        assert len(values) == n_steps + 1
         assert np.array_equal(sol.windowed, np.broadcast_to(
             np.array(windowed)[:, :, None], sol.windowed.shape
         ))
@@ -1289,8 +1295,9 @@ class TestMarchBlocks:
         assert np.argmax(l2) == (0 if params is SUB else n_steps)
         # one state per block is the step-by-step march
         monkeypatch.setattr(transport, "MARCH_CHUNK", 1)
-        one = chars_at(params, phi_in, grids, BLOCK_EPS, BLOCK_PER_PERIOD, n_steps)
-        for name in ("values", "windowed", "sup_l2", "min_value"):
+        one, one_values = chars_at(params, phi_in, grids, BLOCK_EPS, BLOCK_PER_PERIOD, n_steps)
+        assert np.array_equal(values, one_values)
+        for name in ("windowed", "sup_l2", "min_value"):
             assert np.array_equal(getattr(sol, name), getattr(one, name)), name
 
     @BOUNDARIES
@@ -1348,8 +1355,7 @@ class TestMarchBlocks:
         k = steps_per_block(rows.size)
         assert 1 < k < 100
         n_steps = block_steps(k)[at]
-        sol = chars_at(SUB, phi_in, grids, eps, per_period, n_steps)
-        field = sol.values
+        sol, field = chars_at(SUB, phi_in, grids, eps, per_period, n_steps)
         assert len(field) == n_steps + 1
         windows = field.reshape(field.shape[:-1] + (sol.windowed.shape[-1], -1)).mean(axis=-1)
         assert np.max(np.abs(sol.windowed - windows)) < 1e-12
@@ -1360,8 +1366,8 @@ class TestMarchBlocks:
         # psi_hom against the step-by-step march, one state per block
         hom = solve_two_scale_transport(SUB, phi_in, grids, t_end=0.5, n_steps=n_steps)
         monkeypatch.setattr(transport, "MARCH_CHUNK", 1)
-        one = chars_at(SUB, phi_in, grids, eps, per_period, n_steps)
-        assert np.array_equal(sol.values, one.values)
+        one, one_field = chars_at(SUB, phi_in, grids, eps, per_period, n_steps)
+        assert np.array_equal(field, one_field)
         assert np.max(np.abs(sol.windowed - one.windowed)) < 1e-12
         assert abs(sol.sup_l2 - one.sup_l2) < 1e-12 * sup_l2
         assert abs(sol.min_value - one.min_value) < 1e-12
@@ -1571,25 +1577,71 @@ class TestFactoredPsiHom:
         )
         assert np.array_equal(sol.active, hom.active)
         assert np.array_equal(grids.r_nodes[sol.active], sol.r_nodes)
-        err = windowed_weak_error(sol, hom, 3)
+        err = windowed_weak_error(sol, hom)
         assert 0.0 < err < 0.1
         # a slice active only in the oscillatory run is compared against zero
         only_right = dataclasses.replace(hom, active=hom.active[1:], C=hom.C[1:])
         gap = np.max(np.abs(sol.windowed[:, 0]))
-        assert windowed_weak_error(sol, only_right, 3) == max(err, gap)
+        assert windowed_weak_error(sol, only_right) == max(err, gap)
         # r-grids of different n_r do not align
         finer = TransportGrids(n_omega=4, n_e=12, n_y=16, n_r=16)
         hom_finer = solve_two_scale_transport(SUB, phi_in, finer, t_end=0.5, n_steps=20)
         with pytest.raises(ValueError, match="do not align"):
-            windowed_weak_error(sol, hom_finer, 3)
+            windowed_weak_error(sol, hom_finer)
         with pytest.raises(ValueError, match="do not align"):
             windowed_weak_error(
                 solve_characteristics_eps(
                     SUB, phi_in, 0.25, finer, t_end=0.5, n_steps=20,
                     nodes_per_period=12, n_windows=3,
                 ),
-                hom, 3,
+                hom,
             )
+        # the window count is the oscillatory run's: 9 windows divide its 36
+        # energy nodes but not the reference grid's 12
+        nine = solve_characteristics_eps(
+            SUB, phi_in, 0.25, grids, t_end=0.5, n_steps=20, nodes_per_period=12, n_windows=9
+        )
+        assert nine.windowed.shape[-1] == 9
+        with pytest.raises(ValueError, match="divide the reference energy grid"):
+            windowed_weak_error(nine, hom)
+
+
+class TestArguments:
+    """Step counts, end times, window counts and r-boxes that no run can use
+    raise ValueError before any march."""
+
+    GRIDS = TransportGrids(n_omega=4, n_e=12, n_y=16, n_r=8)
+
+    def _run(self, solver, **kwargs):
+        if solver == "two-scale":
+            return solve_two_scale_transport(SUB, hat_initial_data(0.5), self.GRIDS, **kwargs)
+        return solve_characteristics_eps(
+            SUB, hat_initial_data(0.5), 0.5, self.GRIDS, nodes_per_period=12, **kwargs
+        )
+
+    @pytest.mark.parametrize(
+        "n_steps, t_end", [(0, 1.0), (-2, 1.0), (10, 0.0), (10, -1.0), (10, np.nan)]
+    )
+    @pytest.mark.parametrize("solver", ["two-scale", "characteristics"])
+    def test_steps_and_end_time(self, solver, n_steps, t_end):
+        # n_steps = 0 used to raise IndexError, t_end = -1 marched backwards
+        # (sup_l2 5.96 and min_value -0.84 on these grids at eps 0.5) and
+        # t_end = 0 repeated the initial state
+        with pytest.raises(ValueError, match="need n_steps >= 1 and t_end > 0"):
+            self._run(solver, t_end=t_end, n_steps=n_steps)
+
+    @pytest.mark.parametrize("n_windows", [0, -6])
+    def test_window_count_below_one(self, n_windows):
+        # 0 used to raise ZeroDivisionError; -6 divides the 18 eps-grid
+        # nodes and reached numpy's negative dimensions
+        with pytest.raises(ValueError, match=f"n_windows = {n_windows}"):
+            self._run("characteristics", t_end=0.5, n_steps=10, n_windows=n_windows)
+
+    @pytest.mark.parametrize("r_box", [0.0, -2.0, np.nan])
+    def test_r_box_must_be_positive(self, r_box):
+        # r_box = -2 made every L2 norm NaN, which max dropped: sup_l2 read 0
+        with pytest.raises(ValueError, match="r_box must be positive"):
+            TransportGrids(n_omega=4, n_e=12, n_y=16, n_r=8, r_box=r_box)
 
 
 # the benchmark's transport grids
