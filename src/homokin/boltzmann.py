@@ -68,8 +68,8 @@ class EnergyGrid:
     e_max: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.e_max <= self.e_min:
-            raise ValueError("energy grid needs n >= 1 and e_max > e_min")
+        if self.n < 1 or not 0 <= self.e_min < self.e_max < np.inf:  # False for NaN
+            raise ValueError("energy grid needs n >= 1 and 0 <= e_min < e_max < inf")
 
     @property
     def h(self) -> float:
@@ -95,6 +95,7 @@ class EnergyGrid:
         """Mesh of size eps > 0 over nodes_per_period, guarded by a node budget."""
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")
+        cls(1, e_min, e_max)  # ValueError for a window that is not finite and ordered
         n = int(round((e_max - e_min) * nodes_per_period / epsilon))
         if n > node_budget:
             raise MemoryError(

@@ -4,10 +4,11 @@ Configuration is flat INI text (key = value under named sections), merged
 with command-line flags.  Every experiment writes CSV files (comma
 separator, dot decimal point, header row, 17 significant digits, LF line
 endings) plus a JSON manifest listing inputs, code version, grids, wall
-time, and a content hash per artifact.  ``write_csv`` takes a file's
-columns and formats it by one % operation; the ode and oscillator kinds
-format their time axis once (``csv_text``) and share that text among
-their three time-series files.  The boltzmann kind's sweep
+time, and a content hash per artifact.  ``write_csv`` and ``csv_text``
+come from :mod:`homokin.csvfmt`, which formats float columns in bulk to
+the bytes of '%.17g'; the ode and oscillator kinds format their time
+axis once (``csv_text``) and share that text among their three
+time-series files.  The boltzmann kind's sweep
 points run on a thread pool in one process (``boltzmann.sweep``), so
 they share one heap and one solve of the limit; results come back in
 the validated sweep order, so reruns are byte-identical regardless of
@@ -28,6 +29,7 @@ import numpy as np
 from . import ConfigError, __version__
 from .boltzmann import DEFAULT_SWEEP, EnergyGrid, sweep
 from .cell import CellFunction, PeriodicGrid, sine_profile, two_valued_profile
+from .csvfmt import csv_text, write_csv
 from .diagnostics import ConvergenceReport
 from .kernels import KernelTable, verify_tartar_equivalence
 from .multiscale import (
@@ -197,55 +199,6 @@ def parse_config_file(path: str) -> dict:
 
 def default_out_dir() -> str:
     return os.environ.get("HOMOKIN_OUT", ".")
-
-
-class _CsvText(tuple):
-    """A column already in the dialect's text, from ``csv_text``."""
-
-
-def _column(column):
-    """(slot, values) of one CSV column: one slot for all its values.
-
-    A float array enters as Python floats in a %.17g slot.  A text column
-    enters as it is in a %s slot, and so does any other column once its
-    values are formatted one by one, %.17g for floats and %s for the rest.
-    """
-    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-        return "%.17g", column.tolist()
-    if isinstance(column, _CsvText):
-        return "%s", column
-    return "%s", [
-        ("%.17g" if isinstance(v, (float, np.floating)) else "%s") % (v,) for v in column
-    ]
-
-
-def csv_text(column) -> _CsvText:
-    """The text of one column, formatted once and shared by several files.
-
-    ``write_csv`` puts a text column into its files as it is, so the bytes
-    equal those of passing ``column`` itself.
-    """
-    slot, values = _column(column)
-    if slot == "%s":  # already text
-        return _CsvText(values)
-    # one % for a float array; its text holds no LF
-    return _CsvText(((slot + "\n") * len(values) % tuple(values)).split("\n")[:-1])
-
-
-def write_csv(path, header: str, *columns) -> None:
-    """CSV dialect: comma, dot decimals, %.17g floats, LF endings.
-
-    The file is formatted by one % operation over its columns, at least
-    one, all of equal length; ``_column`` gives each column its slot.
-    """
-    slots, values = zip(*map(_column, columns))
-    n_rows, n_cols = len(values[0]), len(values)
-    flat = [None] * (n_rows * n_cols)
-    for j, column in enumerate(values):
-        flat[j::n_cols] = column  # ValueError on a column of another length
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        fh.write((",".join(slots) + "\n") * n_rows % tuple(flat))
 
 
 def _sha256(path) -> str:

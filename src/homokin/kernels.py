@@ -48,6 +48,7 @@ from .cell import (
     pole_sum,
     resolvent_apply,
 )
+from .csvfmt import write_csv
 
 
 def _checked_poles(sigma: CellFunction, v: np.ndarray, taus, identity: str):
@@ -123,11 +124,8 @@ class KernelTable:
         return cls(taus, modes, lag0)
 
     def to_csv(self, path) -> None:
-        """Write ``tau,K`` rows in the CSV dialect, formatted by one % operation."""
-        pairs = np.column_stack([self.taus, self.values]).ravel().tolist()
-        with open(path, "w", newline="\n") as fh:
-            fh.write("tau,K\n")
-            fh.write("%.17g,%.17g\n" * len(self.taus) % tuple(pairs))
+        """Write ``tau,K`` rows in the CSV dialect (:func:`homokin.csvfmt.write_csv`)."""
+        write_csv(path, "tau,K", self.taus, self.values)
 
 
 def laplace_of_table(table: KernelTable, p: float) -> tuple[float, float]:

@@ -94,8 +94,10 @@ class TransportGrids:
     r_box: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.e_min < 0 or self.e_max <= self.e_min:
-            raise ValueError("need 0 <= e_min < e_max")
+        if not 0 <= self.e_min < self.e_max < np.inf:  # False for NaN
+            raise ValueError(
+                f"need 0 <= e_min < e_max < inf, got e_min={self.e_min:g}, e_max={self.e_max:g}"
+            )
         if min(self.n_omega, self.n_e, self.n_y, self.n_r) < 2:
             raise ValueError("grids need at least two nodes per axis")
         if not self.r_box > 0:
@@ -692,9 +694,15 @@ def windowed_weak_error(
     reference is read at the oscillatory run's active r-slices by index,
     zero where it has no active slice, expanded through C and only then
     windowed, and interpolated linearly onto the oscillatory time grid.
-    ValueError when the r-grids differ at those indices or when the
-    windows do not divide the reference energy grid.
+    ValueError when the r-grids differ at those indices, when the windows
+    do not divide the reference energy grid, or when the oscillatory run's
+    times leave the reference's: interpolation would clamp them to its ends.
     """
+    if eps_sol.times[0] < hom_field.times[0] or eps_sol.times[-1] > hom_field.times[-1]:
+        raise ValueError(
+            f"oscillatory times [{eps_sol.times[0]:g}, {eps_sol.times[-1]:g}] leave the "
+            f"reference's [{hom_field.times[0]:g}, {hom_field.times[-1]:g}]"
+        )
     n_windows = eps_sol.windowed.shape[-1]
     per_hom = len(hom_field.energies) // n_windows
     if per_hom * n_windows != len(hom_field.energies):

@@ -47,6 +47,17 @@ class TestEnergyGrid:
         with pytest.raises(MemoryError):
             EnergyGrid.for_epsilon(1e-5, node_budget=1000)
 
+    @pytest.mark.parametrize(
+        "e_min, e_max", [(0.0, np.nan), (0.0, np.inf), (np.nan, 1.0), (-0.5, 1.0), (1.0, 0.5)]
+    )
+    def test_energy_window_must_be_finite_and_ordered(self, e_min, e_max):
+        # e_max = nan gave all-NaN nodes and e_max = inf all-inf ones; sized
+        # for an eps, inf raised OverflowError and nan a message about rounding
+        with pytest.raises(ValueError, match="0 <= e_min < e_max < inf"):
+            EnergyGrid(4, e_min, e_max)
+        with pytest.raises(ValueError, match="0 <= e_min < e_max < inf"):
+            EnergyGrid.for_epsilon(0.1, e_min=e_min, e_max=e_max)
+
     @pytest.mark.parametrize("eps", [0.0, -0.1])
     def test_nonpositive_epsilon_raises(self, eps):
         with pytest.raises(ValueError, match="epsilon must be positive"):

@@ -7,17 +7,21 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import homokin.harness
 import homokin.kernels
 import homokin.multiscale
 import homokin.oscillator
+from homokin import csvfmt
 from homokin.cell import CellFunction, PeriodicGrid, gauss_poles, sine_profile
 from homokin.cli import build_parser, config_from_args, main
 from homokin.harness import (
@@ -35,7 +39,7 @@ from homokin.harness import (
 )
 from homokin.multiscale import COUPLED_MAX_CELLS, OdeProblem, solve_eps_exact
 from homokin.oscillator import kernel_time_table
-from homokin.volterra import SolverError
+from homokin.volterra import SolverError, TimeGrid
 
 
 class TestConfigValidation:
@@ -345,6 +349,125 @@ class TestCsvDialect:
             texts = [csv_text(c) if s else c for c, s in zip(columns, shared)]
             write_csv(path, header, *texts)
             assert path.read_bytes() == expected
+
+
+def written(header, *columns) -> bytes:
+    """The bytes ``write_csv`` writes for ``columns``."""
+    with tempfile.TemporaryDirectory() as out_dir:
+        path = Path(out_dir) / "x.csv"
+        write_csv(path, header, *columns)
+        return path.read_bytes()
+
+
+def assert_per_value(x):
+    """A float column, itself and through ``csv_text``, next to its negation,
+    writes the per-value reference's bytes."""
+    expected = reference_csv("a,b", [x, -x])
+    assert written("a,b", x, -x) == expected
+    assert written("a,b", csv_text(x), -x) == expected
+
+
+def percent_path_csv(path, header, *columns):
+    """The writer the bulk formatter replaced: one % operation over the
+    file, float arrays in %.17g slots and text in %s slots."""
+    slots = ["%.17g" if isinstance(c, np.ndarray) else "%s" for c in columns]
+    values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    flat = [v for row in zip(*values) for v in row]
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.write((",".join(slots) + "\n") * len(values[0]) % tuple(flat))
+
+
+# the nearest doubles to 10^k, k = -307..307
+POW10 = np.array([float(f"1e{k}") for k in range(-307, 308)])
+
+
+def neighbours(centres, count):
+    """The ``count`` doubles on each side of each centre, and the centres."""
+    steps = np.arange(-count, count + 1)
+    return (np.asarray(centres).view(np.int64)[:, None] + steps).view(np.float64).ravel()
+
+
+class TestFloatFormatter:
+    """Float columns are formatted in bulk, byte for byte as '%.17g'; the
+    bulk path runs for files of more than ``csvfmt._SMALL`` rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(bits=hnp.arrays(np.uint64, st.integers(0, 3000), elements=st.integers(0, 2**64 - 1)))
+    def test_raw_bit_patterns(self, bits):
+        assert_per_value(bits.view(np.float64))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        assert_per_value(neighbours(POW10, 1))
+
+    def test_near_ties(self):
+        # 18-digit decimals ending in 5 lie within a few units of the last
+        # place of a tie at 17 digits; 2^-25 = 2.98023223876953125e-08 is one
+        rng = np.random.default_rng(35)
+        mantissas = rng.integers(10**16, 10**17, 20000) * 10 + 5
+        exponents = rng.integers(-30, 50, 20000)
+        x = [float(f"{m}e{k}") for m, k in zip(mantissas.tolist(), exponents.tolist())]
+        assert_per_value(np.array(x + [2.0**-k for k in range(1, 80)]))
+        assert "%.17g" % 2.0**-25 == "2.9802322387695312e-08"
+
+    def test_rollover_and_the_form_boundaries(self):
+        # 99999999999999999.5 and up round to 1e+17, as the double nearest
+        # 1e-14, below 10^-14, prints 1e-14; %g switches form at 1e-4 / 1e-5
+        # and 1e16 / 1e17, and the bulk path takes magnitudes in [1e-11, 1e17)
+        centres = [1e-5, 1e-4, 1e16, 1e17, 99999999999999999.5, 1e-14, 1e-11, 1e-12]
+        assert "%.17g" % 99999999999999999.5 == "1e+17"
+        assert Fraction(1e-14) < Fraction(1, 10**14) and "%.17g" % 1e-14 == "1e-14"
+        assert_per_value(neighbours(centres, 300))
+
+    def test_subnormals_zeros_and_non_finite(self):
+        subnormals = (np.arange(1, 300) * 12345678901).view(np.float64)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, 2.2250738585072014e-308]
+        assert_per_value(np.concatenate([subnormals, special, subnormals]))
+
+    def test_a_short_long_double_takes_the_percent_route(self, monkeypatch):
+        # the bulk path needs 64 mantissa bits; without them every value is
+        # formatted by '%' one at a time, to the same bytes
+        assert not csvfmt._wide_enough(np.float64)
+        assert csvfmt._EXACT == (np.finfo(np.longdouble).nmant >= 63)
+        x = np.concatenate([neighbours(POW10[290:330], 3), np.random.default_rng(1).normal(size=999)])
+        expected = reference_csv("a,b", [x, -x])
+        by_percent = []
+        texts = csvfmt._texts
+        monkeypatch.setattr(csvfmt, "_texts", lambda t, w=None: by_percent.append(len(t)) or texts(t, w))
+        monkeypatch.setattr(csvfmt, "_EXACT", csvfmt._wide_enough(np.float64))
+        assert written("a,b", x, -x) == expected
+        assert sum(by_percent) == 2 * len(x)
+
+    def test_text_with_nul_and_non_ascii(self):
+        # kept bytes are a mask, not "every byte but NUL"
+        words = ["\0", "a\0", "\0b", "ünïcödé", "€", "", "x" * 40, "1e+17"]
+        for n in (7, 600):
+            text = [words[j % len(words)] for j in range(n)]
+            x = np.linspace(-1.0, 1.0, n)
+            expected = reference_csv("s,x", [text, x])
+            assert written("s,x", text, x) == expected
+            assert written("s,x", csv_text(text), csv_text(x)) == expected
+
+    def test_peak_memory_of_a_time_series_file(self, tmp_path):
+        # the oscillator kind's solution file: a shared time column and two
+        # float columns of 10,001 rows; the % writer peaked at 1.95 MB
+        times = TimeGrid.from_count(10.0, 10000).times
+        u1, u2 = np.cos(3.0 * times), np.sin(times)
+        paths = tmp_path / "bulk.csv", tmp_path / "percent.csv"
+
+        def peak(write, path, text):
+            write(path, "t,u1,u2", text, u1, u2)  # numpy's first-call caches
+            tracemalloc.start()
+            try:
+                write(path, "t,u1,u2", text, u1, u2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        bulk = peak(write_csv, paths[0], csv_text(times))
+        percent = peak(percent_path_csv, paths[1], tuple("%.17g" % t for t in times.tolist()))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert bulk <= percent + 1e6, (bulk, percent)
 
 
 class TestExperiments:

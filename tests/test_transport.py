@@ -1637,6 +1637,36 @@ class TestArguments:
         with pytest.raises(ValueError, match=f"n_windows = {n_windows}"):
             self._run("characteristics", t_end=0.5, n_steps=10, n_windows=n_windows)
 
+    @pytest.mark.parametrize(
+        "e_min, e_max", [(0.25, np.nan), (0.25, np.inf), (np.nan, 1.0), (-0.1, 1.0), (1.0, 0.25)]
+    )
+    def test_energy_window_must_be_finite_and_ordered(self, e_min, e_max):
+        # e_max = nan or inf gave NaN or inf energy nodes, and coercivity_test
+        # then raised a misleading "sigma that does not depend on angle" error
+        with pytest.raises(ValueError, match="need 0 <= e_min < e_max < inf"):
+            TransportGrids(n_omega=4, n_e=12, n_y=16, n_r=8, e_min=e_min, e_max=e_max)
+
+    def test_weak_error_needs_the_reference_over_the_whole_run(self):
+        # np.interp clamps: an eps run to t = 2 was compared, past t = 0.5,
+        # with the reference's last state, and read 0.2296 with no error
+        phi_in = hat_initial_data(0.5)
+        short, long = (
+            solve_two_scale_transport(SUB, phi_in, self.GRIDS, t_end=t, n_steps=n)
+            for t, n in ((0.5, 20), (2.0, 80))
+        )
+        eps_runs = [
+            solve_characteristics_eps(
+                SUB, phi_in, 0.25, self.GRIDS, t_end=t, n_steps=n, nodes_per_period=12,
+                n_windows=3,
+            )
+            for t, n in ((0.5, 20), (2.0, 80))
+        ]
+        with pytest.raises(ValueError, match=r"times \[0, 2\] leave the reference's \[0, 0.5\]"):
+            windowed_weak_error(eps_runs[1], short)
+        assert 0.0 < windowed_weak_error(eps_runs[1], long) < 0.1
+        # a shorter oscillatory run reads the longer reference inside its span
+        assert 0.0 < windowed_weak_error(eps_runs[0], long) < 0.1
+
     @pytest.mark.parametrize("r_box", [0.0, -2.0, np.nan])
     def test_r_box_must_be_positive(self, r_box):
         # r_box = -2 made every L2 norm NaN, which max dropped: sup_l2 read 0
