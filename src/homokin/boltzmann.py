@@ -22,18 +22,24 @@ Both generators are a diagonal plus a rank-one term, so one march in
 moment form (``_rank_one_march``) steps both, each RK4 step a few passes
 over the state, written into a reused buffer and handed out a block of
 steps at a time.  ``sweep`` solves the limit, which does not depend on
-eps, once per sweep.  Each sweep point reads its grid once, builds the
-discrete Legendre basis in closed form and samples the coefficients with
-one periodic wrap, then reduces each block of its eps run as it comes
-(modes in that basis and L2(E) norms), so no (t, E) field is formed.  Its
-points start largest eps mesh first, so on 2 cores a second worker
-shortens a sweep instead of idling while the finest point runs alone.
+eps, once per sweep.  Each sweep point builds the discrete Legendre basis
+on its eps mesh in closed form and reduces each block of its eps run as
+it comes (modes in that basis and L2(E) norms), so no (t, E) field is
+formed.  sigma and kappa repeat every p = eps/h nodes, so where p is an
+integer below n to rounding the mesh folds and the run is marched over
+one period, with sums over each residue mod p standing in for the grid
+(``_reduce_eps_run``): a few passes over the mesh a point, not about 20
+a step.  A mesh that does not fold is marched whole, as ``solve_toy_eps``
+marches every mesh.  Points start largest eps mesh first, so on 2 cores a
+second worker shortens a sweep instead of idling while the finest point
+runs alone.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -46,9 +52,11 @@ from .diagnostics import EnergyField, orthonormal_polynomials
 PLACEMENTS = ("inside", "outside")
 INIT_MODES = ("oscillatory", "profile")
 DEFAULT_NODE_BUDGET = 2_000_000
-# Floats in one block of march states, 256 kB: two steps a block at the finest
-# default mesh.  The six README sweeps at 2 workers took 88 ms a pass with one
-# step a block, 83 ms with 128 kB, 79 ms with 256 kB and 78 ms with 512 kB.
+# Floats in one block of march states, 256 kB: a folded sweep point's whole run
+# (300 floats a state) is one block, and a 16,000-node mesh that does not fold
+# takes two steps a block.  Marching the whole mesh, the six README sweeps at 2
+# workers took 88 ms a pass with one step a block, 83 ms with 128 kB, 79 ms
+# with 256 kB and 78 ms with 512 kB.
 MARCH_CHUNK = 1 << 15
 
 # Sweep values carry a 0.1-period offset against the energy window: with
@@ -228,18 +236,19 @@ def _rank_one_march(decay, emit, collect, phi0, times):
     yield block[:j]
 
 
-def _toy_eps_set_up(problem: ToyProblem, nodes: np.ndarray, h: float):
+def _toy_eps_set_up(problem: ToyProblem, nodes: np.ndarray, h: float, p: int):
     """(decay, emit, collect, phi0) of the oscillatory run on its energy mesh.
 
-    ``nodes`` and ``h`` are the mesh's nodes and its uniform weight.
+    ``nodes`` and ``h`` are the mesh's nodes and its uniform weight.  The
+    coefficients are read on the first ``p`` nodes, the data on all of them.
     """
     y = wrap(nodes / problem.epsilon)
-    sig = problem.sigma.eval_periodic(y)
-    kap = problem.kappa.eval_periodic(y)
+    sig = problem.sigma.eval_periodic(y[:p])
+    kap = problem.kappa.eval_periodic(y[:p])
     phi0 = problem.phi_in.eval_periodic(y if problem.init_mode == "oscillatory" else nodes)
     if problem.placement == "inside":
-        return sig, np.ones(len(nodes)), h * kap, phi0
-    return sig, kap, np.full(len(nodes), h), phi0
+        return sig, np.ones(p), h * kap, phi0
+    return sig, kap, np.full(p, h), phi0
 
 
 def solve_toy_eps(
@@ -253,7 +262,7 @@ def solve_toy_eps(
         problem.epsilon, nodes_per_period, node_budget=node_budget
     )
     times, nodes = np.linspace(0.0, problem.t_end, n_steps + 1), egrid.nodes
-    march = _rank_one_march(*_toy_eps_set_up(problem, nodes, egrid.h), times)
+    march = _rank_one_march(*_toy_eps_set_up(problem, nodes, egrid.h, egrid.n), times)
     values = np.concatenate([block.copy() for block in march])
     return EnergyField(times, nodes, egrid.weights, values)
 
@@ -276,20 +285,24 @@ class TwoScaleToySolution:
 
     def l2_norm(self) -> float:
         """||phi0||_{L2(t, E, y)}; the E integrals act on the profile a alone."""
+        return self._l2_norm
+
+    @cached_property
+    def _l2_norm(self) -> float:  # once: every point of a sweep reads it
         a, we = self.profile, self.e_weights
         x, z = self.cell[:, 0], self.cell[:, 1]
         density = ((we @ a**2) * x + 2.0 * (we @ a) * z) * x + z**2
         return float(np.sqrt(np.trapezoid(density.mean(axis=1), self.times)))
 
-    def modes_on(self, energies: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def modes_on(self, a: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Coefficients (rows, phi_hom(t, .)) on another energy grid, (nt+1, k).
 
-        ``rows`` are the weighted basis rows on ``energies``.  phi_hom =
+        ``rows`` are the weighted basis rows on that grid and ``a`` is the
+        profile evaluated there (1 for oscillatory data).  phi_hom =
         <X>_y a(E) + <Z>_y has rank two, so its coefficients are
-        <X>_y (a, row) + <Z>_y (1, row): the profile a is interpolated onto
-        the grid once and the (nt+1, nE) field is never formed.
+        <X>_y (a, row) + <Z>_y (1, row), and the (nt+1, nE) field is never
+        formed.
         """
-        a = np.interp(energies, self.energies, self.profile)
         # pairwise sums along E, as accurate as BLAS and free of its threads
         profile_modes = np.stack([np.sum(rows * a, axis=1), np.sum(rows, axis=1)])
         return self.cell.mean(axis=2) @ profile_modes
@@ -343,39 +356,110 @@ class SweepPointResult:
     sup_norm_l2: float       # max_t ||phi_eps(t, .)||_{L2(E)}
 
 
+def _period(epsilon: float, egrid: EnergyGrid) -> int:
+    """Nodes in one period of eps on ``egrid``, or n when the mesh does not fold.
+
+    The mesh folds when p = eps/h is an integer below n to a few ulps: the
+    phase drift of reading node e at e mod p, n |p h - eps| / (p eps) at
+    most, stays within two ulps of E/eps at the window's end, about the
+    rounding E/eps carries there already.
+    """
+    n, h = egrid.n, egrid.h
+    p = round(epsilon / h)
+    drift = n * abs(p * h - epsilon)
+    return p if 0 < p < n and drift <= 2 * p * epsilon * np.spacing(egrid.e_max / epsilon) else n
+
+
+def _fold(x: np.ndarray, p: int) -> np.ndarray:
+    """Sums of x over the residues mod p of its last index, min(p, len) of them."""
+    if x.shape[-1] <= p:
+        return x
+    q, s = divmod(x.shape[-1], p)
+    out = x[..., : q * p].reshape(x.shape[:-1] + (q, p)).sum(axis=-2)
+    out[..., :s] += x[..., q * p :]
+    return out
+
+
+def _reduce_eps_run(problem: ToyProblem, egrid: EnergyGrid, rows: np.ndarray, times):
+    """Coefficients (rows, phi_eps(t_j)) and squared L2(E) norms of the eps run.
+
+    The run is marched on ``times`` over one period of ``egrid``
+    (``_period``), p nodes, and each block of states is reduced as it
+    comes, so no (t, E) field is formed; ``rows`` are weighted basis rows
+    on ``egrid``.  sigma and kappa repeat every p nodes, so the data splits
+    as phi0 = pi[e mod p] + rho with pi its first period, and as RK4 is
+    linear, phi_j(e) = g_j[e mod p] + keep^j rho_e: g is marched on p nodes
+    with collect weighted by the multiplicities w_r = #{e = r mod p}, and
+    rho, which decays without emitting, enters it through a stacked block
+    fold(rho), its sums over each residue, beside a block keep^j marched
+    from ones.  The coefficients are then fold(rows) g + fold(rows rho)
+    keep^j and the squared norms w g^2 + 2 g fold(rho) keep^j + fold(rho^2)
+    keep^2j.  On a mesh that does not fold p = n, w = 1 and rho is empty,
+    which leaves the march and the reductions of the whole mesh.
+
+    With n = q p + s, w g^2 is q g^2, one ``einsum`` a state, plus the first
+    s residues' g^2: numpy sums a row of over 8192 floats in pieces once the
+    call has a second axis, so a block call would round long states by the
+    block size.  The terms in rho, on 3 min(p, n - p) floats a state, are
+    summed over the whole run after the march.  The coefficient call has
+    the mode axis at any block size (for k_max >= 1), so it always sums in
+    those pieces.
+    """
+    n, h = egrid.n, egrid.h
+    p = _period(problem.epsilon, egrid)
+    q, s = divmod(n, p)
+    f = min(p, n - p)  # the residues rho reaches
+    decay, emit, collect, phi0 = _toy_eps_set_up(problem, egrid.nodes, h, p)
+    rho = phi0[p:] - np.resize(phi0[:p], n - p)
+    fold_rows, fold_rho_rows = _fold(rows, p), _fold(rows[:, p:] * rho, p)
+    w = np.where(np.arange(p) < s, q + 1, q)
+    # the stacked state is [keep^j; z = fold(rho) keep^j; g], so keep^j, z
+    # and g on the residues rho reaches are its first 3 f floats
+    march = _rank_one_march(
+        np.concatenate([decay[:f], decay[:f], decay]),
+        np.concatenate([np.zeros(2 * f), emit]),
+        np.concatenate([np.zeros(f), collect[:f], w * collect]),
+        np.concatenate([np.ones(f), _fold(rho, p), phi0[:p]]),
+        times,
+    )
+    fold_rho_sq = _fold(rho * rho, p)
+    del phi0, rho
+    coeffs = np.empty((len(times), len(rows)))
+    sq = np.empty(len(times))
+    free = np.empty((len(times), 3 * f))
+    j = 0
+    for block in march:
+        g = block[:, 2 * f :]
+        np.einsum("kr,br->bk", fold_rows, g, out=coeffs[j : j + len(block)])
+        free[j : j + len(block)] = block[:, : 3 * f]
+        for phi in g:
+            sq[j] = q * np.einsum("e,e->", phi, phi)
+            j += 1
+    keep, z, g = free[:, :f], free[:, f : 2 * f], free[:, 2 * f :]
+    coeffs += np.einsum("kr,tr->tk", fold_rho_rows, keep)
+    sq += np.einsum("tr,tr->t", g[:, :s], g[:, :s]) + 2.0 * np.einsum("tr,tr->t", g, z)
+    sq += np.einsum("r,tr->t", fold_rho_sq, keep * keep)
+    sq *= h
+    return coeffs, sq
+
+
 def _point_errors(
     problem: ToyProblem, hom: TwoScaleToySolution, k_max: int, egrid: EnergyGrid
 ) -> SweepPointResult:
-    """Mode errors and norms of one eps run against its limit, streamed.
+    """Mode errors and norms of one eps run against its limit.
 
-    The oscillatory run is marched on ``egrid`` and the limit's time grid,
-    and each block of states is reduced as it comes: its coefficients in
-    the basis built once on ``egrid``, one ``einsum`` a block, and its
-    squared L2(E) norms.  The limit's modes are taken in the same basis,
-    so the two mode series share quadrature and time discretization
-    exactly, and the (nt+1, nE) field is never formed.  The grid's arrays
-    are read once, and only the basis outlives the set-up.
-
-    A norm is one ``einsum`` a state: numpy sums a row of over 8192 floats
-    in pieces once the call has a second axis, so a block call would round
-    long states by the block size.  The coefficient call has the mode axis
-    at any block size (for k_max >= 1), so it always sums in those pieces.
+    The limit's modes are taken in the basis, built once on ``egrid``, that
+    ``_reduce_eps_run`` reduces the eps run in, with the profile read on
+    ``egrid`` itself, so the two mode series share quadrature and time
+    discretization exactly.
     """
-    nodes, h = egrid.nodes, egrid.h
+    nodes = egrid.nodes
     rows = orthonormal_polynomials(nodes, egrid.weights, k_max)
-    rows *= h
-    hom_modes = hom.modes_on(nodes, rows)
-    march = _rank_one_march(*_toy_eps_set_up(problem, nodes, h), hom.times)
+    rows *= egrid.h
+    profile = problem.init_mode == "profile"
+    hom_modes = hom.modes_on(problem.phi_in.eval_periodic(nodes) if profile else 1.0, rows)
     del nodes
-    coeffs = np.empty((len(hom.times), k_max + 1))
-    sq = np.empty(len(hom.times))
-    j = 0
-    for block in march:
-        np.einsum("ke,be->bk", rows, block, out=coeffs[j : j + len(block)])
-        for phi in block:
-            sq[j] = np.einsum("e,e->", phi, phi)
-            j += 1
-    sq *= h
+    coeffs, sq = _reduce_eps_run(problem, egrid, rows, hom.times)
     errors = np.max(np.abs(coeffs - hom_modes), axis=0)
     norm = float(np.sqrt(np.trapezoid(sq, hom.times)))
     sup_l2 = float(np.sqrt(np.max(sq)))
@@ -425,14 +509,15 @@ def sweep(
     only.  Each point is the ``sweep_point`` of its eps at the defaults.
 
     Points start largest eps mesh first (a stable sort on the node
-    count), and results come back in the order of ``epsilons``.  The
-    finest point of the default sweep is about half its serial work;
-    started last, it would run alone while the other worker idled.
+    count), and results come back in the order of ``epsilons``.  A folded
+    point's march has a fixed size, but its basis and folds are passes over
+    its mesh, so the finest point of the default sweep is still about a
+    third of the serial work; started last, it would run alone while the
+    other worker idled.
     """
-    problems = [
-        example_presets(example_id, placement, eps, n_cell, init_mode=init_mode)
-        for eps in epsilons
-    ]
+    first, *rest = epsilons
+    first = example_presets(example_id, placement, first, n_cell, init_mode=init_mode)
+    problems = [first] + [replace(first, epsilon=eps) for eps in rest]
     grids = [EnergyGrid.for_epsilon(problem.epsilon) for problem in problems]
     hom = solve_toy_two_scale(problems[0])
     order = sorted(range(len(problems)), key=lambda i: -grids[i].n)

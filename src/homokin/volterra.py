@@ -207,27 +207,3 @@ def solve_volterra(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:
     z0[: len(u0)] = u0
     observe = np.eye(len(u0), len(T)).reshape(problem.u0.shape + (len(T),))
     return march_affine(T, B_in, inputs, z0, observe)
-
-
-def volterra_residual(
-    problem: VolterraProblem, solution: np.ndarray, grid: TimeGrid
-) -> float:
-    """A-posteriori residual of a candidate solution.
-
-    Recomputes du/dt by centered differences on interior nodes and the
-    convolution by an independent full trapezoid sum, and returns the max
-    norm of  du/dt + a u - conv - S.  The trapezoid at t_n is the discrete
-    convolution sum_{j<=n} K_{n-j} u_j less half its two end terms.
-    """
-    count, dt, d = grid.count, grid.dt, problem.u0.size
-    K = _kernel_samples(problem, grid)
-    S = _source_samples(problem, grid)
-    u = np.asarray(solution, dtype=float).reshape(count + 1, d)
-    full = np.zeros((count + 1, d))
-    for i, j in np.ndindex(d, d):
-        full[:, i] += np.convolve(K[:, i, j], u[:, j])[: count + 1]
-    ends = K @ u[0] + u @ K[0].T
-    conv = dt * (full - 0.5 * ends)
-    dudt = (u[2:] - u[:-2]) / (2.0 * dt)
-    res = dudt + u[1:-1] @ problem.a.reshape(d, d).T - conv[1:-1] - S[1:-1]
-    return float(np.max(np.abs(res))) if len(res) else 0.0

@@ -9,6 +9,8 @@ independent oracles for those sums.
 
 The other oracles check the package against routes it no longer runs:
 
+- :func:`volterra_residual`, the a-posteriori residual of a candidate
+  Volterra solution by centered differences and a full trapezoid sum;
 - :func:`solve_volterra_direct` marches the product-trapezoid scheme of
   :func:`homokin.volterra.solve_volterra` with the history summed directly
   over the tabulated values, O(N^2), against the solver's pole recursion;
@@ -25,6 +27,9 @@ The other oracles check the package against routes it no longer runs:
   energy grid, whose Legendre modes the rank-two projection of
   :meth:`homokin.boltzmann.TwoScaleToySolution.modes_on` is checked
   against;
+- :func:`full_mesh_reductions`, the toy eps run marched on its whole
+  energy mesh and reduced state by state, against the one-period march of
+  :func:`homokin.boltzmann._reduce_eps_run`;
 - :func:`convergence_study`, one serial eps sweep of the toy model;
 - :func:`stieltjes_polynomials`, the grid-orthonormal polynomials by the
   Stieltjes recurrence with grid sums, on any grid, against the closed-form
@@ -71,7 +76,15 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import expm
 
-from homokin.boltzmann import SweepPointResult, TwoScaleToySolution, sweep
+from homokin.boltzmann import (
+    EnergyGrid,
+    SweepPointResult,
+    ToyProblem,
+    TwoScaleToySolution,
+    _rank_one_march,
+    _toy_eps_set_up,
+    sweep,
+)
 from homokin.cell import (
     POLE_CHUNK,
     CellFunction,
@@ -279,6 +292,30 @@ def secular_response(sigma: CellFunction, v: np.ndarray, taus) -> np.ndarray:
     return pole_sum(poles, residues * _eigen_coefficients(sigma, poles, g), taus)
 
 
+def volterra_residual(
+    problem: VolterraProblem, solution: np.ndarray, grid: TimeGrid
+) -> float:
+    """A-posteriori residual of a candidate solution.
+
+    Recomputes du/dt by centered differences on interior nodes and the
+    convolution by an independent full trapezoid sum, and returns the max
+    norm of  du/dt + a u - conv - S.  The trapezoid at t_n is the discrete
+    convolution sum_{j<=n} K_{n-j} u_j less half its two end terms.
+    """
+    count, dt, d = grid.count, grid.dt, problem.u0.size
+    K = _kernel_samples(problem, grid)
+    S = _source_samples(problem, grid)
+    u = np.asarray(solution, dtype=float).reshape(count + 1, d)
+    full = np.zeros((count + 1, d))
+    for i, j in np.ndindex(d, d):
+        full[:, i] += np.convolve(K[:, i, j], u[:, j])[: count + 1]
+    ends = K @ u[0] + u @ K[0].T
+    conv = dt * (full - 0.5 * ends)
+    dudt = (u[2:] - u[:-2]) / (2.0 * dt)
+    res = dudt + u[1:-1] @ problem.a.reshape(d, d).T - conv[1:-1] - S[1:-1]
+    return float(np.max(np.abs(res))) if len(res) else 0.0
+
+
 def solve_volterra_direct(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:
     """The product-trapezoid march with the history summed directly, O(N^2).
 
@@ -430,17 +467,29 @@ class CellEnergyField:
         return float(np.sqrt(np.trapezoid(sq, self.times)))
 
 
-def hom_field_on(hom: TwoScaleToySolution, energies: np.ndarray) -> EnergyField:
-    """phi_hom as a full (nt+1, nE) field on a foreign uniform energy grid.
-
-    phi_hom = a(E) <X>_y + <Z>_y is affine in a, so a is interpolated.
-    """
+def hom_field_on(
+    hom: TwoScaleToySolution, energies: np.ndarray, a: np.ndarray
+) -> EnergyField:
+    """phi_hom = a(E) <X>_y + <Z>_y as a full (nt+1, nE) field on a foreign
+    uniform energy grid, with the profile ``a`` evaluated on it."""
     energies = np.asarray(energies, dtype=float)
     means = hom.cell.mean(axis=2)
-    a = np.interp(energies, hom.energies, hom.profile)
     vals = np.outer(means[:, 0], a) + means[:, 1:]
     h = energies[1] - energies[0]
     return EnergyField(hom.times, energies, np.full(len(energies), h), vals)
+
+
+def full_mesh_reductions(problem: ToyProblem, egrid: EnergyGrid, rows: np.ndarray, times):
+    """(coefficients, squared L2(E) norms) of the eps run marched on all of
+    ``egrid``: block coefficients and one ``einsum`` a state, as
+    :func:`homokin.boltzmann._reduce_eps_run` reduces a mesh that does not
+    fold."""
+    set_up = _toy_eps_set_up(problem, egrid.nodes, egrid.h, egrid.n)
+    coeffs, sq = [], []
+    for block in _rank_one_march(*set_up, times):
+        coeffs.append(np.einsum("ke,be->bk", rows, block))
+        sq += [np.einsum("e,e->", phi, phi) for phi in block]
+    return np.concatenate(coeffs), np.array(sq) * egrid.h
 
 
 def convergence_study(

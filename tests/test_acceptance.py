@@ -183,6 +183,24 @@ def test_criterion_06_figure5_outside():
     assert ok
 
 
+def test_criterion_06_figure5_every_mode_decreases():
+    # the limit's modes read the profile on the eps grid, so no mode of the
+    # outside sweeps sits on a floor set by the reference; criterion 06's
+    # gate on mode 0 stays as it is
+    details, oks = [], []
+    for ex in (1, 3):
+        rep, _ = convergence_study(ex, "outside", DEFAULT_SWEEP, init_mode="profile")
+        modes = rep.mode_errors.shape[1]
+        decreasing = all(np.all(np.diff(rep.mode_errors[:, k]) < 0) for k in range(modes))
+        oks.append(decreasing)
+        details.append(
+            f"ex{ex} strictly decreasing k=0..{modes - 1} ({decreasing}), "
+            f"odd slopes {', '.join(f'{rep.fits[k].slope:.2f}' for k in range(1, modes, 2))}"
+        )
+    ok = report(6, all(oks), "outside every mode: " + "; ".join(details))
+    assert ok
+
+
 def test_criterion_07_transport_coercivity():
     grids = TransportGrids()
     sub = transport_preset("transport-subcritical-1")

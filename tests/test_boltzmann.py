@@ -14,7 +14,10 @@ from homokin.boltzmann import (
     DEFAULT_SWEEP,
     EnergyGrid,
     ToyProblem,
+    _period,
     _rank_one_march,
+    _reduce_eps_run,
+    _toy_eps_set_up,
     example_presets,
     solve_toy_eps,
     solve_toy_two_scale,
@@ -23,6 +26,7 @@ from homokin.boltzmann import (
 )
 from homokin.cell import CellFunction, PeriodicGrid, rk4_step
 from homokin.diagnostics import (
+    EnergyField,
     legendre_modes,
     mode_error,
     norm_difference,
@@ -31,9 +35,18 @@ from homokin.diagnostics import (
 from oracles import (
     CellEnergyField,
     convergence_study,
+    full_mesh_reductions,
     hom_field_on,
     solve_separable_energy_model,
 )
+
+
+def profile_on(problem, energies):
+    """The limit's energy profile a on ``energies``: the data itself for a
+    fixed profile, ones for oscillatory data."""
+    if problem.init_mode == "profile":
+        return problem.phi_in.eval_periodic(energies)
+    return np.ones(len(energies))
 
 
 class TestEnergyGrid:
@@ -309,6 +322,65 @@ class TestRankOneMarch:
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+class TestFold:
+    """The eps run marched over one period of its mesh against the march of
+    the whole mesh."""
+
+    def test_which_meshes_fold(self):
+        # the default sweep and the CI smoke sweep fold at 100 nodes a period
+        for eps in DEFAULT_SWEEP + (0.1, 0.05, 0.025):
+            assert _period(eps, EnergyGrid.for_epsilon(eps)) == 100
+        # 8130 nodes, 100 of which miss eps by 1e-5 of it; and eps = 1, whose
+        # one period is the whole mesh
+        for eps, n in [(0.0123, 8130), (1.0, 100)]:
+            grid = EnergyGrid.for_epsilon(eps)
+            assert grid.n == n
+            assert _period(eps, grid) == n
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_y=st.integers(2, 32),
+        periods=st.integers(2, 12),
+        per_period=st.integers(3, 40),
+        e_min=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+        width=st.sampled_from([0.5, 0.75, 1.0, 2.0]),
+        placement=st.sampled_from(["inside", "outside"]),
+        init_mode=st.sampled_from(["oscillatory", "profile"]),
+        n_steps=st.integers(1, 30),
+        data=st.data(),
+    )
+    def test_matches_full_mesh_march(
+        self, n_y, periods, per_period, e_min, width, placement, init_mode, n_steps, data
+    ):
+        def cell_values(elements):
+            return data.draw(hnp.arrays(np.float64, n_y, elements=elements))
+
+        # signed data, kept clear of magnitudes whose squares underflow
+        init = st.floats(-2.0, 2.0).filter(lambda v: v == 0.0 or abs(v) > 1e-6)
+        grid = PeriodicGrid(n_y)
+        epsilon = width / periods
+        problem = ToyProblem(
+            CellFunction(grid, cell_values(st.floats(0.1, 5.0))),
+            CellFunction(grid, cell_values(st.floats(0.0, 3.0))),
+            CellFunction(grid, cell_values(init)),
+            placement,
+            epsilon,
+            t_end=2.0,
+            init_mode=init_mode,
+        )
+        egrid = EnergyGrid.for_epsilon(epsilon, per_period, e_min, e_min + width)
+        assert _period(epsilon, egrid) == per_period
+        nodes, times = egrid.nodes, np.linspace(0.0, 2.0, n_steps + 1)
+        rows = egrid.h * orthonormal_polynomials(nodes, egrid.weights, 4)
+        coeffs, sq = _reduce_eps_run(problem, egrid, rows, times)
+        march = _rank_one_march(*_toy_eps_set_up(problem, nodes, egrid.h, egrid.n), times)
+        field = EnergyField(times, nodes, egrid.weights, np.concatenate([b.copy() for b in march]))
+        expect = np.stack([m.values for m in legendre_modes(field, 4)], axis=1)
+        expect_sq = (field.values**2) @ field.e_weights
+        assert np.max(np.abs(coeffs - expect)) <= 1e-10 * np.max(np.abs(expect))
+        assert np.max(np.abs(sq - expect_sq)) <= 1e-10 * np.max(expect_sq)
+
+
 class TestRankTwoModes:
     """The homogenized modes from the two profile projections against the
     modes of the full (t, E) field."""
@@ -323,8 +395,9 @@ class TestRankTwoModes:
         hom = solve_toy_two_scale(problem)
         egrid = EnergyGrid.for_epsilon(epsilon)
         rows = egrid.weights * orthonormal_polynomials(egrid.nodes, egrid.weights, 8)
-        got = hom.modes_on(egrid.nodes, rows)
-        full = legendre_modes(hom_field_on(hom, egrid.nodes), 8)
+        a = profile_on(problem, egrid.nodes)
+        got = hom.modes_on(a, rows)
+        full = legendre_modes(hom_field_on(hom, egrid.nodes, a), 8)
         expect = np.stack([m.values for m in full], axis=1)
         assert got.shape == (len(hom.times), 9)
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
@@ -341,22 +414,26 @@ class TestStreamedSweep:
     ]
 
     @pytest.mark.parametrize("example_id, placement, init_mode", CASES)
-    @pytest.mark.parametrize("epsilon", [1 / 10.1, 1 / 160.1])
+    # two meshes that fold at 100 nodes a period and one that does not
+    @pytest.mark.parametrize("epsilon", [1 / 10.1, 1 / 160.1, 0.0123])
     def test_matches_field_route(self, example_id, placement, init_mode, epsilon):
         got = sweep_point(example_id, placement, epsilon, init_mode=init_mode)
         problem = example_presets(example_id, placement, epsilon, init_mode=init_mode)
         field = solve_toy_eps(problem)
         hom = solve_toy_two_scale(problem)
-        hom_modes = legendre_modes(hom_field_on(hom, field.energies), 8)
+        a = profile_on(problem, field.energies)
+        hom_modes = legendre_modes(hom_field_on(hom, field.energies, a), 8)
         errors = [
             mode_error(e, h) for e, h in zip(legendre_modes(field, 8), hom_modes)
         ]
         sup_l2 = np.max(np.sqrt((field.values**2) @ field.e_weights))
         assert got.epsilon == epsilon
         # the gaps are differences of O(1) sums taken in another order, so
-        # they agree on the scale of the largest gap and of the norm
+        # they agree on the scale of the largest gap and, where 1e-10 of that
+        # is below the rounding of those sums, on the scale of the norm: the
+        # finest outside/profile gaps are 1e-6 of it
         scale = np.max(errors)
-        assert np.max(np.abs(got.mode_errors - errors)) <= 1e-10 * scale
+        assert np.max(np.abs(got.mode_errors - errors)) <= 1e-10 * scale + 1e-14 * sup_l2
         assert abs(got.norm_diff - norm_difference(field, hom)) <= 1e-10 * sup_l2
         assert abs(got.sup_norm_l2 - sup_l2) <= 1e-10 * sup_l2
 
@@ -403,11 +480,47 @@ class TestStreamedSweep:
             assert point.norm_diff == points[0].norm_diff
             assert point.sup_norm_l2 == points[0].sup_norm_l2
 
+    @pytest.mark.parametrize("example_id, placement, init_mode", CASES[:2])
+    def test_mesh_that_does_not_fold_is_the_full_mesh_route(
+        self, example_id, placement, init_mode, monkeypatch
+    ):
+        # 8130 nodes, where 100 nodes miss eps by 1e-5 of it: the run is
+        # marched on the whole mesh and reduced as before the fold, bit for bit
+        got = sweep_point(example_id, placement, 0.0123, init_mode=init_mode)
+        monkeypatch.setattr(boltzmann, "_reduce_eps_run", full_mesh_reductions)
+        ref = sweep_point(example_id, placement, 0.0123, init_mode=init_mode)
+        assert got.mode_errors.tobytes() == ref.mode_errors.tobytes()
+        assert got.norm_diff == ref.norm_diff
+        assert got.sup_norm_l2 == ref.sup_norm_l2
+
+    @pytest.mark.parametrize("placement", ["inside", "outside"])
+    def test_profile_read_on_the_grid_up_to_its_ends(self, placement):
+        # a'' != 0 up to both ends of the window: the limit's modes must read
+        # the profile on the eps grid, as linear interpolation from the
+        # limit's 64 energy nodes, clamped outside them, moved the mode
+        # errors here by up to 1e-3
+        grid = PeriodicGrid(64)
+        curved = CellFunction.from_function(grid, lambda e: np.exp(2.0 * e))
+        preset = example_presets(1, placement, 1 / 40.1)
+        problem = ToyProblem(
+            preset.sigma, preset.kappa, curved, placement, 1 / 40.1, init_mode="profile"
+        )
+        hom = solve_toy_two_scale(problem)
+        got = boltzmann._point_errors(problem, hom, 8, EnergyGrid.for_epsilon(1 / 40.1))
+        field = solve_toy_eps(problem)
+        hom_modes = legendre_modes(
+            hom_field_on(hom, field.energies, np.exp(2.0 * field.energies)), 8
+        )
+        errors = [
+            mode_error(e, h) for e, h in zip(legendre_modes(field, 8), hom_modes)
+        ]
+        assert np.max(np.abs(got.mode_errors - errors)) <= 1e-10 * np.max(errors)
+
     def test_finest_default_point_peak_memory(self):
-        # the basis (9 rows), the march's set-up (moment and spread rows, its
-        # RK4 probes) and the run's coefficients: about 32 states of the
-        # finest default mesh at their peak, where the Stieltjes basis and a
-        # second, weighted copy of it took 37
+        # the basis (9 rows), its product with rho (9 rows) and a few arrays
+        # of the set-up: about 22 states of the finest default mesh at their
+        # peak, as the folded march holds 300 floats a state; the march of
+        # the whole mesh took 32
         epsilon = DEFAULT_SWEEP[-1]
         state = EnergyGrid.for_epsilon(epsilon).n * 8
         sweep_point(1, "inside", epsilon)  # first-call allocations
@@ -417,7 +530,7 @@ class TestStreamedSweep:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 34 * state
+        assert peak <= 24 * state
 
     def test_sweep_starts_the_finest_mesh_first(self, monkeypatch):
         started = []

@@ -18,9 +18,8 @@ from homokin.volterra import (
     VolterraProblem,
     march_affine,
     solve_volterra,
-    volterra_residual,
 )
-from oracles import solve_volterra_direct
+from oracles import solve_volterra_direct, volterra_residual
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])  # skew generator of plane rotations
 EPS = np.finfo(float).eps
