@@ -30,14 +30,12 @@ integer below n to rounding the mesh folds and the run is marched over
 one period, with sums over each residue mod p standing in for the grid
 (``_reduce_eps_run``): a few passes over the mesh a point, not about 20
 a step.  A mesh that does not fold is marched whole, as ``solve_toy_eps``
-marches every mesh.  Points start largest eps mesh first, so on 2 cores a
-second worker shortens a sweep instead of idling while the finest point
-runs alone.
+marches every mesh.  The points of a sweep run one after another, in
+the caller's order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -54,9 +52,9 @@ INIT_MODES = ("oscillatory", "profile")
 DEFAULT_NODE_BUDGET = 2_000_000
 # Floats in one block of march states, 256 kB: a folded sweep point's whole run
 # (300 floats a state) is one block, and a 16,000-node mesh that does not fold
-# takes two steps a block.  Marching the whole mesh, the six README sweeps at 2
-# workers took 88 ms a pass with one step a block, 83 ms with 128 kB, 79 ms
-# with 256 kB and 78 ms with 512 kB.
+# takes two steps a block.  Marching every point's whole mesh, the six README
+# sweeps took 218-236 ms a pass from one step a block to 512 kB in one set of
+# alternating runs and 160-182 ms in another (2-core host), within the noise.
 MARCH_CHUNK = 1 << 15
 
 # Sweep values carry a 0.1-period offset against the energy window: with
@@ -467,30 +465,10 @@ def _point_errors(
 
 
 def sweep_point(
-    example_id: int,
-    placement: str,
-    epsilon: float,
-    k_max: int = 8,
-    n_steps: int = 50,
-    hom_n_e: int = 64,
-    hom_n_y: int = 256,
-    nodes_per_period: int = 100,
-    n_cell: int = 256,
-    t_end: float = 10.0,
-    init_mode: str = "oscillatory",
+    example_id: int, placement: str, epsilon: float, init_mode: str = "oscillatory"
 ) -> SweepPointResult:
-    """Errors of one sweep point: per-mode gaps and the norm difference.
-
-    The homogenized reference is marched with the same RK4 step for this
-    point alone (``sweep`` shares one across its points), and its modes
-    are taken on the oscillatory solver's own energy grid.
-    """
-    problem = example_presets(
-        example_id, placement, epsilon, n_cell, t_end, init_mode
-    )
-    hom = solve_toy_two_scale(problem, n_steps, hom_n_e, hom_n_y)
-    egrid = EnergyGrid.for_epsilon(epsilon, nodes_per_period)
-    return _point_errors(problem, hom, k_max, egrid)
+    """Errors of one sweep point: the ``sweep`` of this one eps."""
+    return sweep(example_id, placement, (epsilon,), init_mode=init_mode)[0]
 
 
 def sweep(
@@ -500,30 +478,18 @@ def sweep(
     k_max: int = 8,
     n_cell: int = 256,
     init_mode: str = "oscillatory",
-    workers: int = 1,
 ) -> list[SweepPointResult]:
-    """The sweep points of ``epsilons``, in order, ``workers`` at a time.
+    """Per-mode gaps and norm differences at each of ``epsilons``, in order.
 
     The limit does not depend on eps, so it is solved once for the whole
-    sweep; the points run on the threads of one pool and share it, read
-    only.  Each point is the ``sweep_point`` of its eps at the defaults.
-
-    Points start largest eps mesh first (a stable sort on the node
-    count), and results come back in the order of ``epsilons``.  A folded
-    point's march has a fixed size, but its basis and folds are passes over
-    its mesh, so the finest point of the default sweep is still about a
-    third of the serial work; started last, it would run alone while the
-    other worker idled.
+    sweep, with the same RK4 step as each eps run, and every point takes
+    its modes on its own eps mesh (``_point_errors``).
     """
     first, *rest = epsilons
     first = example_presets(example_id, placement, first, n_cell, init_mode=init_mode)
     problems = [first] + [replace(first, epsilon=eps) for eps in rest]
-    grids = [EnergyGrid.for_epsilon(problem.epsilon) for problem in problems]
-    hom = solve_toy_two_scale(problems[0])
-    order = sorted(range(len(problems)), key=lambda i: -grids[i].n)
-    point = lambda i: _point_errors(problems[i], hom, k_max, grids[i])
-    results = [None] * len(problems)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for i, result in zip(order, pool.map(point, order)):
-            results[i] = result
-    return results
+    hom = solve_toy_two_scale(first)
+    return [
+        _point_errors(problem, hom, k_max, EnergyGrid.for_epsilon(problem.epsilon))
+        for problem in problems
+    ]

@@ -38,8 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps", help="comma-separated sweep values, decreasing")
         p.add_argument("--out", help="output directory (default $HOMOKIN_OUT or .)")
         p.add_argument(
-            "--workers", type=int,
-            help="sweep points run at once, on threads of this process (boltzmann)",
+            "--workers", type=int, help="accepted for older configs; runs nothing in parallel"
         )
         p.add_argument("--seed", type=int, help="accepted for older configs; seeds nothing")
         for name in ("n-cell", "n-e", "n-omega", "n-r", "n-y"):

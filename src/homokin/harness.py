@@ -9,10 +9,8 @@ come from :mod:`homokin.csvfmt`, which formats float columns in bulk to
 the bytes of '%.17g'; the ode and oscillator kinds format their time
 axis once (``csv_text``) and share that text among their three
 time-series files.  The boltzmann kind's sweep
-points run on a thread pool in one process (``boltzmann.sweep``), so
-they share one heap and one solve of the limit; results come back in
-the validated sweep order, so reruns are byte-identical regardless of
-worker count.
+points run one after another and share one solve of the limit
+(``boltzmann.sweep``), so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -75,7 +73,7 @@ class ExperimentConfig:
     n_y: int = 128
     out_dir: str = "."
     seed: int = 0  # seeds nothing: kept so that configs and callers that set it load
-    workers: int = 1
+    workers: int = 1  # runs nothing in parallel: kept so that configs and callers that set it load
 
     def validate(self) -> None:
         if self.kind not in KINDS:
@@ -322,7 +320,7 @@ def _run_boltzmann(config: ExperimentConfig, out_dir: str) -> dict:
     example_id = int(config.preset)
     points = sweep(
         example_id, config.placement, config.epsilons,
-        n_cell=config.n_cell, init_mode=config.init_mode, workers=config.workers,
+        n_cell=config.n_cell, init_mode=config.init_mode,
     )
     report = ConvergenceReport.from_sweep(
         np.array([p.epsilon for p in points]),

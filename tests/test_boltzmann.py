@@ -439,22 +439,18 @@ class TestStreamedSweep:
 
     @pytest.mark.parametrize("example_id, placement, init_mode", CASES[:2])
     @pytest.mark.parametrize(
-        "epsilons, workers",
+        "epsilons",
         [
-            ([1 / 10.1, 1 / 20.1, 1 / 40.1], 2),
-            # points start finest mesh first, yet come back in this order
-            ([1 / 40.1, 1 / 10.1, 1 / 20.1], 1),
-            ([1 / 40.1, 1 / 10.1, 1 / 20.1], 2),
-            ([1 / 40.1, 1 / 10.1, 1 / 20.1], 3),
-            ([1 / 20.1, 1 / 40.1, 1 / 20.1], 2),
+            [1 / 10.1, 1 / 20.1, 1 / 40.1],
+            # points come back in the caller's order, repeats included
+            [1 / 40.1, 1 / 10.1, 1 / 20.1],
+            [1 / 20.1, 1 / 40.1, 1 / 20.1],
         ],
     )
     def test_sweep_solves_the_limit_once_for_the_same_points(
-        self, example_id, placement, init_mode, epsilons, workers
+        self, example_id, placement, init_mode, epsilons
     ):
-        points = sweep(
-            example_id, placement, epsilons, init_mode=init_mode, workers=workers
-        )
+        points = sweep(example_id, placement, epsilons, init_mode=init_mode)
         assert len(points) == len(epsilons)
         for eps, point in zip(epsilons, points):
             alone = sweep_point(example_id, placement, eps, init_mode=init_mode)
@@ -531,20 +527,6 @@ class TestStreamedSweep:
         finally:
             tracemalloc.stop()
         assert peak <= 24 * state
-
-    def test_sweep_starts_the_finest_mesh_first(self, monkeypatch):
-        started = []
-        point_errors = boltzmann._point_errors
-
-        def record(problem, hom, k_max, egrid):
-            started.append(egrid.n)
-            return point_errors(problem, hom, k_max, egrid)
-
-        monkeypatch.setattr(boltzmann, "_point_errors", record)
-        epsilons = [1 / 40.1, 1 / 10.1, 1 / 20.1]
-        points = sweep(1, "inside", epsilons, workers=1)
-        assert started == [4010, 2010, 1010]
-        assert [p.epsilon for p in points] == epsilons
 
 
 class TestSweep:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import homokin.boltzmann
 import homokin.harness
 import homokin.kernels
 import homokin.multiscale
@@ -525,6 +527,30 @@ class TestExperiments:
             b1 = (outs["w1"] / name).read_bytes()
             for run in ("w2", "w8", "w8-again"):
                 assert (outs[run] / name).read_bytes() == b1, (run, name)
+
+    def test_sweep_points_run_on_the_calling_thread(self, tmp_path, monkeypatch):
+        # workers is accepted and starts no thread: each point runs on the
+        # main thread, in sweep order, and the CSVs are those of workers = 1
+        ran = []
+        point_errors = homokin.boltzmann._point_errors
+
+        def record(problem, hom, k_max, egrid):
+            ran.append((threading.current_thread(), problem.epsilon))
+            return point_errors(problem, hom, k_max, egrid)
+
+        monkeypatch.setattr(homokin.boltzmann, "_point_errors", record)
+        epsilons = (1 / 10.1, 1 / 20.1, 1 / 40.1)
+        outs = {}
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            cfg = ExperimentConfig(
+                kind="boltzmann", epsilons=epsilons, out_dir=str(out), workers=workers
+            )
+            assert run_experiment(cfg).status == 0
+            outs[workers] = out
+        assert ran == [(threading.main_thread(), eps) for eps in 2 * epsilons]
+        for name in ("modes.csv", "norm_diff.csv", "rates.csv"):
+            assert (outs[2] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 # each kind at small grids; the ode and oscillator kinds march 10,000 steps
