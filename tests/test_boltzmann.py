@@ -445,6 +445,9 @@ class TestStreamedSweep:
             # points come back in the caller's order, repeats included
             [1 / 40.1, 1 / 10.1, 1 / 20.1],
             [1 / 20.1, 1 / 40.1, 1 / 20.1],
+            [1 / 40.1, 1 / 20.1, 1 / 10.1],
+            # 0.0123 does not fold onto one period of the cell
+            [0.0123, 1 / 10.1],
         ],
     )
     def test_sweep_solves_the_limit_once_for_the_same_points(
@@ -527,6 +530,20 @@ class TestStreamedSweep:
         finally:
             tracemalloc.stop()
         assert peak <= 24 * state
+
+    def test_sweep_runs_the_points_in_the_callers_order(self, monkeypatch):
+        started = []
+        point_errors = boltzmann._point_errors
+
+        def record(problem, hom, k_max, egrid):
+            started.append(egrid.n)
+            return point_errors(problem, hom, k_max, egrid)
+
+        monkeypatch.setattr(boltzmann, "_point_errors", record)
+        epsilons = [1 / 40.1, 1 / 10.1, 1 / 20.1]
+        points = sweep(1, "inside", epsilons)
+        assert started == [4010, 1010, 2010]
+        assert [p.epsilon for p in points] == epsilons
 
 
 class TestSweep:
