@@ -1,14 +1,16 @@
 """Experiment orchestration: configs, presets, CSV artifacts, manifests.
 
-Configuration is flat INI text (key = value under named sections), merged
-with command-line flags.  Every experiment writes CSV files (comma
-separator, dot decimal point, header row, 17 significant digits, LF line
-endings) plus a JSON manifest listing inputs, code version, grids, wall
-time, and a content hash per artifact.  ``write_csv`` and ``csv_text``
-come from :mod:`homokin.csvfmt`, which formats float columns in bulk to
-the bytes of '%.17g'; the ode and oscillator kinds format their time
-axis once (``csv_text``) and share that text among their three
-time-series files.  The boltzmann kind's sweep
+Every setting is declared once, in ``SETTINGS``: its INI key, its INI
+section and the help of its flag.  ``parse_setting`` turns the text of one
+setting, from the INI file or from its flag, into a config field, so a bad
+value is a ``ConfigError`` that names the field.  Every experiment writes
+CSV files (comma separator, dot decimal point, header row, 17 significant
+digits, LF line endings) through ``_csv``, plus a JSON manifest listing the
+config, code version, wall time, and a content hash per artifact.
+``write_csv`` and ``csv_text`` come from :mod:`homokin.csvfmt`, which
+formats float columns in bulk to the bytes of '%.17g'; the ode and
+oscillator kinds format their time axis once (``csv_text``) and share that
+text among their three time-series files.  The boltzmann kind's sweep
 points run one after another and share one solve of the limit
 (``boltzmann.sweep``), so reruns are byte-identical.
 """
@@ -20,12 +22,12 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import ConfigError, __version__
-from .boltzmann import DEFAULT_SWEEP, EnergyGrid, sweep
+from .boltzmann import DEFAULT_SWEEP, INIT_MODES, PLACEMENTS, EnergyGrid, sweep
 from .cell import CellFunction, PeriodicGrid, sine_profile, two_valued_profile
 from .csvfmt import csv_text, write_csv
 from .diagnostics import ConvergenceReport
@@ -57,6 +59,25 @@ from .transport import (
 from .volterra import TimeGrid
 
 KINDS = ("tartar", "ode", "boltzmann", "transport", "oscillator", "kernel-dump")
+
+# every setting by its INI key (its flag writes _ as -): INI section, flag help
+SETTINGS = {
+    "kind": ("experiment", None),  # no flag: on the command line, the subcommand
+    "preset": ("experiment", "preset id (example number or named preset)"),
+    "placement": ("experiment", " | ".join(PLACEMENTS)),
+    "init_mode": ("experiment", " | ".join(INIT_MODES)),
+    "eps": ("sweep", "comma-separated sweep values, decreasing"),
+    "n_cell": ("grids", "periodic-cell nodes"),
+    "n_e": ("grids", "energy nodes (homogenized references)"),
+    "n_omega": ("grids", "angles on the circle (transport)"),
+    "n_r": ("grids", "spatial labels (transport)"),
+    "n_y": ("grids", "cell nodes of the two-scale transport field"),
+    "out": ("run", "output directory (default $HOMOKIN_OUT or .)"),
+    "seed": ("run", "accepted for older configs; seeds nothing"),
+    "workers": ("run", "accepted for older configs; runs nothing in parallel"),
+}
+_GRID_FIELDS = tuple(key for key, (section, _) in SETTINGS.items() if section == "grids")
+_INT_FIELDS = _GRID_FIELDS + ("seed", "workers")
 
 
 @dataclass(frozen=True)
@@ -100,13 +121,15 @@ class ExperimentConfig:
             raise ConfigError("eps: sweep values must be strictly decreasing")
         if self.workers < 1:
             raise ConfigError("workers: worker count must be at least 1")
-        if self.placement not in ("inside", "outside"):
-            raise ConfigError(f"placement: must be inside or outside, got {self.placement!r}")
-        if self.init_mode not in ("oscillatory", "profile"):
-            raise ConfigError("init_mode: must be oscillatory or profile")
+        if self.placement not in PLACEMENTS:
+            raise ConfigError(
+                f"placement: must be {' or '.join(PLACEMENTS)}, got {self.placement!r}"
+            )
+        if self.init_mode not in INIT_MODES:
+            raise ConfigError(f"init_mode: must be {' or '.join(INIT_MODES)}")
         if self.seed < 0:
             raise ConfigError("seed: must be a nonnegative integer")
-        for name in ("n_cell", "n_e", "n_omega", "n_r", "n_y"):
+        for name in _GRID_FIELDS:
             if getattr(self, name) < 2:
                 raise ConfigError(f"{name}: grid sizes must be at least 2")
         if self.kind == "ode" and self.n_cell > COUPLED_MAX_CELLS:
@@ -147,51 +170,46 @@ def _weak_x_count(eps: float) -> int:
     return max(64, round(100 / eps))
 
 
-_SECTION_FIELDS = {
-    "experiment": ("kind", "preset", "placement", "init_mode"),
-    "sweep": ("eps",),
-    "grids": ("n_cell", "n_e", "n_omega", "n_r", "n_y"),
-    "run": ("out", "seed", "workers"),
-}
-_INT_FIELDS = ("n_cell", "n_e", "n_omega", "n_r", "n_y", "seed", "workers")
+def parse_setting(key: str, text: str, where: str) -> tuple:
+    """The config field and value that the text of setting ``key`` gives.
 
-
-def parse_epsilons(text: str) -> tuple:
-    """Comma-separated sweep values; ConfigError names a token that is no number."""
-    eps = []
-    for tok in text.split(","):
-        if tok.strip():
-            try:
-                eps.append(float(tok))
-            except ValueError as exc:
-                raise ConfigError(f"eps: expected a number, got {tok.strip()!r}") from exc
-    return tuple(eps)
+    ``where`` names the setting in a ConfigError: the key for a flag,
+    ``section.key`` for the INI file.
+    """
+    if key == "eps":
+        eps = []
+        for tok in text.split(","):
+            if tok.strip():
+                try:
+                    eps.append(float(tok))
+                except ValueError as exc:
+                    raise ConfigError(f"{where}: expected a number, got {tok.strip()!r}") from exc
+        return "epsilons", tuple(eps)
+    if key in _INT_FIELDS:
+        try:
+            return key, int(text)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: expected an integer, got {text!r}") from exc
+    return ("out_dir" if key == "out" else key), text
 
 
 def parse_config_file(path: str) -> dict:
-    """Read the flat INI config (inline ``; comments`` allowed) into an override dict."""
+    """Read the flat INI config (inline ``; comments`` allowed) into an override dict.
+
+    Sections that hold no setting are ignored.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     read = parser.read(path)
     if not read:
         raise ConfigError(f"config: cannot read file {path!r}")
+    sections = {section for section, _ in SETTINGS.values()}
     overrides: dict = {}
-    for section, keys in _SECTION_FIELDS.items():
-        if not parser.has_section(section):
-            continue
-        for key, value in parser.items(section):
-            if key not in keys:
+    for section in (s for s in parser.sections() if s in sections):
+        for key, text in parser.items(section):
+            if SETTINGS.get(key, ("",))[0] != section:
                 raise ConfigError(f"{section}.{key}: unknown configuration key")
-            if key == "eps":
-                overrides["epsilons"] = parse_epsilons(value)
-            elif key == "out":
-                overrides["out_dir"] = value
-            elif key in _INT_FIELDS:
-                try:
-                    overrides[key] = int(value)
-                except ValueError as exc:
-                    raise ConfigError(f"{section}.{key}: expected an integer") from exc
-            else:
-                overrides[key] = value
+            field, value = parse_setting(key, text, f"{section}.{key}")
+            overrides[field] = value
     return overrides
 
 
@@ -218,14 +236,7 @@ def _write_manifest(config: ExperimentConfig, out_dir, files: dict, wall: float)
     manifest = {
         "kind": config.kind,
         "version": __version__,
-        "config": {
-            f.name: (list(getattr(config, f.name)) if f.name == "epsilons" else getattr(config, f.name))
-            for f in fields(config)
-        },
-        "grids": {
-            name: getattr(config, name)
-            for name in ("n_cell", "n_e", "n_omega", "n_r", "n_y")
-        },
+        "config": asdict(config),
         "wall_time_s": wall,
         "files": {name: _sha256(path) for name, path in files.items()},
     }
@@ -234,6 +245,13 @@ def _write_manifest(config: ExperimentConfig, out_dir, files: dict, wall: float)
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
+
+
+def _csv(files: dict, out_dir: str, name: str, header: str, *columns) -> None:
+    """Write CSV ``name`` in ``out_dir`` and list its path in ``files``."""
+    path = os.path.join(out_dir, name)
+    write_csv(path, header, *columns)
+    files[name] = path
 
 
 def _cell_sigma(preset: str) -> CellFunction:
@@ -249,18 +267,13 @@ def _run_tartar(config: ExperimentConfig, out_dir: str) -> dict:
     sigma = _cell_sigma(config.preset)
     ps = np.array([0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
     report = verify_tartar_equivalence(sigma, ps)
-    path = os.path.join(out_dir, "tartar_equiv.csv")
-    write_csv(
-        path,
-        "p,khat,mhat,numeric,numeric_tail,rel_err",
-        report.ps,
-        report.khat,
-        report.mhat,
-        report.numeric,
-        report.numeric_tail,
+    files = {}
+    _csv(
+        files, out_dir, "tartar_equiv.csv", "p,khat,mhat,numeric,numeric_tail,rel_err",
+        report.ps, report.khat, report.mhat, report.numeric, report.numeric_tail,
         np.abs(report.khat - report.mhat) / np.maximum(np.abs(report.mhat), 1e-14),
     )
-    return {"tartar_equiv.csv": path}
+    return files
 
 
 def _single_problem(config: ExperimentConfig) -> None:
@@ -281,22 +294,13 @@ def _run_ode(config: ExperimentConfig, out_dir: str) -> dict:
     files = {}
     times = csv_text(report["times"])  # one time axis for the three routes
     for route in ("closed", "coupled", "volterra"):
-        path = os.path.join(out_dir, f"ode_{route}.csv")
-        write_csv(path, "t,u_hom", times, report[route])
-        files[f"ode_{route}.csv"] = path
-    summary = os.path.join(out_dir, "ode_summary.csv")
-    write_csv(
-        summary,
-        "pair,sup_difference",
+        _csv(files, out_dir, f"ode_{route}.csv", "t,u_hom", times, report[route])
+    _csv(
+        files, out_dir, "ode_summary.csv", "pair,sup_difference",
         ("closed-coupled", "closed-volterra", "coupled-volterra", "max-mean-remainder"),
-        [
-            report["sup_closed_coupled"],
-            report["sup_closed_volterra"],
-            report["sup_coupled_volterra"],
-            report["max_mean_remainder"],
-        ],
+        [report["sup_closed_coupled"], report["sup_closed_volterra"],
+         report["sup_coupled_volterra"], report["max_mean_remainder"]],
     )
-    files["ode_summary.csv"] = summary
     # weak-convergence study of the oscillatory route
     target = report["closed"][-1]
     weak_rows = []
@@ -308,14 +312,12 @@ def _run_ode(config: ExperimentConfig, out_dir: str) -> dict:
         errs = weak_test_function_errors(x, sol.values[-1] - target)
         for name, err in sorted(errs.items()):
             weak_rows.append((eps, name, err))
-    weak_path = os.path.join(out_dir, "ode_weak.csv")
-    write_csv(weak_path, "epsilon,test_fn,weak_error", *zip(*weak_rows))
-    files["ode_weak.csv"] = weak_path
+    _csv(files, out_dir, "ode_weak.csv", "epsilon,test_fn,weak_error", *zip(*weak_rows))
     return files
 
 
 def _run_boltzmann(config: ExperimentConfig, out_dir: str) -> dict:
-    if not str(config.preset).isdigit():
+    if not str(config.preset).isdecimal():
         raise ConfigError(f"preset: expected an example number, got {config.preset!r}")
     example_id = int(config.preset)
     points = sweep(
@@ -328,22 +330,16 @@ def _run_boltzmann(config: ExperimentConfig, out_dir: str) -> dict:
         np.array([p.norm_diff for p in points]),
     )
     files = {}
-    modes_path = os.path.join(out_dir, "modes.csv")
     rows = [(p.epsilon, k, e) for p in points for k, e in enumerate(p.mode_errors)]
-    write_csv(modes_path, "epsilon,k,e_k", *zip(*rows))
-    files["modes.csv"] = modes_path
-    norm_path = os.path.join(out_dir, "norm_diff.csv")
-    write_csv(
-        norm_path, "epsilon,norm_diff", [p.epsilon for p in points], [p.norm_diff for p in points]
+    _csv(files, out_dir, "modes.csv", "epsilon,k,e_k", *zip(*rows))
+    _csv(
+        files, out_dir, "norm_diff.csv", "epsilon,norm_diff",
+        [p.epsilon for p in points], [p.norm_diff for p in points],
     )
-    files["norm_diff.csv"] = norm_path
-    rates_path = os.path.join(out_dir, "rates.csv")
-    write_csv(
-        rates_path,
-        "k,slope,residual",
+    _csv(
+        files, out_dir, "rates.csv", "k,slope,residual",
         *zip(*[(k, fit.slope, fit.residual) for k, fit in enumerate(report.fits)]),
     )
-    files["rates.csv"] = rates_path
     return files
 
 
@@ -359,9 +355,8 @@ def _run_transport(config: ExperimentConfig, out_dir: str) -> dict:
         margin = subcriticality_check(params, eps, grids)
         quotient = coercivity_test(params, eps, grids)
         rows.append((eps, margin, quotient))
-    checks_path = os.path.join(out_dir, "transport_checks.csv")
-    write_csv(checks_path, "epsilon,margin,min_quotient", *zip(*rows))
-    files = {"transport_checks.csv": checks_path}
+    files = {}
+    _csv(files, out_dir, "transport_checks.csv", "epsilon,margin,min_quotient", *zip(*rows))
 
     phi_in = hat_initial_data(0.5)
     t_end = 1.0
@@ -384,9 +379,7 @@ def _run_transport(config: ExperimentConfig, out_dir: str) -> dict:
             params, phi_in, eps, grids, t_end=t_end, n_steps=150, n_windows=n_windows
         )
         weak_rows.append((eps, windowed_weak_error(sol, hom), sol.sup_l2))
-    weak_path = os.path.join(out_dir, "transport_weak.csv")
-    write_csv(weak_path, "epsilon,weak_error,sup_l2", *zip(*weak_rows))
-    files["transport_weak.csv"] = weak_path
+    _csv(files, out_dir, "transport_weak.csv", "epsilon,weak_error,sup_l2", *zip(*weak_rows))
     return files
 
 
@@ -401,15 +394,9 @@ def _run_oscillator(config: ExperimentConfig, out_dir: str) -> dict:
     alpha, beta = kernel_components(table)
     files = {}
     times = csv_text(grid.times)  # the kernel's lags are grid.times too
-    sol_path = os.path.join(out_dir, "oscillator_solution.csv")
-    write_csv(sol_path, "t,u1,u2", times, u[:, 0], u[:, 1])
-    files["oscillator_solution.csv"] = sol_path
-    ref_path = os.path.join(out_dir, "oscillator_reference.csv")
-    write_csv(ref_path, "t,u1,u2", times, ref[:, 0], ref[:, 1])
-    files["oscillator_reference.csv"] = ref_path
-    ker_path = os.path.join(out_dir, "oscillator_kernel.csv")
-    write_csv(ker_path, "t,alpha,beta", times, alpha, beta)
-    files["oscillator_kernel.csv"] = ker_path
+    _csv(files, out_dir, "oscillator_solution.csv", "t,u1,u2", times, u[:, 0], u[:, 1])
+    _csv(files, out_dir, "oscillator_reference.csv", "t,u1,u2", times, ref[:, 0], ref[:, 1])
+    _csv(files, out_dir, "oscillator_kernel.csv", "t,alpha,beta", times, alpha, beta)
     return files
 
 
@@ -428,7 +415,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     except ConfigError as exc:
         return ExperimentResult(2, {}, str(exc))
     out_dir = config.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        return ExperimentResult(2, {}, f"out: cannot make directory {out_dir!r}: {exc.strerror}")
     start = time.time()
     runners = {
         "tartar": _run_tartar,
@@ -454,31 +444,22 @@ def emit_plot_script(csv_paths, out_path) -> str:
 
     Rate CSVs (epsilon,k,e_k) are drawn log-log with one series per mode;
     norm differences on linear axes; both together become the two-panel
-    layout.  The emitted script contains no computation beyond reading
-    columns and plotting them.
+    layout; time series (first column t or tau) get one line per column.
+    Other CSVs are tables and are not drawn.  The emitted script contains
+    no computation beyond reading columns and plotting them.
     """
-    paths = [str(p) for p in csv_paths]
-    for p in paths:
-        if not os.path.exists(p):
-            raise FileNotFoundError(f"missing CSV: {p}")
-    headers = {}
-    for p in paths:
-        with open(p) as fh:
-            headers[p] = fh.readline().strip()
     panels = []
-    for p in paths:
-        head = headers[p]
+    for path in map(str, csv_paths):
+        if not os.path.exists(path):
+            raise FileNotFoundError(f"missing CSV: {path}")
+        with open(path) as fh:
+            head = fh.readline().strip()
         if head.startswith("epsilon,k,"):
-            panels.append(("loglog_modes", p))
+            panels.append(("loglog_modes", path))
         elif head.startswith("epsilon,norm_diff"):
-            panels.append(("linear_norm", p))
-        elif head.startswith("t,"):
-            panels.append(("timeseries", p))
-        elif head.startswith("tau,"):
-            panels.append(("timeseries", p))
-        else:
-            panels.append(("table", p))
-    drawable = [p for p in panels if p[0] != "table"]
+            panels.append(("linear_norm", path))
+        elif head.startswith(("t,", "tau,")):
+            panels.append(("timeseries", path))
     lines = [
         "#!/usr/bin/env python3",
         '"""Generated plotting script; reads the listed CSVs and draws them."""',
@@ -497,14 +478,11 @@ def emit_plot_script(csv_paths, out_path) -> str:
         "            cols[name].append(val)",
         "    return cols",
         "",
-        f"fig, axes = plt.subplots(1, {max(1, len(drawable))}, "
-        f"figsize=({6 * max(1, len(drawable))}, 5), squeeze=False)",
+        f"fig, axes = plt.subplots(1, {max(1, len(panels))}, "
+        f"figsize=({6 * max(1, len(panels))}, 5), squeeze=False)",
         "axes = axes[0]",
     ]
-    idx = 0
-    for kind, p in panels:
-        if kind == "table":
-            continue
+    for idx, (kind, p) in enumerate(panels):
         lines.append(f"cols = read_columns({p!r})")
         lines.append(f"ax = axes[{idx}]")
         if kind == "loglog_modes":
@@ -531,7 +509,6 @@ def emit_plot_script(csv_paths, out_path) -> str:
                 " [float(v) for v in cols[name]], label=name)",
                 "ax.set_xlabel(names[0]); ax.legend()",
             ]
-        idx += 1
     lines.append('fig.savefig("figure.png", dpi=150)')
     text = "\n".join(lines) + "\n"
     with open(out_path, "w", newline="\n") as fh:

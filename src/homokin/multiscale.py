@@ -66,8 +66,6 @@ class CoupledOdeSolution:
 @dataclass(frozen=True, eq=False)
 class EpsOdeSolution:
     times: np.ndarray
-    x_nodes: np.ndarray
-    epsilon: float
     values: np.ndarray  # (nt+1, n_x)
 
 
@@ -180,7 +178,7 @@ def solve_eps_exact(
     values = decay * u0x
     if problem.f is not None:
         values += problem.f.eval_periodic(y) * (1.0 - decay) / sig
-    return EpsOdeSolution(times, x, eps, values)
+    return EpsOdeSolution(times, values)
 
 
 def weak_test_function_errors(

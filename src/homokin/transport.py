@@ -74,7 +74,7 @@ from . import ConfigError
 from .cell import PeriodicGrid, wrap
 
 
-# n_omega^2 n_E <= 2^23: at most 32768 eps-grid energy nodes at n_omega = 16
+# n_omega^2 n_E <= 2^23: sized for angle-pair kappa tables, now stored per angle gap
 EPS_TABLE_BUDGET = 2**23
 # Floats in one block of march states, 512 kB: the solvers reduce a block of
 # steps at a time.  2 MB blocks were no faster on the benchmark grids and

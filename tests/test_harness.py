@@ -29,8 +29,8 @@ from homokin.cli import build_parser, config_from_args, main
 from homokin.harness import (
     KINDS,
     ConfigError,
+    SETTINGS,
     ExperimentConfig,
-    _SECTION_FIELDS,
     emit_plot_script,
     WEAK_X_BUDGET,
     _weak_x_count,
@@ -82,8 +82,9 @@ class TestConfigValidation:
         assert not out.exists()
 
     def test_transport_eps_over_table_budget(self, tmp_path):
-        # eps = 1e-4 asks for 750,000 energy nodes, so (16, 16, 750000) kappa
-        # tables of 1.5 GB each; validation sizes them without allocating
+        # eps = 1e-4 asks for 750,000 energy nodes, so n_omega^2 n_E = 1.92e8
+        # against the budget of 2^23; validation sizes the grid without
+        # allocating it
         ExperimentConfig(kind="transport", epsilons=(0.1, 1 / 256)).validate()
         out = tmp_path / "out"
         config = ExperimentConfig(kind="transport", epsilons=(0.1, 1e-4), out_dir=str(out))
@@ -136,7 +137,7 @@ class TestConfigValidation:
 
 
 # config field names as the INI file and the flags spell them
-FIELD_NAMES = {key for keys in _SECTION_FIELDS.values() for key in keys}
+FIELD_NAMES = set(SETTINGS)
 # one field set to a value that some or every kind rejects; eps = 1e-9 is
 # over every eps budget, which validation sizes without allocating
 BAD_FIELDS = [
@@ -681,6 +682,8 @@ class TestCli:
             (["--preset", "x"], "preset"),
             (["--preset", "7"], "preset"),
             (["--preset", "2", "--n-cell", "255"], "n_cell"),
+            # a superscript digit is a digit to str.isdigit, not to int()
+            (["--preset", "²"], "preset"),
         ],
     )
     def test_boltzmann_config_exit_code(self, tmp_path, capsys, flags, field):
@@ -689,6 +692,50 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}: ")
         assert "numerical failure" not in err
+
+    @pytest.mark.parametrize(
+        "flags, prefix",
+        [
+            # a flag's text that is no value of its field is a config error
+            (["--n-cell", "abc"], "config error: n_cell: "),
+            (["--workers", "1.5"], "config error: workers: "),
+            # a value outside a field's choices fails validation
+            (["--placement", "sideways"], "error: placement: "),
+            (["--init-mode", "flat"], "error: init_mode: "),
+        ],
+    )
+    def test_bad_flag_value_names_the_field(self, tmp_path, capsys, flags, prefix):
+        code = main(["boltzmann", *flags, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(prefix)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", [key for key in SETTINGS if key != "kind"])
+    def test_flag_and_ini_set_the_same_field(self, tmp_path, monkeypatch, key):
+        monkeypatch.setenv("HOMOKIN_OUT", str(tmp_path))
+        text = {
+            "preset": "2", "placement": "outside", "init_mode": "profile",
+            "eps": "0.5, 0.25", "out": str(tmp_path / "out"),
+        }.get(key, "7")
+        ini = tmp_path / "c.ini"
+        ini.write_text(f"[{SETTINGS[key][0]}]\n{key} = {text}\n")
+        parser = build_parser()
+        by_flag = config_from_args(parser.parse_args(["ode", "--" + key.replace("_", "-"), text]))
+        by_ini = config_from_args(parser.parse_args(["ode", "--config", str(ini)]))
+        assert by_flag == by_ini
+        assert by_flag != config_from_args(parser.parse_args(["ode"]))
+
+    @pytest.mark.parametrize("out", ["", "file"])
+    def test_output_directory_that_cannot_be_made(self, tmp_path, monkeypatch, capsys, out):
+        # os.makedirs raises FileNotFoundError for "" and FileExistsError
+        # for an existing file
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "file").write_text("")
+        result = run_experiment(ExperimentConfig(kind="tartar", out_dir=out))
+        assert result.status == 2
+        assert result.message.startswith("out: "), result.message
+        assert main(["tartar", "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: out: ")
 
     @pytest.mark.parametrize(
         "argv",
