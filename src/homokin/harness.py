@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import ConfigError, __version__
-from .boltzmann import DEFAULT_SWEEP, INIT_MODES, PLACEMENTS, EnergyGrid, sweep
+from .boltzmann import DEFAULT_SWEEP, INIT_MODES, PLACEMENTS, EnergyGrid, example_presets, sweep
 from .cell import CellFunction, PeriodicGrid, sine_profile, two_valued_profile
 from .csvfmt import csv_text, write_csv
 from .diagnostics import ConvergenceReport
@@ -160,8 +160,8 @@ class ExperimentConfig:
         )
 
 
-# x-nodes of the ode kind's weak study, which holds (201, n_x) float arrays:
-# 105 MB each at the budget
+# x-nodes of the ode kind's weak study, which holds (2, n_x) float arrays
+# (solve_eps_exact at nt = 1): 1 MB each at the budget
 WEAK_X_BUDGET = 2**16
 
 
@@ -196,7 +196,7 @@ def parse_setting(key: str, text: str, where: str) -> tuple:
 def parse_config_file(path: str) -> dict:
     """Read the flat INI config (inline ``; comments`` allowed) into an override dict.
 
-    Sections that hold no setting are ignored.
+    A section or key outside ``SETTINGS`` is a ConfigError that names it.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     read = parser.read(path)
@@ -204,7 +204,9 @@ def parse_config_file(path: str) -> dict:
         raise ConfigError(f"config: cannot read file {path!r}")
     sections = {section for section, _ in SETTINGS.values()}
     overrides: dict = {}
-    for section in (s for s in parser.sections() if s in sections):
+    for section in parser.sections():
+        if section not in sections:
+            raise ConfigError(f"config: unknown section [{section}] in {path!r}")
         for key, text in parser.items(section):
             if SETTINGS.get(key, ("",))[0] != section:
                 raise ConfigError(f"{section}.{key}: unknown configuration key")
@@ -254,8 +256,8 @@ def _csv(files: dict, out_dir: str, name: str, header: str, *columns) -> None:
     files[name] = path
 
 
-def _cell_sigma(preset: str) -> CellFunction:
-    grid = PeriodicGrid(4096)
+def _cell_sigma(config: ExperimentConfig) -> CellFunction:
+    grid, preset = PeriodicGrid(4096), config.preset
     if preset in ("1", "sine"):
         return CellFunction.from_function(grid, sine_profile(2.0, 0.5))
     if preset == "two-valued":
@@ -263,8 +265,7 @@ def _cell_sigma(preset: str) -> CellFunction:
     raise ConfigError(f"preset: unknown cell coefficient preset {preset!r}")
 
 
-def _run_tartar(config: ExperimentConfig, out_dir: str) -> dict:
-    sigma = _cell_sigma(config.preset)
+def _run_tartar(config: ExperimentConfig, sigma: CellFunction, out_dir: str) -> dict:
     ps = np.array([0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
     report = verify_tartar_equivalence(sigma, ps)
     files = {}
@@ -284,8 +285,7 @@ def _single_problem(config: ExperimentConfig) -> None:
         )
 
 
-def _run_ode(config: ExperimentConfig, out_dir: str) -> dict:
-    _single_problem(config)
+def _run_ode(config: ExperimentConfig, _, out_dir: str) -> dict:
     grid = PeriodicGrid(config.n_cell)
     sigma = CellFunction.from_function(grid, sine_profile(2.0, 0.5))
     u_in = CellFunction.from_function(grid, lambda y: 1.0 + np.sin(2 * np.pi * y))
@@ -316,10 +316,19 @@ def _run_ode(config: ExperimentConfig, out_dir: str) -> dict:
     return files
 
 
-def _run_boltzmann(config: ExperimentConfig, out_dir: str) -> dict:
+def _example_id(config: ExperimentConfig) -> int:
+    """The boltzmann kind's example number, checked on the first sweep eps."""
     if not str(config.preset).isdecimal():
         raise ConfigError(f"preset: expected an example number, got {config.preset!r}")
     example_id = int(config.preset)
+    example_presets(
+        example_id, config.placement, config.epsilons[0], config.n_cell,
+        init_mode=config.init_mode,
+    )
+    return example_id
+
+
+def _run_boltzmann(config: ExperimentConfig, example_id: int, out_dir: str) -> dict:
     points = sweep(
         example_id, config.placement, config.epsilons,
         n_cell=config.n_cell, init_mode=config.init_mode,
@@ -343,11 +352,12 @@ def _run_boltzmann(config: ExperimentConfig, out_dir: str) -> dict:
     return files
 
 
-def _run_transport(config: ExperimentConfig, out_dir: str) -> dict:
+def _transport_params(config: ExperimentConfig):
     # preset 1, the default of every kind, is the first transport preset
-    params = transport_preset(
-        "transport-subcritical-1" if config.preset == "1" else config.preset
-    )
+    return transport_preset("transport-subcritical-1" if config.preset == "1" else config.preset)
+
+
+def _run_transport(config: ExperimentConfig, params, out_dir: str) -> dict:
     grids = config.transport_grids()
     rows = []
     # on the n_e reference grid, not the eps grid: the margin aliases at small eps
@@ -383,8 +393,7 @@ def _run_transport(config: ExperimentConfig, out_dir: str) -> dict:
     return files
 
 
-def _run_oscillator(config: ExperimentConfig, out_dir: str) -> dict:
-    _single_problem(config)
+def _run_oscillator(config: ExperimentConfig, _, out_dir: str) -> dict:
     nu = YoungMeasure.two_atoms(1.0, 3.0)
     u_in = np.array([1.0, 0.0])
     grid = TimeGrid.from_count(10.0, 10000)
@@ -400,18 +409,31 @@ def _run_oscillator(config: ExperimentConfig, out_dir: str) -> dict:
     return files
 
 
-def _run_kernel_dump(config: ExperimentConfig, out_dir: str) -> dict:
-    sigma = _cell_sigma(config.preset)
+def _run_kernel_dump(config: ExperimentConfig, sigma: CellFunction, out_dir: str) -> dict:
     table = KernelTable.from_cell_coefficient(sigma, 1e-2, 2000)
     path = os.path.join(out_dir, "kernel.csv")
     table.to_csv(path)
     return {"kernel.csv": path}
 
 
+# every kind's preset resolver and runner: the resolver maps the config to the
+# data the runner takes, or raises ConfigError before the directory is made
+_RUNNERS = {
+    "tartar": (_cell_sigma, _run_tartar),
+    "ode": (_single_problem, _run_ode),
+    "boltzmann": (_example_id, _run_boltzmann),
+    "transport": (_transport_params, _run_transport),
+    "oscillator": (_single_problem, _run_oscillator),
+    "kernel-dump": (_cell_sigma, _run_kernel_dump),
+}
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute the configured pipeline; returns status and artifact paths."""
     try:
         config.validate()
+        resolve, run = _RUNNERS[config.kind]
+        preset = resolve(config)
     except ConfigError as exc:
         return ExperimentResult(2, {}, str(exc))
     out_dir = config.out_dir
@@ -420,16 +442,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     except OSError as exc:
         return ExperimentResult(2, {}, f"out: cannot make directory {out_dir!r}: {exc.strerror}")
     start = time.time()
-    runners = {
-        "tartar": _run_tartar,
-        "ode": _run_ode,
-        "boltzmann": _run_boltzmann,
-        "transport": _run_transport,
-        "oscillator": _run_oscillator,
-        "kernel-dump": _run_kernel_dump,
-    }
     try:
-        files = runners[config.kind](config, out_dir)
+        files = run(config, preset, out_dir)
     except ConfigError as exc:
         return ExperimentResult(2, {}, str(exc))
     except (ValueError, MemoryError, RuntimeError) as exc:

@@ -14,8 +14,9 @@ In Laplace variables the kernel admits two independent expressions: the
 resolvent route  Khat(p) = < sigma [p + L_sigma]^{-1} (sigma - <sigma>) >
 and Tartar's classical harmonic-mean form  Mhat(p) = p + <sigma> - B(p).
 The two agree identically; :func:`verify_tartar_equivalence` checks the
-identity numerically along with a third route (numeric Laplace transform
-of the tabulated kernel).
+identity numerically along with a third route, the exact Laplace transform
+sum_k r_k / (p + lambda_k) of the kernel's certified pole form: Tartar's
+identity in partial fractions.
 
 With the poles -lambda_k of B(p) and their residues r_k, K(tau) = sum_k
 r_k e^{-lambda_k tau}.  Neither table sums every pole.  Both are the one
@@ -76,8 +77,9 @@ class KernelTable:
     e^{-rates_k tau} at positive lags, with amplitudes (m,) for a scalar
     kernel or (m, d, d) for a matrix one, possibly complex; a zero kernel
     has no modes.  ``lag0`` is K(0).  ``values``, computed once, is lag0 at
-    lag zero and the pole sum at every other lag.  The Volterra solver
-    reads only the pole form and lag0, and evaluates them on its own grid.
+    lag zero and the pole sum at every other lag; only the CSV writers read
+    it.  The Volterra solver and the Tartar check read only the pole form
+    and lag0.
     """
 
     taus: np.ndarray
@@ -128,27 +130,6 @@ class KernelTable:
         write_csv(path, "tau,K", self.taus, self.values)
 
 
-def laplace_of_table(table: KernelTable, p: float) -> tuple[float, float]:
-    """Trapezoid Laplace transform of a scalar table, plus a tail bound.
-
-    The bound |K(tau_max)| e^{-p tau_max} / p assumes nothing about kernel
-    decay; it only reports what the truncation could contribute if the
-    kernel stayed at its last tabulated magnitude.
-    """
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
-    weights = np.exp(-p * table.taus)
-    integrand = weights * table.values
-    value = float(np.trapezoid(integrand, table.taus))
-    tail = abs(table.values[-1]) * np.exp(-p * table.taus[-1]) / p
-    return value, float(tail)
-
-
-def laplace_truncation_horizon(p: float) -> float:
-    """Lag horizon max(20, 30/p): e^{-p tau_max} <= e^{-30} beyond it."""
-    return max(20.0, 30.0 / p)
-
-
 def kernel_laplace_semigroup(sigma: CellFunction, p: float) -> float:
     """Resolvent route: Khat(p) = < sigma [p+L_sigma]^{-1} (sigma-<sigma>) >."""
     if p <= 0:
@@ -169,40 +150,37 @@ class TartarEquivalenceReport:
     ps: np.ndarray
     khat: np.ndarray          # resolvent route
     mhat: np.ndarray          # harmonic-mean route
-    numeric: np.ndarray       # Laplace of the tabulated kernel
-    numeric_tail: np.ndarray  # truncation bound for the numeric route
+    numeric: np.ndarray       # Laplace transform of the certified pole form
+    numeric_tail: np.ndarray  # its part beyond the certified lags
     max_rel_error: float      # max_p |khat - mhat| / max(|mhat|, 1e-14)
 
 
-def verify_tartar_equivalence(
-    sigma: CellFunction,
-    ps,
-    table_dt: float = 5e-3,
-) -> TartarEquivalenceReport:
+def verify_tartar_equivalence(sigma: CellFunction, ps) -> TartarEquivalenceReport:
     """Check Khat(p) = Mhat(p) over a set of Laplace abscissas.
 
-    A single kernel table reaching the horizon of the smallest p serves
-    the numeric route for every p.
+    The numeric route transforms the kernel's pole form exactly, sum_k
+    r_k / (p + lambda_k).  Its rule is certified on lags 5e-3 apart up to
+    tau_max = max(20, 30 / min p), where e^{-p tau_max} <= e^{-30}, and
+    ``numeric_tail`` is the part of the transform beyond tau_max, sum_k
+    |r_k| e^{-(p + lambda_k) tau_max} / (p + lambda_k).
     """
     ps = np.asarray(ps, dtype=float)
     if np.any(ps <= 0):
         raise ValueError("all Laplace abscissas must be positive")
     khat = np.array([kernel_laplace_semigroup(sigma, p) for p in ps])
     mhat = np.array([tartar_kernel_laplace(sigma, p) for p in ps])
-    tau_max = max(laplace_truncation_horizon(p) for p in ps)
-    count = int(np.ceil(tau_max / table_dt))
-    table = KernelTable.from_cell_coefficient(sigma, table_dt, count)
-    numeric = np.empty_like(khat)
-    tails = np.empty_like(khat)
-    for i, p in enumerate(ps):
-        numeric[i], tails[i] = laplace_of_table(table, p)
+    dt = 5e-3
+    count = int(np.ceil(max(20.0, 30.0 / ps.min()) / dt))
+    rates, residues = KernelTable.from_cell_coefficient(sigma, dt, count).modes
+    shifted = ps[:, None] + rates
+    tail = np.abs(residues) * np.exp(-shifted * (count * dt)) / shifted
     rel = np.abs(khat - mhat) / np.maximum(np.abs(mhat), 1e-14)
     return TartarEquivalenceReport(
         ps=ps,
         khat=khat,
         mhat=mhat,
-        numeric=numeric,
-        numeric_tail=tails,
+        numeric=np.sum(residues / shifted, axis=1),
+        numeric_tail=np.sum(tail, axis=1),
         max_rel_error=float(np.max(rel)),
     )
 

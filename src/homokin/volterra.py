@@ -11,17 +11,17 @@ of the convolution makes the step implicit; the d x d implicit factor
     Id + (dt/2) a - (dt^2/4) K(0)
 
 is inverted exactly, giving a globally second-order, unconditionally
-stable march for positive decay coefficients.  Kernels come in pole form;
-the solver evaluates the pole form on its grid and never interpolates.
+stable march for positive decay coefficients.  Kernels come in pole form,
+and the solver reads only that form and K(0): it tabulates no kernel.
 
 The history comes from the kernel's pole form K(tau) = Re sum_k A_k
-e^{-rates_k tau} (``KernelTable.modes``): sum_{j=1}^{n} K_{n+1-j} u_j =
-Re sum_k A_k H_k, with pole states H_k <- q_k (H_k + u_n), q_k =
-e^{-rates_k dt} (Jiang, Zhang, Zhang & Zhang 2017; Lubich & Schaedle 2002).
-The whole scheme is then one affine step z <- T z + B_in x_n of the real
-state z = (u, conv_prev, Re H, Im H) of size D = d (2 + 2m) for m poles,
-where conv_prev is the trapezoid convolution at the last node and the k =
-2d inputs x_n are the source and the u_0 end of the trapezoid.
+e^{-rates_k tau} (``KernelTable.modes``): K_{n+1} u_0 / 2 + sum_{j=1}^{n}
+K_{n+1-j} u_j = Re sum_k A_k H_k, with pole states H_k <- q_k (H_k + u_n)
+from H_k = q_k u_0 / 2, q_k = e^{-rates_k dt} (Jiang, Zhang, Zhang & Zhang
+2017; Lubich & Schaedle 2002).  The whole scheme is then one affine step
+z <- T z + B_in x_n of the real state z = (u, conv_prev, Re H, Im H) of
+size D = d (2 + 2m) for m poles, where conv_prev is the trapezoid
+convolution at the last node and the k = d inputs x_n are the source.
 :func:`march_affine` takes that step in blocks of BLOCK steps, so N steps
 observed at p = d outputs cost O(log BLOCK D^3 + (N / BLOCK) D^2 +
 N D (k + p)), with N / BLOCK Python iterations.
@@ -105,13 +105,6 @@ class VolterraProblem:
         object.__setattr__(self, "u0", u0)
 
 
-def _kernel_samples(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:
-    """The kernel on the grid's lags, (count+1, d, d): its pole form, lag0 at lag 0."""
-    d = problem.u0.size
-    table = KernelTable(grid.times, problem.kernel.modes, problem.kernel.lag0)
-    return table.values.reshape(grid.count + 1, d, d)
-
-
 def _source_samples(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:
     count, d = grid.count, problem.u0.size
     if problem.source is None:
@@ -123,26 +116,27 @@ def _source_samples(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:
     return src.reshape(count + 1, d)
 
 
-def _affine_step(problem: VolterraProblem, k0: np.ndarray, dt: float):
-    """(T, B_in) with z' = T z + B_in (local_src[n], head[n]).
+def _affine_step(problem: VolterraProblem, dt: float):
+    """(T, B_in) with z' = T z + B_in local_src[n].
 
-    The step is linear in z and in the two inputs, so the loop body, written
-    once for d x d blocks, runs on the unit vectors of (z, inputs) at once.
+    The step is linear in z and in the input, so the loop body, written
+    once for d x d blocks, runs on the unit vectors of (z, input) at once.
     """
-    d = len(k0)
+    d = problem.u0.size
     rates, amps = problem.kernel.modes
     m = len(rates)
     amps = np.reshape(amps, (m, d, d))
     a = np.reshape(problem.a, (d, d))
+    k0 = np.reshape(problem.kernel.lag0, (d, d))
     factor = np.eye(d) + 0.5 * dt * a - 0.25 * dt * dt * k0
     if abs(np.linalg.det(factor)) < 1e-14:
         raise SolverError(f"implicit {d}x{d} factor is singular")
     size = d * (2 + 2 * m)
-    columns = size + 2 * d
+    columns = size + d
     unit = np.eye(columns)
-    u, conv_prev, re_h, im_h, src, head = np.split(unit, np.cumsum([d, d, m * d, m * d, d]))
+    u, conv_prev, re_h, im_h, src = np.split(unit, np.cumsum([d, d, m * d, m * d]))
     H = (re_h + 1j * im_h).reshape(m, d, columns)
-    conv_next_known = head + dt * np.einsum("kij,kjc->ic", amps, H).real
+    conv_next_known = dt * np.einsum("kij,kjc->ic", amps, H).real
     rhs = u - 0.5 * dt * a @ u + src + 0.5 * dt * (conv_next_known + conv_prev)
     u_next = np.linalg.solve(factor, rhs)
     conv_next = conv_next_known + 0.5 * dt * k0 @ u_next
@@ -198,12 +192,11 @@ def solve_volterra(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:
     Returns u sampled at the grid nodes, shape (count+1,) + u0.shape.
     """
     dt, u0 = grid.dt, problem.u0.ravel()
-    K = _kernel_samples(problem, grid)
     S = _source_samples(problem, grid)
-    T, B_in = _affine_step(problem, K[0], dt)
-    # the Crank-Nicolson source and the u_0 end of the trapezoid, per step
-    inputs = np.concatenate([0.5 * dt * (S[:-1] + S[1:]), 0.5 * dt * K[1:] @ u0], axis=1)
-    z0 = np.zeros(len(T))
-    z0[: len(u0)] = u0
+    T, B_in = _affine_step(problem, dt)
+    # the u_0 end of the trapezoid starts in the pole states
+    h0 = 0.5 * np.exp(-problem.kernel.modes[0] * dt)[:, None] * u0
+    z0 = np.concatenate([u0, np.zeros_like(u0), h0.real.ravel(), h0.imag.ravel()])
     observe = np.eye(len(u0), len(T)).reshape(problem.u0.shape + (len(T),))
-    return march_affine(T, B_in, inputs, z0, observe)
+    # the Crank-Nicolson source, per step
+    return march_affine(T, B_in, 0.5 * dt * (S[:-1] + S[1:]), z0, observe)

@@ -97,6 +97,7 @@ from homokin.cell import (
     rk4_step,
 )
 from homokin.diagnostics import ConvergenceReport, EnergyField
+from homokin.kernels import KernelTable
 from homokin.multiscale import OdeProblem
 from homokin.oscillator import YoungMeasure, cell_averaged_limit
 from homokin.transport import (
@@ -115,7 +116,6 @@ from homokin.volterra import (
     SolverError,
     TimeGrid,
     VolterraProblem,
-    _kernel_samples,
     _source_samples,
 )
 
@@ -290,6 +290,13 @@ def secular_response(sigma: CellFunction, v: np.ndarray, taus) -> np.ndarray:
     poles, residues = secular_poles(sigma.values, sigma.grid.weights)
     g = v - sigma.grid.weights @ v
     return pole_sum(poles, residues * _eigen_coefficients(sigma, poles, g), taus)
+
+
+def _kernel_samples(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:
+    """The kernel on the grid's lags, (count+1, d, d): its pole form, lag0 at lag 0."""
+    d = problem.u0.size
+    table = KernelTable(grid.times, problem.kernel.modes, problem.kernel.lag0)
+    return table.values.reshape(grid.count + 1, d, d)
 
 
 def volterra_residual(

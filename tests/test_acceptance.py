@@ -63,11 +63,17 @@ def test_criterion_01_tartar_equivalence():
     closed_gap = float(
         np.max(np.abs(rep_two.mhat - 1.0 / (np.asarray(ps) + 2.0)))
     )
+    # the numeric route, the transform of the certified pole form, against Mhat
+    numeric_gap = max(
+        float(np.max(np.abs(rep.numeric - rep.mhat) / np.abs(rep.mhat)))
+        for rep in (rep_sine, rep_two)
+    )
     elapsed = time.time() - start
     checks = [
         rep_sine.max_rel_error <= 1e-6,
         rep_two.max_rel_error <= 1e-10,
         closed_gap <= 1e-10,
+        numeric_gap <= 1e-10,
         elapsed < 60.0,
     ]
     ok = report(
@@ -75,7 +81,8 @@ def test_criterion_01_tartar_equivalence():
         all(checks),
         f"Laplace-route equivalence: sine rel {rep_sine.max_rel_error:.2e} "
         f"(<=1e-6), two-valued rel {rep_two.max_rel_error:.2e} (<=1e-10), "
-        f"closed-form gap {closed_gap:.2e}, {elapsed:.1f}s (<60s)",
+        f"closed-form gap {closed_gap:.2e}, numeric route rel {numeric_gap:.2e} "
+        f"(<=1e-10), {elapsed:.1f}s (<60s)",
     )
     assert ok
 

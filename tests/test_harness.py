@@ -239,6 +239,22 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="n_q"):
             parse_config_file(str(path))
 
+    @pytest.mark.parametrize("section, text", [("grid", "n_cell = 64"), ("sweeps", "eps = 0.5")])
+    def test_unknown_section_named(self, tmp_path, section, text):
+        # a misspelt section is an error, not a section to skip
+        ini = tmp_path / "exp.ini"
+        ini.write_text(f"[{section}]\n{text}\n")
+        args = build_parser().parse_args(["ode", "--config", str(ini)])
+        with pytest.raises(ConfigError, match=rf"unknown section \[{section}\]"):
+            config_from_args(args)
+
+    def test_unknown_section_exit_code(self, tmp_path, capsys):
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[grid]\nn_cell = 64\n")
+        assert main(["ode", "--config", str(ini), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: config: unknown section [grid]")
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_sweep_value_named(self, tmp_path):
         path = tmp_path / "exp.ini"
         path.write_text("[sweep]\neps = 0.1,zz\n")
@@ -687,11 +703,13 @@ class TestCli:
         ],
     )
     def test_boltzmann_config_exit_code(self, tmp_path, capsys, flags, field):
-        code = main(["boltzmann", *flags, "--eps", "0.1", "--out", str(tmp_path)])
+        # the preset is resolved before the output directory is made
+        code = main(["boltzmann", *flags, "--eps", "0.1", "--out", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}: ")
         assert "numerical failure" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "flags, prefix",
@@ -744,15 +762,18 @@ class TestCli:
             ["transport", "--preset", "transport-foo"],
             ["ode", "--preset", "two-valued"],
             ["oscillator", "--preset", "7"],
+            ["tartar", "--preset", "foo"],
+            ["kernel-dump", "--preset", "foo"],
         ],
     )
     def test_unknown_preset_exit_code(self, tmp_path, capsys, argv):
-        code = main([*argv, "--out", str(tmp_path)])
+        # the preset is resolved before the output directory is made
+        code = main([*argv, "--out", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: preset: ")
         assert repr(argv[-1]) in err
-        assert not any(tmp_path.iterdir())
+        assert not (tmp_path / "out").exists()
 
     def test_kernel_pole_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         def corrupted(values, weights, v, taus):

@@ -17,8 +17,6 @@ from homokin.kernels import (
     KernelTable,
     build_source_table,
     kernel_laplace_semigroup,
-    laplace_of_table,
-    laplace_truncation_horizon,
     tartar_kernel_laplace,
     verify_tartar_equivalence,
 )
@@ -111,11 +109,10 @@ class TestLaplaceRoutes:
             assert abs(kernel_laplace_semigroup(TWOVAL, p) - 1.0 / (p + 2.0)) < 1e-12
 
     def test_two_valued_numeric_laplace_of_kernel(self):
-        dt = 2e-3
-        count = int(np.ceil(laplace_truncation_horizon(1.0) / dt))
-        value, tail = laplace_of_table(KernelTable.from_cell_coefficient(TWOVAL, dt, count), 1.0)
-        assert abs(value - 1.0 / 3.0) < 1e-5
-        assert tail < 1e-9
+        # the transform of the pole form: one pole, K(tau) = e^{-2 tau}
+        report = verify_tartar_equivalence(TWOVAL, [0.5, 1.0, 3.0])
+        assert np.max(np.abs(report.numeric - 1.0 / (report.ps + 2.0))) < 1e-12
+        assert np.max(report.numeric_tail) < 1e-9
 
     def test_sine_quadrature_oracle(self):
         expected = 3.0 - np.sqrt(8.75)  # 0.041960108450191935
@@ -123,12 +120,8 @@ class TestLaplaceRoutes:
         assert abs(kernel_laplace_semigroup(SINE, 1.0) - expected) < 1e-6
 
     def test_laplace_consistency_band(self):
-        table_tau_max = 60.0
-        dt = 2e-3
-        table = KernelTable.from_cell_coefficient(SINE, dt, int(table_tau_max / dt))
-        for p in (0.5, 1.0, 2.0, 5.0):
-            numeric, _ = laplace_of_table(table, p)
-            assert abs(numeric - kernel_laplace_semigroup(SINE, p)) < 1e-5
+        report = verify_tartar_equivalence(SINE, [0.5, 1.0, 2.0, 5.0])
+        assert np.max(np.abs(report.numeric - report.khat)) < 1e-12
 
     def test_nonpositive_p_rejected(self):
         with pytest.raises(ValueError):
@@ -140,17 +133,17 @@ class TestLaplaceRoutes:
 class TestTartarEquivalence:
     def test_constant_sigma_trivial(self):
         sig = CellFunction(GRID, np.full(GRID.n, 2.0))
-        report = verify_tartar_equivalence(sig, [0.1, 1.0, 10.0], table_dt=1e-2)
+        report = verify_tartar_equivalence(sig, [0.1, 1.0, 10.0])
         assert report.max_rel_error < 1e-12
 
     def test_two_valued_tight(self):
-        report = verify_tartar_equivalence(TWOVAL, [0.5, 1.0, 2.0], table_dt=1e-2)
+        report = verify_tartar_equivalence(TWOVAL, [0.5, 1.0, 2.0])
         assert report.max_rel_error < 1e-10
         assert np.max(np.abs(report.mhat - 1.0 / (report.ps + 2.0))) < 1e-12
 
     def test_sine_fine_grid(self):
         sig = CellFunction.from_function(PeriodicGrid(4096), sine_profile(2.0, 0.5))
-        report = verify_tartar_equivalence(sig, [0.5, 1.0, 2.0], table_dt=5e-3)
+        report = verify_tartar_equivalence(sig, [0.5, 1.0, 2.0])
         assert report.max_rel_error < 1e-6
 
 

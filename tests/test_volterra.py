@@ -349,6 +349,28 @@ class TestPoleForm:
             other = KernelTable(taus, (rates, amps), lag0)
             assert np.array_equal(solve_volterra(VolterraProblem(a, other, None, u0), grid), u)
 
+    def test_solver_tabulates_no_kernel(self, monkeypatch):
+        # scalar and 2x2, real and complex poles: the march reads the modes
+        # and lag0 only, so it runs bitwise the same with the values gone
+        grid = TimeGrid.from_count(3.0, 150)
+        problems = [
+            VolterraProblem(2.0, pole_table([0.5, 1 + 2j], [0.3, 0.1 - 0.2j], grid), None, 1.0),
+            VolterraProblem(
+                2.0 * np.eye(2) + ROT,
+                pole_table([1.0, 0.5j], [0.3 * np.eye(2), 0.2 * ROT], grid),
+                np.ones((grid.count + 1, 2)),
+                np.array([1.0, -0.5]),
+            ),
+        ]
+        expected = [solve_volterra(problem, grid) for problem in problems]
+
+        def no_values(self):
+            raise AssertionError("the kernel was tabulated")
+
+        monkeypatch.setattr(KernelTable, "values", property(no_values))
+        for problem, u in zip(problems, expected):
+            assert np.array_equal(solve_volterra(problem, grid), u)
+
     def test_shapes_must_fit(self):
         grid = TimeGrid.from_count(1.0, 10)
         with pytest.raises(ValueError, match="do not fit"):
