@@ -43,7 +43,8 @@ import numpy as np
 
 from . import ConfigError
 from .cell import (
-    CellFunction, PeriodicGrid, indicator_sine_profile, rk4_step, sine_profile, wrap
+    CellFunction, PeriodicGrid, indicator_sine_profile, march_blocks, rk4_step,
+    sine_profile, wrap,
 )
 from .diagnostics import EnergyField, orthonormal_polynomials
 
@@ -120,7 +121,9 @@ class ToyProblem:
     reading is the one under which the kappa-outside placement exhibits
     its faster, second-order weak convergence; with oscillatory data the
     t = 0 projection gap already costs one power of eps for either
-    placement.
+    placement.  The three cell functions share one grid, on which
+    ``solve_toy_two_scale`` marches the limit; the eps run evaluates them
+    at y = E/eps.
     """
 
     sigma: CellFunction
@@ -142,6 +145,8 @@ class ToyProblem:
             raise ValueError("kappa must be nonnegative")
         if not (0.0 < self.epsilon <= 1.0):
             raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
+        if not self.sigma.grid.n == self.kappa.grid.n == self.phi_in.grid.n:
+            raise ValueError("sigma, kappa and phi_in must be sampled on one cell grid")
 
 
 def example_presets(
@@ -196,13 +201,8 @@ def _rank_one_march(decay, emit, collect, phi0, times):
     rows of R are ``rk4_step`` of that joint system from (1, 0) and from
     (0, e_k).  A step then reads V, R, P and phi once.  Energy sums run
     through ``np.einsum``, not BLAS, so the states do not depend on the
-    BLAS thread count.
-
-    The states phi0, phi(t_1), ... are written into the rows of one block
-    buffer of max(1, MARCH_CHUNK // phi0.size) rows, and each filled block
-    (the last one possibly shorter) is yielded, of shape (k, phi0.size).
-    The buffer is reused: a yielded block is valid until the next one is
-    drawn.
+    BLAS thread count.  Returns :func:`homokin.cell.march_blocks` of the
+    step, blocks of (k, phi0.size) states.
     """
     # the powers by repeated multiplication, rounded as a cumprod rounds them
     moments = np.empty((4, len(decay)))
@@ -218,20 +218,14 @@ def _rank_one_march(decay, emit, collect, phi0, times):
     spread = np.empty((4, phi0.size))
     for row, unit in zip(spread, np.eye(4)):
         row[:], _ = rk4_step(rhs, 0.0, dt, np.zeros_like(phi0), unit)
-    rows = min(max(1, MARCH_CHUNK // phi0.size), len(times))
-    block = np.empty((rows, phi0.size))
-    block[0] = phi0
-    phi, j = block[0], 1
-    for _ in range(len(times) - 1):
-        if j == rows:
-            yield block
-            j = 0
-        # the moments first: with one row a block, block[j] is phi itself
-        m = np.einsum("kn,n->k", moments, phi)
-        phi = np.multiply(keep, phi, out=block[j])
-        phi += np.einsum("k,kn->n", m, spread)
-        j += 1
-    yield block[:j]
+
+    def step(phi, out):
+        m = np.einsum("kn,n->k", moments, phi)  # first: out may be phi itself
+        out = np.multiply(keep, phi, out=out)
+        out += np.einsum("k,kn->n", m, spread)
+        return out
+
+    return march_blocks(step, phi0, len(times) - 1, MARCH_CHUNK)
 
 
 def _toy_eps_set_up(problem: ToyProblem, nodes: np.ndarray, h: float, p: int):
@@ -310,7 +304,6 @@ def solve_toy_two_scale(
     problem: ToyProblem,
     n_steps: int = 50,
     n_e: int = 64,
-    n_y: int = 256,
 ) -> TwoScaleToySolution:
     """RK4 march of the two-scale limit as phi0 = a(E) X(t, y) + Z(t, y).
 
@@ -321,13 +314,14 @@ def solve_toy_two_scale(
     ``_rank_one_march``: decay [sigma; sigma], emit [0; 1] and collect
     [A kappa; kappa] / n_y inside, emit [0; kappa] and collect [A; 1] / n_y
     outside.  An RK4 step is a polynomial in the linear operator, so this
-    is the full (E, y) march step by step, up to rounding.
+    is the full (E, y) march step by step, up to rounding.  y runs over the
+    n_y nodes of the problem's cell grid, with the samples of its cell
+    functions there.
     """
-    egrid, ygrid = EnergyGrid(n_e), PeriodicGrid(n_y)
-    sig = problem.sigma.eval_periodic(ygrid.nodes)
-    kap = problem.kappa.eval_periodic(ygrid.nodes)
+    egrid, ygrid = EnergyGrid(n_e), problem.sigma.grid
+    n_y, sig, kap = ygrid.n, problem.sigma.values, problem.kappa.values
     if problem.init_mode == "oscillatory":
-        a, b = np.ones(n_e), problem.phi_in.eval_periodic(ygrid.nodes)
+        a, b = np.ones(n_e), problem.phi_in.values
     else:
         a, b = problem.phi_in.eval_periodic(egrid.nodes), np.ones(n_y)
     if problem.placement == "inside":
@@ -413,15 +407,16 @@ def _reduce_eps_run(problem: ToyProblem, egrid: EnergyGrid, rows: np.ndarray, ti
     w = np.where(np.arange(p) < s, q + 1, q)
     # the stacked state is [keep^j; z = fold(rho) keep^j; g], so keep^j, z
     # and g on the residues rho reaches are its first 3 f floats
+    start = np.concatenate([np.ones(f), _fold(rho, p), phi0[:p]])
+    fold_rho_sq = _fold(rho * rho, p)
+    del phi0, rho
     march = _rank_one_march(
         np.concatenate([decay[:f], decay[:f], decay]),
         np.concatenate([np.zeros(2 * f), emit]),
         np.concatenate([np.zeros(f), collect[:f], w * collect]),
-        np.concatenate([np.ones(f), _fold(rho, p), phi0[:p]]),
+        start,
         times,
     )
-    fold_rho_sq = _fold(rho * rho, p)
-    del phi0, rho
     coeffs = np.empty((len(times), len(rows)))
     sq = np.empty(len(times))
     free = np.empty((len(times), 3 * f))

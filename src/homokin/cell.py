@@ -137,6 +137,29 @@ def rk4_step(rhs: Callable, t: float, h: float, *state) -> tuple:
     )
 
 
+def march_blocks(step: Callable, phi0: np.ndarray, n_steps: int, chunk: int):
+    """Yield the states phi0, phi_1, ..., phi_{n_steps} a block of steps at a time.
+
+    ``step(phi, out)`` writes the next state into ``out`` and returns it.
+    The states go into the rows of one buffer of max(1, chunk // phi0.size)
+    rows, and each filled block (the last one possibly shorter) is yielded,
+    of shape (k,) + phi0.shape.  The buffer is reused: a yielded block is
+    valid until the next one is drawn.  With one-row blocks ``out`` is
+    ``phi`` itself, so a step reads phi before it writes out.
+    """
+    rows = min(max(1, chunk // phi0.size), n_steps + 1)
+    block = np.empty((rows,) + phi0.shape)
+    block[0] = phi0
+    phi, j = block[0], 1
+    for _ in range(n_steps):
+        if j == rows:
+            yield block
+            j = 0
+        phi = step(phi, block[j])
+        j += 1
+    yield block[:j]
+
+
 # Array elements per chunk of a pole sum: 4 rows of a 4096-pole block.  Each
 # temporary stays at 128 KB, which keeps peak memory flat and was no slower
 # than larger chunks at n = 4096.
@@ -204,7 +227,18 @@ def _level_means(x, weights, nodes, W) -> np.ndarray:
 
 
 def _rules(d, W, scale, z, q: int):
-    """Gauss and Radau rules of <z, e^{-tau A} z> on the levels; see gauss_radau_rules."""
+    """((nodes, weights), (radau_nodes, radau_weights)): the q-point Gauss and
+    (q+1)-point Gauss-Radau rules of the spectral measure of <z, e^{-tau A} z>.
+
+    A is the cell operator on mean-free data, on the levels d, W of
+    :func:`_distinct`, and z mean-free level-set means.  Lanczos on diag(d)
+    from z, fully reorthogonalized, gives the Jacobi matrix J of that
+    measure, of mass <z^2>.  Gauss: eigensystem of the leading q x q block
+    of J; Radau: that block bordered so a node sits at min d (Golub &
+    Meurant 2010).  When the Krylov space ends (a beta of rounding level,
+    or m - 1 steps on m distinct values) the Gauss rule is exact and both
+    rules are that rule; z = 0 gives two empty rules.
+    """
     mean = (W @ d) / W.sum()
     d = d - mean  # centred, so the residuals do not cancel
     basis = np.empty((min(q + 1, len(d)), len(d)))
@@ -242,29 +276,6 @@ def _rules(d, W, scale, z, q: int):
     return gauss, rule(jac)[0]
 
 
-def gauss_radau_rules(values, weights, q: int, start):
-    """((nodes, weights), (radau_nodes, radau_weights)): the q-point Gauss and
-    (q+1)-point Gauss-Radau rules of the spectral measure of <z, e^{-tau A} z>.
-
-    A = P diag(sigma) P is the cell operator on mean-free data and z the
-    mean-free level-set means of ``start`` (the rest of ``start`` is
-    invariant under A and orthogonal to every level-set function).  Lanczos
-    on diag(d) from z, fully reorthogonalized against z's Krylov space and
-    the constants, one basis row per step, gives the Jacobi matrix J of that
-    measure, of mass <z^2>.  Gauss: eigensystem of the leading q x q block
-    of J; Radau: that block bordered so a node sits at min(values) (Golub &
-    Meurant 2010).  For start = sigma this is the kernel measure
-    sum_k r_k delta_{lambda_k} of mass Var sigma (Mori).  When the Krylov
-    space ends (a beta of rounding level, or m - 1 steps on m distinct
-    values) the Gauss rule is exact and both rules are that rule; z = 0
-    gives two empty rules.
-    """
-    d, w, scale, nodes = _distinct(values, weights)
-    z_scale = _power_of_two(start)  # exact, so the mass <z^2> does not underflow
-    z = _level_means(np.ravel(start) / z_scale, weights, nodes, w)
-    return tuple((x, r * z_scale * z_scale) for x, r in _rules(d, w, scale, z, q))
-
-
 def gauss_poles(values, weights, v, taus) -> tuple[np.ndarray, np.ndarray]:
     """Rates and signed amplitudes of <h, e^{-tau A} vbar> from certified Gauss rules.
 
@@ -274,9 +285,9 @@ def gauss_poles(values, weights, v, taus) -> tuple[np.ndarray, np.ndarray]:
     it is [q(h + s vbar) - q(h - s vbar)] / (4 s), s = |h| / |vbar|, where
     q(z) = <z, e^{-tau A} z> is the Laplace transform of a positive measure.
     The derivatives of e^{-tau x} alternate in sign, so for tau >= 0 each q
-    lies between its Gauss and Radau sums of :func:`gauss_radau_rules`.  Q
-    doubles from 1 until the two bracket widths sum to at most 16 eps |h|
-    |vbar| (4 s) on every lag of ``taus``; the result is the 2Q Gauss poles.
+    lies between its Gauss and Radau sums of :func:`_rules`.  Q doubles from
+    1 until the two bracket widths sum to at most 16 eps |h| |vbar| (4 s)
+    on every lag of ``taus``; the result is the 2Q Gauss poles.
     For v = sigma the minus rule is empty and the amplitudes are the
     positive kernel residues, certified to 16 eps Var sigma.  Data whose
     level-set means vanish to 16 times the rounding bound of their sums

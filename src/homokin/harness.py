@@ -67,11 +67,11 @@ SETTINGS = {
     "placement": ("experiment", " | ".join(PLACEMENTS)),
     "init_mode": ("experiment", " | ".join(INIT_MODES)),
     "eps": ("sweep", "comma-separated sweep values, decreasing"),
-    "n_cell": ("grids", "periodic-cell nodes"),
-    "n_e": ("grids", "energy nodes (homogenized references)"),
+    "n_cell": ("grids", "periodic-cell nodes (ode, boltzmann)"),
+    "n_e": ("grids", "energy nodes of the reference grid (transport)"),
     "n_omega": ("grids", "angles on the circle (transport)"),
     "n_r": ("grids", "spatial labels (transport)"),
-    "n_y": ("grids", "cell nodes of the two-scale transport field"),
+    "n_y": ("grids", "cell nodes of the two-scale field (transport)"),
     "out": ("run", "output directory (default $HOMOKIN_OUT or .)"),
     "seed": ("run", "accepted for older configs; seeds nothing"),
     "workers": ("run", "accepted for older configs; runs nothing in parallel"),
@@ -166,8 +166,8 @@ WEAK_X_BUDGET = 2**16
 
 
 def _weak_x_count(eps: float) -> int:
-    """x-nodes of the ode kind's weak study: 100 per period, at least 64."""
-    return max(64, round(100 / eps))
+    """x-nodes of the ode kind's weak study: 100 per period."""
+    return round(100 / eps)
 
 
 def parse_setting(key: str, text: str, where: str) -> tuple:
@@ -359,6 +359,10 @@ def _transport_params(config: ExperimentConfig):
 
 def _run_transport(config: ExperimentConfig, params, out_dir: str) -> dict:
     grids = config.transport_grids()
+    phi_in = hat_initial_data(0.5)
+    t_end = 1.0
+    # first, so that data missing every r-node is a ConfigError before any file
+    hom = solve_two_scale_transport(params, phi_in, grids, t_end=t_end, n_steps=150)
     rows = []
     # on the n_e reference grid, not the eps grid: the margin aliases at small eps
     for eps in config.epsilons:
@@ -368,9 +372,6 @@ def _run_transport(config: ExperimentConfig, params, out_dir: str) -> dict:
     files = {}
     _csv(files, out_dir, "transport_checks.csv", "epsilon,margin,min_quotient", *zip(*rows))
 
-    phi_in = hat_initial_data(0.5)
-    t_end = 1.0
-    hom = solve_two_scale_transport(params, phi_in, grids, t_end=t_end, n_steps=150)
     counts = [grids.eps_energy_count(eps) for eps in config.epsilons]
     # prefer window widths that hold a whole number of oscillation periods
     # for every sweep eps; otherwise the partial-period residual swamps the
@@ -437,6 +438,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     except ConfigError as exc:
         return ExperimentResult(2, {}, str(exc))
     out_dir = config.out_dir
+    made = not os.path.isdir(out_dir)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -445,6 +447,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     try:
         files = run(config, preset, out_dir)
     except ConfigError as exc:
+        if made and not os.listdir(out_dir):  # a config error leaves nothing behind
+            os.rmdir(out_dir)
         return ExperimentResult(2, {}, str(exc))
     except (ValueError, MemoryError, RuntimeError) as exc:
         return ExperimentResult(1, {}, f"numerical failure in {config.kind}: {exc}")

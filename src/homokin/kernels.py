@@ -185,38 +185,21 @@ def verify_tartar_equivalence(sigma: CellFunction, ps) -> TartarEquivalenceRepor
     )
 
 
-@dataclass(frozen=True, eq=False)
-class SourceTable:
-    """Homogenized source S(t) sampled on the solver grid."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if times.shape != values.shape:
-            raise ValueError("source values misaligned with times")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("source values must be finite")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-
-
 def build_source_table(
     sigma: CellFunction,
     u_in: CellFunction,
     f: CellFunction | None,
     dt: float,
     count: int,
-) -> SourceTable:
-    """Tabulate S(t) on {0, dt, ..., count*dt}.
+) -> np.ndarray:
+    """Samples of S(t) on {0, dt, ..., count*dt}, shape (count + 1,).
 
     ``f`` is None (no forcing) or a CellFunction (time-independent
     forcing).  Each term is the pole sum of one polarized rule, certified
     on the grid; the time integral of the forcing term is the trapezoid
     rule on the same grid.  Raises RuntimeError when a rule's amplitudes
-    miss <sigma (v - <v>)> at lag 0.
+    miss <sigma (v - <v>)> at lag 0, and ValueError when a sample is not
+    finite (a negative sigma over a long horizon overflows).
     """
     if dt <= 0 or count < 0:
         raise ValueError("need dt > 0 and count >= 0")
@@ -234,7 +217,11 @@ def build_source_table(
     # initial-data term d(t) = < sigma e^{-t L} L_1 u_in >
     d = response(u_in)
     if f is None:
-        return SourceTable(times, -d)
-    g = response(f)
-    conv = np.concatenate(([0.0], np.cumsum(0.5 * dt * (g[1:] + g[:-1]))))
-    return SourceTable(times, cell_average(f) - conv - d)
+        values = -d
+    else:
+        g = response(f)
+        conv = np.concatenate(([0.0], np.cumsum(0.5 * dt * (g[1:] + g[:-1]))))
+        values = cell_average(f) - conv - d
+    if not np.all(np.isfinite(values)):
+        raise ValueError("source values must be finite")
+    return values

@@ -147,7 +147,7 @@ def solve_homogenized_volterra(problem: OdeProblem, grid: TimeGrid) -> np.ndarra
     vp = VolterraProblem(
         a=cell_average(problem.sigma),
         kernel=kernel,
-        source=source.values,
+        source=source,
         u0=cell_average(problem.u_in),
     )
     return solve_volterra(vp, grid)

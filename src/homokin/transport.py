@@ -61,7 +61,8 @@ the rows, and every output is mapped back through C.  psi_hom is
 returned in those factors (:class:`HomogenizedField`) and expanded only
 where it is read.  Initial data that is not finite at some r-node raises
 ValueError.  The march hands the solvers blocks of consecutive steps
-(MARCH_CHUNK floats), and each solver reduces a whole block at once.
+(MARCH_CHUNK floats, :func:`homokin.cell.march_blocks`), and each solver
+reduces a whole block at once.
 """
 from __future__ import annotations
 
@@ -71,7 +72,7 @@ from typing import Callable
 import numpy as np
 
 from . import ConfigError
-from .cell import PeriodicGrid, wrap
+from .cell import PeriodicGrid, march_blocks, wrap
 
 
 # n_omega^2 n_E <= 2^23: sized for angle-pair kappa tables, now stored per angle gap
@@ -472,7 +473,7 @@ def _march(
     grids: TransportGrids, energies, k1, kern: np.ndarray, weight, rate: np.ndarray,
     phi0: np.ndarray, dt: float, n_steps: int,
 ):
-    """Product-trapezoid march of phi[r, w, E, y]; yields blocks of states.
+    """Product-trapezoid march of phi[r, w, E, y] in blocks of states.
 
     phi(t) = e^{-t rate} phi0 + int_0^t e^{-(t-s) rate} F(s) ds with
     F = S R phi, R reducing over (w', E', y') against kern with ``weight``,
@@ -481,13 +482,8 @@ def _march(
     known = e^{-dt rate} (phi + h F), phi = known + h F; the time error is
     O(dt^2).  h F runs through :func:`_scatter` in the energy rank of
     :func:`_energy_rank`, and the implicit end point is q = M p(known) with
-    M of :func:`_implicit_map`.
-
-    The states phi0, phi(dt), ..., phi(n_steps dt) are written into the
-    rows of one block buffer of max(1, MARCH_CHUNK // phi0.size) rows, and
-    each filled block (the last one possibly shorter) is yielded, of shape
-    (k,) + phi0.shape, so the consumers reduce k steps at a time.  The
-    buffer is reused: a yielded block is valid until the next one is drawn.
+    M of :func:`_implicit_map`.  The steps run in
+    :func:`homokin.cell.march_blocks`.
 
     K commutes with rotations of the circle, so a field that is the same
     at every angle stays so when the rate is too.  If rate and phi0 are
@@ -503,23 +499,18 @@ def _march(
         nw = len(rate)
         rate, phi0 = rate[:1], phi0[:, :1]
         A, M = (m.reshape(nw, len(s), nw, len(Rk))[0].sum(axis=1) for m in (A, M))
-    step_t, explicit_t = M.T, A.T
-    decay_step = np.exp(-dt * rate)
-    rows = min(max(1, MARCH_CHUNK // phi0.size), n_steps + 1)
-    block = np.empty((rows,) + phi0.shape)
-    block[0] = phi0
-    phi, j = block[0], 1
-    hF = _scatter(Rk, s, explicit_t, phi)
-    for _ in range(n_steps):
-        if j == rows:
-            yield block
-            j = 0
-        phi = np.add(phi, hF, out=block[j])
-        phi *= decay_step
-        hF = _scatter(Rk, s, step_t, phi)
-        phi += hF
-        j += 1
-    yield block[:j]
+    step_t, decay_step = M.T, np.exp(-dt * rate)
+    hF = _scatter(Rk, s, A.T, phi0)
+
+    def step(phi, out):
+        nonlocal hF
+        out = np.add(phi, hF, out=out)
+        out *= decay_step
+        hF = _scatter(Rk, s, step_t, out)
+        out += hF
+        return out
+
+    return march_blocks(step, phi0, n_steps, MARCH_CHUNK)
 
 
 def _front_end(params, phi_in, grids: TransportGrids, energies, y, weight, t_end, n_steps):
@@ -528,8 +519,7 @@ def _front_end(params, phi_in, grids: TransportGrids, energies, y, weight, t_end
     ``y`` is the cell of :func:`_set_up` and ``weight`` the quadrature
     weight of the reduction over (E', y').  Returns the time grid, the
     active r-indices, C of :func:`_rank_rows` and the march of the rank
-    rows, which runs only as its blocks are drawn.  n_steps < 1 or
-    t_end <= 0 raises ValueError.
+    rows.  n_steps < 1 or t_end <= 0 raises ValueError.
     """
     if n_steps < 1 or not t_end > 0:
         raise ValueError(f"need n_steps >= 1 and t_end > 0, got {n_steps} and {t_end:g}")

@@ -35,6 +35,10 @@ The other oracles check the package against routes it no longer runs:
   Stieltjes recurrence with grid sums, on any grid, against the closed-form
   discrete Legendre rows of
   :func:`homokin.diagnostics.orthonormal_polynomials`;
+- :func:`gauss_radau_rules`, the q-point Gauss and Gauss-Radau rules of
+  one start vector, that bracket the certified rules of
+  :func:`homokin.cell.gauss_poles` and, with one node per atom, give the
+  oscillator's exact poles;
 - :func:`exact_poles`, every pole and residue of B(p) from one dense
   eigensystem, against the Lanczos Gauss rules and as the pole engine of
   the closed transport route;
@@ -91,6 +95,9 @@ from homokin.cell import (
     CellOperator,
     PeriodicGrid,
     _distinct,
+    _level_means,
+    _power_of_two,
+    _rules,
     cell_average,
     fluctuation,
     pole_sum,
@@ -543,6 +550,22 @@ def stieltjes_polynomials(nodes, weights, k_max: int) -> np.ndarray:
         p_prev, p = p, q / beta
         polys[k + 1] = p
     return polys
+
+
+def gauss_radau_rules(values, weights, q: int, start):
+    """((nodes, weights), (radau_nodes, radau_weights)): the q-point Gauss and
+    (q+1)-point Gauss-Radau rules of the spectral measure of <z, e^{-tau A} z>.
+
+    z is the mean-free level-set means of ``start``, and the rules are
+    those of :func:`homokin.cell._rules`, whose Gauss-Radau bracket
+    :func:`homokin.cell.gauss_poles` doubles q against.  For start = sigma
+    this is the kernel measure sum_k r_k delta_{lambda_k} of mass Var sigma;
+    with q of at least m - 1 on m distinct values the Gauss rule is exact.
+    """
+    d, w, scale, nodes = _distinct(values, weights)
+    z_scale = _power_of_two(start)  # exact, so the mass <z^2> does not underflow
+    z = _level_means(np.ravel(start) / z_scale, weights, nodes, w)
+    return tuple((x, r * z_scale * z_scale) for x, r in _rules(d, w, scale, z, q))
 
 
 def exact_poles(values, weights) -> tuple[np.ndarray, np.ndarray]:

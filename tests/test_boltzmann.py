@@ -1,6 +1,7 @@
 """Energy toy-model tests: presets, both solvers, sweep behavior."""
 
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -111,6 +112,13 @@ class TestPresets:
         with pytest.raises(ValueError):
             example_presets(1, "sideways", 0.1)
 
+    def test_cell_functions_on_two_grids_rejected(self):
+        problem = example_presets(1, "inside", 0.1)
+        coarse = CellFunction.from_function(PeriodicGrid(64), lambda y: 1.0 + 0 * y)
+        for field in ("sigma", "kappa", "phi_in"):
+            with pytest.raises(ValueError, match="one cell grid"):
+                replace(problem, **{field: coarse})
+
 
 def constant_problem(placement, epsilon=0.1):
     grid = PeriodicGrid(64)
@@ -177,6 +185,25 @@ class TestTwoScaleSolver:
         sol = solve_toy_two_scale(problem, n_steps=10)
         assert np.max(np.abs(sol.phi_hom[0] - 1.0)) < 1e-12
 
+    @pytest.mark.parametrize("n_cell", [8, 16, 256])
+    def test_limit_runs_on_the_problems_cell_grid(self, n_cell):
+        # the limit's cell vectors are the grid's samples, so n_cell sets them
+        problem = example_presets(1, "outside", 0.1, n_cell, init_mode="profile")
+        sol = solve_toy_two_scale(problem, n_steps=10)
+        assert sol.cell.shape == (11, 2, n_cell)
+        assert np.array_equal(sol.cell[0, 0], np.ones(n_cell))
+        z = -problem.sigma.values  # X' = -sigma X, one RK4 step of h = 1
+        assert np.allclose(sol.cell[1, 0], 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24, rtol=1e-14, atol=0)
+
+    def test_n_cell_moves_the_outside_profile_sweep(self):
+        eps = DEFAULT_SWEEP[:2]
+        coarse = sweep(1, "outside", eps, n_cell=8, init_mode="profile")
+        fine = sweep(1, "outside", eps, n_cell=256, init_mode="profile")
+        assert not np.array_equal(
+            [p.mode_errors for p in coarse], [p.mode_errors for p in fine]
+        )
+        assert [p.norm_diff for p in coarse] != [p.norm_diff for p in fine]
+
     def test_zero_kappa_two_valued_matches_cell_average(self):
         grid = PeriodicGrid(256)
         problem = ToyProblem(
@@ -194,17 +221,17 @@ class TestTwoScaleSolver:
         assert np.max(np.abs(sol.phi_hom - exact[:, None])) < 1e-9
 
 
-def dense_two_scale(problem, n_steps=50, n_e=64, n_y=256):
+def dense_two_scale(problem, n_steps=50, n_e=64):
     """Oracle: RK4 march of the limit on the full (E, y) grid.
 
-    Returns phi_hom and the L2(t, E, y) norm of the whole field.
+    y runs over the problem's cell grid.  Returns phi_hom and the
+    L2(t, E, y) norm of the whole field.
     """
-    egrid, ygrid = EnergyGrid(n_e), PeriodicGrid(n_y)
-    sig = problem.sigma.eval_periodic(ygrid.nodes)
-    kap = problem.kappa.eval_periodic(ygrid.nodes)
+    egrid, ygrid = EnergyGrid(n_e), problem.sigma.grid
+    n_y, sig, kap = ygrid.n, problem.sigma.values, problem.kappa.values
     he, wy = egrid.h, 1.0 / n_y
     if problem.init_mode == "oscillatory":
-        phi = np.broadcast_to(problem.phi_in.eval_periodic(ygrid.nodes), (n_e, n_y))
+        phi = np.broadcast_to(problem.phi_in.values, (n_e, n_y))
     else:
         phi = np.broadcast_to(
             problem.phi_in.eval_periodic(egrid.nodes)[:, None], (n_e, n_y)
@@ -268,7 +295,7 @@ class TestTwoScaleDenseOracle:
             t_end=2.0,
             init_mode=init_mode,
         )
-        phi_gap, norm_gap, scale = dense_gaps(problem, n_steps=20, n_e=n_e, n_y=n_y)
+        phi_gap, norm_gap, scale = dense_gaps(problem, n_steps=20, n_e=n_e)
         # kappa > sigma lets the field grow, so the phi_hom gap scales with it
         assert phi_gap <= 1e-13 * max(scale, 1.0)
         assert norm_gap <= 1e-13
@@ -513,9 +540,8 @@ class TestStreamedSweep:
         # the profile on the eps grid, as linear interpolation from the
         # limit's 64 energy nodes, clamped outside them, moved the mode
         # errors here by up to 1e-3
-        grid = PeriodicGrid(64)
-        curved = CellFunction.from_function(grid, lambda e: np.exp(2.0 * e))
         preset = example_presets(1, placement, 1 / 40.1)
+        curved = CellFunction.from_function(preset.sigma.grid, lambda e: np.exp(2.0 * e))
         problem = ToyProblem(
             preset.sigma, preset.kappa, curved, placement, 1 / 40.1, init_mode="profile"
         )

@@ -12,6 +12,7 @@ from homokin.cell import (
     cell_average,
     fluctuation,
     harmonic_factor_B,
+    march_blocks,
     resolvent_apply,
     rk4_step,
     sine_profile,
@@ -203,6 +204,60 @@ class TestRk4Step:
             )
 
         assert 14.0 <= final_error(10) / final_error(20) <= 18.0
+
+
+class TestMarchBlocks:
+    @staticmethod
+    def step(phi, out):
+        # reads all of phi before it writes out, which may be phi itself
+        nxt = np.roll(phi, 1) * 0.5 + 0.25 * phi + 1.0
+        out[...] = nxt
+        return out
+
+    def plain_loop(self, phi0, n_steps):
+        states = [phi0]
+        for _ in range(n_steps):
+            states.append(self.step(states[-1], np.empty_like(phi0)))
+        return np.array(states)
+
+    @pytest.mark.parametrize(
+        "chunk, rows",
+        [(1, 1), (5, 1), (6, 1), (12, 2), (18, 3), (24, 4), (60, 10), (1000, 11)],
+    )
+    def test_blocks_are_the_plain_loop(self, chunk, rows):
+        # 6 floats a state and 10 steps: one-row blocks, blocks that do not
+        # divide the 11 states, blocks that do, and a single block
+        phi0 = np.arange(6.0).reshape(2, 3)
+        blocks = [b.copy() for b in march_blocks(self.step, phi0, 10, chunk)]
+        assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        assert 1 <= len(blocks[-1]) <= rows
+        assert np.array_equal(np.concatenate(blocks), self.plain_loop(phi0, 10))
+
+    def test_one_buffer_between_draws(self):
+        march = march_blocks(self.step, np.zeros(4), 9, 12)  # 3 rows a block
+        first = next(march)
+        held = first.copy()
+        second = next(march)
+        assert np.shares_memory(first, second)
+        assert not np.array_equal(first, held)  # the next draw wrote over it
+        assert np.array_equal(second, self.plain_loop(np.zeros(4), 9)[3:6])
+
+    def test_one_row_blocks_step_in_place(self):
+        outs = []
+
+        def step(phi, out):
+            outs.append(np.shares_memory(out, phi))
+            return self.step(phi, out)
+
+        assert len(list(march_blocks(step, np.zeros(3), 4, 1))) == 5
+        assert outs == [True] * 4
+        outs.clear()
+        list(march_blocks(step, np.zeros(3), 4, 6))  # two rows a block
+        assert outs == [False] * 4
+
+    def test_no_steps_yields_the_start(self):
+        (block,) = march_blocks(self.step, np.ones((2, 2)), 0, 1 << 10)
+        assert block.shape == (1, 2, 2) and np.all(block == 1.0)
 
 
 class TestResolvent:

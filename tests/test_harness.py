@@ -820,6 +820,24 @@ class TestCli:
         assert code == 2
         assert "n_r" in capsys.readouterr().err
 
+    def test_transport_data_off_the_r_nodes_leaves_nothing(self, tmp_path, capsys):
+        # the hat of support 0.5 vanishes on the two r-nodes +-1: the limit
+        # finds it before any CSV is written, and the directory the run made
+        # goes again; a directory that was there stays
+        grids = dict(n_r=2, n_e=12, n_y=16, n_omega=4, epsilons=(0.5,))
+        out = tmp_path / "run"
+        result = run_experiment(ExperimentConfig(kind="transport", out_dir=str(out), **grids))
+        assert result.status == 2 and result.message.startswith("n_r: ")
+        assert not out.exists()
+        code = main(["transport", "--n-r", "2", "--out", str(tmp_path / "cli")])
+        assert code == 2
+        assert "n_r" in capsys.readouterr().err
+        assert not (tmp_path / "cli").exists()
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        result = run_experiment(ExperimentConfig(kind="transport", out_dir=str(kept), **grids))
+        assert result.status == 2 and kept.is_dir() and not any(kept.iterdir())
+
     def test_source_rule_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         # the ode kind's source table: a rule whose amplitudes miss <sigma u_in>
         def corrupted(values, weights, v, taus):

@@ -167,18 +167,18 @@ class TestSource:
         u_in = CellFunction(GRID, np.full(GRID.n, 3.0))
         table = build_source_table(SINE, u_in, None, dt=0.0025, count=2000)
         for j in (0, 400, 2000):  # t = 0, 1, 5
-            assert abs(table.values[j]) < 1e-12
+            assert abs(table[j]) < 1e-12
 
     def test_constant_sigma_kills_fluctuation_term(self):
         sig = CellFunction(GRID, np.full(GRID.n, 2.0))
         u_in = CellFunction.from_function(GRID, lambda y: 1.0 + np.sin(2 * np.pi * y))
         table = build_source_table(sig, u_in, None, dt=0.001, count=2000)
         for j in (0, 500, 2000):  # t = 0, 0.5, 2
-            assert abs(table.values[j]) < 1e-12
+            assert abs(table[j]) < 1e-12
 
     def test_initial_time_quadrature_value(self):
         u_in = CellFunction.from_function(GRID, lambda y: 1.0 + np.sin(2 * np.pi * y))
-        got = build_source_table(SINE, u_in, None, dt=0.1, count=0).values[0]
+        got = build_source_table(SINE, u_in, None, dt=0.1, count=0)[0]
         assert abs(got - (-0.25)) < 1e-12
 
     def test_table_constant_forcing_against_oracle(self):
@@ -188,8 +188,8 @@ class TestSource:
         f = CellFunction.from_function(grid, lambda y: 0.5 + np.cos(2 * np.pi * y))
         table = build_source_table(sig, u_in, f, dt=0.01, count=100)
         for j in (0, 30, 100):
-            oracle = _source_oracle(sig, u_in, f, table.times[j], max(j, 1))
-            assert abs(table.values[j] - oracle) < 1e-9
+            oracle = _source_oracle(sig, u_in, f, 0.01 * j, max(j, 1))
+            assert abs(table[j] - oracle) < 1e-9
 
     def test_matrix_free_adjoint_path_matches_dense(self):
         # a fine and a coarse grid of the same profiles give the same table
@@ -199,7 +199,16 @@ class TestSource:
             u_in = CellFunction.from_function(grid, lambda y: np.cos(2 * np.pi * y))
             f = CellFunction.from_function(grid, lambda y: 1.0 + np.sin(2 * np.pi * y))
             tables.append(build_source_table(sig, u_in, f, dt=0.02, count=25))
-        assert np.max(np.abs(tables[0].values - tables[1].values)) < 1e-8
+        assert np.max(np.abs(tables[0] - tables[1])) < 1e-8
+
+    def test_overflowing_samples_raise(self):
+        # negative sigma: the rates are negative and e^{-t rate} overflows
+        sig = CellFunction.from_function(GRID, two_valued_profile(-2.0, -1.0))
+        u_in = CellFunction.from_function(GRID, lambda y: 1.0 + np.sin(2 * np.pi * y))
+        assert np.all(np.isfinite(build_source_table(sig, u_in, None, dt=1.0, count=100)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="source values must be finite"):
+                build_source_table(sig, u_in, None, dt=1.0, count=1000)
 
     def test_callable_forcing_rejected(self):
         u_in = CellFunction(GRID, np.ones(GRID.n))

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -13,7 +13,6 @@ from homokin.cell import (
     PeriodicGrid,
     cell_average,
     gauss_poles,
-    gauss_radau_rules,
     pole_sum,
     sine_profile,
     two_valued_profile,
@@ -33,6 +32,7 @@ from homokin.oscillator import (
 from homokin.volterra import TimeGrid
 from oracles import (
     exact_poles,
+    gauss_radau_rules,
     memory_kernel_eval,
     operator_matrix,
     secular_poles,
@@ -99,6 +99,19 @@ def tied_young_measures(draw):
     atoms = pool[draw(hnp.arrays(np.intp, m, elements=st.integers(0, len(pool) - 1)))]
     weight = st.one_of(st.just(0.0), st.floats(0.1, 1.0))
     raw = draw(hnp.arrays(np.float64, m, elements=weight))
+    assume(raw.sum() > 0.0)
+    return YoungMeasure(atoms, raw / raw.sum())
+
+
+@st.composite
+def few_atom_measures(draw):
+    """2-5 atoms in [-5, 5] picked from a pool at least 1e-3 apart, so atoms
+    repeat, with weights zero or in [0.1, 1] before normalization."""
+    m = draw(st.integers(2, 5))
+    pool = np.unique(draw(hnp.arrays(np.float64, draw(st.integers(1, m)), elements=st.floats(-5.0, 5.0))))
+    assume(np.all(np.diff(pool) >= 1e-3))
+    atoms = pool[draw(hnp.arrays(np.intp, m, elements=st.integers(0, len(pool) - 1)))]
+    raw = draw(hnp.arrays(np.float64, m, elements=st.one_of(st.just(0.0), st.floats(0.1, 1.0))))
     assume(raw.sum() > 0.0)
     return YoungMeasure(atoms, raw / raw.sum())
 
@@ -248,7 +261,7 @@ class TestPolarizedSource:
     def test_vanishing_level_means_give_an_exact_zero(self, pair):
         sigma, v = pair
         table = build_source_table(sigma, CellFunction(sigma.grid, v), None, 0.1, 50)
-        assert np.all(table.values == 0.0)
+        assert np.all(table == 0.0)
 
     def test_cosine_on_the_sine_profile_is_zero(self):
         # sin(2 pi y) takes each value at y and 1/2 - y, where cos(2 pi y) flips sign
@@ -260,7 +273,7 @@ class TestPolarizedSource:
             assert rates.shape == (0,)
             table = build_source_table(sigma, u_in, u_in, 0.1, 50)
             # only the forcing's own mean, rounding noise here, is left
-            assert np.all(table.values == cell_average(u_in))
+            assert np.all(table == cell_average(u_in))
 
     def test_small_level_means_are_kept(self):
         # constant on each of two levels of 2048 nodes: the level sums are exact
@@ -370,6 +383,29 @@ class TestOscillatorProperties:
         grid = TimeGrid.from_count(5.0, 2500)
         u = solve_oscillator_limit(nu, u_in, grid)
         assert np.max(np.abs(u - cell_averaged_limit(nu, grid.times, u_in))) < 1e-3
+
+    @settings(max_examples=100, deadline=None)
+    @given(few_atom_measures())
+    @example(YoungMeasure(np.array([1.0, 3.0]), np.array([0.5, 0.5])))
+    @example(YoungMeasure(np.array([1.0, 6.0]), np.array([0.3, 0.7])))
+    @example(YoungMeasure(np.array([0.5, 2.0, 7.0]), np.array([0.2, 0.5, 0.3])))
+    @example(YoungMeasure(np.array([4.0, 0.5, 4.0, 2.0, 0.5]), np.array([0.2, 0.2, 0.3, 0.0, 0.3])))
+    def test_kernel_modes_are_the_rule_with_one_node_per_atom(self, nu):
+        # the oscillator's certified rule is, bit for bit, the Gauss rule with
+        # one node per atom, which ends the Krylov space: every pole exactly
+        rates, amplitudes = kernel_time_table(nu, TimeGrid.from_count(5.0, 500)).modes
+        (freqs, residues), _ = gauss_radau_rules(nu.atoms, nu.weights, len(nu.atoms), nu.atoms)
+        assert np.array_equal(-rates.imag, freqs) and not rates.real.any()
+        assert np.array_equal(amplitudes[:, 0, 0].real, residues)
+        assert np.array_equal(amplitudes[:, 0, 1].imag, -residues)
+
+    def test_negative_atoms_over_a_long_horizon(self):
+        # e^{-t l} overflows in the brackets of the short rules, which then
+        # do not close: the rule goes on to the exact one, with no warning
+        nu = YoungMeasure(np.array([-6.0, 1.0, 3.0, 2.0]), np.full(4, 0.25))
+        rates, _ = kernel_time_table(nu, TimeGrid.from_count(200.0, 20000)).modes
+        (freqs, _), _ = gauss_radau_rules(nu.atoms, nu.weights, 4, nu.atoms)
+        assert len(freqs) == 3 and np.array_equal(-rates.imag, freqs)
 
     @settings(max_examples=200, deadline=None)
     @given(tied_young_measures())

@@ -53,7 +53,7 @@ def homogenized_problem(sigma: CellFunction, u_in: CellFunction, grid: TimeGrid)
     return VolterraProblem(
         cell_average(sigma),
         KernelTable.from_cell_coefficient(sigma, grid.dt, grid.count),
-        build_source_table(sigma, u_in, None, grid.dt, grid.count).values,
+        build_source_table(sigma, u_in, None, grid.dt, grid.count),
         cell_average(u_in),
     )
 
