@@ -276,7 +276,7 @@ def _rules(d, W, scale, z, q: int):
     return gauss, rule(jac)[0]
 
 
-def gauss_poles(values, weights, v, taus) -> tuple[np.ndarray, np.ndarray]:
+def gauss_poles(values, weights, v, taus=None) -> tuple[np.ndarray, np.ndarray]:
     """Rates and signed amplitudes of <h, e^{-tau A} vbar> from certified Gauss rules.
 
     For cell data v this is <sigma e^{-tau L_sigma} (v - <v>)>: h = sigma -
@@ -287,7 +287,10 @@ def gauss_poles(values, weights, v, taus) -> tuple[np.ndarray, np.ndarray]:
     The derivatives of e^{-tau x} alternate in sign, so for tau >= 0 each q
     lies between its Gauss and Radau sums of :func:`_rules`.  Q doubles from
     1 until the two bracket widths sum to at most 16 eps |h| |vbar| (4 s)
-    on every lag of ``taus``; the result is the 2Q Gauss poles.
+    on every lag of ``taus``; the result is the 2Q Gauss poles.  With
+    ``taus`` None, Q starts at the number m of distinct levels, where the
+    Krylov space has ended, and the result is the exact rule, with no
+    bracket evaluated.
     For v = sigma the minus rule is empty and the amplitudes are the
     positive kernel residues, certified to 16 eps Var sigma.  Data whose
     level-set means vanish to 16 times the rounding bound of their sums
@@ -297,13 +300,17 @@ def gauss_poles(values, weights, v, taus) -> tuple[np.ndarray, np.ndarray]:
     x = np.ravel(np.asarray(v, dtype=float))
     v_scale = _power_of_two(x)  # exact scalings: no square below under- or overflows
     x = x / v_scale
-    h, vbar = (_level_means(y, weights, nodes, w) for y in (np.ravel(values) / scale, x))
+    cell = np.asarray(weights, dtype=float)
+    # a zero-weight node counts for nothing; zeroed, it cannot overflow the scaling
+    h, vbar = (
+        _level_means(y, weights, nodes, w)
+        for y in (np.where(np.ravel(cell) > 0, np.ravel(values), 0.0) / scale, x)
+    )
     hh, vv = float(w @ h**2), float(w @ vbar**2)
     # rounding of vbar: a running sum of n_l deviations from v at the level's
     # first node errs by up to n_l eps sum |deviations| (Higham 2002), adding
     # that first value and subtracting the cell average by eps each
     level, first = nodes
-    cell = np.asarray(weights, dtype=float)
     ref = x[first]
     deviation = np.bincount(level, weights=cell * np.abs(x - ref[level])) / w
     noise = np.bincount(level) * deviation + np.abs(ref) + abs(cell @ x)
@@ -313,11 +320,11 @@ def gauss_poles(values, weights, v, taus) -> tuple[np.ndarray, np.ndarray]:
     bound = 4.0 * s * _ROUNDING * np.sqrt(hh * vv)
     starts = [(sign, h + sign * s * vbar) for sign in (1.0, -1.0)]
     starts = [(sign, z) for sign, z in starts if z.any()]  # v = sigma: no minus rule
-    q = 1
+    q = len(d) if taus is None else 1
     while True:
         rules = [(sign, _rules(d, w, scale, z, q)) for sign, z in starts]
         # every 64th lag first: it rejects most short rules at 1/64 of the cost
-        gaps = (
+        gaps = () if taus is None else (
             sum(
                 pole_sum(*radau, t) - pole_sum(*gauss, t)
                 for _, (gauss, radau) in rules

@@ -3,10 +3,14 @@
 Every setting is declared once, in ``SETTINGS``: its INI key, its INI
 section and the help of its flag.  ``parse_setting`` turns the text of one
 setting, from the INI file or from its flag, into a config field, so a bad
-value is a ``ConfigError`` that names the field.  Every experiment writes
-CSV files (comma separator, dot decimal point, header row, 17 significant
-digits, LF line endings) through ``_csv``, plus a JSON manifest listing the
-config, code version, wall time, and a content hash per artifact.
+value is a ``ConfigError`` that names the field.  Each kind's runner takes
+the config alone and returns its CSV tables, ``{name: (header, *columns)}``;
+``run_experiment`` makes the output directory only once the runner has
+returned, and writes every table (comma separator, dot decimal point,
+header row, 17 significant digits, LF line endings) through ``write_csv``,
+plus a JSON manifest listing the config, code version, wall time, and a
+content hash per artifact.  So a run that fails, with exit status 1 or 2,
+leaves nothing behind.
 ``write_csv`` and ``csv_text`` come from :mod:`homokin.csvfmt`, which
 formats float columns in bulk to the bytes of '%.17g'; the ode and
 oscillator kinds format their time axis once (``csv_text``) and share that
@@ -249,13 +253,6 @@ def _write_manifest(config: ExperimentConfig, out_dir, files: dict, wall: float)
     return path
 
 
-def _csv(files: dict, out_dir: str, name: str, header: str, *columns) -> None:
-    """Write CSV ``name`` in ``out_dir`` and list its path in ``files``."""
-    path = os.path.join(out_dir, name)
-    write_csv(path, header, *columns)
-    files[name] = path
-
-
 def _cell_sigma(config: ExperimentConfig) -> CellFunction:
     grid, preset = PeriodicGrid(4096), config.preset
     if preset in ("1", "sine"):
@@ -265,16 +262,16 @@ def _cell_sigma(config: ExperimentConfig) -> CellFunction:
     raise ConfigError(f"preset: unknown cell coefficient preset {preset!r}")
 
 
-def _run_tartar(config: ExperimentConfig, sigma: CellFunction, out_dir: str) -> dict:
-    ps = np.array([0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
-    report = verify_tartar_equivalence(sigma, ps)
-    files = {}
-    _csv(
-        files, out_dir, "tartar_equiv.csv", "p,khat,mhat,numeric,numeric_tail,rel_err",
-        report.ps, report.khat, report.mhat, report.numeric, report.numeric_tail,
-        np.abs(report.khat - report.mhat) / np.maximum(np.abs(report.mhat), 1e-14),
-    )
-    return files
+def _run_tartar(config: ExperimentConfig) -> dict:
+    sigma = _cell_sigma(config)
+    report = verify_tartar_equivalence(sigma, np.array([0.1, 0.5, 1.0, 2.0, 5.0, 10.0]))
+    return {
+        "tartar_equiv.csv": (
+            "p,khat,mhat,numeric,numeric_tail,rel_err",
+            report.ps, report.khat, report.mhat, report.numeric, report.numeric_tail,
+            np.abs(report.khat - report.mhat) / np.maximum(np.abs(report.mhat), 1e-14),
+        )
+    }
 
 
 def _single_problem(config: ExperimentConfig) -> None:
@@ -285,18 +282,20 @@ def _single_problem(config: ExperimentConfig) -> None:
         )
 
 
-def _run_ode(config: ExperimentConfig, _, out_dir: str) -> dict:
+def _run_ode(config: ExperimentConfig) -> dict:
+    _single_problem(config)
     grid = PeriodicGrid(config.n_cell)
     sigma = CellFunction.from_function(grid, sine_profile(2.0, 0.5))
     u_in = CellFunction.from_function(grid, lambda y: 1.0 + np.sin(2 * np.pi * y))
     problem = OdeProblem(sigma, None, u_in, 10.0)
     report = three_route_report(problem, TimeGrid.from_count(10.0, 10000))
-    files = {}
     times = csv_text(report["times"])  # one time axis for the three routes
-    for route in ("closed", "coupled", "volterra"):
-        _csv(files, out_dir, f"ode_{route}.csv", "t,u_hom", times, report[route])
-    _csv(
-        files, out_dir, "ode_summary.csv", "pair,sup_difference",
+    tables = {
+        f"ode_{route}.csv": ("t,u_hom", times, report[route])
+        for route in ("closed", "coupled", "volterra")
+    }
+    tables["ode_summary.csv"] = (
+        "pair,sup_difference",
         ("closed-coupled", "closed-volterra", "coupled-volterra", "max-mean-remainder"),
         [report["sup_closed_coupled"], report["sup_closed_volterra"],
          report["sup_coupled_volterra"], report["max_mean_remainder"]],
@@ -312,23 +311,19 @@ def _run_ode(config: ExperimentConfig, _, out_dir: str) -> dict:
         errs = weak_test_function_errors(x, sol.values[-1] - target)
         for name, err in sorted(errs.items()):
             weak_rows.append((eps, name, err))
-    _csv(files, out_dir, "ode_weak.csv", "epsilon,test_fn,weak_error", *zip(*weak_rows))
-    return files
+    tables["ode_weak.csv"] = ("epsilon,test_fn,weak_error", *zip(*weak_rows))
+    return tables
 
 
-def _example_id(config: ExperimentConfig) -> int:
-    """The boltzmann kind's example number, checked on the first sweep eps."""
+def _run_boltzmann(config: ExperimentConfig) -> dict:
     if not str(config.preset).isdecimal():
         raise ConfigError(f"preset: expected an example number, got {config.preset!r}")
     example_id = int(config.preset)
+    # checked on the first sweep eps, before the sweep
     example_presets(
         example_id, config.placement, config.epsilons[0], config.n_cell,
         init_mode=config.init_mode,
     )
-    return example_id
-
-
-def _run_boltzmann(config: ExperimentConfig, example_id: int, out_dir: str) -> dict:
     points = sweep(
         example_id, config.placement, config.epsilons,
         n_cell=config.n_cell, init_mode=config.init_mode,
@@ -338,30 +333,28 @@ def _run_boltzmann(config: ExperimentConfig, example_id: int, out_dir: str) -> d
         np.stack([p.mode_errors for p in points]),
         np.array([p.norm_diff for p in points]),
     )
-    files = {}
     rows = [(p.epsilon, k, e) for p in points for k, e in enumerate(p.mode_errors)]
-    _csv(files, out_dir, "modes.csv", "epsilon,k,e_k", *zip(*rows))
-    _csv(
-        files, out_dir, "norm_diff.csv", "epsilon,norm_diff",
-        [p.epsilon for p in points], [p.norm_diff for p in points],
-    )
-    _csv(
-        files, out_dir, "rates.csv", "k,slope,residual",
-        *zip(*[(k, fit.slope, fit.residual) for k, fit in enumerate(report.fits)]),
-    )
-    return files
+    return {
+        "modes.csv": ("epsilon,k,e_k", *zip(*rows)),
+        "norm_diff.csv": (
+            "epsilon,norm_diff",
+            [p.epsilon for p in points], [p.norm_diff for p in points],
+        ),
+        "rates.csv": (
+            "k,slope,residual",
+            *zip(*[(k, fit.slope, fit.residual) for k, fit in enumerate(report.fits)]),
+        ),
+    }
 
 
-def _transport_params(config: ExperimentConfig):
+def _run_transport(config: ExperimentConfig) -> dict:
     # preset 1, the default of every kind, is the first transport preset
-    return transport_preset("transport-subcritical-1" if config.preset == "1" else config.preset)
-
-
-def _run_transport(config: ExperimentConfig, params, out_dir: str) -> dict:
+    params = transport_preset(
+        "transport-subcritical-1" if config.preset == "1" else config.preset
+    )
     grids = config.transport_grids()
     phi_in = hat_initial_data(0.5)
     t_end = 1.0
-    # first, so that data missing every r-node is a ConfigError before any file
     hom = solve_two_scale_transport(params, phi_in, grids, t_end=t_end, n_steps=150)
     rows = []
     # on the n_e reference grid, not the eps grid: the margin aliases at small eps
@@ -369,8 +362,6 @@ def _run_transport(config: ExperimentConfig, params, out_dir: str) -> dict:
         margin = subcriticality_check(params, eps, grids)
         quotient = coercivity_test(params, eps, grids)
         rows.append((eps, margin, quotient))
-    files = {}
-    _csv(files, out_dir, "transport_checks.csv", "epsilon,margin,min_quotient", *zip(*rows))
 
     counts = [grids.eps_energy_count(eps) for eps in config.epsilons]
     # prefer window widths that hold a whole number of oscillation periods
@@ -390,11 +381,14 @@ def _run_transport(config: ExperimentConfig, params, out_dir: str) -> dict:
             params, phi_in, eps, grids, t_end=t_end, n_steps=150, n_windows=n_windows
         )
         weak_rows.append((eps, windowed_weak_error(sol, hom), sol.sup_l2))
-    _csv(files, out_dir, "transport_weak.csv", "epsilon,weak_error,sup_l2", *zip(*weak_rows))
-    return files
+    return {
+        "transport_checks.csv": ("epsilon,margin,min_quotient", *zip(*rows)),
+        "transport_weak.csv": ("epsilon,weak_error,sup_l2", *zip(*weak_rows)),
+    }
 
 
-def _run_oscillator(config: ExperimentConfig, _, out_dir: str) -> dict:
+def _run_oscillator(config: ExperimentConfig) -> dict:
+    _single_problem(config)
     nu = YoungMeasure.two_atoms(1.0, 3.0)
     u_in = np.array([1.0, 0.0])
     grid = TimeGrid.from_count(10.0, 10000)
@@ -402,58 +396,54 @@ def _run_oscillator(config: ExperimentConfig, _, out_dir: str) -> dict:
     ref = cell_averaged_limit(nu, grid.times, u_in)
     table = kernel_time_table(nu, grid)
     alpha, beta = kernel_components(table)
-    files = {}
     times = csv_text(grid.times)  # the kernel's lags are grid.times too
-    _csv(files, out_dir, "oscillator_solution.csv", "t,u1,u2", times, u[:, 0], u[:, 1])
-    _csv(files, out_dir, "oscillator_reference.csv", "t,u1,u2", times, ref[:, 0], ref[:, 1])
-    _csv(files, out_dir, "oscillator_kernel.csv", "t,alpha,beta", times, alpha, beta)
-    return files
+    return {
+        "oscillator_solution.csv": ("t,u1,u2", times, u[:, 0], u[:, 1]),
+        "oscillator_reference.csv": ("t,u1,u2", times, ref[:, 0], ref[:, 1]),
+        "oscillator_kernel.csv": ("t,alpha,beta", times, alpha, beta),
+    }
 
 
-def _run_kernel_dump(config: ExperimentConfig, sigma: CellFunction, out_dir: str) -> dict:
-    table = KernelTable.from_cell_coefficient(sigma, 1e-2, 2000)
-    path = os.path.join(out_dir, "kernel.csv")
-    table.to_csv(path)
-    return {"kernel.csv": path}
+def _run_kernel_dump(config: ExperimentConfig) -> dict:
+    table = KernelTable.from_cell_coefficient(_cell_sigma(config), 1e-2, 2000)
+    return {"kernel.csv": ("tau,K", table.taus, table.values)}
 
 
-# every kind's preset resolver and runner: the resolver maps the config to the
-# data the runner takes, or raises ConfigError before the directory is made
+# every kind's runner: the config in, its CSV tables {name: (header, *columns)} out
 _RUNNERS = {
-    "tartar": (_cell_sigma, _run_tartar),
-    "ode": (_single_problem, _run_ode),
-    "boltzmann": (_example_id, _run_boltzmann),
-    "transport": (_transport_params, _run_transport),
-    "oscillator": (_single_problem, _run_oscillator),
-    "kernel-dump": (_cell_sigma, _run_kernel_dump),
+    "tartar": _run_tartar,
+    "ode": _run_ode,
+    "boltzmann": _run_boltzmann,
+    "transport": _run_transport,
+    "oscillator": _run_oscillator,
+    "kernel-dump": _run_kernel_dump,
 }
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Execute the configured pipeline; returns status and artifact paths."""
+    """Execute the configured pipeline; returns status and artifact paths.
+
+    The output directory is made and written only once the run has
+    succeeded, so a run that exits 1 or 2 leaves nothing behind.
+    """
+    start = time.time()
     try:
         config.validate()
-        resolve, run = _RUNNERS[config.kind]
-        preset = resolve(config)
+        tables = _RUNNERS[config.kind](config)
     except ConfigError as exc:
         return ExperimentResult(2, {}, str(exc))
+    except (ValueError, MemoryError, RuntimeError) as exc:
+        return ExperimentResult(1, {}, f"numerical failure in {config.kind}: {exc}")
     out_dir = config.out_dir
-    made = not os.path.isdir(out_dir)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         return ExperimentResult(2, {}, f"out: cannot make directory {out_dir!r}: {exc.strerror}")
-    start = time.time()
-    try:
-        files = run(config, preset, out_dir)
-    except ConfigError as exc:
-        if made and not os.listdir(out_dir):  # a config error leaves nothing behind
-            os.rmdir(out_dir)
-        return ExperimentResult(2, {}, str(exc))
-    except (ValueError, MemoryError, RuntimeError) as exc:
-        return ExperimentResult(1, {}, f"numerical failure in {config.kind}: {exc}")
-    manifest = _write_manifest(config, out_dir, files, time.time() - start)
-    files["manifest.json"] = manifest
+    files = {}
+    for name, (header, *columns) in tables.items():
+        files[name] = os.path.join(out_dir, name)
+        write_csv(files[name], header, *columns)
+    files["manifest.json"] = _write_manifest(config, out_dir, files, time.time() - start)
     return ExperimentResult(0, files)
 
 

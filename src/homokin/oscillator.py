@@ -24,13 +24,9 @@ These roots interlace the atoms: they are the poles of the atoms' kernel
 measure, the eigenvalues of diag(l) compressed onto the mean-free data,
 with residues r_k = 1/sum_j w_j (l_j - omega_k)^-2 of total Var(l).  The
 Lanczos Gauss rule of that measure (:func:`homokin.cell.gauss_poles` of
-the atoms, the rule of the cell kernel) is certified on the time grid's
-lags, and on m distinct atoms its Krylov space ends after m - 1 steps,
-where its nodes and weights are these omega_k and r_k exactly.  The
-bracket certifies e^{-t l}, not the rotations, so it can close before
-that step only where e^{-dt min l} is below rounding: a grid on which
-every atom turns by more than about 30 radians a step, far too coarse
-for the march.
+the atoms, the rule of the cell kernel, with no lags) runs until its
+Krylov space ends, after m - 1 steps on m distinct atoms, where its nodes
+and weights are these omega_k and r_k exactly, on any time grid.
 Ktilde is the finite sum
 
     Ktilde(t) = sum_k r_k [cos(omega_k t) Id + sin(omega_k t) A],
@@ -117,13 +113,9 @@ def kernel_time_table(nu: YoungMeasure, grid: TimeGrid) -> KernelTable:
     """Tabulate Ktilde = sum_k r_k [cos(omega_k t) Id + sin(omega_k t) A].
 
     The frequencies and residues are the poles of the atoms, from their
-    Gauss rule certified on the grid's lags; the lag-zero value is
-    sum_k r_k = Var(l).
+    exact Gauss rule; the lag-zero value is sum_k r_k = Var(l).
     """
-    # negative atoms make e^{-t l} grow: a bracket that overflows is not
-    # closed, and the rule goes on to the exact one
-    with np.errstate(over="ignore", invalid="ignore"):
-        freqs, residues = gauss_poles(nu.atoms, nu.weights, nu.atoms, grid.times)
+    freqs, residues = gauss_poles(nu.atoms, nu.weights, nu.atoms)
     # Re[(r e^{i w t}) (Id - i A)] = r [cos(w t) Id + sin(w t) A]
     amplitudes = residues[:, None, None] * (np.eye(2) - 1j * SKEW)
     return KernelTable(grid.times, (-1j * freqs, amplitudes), residues.sum() * np.eye(2))

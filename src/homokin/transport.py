@@ -221,18 +221,15 @@ def _eps_set_up(params, grids, epsilon: float, n_e=None, nodes_per_period=None):
 def _bars(grids: TransportGrids, energies, k1, k2) -> tuple[np.ndarray, np.ndarray]:
     """kappa_bar(E) and kappa_tilde(E) from the eps-grid tables, angle-blind.
 
-    kappa_bar integrates kappa_eps(mu, E, E') over (w', E'), kappa_tilde
-    integrates kappa_eps(mu, E', E); trapezoid in angle (uniform circle
-    nodes), midpoint in energy.
+    kappa_bar is K applied to 1, kappa_tilde is K^T applied to 1, trapezoid
+    in angle (uniform circle nodes), midpoint in energy, both read through
+    the factors of :func:`_energy_rank` at h = 1.  Every angle w sees the
+    same gaps, so both rates are those of w = 0.
     """
-    we, sqrtE, k2 = grids.energy_weight(len(energies)), np.sqrt(energies), k2[..., 0]
-    # every w has mult[k] partners w' at gap k, so both rates are angle-blind
-    mult = grids.angle_weight * np.bincount(_gap_index(grids.n_omega)[0])
-    # bar(w, E): integrate sqrt(E) k1(mu, E) k2(mu, E', y(E')) over (w', E')
-    bar = sqrtE * ((mult * we * k2.sum(axis=1)) @ k1)
-    # tilde(w, E): roles swapped, sqrt(E') k1(mu, E') k2(mu, E, y(E))
-    tilde = (mult * we * (k1 @ sqrtE)) @ k2
-    return bar, tilde
+    we, nw = grids.energy_weight(len(energies)), grids.n_omega
+    Rk, s, A, _ = _energy_rank(grids, energies, k1, k2, we, 1.0)
+    A0 = A.reshape(nw, len(s), nw, len(Rk))[0].sum(axis=1)  # row v = 0, summed over w
+    return (A0 @ Rk.sum(axis=1)) @ s, (s.sum(axis=1) @ A0) @ Rk
 
 
 def subcriticality_check(

@@ -703,7 +703,7 @@ class TestCli:
         ],
     )
     def test_boltzmann_config_exit_code(self, tmp_path, capsys, flags, field):
-        # the preset is resolved before the output directory is made
+        # the runner resolves the preset first; a run that fails makes no directory
         code = main(["boltzmann", *flags, "--eps", "0.1", "--out", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
@@ -767,7 +767,7 @@ class TestCli:
         ],
     )
     def test_unknown_preset_exit_code(self, tmp_path, capsys, argv):
-        # the preset is resolved before the output directory is made
+        # the runner resolves the preset first; a run that fails makes no directory
         code = main([*argv, "--out", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
@@ -821,9 +821,8 @@ class TestCli:
         assert "n_r" in capsys.readouterr().err
 
     def test_transport_data_off_the_r_nodes_leaves_nothing(self, tmp_path, capsys):
-        # the hat of support 0.5 vanishes on the two r-nodes +-1: the limit
-        # finds it before any CSV is written, and the directory the run made
-        # goes again; a directory that was there stays
+        # the hat of support 0.5 vanishes on the two r-nodes +-1: a config
+        # error, so the run makes no directory; a directory that was there stays
         grids = dict(n_r=2, n_e=12, n_y=16, n_omega=4, epsilons=(0.5,))
         out = tmp_path / "run"
         result = run_experiment(ExperimentConfig(kind="transport", out_dir=str(out), **grids))
@@ -837,6 +836,47 @@ class TestCli:
         kept.mkdir()
         result = run_experiment(ExperimentConfig(kind="transport", out_dir=str(kept), **grids))
         assert result.status == 2 and kept.is_dir() and not any(kept.iterdir())
+
+    @pytest.fixture
+    def failing_eps_solver(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise RuntimeError("no march")
+
+        monkeypatch.setattr(homokin.harness, "solve_characteristics_eps", failing)
+
+    def test_failure_after_the_first_table_leaves_nothing(self, tmp_path, failing_eps_solver):
+        # the checks' table is done when the eps solver fails: exit 1, and
+        # none of the nested output directories is made
+        grids = dict(n_r=8, n_e=12, n_y=16, n_omega=4, epsilons=(0.5,))
+        out = tmp_path / "pp" / "a" / "b"
+        result = run_experiment(ExperimentConfig(kind="transport", out_dir=str(out), **grids))
+        assert result.status == 1 and "no march" in result.message
+        assert result.files == {}
+        assert not (tmp_path / "pp").exists()
+
+    def test_config_error_makes_no_nested_directory(self, tmp_path, capsys):
+        code = main(["transport", "--n-r", "2", "--out", str(tmp_path / "pp" / "a" / "b")])
+        assert code == 2
+        assert "n_r" in capsys.readouterr().err
+        assert not (tmp_path / "pp").exists()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["--n-r", "2"], 2), (["--preset", "foo"], 2), (["--eps", "1e-5"], 2), ([], 1)],
+    )
+    def test_failed_run_leaves_an_existing_directory_as_it_was(
+        self, tmp_path, failing_eps_solver, argv, code
+    ):
+        # exit 1 comes from an eps solver that fails after the checks' table;
+        # an earlier run's files keep their bytes, and no file is added
+        out = tmp_path / "out"
+        out.mkdir()
+        earlier = {"transport_checks.csv": "earlier run\n", "manifest.json": "{}\n"}
+        for name, text in earlier.items():
+            (out / name).write_text(text)
+        grids = ["--n-e", "12", "--n-y", "16", "--n-omega", "4", "--n-r", "8", "--eps", "0.5"]
+        assert main(["transport", *grids, *argv, "--out", str(out)]) == code
+        assert {p.name: p.read_text() for p in out.iterdir()} == earlier
 
     def test_source_rule_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         # the ode kind's source table: a rule whose amplitudes miss <sigma u_in>

@@ -17,6 +17,7 @@ from oracles import (
     averaged_rotation_laplace_numeric,
     exact_poles,
     exact_rotation,
+    gauss_radau_rules,
     matrix_B,
     regularized_kernel_laplace,
     rotation_matrix,
@@ -173,6 +174,25 @@ class TestKernelTable:
         atoms, weights = np.array([5.06e-193, 0.0]), np.array([0.5, 0.5])
         table = kernel_time_table(YoungMeasure(atoms, weights), TimeGrid.from_count(1.0, 10))
         assert len(table.modes[0]) == len(exact_poles(atoms, weights)[0]) == 1
+
+    @pytest.mark.parametrize(
+        "atoms, grid",
+        [
+            ([40.0, 50.0, 60.0], TimeGrid(10.0, 1.0)),
+            ([5.0, 6.0, 7.0, 8.0], TimeGrid(80.0, 8.0)),
+        ],
+    )
+    def test_coarse_grid_keeps_every_pole(self, atoms, grid):
+        # every atom turns by more than 30 radians a step, and e^{-dt l} is
+        # below rounding: a bracket on the lags would close early, the exact
+        # rule keeps the m - 1 poles of m atoms
+        atoms = np.array(atoms)
+        weights = np.full(len(atoms), 1.0 / len(atoms))
+        rates, amplitudes = kernel_time_table(YoungMeasure(atoms, weights), grid).modes
+        (nodes, residues), _ = gauss_radau_rules(atoms, weights, len(atoms), atoms)
+        assert len(rates) == len(atoms) - 1
+        assert np.array_equal(rates, -1j * nodes)
+        assert np.array_equal(amplitudes, residues[:, None, None] * (np.eye(2) - 1j * SKEW))
 
 
 class TestLimitSolve:
