@@ -192,8 +192,14 @@ def pole_sum(rates, amplitudes, taus) -> np.ndarray:
 
 
 def _power_of_two(x) -> float:
-    """The power of two that scales max |x| into [1/2, 1) (1 for x = 0)."""
-    return float(np.ldexp(1.0, np.frexp(np.max(np.abs(x), initial=0.0))[1]))
+    """The power of two that scales max |x| into [1/2, 1) (1 for x = 0).
+
+    ValueError for max |x| >= 2^1023, whose power 2^1024 overflows; the
+    variance of such data overflows anyway."""
+    exponent = np.frexp(np.max(np.abs(x), initial=0.0))[1]
+    if exponent > 1023:
+        raise ValueError("cell data of magnitude 2^1023 or more has no finite scale")
+    return float(np.ldexp(1.0, exponent))
 
 
 def _distinct(values, weights):

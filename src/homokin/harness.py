@@ -12,11 +12,13 @@ plus a JSON manifest listing the config, code version, wall time, and a
 content hash per artifact.  So a run that fails, with exit status 1 or 2,
 leaves nothing behind.
 ``write_csv`` and ``csv_text`` come from :mod:`homokin.csvfmt`, which
-formats float columns in bulk to the bytes of '%.17g'; the ode and
-oscillator kinds format their time axis once (``csv_text``) and share that
-text among their three time-series files.  The boltzmann kind's sweep
-points run one after another and share one solve of the limit
-(``boltzmann.sweep``), so reruns are byte-identical.
+formats float columns in bulk to the bytes of '%.17g'.  The ode and
+oscillator kinds march 10,000 steps to t = 10 and print every
+``PRINT_EVERY``-th step, 1,001 rows a file; the ode kind's sup gaps are
+taken over every step.  Each formats its printed time axis once
+(``csv_text``) and shares that text among its three time-series files.
+The boltzmann kind's sweep points run one after another and share one
+solve of the limit (``boltzmann.sweep``), so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ from .transport import (
 from .volterra import TimeGrid
 
 KINDS = ("tartar", "ode", "boltzmann", "transport", "oscillator", "kernel-dump")
+# the ode and oscillator kinds print every PRINT_EVERY-th of their 10,000 steps
+PRINT_EVERY = 10
 
 # every setting by its INI key (its flag writes _ as -): INI section, flag help
 SETTINGS = {
@@ -289,9 +293,9 @@ def _run_ode(config: ExperimentConfig) -> dict:
     u_in = CellFunction.from_function(grid, lambda y: 1.0 + np.sin(2 * np.pi * y))
     problem = OdeProblem(sigma, None, u_in, 10.0)
     report = three_route_report(problem, TimeGrid.from_count(10.0, 10000))
-    times = csv_text(report["times"])  # one time axis for the three routes
+    times = csv_text(report["times"][::PRINT_EVERY])  # one axis for the three routes
     tables = {
-        f"ode_{route}.csv": ("t,u_hom", times, report[route])
+        f"ode_{route}.csv": ("t,u_hom", times, report[route][::PRINT_EVERY])
         for route in ("closed", "coupled", "volterra")
     }
     tables["ode_summary.csv"] = (
@@ -396,11 +400,12 @@ def _run_oscillator(config: ExperimentConfig) -> dict:
     ref = cell_averaged_limit(nu, grid.times, u_in)
     table = kernel_time_table(nu, grid)
     alpha, beta = kernel_components(table)
-    times = csv_text(grid.times)  # the kernel's lags are grid.times too
+    shown = slice(None, None, PRINT_EVERY)
+    times = csv_text(grid.times[shown])  # the kernel's lags are grid.times too
     return {
-        "oscillator_solution.csv": ("t,u1,u2", times, u[:, 0], u[:, 1]),
-        "oscillator_reference.csv": ("t,u1,u2", times, ref[:, 0], ref[:, 1]),
-        "oscillator_kernel.csv": ("t,alpha,beta", times, alpha, beta),
+        "oscillator_solution.csv": ("t,u1,u2", times, u[shown, 0], u[shown, 1]),
+        "oscillator_reference.csv": ("t,u1,u2", times, ref[shown, 0], ref[shown, 1]),
+        "oscillator_kernel.csv": ("t,alpha,beta", times, alpha[shown], beta[shown]),
     }
 
 

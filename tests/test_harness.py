@@ -40,7 +40,13 @@ from homokin.harness import (
     write_csv,
 )
 from homokin.multiscale import COUPLED_MAX_CELLS, OdeProblem, solve_eps_exact
-from homokin.oscillator import kernel_time_table
+from homokin.oscillator import (
+    YoungMeasure,
+    cell_averaged_limit,
+    kernel_components,
+    kernel_time_table,
+    solve_oscillator_limit,
+)
 from homokin.volterra import SolverError, TimeGrid
 
 
@@ -468,8 +474,9 @@ class TestFloatFormatter:
             assert written("s,x", csv_text(text), csv_text(x)) == expected
 
     def test_peak_memory_of_a_time_series_file(self, tmp_path):
-        # the oscillator kind's solution file: a shared time column and two
-        # float columns of 10,001 rows; the % writer peaked at 1.95 MB
+        # the writer on a file of a shared time column and two float columns
+        # of 10,001 rows, ten times what the oscillator kind now prints; the
+        # % writer peaked at 1.95 MB
         times = TimeGrid.from_count(10.0, 10000).times
         u1, u2 = np.cos(3.0 * times), np.sin(times)
         paths = tmp_path / "bulk.csv", tmp_path / "percent.csv"
@@ -487,6 +494,12 @@ class TestFloatFormatter:
         percent = peak(percent_path_csv, paths[1], tuple("%.17g" % t for t in times.tolist()))
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert bulk <= percent + 1e6, (bulk, percent)
+
+
+def assert_every_10th_step(path, header, *columns):
+    """The file holds 1,001 rows of 10,001-step columns: row j is '%.17g' of step 10 j."""
+    assert all(len(c) == 10001 for c in columns), path.name
+    assert path.read_bytes() == reference_csv(header, [c[::10] for c in columns]), path.name
 
 
 class TestExperiments:
@@ -507,6 +520,48 @@ class TestExperiments:
         assert "kernel.csv" in manifest["files"]
         assert len(manifest["files"]["kernel.csv"]) == 64
         assert manifest["wall_time_s"] >= 0.0
+
+    def test_ode_prints_every_10th_step_and_gaps_over_every_step(self, tmp_path, monkeypatch):
+        reports = []
+
+        def recording_report(problem, grid):
+            reports.append(homokin.multiscale.three_route_report(problem, grid))
+            return reports[-1]
+
+        monkeypatch.setattr(homokin.harness, "three_route_report", recording_report)
+        assert run_experiment(ExperimentConfig(kind="ode", out_dir=str(tmp_path))).status == 0
+        (report,) = reports
+        assert len(report["times"]) == 10001
+        for route in ("closed", "coupled", "volterra"):
+            assert_every_10th_step(
+                tmp_path / f"ode_{route}.csv", "t,u_hom", report["times"], report[route]
+            )
+        # the sups are taken over all 10,001 steps, and every one of them
+        # differs from the sup over the printed steps
+        summary = (tmp_path / "ode_summary.csv").read_text().splitlines()
+        sups = dict(line.split(",") for line in summary[1:])
+        for pair in ("closed-coupled", "closed-volterra", "coupled-volterra"):
+            a, b = pair.split("-")
+            gap = np.abs(report[a] - report[b])
+            assert sups[pair] == "%.17g" % gap.max(), pair
+            assert gap[::10].max() < gap.max(), pair
+        assert sups["max-mean-remainder"] == "%.17g" % report["max_mean_remainder"]
+
+    def test_oscillator_prints_every_10th_step(self, tmp_path):
+        config = ExperimentConfig(kind="oscillator", out_dir=str(tmp_path))
+        assert run_experiment(config).status == 0
+        # the kind's problem: atoms 1 and 3 of equal weight, u(0) = (1, 0), to t = 10
+        nu, u_in = YoungMeasure.two_atoms(1.0, 3.0), np.array([1.0, 0.0])
+        grid = TimeGrid.from_count(10.0, 10000)
+        columns = {
+            "oscillator_solution.csv": ("t,u1,u2", solve_oscillator_limit(nu, u_in, grid).T),
+            "oscillator_reference.csv": ("t,u1,u2", cell_averaged_limit(nu, grid.times, u_in).T),
+            "oscillator_kernel.csv": (
+                "t,alpha,beta", kernel_components(kernel_time_table(nu, grid))
+            ),
+        }
+        for name, (header, (a, b)) in columns.items():
+            assert_every_10th_step(tmp_path / name, header, grid.times, a, b)
 
     def test_ode_weak_study_reads_the_last_row_of_a_full_march(self):
         # the weak study marches one step to t_end; linspace ends exactly at

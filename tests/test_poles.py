@@ -189,6 +189,16 @@ class TestGaussPoles:
         constant = gauss_poles(np.full(8, 2.0), np.full(8, 0.125), np.arange(8.0), [0.0, 1.0])
         assert constant[0].shape == constant[1].shape == (0,)
 
+    def test_data_of_magnitude_2_to_the_1023_is_refused(self):
+        # its power-of-two scale would be 2^1024 = inf, which emptied the rule
+        for values, v in (([1.6e308, 1.0], [1.6e308, 1.0]), ([1.0, 2.0], [-1.6e308, 1.0])):
+            with pytest.raises(ValueError, match="2\\^1023"):
+                gauss_poles(values, [0.5, 0.5], v)
+        # just below it the scale is 2^1023, and the two-valued pole is found
+        top = np.nextafter(2.0**1023, 0.0)
+        nodes, _ = gauss_poles([top, 1.0], [0.5, 0.5], [1.0, 2.0])
+        assert np.array_equal(nodes, [top / 2])
+
     def test_smooth_profile_needs_few_nodes(self):
         sigma = CellFunction.from_function(PeriodicGrid(4096), sine_profile(2.0, 0.5))
         v = sigma.values
