@@ -173,22 +173,17 @@ _ROUNDING = 16.0 * np.finfo(float).eps
 def pole_sum(rates, amplitudes, taus) -> np.ndarray:
     """sum_k amplitudes_k exp(-rates_k tau) at each tau, in chunks of lags.
 
-    Amplitudes (m,) give (lags,); amplitudes (m, d, d) give (lags, d, d),
-    through one product with them as (m, d d).  Complex rates give
-    oscillating sums; the chunks keep the (lags x poles) exponential block
-    at POLE_CHUNK elements.
+    Rates and amplitudes of shape (m,) give (lags,); complex ones give a
+    complex sum.  The chunks keep the (lags x poles) exponential block at
+    POLE_CHUNK elements.
     """
     rates, amplitudes = np.asarray(rates), np.asarray(amplitudes)
     taus = np.asarray(taus, dtype=float)
-    shape = amplitudes.shape[1:]
-    if shape:
-        amplitudes = amplitudes.reshape(len(rates), np.prod(shape, dtype=int))
-    dtype = np.result_type(rates, amplitudes, float)
-    out = np.empty((len(taus),) + amplitudes.shape[1:], dtype)
+    out = np.empty(len(taus), np.result_type(rates, amplitudes, float))
     rows = max(1, POLE_CHUNK // max(len(rates), 1))
     for i in range(0, len(taus), rows):
         out[i : i + rows] = np.exp(-np.outer(taus[i : i + rows], rates)) @ amplitudes
-    return out.reshape((len(taus),) + shape)
+    return out
 
 
 def _power_of_two(x) -> float:

@@ -71,15 +71,15 @@ def _checked_poles(sigma: CellFunction, v: np.ndarray, taus, identity: str):
 
 @dataclass(frozen=True, eq=False)
 class KernelTable:
-    """A kernel in pole form, sampled on increasing lags ``taus`` from 0.
+    """A scalar kernel in pole form, sampled on increasing lags ``taus`` from 0.
 
-    ``modes = (rates, amplitudes)`` gives K(tau) = Re sum_k amplitudes_k
-    e^{-rates_k tau} at positive lags, with amplitudes (m,) for a scalar
-    kernel or (m, d, d) for a matrix one, possibly complex; a zero kernel
-    has no modes.  ``lag0`` is K(0).  ``values``, computed once, is lag0 at
-    lag zero and the pole sum at every other lag; only the CSV writers read
-    it.  The Volterra solver and the Tartar check read only the pole form
-    and lag0.
+    ``modes = (rates, amplitudes)``, two arrays of shape (m,), possibly
+    complex, gives K(tau) = sum_k amplitudes_k e^{-rates_k tau} at positive
+    lags; a zero kernel has no modes.  ``lag0`` is the scalar K(0).
+    ``values``, computed once, is lag0 at lag zero and the pole sum at every
+    other lag, complex for a complex kernel; only the CSV writers read it.
+    The Volterra solver and the Tartar check read only the pole form and
+    lag0.
     """
 
     taus: np.ndarray
@@ -89,10 +89,10 @@ class KernelTable:
     def __post_init__(self) -> None:
         taus = np.asarray(self.taus, dtype=float)
         rates, amps = (np.asarray(x) for x in self.modes)
-        lag0 = np.asarray(self.lag0, dtype=float)
+        lag0 = np.asarray(self.lag0, dtype=np.result_type(self.lag0, float))
         if taus.ndim != 1 or taus[0] != 0 or np.any(np.diff(taus) <= 0):
             raise ValueError("taus must start at 0 and increase")
-        if rates.ndim != 1 or amps.shape != rates.shape + lag0.shape:
+        if rates.ndim != 1 or amps.shape != rates.shape or lag0.ndim:
             raise ValueError(f"modes {rates.shape}, {amps.shape} do not fit lag0 {lag0.shape}")
         if not all(np.all(np.isfinite(x)) for x in (rates, amps, lag0)):
             raise ValueError("kernel modes and lag0 must be finite")
@@ -102,7 +102,7 @@ class KernelTable:
 
     @cached_property
     def values(self) -> np.ndarray:
-        values = np.array(pole_sum(*self.modes, self.taus).real)
+        values = pole_sum(*self.modes, self.taus)
         values[0] = self.lag0
         return values
 

@@ -139,7 +139,7 @@ def solve_coupled_system(problem: OdeProblem, grid: TimeGrid) -> CoupledOdeSolut
 
 
 def solve_homogenized_volterra(problem: OdeProblem, grid: TimeGrid) -> np.ndarray:
-    """Memory-kernel route: tabulate K and S on the grid, then march."""
+    """Memory-kernel route: the pole form of K and the samples of S, then march."""
     kernel = KernelTable.from_cell_coefficient(problem.sigma, grid.dt, grid.count)
     source = build_source_table(
         problem.sigma, problem.u_in, problem.f, grid.dt, grid.count

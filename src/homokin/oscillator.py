@@ -18,20 +18,23 @@ which decays like Var(l)/p, and the algebraically equivalent equation
 
     dU0/dt - b* A U0 = - int_0^t Ktilde(t - s) U0(s) ds.
 
-On the eigenvector of A for eigenvalue i, M(p) acts as sum_j w_j/(p - i l_j),
-which vanishes at p = i omega_k exactly where sum_j w_j/(l_j - omega) = 0.
-These roots interlace the atoms: they are the poles of the atoms' kernel
-measure, the eigenvalues of diag(l) compressed onto the mean-free data,
-with residues r_k = 1/sum_j w_j (l_j - omega_k)^-2 of total Var(l).  The
-Lanczos Gauss rule of that measure (:func:`homokin.cell.gauss_poles` of
-the atoms, the rule of the cell kernel, with no lags) runs until its
-Krylov space ends, after m - 1 steps on m distinct atoms, where its nodes
-and weights are these omega_k and r_k exactly, on any time grid.
-Ktilde is the finite sum
+On z = u1 + i u2, A acts as multiplication by -i, and M(p) as sum_j
+w_j/(p + i l_j), which vanishes at p = -i omega_k exactly where sum_j
+w_j/(l_j - omega) = 0.  These roots interlace the atoms: they are the
+poles of the atoms' kernel measure, the eigenvalues of diag(l) compressed
+onto the mean-free data, with residues r_k = 1/sum_j w_j (l_j - omega_k)^-2
+of total Var(l).  The Lanczos Gauss rule of that measure
+(:func:`homokin.cell.gauss_poles` of the atoms, the rule of the cell
+kernel, with no lags) runs until its Krylov space ends, after m - 1 steps
+on m distinct atoms, where its nodes and weights are these omega_k and r_k
+exactly, on any time grid.  Ktilde is the finite sum
 
     Ktilde(t) = sum_k r_k [cos(omega_k t) Id + sin(omega_k t) A],
 
-a pole form the Volterra solver evaluates exactly on any time grid.
+which acts on z as sum_k r_k e^{-i omega_k t}.  So the limit is one complex
+Volterra equation dz/dt + i b* z = - int_0^t Ktilde(t - s) z(s) ds, Tartar's
+memory-effect example (1989), with a pole-form kernel the Volterra solver
+evaluates exactly on any time grid.
 """
 
 from __future__ import annotations
@@ -43,8 +46,6 @@ import numpy as np
 from .cell import gauss_poles
 from .kernels import KernelTable
 from .volterra import TimeGrid, VolterraProblem, solve_volterra
-
-SKEW = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,15 +111,13 @@ def talbot_nodes_for(nu: YoungMeasure, t_max: float, base: int = 32) -> int:
 
 
 def kernel_time_table(nu: YoungMeasure, grid: TimeGrid) -> KernelTable:
-    """Tabulate Ktilde = sum_k r_k [cos(omega_k t) Id + sin(omega_k t) A].
+    """Tabulate Ktilde on z = u1 + i u2: sum_k r_k e^{-i omega_k t}.
 
     The frequencies and residues are the poles of the atoms, from their
     exact Gauss rule; the lag-zero value is sum_k r_k = Var(l).
     """
     freqs, residues = gauss_poles(nu.atoms, nu.weights, nu.atoms)
-    # Re[(r e^{i w t}) (Id - i A)] = r [cos(w t) Id + sin(w t) A]
-    amplitudes = residues[:, None, None] * (np.eye(2) - 1j * SKEW)
-    return KernelTable(grid.times, (-1j * freqs, amplitudes), residues.sum() * np.eye(2))
+    return KernelTable(grid.times, (1j * freqs, residues), residues.sum())
 
 
 def solve_oscillator_limit(
@@ -126,24 +125,19 @@ def solve_oscillator_limit(
 ) -> np.ndarray:
     """March the regularized limit equation; returns U0 on the grid nodes.
 
-    In the solver's convention du/dt + a u - int K(t-s) u = 0 the decay
-    coefficient is a = -b* A and the kernel is K = -Ktilde.
+    The march is of z = u1 + i u2: in the solver's convention du/dt + a u -
+    int K(t-s) u = 0 the decay coefficient is a = i b* and the kernel is
+    K = -Ktilde.  U0 = (Re z, Im z), shape (count+1, 2).
     """
     table = kernel_time_table(nu, grid)
-    rates, amplitudes = table.modes
-    neg_table = KernelTable(table.taus, (rates, -amplitudes), -table.lag0)
-    problem = VolterraProblem(
-        a=-nu.mean * SKEW,
-        kernel=neg_table,
-        source=None,
-        u0=u_in,
-    )
-    return solve_volterra(problem, grid)
+    rates, residues = table.modes
+    kernel = KernelTable(table.taus, (rates, -residues), -table.lag0)
+    z = solve_volterra(VolterraProblem(1j * nu.mean, kernel, None, complex(*u_in)), grid)
+    return np.stack([z.real, z.imag], axis=1)
 
 
 def kernel_components(table: KernelTable) -> tuple[np.ndarray, np.ndarray]:
-    """Split a commutant-structured matrix table into (alpha, beta)."""
-    vals = table.values
-    alpha = 0.5 * (vals[:, 0, 0] + vals[:, 1, 1])
-    beta = 0.5 * (vals[:, 0, 1] - vals[:, 1, 0])
-    return alpha, beta
+    """(alpha, beta) with Ktilde = alpha Id + beta A, from its action alpha - i beta on z."""
+    values = table.values
+    # 0 - Im: the real lag-zero value has imaginary part +0, and beta(0) reads 0, not -0
+    return values.real, 0.0 - values.imag

@@ -300,10 +300,8 @@ def secular_response(sigma: CellFunction, v: np.ndarray, taus) -> np.ndarray:
 
 
 def _kernel_samples(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:
-    """The kernel on the grid's lags, (count+1, d, d): its pole form, lag0 at lag 0."""
-    d = problem.u0.size
-    table = KernelTable(grid.times, problem.kernel.modes, problem.kernel.lag0)
-    return table.values.reshape(grid.count + 1, d, d)
+    """The kernel on the grid's lags, (count+1,): its pole form, lag0 at lag 0."""
+    return KernelTable(grid.times, problem.kernel.modes, problem.kernel.lag0).values
 
 
 def volterra_residual(
@@ -313,52 +311,49 @@ def volterra_residual(
 
     Recomputes du/dt by centered differences on interior nodes and the
     convolution by an independent full trapezoid sum, and returns the max
-    norm of  du/dt + a u - conv - S.  The trapezoid at t_n is the discrete
-    convolution sum_{j<=n} K_{n-j} u_j less half its two end terms.
+    modulus of  du/dt + a u - conv - S.  The trapezoid at t_n is the
+    discrete convolution sum_{j<=n} K_{n-j} u_j less half its two end terms.
     """
-    count, dt, d = grid.count, grid.dt, problem.u0.size
+    count, dt = grid.count, grid.dt
     K = _kernel_samples(problem, grid)
     S = _source_samples(problem, grid)
-    u = np.asarray(solution, dtype=float).reshape(count + 1, d)
-    full = np.zeros((count + 1, d))
-    for i, j in np.ndindex(d, d):
-        full[:, i] += np.convolve(K[:, i, j], u[:, j])[: count + 1]
-    ends = K @ u[0] + u @ K[0].T
-    conv = dt * (full - 0.5 * ends)
+    u = np.asarray(solution)
+    full = np.convolve(K, u)[: count + 1]
+    conv = dt * (full - 0.5 * (K * u[0] + u * K[0]))
     dudt = (u[2:] - u[:-2]) / (2.0 * dt)
-    res = dudt + u[1:-1] @ problem.a.reshape(d, d).T - conv[1:-1] - S[1:-1]
+    res = dudt + problem.a * u[1:-1] - conv[1:-1] - S[1:-1]
     return float(np.max(np.abs(res))) if len(res) else 0.0
 
 
-def solve_volterra_direct(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:
+def solve_volterra_direct(
+    problem: VolterraProblem, grid: TimeGrid, K: np.ndarray | None = None
+) -> np.ndarray:
     """The product-trapezoid march with the history summed directly, O(N^2).
 
     Same scheme and implicit factor as :func:`homokin.volterra.solve_volterra`,
     but each step's history sum_{j=1}^{n} K_{n+1-j} u_j runs over the
-    sampled kernel instead of the kernel's pole form.
+    sampled kernel instead of the kernel's pole form.  ``K`` holds those
+    samples on the grid's lags, by default the problem's pole form; the
+    march is real when K, the source, a and u0 are.
     """
-    count, dt, d = grid.count, grid.dt, problem.u0.size
-    K = _kernel_samples(problem, grid)
+    count, dt, a = grid.count, grid.dt, problem.a
+    K = _kernel_samples(problem, grid) if K is None else np.asarray(K)
     S = _source_samples(problem, grid)
     local_src = 0.5 * dt * (S[:-1] + S[1:])
-    a = problem.a.reshape(d, d)
-    eye = np.eye(d)
-    u = np.empty((count + 1, d))
-    u[0] = problem.u0.ravel()
-    factor = eye + 0.5 * dt * a - 0.25 * dt * dt * K[0]
-    if abs(np.linalg.det(factor)) < 1e-14:
-        raise SolverError(f"implicit {d}x{d} factor is singular")
-    finv = np.linalg.inv(factor)
-    explicit = eye - 0.5 * dt * a
-    head = 0.5 * dt * K[1:] @ u[0]
-    conv_prev = np.zeros(d)
+    factor = 1.0 + 0.5 * dt * a - 0.25 * dt * dt * K[0]
+    if abs(factor) < 1e-14:
+        raise SolverError("implicit factor is singular")
+    finv = 1.0 / factor
+    u = np.empty(count + 1, np.result_type(K, S, a, problem.u0))
+    u[0] = problem.u0
+    head = 0.5 * dt * K[1:] * u[0]
+    conv_prev = 0.0
     for n in range(count):
-        hist = np.einsum("tij,tj->i", K[n:0:-1], u[1 : n + 1])
-        conv_next_known = head[n] + dt * hist
-        rhs = explicit @ u[n] + local_src[n] + 0.5 * dt * (conv_next_known + conv_prev)
-        u[n + 1] = finv @ rhs
-        conv_prev = conv_next_known + 0.5 * dt * (K[0] @ u[n + 1])
-    return u.reshape((count + 1,) + problem.u0.shape)
+        conv_next_known = head[n] + dt * (K[n:0:-1] @ u[1 : n + 1])
+        rhs = (1.0 - 0.5 * dt * a) * u[n] + local_src[n] + 0.5 * dt * (conv_next_known + conv_prev)
+        u[n + 1] = rhs * finv
+        conv_prev = conv_next_known + 0.5 * dt * K[0] * u[n + 1]
+    return u
 
 
 def solve_coupled_direct(problem: OdeProblem, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -391,6 +386,10 @@ def solve_coupled_direct(problem: OdeProblem, grid: TimeGrid) -> tuple[np.ndarra
         u, r = rk4_step(rhs, j * dt, dt, u, r)
         u_hom[j + 1], r_hist[j + 1] = u, r
     return u_hom, r_hist
+
+
+# the skew generator A of the plane rotations dU/dt = b A U
+SKEW = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def rotation_matrix(theta: float) -> np.ndarray:

@@ -852,13 +852,13 @@ class TestCli:
         assert "singular" in err
 
     def test_oscillator_singular_factor_exit_code(self, tmp_path, monkeypatch, capsys):
-        # the real solver, on a decay coefficient a = -(2/dt)(I - dt^2/4 K(0))
-        # that zeroes the implicit factor I + dt/2 a - dt^2/4 K(0)
+        # the real solver, on a decay coefficient a = -(2/dt)(1 - dt^2/4 K(0))
+        # that zeroes the implicit factor 1 + dt/2 a - dt^2/4 K(0)
         real = homokin.oscillator.solve_volterra
 
         def singular_decay(problem, grid):
-            k0 = problem.kernel.values[0]
-            a = -(2.0 / grid.dt) * (np.eye(2) - 0.25 * grid.dt**2 * k0)
+            k0 = problem.kernel.lag0
+            a = -(2.0 / grid.dt) * (1.0 - 0.25 * grid.dt**2 * k0)
             return real(dataclasses.replace(problem, a=a), grid)
 
         monkeypatch.setattr(homokin.oscillator, "solve_volterra", singular_decay)

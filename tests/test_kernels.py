@@ -90,10 +90,12 @@ class TestKernelTable:
         assert np.array_equal(data[:, 0], table.taus)
         assert np.array_equal(data[:, 1], table.values)
 
-    def test_matrix_valued_table_accepted(self):
+    def test_complex_table(self):
+        # no real part is taken: a complex pole form has complex values
         taus = np.linspace(0, 1, 11)
-        table = KernelTable(taus, (np.zeros(0), np.zeros((0, 2, 2))), np.zeros((2, 2)))
-        assert table.values.shape == (11, 2, 2) and not table.values.any()
+        table = KernelTable(taus, (np.array([1j]), np.array([0.5])), 0.5)
+        assert table.values.dtype == np.complex128 and table.values[0] == 0.5
+        assert np.max(np.abs(table.values - 0.5 * np.exp(-1j * taus))) < 1e-15
 
 
 class TestLaplaceRoutes:

@@ -5,7 +5,6 @@ import pytest
 
 from homokin.cell import CellFunction, PeriodicGrid
 from homokin.oscillator import (
-    SKEW,
     YoungMeasure,
     cell_averaged_limit,
     kernel_components,
@@ -14,6 +13,7 @@ from homokin.oscillator import (
 )
 from homokin.volterra import TimeGrid
 from oracles import (
+    SKEW,
     averaged_rotation_laplace_numeric,
     exact_poles,
     exact_rotation,
@@ -154,7 +154,7 @@ class TestKernelTable:
     def test_lag_zero_variance(self):
         grid = TimeGrid.from_count(1.0, 100)
         table = kernel_time_table(TWO_ATOMS, grid)
-        assert np.max(np.abs(table.values[0] - np.eye(2))) < 1e-14
+        assert abs(table.values[0] - TWO_ATOMS.variance) < 1e-14
 
     def test_alpha_near_zero_at_fixed_nodes(self):
         grid = TimeGrid(0.048, 1e-3)
@@ -162,11 +162,24 @@ class TestKernelTable:
         alpha, _ = kernel_components(table)
         assert abs(alpha[1] - TWO_ATOMS.variance) / TWO_ATOMS.variance < 0.02
 
-    def test_commutant_structure_everywhere(self):
+    def test_acts_on_z_as_the_matrix_kernel(self):
+        # sum_k r_k [cos(omega_k t) Id + sin(omega_k t) A] u, written as
+        # z = u1 + i u2, is the scalar table times z: A is -i on z
+        nu = YoungMeasure(np.array([0.5, 2.0, 7.0]), np.array([0.2, 0.5, 0.3]))
         grid = TimeGrid.from_count(5.0, 500)
-        table = kernel_time_table(TWO_ATOMS, grid)
-        assert np.max(np.abs(table.values[:, 0, 0] - table.values[:, 1, 1])) < 1e-12
-        assert np.max(np.abs(table.values[:, 0, 1] + table.values[:, 1, 0])) < 1e-12
+        table = kernel_time_table(nu, grid)
+        freqs, residues = table.modes[0].imag, table.modes[1]
+        u = np.array([0.6, -0.8])
+        angles = np.outer(grid.times[1:], freqs)
+        cos, sin = np.cos(angles) @ residues, np.sin(angles) @ residues
+        matrix = np.outer(cos, u) + np.outer(sin, SKEW @ u)
+        scalar = table.values[1:] * complex(u[0], u[1])
+        assert np.max(np.abs(matrix - np.stack([scalar.real, scalar.imag], axis=1))) < 1e-13
+        alpha, beta = kernel_components(table)
+        assert np.max(np.abs(alpha[1:] - cos)) < 1e-13
+        assert np.max(np.abs(beta[1:] - sin)) < 1e-13
+        # the lag-zero value is the real Var(l): beta(0) is +0, which prints 0, not -0
+        assert alpha[0] == table.lag0 and beta[0] == 0.0 and not np.signbit(beta[0])
 
     def test_tiny_atoms_keep_their_pole(self):
         # the mass <z^2> ~ 6e-386 of the unscaled Lanczos start underflows to
@@ -191,8 +204,8 @@ class TestKernelTable:
         rates, amplitudes = kernel_time_table(YoungMeasure(atoms, weights), grid).modes
         (nodes, residues), _ = gauss_radau_rules(atoms, weights, len(atoms), atoms)
         assert len(rates) == len(atoms) - 1
-        assert np.array_equal(rates, -1j * nodes)
-        assert np.array_equal(amplitudes, residues[:, None, None] * (np.eye(2) - 1j * SKEW))
+        assert np.array_equal(rates, 1j * nodes)
+        assert np.array_equal(amplitudes, residues)
 
 
 class TestLimitSolve:
@@ -217,6 +230,30 @@ class TestLimitSolve:
             u = solve_oscillator_limit(nu, U_IN, grid)
             ref = cell_averaged_limit(nu, grid.times, U_IN)
             assert np.max(np.abs(u - ref)) < 1e-3
+
+    def test_rotation_covariance(self):
+        # a rotation multiplies z by a unit complex number, which the linear
+        # march carries through
+        nu = YoungMeasure(np.array([0.5, 2.0, 7.0]), np.array([0.2, 0.5, 0.3]))
+        grid = TimeGrid.from_count(10.0, 4000)
+        u_in = np.array([0.8, -0.3])
+        u = solve_oscillator_limit(nu, u_in, grid)
+        for theta in (0.7, 2.0, -2.5):
+            R = rotation_matrix(theta)
+            turned = solve_oscillator_limit(nu, R @ u_in, grid)
+            assert np.max(np.abs(turned - u @ R.T)) <= 1e-13
+
+    @pytest.mark.parametrize("atoms", [(1.0, 3.0), (1.0, 6.0)])
+    def test_second_order(self, atoms):
+        nu = YoungMeasure(np.array(atoms), np.array([0.5, 0.5]))
+
+        def max_err(count):
+            grid = TimeGrid.from_count(10.0, count)
+            u = solve_oscillator_limit(nu, U_IN, grid)
+            return np.max(np.abs(u - cell_averaged_limit(nu, grid.times, U_IN)))
+
+        ratio = max_err(2000) / max_err(4000)
+        assert 3.5 <= ratio <= 4.5, ratio
 
     def test_laplace_identity_numeric(self):
         for p in (0.5, 1.0, 2.0):
